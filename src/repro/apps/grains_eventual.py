@@ -691,16 +691,13 @@ class IngestionGrain(Grain):
         if result.get("status") != "ok":
             # Nothing was created: roll the local registration back so
             # a later submit can retry from scratch.
-            entries = dict(self.data["entries"])
-            entries.pop(key, None)
-            self.data = {**self.data, "entries": entries}
+            self.data = ingestion_logic.release(self.data, key)
             return {"status": "rejected",
                     "reason": result.get("reason", "rejected"),
                     "order_id": order_id}
         if result["order_id"] != order_id:
-            entries = dict(self.data["entries"])
-            entries[key] = result["order_id"]
-            self.data = {**self.data, "entries": entries}
+            self.data = ingestion_logic.rebind(self.data, key,
+                                               result["order_id"])
         return {"status": "ok", "order_id": result["order_id"],
                 "idempotent": False, "invoice": result["invoice"],
                 "total_cents": result["total_cents"]}

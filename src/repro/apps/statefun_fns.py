@@ -802,9 +802,7 @@ class IngestionFn(_AppFunction):
         elif kind == "release":
             # The order side rejected the ingest (no stock): drop the
             # registration so a later submit can retry.
-            entries = dict(state["entries"])
-            entries.pop(payload["key"], None)
-            state["entries"] = entries
+            state.update(ingestion_logic.release(state, payload["key"]))
         return None
 
 

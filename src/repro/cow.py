@@ -24,6 +24,14 @@ views and O(dirty) installs:
     result is isolated from later mutations of the source.  Cost is
     O(touched part), not O(state).
 
+``assoc_in(tree, path, value)`` / ``dissoc_in(tree, path)``
+    The one way to change a key deep inside a state tree.  Through a
+    view the write lands in the overlay of the node that owns the key
+    — O(path), not O(collection) — and the same view comes back; a
+    plain dict is path-copied and left untouched.  ``dict(view)`` on a
+    growing collection, the idiom they replace, wrapped every record
+    in a view per update and made the simulator quadratic again.
+
 ``clone(value)``
     A fully detached deep clone specialised for plain-data trees.  It
     does the same job ``copy.deepcopy`` did in the checkpoint path at
@@ -236,7 +244,16 @@ class CowState(MutableMapping):
 
     # -- writes ---------------------------------------------------------
     def __setitem__(self, key, value) -> None:
-        self._written[key] = value
+        written = self._written
+        if written.get(key, _MISSING) is _DELETED:
+            # Re-adding a deleted key appends it, exactly as in a dict:
+            # forget its old position by dropping it from a private
+            # copy of the base (rare; the frozen base stays untouched).
+            base = dict(self._base)
+            del base[key]
+            self._base = base
+            del written[key]
+        written[key] = value
         self._wrapped.pop(key, None)
 
     def __delitem__(self, key) -> None:
@@ -255,37 +272,32 @@ class CowState(MutableMapping):
         self._wrapped.pop(key, None)
 
     # -- engine internals ----------------------------------------------
-    @property
-    def dirty(self) -> bool:
-        """True when the view differs (or may differ) from its base."""
-        if self._written:
-            return True
-        for view in self._wrapped.values():
-            if view.dirty:
-                return True
-        return False
-
     def _materialize(self):
-        if not self.dirty:
-            return self._base
-        written = self._written
-        wrapped = self._wrapped
+        """Plain form of the view; the base itself when nothing changed.
+
+        One walk over the *overlay* only: the untouched majority of the
+        base is carried over by a C-level ``dict(base)`` (same key
+        order), then touched keys are patched in place, deleted keys
+        dropped and new keys appended in the order they were written.
+        """
         base = self._base
-        out = {}
-        for key in base:
-            if key in written:
-                value = written[key]
+        out = None
+        for key, view in self._wrapped.items():
+            value = view._materialize()
+            if value is not base[key]:
+                if out is None:
+                    out = dict(base)
+                out[key] = value
+        written = self._written
+        if written:
+            if out is None:
+                out = dict(base)
+            for key, value in written.items():
                 if value is _DELETED:
-                    continue
-                out[key] = materialize(value)
-            elif key in wrapped:
-                out[key] = wrapped[key]._materialize()
-            else:
-                out[key] = base[key]
-        for key, value in written.items():
-            if key not in base and value is not _DELETED:
-                out[key] = materialize(value)
-        return out
+                    del out[key]
+                else:
+                    out[key] = materialize(value)
+        return base if out is None else out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CowState({dict(self)!r})"
@@ -392,22 +404,25 @@ class CowList(MutableSequence):
         self._mutated = True
 
     # -- engine internals ----------------------------------------------
-    @property
-    def dirty(self) -> bool:
-        if self._mutated:
-            return True
+    def _materialize(self):
         items = self._items
         if items is None:
-            return False
-        for value in items:
-            if type(value) in (CowState, CowList) and value.dirty:
-                return True
-        return False
-
-    def _materialize(self):
-        if not self.dirty:
             return self._base
-        return [materialize(value) for value in self._items]
+        if self._mutated:
+            return [materialize(value) for value in items]
+        # Not mutated: elements still sit at their base positions, so
+        # only element views that changed need patching in.
+        base = self._base
+        out = None
+        for index, value in enumerate(items):
+            kind = type(value)
+            if kind is CowState or kind is CowList:
+                value = value._materialize()
+                if value is not base[index]:
+                    if out is None:
+                        out = list(base)
+                    out[index] = value
+        return base if out is None else out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CowList({list(self)!r})"
@@ -434,25 +449,28 @@ def peek(mapping, key, default=None):
 
 
 def scan_items(mapping):
-    """Iterate (key, value) pairs of a mapping without creating views.
+    """The (key, value) pairs of a mapping, without creating views.
 
-    Untouched entries of a :class:`CowState` are yielded straight from
-    the frozen base — no wrapper allocation, no caching — which makes
-    whole-state read-only scans as cheap as iterating a plain dict.
-    Entries touched through the view come from its overlay, so the scan
-    still observes the view's own (staged) mutations.
+    Untouched entries of a :class:`CowState` come straight from the
+    frozen base — no wrapper allocation, no caching — and a view with
+    an empty overlay hands back the base's own C-level items view, so
+    a whole-state read-only scan is as cheap as iterating a plain
+    dict.  Entries touched through the view come from its overlay, so
+    the scan still observes the view's own (staged) mutations.
 
     READ-ONLY: see :func:`peek` — never mutate a yielded value.
     """
     if type(mapping) is not CowState:
-        yield from mapping.items()
-        return
+        return mapping.items()
+    if not mapping._written and not mapping._wrapped:
+        return mapping._base.items()
+    return _scan_overlaid(mapping)
+
+
+def _scan_overlaid(mapping):
     written = mapping._written
     wrapped = mapping._wrapped
     base = mapping._base
-    if not written and not wrapped:
-        yield from base.items()
-        return
     for key, value in base.items():
         if key in written:
             value = written[key]
@@ -469,15 +487,52 @@ def scan_items(mapping):
 
 
 def scan_values(mapping):
-    """Iterate a mapping's values without creating views (read-only)."""
+    """A mapping's values without creating views (read-only)."""
     if type(mapping) is not CowState:
-        yield from mapping.values()
-        return
+        return mapping.values()
     if not mapping._written and not mapping._wrapped:
-        yield from mapping._base.values()
-        return
-    for _, value in scan_items(mapping):
-        yield value
+        return mapping._base.values()
+    return (value for _, value in _scan_overlaid(mapping))
+
+
+def assoc_in(tree, path, value):
+    """``tree`` with ``value`` stored under the key path ``path``.
+
+    Mappings all the way down; the intermediate keys must exist.  On a
+    :class:`CowState` the write is recorded in the overlay of the view
+    that owns the last key and the same view is returned —
+    O(len(path)), however large the collections on the way.  A plain
+    dict is path-copied (``{**d}`` per level) and never mutated, so
+    callers holding plain state keep pure-function semantics.  Key
+    order is that of copy-then-replace on plain dicts either way.
+    """
+    key = path[0]
+    if len(path) > 1:
+        child = tree[key]
+        value = assoc_in(child, path[1:], value)
+        if value is child:  # a view, updated in place
+            return tree
+    if type(tree) is CowState:
+        if value is _DELETED:
+            del tree[key]
+        else:
+            tree[key] = value
+        return tree
+    out = {**tree}
+    if value is _DELETED:
+        del out[key]
+    else:
+        out[key] = value
+    return out
+
+
+def dissoc_in(tree, path):
+    """``tree`` without the key at ``path`` (KeyError when absent).
+
+    Same contract as :func:`assoc_in`: in place through a view, a
+    path copy of a plain dict.
+    """
+    return assoc_in(tree, path, _DELETED)
 
 
 def materialize(value):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.cow import assoc_in, dissoc_in
+
 OPEN = "open"
 CHECKING_OUT = "checking_out"
 
@@ -23,25 +25,23 @@ def add_item(state: dict, item: typing.Mapping) -> dict:
     """Add (or merge) an item; returns the new cart state."""
     if state["status"] != OPEN:
         raise ValueError("cart is checking out; cannot add items")
-    items = dict(state["items"])
     key = f"{item['seller_id']}/{item['product_id']}"
-    existing = items.get(key)
+    existing = state["items"].get(key)
     if existing is not None:
         merged = dict(existing)
         merged["quantity"] += item["quantity"]
-        items[key] = merged
     else:
-        items[key] = dict(item)
-    return {**state, "items": items}
+        merged = dict(item)
+    return assoc_in(state, ("items", key), merged)
 
 
 def remove_item(state: dict, key: str) -> dict:
     """Remove the item under ``key`` (seller/product); no-op if absent."""
     if state["status"] != OPEN:
         raise ValueError("cart is checking out; cannot remove items")
-    items = dict(state["items"])
-    items.pop(key, None)
-    return {**state, "items": items}
+    if key not in state["items"]:
+        return state
+    return dissoc_in(state, ("items", key))
 
 
 def apply_price_update(state: dict, key: str, price_cents: int,
@@ -55,21 +55,16 @@ def apply_price_update(state: dict, key: str, price_cents: int,
     item = items.get(key)
     if item is None or item.get("price_version", 0) >= version:
         return state, False
-    new_items = dict(items)
-    new_item = dict(item)
-    new_item["unit_price_cents"] = price_cents
-    new_item["price_version"] = version
-    new_items[key] = new_item
-    return {**state, "items": new_items}, True
+    new_item = {**item, "unit_price_cents": price_cents,
+                "price_version": version}
+    return assoc_in(state, ("items", key), new_item), True
 
 
 def apply_product_delete(state: dict, key: str) -> tuple[dict, bool]:
     """Remove a deleted product's item from the cart (replicated)."""
     if key not in state["items"]:
         return state, False
-    items = dict(state["items"])
-    items.pop(key)
-    return {**state, "items": items}, True
+    return dissoc_in(state, ("items", key)), True
 
 
 def seal_for_checkout(state: dict) -> tuple[dict, list[dict]]:

@@ -17,6 +17,8 @@ measures (duplicate internal orders, orphaned registrations).
 
 from __future__ import annotations
 
+from repro.cow import assoc_in, dissoc_in, peek, scan_items
+
 
 def shard_key(platform: str, shop_id: int) -> str:
     """Registry partition key: one shard per sales channel + shop."""
@@ -50,12 +52,23 @@ def register(state: dict, key: str) -> tuple[dict, str, bool]:
         return state, existing, False
     sequence = state["next_seq"]
     order_id = f"x{state['shard'].replace('/', '.')}-{sequence:05d}"
-    entries = dict(state["entries"])
-    entries[key] = order_id
-    return ({**state, "entries": entries, "next_seq": sequence + 1},
-            order_id, True)
+    state = assoc_in(state, ("entries", key), order_id)
+    return assoc_in(state, ("next_seq",), sequence + 1), order_id, True
+
+
+def rebind(state: dict, key: str, order_id: str) -> dict:
+    """Point an already registered ``key`` at another internal order."""
+    return assoc_in(state, ("entries", key), order_id)
+
+
+def release(state: dict, key: str) -> dict:
+    """Drop ``key``'s registration (nothing was created for it), so a
+    later submit can retry from scratch; no-op when absent."""
+    if key not in state["entries"]:
+        return state
+    return dissoc_in(state, ("entries", key))
 
 
 def registered_keys(state: dict) -> dict:
     """key -> internal order id mapping of one partition (a copy)."""
-    return dict(state["entries"])
+    return dict(scan_items(peek(state, "entries")))

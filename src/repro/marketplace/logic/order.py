@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.cow import assoc_in
 from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import lifecycle
 
@@ -49,9 +50,8 @@ def assemble(state: dict, order_id: str, confirmed_items: list[dict],
     }
     if ext is not None:
         order["ext"] = ext
-    orders = dict(state["orders"])
-    orders[order_id] = order
-    return {**state, "next_order": sequence + 1, "orders": orders}, order
+    state = assoc_in(state, ("next_order",), sequence + 1)
+    return assoc_in(state, ("orders", order_id), order), order
 
 
 def _subtotal(item: typing.Mapping) -> int:
@@ -72,28 +72,26 @@ def set_status(state: dict, order_id: str, status: str,
     Unknown orders raise KeyError; hops not in ``TRANSITIONS`` raise
     :class:`~repro.marketplace.logic.lifecycle.IllegalTransition`.
     """
-    orders = dict(state["orders"])
-    if order_id not in orders:
+    order = state["orders"].get(order_id)
+    if order is None:
         raise KeyError(f"unknown order {order_id!r}")
-    orders[order_id] = lifecycle.advance(orders[order_id], status, now)
-    return {**state, "orders": orders}
+    return assoc_in(state, ("orders", order_id),
+                    lifecycle.advance(order, status, now))
 
 
 def record_shipment(state: dict, order_id: str, package_count: int,
                     now: float) -> dict:
     """Mark the order in transit with ``package_count`` packages."""
-    orders = dict(state["orders"])
-    order = lifecycle.advance(orders[order_id], OrderStatus.IN_TRANSIT, now)
+    order = lifecycle.advance(state["orders"][order_id],
+                              OrderStatus.IN_TRANSIT, now)
     order["packages_total"] = package_count
-    orders[order_id] = order
-    return {**state, "orders": orders}
+    return assoc_in(state, ("orders", order_id), order)
 
 
 def record_delivery(state: dict, order_id: str, now: float) -> tuple[dict,
                                                                      bool]:
     """Record one delivered package; returns (state, order completed?)."""
-    orders = dict(state["orders"])
-    order = dict(orders[order_id])
+    order = {**state["orders"][order_id]}
     order["packages_delivered"] += 1
     completed = (order["packages_total"] > 0
                  and order["packages_delivered"] >= order["packages_total"])
@@ -101,8 +99,7 @@ def record_delivery(state: dict, order_id: str, now: float) -> tuple[dict,
         order = lifecycle.advance(order, OrderStatus.COMPLETED, now)
     else:
         order["updated_at"] = now
-    orders[order_id] = order
-    return {**state, "orders": orders}, completed
+    return assoc_in(state, ("orders", order_id), order), completed
 
 
 def in_progress_orders(state: dict) -> list[dict]:

@@ -10,7 +10,7 @@ payment events — which is what makes the two reads able to diverge.
 
 from __future__ import annotations
 
-from repro.cow import peek, scan_values
+from repro.cow import assoc_in, dissoc_in, peek, scan_values
 from repro.marketplace.constants import OrderStatus
 
 
@@ -37,34 +37,30 @@ def upsert_entry(state: dict, order: dict) -> dict:
     amount = seller_share_cents(order, seller_id)
     if amount == 0:
         return state
-    entries = dict(state["entries"])
-    entries[order["order_id"]] = {
+    return assoc_in(state, ("entries", order["order_id"]), {
         "order_id": order["order_id"],
         "customer_id": order["customer_id"],
         "status": order["status"],
         "amount_cents": amount,
         "updated_at": order["updated_at"],
-    }
-    return {**state, "entries": entries}
+    })
 
 
 def update_entry_status(state: dict, order_id: str, status: str,
                         now: float) -> dict:
     """Track a status change; terminal statuses retire the entry."""
-    entries = dict(state["entries"])
-    entry = entries.get(order_id)
+    entry = peek(peek(state, "entries"), order_id)
     if entry is None:
         return state
     if status in OrderStatus.IN_PROGRESS:
-        entries[order_id] = {**entry, "status": status, "updated_at": now}
-        return {**state, "entries": entries}
-    retired = entries.pop(order_id)
-    new_state = {**state, "entries": entries}
+        return assoc_in(state, ("entries", order_id),
+                        {**entry, "status": status, "updated_at": now})
+    state = dissoc_in(state, ("entries", order_id))
     if status == OrderStatus.COMPLETED:
-        new_state["revenue_cents"] = (state["revenue_cents"]
-                                      + retired["amount_cents"])
-        new_state["deliveries"] = state["deliveries"] + 1
-    return new_state
+        state = assoc_in(state, ("revenue_cents",),
+                         state["revenue_cents"] + entry["amount_cents"])
+        state = assoc_in(state, ("deliveries",), state["deliveries"] + 1)
+    return state
 
 
 def record_return(state: dict, amount_cents: int) -> dict:
@@ -80,10 +76,7 @@ def record_return(state: dict, amount_cents: int) -> dict:
 
 def _iter_entries(state: dict):
     """Copy-free read-only iteration over the dashboard entries."""
-    entries = peek(state, "entries")
-    if type(entries) is dict:
-        return entries.values()
-    return scan_values(entries)
+    return scan_values(peek(state, "entries"))
 
 
 def dashboard_amount(state: dict) -> int:

@@ -8,7 +8,7 @@ sets their respective oldest order's packages as delivered".
 
 from __future__ import annotations
 
-from repro.cow import peek, scan_values
+from repro.cow import assoc_in, peek, scan_values
 from repro.marketplace.constants import PackageStatus
 
 
@@ -43,43 +43,26 @@ def create_shipment(state: dict, order_id: str, customer_id: int,
         }
     shipment = {"order_id": order_id, "customer_id": customer_id,
                 "packages": packages, "created_at": now}
-    shipments = dict(state["shipments"])
-    shipments[order_id] = shipment
-    new_state = {**state, "shipments": shipments,
-                 "next_package": next_package}
-    return new_state, shipment
-
-
-def _iter_packages(state: dict):
-    """Yield every package dict in the partition, copy-free.
-
-    Read-only scan over the whole partition: peek/scan_values walk the
-    frozen state directly instead of wrapping every shipment and
-    package in a copy-on-write view just to compare atoms.  Untouched
-    sub-trees are plain dicts, so the common all-clean case iterates
-    raw dict values with no generator helpers in between.
-    """
-    shipments = peek(state, "shipments")
-    ship_iter = (shipments.values() if type(shipments) is dict
-                 else scan_values(shipments))
-    for shipment in ship_iter:
-        packages = peek(shipment, "packages")
-        if type(packages) is dict:
-            yield from packages.values()
-        else:
-            yield from scan_values(packages)
+    state = assoc_in(state, ("shipments", order_id), shipment)
+    return assoc_in(state, ("next_package",), next_package), shipment
 
 
 def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
-    """(seller, earliest undelivered ship time) pairs for this partition."""
+    """(seller, earliest undelivered ship time) pairs for this partition.
+
+    A read-only scan of the whole partition, so it walks the frozen
+    state raw (``peek`` / ``scan_values``) in plain nested loops:
+    untouched shipments are plain dicts and cost no Python call each.
+    """
     first_seen: dict[int, float] = {}
     delivered = PackageStatus.DELIVERED
-    for package in _iter_packages(state):
-        if package["status"] != delivered:
-            seller = package["seller_id"]
-            when = package["shipped_at"]
-            if seller not in first_seen or when < first_seen[seller]:
-                first_seen[seller] = when
+    for shipment in scan_values(peek(state, "shipments")):
+        for package in shipment["packages"].values():
+            if package["status"] != delivered:
+                seller = package["seller_id"]
+                when = package["shipped_at"]
+                if seller not in first_seen or when < first_seen[seller]:
+                    first_seen[seller] = when
     return sorted(first_seen.items(), key=lambda item: (item[1], item[0]))
 
 
@@ -94,10 +77,12 @@ def oldest_undelivered_package(state: dict,
     """The seller's oldest package not yet delivered (or None)."""
     best = None
     delivered = PackageStatus.DELIVERED
-    for package in _iter_packages(state):
-        if (package["seller_id"] == seller_id
-                and package["status"] != delivered):
-            if best is None or package["shipped_at"] < best["shipped_at"]:
+    for shipment in scan_values(peek(state, "shipments")):
+        for package in shipment["packages"].values():
+            if (package["seller_id"] == seller_id
+                    and package["status"] != delivered
+                    and (best is None
+                         or package["shipped_at"] < best["shipped_at"])):
                 best = package
     # The winner may be a frozen committed package: hand back a copy so
     # callers cannot reach engine-owned state through the result.
@@ -107,21 +92,18 @@ def oldest_undelivered_package(state: dict,
 def mark_delivered(state: dict, order_id: str, package_id: str,
                    now: float) -> tuple[dict, dict]:
     """Set one package delivered; returns (state, updated package)."""
-    shipments = dict(state["shipments"])
-    shipment = shipments.get(order_id)
+    shipment = state["shipments"].get(order_id)
     if shipment is None:
         raise KeyError(f"no shipment for order {order_id!r}")
-    packages = dict(shipment["packages"])
-    package = packages.get(package_id)
+    package = shipment["packages"].get(package_id)
     if package is None:
         raise KeyError(f"no package {package_id!r} in order {order_id!r}")
     if package["status"] == PackageStatus.DELIVERED:
         return state, package
     package = {**package, "status": PackageStatus.DELIVERED,
                "delivered_at": now}
-    packages[package_id] = package
-    shipments[order_id] = {**shipment, "packages": packages}
-    return {**state, "shipments": shipments}, package
+    path = ("shipments", order_id, "packages", package_id)
+    return assoc_in(state, path, package), package
 
 
 def package_count(state: dict, order_id: str) -> int:

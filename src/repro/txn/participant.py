@@ -75,14 +75,9 @@ class TransactionParticipant:
                 f"txn {ctx.txid} no longer active", reason="failure")
         yield from self.lock.acquire(ctx, LockMode.EXCLUSIVE)
         ctx.register(self)
-        if type(state) is CowState and not state.dirty:
-            # Read-mostly fast path: writing back an untouched view
-            # stages its frozen base by reference — no tree walk, no
-            # rebuild.  (Common for methods that read, decide not to
-            # change anything, and write the view back.)
-            self._staged[ctx.txid] = state._base
-        else:
-            self._staged[ctx.txid] = materialize(state)
+        # An untouched view materialises to its frozen base by
+        # reference, so a read-decide-write-back costs no rebuild.
+        self._staged[ctx.txid] = materialize(state)
 
     def read_committed(self) -> CowState:
         """Lock-free read of the last committed state (non-txn callers)."""
@@ -95,10 +90,7 @@ class TransactionParticipant:
         primitive — e.g. event-driven replica maintenance — so the write
         bypasses locking exactly like the real system would.
         """
-        if type(state) is CowState and not state.dirty:
-            self.committed_state = state._base
-        else:
-            self.committed_state = materialize(state)
+        self.committed_state = materialize(state)
 
     # ------------------------------------------------------------------
     # two-phase commit (called by the coordinator)

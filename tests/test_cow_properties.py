@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from repro.cow import (
     CowList,
     CowState,
+    assoc_in,
     clone,
+    dissoc_in,
     materialize,
     peek,
     scan_items,
@@ -185,6 +187,142 @@ def test_scan_observes_overlay_mutations(base, program):
     apply_program(view, program)
     assert {key: materialize(value)
             for key, value in scan_items(view)} == materialize(view)
+
+
+# ---------------------------------------------------------------------------
+# path updates: assoc_in / dissoc_in == copy-then-replace on plain dicts
+# ---------------------------------------------------------------------------
+
+#: A small key alphabet, so op sequences hit existing keys, delete them
+#: and re-add them often.
+path_keys = st.sampled_from("abcde")
+
+leaves = st.one_of(atoms, st.lists(atoms, max_size=3))
+
+nested_dicts = st.dictionaries(
+    path_keys,
+    st.recursive(leaves,
+                 lambda children: st.dictionaries(path_keys, children,
+                                                  max_size=4),
+                 max_leaves=12),
+    max_size=4)
+
+#: (delete?, descent picks, last key, value to store)
+path_ops = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+              path_keys,
+              st.one_of(leaves, nested_dicts)),
+    max_size=8)
+
+
+def resolve_path(tree, picks, last):
+    """A valid key path into ``tree``: descend through dict children
+    chosen by ``picks``, then address ``last`` in the node reached."""
+    path, node = [], tree
+    for pick in picks:
+        children = [key for key, value in node.items()
+                    if isinstance(value, dict)]
+        if not children:
+            break
+        key = children[pick % len(children)]
+        path.append(key)
+        node = node[key]
+    return (*path, last), node
+
+
+def copy_then_replace(tree, path, value, delete=False):
+    """The reference semantics: rebuild every dict along the path."""
+    out = dict(tree)
+    if len(path) > 1:
+        out[path[0]] = copy_then_replace(tree[path[0]], path[1:], value,
+                                         delete)
+    elif delete:
+        del out[path[0]]
+    else:
+        out[path[0]] = value
+    return out
+
+
+def run_path_ops(target, reference, ops):
+    """Apply ``ops`` to ``target`` (vocabulary) and ``reference`` (copy
+    -then-replace); returns (target, reference, touched paths)."""
+    touched = []
+    for delete, picks, last, value in ops:
+        path, node = resolve_path(reference, picks, last)
+        if delete and last not in node:
+            continue
+        touched.append(path)
+        if delete:
+            target = dissoc_in(target, path)
+        else:
+            target = assoc_in(target, path, value)
+        reference = copy_then_replace(reference, path, value, delete)
+    return target, reference, touched
+
+
+def ordered(tree):
+    """``tree`` with every dict as a list of pairs: == compares order."""
+    if isinstance(tree, dict):
+        return [(key, ordered(value)) for key, value in tree.items()]
+    if isinstance(tree, list):
+        return [ordered(value) for value in tree]
+    return tree
+
+
+def assert_untouched_shared(base, result, touched, prefix=()):
+    """Containers of ``base`` no op reached are in ``result`` by ``is``."""
+    for key, value in base.items():
+        path = (*prefix, key)
+        if key not in result or not isinstance(value, (dict, list)):
+            continue
+        depth = len(path)
+        if not any(op[:depth] == path or path[:len(op)] == op
+                   for op in touched):
+            assert result[key] is value, path
+        elif isinstance(value, dict) and isinstance(result[key], dict):
+            assert_untouched_shared(value, result[key], touched, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_dicts, path_ops)
+def test_path_updates_through_view_equal_copy_then_replace(base, ops):
+    frozen = copy.deepcopy(base)
+    view = CowState(base)
+    result, reference, touched = run_path_ops(view, base, ops)
+    assert result is view, "a view is updated in place and handed back"
+    installed = materialize(view)
+    assert ordered(installed) == ordered(reference)
+    assert ordered(base) == ordered(frozen), "the frozen base was mutated"
+    assert_untouched_shared(base, installed, touched)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_dicts, path_ops)
+def test_path_updates_on_plain_dict_are_pure(base, ops):
+    frozen = copy.deepcopy(base)
+    result, reference, touched = run_path_ops(base, base, ops)
+    assert ordered(result) == ordered(reference)
+    assert ordered(base) == ordered(frozen), "plain input was mutated"
+    if touched:
+        assert result is not base
+    assert_untouched_shared(base, result, touched)
+
+
+def test_delete_then_re_add_moves_the_key_to_the_end():
+    base = {"a": 1, "b": {"x": 1, "y": 2}, "c": 3}
+    view = CowState(base)
+    dissoc_in(view, ("a",))
+    assoc_in(view, ("a",), 9)
+    dissoc_in(view, ("b", "x"))
+    assoc_in(view, ("b", "x"), 8)
+    assert list(view) == ["b", "c", "a"]
+    assert ordered(materialize(view)) == [
+        ("b", [("y", 2), ("x", 8)]), ("c", 3), ("a", 9)]
+    assert base == {"a": 1, "b": {"x": 1, "y": 2}, "c": 3}
+    # ... and deleting the re-added key again must not resurrect it.
+    dissoc_in(view, ("b", "x"))
+    assert materialize(view)["b"] == {"y": 2}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Unit tests for the platform-independent marketplace business logic."""
 
+import copy
+import json
+
 import pytest
 
+from repro.cow import CowState, materialize
 from repro.marketplace import logic
 from repro.marketplace.constants import (
     OrderStatus,
@@ -455,3 +459,90 @@ class TestProduct:
             logic.product.update_price(product, 100)
         with pytest.raises(ValueError):
             logic.product.delete(product)
+
+
+class TestIngestion:
+    def test_register_is_idempotent_per_key(self):
+        state = logic.ingestion.new_registry("ozon/3")
+        state, first, created = logic.ingestion.register(state, "ozon/3/a")
+        assert created and first == "xozon.3-00001"
+        same, again, created = logic.ingestion.register(state, "ozon/3/a")
+        assert same is state and again == first and not created
+        state, second, _ = logic.ingestion.register(state, "ozon/3/b")
+        assert second == "xozon.3-00002"
+        assert logic.ingestion.registered_keys(state) == {
+            "ozon/3/a": first, "ozon/3/b": second}
+
+    def test_release_drops_the_registration_once(self):
+        empty = logic.ingestion.new_registry("ozon/3")
+        state, _, _ = logic.ingestion.register(empty, "ozon/3/a")
+        released = logic.ingestion.release(state, "ozon/3/a")
+        assert logic.ingestion.lookup(released, "ozon/3/a") is None
+        assert logic.ingestion.lookup(state, "ozon/3/a") is not None
+        assert logic.ingestion.release(released, "ozon/3/a") is released
+
+    def test_rebind_points_the_key_at_the_retry_order(self):
+        state, order_id, _ = logic.ingestion.register(
+            logic.ingestion.new_registry("ozon/3"), "ozon/3/a")
+        rebound = logic.ingestion.rebind(state, "ozon/3/a", "retry.r1")
+        assert logic.ingestion.lookup(rebound, "ozon/3/a") == "retry.r1"
+        assert logic.ingestion.lookup(state, "ozon/3/a") == order_id
+
+
+def lifecycle_script(states):
+    """One checkout-to-delivery pass over every growing collection;
+    ``states`` maps service name -> state (plain dicts or views)."""
+    cart = logic.cart.add_item(states["cart"], item(seller=7))
+    cart = logic.cart.add_item(cart, item(seller=7))
+    cart = logic.cart.remove_item(cart, "1/1")
+    orders, order = logic.order.assemble(
+        states["order"], "o9", [item(seller=7)], now=1.0)
+    orders = logic.order.set_status(
+        orders, "o9", OrderStatus.PAYMENT_PROCESSED, now=2.0)
+    orders = logic.order.record_shipment(orders, "o9", 1, now=3.0)
+    shipments, shipment = logic.shipment.create_shipment(
+        states["shipment"], "o9", 1, order["items"], now=3.0)
+    package_id = next(iter(shipment["packages"]))
+    shipments, _ = logic.shipment.mark_delivered(
+        shipments, "o9", package_id, now=4.0)
+    orders, completed = logic.order.record_delivery(orders, "o9", now=4.0)
+    assert completed
+    seller = logic.seller.upsert_entry(
+        states["seller"], {**order, "status": OrderStatus.IN_TRANSIT})
+    seller = logic.seller.update_entry_status(
+        seller, "o1", OrderStatus.COMPLETED, now=4.0)
+    registry, _, _ = logic.ingestion.register(states["ingestion"], "k/1/b")
+    registry = logic.ingestion.release(registry, "k/1/a")
+    return {"cart": cart, "order": orders, "shipment": shipments,
+            "seller": seller, "ingestion": registry}
+
+
+def seeded_states():
+    """Every service with one earlier order (``o1``) already in state."""
+    cart = logic.cart.add_item(logic.cart.new_cart(1), item())
+    orders, order = logic.order.assemble(
+        logic.order.new_customer_orders(1), "o1", [item(seller=7)], now=0.0)
+    shipments, _ = logic.shipment.create_shipment(
+        logic.shipment.new_shipments(), "o1", 1, order["items"], now=0.0)
+    seller = logic.seller.upsert_entry(logic.seller.new_seller(7), order)
+    registry, _, _ = logic.ingestion.register(
+        logic.ingestion.new_registry("k/1"), "k/1/a")
+    return {"cart": cart, "order": orders, "shipment": shipments,
+            "seller": seller, "ingestion": registry}
+
+
+def test_updaters_agree_on_plain_state_and_on_views():
+    """One updater serves both: the transactional stacks pass CowState
+    views (updated in place), the others plain dicts (never mutated)."""
+    plain = seeded_states()
+    frozen = copy.deepcopy(plain)
+    expected = lifecycle_script(plain)
+    assert plain == frozen, "an updater mutated its plain-dict input"
+    views = {name: CowState(state) for name, state in plain.items()}
+    results = lifecycle_script(views)
+    assert plain == frozen, "an update through a view reached its base"
+    for name, view in views.items():
+        assert results[name] is view, f"{name}: view not updated in place"
+        # json.dumps without sort_keys: equal values in equal key order.
+        assert (json.dumps(materialize(view))
+                == json.dumps(expected[name])), name
