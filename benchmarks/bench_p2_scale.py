@@ -1,10 +1,10 @@
 """P2 — world-size scaling: memory tracks the touched set, not n.
 
-The eager pipeline generates and ingests every record up front, so a
-million-product catalogue costs a million products of memory before
-the first transaction.  The lazy pipeline (``lazy_dataset=True``)
-generates each entity on first touch from a per-entity seeded RNG and
-the O(1) Zipf sampler draws ranks without an O(n) CDF, so the *same
+Installing every record up front would make a million-product
+catalogue cost a million products of memory before the first
+transaction.  Instead every entity is derived from its identity on
+first touch, a world this size is installed on first touch too, and
+the Zipf sampler draws ranks without an O(n) CDF, so the *same
 traffic* against a 100x larger keyspace should touch — and pay for —
 almost the same working set.  The activation budget bounds the
 resident grain population on top.
@@ -12,7 +12,7 @@ resident grain population on top.
 Each cell runs identical closed-loop traffic against 10^4, 10^5 and
 10^6 product keys and reports the peak tracemalloc'd memory, the
 working-set counters and tx/s per wall-second.  The acceptance
-assertion is the tentpole claim: peak memory at 10^6 keys stays under
+assertion is the scaling claim: peak memory at 10^6 keys stays under
 3x the peak at 10^5 keys (eager scaling would be ~10x).
 
 Emits ``BENCH_P2_scale.json`` at the repo root; CI uploads it with the
@@ -45,9 +45,8 @@ def run_cell(keys: int, seed: int = 11) -> dict:
         APP, workers=16, duration=1.0, drain=0.6, seed=seed,
         app_kwargs={"activation_limit": 500},
         workload_kwargs={
-            "lazy_dataset": True, "sellers": sellers,
-            "products_per_seller": 1000, "customers": 1000,
-            "zipf_s": 0.8})
+            "sellers": sellers, "products_per_seller": 1000,
+            "customers": 1000, "zipf_s": 0.8})
     wall = time.perf_counter() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -91,11 +90,11 @@ def test_p2_world_size_scaling(benchmark):
     # and come back.
     assert by_keys[1_000_000]["evictions"] > 0
     assert by_keys[1_000_000]["reloads"] > 0
-    # The tentpole claim: a 10x larger keyspace under identical
+    # The scaling claim: a 10x larger keyspace under identical
     # traffic costs well under 10x the memory — the touched set, not
     # the configured world, is what's resident.
     assert by_keys[1_000_000]["peak_tracked_mb"] < \
         3.0 * by_keys[100_000]["peak_tracked_mb"], rows
-    # Lazy generation really is lazy: the driver only ever
-    # materialises a vanishing fraction of the million keys.
+    # Generation really is on demand: the driver only ever touches a
+    # vanishing fraction of the million keys.
     assert by_keys[1_000_000]["touched_products"] < 100_000

@@ -11,7 +11,7 @@ Run with:  python examples/failure_recovery.py
 """
 
 from repro.apps import AppConfig, StatefunApp
-from repro.core import generate_dataset, WorkloadConfig
+from repro.core import Dataset, WorkloadConfig
 from repro.dataflow import StatefunConfig
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
@@ -28,13 +28,14 @@ def run(crashes: int):
                           recovery_pause=0.1))
     workload = WorkloadConfig(sellers=3, customers=30,
                               products_per_seller=5)
-    app.ingest(generate_dataset(workload, seed=5))
+    app.ingest(Dataset(workload, seed=5))
     dataset = app.dataset
+    products = dataset.products
 
     completed = []
 
     def shopper(customer_id, index):
-        product = dataset.products[index % len(dataset.products)]
+        product = products[index % len(products)]
         result = yield from app.add_item(
             customer_id, product.seller_id, product.product_id, 2)
         if not result.ok:

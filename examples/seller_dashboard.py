@@ -14,7 +14,7 @@ Run with:  python examples/seller_dashboard.py
 """
 
 from repro.apps import ALL_APPS, AppConfig
-from repro.core import generate_dataset, WorkloadConfig
+from repro.core import Dataset, WorkloadConfig
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
@@ -27,7 +27,7 @@ def run(app_name: str):
     app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=4))
     workload = WorkloadConfig(sellers=2, customers=60,
                               products_per_seller=8)
-    app.ingest(generate_dataset(workload, seed=3))
+    app.ingest(Dataset(workload, seed=3))
     dataset = app.dataset
 
     target_seller = 1

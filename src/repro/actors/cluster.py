@@ -109,7 +109,7 @@ class MembershipStats:
 class WorkingSetStats:
     """Counters of the activation working-set control loop."""
 
-    #: Activations ever created (eager ingest + on-demand + reloads).
+    #: Activations ever created (preload + on-touch + reloads).
     activations: int = 0
     #: Activations deactivated by the working-set sweep.
     evictions: int = 0

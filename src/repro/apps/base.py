@@ -17,6 +17,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
 
+#: Largest world (in records) :meth:`MarketplaceApp.ingest` installs
+#: up front; anything bigger is installed record by record on first
+#: touch, so set-up stays O(1) in the configured world.
+PRELOAD_MAX_RECORDS = 4096
+
+
 @dataclasses.dataclass
 class AppConfig:
     """Deployment knobs shared by all implementations."""
@@ -70,31 +76,40 @@ class MarketplaceApp:
     # lifecycle
     # ------------------------------------------------------------------
     def ingest(self, dataset: "Dataset") -> None:
-        """Install the dataset (zero simulated latency).
+        """Adopt the dataset (zero simulated latency).
 
-        Eager datasets are installed up front in the historical order —
-        every product (with its replica state), then stock, sellers,
-        customers — via the per-record ``_ingest_*`` hooks each
-        implementation provides.  Lazy datasets install nothing here;
-        records arrive through :meth:`touch_product` & co. on first use.
+        A world of at most :data:`PRELOAD_MAX_RECORDS` records is
+        installed up front, which is faithful to the paper and what
+        direct ``app.checkout(...)`` callers need.  A larger one is
+        only adopted: its records arrive through :meth:`touch_product`
+        & co. on first use, the only scheme that fits 10^6 keys.  Both
+        modes install through the same per-record hooks and record
+        what they installed in ``_touched_*``, so a touch of a
+        preloaded record is a no-op and both install identical state.
         Ingestion models out-of-band data loading, so implementations
         install state directly rather than spending simulated time.
         """
         self.dataset = dataset
-        if not getattr(dataset, "lazy", False):
-            for product in dataset.all_products():
+        if dataset.size <= PRELOAD_MAX_RECORDS:
+            # Every product, then every stock item, sellers, customers.
+            # The order is observable: a draining or rebalancing silo
+            # hands its activations over one by one in activation order.
+            products = dataset.products + dataset.reserve_products
+            for product in products:
                 self._ingest_product(product)
-            for key, stock_item in dataset.stock.items():
-                self._ingest_stock(stock_item)
-            for seller in dataset.sellers:
-                self._ingest_seller(seller)
-            for customer in dataset.customers:
-                self._ingest_customer(customer)
+            for product in products:
+                self._ingest_stock(dataset.stock_item(
+                    product.seller_id, product.product_id))
+            self._touched_products.update(
+                (product.seller_id, product.product_id)
+                for product in products)
+            for seller_id in dataset.seller_ids:
+                self.touch_seller(seller_id)
+            for customer_id in dataset.customer_ids:
+                self.touch_customer(customer_id)
         self._post_ingest()
 
-    # Per-record ingestion hooks.  Implementations override these; the
-    # base ingest driver (eager path) and the touch_* methods (lazy
-    # path) share them so both paths install identical state.
+    # Per-record installation hooks; implementations override these.
     def _ingest_product(self, product) -> None:
         raise NotImplementedError
 
@@ -108,43 +123,37 @@ class MarketplaceApp:
         raise NotImplementedError
 
     def _post_ingest(self) -> None:
-        """Hook run once after ingestion (eager or lazy)."""
+        """Hook run once after :meth:`ingest`."""
 
     # ------------------------------------------------------------------
-    # on-demand ingestion (lazy datasets)
+    # on-demand ingestion: idempotent, and a record counts as installed
+    # only once its hooks have returned
     # ------------------------------------------------------------------
     def touch_seller(self, seller_id: int) -> None:
-        """Ensure the seller's record is installed (no-op when eager)."""
-        dataset = self.dataset
-        if dataset is None or not dataset.lazy:
-            return
+        """Ensure the seller's record is installed."""
         if seller_id in self._touched_sellers:
             return
+        self._ingest_seller(self.dataset.seller(seller_id))
         self._touched_sellers.add(seller_id)
-        self._ingest_seller(dataset.seller(seller_id))
 
     def touch_customer(self, customer_id: int) -> None:
-        """Ensure the customer's record is installed (no-op when eager)."""
-        dataset = self.dataset
-        if dataset is None or not dataset.lazy:
-            return
+        """Ensure the customer's record is installed."""
         if customer_id in self._touched_customers:
             return
+        self._ingest_customer(self.dataset.customer(customer_id))
         self._touched_customers.add(customer_id)
-        self._ingest_customer(dataset.customer(customer_id))
 
     def touch_product(self, seller_id: int, product_id: int) -> None:
         """Ensure the product, its stock and its seller are installed."""
-        dataset = self.dataset
-        if dataset is None or not dataset.lazy:
-            return
         key = (seller_id, product_id)
         if key in self._touched_products:
             return
-        self._touched_products.add(key)
+        dataset = self.dataset
+        product = dataset.product(seller_id, product_id)
         self.touch_seller(seller_id)
-        self._ingest_product(dataset.product(seller_id, product_id))
+        self._ingest_product(product)
         self._ingest_stock(dataset.stock_item(seller_id, product_id))
+        self._touched_products.add(key)
 
     # ------------------------------------------------------------------
     # workload operations (process helpers)

@@ -103,7 +103,7 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
     def _ingest_product(self, product) -> None:
         # Seed the KV replica tier alongside the transactional grains;
         # put_now is a latency-free ingestion shortcut, so folding it
-        # into the per-record hook keeps on-demand (lazy) touches and
+        # into the per-record hook keeps on-touch installs and
         # up-front ingestion behaviourally identical.
         super()._ingest_product(product)
         data = product.as_dict()

@@ -18,7 +18,6 @@ from repro.broker import Broker, DeliveryMode
 from repro.marketplace.constants import Topics
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.workload.dataset import Dataset
     from repro.runtime import Environment
 
 
@@ -49,7 +48,6 @@ class OrleansEventualApp(MarketplaceApp):
         for grain_type in self._grains.values():
             self.cluster.register_grain(grain_type)
         self._subscribe()
-        self.dataset: "Dataset | None" = None
 
     # ------------------------------------------------------------------
     # wiring

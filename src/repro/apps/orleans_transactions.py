@@ -22,7 +22,6 @@ from repro.marketplace.constants import Topics
 from repro.txn import TransactionAborted, TransactionRunner, TxnConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.workload.dataset import Dataset
     from repro.runtime import Environment
 
 
@@ -50,7 +49,6 @@ class OrleansTransactionsApp(MarketplaceApp):
         for grain_type in self._grains.values():
             self.cluster.register_grain(grain_type)
         self._subscribe()
-        self.dataset: "Dataset | None" = None
 
     # ------------------------------------------------------------------
     def _grain(self, service: str, key: str):

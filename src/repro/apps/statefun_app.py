@@ -17,7 +17,6 @@ from repro.apps.base import AppConfig, MarketplaceApp, failed, ok, rejected
 from repro.dataflow import StatefunConfig, StatefunRuntime
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.workload.dataset import Dataset
     from repro.runtime import Environment
 
 
@@ -48,7 +47,6 @@ class StatefunApp(MarketplaceApp):
                 ("customer", fns.CustomerFn), ("seller", fns.SellerFn),
                 ("ingestion", fns.IngestionFn)):
             self.runtime.register(name, cls(self))
-        self.dataset: "Dataset | None" = None
         self.event_log: list[dict] = []
         self._request_ids = itertools.count(1)
 
@@ -71,38 +69,33 @@ class StatefunApp(MarketplaceApp):
     # ------------------------------------------------------------------
     def _ingest_product(self, product) -> None:
         data = product.as_dict()
-        self._install("product", product.key, data)
-        self._install("replica", product.key, {
+        self.runtime.install(("product", product.key), data)
+        self.runtime.install(("replica", product.key), {
             "price_cents": data["price_cents"],
             "version": data["version"], "active": data["active"]})
 
     def _ingest_stock(self, stock_item) -> None:
-        self._install("stock", stock_item.key, stock_item.as_dict())
+        self.runtime.install(("stock", stock_item.key),
+                             stock_item.as_dict())
 
     def _ingest_seller(self, seller) -> None:
         from repro.marketplace.logic import seller as seller_logic
-        self._install("seller", str(seller.seller_id),
-                      seller_logic.new_seller(
-                          seller.seller_id, seller.name, seller.city))
+        self.runtime.install(
+            ("seller", str(seller.seller_id)), seller_logic.new_seller(
+                seller.seller_id, seller.name, seller.city))
 
     def _ingest_customer(self, customer) -> None:
         from repro.marketplace.logic import customer as customer_logic
-        self._install("customer", str(customer.customer_id),
-                      customer_logic.new_customer(
-                          customer.customer_id, customer.name,
-                          customer.city))
+        self.runtime.install(
+            ("customer", str(customer.customer_id)),
+            customer_logic.new_customer(
+                customer.customer_id, customer.name, customer.city))
 
     def _post_ingest(self) -> None:
         # Ingested data is durable: it survives a crash that happens
-        # before the first periodic checkpoint.  Lazily-touched records
-        # become durable at the next periodic checkpoint instead.
+        # before the first periodic checkpoint.  Records installed on
+        # first touch later join this baseline (``runtime.install``).
         self.runtime.seal_initial_state()
-
-    def _install(self, type_name: str, key: str, state: dict) -> None:
-        worker = self.runtime.worker_for((type_name, key))
-        # state_for (rather than a raw dict insert) marks the address
-        # dirty for the incremental checkpointer.
-        worker.state_for((type_name, key)).update(state)
 
     # ------------------------------------------------------------------
     # workload operations

@@ -39,7 +39,6 @@ from repro.core.driver.open_loop import (
 from repro.core.scenarios import SCENARIOS, Scenario, get_scenario
 from repro.core.workload.config import TransactionMix, WorkloadConfig
 from repro.core.workload.dataset import Dataset
-from repro.core.workload.generator import generate_dataset
 
 __all__ = [
     "ArrivalProcess",
@@ -69,7 +68,6 @@ __all__ = [
     "TransactionMix",
     "WorkloadConfig",
     "audit_app",
-    "generate_dataset",
     "get_scenario",
     "run_cell",
     "run_matrix",

@@ -18,7 +18,6 @@ from repro.core.driver.issuer import IssuerStateView, TransactionIssuer
 from repro.core.driver.metrics import LatencyRecorder, RunMetrics
 from repro.core.workload.config import WorkloadConfig
 from repro.core.workload.dataset import Dataset
-from repro.core.workload.generator import generate_dataset
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
@@ -59,8 +58,7 @@ class BenchmarkDriver(IssuerStateView):
         self.app = app
         self.workload = workload or WorkloadConfig()
         self.config = config or DriverConfig()
-        self.dataset = dataset or generate_dataset(self.workload,
-                                                   seed=data_seed)
+        self.dataset = dataset or Dataset(self.workload, seed=data_seed)
         self.recorder = LatencyRecorder()
         self.issuer = TransactionIssuer(env, app, self.workload,
                                         self.dataset, self.recorder)

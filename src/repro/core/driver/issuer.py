@@ -20,7 +20,8 @@ from repro.core.workload.config import WorkloadConfig
 from repro.core.workload.dataset import Dataset
 from repro.core.workload.distributions import (
     HotspotSampler,
-    make_rank_sampler,
+    ProductKeyRegistry,
+    ZipfSampler,
 )
 from repro.core.workload.inputs import InputCoordinator
 from repro.marketplace.constants import PaymentMethod
@@ -105,14 +106,13 @@ class TransactionIssuer:
         self.workload = workload
         self.dataset = dataset
         self.recorder = recorder
-        # The dataset knows its own registry shape: eager datasets build
-        # the materialised rank list, lazy ones a virtual registry over
-        # the arithmetic keyspace.  Small keyspaces keep the exact CDF
-        # sampler (bit-stable legacy draws); huge ones get O(1) memory.
-        self.registry = dataset.make_registry()
+        world = dataset.config
+        self.registry = ProductKeyRegistry(
+            world.sellers, world.products_per_seller,
+            world.reserve_per_seller)
         self.sampler = HotspotSampler(
-            make_rank_sampler(len(self.registry), workload.zipf_s,
-                              env.rng("driver-keys")),
+            ZipfSampler(len(self.registry), workload.zipf_s,
+                        env.rng("driver-keys")),
             env.rng("driver-hotspot"))
         self.coordinator = InputCoordinator(
             dataset.customer_ids, self.registry, self.sampler,

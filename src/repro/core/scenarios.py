@@ -424,8 +424,7 @@ _register(Scenario(
                 "out, so memory tracks the *touched* set, not the "
                 "configured world.",
     workload=_default_workload(
-        sellers=1000, products_per_seller=1000, customers=100_000,
-        lazy_dataset=True),
+        sellers=1000, products_per_seller=1000, customers=100_000),
     arrivals=PoissonArrivals,
     duration=4.0,
     warmup=0.5,

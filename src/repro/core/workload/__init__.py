@@ -6,7 +6,6 @@ from repro.core.workload.distributions import (
     ProductKeyRegistry,
     ZipfSampler,
 )
-from repro.core.workload.generator import generate_dataset
 from repro.core.workload.inputs import InputCoordinator
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "TransactionMix",
     "WorkloadConfig",
     "ZipfSampler",
-    "generate_dataset",
 ]

@@ -76,10 +76,6 @@ class WorkloadConfig:
     #: Probability a submit_external fires the same key twice
     #: concurrently (the duplicate-ingest probe).
     duplicate_submit_probability: float = 0.0
-    #: Generate records lazily on first touch (million-entity worlds).
-    #: The eager default keeps legacy runs byte-identical; see
-    #: ``workload/lazydataset.py`` for the lazy contract.
-    lazy_dataset: bool = False
     mix: TransactionMix = dataclasses.field(default_factory=TransactionMix)
 
     def __post_init__(self) -> None:
@@ -98,3 +94,8 @@ class WorkloadConfig:
     @property
     def total_products(self) -> int:
         return self.sellers * self.products_per_seller
+
+    @property
+    def reserve_per_seller(self) -> int:
+        """Replacement products generated per seller (at least one)."""
+        return max(1, int(self.products_per_seller * self.reserve_fraction))

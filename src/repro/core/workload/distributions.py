@@ -12,26 +12,42 @@ drifts as deletes accumulate.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import random
 import typing
 
-#: Largest keyspace for which :func:`make_rank_sampler` builds the
-#: exact CDF sampler.  Above this the O(1) approximate sampler takes
-#: over; below it legacy scenarios keep their exact draw sequences.
-EXACT_SAMPLER_MAX = 4096
+#: Ranks :class:`ZipfSampler` covers with an exact CDF table.  Fixed
+#: regardless of n, so memory stays constant; every keyspace up to
+#: this size is sampled exactly.
+_EXACT_HEAD = 4096
 
-#: Ranks covered exactly by :class:`ApproxZipfSampler`'s head table.
-#: Fixed regardless of n, so memory stays constant.
-_APPROX_HEAD = 64
+
+@functools.lru_cache(maxsize=16)
+def _head_cdf(head: int, s: float) -> tuple[float, ...]:
+    """Unnormalised CDF of the first ``head`` Zipf ranks.
+
+    Memoised: it is a pure function of its arguments, costs 0.4 ms at
+    the full head, and every driver a process builds (a serial matrix,
+    a comparison across stacks) would otherwise recompute it.
+    """
+    return tuple(itertools.accumulate(
+        1.0 / (rank ** s) for rank in range(1, head + 1)))
 
 
 class ZipfSampler:
     """Samples ranks 0..n-1 with probability proportional to 1/(r+1)^s.
 
-    ``s = 0`` degenerates to uniform.  Sampling is by inverse transform
-    over the precomputed CDF (O(log n) per draw, deterministic given the
-    RNG).
+    ``s = 0`` degenerates to uniform.  The first ``_EXACT_HEAD`` ranks
+    — where the skewed mass is densest — are drawn by inverse
+    transform over an exact CDF table; an n-entry table is unaffordable
+    at 10^6-10^7 ranks, so the tail beyond it is approximated with the
+    continuous density ``x**-s`` sampled by closed-form inverse
+    transform.  The midpoint-rule pairing of rank ``k`` with the
+    interval ``[k + 0.5, k + 1.5)`` keeps the per-rank error at
+    O(s*(s+1)/k^2) relative, Gray-style.  One uniform draw per sample,
+    deterministic given the RNG.
     """
 
     def __init__(self, n: int, s: float, rng: random.Random) -> None:
@@ -42,55 +58,9 @@ class ZipfSampler:
         self.n = n
         self.s = s
         self._rng = rng
-        weights = [1.0 / ((rank + 1) ** s) for rank in range(n)]
-        total = sum(weights)
-        cumulative = 0.0
-        self._cdf = []
-        for weight in weights:
-            cumulative += weight / total
-            self._cdf.append(cumulative)
-        self._cdf[-1] = 1.0  # guard against floating-point shortfall
-
-    def sample(self) -> int:
-        """Draw one rank."""
-        point = self._rng.random()
-        return bisect.bisect_left(self._cdf, point)
-
-    def probability(self, rank: int) -> float:
-        """The probability mass of ``rank``."""
-        if rank == 0:
-            return self._cdf[0]
-        return self._cdf[rank] - self._cdf[rank - 1]
-
-
-class ApproxZipfSampler:
-    """O(1)-memory, O(1)-time Zipfian sampling over huge rank spaces.
-
-    The exact sampler's n-entry CDF is unaffordable at 10^6-10^7 ranks.
-    This sampler keeps a fixed-size exact head (the first
-    ``_APPROX_HEAD`` ranks, where nearly all the skewed mass lives) and
-    approximates the tail with the continuous density ``x**-s`` sampled
-    by closed-form inverse transform — the midpoint-rule pairing of
-    rank ``k`` with the interval ``[k + 0.5, k + 1.5)`` keeps the
-    per-rank error at O(s*(s+1)/k^2) relative, Gray-style.  One uniform
-    draw per sample, same as the exact sampler.
-    """
-
-    def __init__(self, n: int, s: float, rng: random.Random) -> None:
-        if n < 1:
-            raise ValueError("need at least one rank")
-        if s < 0:
-            raise ValueError("zipf exponent must be >= 0")
-        self.n = n
-        self.s = s
-        self._rng = rng
-        head = min(n, _APPROX_HEAD)
-        self._head_cdf: list[float] = []
-        cumulative = 0.0
-        for rank in range(head):
-            cumulative += 1.0 / ((rank + 1) ** s)
-            self._head_cdf.append(cumulative)
-        self._head_mass = cumulative
+        head = min(n, _EXACT_HEAD)
+        self._head_cdf = _head_cdf(head, s)
+        self._head_mass = self._head_cdf[-1]
         # Continuous tail over x in [head + 0.5, n + 0.5): value k + 1
         # owns [k + 0.5, k + 1.5), so the integral of x**-s over each
         # interval midpoint-approximates the true weight (k + 1)**-s.
@@ -108,6 +78,7 @@ class ApproxZipfSampler:
         return (hi ** p - lo ** p) / p
 
     def sample(self) -> int:
+        """Draw one rank."""
         point = self._rng.random() * self._total
         if point < self._head_mass:
             return bisect.bisect_left(self._head_cdf, point)
@@ -122,22 +93,11 @@ class ApproxZipfSampler:
         return min(self.n - 1, max(len(self._head_cdf), rank))
 
     def probability(self, rank: int) -> float:
-        """Analytic mass of ``rank`` under the approximated normaliser."""
+        """The probability mass of ``rank`` (exact for n within the
+        head table, under the approximated normaliser beyond it)."""
         if not 0 <= rank < self.n:
             raise IndexError(f"rank {rank} out of range")
         return (1.0 / ((rank + 1) ** self.s)) / self._total
-
-
-def make_rank_sampler(n: int, s: float,
-                      rng: random.Random) -> "ZipfSampler | ApproxZipfSampler":
-    """Exact CDF sampler for small keyspaces, O(1) approximation above.
-
-    Legacy scenarios (hundreds of products) keep their exact,
-    bit-stable draw sequences; million-key worlds get constant memory.
-    """
-    if n <= EXACT_SAMPLER_MAX:
-        return ZipfSampler(n, s, rng)
-    return ApproxZipfSampler(n, s, rng)
 
 
 class HotspotSampler:
@@ -150,7 +110,7 @@ class HotspotSampler:
     phase boundaries; with no hotspot armed the overlay is transparent.
     """
 
-    def __init__(self, base: "ZipfSampler | ApproxZipfSampler",
+    def __init__(self, base: ZipfSampler,
                  rng: random.Random) -> None:
         self.base = base
         self._rng = rng
@@ -198,70 +158,13 @@ class ProductKeyRegistry:
     When the reserve pool runs dry, deletes are refused (the driver then
     skips the delete and picks another transaction), which bounds the
     experiment instead of distorting it.
-    """
 
-    def __init__(self, initial: typing.Sequence[tuple[int, int]],
-                 reserve: typing.Sequence[tuple[int, int]]) -> None:
-        self._by_rank: list[tuple[int, int]] = list(initial)
-        self._reserve: list[tuple[int, int]] = list(reserve)
-        self._live: set[tuple[int, int]] = set(initial)
-        self.deletes = 0
-        self.refused_deletes = 0
-
-    def __len__(self) -> int:
-        return len(self._by_rank)
-
-    def product_at(self, rank: int) -> tuple[int, int]:
-        """(seller_id, product_id) currently bound to ``rank``."""
-        return self._by_rank[rank]
-
-    def rank_of(self, key: tuple[int, int]) -> int | None:
-        try:
-            return self._by_rank.index(key)
-        except ValueError:
-            return None
-
-    def is_live(self, key: tuple[int, int]) -> bool:
-        return key in self._live
-
-    @property
-    def reserve_remaining(self) -> int:
-        return len(self._reserve)
-
-    def delete_at(self, rank: int) -> tuple[tuple[int, int],
-                                            tuple[int, int]] | None:
-        """Delete the product at ``rank``; rebind to a replacement.
-
-        Returns (deleted key, replacement key), or None when no reserve
-        product is available (delete refused).
-        """
-        if not self._reserve:
-            self.refused_deletes += 1
-            return None
-        deleted = self._by_rank[rank]
-        replacement = self._reserve.pop()
-        self._by_rank[rank] = replacement
-        self._live.discard(deleted)
-        self._live.add(replacement)
-        self.deletes += 1
-        return deleted, replacement
-
-    def live_products(self) -> list[tuple[int, int]]:
-        return list(self._by_rank)
-
-
-class VirtualProductKeyRegistry:
-    """:class:`ProductKeyRegistry` semantics over an arithmetic keyspace.
-
-    The eager registry materialises one tuple per rank plus the whole
-    reserve list — O(keyspace) memory before the first transaction.
-    This registry derives rank <-> key from the generator's id layout
-    (seller ``s`` owns product ids ``(s-1)*block + 1 .. s*block`` with
-    the first ``products_per_seller`` live and the rest reserve) and
-    stores only the deviations deletes introduce, so memory is
-    O(deletes) no matter how many ranks exist.  Reserve keys are
-    consumed from the END of the virtual reserve list, matching the
-    eager registry's ``list.pop()`` order key for key.
+    Rank <-> key is arithmetic over the dataset's id layout (seller
+    ``s`` owns product ids ``(s-1)*block + 1 .. s*block`` with the
+    first ``products_per_seller`` live and the rest reserve); only the
+    deviations deletes introduce are stored, so memory is O(deletes)
+    no matter how many ranks exist.  Reserve keys are handed out from
+    the END of the reserve pool (last seller's last reserve first).
     """
 
     def __init__(self, sellers: int, products_per_seller: int,
@@ -273,8 +176,8 @@ class VirtualProductKeyRegistry:
         self._reserve_per_seller = reserve_per_seller
         self._block = products_per_seller + reserve_per_seller
         self._n = sellers * products_per_seller
-        #: Index (in eager reserve-list order) of the next reserve key
-        #: to hand out; counts DOWN because the eager pool pops the end.
+        #: Index (in id order over all reserve keys) of the next
+        #: reserve key to hand out; counts DOWN from the end.
         self._reserve_next = sellers * reserve_per_seller - 1
         self._rebound: dict[int, tuple[int, int]] = {}  # rank -> new key
         self._rebound_ranks: dict[tuple[int, int], int] = {}

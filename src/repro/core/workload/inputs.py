@@ -26,11 +26,7 @@ class InputCoordinator:
                  rng: random.Random) -> None:
         if not customer_ids:
             raise ValueError("need at least one customer")
-        # A range (lazy datasets) is kept as-is: rng.choice indexes it
-        # in O(1) and copying 10^5+ ids would defeat lazy generation.
-        self._customer_ids = (customer_ids
-                              if isinstance(customer_ids, (list, range))
-                              else list(customer_ids))
+        self._customer_ids = customer_ids
         self._registry = registry
         self._sampler = sampler
         self._rng = rng

@@ -60,7 +60,9 @@ class _Checkpoint:
     ``worker_states`` entries are *frozen*: the snapshot maps are built
     incrementally (unchanged addresses share their state tree with the
     previous checkpoint) and must never be mutated — restores hand
-    clones back to the workers.
+    clones back to the workers.  The one addition a map ever sees is
+    a freshly installed address (:meth:`StatefunRuntime.install`); each
+    checkpoint owns its maps, so that touches no other snapshot.
     """
 
     time: float
@@ -348,6 +350,24 @@ class StatefunRuntime:
                            for worker in self.workers])
         self._compact_ingress()
         self._enforce_resident_budget()
+
+    def install(self, address: tuple[str, str], state: dict) -> None:
+        """Load a record out of band (data ingestion), durably.
+
+        An installed record never passed through the ingress log, so
+        no replay can rebuild it: besides the live worker state it is
+        written into the last checkpoint, whenever it arrives.  A
+        restore then brings it back as installed and the replayed
+        messages re-apply whatever touched it since.
+        """
+        worker = self.worker_for(address)
+        # state_for (rather than a raw dict insert) marks the address
+        # dirty for the incremental checkpointer.
+        worker.state_for(address).update(state)
+        checkpoint = self._last_checkpoint
+        if checkpoint is not None:
+            snapshot = checkpoint.worker_states[self.workers.index(worker)]
+            snapshot[address] = clone(state)
 
     def _enforce_resident_budget(self) -> None:
         """Spill down to budget right after a checkpoint.

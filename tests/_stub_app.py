@@ -26,15 +26,7 @@ class StubApp(MarketplaceApp):
         self.product_adds = {}
         self.external = {}
 
-    def ingest(self, dataset):
-        self.dataset = dataset
-        if getattr(dataset, "lazy", False):
-            return  # versions default on touch via .get(key, 1)
-        for product in dataset.all_products():
-            self.versions[product.key] = 1
-
-    # Lazy-dataset touch hooks: nothing to install, versions default
-    # on first use via ``.get(key, 1)``.
+    # Installation hooks: only a product leaves a trace (its version).
     def _ingest_seller(self, seller):
         pass
 
@@ -42,7 +34,7 @@ class StubApp(MarketplaceApp):
         pass
 
     def _ingest_product(self, product):
-        pass
+        self.versions[product.key] = 1
 
     def _ingest_stock(self, stock_item):
         pass

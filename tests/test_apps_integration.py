@@ -5,10 +5,10 @@ import pytest
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import (
     BenchmarkDriver,
+    Dataset,
     DriverConfig,
     WorkloadConfig,
     audit_app,
-    generate_dataset,
 )
 from repro.core.workload.config import TransactionMix
 from repro.marketplace.constants import PaymentMethod
@@ -25,7 +25,7 @@ def make_app(name, seed=11, **config):
     config.setdefault("silos", 2)
     config.setdefault("cores_per_silo", 2)
     app = ALL_APPS[name](env, AppConfig(**config))
-    app.ingest(generate_dataset(SMALL, seed=seed))
+    app.ingest(Dataset(SMALL, seed=seed))
     return env, app
 
 
@@ -181,6 +181,68 @@ class TestSingleOperations:
         customer = app.audit_views()["customers"]["1"]
         assert customer["payments_succeeded"] == 1
         assert customer["spent_cents"] == checkout.payload["total_cents"]
+
+
+#: The record kinds ingestion installs, by audit view.
+INSTALLED_VIEWS = ("products", "replicas", "stock", "sellers", "customers")
+
+
+@pytest.mark.parametrize("name", APP_NAMES)
+class TestIngestionModes:
+    """A small world is preloaded, a large one installed on first
+    touch; either way a touched record is the same state."""
+
+    def make_on_touch_app(self, name, monkeypatch):
+        monkeypatch.setattr("repro.apps.base.PRELOAD_MAX_RECORDS", 0)
+        return make_app(name)[1]
+
+    def test_preloaded_and_on_touch_install_identical_state(
+            self, name, monkeypatch):
+        preloaded = make_app(name)[1].audit_views()
+        for view in INSTALLED_VIEWS:
+            assert len(preloaded[view]) > 0
+        app = self.make_on_touch_app(name, monkeypatch)
+        views = app.audit_views()
+        assert not any(views[view] for view in INSTALLED_VIEWS)
+        app.touch_customer(3)
+        app.touch_product(2, 7)
+        app.touch_product(2, 7)  # idempotent
+        app.touch_seller(3)
+        views = app.audit_views()
+        assert set(views["products"]) == {"2/7"}
+        assert set(views["replicas"]) == {"2/7"}
+        assert set(views["stock"]) == {"2/7"}
+        assert set(views["sellers"]) == {"2", "3"}
+        assert set(views["customers"]) == {"3"}
+        for view in INSTALLED_VIEWS:
+            for key, state in views[view].items():
+                assert state == preloaded[view][key], (view, key)
+
+    def test_touching_a_preloaded_record_changes_nothing(self, name):
+        env, app = make_app(name)
+        assert run_op(env, app.update_price(1, 1, 4321)).ok
+        before = app.audit_views()["products"]["1/1"]
+        app.touch_product(1, 1)
+        app.touch_customer(1)
+        assert app.audit_views()["products"]["1/1"] == before
+        assert before["price_cents"] == 4321
+
+    def test_out_of_range_touch_raises_every_time(self, name, monkeypatch):
+        app = self.make_on_touch_app(name, monkeypatch)
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                app.touch_product(1, 10**9)
+            with pytest.raises(KeyError):
+                app.touch_seller(0)
+            with pytest.raises(KeyError):
+                app.touch_customer(0)
+        # ... and a failed touch leaves nothing half-installed behind.
+        app.touch_product(1, 1)
+        app.touch_customer(1)
+        views = app.audit_views()
+        assert set(views["products"]) == {"1/1"}
+        assert set(views["sellers"]) == {"1"}
+        assert set(views["customers"]) == {"1"}
 
 
 @pytest.mark.parametrize("name", APP_NAMES)

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import (
     BenchmarkDriver,
+    Dataset,
     DriverConfig,
     WorkloadConfig,
     audit_app,
-    generate_dataset,
 )
 from repro.core.workload.config import TransactionMix
 from repro.marketplace.constants import (
@@ -144,7 +144,7 @@ def make_app(name, seed=17):
     app = ALL_APPS[name](env, AppConfig(silos=2, cores_per_silo=2))
     workload = WorkloadConfig(sellers=3, customers=12,
                               products_per_seller=4, initial_stock=1000)
-    app.ingest(generate_dataset(workload, seed=seed))
+    app.ingest(Dataset(workload, seed=seed))
     return env, app
 
 

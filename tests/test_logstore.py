@@ -84,13 +84,13 @@ def test_tail():
 
 def test_customized_app_populates_audit_log():
     from repro.apps import ALL_APPS, AppConfig
-    from repro.core import generate_dataset, WorkloadConfig
+    from repro.core import Dataset, WorkloadConfig
     from repro.marketplace.constants import PaymentMethod
 
     env = Environment(seed=3)
     app = ALL_APPS["customized-orleans"](
         env, AppConfig(silos=1, cores_per_silo=2))
-    app.ingest(generate_dataset(
+    app.ingest(Dataset(
         WorkloadConfig(sellers=2, customers=5, products_per_seller=3),
         seed=3))
 

@@ -1,22 +1,26 @@
 """Integration tests: exactly-once recovery of the Statefun app."""
 
 from repro.apps import AppConfig, StatefunApp
-from repro.core import WorkloadConfig, generate_dataset
+from repro.core import Dataset, WorkloadConfig
 from repro.dataflow import StatefunConfig
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
 
-def make_app(seed=5, checkpoint_interval=0.2, recovery_pause=0.05):
+#: Too many records to preload: installed on first touch instead.
+LARGE = WorkloadConfig(sellers=50, customers=24, products_per_seller=100)
+
+
+def make_app(seed=5, checkpoint_interval=0.2, recovery_pause=0.05,
+             workload=WorkloadConfig(sellers=3, customers=24,
+                                     products_per_seller=5)):
     env = Environment(seed=seed)
     app = StatefunApp(env, AppConfig(silos=2, cores_per_silo=4),
                       statefun_config=StatefunConfig(
                           partitions=2, cores_per_partition=4,
                           checkpoint_interval=checkpoint_interval,
                           recovery_pause=recovery_pause))
-    app.ingest(generate_dataset(
-        WorkloadConfig(sellers=3, customers=24, products_per_seller=5),
-        seed=seed))
+    app.ingest(Dataset(workload, seed=seed))
     return env, app
 
 
@@ -117,6 +121,35 @@ def test_crash_during_quiet_period_is_harmless():
     env.run(until=env.now + 2.0)
     assert business_outcome(app)["orders"] == 8
     assert app.runtime.recoveries == 1
+
+
+def test_record_first_touched_after_a_checkpoint_survives_recovery():
+    """Ingestion is out-of-band loading, durable whenever it happens:
+    a restore must neither drop a record installed since the last
+    checkpoint nor lose the updates replay re-applies to it."""
+    env, app = make_app(workload=LARGE)
+    assert app.runtime.state_of("product", "1/1") is None
+    outcomes = []
+
+    def scenario():
+        yield env.timeout(0.3)  # the first periodic checkpoint is behind
+        for price in (777, 888):
+            app.touch_customer(1)
+            app.touch_product(1, 1)
+            result = yield from app.add_item(1, 1, 1, 1)
+            outcomes.append(result.status)
+            result = yield from app.update_price(1, 1, price)
+            outcomes.append(result.status)
+            yield from app.runtime.inject_failure()
+
+    env.process(scenario())
+    env.run(until=5.0)
+    assert outcomes == ["ok"] * 4
+    assert app.runtime.recoveries == 2
+    product = app.runtime.state_of("product", "1/1")
+    assert (product["price_cents"], product["version"]) == (888, 3)
+    assert app.runtime.state_of("customer", "1") is not None
+    assert app.runtime.state_of("seller", "1") is not None
 
 
 def test_cross_partition_messages_marked_and_charged():

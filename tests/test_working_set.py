@@ -18,7 +18,7 @@ budget and assert the three observable guarantees:
 import pytest
 
 from repro.apps import ALL_APPS, AppConfig
-from repro.core import WorkloadConfig, generate_dataset
+from repro.core import Dataset, WorkloadConfig
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
@@ -34,7 +34,7 @@ def make_app(name, activation_limit=None, seed=7):
     env = Environment(seed=seed)
     app = ALL_APPS[name](env, AppConfig(
         silos=2, cores_per_silo=2, activation_limit=activation_limit))
-    app.ingest(generate_dataset(SMALL, seed=seed))
+    app.ingest(Dataset(SMALL, seed=seed))
     return env, app
 
 

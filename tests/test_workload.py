@@ -1,17 +1,40 @@
-"""Unit tests for workload configuration, generation and key selection."""
+"""The world model: configuration, dataset, key selection, input leases.
 
+One module for the one model.  Three contracts are load-bearing for
+both the small-world payloads and the million-key scaling claim:
+
+* :class:`Dataset` derives every record from ``(seed, kind, id)``, so
+  ANY touch order produces identical records and a partially touched
+  world agrees with a fully enumerated one.
+* :class:`ZipfSampler` is exact wherever its head table reaches (every
+  keyspace of at most 4096 ranks) and O(1) in memory beyond it.
+* :class:`ProductKeyRegistry` does its rank bookkeeping arithmetically
+  in O(deletes) memory; a plain list model is the oracle.
+"""
+
+import bisect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.workload import (
+    Dataset,
     InputCoordinator,
     ProductKeyRegistry,
     TransactionMix,
     WorkloadConfig,
     ZipfSampler,
-    generate_dataset,
 )
+from repro.core.workload.dataset import entity_draw
+
+SMALL = dict(sellers=3, customers=8, products_per_seller=4,
+             reserve_fraction=0.5)
+
+
+def small_config(**overrides) -> WorkloadConfig:
+    return WorkloadConfig(**{**SMALL, **overrides})
 
 
 class TestTransactionMix:
@@ -40,6 +63,12 @@ class TestWorkloadConfig:
         assert config.total_products == \
             config.sellers * config.products_per_seller
 
+    def test_reserve_per_seller_is_at_least_one(self):
+        assert WorkloadConfig(products_per_seller=5,
+                              reserve_fraction=0.4).reserve_per_seller == 2
+        assert WorkloadConfig(products_per_seller=3,
+                              reserve_fraction=0.0).reserve_per_seller == 1
+
     @pytest.mark.parametrize("kwargs", [
         dict(sellers=0),
         dict(customers=0),
@@ -54,61 +83,182 @@ class TestWorkloadConfig:
             WorkloadConfig(**kwargs)
 
 
-class TestGenerator:
+# ---------------------------------------------------------------------------
+# Dataset: enumeration, touch-order independence, id layout
+# ---------------------------------------------------------------------------
+
+class TestDataset:
     def test_counts_match_config(self):
         config = WorkloadConfig(sellers=4, customers=10,
                                 products_per_seller=5,
                                 reserve_fraction=0.4)
-        dataset = generate_dataset(config, seed=1)
+        dataset = Dataset(config, seed=1)
         assert len(dataset.sellers) == 4
         assert len(dataset.customers) == 10
         assert len(dataset.products) == 20
         assert len(dataset.reserve_products) == 4 * 2  # 40% of 5
         assert len(dataset.stock) == 20 + 8
+        assert dataset.size == 4 + 10 + 20 + 8
 
-    def test_product_ids_globally_unique(self):
-        dataset = generate_dataset(WorkloadConfig(sellers=5,
-                                                  products_per_seller=7),
-                                   seed=2)
-        ids = [product.product_id for product in dataset.all_products()]
-        assert len(ids) == len(set(ids))
+    def test_id_layout(self):
+        """Globally sequential product ids in per-seller blocks: the
+        first P of a block are live, the trailing R reserve."""
+        dataset = Dataset(small_config(), seed=9)  # P=4, R=2
+        assert list(dataset.seller_ids) == [1, 2, 3]
+        assert list(dataset.customer_ids) == list(range(1, 9))
+        assert [p.key for p in dataset.products] == [
+            "1/1", "1/2", "1/3", "1/4", "2/7", "2/8", "2/9", "2/10",
+            "3/13", "3/14", "3/15", "3/16"]
+        assert [p.key for p in dataset.reserve_products] == [
+            "1/5", "1/6", "2/11", "2/12", "3/17", "3/18"]
+        assert dataset.products[4].name == "product-7"
+        assert dataset.sellers[2].name == "seller-3"
+        assert dataset.customers[0].name == "customer-1"
+        assert list(dataset.stock) == [
+            p.key for p in dataset.products + dataset.reserve_products]
+        ids = [p.product_id
+               for p in dataset.products + dataset.reserve_products]
+        assert sorted(ids) == list(range(1, 19))
 
     def test_every_product_has_stock(self):
         config = WorkloadConfig(sellers=3, products_per_seller=4,
                                 initial_stock=55)
-        dataset = generate_dataset(config, seed=3)
-        for product in dataset.all_products():
+        dataset = Dataset(config, seed=3)
+        for product in dataset.products + dataset.reserve_products:
             assert dataset.stock[product.key].qty_available == 55
 
     def test_deterministic_for_seed(self):
         config = WorkloadConfig()
-        first = generate_dataset(config, seed=9)
-        second = generate_dataset(config, seed=9)
+        first = Dataset(config, seed=9)
+        second = Dataset(config, seed=9)
         assert [p.as_dict() for p in first.products] == \
             [p.as_dict() for p in second.products]
 
     def test_different_seeds_differ(self):
         config = WorkloadConfig()
-        first = generate_dataset(config, seed=9)
-        second = generate_dataset(config, seed=10)
+        first = Dataset(config, seed=9)
+        second = Dataset(config, seed=10)
         assert [p.price_cents for p in first.products] != \
             [p.price_cents for p in second.products]
 
     def test_prices_within_configured_range(self):
         config = WorkloadConfig(min_price_cents=500, max_price_cents=600)
-        dataset = generate_dataset(config, seed=4)
-        for product in dataset.all_products():
-            assert 500 <= product.price_cents <= 600
+        dataset = Dataset(config, seed=4)
+        prices = {product.price_cents
+                  for product in dataset.products + dataset.reserve_products}
+        assert all(500 <= price <= 600 for price in prices)
+        assert len(prices) > 1
 
-    def test_dataset_summary_and_lookup(self):
-        dataset = generate_dataset(WorkloadConfig(sellers=2,
-                                                  products_per_seller=3),
-                                   seed=5)
+    def _touches(self, config: WorkloadConfig) -> list[tuple]:
+        dataset = Dataset(config)
+        touches = [("seller", i) for i in dataset.seller_ids]
+        touches += [("customer", i) for i in dataset.customer_ids]
+        touches += [("product", p.seller_id, p.product_id)
+                    for p in dataset.products + dataset.reserve_products]
+        return touches
+
+    def _touch(self, dataset: Dataset, touch: tuple):
+        if touch[0] == "seller":
+            return dataset.seller(touch[1])
+        if touch[0] == "customer":
+            return dataset.customer(touch[1])
+        return (dataset.product(touch[1], touch[2]),
+                dataset.stock_item(touch[1], touch[2]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+    def test_touch_order_independent(self, data, seed):
+        config = small_config()
+        touches = self._touches(config)
+        order = data.draw(st.permutations(touches))
+        shuffled = Dataset(config, seed=seed)
+        sequential = Dataset(config, seed=seed)
+        by_touch = {touch: self._touch(shuffled, touch)
+                    for touch in order}
+        for touch in touches:
+            assert by_touch[touch] == self._touch(sequential, touch)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_partial_touches_agree_with_enumeration(self, seed):
+        config = small_config()
+        touched = Dataset(config, seed=seed)
+        # Touch a few records first, in a scattered order ...
+        early_product = touched.product(2, 7)
+        early_seller = touched.seller(3)
+        # ... then enumerate a fresh world and check the early touches
+        # are the records the enumeration produces.
+        fresh = Dataset(config, seed=seed)
+        assert early_product == fresh.product_by_key(early_product.key)
+        assert early_seller == fresh.sellers[2]
+        # And the full worlds agree record for record.
+        for view in ("sellers", "customers", "products",
+                     "reserve_products", "stock"):
+            assert getattr(touched, view) == getattr(fresh, view)
+        # Enumeration hands out the memoised records, not copies.
+        assert touched.products[4] is early_product
+
+    def test_product_by_key(self):
+        dataset = Dataset(small_config(), seed=1)
+        product = dataset.product_by_key("2/7")
+        assert product is not None
+        assert (product.seller_id, product.product_id) == (2, 7)
+        assert dataset.product_by_key("2/7") is product  # memoised
+        assert dataset.product_by_key("99/1") is None
+        assert dataset.product_by_key("not-a-key") is None
+
+    def test_out_of_range_touches_raise(self):
+        dataset = Dataset(small_config(), seed=1)  # blocks of 6 ids
+        for call in (lambda: dataset.seller(0), lambda: dataset.seller(4),
+                     lambda: dataset.customer(9),
+                     lambda: dataset.product(1, 7),
+                     lambda: dataset.stock_item(4, 1)):
+            with pytest.raises(KeyError):
+                call()
+
+    def test_summary_tracks_touched_set(self):
+        dataset = Dataset(small_config(), seed=1)
+        assert dataset.summary()["touched_products"] == 0
+        dataset.product(1, 1)
+        dataset.seller(2)
         summary = dataset.summary()
-        assert summary["products"] == 6
-        product = dataset.products[0]
-        assert dataset.product_by_key(product.key) is product
-        assert dataset.product_by_key("99/99") is None
+        assert summary["touched_products"] == 1
+        assert summary["touched_sellers"] == 1
+        assert summary["products"] == 12
+        assert summary["reserve_products"] == 6
+        assert summary["stock_items"] == 18
+        assert summary["customers"] == 8
+
+    def test_a_million_key_world_costs_nothing_until_touched(self):
+        dataset = Dataset(WorkloadConfig(
+            sellers=1000, products_per_seller=1000, customers=100_000))
+        assert dataset.size == 1000 + 100_000 + 1_250_000
+        assert dataset.product(1000, 999 * 1250 + 1000).name == \
+            "product-1249750"
+        assert dataset.summary()["touched_products"] == 1
+        assert len(dataset.customer_ids) == 100_000
+
+    def test_entity_draw_is_stable_and_distinct(self):
+        assert entity_draw(1, "product", "2/7") == \
+            entity_draw(1, "product", "2/7")
+        assert entity_draw(1, "product", "2/7") != \
+            entity_draw(2, "product", "2/7")
+        assert entity_draw(1, "product", "2/7") != \
+            entity_draw(1, "seller", "2/7")
+        # A pinned value: the derivation is part of the golden baseline
+        # and must not depend on the process (PYTHONHASHSEED).
+        assert entity_draw(5, "product", "1/1") == 0x36AA6FD6A8DA7C5B
+
+
+# ---------------------------------------------------------------------------
+# Zipf sampling: exact head, O(1) tail
+# ---------------------------------------------------------------------------
+
+def zipf_pmf(n: int, s: float) -> list[float]:
+    """The closed form: 1/(r+1)^s / H_n."""
+    weights = [(rank + 1) ** -s for rank in range(n)]
+    total = sum(weights)
+    return [weight / total for weight in weights]
 
 
 class TestZipfSampler:
@@ -143,19 +293,103 @@ class TestZipfSampler:
             ZipfSampler(0, 1.0, random.Random(1))
         with pytest.raises(ValueError):
             ZipfSampler(5, -1.0, random.Random(1))
+        with pytest.raises(IndexError):
+            ZipfSampler(5, 1.0, random.Random(1)).probability(5)
+
+    @pytest.mark.parametrize("n", [1, 48, 100, 4096])
+    @pytest.mark.parametrize("s", [0.0, 0.8, 1.0, 1.3])
+    def test_pmf_is_exact_within_the_head_table(self, n, s):
+        sampler = ZipfSampler(n, s, random.Random(1))
+        for rank, expected in enumerate(zipf_pmf(n, s)):
+            assert abs(sampler.probability(rank) - expected) < 1e-12
+
+    @pytest.mark.parametrize("n,s", [(48, 1.0), (100, 0.8), (4096, 0.9)])
+    def test_draws_are_inverse_transform_within_the_head_table(self, n, s):
+        """Same uniform in, same rank out as bisecting the exact CDF."""
+        cdf, cumulative = [], 0.0
+        for mass in zipf_pmf(n, s):
+            cumulative += mass
+            cdf.append(cumulative)
+        cdf[-1] = 1.0
+        sampler = ZipfSampler(n, s, random.Random(5))
+        oracle = random.Random(5)
+        for _ in range(5000):
+            assert sampler.sample() == bisect.bisect_left(
+                cdf, oracle.random())
+
+    def test_samples_in_range_at_scale(self):
+        n = 1_000_000
+        for s in (0.5, 0.8, 1.0, 1.3):
+            sampler = ZipfSampler(n, s, random.Random(7))
+            ranks = [sampler.sample() for _ in range(2000)]
+            assert all(0 <= rank < n for rank in ranks)
+            # The tail beyond the head table is reachable ...
+            assert any(rank >= 4096 for rank in ranks)
+            # ... and the head is over-represented by roughly its pmf
+            # mass (under uniform the top-100 share would be 1e-4).
+            head_share = sum(rank < 100 for rank in ranks) / len(ranks)
+            expected = sum(sampler.probability(rank) for rank in range(100))
+            assert expected > 100 / n * 10
+            assert abs(head_share - expected) < 0.05
+
+    def test_pmf_beyond_the_head_table_tracks_the_closed_form(self):
+        """probability(rank) stays within 1e-6 relative error of the
+        exact normalised Zipf pmf when the tail is approximated."""
+        n, s = 100_000, 0.8
+        sampler = ZipfSampler(n, s, random.Random(1))
+        exact = zipf_pmf(n, s)
+        for rank in (0, 1, 4095, 4096, 50_000, 99_999):
+            assert abs(sampler.probability(rank) - exact[rank]) \
+                / exact[rank] < 1e-6
+
+    def test_tail_draws_follow_the_pmf(self):
+        """Empirical mass of rank bands on both sides of the head
+        table's edge matches the closed form."""
+        n, s, draws = 20_000, 0.8, 40_000
+        sampler = ZipfSampler(n, s, random.Random(3))
+        exact = zipf_pmf(n, s)
+        ranks = [sampler.sample() for _ in range(draws)]
+        for lo, hi in ((0, 1), (2048, 4096), (4096, 8192), (8192, n)):
+            observed = sum(lo <= rank < hi for rank in ranks) / draws
+            assert abs(observed - sum(exact[lo:hi])) < 0.01
+
+
+# ---------------------------------------------------------------------------
+# ProductKeyRegistry against a list model
+# ---------------------------------------------------------------------------
+
+class ListRegistry:
+    """The obvious O(n) model: one key per rank, reserves popped off
+    the end of a list built in id order."""
+
+    def __init__(self, dataset: Dataset) -> None:
+        def keys(products):
+            return [(p.seller_id, p.product_id) for p in products]
+        self.by_rank = keys(dataset.products)
+        self.reserve = keys(dataset.reserve_products)
+        self.refused = 0
+
+    def delete_at(self, rank):
+        if not self.reserve:
+            self.refused += 1
+            return None
+        deleted, self.by_rank[rank] = self.by_rank[rank], self.reserve.pop()
+        return deleted, self.by_rank[rank]
 
 
 class TestProductKeyRegistry:
     def make(self):
-        initial = [(1, i) for i in range(1, 6)]
-        reserve = [(1, i) for i in range(6, 9)]
-        return ProductKeyRegistry(initial, reserve)
+        # One seller: live (1, 1)..(1, 5), reserve (1, 6)..(1, 8).
+        return ProductKeyRegistry(1, 5, 3)
 
     def test_rank_lookup(self):
         registry = self.make()
         assert registry.product_at(0) == (1, 1)
         assert registry.rank_of((1, 3)) == 2
         assert registry.rank_of((9, 9)) is None
+        assert registry.rank_of((1, 6)) is None  # an unused reserve
+        with pytest.raises(IndexError):
+            registry.product_at(5)
 
     def test_delete_rebinds_rank_to_reserve(self):
         registry = self.make()
@@ -163,10 +397,12 @@ class TestProductKeyRegistry:
         assert outcome is not None
         deleted, replacement = outcome
         assert deleted == (1, 1)
-        assert replacement == (1, 8)  # reserves pop from the end
+        assert replacement == (1, 8)  # reserves are taken from the end
         assert registry.product_at(0) == (1, 8)
         assert not registry.is_live((1, 1))
         assert registry.is_live((1, 8))
+        assert registry.rank_of((1, 1)) is None
+        assert registry.rank_of((1, 8)) == 0
 
     def test_population_size_invariant_under_deletes(self):
         registry = self.make()
@@ -189,11 +425,63 @@ class TestProductKeyRegistry:
         registry.delete_at(0)
         assert registry.reserve_remaining == 2
 
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ProductKeyRegistry(1, 1, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_delete_sequences_match_the_list_model(self, data):
+        config = small_config()
+        registry = ProductKeyRegistry(
+            config.sellers, config.products_per_seller,
+            config.reserve_per_seller)
+        model = ListRegistry(Dataset(config))
+        ranks = len(model.by_rank)
+        assert len(registry) == ranks
+        assert registry.live_products() == model.by_rank
+        # Delete more than the reserve can cover so refusals happen too.
+        deletes = data.draw(st.lists(
+            st.integers(min_value=0, max_value=ranks - 1),
+            min_size=1, max_size=ranks))
+        gone = set()
+        for rank in deletes:
+            outcome = model.delete_at(rank)
+            assert registry.delete_at(rank) == outcome
+            if outcome is not None:
+                gone.add(outcome[0])
+        assert registry.deletes == len(gone)
+        assert registry.refused_deletes == model.refused
+        assert registry.reserve_remaining == len(model.reserve)
+        assert registry.live_products() == model.by_rank
+        for rank, key in enumerate(model.by_rank):
+            assert registry.rank_of(key) == rank
+            assert registry.is_live(key)
+        for key in gone:
+            assert registry.rank_of(key) is None
+            assert not registry.is_live(key)
+        for key in model.reserve:
+            assert not registry.is_live(key)
+
+    def test_memory_is_o_deletes(self):
+        """A million-rank registry costs nothing until deletes happen."""
+        registry = ProductKeyRegistry(1000, 1000, 100)
+        assert len(registry) == 1_000_000
+        # Product ids are globally sequential per-seller blocks of
+        # 1000 live + 100 reserve, the dataset's layout.
+        assert registry.product_at(0) == (1, 1)
+        assert registry.product_at(999_999) == (1000, 999 * 1100 + 1000)
+        mid = registry.product_at(550_000)
+        assert registry.rank_of(mid) == 550_000
+        assert registry.is_live(mid)
+        before = len(registry._rebound)
+        registry.delete_at(123_456)
+        assert len(registry._rebound) == before + 1
+
 
 class TestInputCoordinator:
     def make(self):
-        initial = [(1, i) for i in range(1, 6)]
-        registry = ProductKeyRegistry(initial, [(1, 9)])
+        registry = ProductKeyRegistry(1, 5, 1)
         sampler = ZipfSampler(5, 0.5, random.Random(7))
         return InputCoordinator([1, 2, 3], registry, sampler,
                                 random.Random(8))
@@ -246,8 +534,15 @@ class TestInputCoordinator:
             key = coordinator.sample_product()
             assert key in [(1, i) for i in range(1, 6)]
 
+    def test_customer_ids_may_be_a_range(self):
+        registry = ProductKeyRegistry(1, 1, 1)
+        sampler = ZipfSampler(1, 0.0, random.Random(1))
+        coordinator = InputCoordinator(range(1, 100_001), registry,
+                                       sampler, random.Random(1))
+        assert 1 <= coordinator.lease_customer() <= 100_000
+
     def test_empty_customer_list_rejected(self):
-        registry = ProductKeyRegistry([(1, 1)], [])
+        registry = ProductKeyRegistry(1, 1, 1)
         sampler = ZipfSampler(1, 0.0, random.Random(1))
         with pytest.raises(ValueError):
             InputCoordinator([], registry, sampler, random.Random(1))
