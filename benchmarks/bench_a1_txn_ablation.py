@@ -9,7 +9,7 @@ than scripted.
 
 import pytest
 
-from repro.txn import LockManager, TxnConfig
+from repro.txn import TxnConfig
 
 from _harness import print_table, run_experiment
 
@@ -17,17 +17,12 @@ VARIANTS = ("full", "no-2pc", "no-locks", "neither")
 
 
 def run_variant(variant: str):
-    txn_config = TxnConfig()
-    if variant in ("no-2pc", "neither"):
-        txn_config.enable_two_phase_commit = False
-    disable_locks = variant in ("no-locks", "neither")
-    LockManager.disabled = disable_locks
-    try:
-        metrics, _, app = run_experiment(
-            "orleans-transactions", workers=32, duration=1.2, seed=43,
-            txn_config=txn_config)
-    finally:
-        LockManager.disabled = False
+    txn_config = TxnConfig(
+        enable_two_phase_commit=variant not in ("no-2pc", "neither"),
+        enable_locking=variant not in ("no-locks", "neither"))
+    metrics, _, _ = run_experiment(
+        "orleans-transactions", workers=32, duration=1.2, seed=43,
+        txn_config=txn_config)
     return metrics
 
 

@@ -1,12 +1,17 @@
-"""P0 — simulator hot-path performance: tx/s and events/s per wall-second.
+"""P0 — simulator hot-path performance: committed tx per wall-second.
 
 Unlike the F/A/T benches, which reproduce the paper's *simulated*
 results, P0 measures the simulator itself: how many committed
-transactions and kernel events one wall-clock second buys, across run
-lengths.  This is the perf trajectory for the copy-on-write state
-engine — before it, ``copy.deepcopy`` consumed ~82% of wall time and
-tx/s-wall degraded ~3x between the shortest and longest cell below
-(the simulator was quadratic in run length).
+transactions one wall-clock second buys, across run lengths, and how
+many kernel events each of them costs.  This is the perf trajectory for
+the copy-on-write state engine — before it, ``copy.deepcopy`` consumed
+~82% of wall time and tx/s-wall degraded ~3x between the shortest and
+longest cell below (the simulator was quadratic in run length).
+
+The gated quantity is ``tx_per_wall_s``.  Events per wall-second is
+reported but is not a goal: doing the same work in fewer events
+*lowers* it while the simulator gets faster (``events_per_tx`` shows
+which of the two moved).
 
 Emits ``BENCH_P0_hotpath.json`` at the repo root; CI uploads it with
 the other ``BENCH_*.json`` artifacts so the trajectory accumulates
@@ -52,6 +57,7 @@ def run_cell(duration_scale: float, seed: int = 7) -> dict:
         "committed_tx": committed,
         "tx_per_wall_s": round(committed / wall, 1),
         "kernel_events": env.events_processed,
+        "events_per_tx": round(env.events_processed / committed, 1),
         "events_per_wall_s": round(env.events_processed / wall, 1),
     }
 
@@ -72,14 +78,14 @@ def test_p0_hotpath_scaling(benchmark):
         "reference": {
             "recorded": baseline["recorded"],
             "p0_hotpath": baseline["p0_hotpath"],
-            "floor_events_per_wall_s":
-                baseline["floor"]["floor_events_per_wall_s"],
+            "floor_tx_per_wall_s":
+                baseline["floor"]["floor_tx_per_wall_s"],
         },
     }, indent=2) + "\n")
 
     for row in rows:
         assert row["committed_tx"] > 0
-        assert row["events_per_wall_s"] > 0
+        assert row["tx_per_wall_s"] > 0
     # The whole point of the CoW engine: tx/s-wall must not collapse
     # with run length (pre-engine ~3x, now ~1.2x).  Single-shot cells
     # are noisy on shared CI, so this is only a catastrophe guard —

@@ -774,6 +774,10 @@ class Cluster:
         self.working_set.evictions += 1
         return True
 
+    def is_paged(self, grain: Grain) -> bool:
+        """True when a paged snapshot awaits ``grain``'s re-activation."""
+        return (type(grain).__name__, grain.key) in self._paged
+
     def page_in(self, grain: Grain) -> typing.Generator:
         """Restore paged volatile state at re-activation (process
         helper, called from ``Activation._start``)."""

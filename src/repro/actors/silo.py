@@ -26,20 +26,18 @@ from __future__ import annotations
 import collections
 import dataclasses
 import inspect
-import itertools
 import typing
 from types import GeneratorType as _GeneratorType
 
 from repro.actors.errors import GrainCallError, SiloUnavailable
+from repro.actors.grain import Grain
+from repro.runtime.events import Event
 from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.actors.grain import Grain
     from repro.actors.placement import GrainDirectory
-    from repro.runtime import Environment, Event
-
-_message_ids = itertools.count(1)
+    from repro.runtime import Environment
 
 
 class SiloState:
@@ -62,9 +60,6 @@ class Message:
     promise: "Event"
     txn: object | None
     reply_latency: float
-    enqueue_time: float = 0.0
-    message_id: int = dataclasses.field(
-        default_factory=lambda: next(_message_ids))
     #: Grain reference, kept so the cluster can re-place the message
     #: after a membership change (None for activation-local timer
     #: ticks, which die with their activation).
@@ -74,20 +69,20 @@ class Message:
 
 
 class Activation:
-    """A live grain instance plus its mailbox and worker process."""
+    """A live grain instance plus its mailbox.
+
+    No process serves the mailbox: a message that may start at once
+    (always on a reentrant grain, when nothing is mid-execution
+    otherwise) becomes a :class:`_Turn` in the delivery callback, and a
+    finishing turn starts the next queued message itself.
+    """
 
     def __init__(self, env: "Environment", silo: "Silo",
                  grain: "Grain", adopted: bool = False) -> None:
         self.env = env
         self.silo = silo
         self.grain = grain
-        #: True when this activation received a live-migrated grain:
-        #: its in-memory state travelled with it, so the storage read
-        #: and ``on_activate`` hook are skipped.
-        self.adopted = adopted
         self.mailbox: collections.deque[Message] = collections.deque()
-        self._wakeup: "Event | None" = None
-        self.ready: "Event" = env.event()  # fires after on_activate
         self.processed = 0
         self.last_activity = env.now
         self.collected = False
@@ -95,14 +90,22 @@ class Activation:
         #: deactivation aborts (a message slipped in mid-hook) and is
         #: later retried.
         self.deactivate_hook_ran = False
-        #: Set when the hosting silo crashes: the worker stops, queued
-        #: work is re-placed and late replies are suppressed.
+        #: Set when the hosting silo crashes: turns stop, queued work
+        #: is re-placed and late replies are suppressed.
         self.defunct = False
         #: Messages currently being executed (≤1 unless reentrant).
         self.inflight: set[Message] = set()
-        self._timers: list["Event"] = []
         grain.activation = self
-        env.process(self._start(), name=f"activate:{grain!r}")
+        #: False while ``_start`` still has state to read or a hook to
+        #: run (messages wait in the mailbox).  With nothing to await —
+        #: always so for an ``adopted`` grain, whose in-memory state
+        #: travelled with it — the activation serves from construction.
+        self.started = adopted or not (
+            grain.storage_name is not None
+            or type(grain).on_activate is not Grain.on_activate
+            or grain.cluster.is_paged(grain))
+        if not self.started:
+            env.process(self._start(), name=f"activate:{grain!r}")
 
     @property
     def busy(self) -> bool:
@@ -111,11 +114,19 @@ class Activation:
 
     # ------------------------------------------------------------------
     def enqueue(self, message: Message) -> None:
-        message.enqueue_time = self.env.now
         self.last_activity = self.env.now
         self.mailbox.append(message)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        self._pump()
+
+    def _pump(self) -> None:
+        """Start every queued message that may run now: all of them on
+        a reentrant grain, one at a time otherwise."""
+        if not self.started or self.defunct:
+            return
+        mailbox = self.mailbox
+        reentrant = self.grain.reentrant
+        while mailbox and (reentrant or not self.inflight):
+            _Turn(self, mailbox.popleft())
 
     # ------------------------------------------------------------------
     # grain timers (Orleans RegisterTimer analogue)
@@ -145,130 +156,134 @@ class Activation:
 
     # ------------------------------------------------------------------
     def _start(self):
+        """Process: load state and run ``on_activate``, then serve."""
         grain = self.grain
-        if not self.adopted:
-            if grain.storage_name is not None:
-                storage = grain.cluster.storage(grain.storage_name)
-                state = yield from storage.read(type(grain).__name__,
-                                                grain.key)
-                if state is not None:
-                    grain.state = state
-            elif grain.cluster.working_set_limited:
-                # Volatile grain evicted under the activation budget:
-                # reload the paged snapshot (no-op — zero events — when
-                # the grain was never paged out).
-                yield from grain.cluster.page_in(grain)
-            if self.defunct:
-                return  # silo crashed during the state read
-            hook = grain.on_activate()
-            if inspect.isgenerator(hook):
-                yield from hook
-        self.ready.succeed()
-        yield from self._worker()
-
-    def _worker(self):
-        while True:
-            if self.defunct:
-                return
-            if not self.mailbox:
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            message = self.mailbox.popleft()
-            if self.grain.reentrant:
-                # The method name alone is enough to identify the
-                # process in error messages; formatting grain reprs
-                # here costs more than the rest of the spawn.
-                self.env.process(self._execute(message),
-                                 name=message.method)
-            else:
-                yield from self._execute(message)
-
-    def _execute(self, message: Message):
-        grain = self.grain
-        self.inflight.add(message)
-        try:
-            yield from self._execute_inner(message, grain)
-        finally:
-            self.inflight.discard(message)
-
-    def _execute_inner(self, message: Message, grain: "Grain"):
-        # Charge the method's CPU cost on this silo's cores.
-        yield from self.silo.cpu.use(grain.cpu_cost)
+        if grain.storage_name is not None:
+            storage = grain.cluster.storage(grain.storage_name)
+            state = yield from storage.read(type(grain).__name__,
+                                            grain.key)
+            if state is not None:
+                grain.state = state
+        else:
+            # Volatile grain evicted under the activation budget:
+            # reload the paged snapshot (no-op — zero events — when
+            # the grain was never paged out).
+            yield from grain.cluster.page_in(grain)
         if self.defunct:
+            return  # silo crashed during the state read
+        hook = grain.on_activate()
+        if inspect.isgenerator(hook):
+            yield from hook
+        self.started = True
+        self._pump()
+
+
+class _Turn:
+    """One message's execution on an activation: CPU charge, method
+    body, reply — driven by kernel callbacks, not by a process.
+
+    A grain method that never waits costs three timeline entries
+    (delivery, CPU hold, the reply carrying the caller's promise); a
+    generator method adds exactly the events it yields.  Two rules of
+    the actor model live here:
+
+    * ``grain.current_txn`` is restored before *every* resumption.
+      Reentrant grains interleave turns on one grain instance, so
+      without this a method resuming after a wait would read (and
+      charge its writes to) whichever transaction ran last — the
+      actor-runtime analogue of async-local context flow.
+    * A crashed silo is fail-stop: once the activation is defunct the
+      body is never resumed (the generator is closed instead), so no
+      side effect — nested call, publish, write — leaks from beyond
+      the grave.  The caller's promise was failed at crash time.
+    """
+
+    __slots__ = ("activation", "message", "generator")
+
+    def __init__(self, activation: Activation, message: Message) -> None:
+        self.activation = activation
+        self.message = message
+        self.generator: typing.Generator | None = None
+        activation.inflight.add(message)
+        # Charge the method's CPU cost on this silo's cores.
+        activation.silo.cpu.hold(activation.grain.cpu_cost, self._run)
+
+    def _run(self, _event: "Event") -> None:
+        activation = self.activation
+        if activation.defunct:
             return  # crashed while waiting for a core; promise failed
+        grain = activation.grain
+        message = self.message
         method = getattr(grain, message.method, None)
         if method is None or not callable(method):
-            self._reply(message, error=GrainCallError(
-                f"{type(grain).__name__} has no method {message.method!r}"))
+            self._reply(GrainCallError(
+                f"{type(grain).__name__} has no method {message.method!r}"),
+                ok=False)
             return
         grain.current_txn = message.txn
         try:
             result = method(*message.args, **message.kwargs)
-            if type(result) is _GeneratorType:
-                result = yield from self._drive(result, message)
         except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            grain.current_txn = None
-            self._reply(message, error=exc)
+            self._reply(exc, ok=False)
             return
-        grain.current_txn = None
-        self.processed += 1
-        self._reply(message, result=result)
+        if type(result) is _GeneratorType:
+            self.generator = result
+            # The hold event is an ordinary success carrying None:
+            # resuming on it is the generator's first ``send(None)``.
+            self._resume(_event)
+        else:
+            self._reply(result)
 
-    def _drive(self, generator, message: Message):
-        """Drive a method generator, restoring the message's transaction
-        context before *every* resumption.
-
-        Reentrant grains interleave method executions on one grain
-        instance; ``grain.current_txn`` is shared state, so without this
-        restoration a method resuming after a wait would read (and
-        charge its writes to) whichever transaction ran last — the
-        actor-runtime analogue of async-local context flow.
-        """
-        grain = self.grain
-        to_send: object = None
-        to_throw: BaseException | None = None
-        while True:
-            if self.defunct:
-                # The silo crashed while the method was suspended: a
-                # fail-stop host must not resume the body and leak
-                # side effects (nested calls, publishes, writes) from
-                # beyond the grave.  The caller's promise was already
-                # failed at crash time.
-                generator.close()
-                return None
-            grain.current_txn = message.txn
-            try:
-                if to_throw is not None:
-                    exc, to_throw = to_throw, None
-                    event = generator.throw(exc)
-                else:
-                    event = generator.send(to_send)
-            except StopIteration as stop:
-                return stop.value
-            try:
-                to_send = yield event
-            except BaseException as exc:  # noqa: BLE001 - re-thrown inside
-                to_throw = exc
-
-    def _reply(self, message: Message, result: object = None,
-               error: BaseException | None = None) -> None:
-        if self.defunct or message.promise.triggered:
-            # The silo crashed under this call: the promise was already
-            # failed with SiloUnavailable and this late outcome must
-            # not escape the dead silo.
+    def _resume(self, event: "Event") -> None:
+        """Advance the body to its next wait (or its end); the callback
+        on every event the method yields."""
+        activation = self.activation
+        generator = self.generator
+        if activation.defunct:
+            event.defuse()  # a failure meant for the abandoned body
+            generator.close()
             return
-        def deliver(_event):
-            if message.promise.triggered:
-                return  # crash failed the promise while the reply flew
-            if error is not None:
-                message.promise.fail(error)
+        activation.grain.current_txn = self.message.txn
+        try:
+            if event._ok:
+                target = generator.send(event._value)
             else:
-                message.promise.succeed(result)
-        # Raw pooled-event callback: a reply in flight has no process
-        # body (see Cluster._route).
-        self.env.call_after(message.reply_latency, deliver)
+                event.defuse()
+                target = generator.throw(event._value)
+        except StopIteration as stop:
+            self._reply(stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(exc, ok=False)
+            return
+        if not isinstance(target, Event):
+            generator.close()
+            self._reply(RuntimeError(
+                f"{self.message.method!r} yielded {target!r}, "
+                f"which is not an Event"), ok=False)
+        elif target.callbacks is not None:
+            target.callbacks.append(self._resume)
+        else:
+            # Already fired: resume on the next kernel step, exactly
+            # as a process waiting on a processed event would.
+            activation.env.call_after(
+                0.0, lambda _event: self._resume(target))
+
+    def _reply(self, value: object, ok: bool = True) -> None:
+        """End the turn: answer the caller, start the next message."""
+        activation = self.activation
+        message = self.message
+        activation.grain.current_txn = None
+        activation.inflight.discard(message)
+        if ok:
+            activation.processed += 1
+        if not message.promise.triggered:
+            # The promise itself travels back: triggered now, fired at
+            # arrival.  (Already triggered: the silo crashed under this
+            # call and failed it; no late outcome escapes a dead silo.)
+            message.promise.trigger_after(message.reply_latency, value, ok)
+        if activation.mailbox:
+            activation._pump()
 
 
 class Silo:
@@ -321,9 +336,6 @@ class Silo:
                         f"{self.name} crashed during "
                         f"{type(activation.grain).__name__}/"
                         f"{activation.grain.key}.{message.method}"))
-            if (activation._wakeup is not None
-                    and not activation._wakeup.triggered):
-                activation._wakeup.succeed()  # let the worker exit
             discarded.append(activation)
         if self.directory is not None:
             self.directory.drop_silo(self)

@@ -271,21 +271,23 @@ class StatefunRuntime:
         self._deliver(message)
 
     def _deliver(self, message: FunctionMessage) -> None:
+        """Put ``message`` on the wire: one pooled timeline entry that
+        enqueues it at the owning worker on arrival."""
         self._in_flight += 1
-        self.env.process(self._deliver_later(message), name="deliver")
-
-    def _deliver_later(self, message: FunctionMessage):
         latency = self.config.delivery_latency
         if getattr(message, "cross_partition", False):
             latency += self.config.cross_partition_latency
-        yield self.env.timeout(latency)
-        self._in_flight -= 1
-        if self.paused and message.is_ingress is False:
-            # Internal message arriving mid-recovery belongs to the
-            # failed epoch; it will be regenerated by replay.
-            if self._recovering:
-                return
-        self.worker_for(message.address()).enqueue(message)
+
+        def arrive(_event) -> None:
+            self._in_flight -= 1
+            if self.paused and message.is_ingress is False:
+                # Internal message arriving mid-recovery belongs to the
+                # failed epoch; it will be regenerated by replay.
+                if self._recovering:
+                    return
+            self.worker_for(message.address()).enqueue(message)
+
+        self.env.call_after(latency, arrive)
 
     # ------------------------------------------------------------------
     # request/response bridging for the benchmark driver

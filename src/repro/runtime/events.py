@@ -89,6 +89,26 @@ class Event:
         env._bucket.append((seq, self))
         return self
 
+    def trigger_after(self, delay: float, value: object = None,
+                      ok: bool = True) -> None:
+        """Delayed :meth:`succeed` (or, with ``ok=False`` and an
+        exception as ``value``, :meth:`fail`): the outcome is fixed
+        now — ``triggered`` turns True — and waiters resume ``delay``
+        seconds on.  One timeline entry carries both the wait and the
+        wake-up; a ``call_after`` that then calls ``succeed`` costs two.
+        """
+        if self._value is not PENDING:
+            raise RuntimeError(f"{self!r} has already been triggered")
+        self._ok = ok
+        self._value = value
+        # Inlined env.schedule(self, delay) — see succeed().
+        env = self.env
+        env._seq = seq = env._seq + 1
+        if delay == 0.0:
+            env._bucket.append((seq, self))
+        else:
+            _heappush(env._queue, (env._now + delay, 1, seq, self))
+
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel will not re-raise."""
         self._defused = True

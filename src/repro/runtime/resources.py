@@ -112,8 +112,10 @@ class Resource:
 
         When a slot is free the grant is synchronous — no grant event
         (and no :class:`ResourceRequest` at all) is created, the hold
-        timeout starts immediately.  Contended requests queue FIFO
-        exactly as before.
+        timeout starts immediately.  Contended requests queue FIFO; a
+        waiter whose generator is closed or thrown into withdraws its
+        request (or frees the slot it was just granted), so an
+        abandoned waiter never strands a slot.
         """
         if self._in_use < self.capacity:
             self._account()
@@ -124,8 +126,33 @@ class Resource:
                 self._release_slot()
         else:
             request = self.request()
-            yield request
             try:
+                yield request
                 yield self.env.timeout(duration)
             finally:
-                self.release(request)
+                if request.granted:
+                    self._release_slot()
+                else:
+                    request.cancel()
+
+    def hold(self, duration: float,
+             then: typing.Callable[[Event], None]) -> None:
+        """Callback form of :meth:`use`: acquire a slot, hold it
+        ``duration``, release it, then run ``then(event)``.
+
+        For callers that are not processes (a grain turn).  Same grant
+        rules as :meth:`use` — synchronous when a slot is free, FIFO
+        behind earlier requests otherwise — and the slot is always
+        released, whatever became of the caller meanwhile.
+        """
+        def held(event: Event) -> None:
+            self._release_slot()
+            then(event)
+
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            self.env.call_after(duration, held)
+        else:
+            self.request().callbacks.append(  # type: ignore[union-attr]
+                lambda _grant: self.env.call_after(duration, held))

@@ -29,9 +29,13 @@ class TransactionContext:
     """
 
     def __init__(self, start_time: float,
-                 inherit_priority: tuple[float, int] | None = None) -> None:
+                 inherit_priority: tuple[float, int] | None = None,
+                 locking: bool = True) -> None:
         self.txid = next(_txn_sequence)
         self.start_time = start_time
+        #: False under the ``TxnConfig.enable_locking`` ablation: every
+        #: lock request is granted at once and prepare never vetoes.
+        self.locking = locking
         self.priority = inherit_priority or (start_time, self.txid)
         self.status = TransactionStatus.ACTIVE
         self.participants: dict[object, "TransactionParticipant"] = {}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+from functools import partial
+from operator import methodcaller
 
 from repro.actors.errors import SiloUnavailable
 from repro.txn.context import TransactionContext, TransactionStatus
@@ -12,6 +14,7 @@ from repro.txn.errors import TransactionAborted
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
     from repro.runtime import Event
+    from repro.txn.participant import TransactionParticipant
 
 
 @dataclasses.dataclass
@@ -77,8 +80,9 @@ class TransactionRunner:
         attempt = 0
         while True:
             attempt += 1
-            ctx = TransactionContext(self.env.now,
-                                     inherit_priority=priority)
+            ctx = TransactionContext(
+                self.env.now, inherit_priority=priority,
+                locking=self.config.enable_locking)
             priority = ctx.priority
             ctx.attempt = attempt
             self.stats.started += 1
@@ -132,49 +136,90 @@ class TransactionRunner:
         jitter = 1.0 + self.config.backoff_jitter * self._rng.random()
         return base * jitter
 
-    def _control_hop(self):
-        yield self.env.timeout(self.config.control_latency)
-
     def _commit(self, ctx: TransactionContext):
         """Process helper: run 2PC; returns True on commit."""
         participants = list(ctx.participants.values())
-        if not self.config.enable_two_phase_commit:
-            # Ablation: one-shot parallel commit without a prepare round.
-            if participants:
-                yield self.env.all_of([
-                    self.env.process(self._commit_one(participant, ctx),
-                                     name="commit1p")
-                    for participant in participants])
-            ctx.status = TransactionStatus.COMMITTED
-            return True
-        ctx.status = TransactionStatus.PREPARING
-        # Prepare phase: one control round-trip + log force, in parallel.
-        votes = yield self.env.all_of([
-            self.env.process(self._prepare_one(participant, ctx),
-                             name=f"prepare:{participant.identity}")
-            for participant in participants])
-        if not all(votes.todict().values()):
-            yield from self._abort_all(ctx)
-            return False
-        # Coordinator durably records the commit decision.
-        yield self.env.timeout(self.config.coordinator_log_latency)
-        # Commit phase, in parallel.
-        yield self.env.all_of([
-            self.env.process(self._commit_one(participant, ctx),
-                             name=f"commit:{participant.identity}")
-            for participant in participants])
+        if self.config.enable_two_phase_commit:
+            ctx.status = TransactionStatus.PREPARING
+            # Prepare phase: control round-trip + log force, in parallel.
+            votes = yield self._round(
+                participants, methodcaller("vote", ctx),
+                methodcaller("mark_prepared", ctx), reply_hop=True)
+            if not all(votes):
+                yield from self._abort_all(ctx)
+                return False
+            # Coordinator durably records the commit decision.
+            yield self.env.timeout(self.config.coordinator_log_latency)
+        # Commit phase, in parallel (the whole protocol under the
+        # no-2PC ablation: a one-shot commit without a prepare round).
+        yield self._round(
+            participants, methodcaller("install", ctx),
+            methodcaller("mark_committed", ctx), reply_hop=False)
         ctx.status = TransactionStatus.COMMITTED
         return True
 
-    def _prepare_one(self, participant, ctx: TransactionContext):
-        yield from self._control_hop()
-        vote = yield from participant.prepare(ctx)
-        yield from self._control_hop()
-        return vote
+    def _round(self, participants: "list[TransactionParticipant]",
+               arrive: typing.Callable[["TransactionParticipant"], bool],
+               logged: typing.Callable[["TransactionParticipant"], None],
+               reply_hop: bool) -> "Event":
+        """One parallel 2PC fan-out; returns the event that fires, with
+        the list of ``arrive`` answers, once every participant is done.
 
-    def _commit_one(self, participant, ctx: TransactionContext):
-        yield from self._control_hop()
-        yield from participant.commit(ctx)
+        Each participant is modelled as: a control hop out, its
+        ``arrive(participant)`` step, a log force of its own
+        ``log_write_latency`` when that step answered True (a veto has
+        nothing to make durable), its ``logged(participant)`` step,
+        then a hop back if ``reply_hop``.  Nothing in that suspends,
+        so the round is a handful of pooled timeline entries — one per
+        hop and per *distinct* log latency, whatever the number of
+        participants — rather than a process each.  Every participant
+        still sees the exact times its own process would have produced,
+        and at each of them participants run in enlistment order.
+        """
+        env = self.env
+        call_after = env.call_after
+        hop = self.config.control_latency
+        done = env.event()
+        if not participants:
+            return done.succeed([])
+        answers: list = []
+        pending = 0
+
+        def arrived(_event) -> None:
+            nonlocal pending
+            forces: dict[float, list] = {}
+            for participant in participants:
+                answer = arrive(participant)
+                answers.append(answer)
+                if answer:
+                    forces.setdefault(participant.log_write_latency,
+                                      []).append(participant)
+            pending = len(forces)
+            for latency, group in forces.items():
+                call_after(latency, partial(forced, group))
+            if not all(answers):
+                pending += 1
+                reply()  # the vetoers, at once
+
+        def forced(group: list, _event) -> None:
+            for participant in group:
+                logged(participant)
+            reply()
+
+        def reply() -> None:
+            if reply_hop:
+                call_after(hop, finished)
+            else:
+                finished(None)
+
+        def finished(_event) -> None:
+            nonlocal pending
+            pending -= 1
+            if not pending:
+                done.succeed(answers)
+
+        call_after(hop, arrived)
+        return done
 
     def _abort_all(self, ctx: TransactionContext):
         ctx.status = TransactionStatus.ABORTED

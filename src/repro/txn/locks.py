@@ -37,11 +37,11 @@ class LockManager:
     :class:`TransactionAborted` (reason ``"wait-die"``).  Older
     transactions therefore never wait behind younger ones, which rules
     out deadlock cycles.
-    """
 
-    #: Class-level ablation switch (bench A1): when True, every acquire
-    #: succeeds immediately and no isolation is provided.
-    disabled = False
+    A context created with ``locking=False`` (the
+    ``TxnConfig.enable_locking`` ablation, bench A1) is granted every
+    request at once and holds nothing: no isolation is provided.
+    """
 
     def __init__(self, env: "Environment", name: str) -> None:
         self.env = env
@@ -73,9 +73,9 @@ class LockManager:
     def acquire(self, ctx: TransactionContext, mode: LockMode):
         """Process helper: acquire (or upgrade to) ``mode`` for ``ctx``."""
         held = self.held_by(ctx)
-        if self.disabled or (held is not None
-                             and (held is mode
-                                  or held is LockMode.EXCLUSIVE)):
+        if not ctx.locking or (held is not None
+                               and (held is mode
+                                    or held is LockMode.EXCLUSIVE)):
             return
             yield  # pragma: no cover - generator marker
         while True:

@@ -23,7 +23,7 @@ class TransactionParticipant:
     """Per-grain transactional state manager.
 
     Holds the committed state, per-transaction staged writes, and the
-    grain's lock.  Prepare/commit/abort are invoked by the coordinator
+    grain's lock.  The 2PC steps and abort are invoked by the coordinator
     *outside* the grain's mailbox — exactly like Orleans' transaction
     agent — so a commit can never deadlock behind a queued grain call
     that is itself waiting for the commit's locks.
@@ -95,27 +95,33 @@ class TransactionParticipant:
     # ------------------------------------------------------------------
     # two-phase commit (called by the coordinator)
     # ------------------------------------------------------------------
-    def prepare(self, ctx: TransactionContext):
-        """Process helper: force a log record, vote yes/no."""
-        if not self.lock.disabled and self.lock.held_by(ctx) is None:
-            # Lost our locks (e.g. the txn died elsewhere): veto.
-            return False
-            yield  # pragma: no cover - generator marker
-        yield self.env.timeout(self.log_write_latency)
+    # The coordinator models the control hops and log forces between
+    # these steps (``TransactionRunner._round``); each step itself is
+    # instantaneous.
+    def vote(self, ctx: TransactionContext) -> bool:
+        """Prepare request arrived: vote yes/no."""
+        # Lost our locks (e.g. the txn died elsewhere): veto.
+        return not ctx.locking or self.lock.held_by(ctx) is not None
+
+    def mark_prepared(self, ctx: TransactionContext) -> None:
+        """The prepare record is durable."""
         self._prepared.add(ctx.txid)
         self.prepares += 1
         self.commit_log.append((self.env.now, ctx.txid, "prepared"))
-        return True
 
-    def commit(self, ctx: TransactionContext):
-        """Process helper: install staged state, log, release locks.
+    def install(self, ctx: TransactionContext) -> bool:
+        """Commit decision arrived: install the staged state.
 
         The staged version was materialised at write time, so the
-        install is a reference swap, not a copy.
+        install is a reference swap, not a copy.  Returns True (the
+        commit record is always forced next).
         """
         if ctx.txid in self._staged:
             self.committed_state = self._staged.pop(ctx.txid)
-        yield self.env.timeout(self.log_write_latency)
+        return True
+
+    def mark_committed(self, ctx: TransactionContext) -> None:
+        """The commit record is durable: log it and release locks."""
         self.commits += 1
         self.commit_log.append((self.env.now, ctx.txid, "committed"))
         self._prepared.discard(ctx.txid)

@@ -389,9 +389,10 @@ def test_commit_installs_exactly_the_staged_version(initial, program):
         apply_program(state, program)
         yield from participant.write(ctx, state)
         staged = participant._staged[ctx.txid]
-        ok = yield from participant.prepare(ctx)
-        assert ok
-        yield from participant.commit(ctx)
+        assert participant.vote(ctx)
+        participant.mark_prepared(ctx)
+        participant.install(ctx)
+        participant.mark_committed(ctx)
         return staged
 
     staged = run_process(env, txn())
@@ -412,8 +413,9 @@ def test_commit_log_is_bounded_but_counters_are_not():
             state = yield from participant.read(ctx)
             state["n"] = ctx.txid
             yield from participant.write(ctx, state)
-            yield from participant.prepare(ctx)
-            yield from participant.commit(ctx)
+            participant.mark_prepared(ctx)
+            participant.install(ctx)
+            participant.mark_committed(ctx)
 
         run_process(env, txn())
     assert len(participant.commit_log) == COMMIT_LOG_TAIL

@@ -1,0 +1,413 @@
+"""Exact kernel-event budgets, timing equivalence and crash points of
+the callback-driven hot paths.
+
+A grain turn, a 2PC round and a statefun delivery run as pooled
+``call_after`` timeline entries, not as processes.  Three things pin
+that restructuring here, all as exact counts or exact float times read
+from the kernel (``env.events_processed``, ``env.now``):
+
+* the *budget*: a call to a method that never waits costs 3 events, a
+  committed transaction's 2PC 8 events whatever the participant count;
+* the *equivalence*: every participant and the coordinator observe the
+  very times the retired one-process-per-participant model produced
+  (that model is kept below as the reference);
+* the *crash matrix*: a silo dying under a turn at each of its three
+  states yields exactly one outcome per caller and never resumes the
+  abandoned body.
+"""
+
+import pytest
+
+from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
+from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
+from repro.runtime import Environment
+from repro.runtime.process import Process
+from repro.txn import (
+    TransactionAborted,
+    TransactionParticipant,
+    TransactionRunner,
+    TxnConfig,
+)
+
+
+# ---------------------------------------------------------------------------
+# (a) event budgets
+# ---------------------------------------------------------------------------
+class Plain(Grain):
+    """Non-reentrant; one plain method, one generator that never yields."""
+
+    def plain(self):
+        return self.key
+
+    def generator(self):
+        return self.key
+        yield  # pragma: no cover - generator marker
+
+    def waits(self, seconds):
+        yield self.env.timeout(seconds)
+        return self.key
+
+
+class Reentrant(Plain):
+    reentrant = True
+
+
+def events_for(env, promise):
+    before = env.events_processed
+    env.run(until=promise)
+    return env.events_processed - before
+
+
+@pytest.mark.parametrize("grain_type", [Plain, Reentrant])
+@pytest.mark.parametrize("method", ["plain", "generator"])
+def test_call_to_a_method_that_never_waits_costs_three_events(
+        grain_type, method, monkeypatch):
+    spawned = []
+    init = Process.__init__
+
+    def counting_init(self, *args, **kwargs):
+        spawned.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig())
+    ref = cluster.grain_ref(grain_type, "k")
+    # Delivery, CPU hold, the reply carrying the promise — on a cold
+    # activation (nothing to read, no hook: ready at construction) and
+    # on the warm one alike.
+    assert events_for(env, ref.call(method)) == 3
+    assert events_for(env, ref.call(method)) == 3
+    assert not spawned
+
+
+def test_a_waiting_method_adds_exactly_its_own_events():
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig())
+    ref = cluster.grain_ref(Reentrant, "k")
+    assert events_for(env, ref.call("waits", 0.001)) == 3 + 1
+
+
+def test_statefun_message_costs_one_delivery_event():
+    class Sink(StatefulFunction):
+        cpu_cost = 0.0
+
+        def invoke(self, context, payload):
+            context.state["seen"] = payload
+
+    env = Environment(seed=1)
+    runtime = StatefunRuntime(env, StatefunConfig(
+        partitions=1, checkpoint_interval=0))
+    runtime.register("sink", Sink())
+    env.run()  # worker parked on its empty queue
+    before = env.events_processed
+    runtime.send_ingress("sink", "a", 1)
+    env.run()
+    assert runtime.state_of("sink", "a") == {"seen": 1}
+    # Delivery, the worker's wake-up, its CPU hold: the wire itself is
+    # one pooled entry (it was a three-event process).
+    assert env.events_processed - before == 3
+
+
+#: Events of one ``runner.run`` around its 2PC: the driving process's
+#: bootstrap, the body's own event, the process's completion.
+RUN_OVERHEAD = 3
+HOP, COORDINATOR_LOG = 0.0003, 0.0005
+
+
+def make_runner(**txn_kwargs):
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig())
+    runner = TransactionRunner(cluster, TxnConfig(
+        control_latency=HOP, coordinator_log_latency=COORDINATOR_LOG,
+        **txn_kwargs))
+    return env, runner
+
+
+def make_participants(env, log_latencies):
+    return [TransactionParticipant(env, ("P", str(index)), latency)
+            for index, latency in enumerate(log_latencies)]
+
+
+def enlist(ctx, participant, value):
+    """Stage a write (X-lock + enlistment); uncontended, so the process
+    helper finishes without ever yielding."""
+    for _ in participant.write(ctx, {"value": value}):
+        raise AssertionError("uncontended write must not wait")
+
+
+def run_transaction(env, runner, participants, start=0.0123):
+    """One transaction writing every participant; returns (events the
+    whole ``runner.run`` cost, time the 2PC started, time it ended)."""
+    env.run(until=start)
+
+    def body(ctx):
+        for index, participant in enumerate(participants):
+            enlist(ctx, participant, index)
+        return env.timeout(0.0)
+
+    before = env.events_processed
+    process = env.process(runner.run(body))
+    env.run(until=process)
+    return env.events_processed - before, start, env.now
+
+
+@pytest.mark.parametrize("count", [1, 4, 16])
+def test_two_phase_commit_costs_eight_events_for_any_participant_count(
+        count):
+    env, runner = make_runner()
+    participants = make_participants(env, [0.0005] * count)
+    events, _, _ = run_transaction(env, runner, participants)
+    # Prepare: hop out, log force, hop back, round event.  Coordinator
+    # log.  Commit: hop out, log force, round event.
+    assert events - RUN_OVERHEAD == 8
+    assert runner.stats.committed == 1
+    assert all(p.commits == 1 and p.committed_state["value"] == index
+               for index, p in enumerate(participants))
+
+
+@pytest.mark.parametrize("count", [4, 16])
+def test_each_distinct_log_latency_adds_a_fixed_three_events(count):
+    costs = []
+    for groups in (1, 2, 3):
+        env, runner = make_runner()
+        latencies = [0.0005 * (1 + index % groups)
+                     for index in range(count)]
+        events, _, _ = run_transaction(
+            env, runner, make_participants(env, latencies))
+        costs.append(events - RUN_OVERHEAD)
+    # One more prepare log force, hop back and commit log force.
+    assert costs == [8, 11, 14]
+
+
+def test_one_shot_commit_ablation_reuses_the_commit_round():
+    env, runner = make_runner(enable_two_phase_commit=False)
+    participants = make_participants(env, [0.0005] * 4)
+    events, start, end = run_transaction(env, runner, participants)
+    assert events - RUN_OVERHEAD == 3  # hop out, log force, round event
+    assert end == (start + HOP) + 0.0005
+    assert all(p.commits == 1 and p.prepares == 0 for p in participants)
+
+
+def test_veto_skips_the_log_force():
+    env, runner = make_runner(max_retries=0)
+    (participant,) = make_participants(env, [0.0005])
+    env.run(until=0.0123)
+
+    def body(ctx):
+        ctx.register(participant)  # enlisted, but holds no lock: vetoes
+        return env.timeout(0.0)
+
+    before = env.events_processed
+    process = env.process(runner.run(body))
+    with pytest.raises(TransactionAborted) as excinfo:
+        env.run(until=process)
+    assert excinfo.value.reason == "veto"
+    # Hop out, hop back, round event: nothing was made durable.
+    assert env.events_processed - before - RUN_OVERHEAD == 3
+    assert env.now == (0.0123 + HOP) + HOP
+    assert participant.prepares == 0
+    assert [entry[2] for entry in participant.commit_log] == ["aborted"]
+
+
+def test_yes_voters_still_force_their_log_beside_a_veto():
+    env, runner = make_runner(max_retries=0)
+    voter, vetoer = make_participants(env, [0.001, 0.0005])
+
+    def body(ctx):
+        enlist(ctx, voter, 1)
+        ctx.register(vetoer)
+        return env.timeout(0.0)
+
+    process = env.process(runner.run(body))
+    with pytest.raises(TransactionAborted):
+        env.run(until=process)
+    # The coordinator waited for the slowest reply before aborting.
+    assert env.now == ((0.0 + HOP) + 0.001) + HOP
+    assert [entry[2] for entry in voter.commit_log] == [
+        "prepared", "aborted"]
+    assert voter.commit_log[0][0] == (0.0 + HOP) + 0.001
+    assert voter.committed_state == {} and not voter.lock.holders()
+
+
+# ---------------------------------------------------------------------------
+# (b) timing equivalence with the per-participant process model
+# ---------------------------------------------------------------------------
+def reference_times(start, log_latencies):
+    """The retired model: one process per participant and phase, joined
+    by ``all_of``.  Returns (prepared times, committed times, end)."""
+    env = Environment(seed=1)
+    env.run(until=start)
+    prepared, committed = {}, {}
+
+    def prepare_one(index, log):
+        yield env.timeout(HOP)
+        yield env.timeout(log)
+        prepared[index] = env.now
+        yield env.timeout(HOP)
+
+    def commit_one(index, log):
+        yield env.timeout(HOP)
+        yield env.timeout(log)
+        committed[index] = env.now
+
+    def coordinator():
+        yield env.all_of([env.process(prepare_one(index, log))
+                          for index, log in enumerate(log_latencies)])
+        yield env.timeout(COORDINATOR_LOG)
+        yield env.all_of([env.process(commit_one(index, log))
+                          for index, log in enumerate(log_latencies)])
+
+    env.run(until=env.process(coordinator()))
+    return prepared, committed, env.now
+
+
+def test_mixed_log_latencies_keep_every_per_participant_time():
+    latencies = [0.001, 0.0005, 0.002, 0.001, 0.0005, 0.00075]
+    env, runner = make_runner()
+    participants = make_participants(env, latencies)
+    _, start, end = run_transaction(env, runner, participants)
+    prepared, committed, reference_end = reference_times(start, latencies)
+    for index, participant in enumerate(participants):
+        log = {outcome: time
+               for time, _txid, outcome in participant.commit_log}
+        assert log["prepared"] == prepared[index]
+        assert log["prepared"] == (start + HOP) + latencies[index]
+        assert log["committed"] == committed[index]
+    # The coordinator resumes when the slowest participant is done.
+    assert end == reference_end == max(committed.values())
+
+
+def test_participants_are_visited_in_enlistment_order():
+    env, runner = make_runner()
+    participants = make_participants(env, [0.001, 0.0005, 0.001, 0.0005])
+    visits = []
+    for participant in participants:
+        original = participant.mark_committed
+
+        def spy(ctx, participant=participant, original=original):
+            visits.append((env.now, participant.identity[1]))
+            original(ctx)
+
+        participant.mark_committed = spy
+    run_transaction(env, runner, participants)
+    # By time first; enlistment order among equals.
+    assert [key for _, key in visits] == ["1", "3", "0", "2"]
+    assert visits == sorted(visits, key=lambda visit: visit[0])
+
+
+# ---------------------------------------------------------------------------
+# (c) crash matrix for the turn object
+# ---------------------------------------------------------------------------
+class Witness(Grain):
+    """Records how far each body got; class-level so that it survives
+    the activation."""
+
+    reentrant = True
+    cpu_cost = 0.01
+    trail: list = []
+
+    def quick(self):
+        self.trail.append(("ran", self.key, self.env.now))
+        return self.key
+
+    def fails(self):
+        self.trail.append(("ran", self.key, self.env.now))
+        raise ValueError(self.key)
+
+    def nested(self, target_key, method="quick"):
+        self.trail.append(("before", self.key))
+        result = yield self.call(self.grain_ref(Witness, target_key),
+                                 method)
+        self.trail.append(("after", self.key))
+        return result
+
+
+def crash_cluster():
+    Witness.trail = []
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig(
+        silos=2, cores_per_silo=1, failure_detection_delay=0.0))
+    keys = {silo: [key for key in (f"w{i}" for i in range(40))
+                   if cluster.silo_for(cluster.grain_ref(Witness, key))
+                   is silo]
+            for silo in cluster.silos}
+    return env, cluster, keys
+
+
+def outcomes_of(promise):
+    """Every firing of ``promise`` (there must be exactly one)."""
+    seen = []
+
+    def record(event):
+        if not event.ok:
+            event.defuse()
+        seen.append(event.value)
+
+    promise.callbacks.append(record)
+    return seen
+
+
+def test_crash_while_a_turn_waits_for_a_core():
+    env, cluster, keys = crash_cluster()
+    victim = cluster.silos[0]
+    first, second = keys[victim][:2]
+    running = outcomes_of(cluster.grain_ref(Witness, first).call("quick"))
+    queued = outcomes_of(cluster.grain_ref(Witness, second).call("quick"))
+    env.run(until=0.005)
+    # One core: the first turn holds it, the second queues for it.
+    assert victim.cpu.in_use == 1 and victim.cpu.queue_length == 1
+    cluster.crash_silo(victim)
+    env.run()
+    for seen in (running, queued):
+        assert len(seen) == 1 and isinstance(seen[0], SiloUnavailable)
+    assert Witness.trail == []  # neither body ever ran
+    assert victim.cpu.in_use == 0 and victim.cpu.queue_length == 0
+    assert cluster.membership.unavailable_failures == 2
+
+
+def test_crash_while_a_turn_is_suspended_in_a_nested_call():
+    env, cluster, keys = crash_cluster()
+    victim, survivor = cluster.silos
+    outer, inner = keys[victim][0], keys[survivor][0]
+    seen = outcomes_of(
+        cluster.grain_ref(Witness, outer).call("nested", inner))
+    env.run(until=0.015)  # outer ran and is parked on the nested call
+    assert Witness.trail == [("before", outer)]
+    cluster.crash_silo(victim)
+    env.run()
+    assert len(seen) == 1 and isinstance(seen[0], SiloUnavailable)
+    # The nested call completed on the surviving silo and its reply
+    # came back; the abandoned body was closed, never resumed.
+    assert [step[0] for step in Witness.trail] == ["before", "ran"]
+    assert ("after", outer) not in Witness.trail
+
+
+def test_failure_arriving_for_an_abandoned_turn_is_absorbed():
+    env, cluster, keys = crash_cluster()
+    victim, survivor = cluster.silos
+    outer, inner = keys[victim][0], keys[survivor][0]
+    seen = outcomes_of(
+        cluster.grain_ref(Witness, outer).call("nested", inner, "fails"))
+    env.run(until=0.015)
+    cluster.crash_silo(victim)
+    env.run()  # the nested failure must not surface as unhandled
+    assert len(seen) == 1 and isinstance(seen[0], SiloUnavailable)
+    assert [step[0] for step in Witness.trail] == ["before", "ran"]
+
+
+def test_crash_after_the_reply_left_delivers_the_result_once():
+    env, cluster, keys = crash_cluster()
+    victim = cluster.silos[0]
+    key = keys[victim][0]
+    promise = cluster.grain_ref(Witness, key).call("quick")
+    seen = outcomes_of(promise)
+    while not Witness.trail:
+        env.step()
+    # The body just ran: the reply is on the wire (remote caller), the
+    # promise already carries its outcome but has not fired.
+    assert promise.triggered and not promise.processed
+    cluster.crash_silo(victim)
+    env.run()
+    assert seen == [key]
+    assert cluster.membership.unavailable_failures == 0

@@ -7,49 +7,85 @@ run length only while every state update costs O(touched), not
 O(collection): a ``deepcopy`` of grain state (before the copy-on-write
 engine) or a ``dict(view)`` of a growing collection (before
 ``repro.cow.assoc_in``) makes it quadratic.  Wall time on CI machines
-is too noisy to gate (+-25 %), so both pins below are exact counts:
-Python function calls per committed transaction, and ``CowState`` views
-allocated by one update.
+is too noisy to gate (+-25 %), so every pin below is an exact count:
+Python function calls, kernel events and processes per committed
+transaction, and ``CowState`` views allocated by one update.
 """
 
 import cProfile
+import functools
+
+import pytest
 
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import get_scenario
 from repro.cow import CowState
 from repro.marketplace.logic import seller as seller_logic
 from repro.runtime import Environment
+from repro.runtime.process import Process
 from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 1 162 -> 1 043 (start-up cost amortises, nothing grows);
-#: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %)
-#: over the same span, but only +4 % up to 0.4 — hence the long cell.
+#: Measured: 761 -> 681 (start-up cost amortises, nothing grows);
+#: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %,
+#: against 1 162 -> 1 043 at the time) over the same span, but only
+#: +4 % up to 0.4 — hence the long cell.
 MAX_GROWTH = 1.10
 
 
-def calls_per_tx(duration_scale: float) -> float:
-    """Python calls (cProfile, builtins off) per committed transaction."""
+#: Kernel events and ``Process`` objects per committed transaction.
+#: Measured 33.1 / 0.19 at ``duration_scale`` 0.1 and 32.4 / 0.02 at
+#: 0.8; a process per grain call and per 2PC participant measured
+#: 101.8 / 19.1 and 96.2 / 16.7.
+MAX_EVENTS_PER_TX = 45
+MAX_PROCESSES_PER_TX = 1
+
+
+@functools.lru_cache(maxsize=None)
+def host_work_per_tx(duration_scale: float) -> dict[str, float]:
+    """Python calls (cProfile, builtins off), kernel events and
+    ``Process`` objects per committed transaction (one run per cell,
+    shared by the tests below)."""
     env = Environment(seed=7)
     app = ALL_APPS["orleans-transactions"](
         env, AppConfig(silos=2, cores_per_silo=2))
     driver = get_scenario("baseline").build_driver(
         env, app, duration_scale=duration_scale, data_seed=7)
     profiler = cProfile.Profile(subcalls=False, builtins=False)
+    before = env.events_processed
     metrics = profiler.runcall(driver.run)
-    calls = sum(entry.callcount - entry.reccallcount
-                for entry in profiler.getstats())
-    return calls / sum(op.ok for op in metrics.ops.values())
+    committed = sum(op.ok for op in metrics.ops.values())
+    stats = profiler.getstats()
+    return {
+        "calls": sum(entry.callcount - entry.reccallcount
+                     for entry in stats) / committed,
+        "events": (env.events_processed - before) / committed,
+        "processes": sum(entry.callcount for entry in stats
+                         if entry.code is Process.__init__.__code__)
+        / committed,
+    }
 
 
 def test_calls_per_tx_do_not_grow_with_run_length():
-    short = calls_per_tx(0.1)
-    long = calls_per_tx(0.8)
+    short = host_work_per_tx(0.1)["calls"]
+    long = host_work_per_tx(0.8)["calls"]
     assert long < short * MAX_GROWTH, (
         f"calls/tx grew {long / short:.2f}x between duration_scale 0.1 "
         f"({short:.0f}) and 0.8 ({long:.0f}); an O(state) copy or scan "
         f"is back on the hot path")
+
+
+@pytest.mark.parametrize("duration_scale", [0.1, 0.8])
+def test_events_and_processes_per_tx_are_bounded(duration_scale):
+    cell = host_work_per_tx(duration_scale)
+    assert cell["events"] <= MAX_EVENTS_PER_TX, (
+        f"{cell['events']:.1f} kernel events per transaction: work "
+        f"that never suspends is scheduled event by event again (a "
+        f"process per grain turn or per 2PC participant?)")
+    assert cell["processes"] <= MAX_PROCESSES_PER_TX, (
+        f"{cell['processes']:.2f} processes per transaction: a Process "
+        f"is back on a per-message or per-participant path")
 
 
 def views_for_one_upsert(entries: int, monkeypatch) -> int:

@@ -124,6 +124,61 @@ def test_defused_failure_does_not_surface():
     env.run()  # must not raise
 
 
+def test_trigger_after_fixes_the_outcome_now_and_fires_later():
+    env = Environment()
+    event = env.event()
+    seen = []
+
+    def waiter():
+        value = yield event
+        seen.append((env.now, value))
+
+    env.process(waiter())
+    env.run()  # waiter is parked on the pending event
+    before = env.events_processed
+    event.trigger_after(1.5, "late")
+    assert event.triggered and not event.processed
+    with pytest.raises(RuntimeError):
+        event.succeed("again")
+    with pytest.raises(RuntimeError):
+        event.trigger_after(0.1)
+    env.run()
+    assert seen == [(1.5, "late")]
+    # One timeline entry carries the wait and the wake-up (the second
+    # event is the waiter process completing).
+    assert env.events_processed - before == 2
+
+
+def test_trigger_after_failure_raises_in_waiter_at_arrival():
+    env = Environment()
+    event = env.event()
+    caught = []
+
+    def waiter():
+        try:
+            yield event
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(waiter())
+    event.trigger_after(0.25, ValueError("boom"), ok=False)
+    assert not event.ok
+    env.run()
+    assert caught == [(0.25, "boom")]
+
+
+def test_trigger_after_zero_delay_orders_like_succeed():
+    env = Environment()
+    order = []
+    first, second = env.event(), env.event()
+    first.callbacks.append(lambda _event: order.append("first"))
+    second.callbacks.append(lambda _event: order.append("second"))
+    first.trigger_after(0.0)
+    second.succeed()
+    env.run()
+    assert order == ["first", "second"]
+
+
 def test_event_cannot_trigger_twice():
     env = Environment()
     gate = env.event()
@@ -322,6 +377,78 @@ class TestResource:
         blocked.cancel()
         resource.release(held)
         assert resource.in_use == 0
+
+    def test_abandoned_waiter_withdraws_its_request(self):
+        """A waiter interrupted while queued must not be granted a slot
+        later: nobody would release it."""
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        order = []
+
+        def user(name, hold):
+            try:
+                yield from resource.use(hold)
+            except Interrupt:
+                order.append((name, "interrupted", env.now))
+                return
+            order.append((name, env.now))
+
+        env.process(user("a", 2.0))
+        victim = env.process(user("b", 1.0))
+        env.process(user("c", 1.0))
+        env.process(user("d", 1.0))
+
+        def interrupter():
+            yield env.timeout(1.0)
+            victim.interrupt()
+
+        env.process(interrupter())
+        env.run()
+        # Surviving waiters keep their FIFO order and nothing leaks.
+        assert order == [("b", "interrupted", 1.0), ("a", 2.0),
+                         ("c", 3.0), ("d", 4.0)]
+        assert resource.in_use == 0
+        assert resource.queue_length == 0
+
+    def test_closed_waiter_frees_a_slot_granted_but_not_yet_taken(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        holder = resource.request()
+        waiting = resource.use(1.0)
+        next(waiting)  # queued behind ``holder``
+        resource.release(holder)  # grant triggered, not yet dispatched
+        assert resource.in_use == 1
+        waiting.close()
+        assert resource.in_use == 0
+        env.run()
+        assert resource.in_use == 0
+
+    def test_hold_is_the_callback_form_of_use(self):
+        env = Environment()
+        resource = Resource(env, capacity=1)
+        order = []
+
+        def user(name, hold):
+            yield from resource.use(hold)
+            order.append((name, env.now))
+
+        resource.hold(2.0, lambda _event: order.append(("a", env.now)))
+        env.process(user("b", 1.0))
+        env.run(until=0.5)  # b has queued behind a
+        resource.hold(1.0, lambda _event: order.append(
+            ("c", env.now, resource.in_use)))
+        env.run()
+        # FIFO across both forms; c's slot is free again by the time
+        # its continuation runs.
+        assert order == [("a", 2.0), ("b", 3.0), ("c", 4.0, 0)]
+
+    def test_uncontended_hold_costs_one_event(self):
+        env = Environment()
+        resource = Resource(env, capacity=2)
+        resource.hold(0.5, lambda _event: None)
+        env.run()
+        assert env.events_processed == 1
+        assert resource.utilisation() == pytest.approx(0.5)
 
     def test_utilisation_accounting(self):
         env = Environment()

@@ -148,14 +148,17 @@ class TestLockManager:
 
     def test_disabled_lock_always_grants(self):
         env, lock = self.make()
-        LockManager.disabled = True
-        try:
-            older = TransactionContext(0.0)
-            younger = TransactionContext(1.0)
-            self.grant(env, lock, older, LockMode.EXCLUSIVE)
-            self.grant(env, lock, younger, LockMode.EXCLUSIVE)
-        finally:
-            LockManager.disabled = False
+        older = TransactionContext(0.0, locking=False)
+        younger = TransactionContext(1.0, locking=False)
+        self.grant(env, lock, older, LockMode.EXCLUSIVE)
+        self.grant(env, lock, younger, LockMode.EXCLUSIVE)
+        # The ablation is per transaction: a locking one still conflicts.
+        holder = self.ctx(env)
+        self.grant(env, lock, holder, LockMode.EXCLUSIVE)
+        process = env.process(
+            lock.acquire(self.ctx(env), LockMode.EXCLUSIVE))
+        with pytest.raises(TransactionAborted):
+            env.run(until=process)
 
 
 class TestTransactionRunner:
@@ -257,6 +260,29 @@ class TestTransactionRunner:
                  + Account.log_write_latency
                  + config.coordinator_log_latency)
         assert elapsed >= floor
+
+    def test_ablation_without_locking_never_waits_or_dies(self):
+        """``TxnConfig.enable_locking`` reaches the lock manager: the
+        same hot-key burst that costs wait-die retries under locking
+        runs straight through without it (and loses updates)."""
+        outcomes = {}
+        for locking in (True, False):
+            env, cluster, runner = make_runner(enable_locking=locking)
+            ref = cluster.grain_ref(Account, "hot")
+            processes = [
+                env.process(runner.run(
+                    lambda ctx: ref.call("deposit", 1, txn=ctx)))
+                for _ in range(10)]
+            env.run()
+            assert all(p.ok for p in processes)
+            assert runner.stats.committed == 10
+            balance = run_txn(env, cluster, runner, Account, "hot",
+                              "balance")
+            outcomes[locking] = (runner.stats.retries, balance)
+        retries, balance = outcomes[True]
+        assert retries > 0 and balance == 10
+        retries, balance = outcomes[False]
+        assert retries == 0 and balance < 10
 
     def test_ablation_without_2pc_still_commits(self):
         env, cluster, runner = make_runner(enable_two_phase_commit=False)

@@ -5,15 +5,20 @@ Compares the freshly generated ``BENCH_P0_hotpath.json`` (the bench
 smoke job runs with ``REPRO_BENCH_QUICK=1``) against the committed
 floor in ``benchmarks/perf_baseline.json``:
 
-* best events/s across rows below 90 % of the floor  -> warning
-* best events/s across rows below 75 % of the floor  -> exit 1
+* best committed tx per wall-second across rows below 90 % of the
+  floor  -> warning
+* ... below 75 % of the floor  -> exit 1
 
-The floor is deliberately set far under typical dev-machine numbers
-(shared CI runners are slow and noisy), so tripping the hard gate
-means a real, large regression — an accidental O(n) loop in the
-dispatch path, not scheduler jitter.  Update the floor in
-``benchmarks/perf_baseline.json`` when the kernel genuinely changes
-speed class.
+The gated rate is transactions, not kernel events, per wall-second:
+a change that does the same work in fewer events lowers events/s while
+the simulator gets faster, so events/s (and events/tx) are printed
+beside the verdict and never gated.  The floor is a measurement, not a
+guess: the slowest best-row rate seen over repeated quick-mode runs on
+the reference box (``floor.derivation`` in
+``benchmarks/perf_baseline.json``), so the hard gate sits 25 % under
+the worst the current tree has been observed to do.  Re-measure and
+update it when the simulator — or the class of machine CI runs on —
+genuinely changes speed.
 """
 
 from __future__ import annotations
@@ -108,28 +113,30 @@ def main() -> int:
               "benchmarks/bench_p0_hotpath.py -q -s)", file=sys.stderr)
         return 2
     baseline = json.loads(BASELINE.read_text())
-    floor = baseline["floor"]["floor_events_per_wall_s"]
+    floor = baseline["floor"]["floor_tx_per_wall_s"]
 
     payload = json.loads(ARTIFACT.read_text())
-    rates = [row["events_per_wall_s"] for row in payload["rows"]
-             if row.get("events_per_wall_s")]
-    if not rates:
-        print("error: no events_per_wall_s rows in the artifact",
+    rows = [row for row in payload["rows"] if row.get("tx_per_wall_s")]
+    if not rows:
+        print("error: no tx_per_wall_s rows in the artifact",
               file=sys.stderr)
         return 2
-    best = max(rates)
+    best_row = max(rows, key=lambda row: row["tx_per_wall_s"])
+    best = best_row["tx_per_wall_s"]
 
-    print(f"P0 best events/s: {best:,.0f}  (floor {floor:,.0f}; "
-          f"warn <{WARN_FRACTION:.0%}, fail <{FAIL_FRACTION:.0%})")
+    print(f"P0 best tx/s-wall: {best:,.0f}  (floor {floor:,.0f}; "
+          f"warn <{WARN_FRACTION:.0%}, fail <{FAIL_FRACTION:.0%})  "
+          f"[not gated: {best_row.get('events_per_tx', '?')} events/tx, "
+          f"{best_row.get('events_per_wall_s', 0):,.0f} events/s]")
     if best < floor * FAIL_FRACTION:
-        print(f"FAIL: {best:,.0f} events/s is below "
+        print(f"FAIL: {best:,.0f} tx/s-wall is below "
               f"{FAIL_FRACTION:.0%} of the committed floor — "
-              "kernel hot path has regressed badly", file=sys.stderr)
+              "the hot path has regressed badly", file=sys.stderr)
         return 1
     if best < floor * WARN_FRACTION:
-        print(f"WARNING: {best:,.0f} events/s is below "
+        print(f"WARNING: {best:,.0f} tx/s-wall is below "
               f"{WARN_FRACTION:.0%} of the committed floor — "
-              "check recent kernel changes (may be runner noise)")
+              "check recent hot-path changes (may be runner noise)")
     else:
         print("perf floor gate: OK")
     return max(check_memory_axis(), check_elasticity_axis(baseline))
