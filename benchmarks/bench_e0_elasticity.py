@@ -15,17 +15,12 @@ Asserted shape, per implementation:
   capacity curve than the peak-provisioned baseline — elasticity must
   actually buy something;
 * the controller reacts: on every stack that breaches, the first
-  applied ``add_silo`` lands within one second of the first breach.
-
-Emits ``BENCH_E0_elasticity.json`` at the repo root; CI uploads it
-with the other ``BENCH_*.json`` artifacts and
-``tools/check_perf_floor.py`` gates the elastic SLO-violation time
-against the committed floor.
+  applied ``add_silo`` lands within one second of the first breach;
+* the elastic run spends a bounded time out of SLO
+  (``MAX_VIOLATION_SECONDS``) — a sim-clock number, exact per seed.
 """
 
 import dataclasses
-import json
-import pathlib
 
 import pytest
 from _harness import APP_ORDER, QUICK, print_table
@@ -38,9 +33,11 @@ SEED = 7
 #: Quick mode compresses the experiment clock; time_scaled stretches
 #: the controller cadence with it, so the shape is preserved.
 DURATION_SCALE = 0.5 if QUICK else 1.0
-
-OUTPUT = pathlib.Path(__file__).resolve().parent.parent / \
-    "BENCH_E0_elasticity.json"
+#: Ceiling on the elastic run's out-of-SLO time at duration_scale=1:
+#: full-mode runs measure ~8.3 s on the 2PC stacks, which stay
+#: coordination-bound until the post-burst calm; more means the
+#: autoscaler got slower to restore the SLO.
+MAX_VIOLATION_SECONDS = 12.0
 
 
 def _fixed_baseline_scenario():
@@ -78,27 +75,16 @@ def test_e0_elasticity(benchmark):
     rows = []
     for name in APP_ORDER:
         for mode, report in zip(("elastic", "fixed-4"), results[name]):
-            rows.append({"cell": f"{name}:{mode}", "mode": mode,
-                         **report.summary_row()})
-    print_table("E0: elastic vs peak-provisioned flash sale",
-                [{key: value for key, value in row.items()
-                  if key != "cell"} for row in rows])
-
-    OUTPUT.write_text(json.dumps({
-        "bench": "e0_elasticity",
-        "quick": QUICK,
-        "seed": SEED,
-        "duration_scale": DURATION_SCALE,
-        "rows": rows,
-        "apps": {name: {"elastic": elastic.as_dict(),
-                        "fixed": fixed.as_dict()}
-                 for name, (elastic, fixed) in results.items()},
-    }, indent=2, sort_keys=True) + "\n")
+            rows.append({"mode": mode, **report.summary_row()})
+    print_table("E0: elastic vs peak-provisioned flash sale", rows)
 
     interval = 0.25 * DURATION_SCALE
     for name, (elastic, fixed) in results.items():
         # The burst must end inside the SLO on every stack.
         assert elastic.recovered, f"{name}: run ended out of SLO"
+        assert (elastic.slo_violation_seconds / DURATION_SCALE
+                <= MAX_VIOLATION_SECONDS), \
+            f"{name}: {elastic.slo_violation_seconds}s out of SLO"
         # Elasticity must beat peak provisioning on wasted capacity —
         # strictly, or the controller is not earning its keep.
         assert (elastic.over_provisioned_area

@@ -15,30 +15,19 @@ open-loop scenarios and checks the properties that motivated them:
 import pytest
 from _harness import print_table, quick_scaled
 
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import audit_app, get_scenario
-from repro.runtime import Environment
+from repro.control import run_scenario
 
 SCENARIO_ORDER = ("baseline", "flash-sale", "heavy-writer",
                   "burst-then-quiesce", "delete-churn", "overload-ramp")
 
 
-def run_scenario(name: str, app_name: str = "orleans-eventual",
-                 seed: int = 7, rate_scale: float = 1.0):
-    scenario = get_scenario(name)
-    env = Environment(seed=seed)
-    app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=2))
-    duration_scale = quick_scaled(1.0)
-    driver = scenario.build_driver(env, app, rate_scale=rate_scale,
-                                   duration_scale=duration_scale,
-                                   data_seed=seed)
-    metrics = driver.run()
-    report = audit_app(app, driver)
-    return metrics, report, driver
+def run_one(name: str, app_name: str = "orleans-eventual"):
+    return run_scenario(name, app=app_name, seed=7, silos=2, cores=2,
+                        duration_scale=quick_scaled(1.0), audit=False)
 
 
 def run_suite():
-    return {name: run_scenario(name) for name in SCENARIO_ORDER}
+    return {name: run_one(name) for name in SCENARIO_ORDER}
 
 
 @pytest.mark.benchmark(group="f8-open-loop")
@@ -46,7 +35,7 @@ def test_f8_scenario_suite(benchmark):
     results = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     rows = []
     for name in SCENARIO_ORDER:
-        metrics, _, driver = results[name]
+        metrics = results[name].metrics
         stats = metrics.open_loop
         rows.append({
             "scenario": name,
@@ -64,7 +53,7 @@ def test_f8_scenario_suite(benchmark):
     print_table("F8: open-loop scenario suite (orleans-eventual)", rows)
 
     for name in SCENARIO_ORDER:
-        metrics, _, driver = results[name]
+        metrics = results[name].metrics
         stats = metrics.open_loop
         # Arrival conservation: every arrival is dispatched or shed,
         # and everything dispatched eventually completes (the drain is
@@ -76,8 +65,8 @@ def test_f8_scenario_suite(benchmark):
         assert sum(count for _, count in metrics.timeline) == \
             sum(op.ok for op in metrics.ops.values())
 
-    baseline, _, _ = results["baseline"]
-    ramp, _, _ = results["overload-ramp"]
+    baseline = results["baseline"].metrics
+    ramp = results["overload-ramp"].metrics
     # The baseline runs under capacity: queueing delay is negligible
     # next to service latency.
     assert baseline.queue_delay_of("checkout", "p95") <= \
@@ -89,9 +78,9 @@ def test_f8_scenario_suite(benchmark):
     assert ramp.queue_delay_of("checkout", "p95") > \
         5 * ramp.latency_of("checkout", "p95")
 
-    flash, _, flash_driver = results["flash-sale"]
+    flash = results["flash-sale"].metrics
     # The hotspot overlay actually fired during the spike window.
-    assert flash_driver.sampler.hot_draws > 0
+    assert results["flash-sale"].driver.sampler.hot_draws > 0
     # The spike shows up as queueing the calm baseline never sees.
     assert flash.queue_delay_of("checkout", "p99") > \
         baseline.queue_delay_of("checkout", "p99")
@@ -102,7 +91,7 @@ def test_f8_queueing_separates_platforms(benchmark):
     """Under the same overload ramp, slower platforms queue deeper."""
 
     def run_pair():
-        return {app: run_scenario("overload-ramp", app_name=app)[0]
+        return {app: run_one("overload-ramp", app_name=app).metrics
                 for app in ("orleans-eventual", "orleans-transactions")}
 
     results = benchmark.pedantic(run_pair, rounds=1, iterations=1)

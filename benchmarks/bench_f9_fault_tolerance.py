@@ -21,27 +21,19 @@ import pytest
 from _harness import print_table
 
 from repro.analysis.availability import availability_report
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import get_scenario
-from repro.runtime import Environment
+from repro.control import run_scenario
 
 FAULT_APPS = ("orleans-eventual", "orleans-transactions")
 
 
-def run_fault_scenario(name: str, app_name: str, seed: int = 7,
+def run_fault_scenario(name: str, app_name: str,
                        rate_scale: float = 0.5):
-    scenario = get_scenario(name)
-    env = Environment(seed=seed)
-    app = ALL_APPS[app_name](env, AppConfig(
-        silos=scenario.effective_silos,
-        cores_per_silo=scenario.effective_cores))
     # Always full duration: shrinking the time axis below the cluster's
     # failure-detection delay would smear the outage across the whole
     # (tiny) window and leave no pre-fault baseline.  Half rate keeps
     # the full-length run cheap enough for the CI smoke job.
-    driver = scenario.build_driver(env, app, rate_scale=rate_scale,
-                                   data_seed=seed)
-    metrics = driver.run()
+    metrics = run_scenario(name, app=app_name, seed=7,
+                           rate_scale=rate_scale, audit=False).metrics
     return metrics, availability_report(metrics)
 
 

@@ -15,10 +15,7 @@ the compensation and exactly-once audits run on every stack too.
 import pytest
 
 from _harness import APP_ORDER, QUICK, print_table, run_experiment
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import audit_app
-from repro.core.scenarios import get_scenario
-from repro.runtime import Environment
+from repro.control import run_scenario
 
 TAIL_SCENARIOS = ("return-storm", "payment-flaky", "duplicate-ingest")
 
@@ -64,20 +61,12 @@ def build_tail_matrix():
     rows = []
     for scenario_name in TAIL_SCENARIOS:
         for app_name in APP_ORDER:
-            scenario = get_scenario(scenario_name)
             # Seed chosen so the lossy retry on the eventual stack
             # demonstrably orphans at least one registration in both
             # quick and full windows.
-            env = Environment(seed=7)
-            app = ALL_APPS[app_name](env, AppConfig(
-                silos=2, cores_per_silo=2,
-                approval_rate=scenario.approval_rate,
-                drop_probability=scenario.drop_probability))
-            driver = scenario.build_driver(
-                env, app, rate_scale=1.0, duration_scale=duration_scale,
-                data_seed=7)
-            driver.run()
-            report = audit_app(app, driver)
+            report = run_scenario(
+                scenario_name, app=app_name, seed=7, silos=2, cores=2,
+                duration_scale=duration_scale).report
             reports[(scenario_name, app_name)] = report
             rows.append({"scenario": scenario_name, **report.row()})
     return rows, reports

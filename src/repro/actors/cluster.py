@@ -225,9 +225,6 @@ class Cluster:
         self._grain_types[grain_type.__name__] = grain_type
         return grain_type
 
-    def register_storage(self, name: str, storage: GrainStorage) -> None:
-        self._storages[name] = storage
-
     def storage(self, name: str | None) -> GrainStorage:
         storage = self._storages.get(name or "default")
         if storage is None:
@@ -696,10 +693,6 @@ class Cluster:
         self.env.process(
             self._working_set_loop(activation_limit, sweep_interval),
             name="working-set")
-
-    @property
-    def working_set_limited(self) -> bool:
-        return self._activation_limit is not None
 
     def note_activation(self, silo: Silo) -> None:
         """Activation-creation bookkeeping (called by the silo)."""

@@ -143,10 +143,6 @@ class GrainDirectory:
     def lookup(self, type_name: str, key: str) -> DirectoryEntry | None:
         return self._entries.get((type_name, key))
 
-    def entries_on(self, silo: "Silo") -> list[tuple[str, str]]:
-        return [ident for ident, entry in self._entries.items()
-                if entry.silo is silo]
-
     def classify(self, type_name: str, key: str,
                  placement: ConsistentHashPlacement) -> str:
         entry = self._entries.get((type_name, key))

@@ -94,10 +94,5 @@ class MemoryGrainStorage(GrainStorage):
         version = self._data.get((grain_type, key))
         return clone(version.data) if version is not None else None
 
-    def version_of(self, grain_type: str, key: str) -> int:
-        """The persisted version number (0 when nothing is stored)."""
-        version = self._data.get((grain_type, key))
-        return version.version if version is not None else 0
-
     def keys(self) -> list[tuple[str, str]]:
         return list(self._data)

@@ -103,7 +103,8 @@ def _run_one(app_name: str, args: argparse.Namespace):
     driver = BenchmarkDriver(
         env, app, workload,
         DriverConfig(workers=args.workers, warmup=args.warmup,
-                     duration=args.duration, drain=1.0))
+                     duration=args.duration, drain=1.0),
+        data_seed=args.seed)
     metrics = driver.run()
     report = audit_app(app, driver)
     return metrics, report

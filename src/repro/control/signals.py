@@ -165,14 +165,6 @@ class SignalWindow:
         while self._arrivals and self._arrivals[0] < horizon:
             self._arrivals.popleft()
 
-    def queue_delay_percentile(self, now: float, q: float) -> float:
-        self._prune(now)
-        if not self._delays:
-            return 0.0
-        ordered = sorted(delay for _, delay in self._delays)
-        rank = max(1, math.ceil(q / 100 * len(ordered)))
-        return ordered[rank - 1]
-
     def snapshot(self, now: float) -> dict:
         """The driver-side half of a :class:`RuntimeSignals`."""
         self._prune(now)

@@ -115,9 +115,6 @@ class PhasedArrivals(ArrivalProcess):
                        for duration, process in self.phases)
         return weighted / total
 
-    def total_duration(self) -> float:
-        return sum(duration for duration, _ in self.phases)
-
     def arrival_times(self, rng: random.Random, start: float,
                       until: float) -> typing.Iterator[float]:
         at = start

@@ -76,8 +76,3 @@ class InputCoordinator:
 
     def release_product(self, key: tuple[int, int]) -> None:
         self._busy_products.discard(key)
-
-    def delete_leased_product(self, rank: int) -> tuple[
-            tuple[int, int], tuple[int, int]] | None:
-        """Perform registry-side delete compensation for a leased rank."""
-        return self._registry.delete_at(rank)

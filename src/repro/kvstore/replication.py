@@ -34,10 +34,6 @@ class CausalSession:
     def observe(self, version: VersionVector) -> None:
         self.frontier = self.frontier.merge(version)
 
-    def satisfied_by(self, version: VersionVector) -> bool:
-        """Would reading state at ``version`` violate the session?"""
-        return version.dominates(self.frontier)
-
 
 class Replica:
     """A read-only secondary that applies the primary's stream in order."""

@@ -1,15 +1,16 @@
 """The Online Marketplace application domain.
 
 Platform-independent definitions of the benchmark's eight microservices:
-entities, application events, and the business logic of Cart, Product,
-Stock, Order, Payment, Shipment, Customer and Seller.  The logic lives
+entities and the business logic of Cart, Product, Stock, Order,
+Payment, Shipment, Customer and Seller (events travel as plain dict
+payloads on the :class:`Topics` the apps publish to).  The logic lives
 in pure state-transition functions over plain-dict state, so the four
 platform implementations in :mod:`repro.apps` (Orleans eventual /
 transactional / Statefun / customized) share one implementation of the
 business rules and differ only in data management semantics.
 """
 
-from repro.marketplace import events, logic
+from repro.marketplace import logic
 from repro.marketplace.constants import (
     OrderStatus,
     PackageStatus,
@@ -37,7 +38,6 @@ __all__ = [
     "Seller",
     "StockItem",
     "Topics",
-    "events",
     "logic",
     "product_key",
 ]

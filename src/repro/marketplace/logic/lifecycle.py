@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import zlib
 
-from repro.marketplace.constants import (
-    FINAL_STATUSES,
-    TRANSITIONS,
-    OrderStatus,
-)
+from repro.marketplace.constants import TRANSITIONS, OrderStatus
 
 #: Fraction of returns that turn out defective (refund, no restock).
 DEFECT_RATE = 0.1
@@ -41,10 +37,6 @@ class IllegalTransition(Exception):
 def can_advance(current: str, to: str) -> bool:
     """True when ``current -> to`` is a legal hop."""
     return to in TRANSITIONS.get(current, ())
-
-
-def is_final(status: str) -> bool:
-    return status in FINAL_STATUSES
 
 
 def advance(order: dict, to: str, now: float) -> dict:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 FAST = ["--workers", "4", "--duration", "0.5", "--warmup", "0.1",
@@ -50,6 +51,25 @@ class TestRunCommand:
         code = main(["run", "--app", "statefun"] + FAST, stream=stream)
         assert code == 0
         assert "statefun" in stream.getvalue()
+
+    def test_seed_reaches_the_dataset(self, monkeypatch):
+        """``--seed`` is documented as "simulation + dataset RNG seed":
+        two seeds must generate two different worlds."""
+        built = []
+
+        class Recording(cli.BenchmarkDriver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "BenchmarkDriver", Recording)
+        for seed in ("1", "2"):
+            assert main(["run", "--seed", seed] + FAST,
+                        stream=io.StringIO()) == 0
+        first, second = ([product.price_cents
+                          for product in driver.dataset.products]
+                         for driver in built)
+        assert first != second
 
 
 class TestAuditCommand:

@@ -192,6 +192,35 @@ def test_pool_is_bounded():
     assert len(env._pool) <= _POOL_MAX
 
 
+def _call_after_storm(env, iterations):
+    """Pooled transit callbacks — the message hot path."""
+    for _ in range(iterations):
+        env.call_after(0.001, lambda _event: None)
+        yield env.timeout(0.001)
+
+
+def _process_churn(env, iterations):
+    """Spawn-and-finish of short-lived processes (bootstrap events)."""
+    def leaf():
+        yield env.timeout(0.0005)
+
+    for _ in range(iterations):
+        yield env.process(leaf())
+
+
+@pytest.mark.parametrize("storm", [_call_after_storm, _process_churn])
+def test_pool_serves_every_acquire_after_warm_up(storm):
+    """The free-list actually serves the hot paths: one acquire per
+    iteration, and past the first couple every one is a recycled
+    event."""
+    iterations = 2_000
+    env = Environment(seed=1)
+    env.process(storm(env, iterations))
+    env.run()
+    assert env.pool_acquires >= iterations
+    assert env.pool_hits / env.pool_acquires > 0.99
+
+
 # ---------------------------------------------------------------------------
 # run(until=<failed event>) regression pins
 # ---------------------------------------------------------------------------

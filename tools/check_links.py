@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Verify that relative markdown links in README.md and docs/ resolve.
+"""Verify that links and repo paths in README.md and docs/ resolve.
 
 Scans every markdown link/image target in ``README.md`` and
 ``docs/**/*.md``; a relative target that does not exist on disk fails
@@ -7,7 +7,12 @@ the check.  Skipped: absolute URLs (``scheme://``, ``mailto:``) and
 targets that resolve outside the repository root (e.g. the CI badge's
 ``../../actions/...`` GitHub path, which only exists server-side).
 
-Exit status: 0 when every link resolves, 1 otherwise (the offending
+A back-ticked path that starts at one of the repo's top-level
+directories (`` `tests/test_matrix.py` ``, optionally with a
+``::test_name`` suffix) must exist too, so deleting or renaming a file
+cannot leave a stale reference behind.
+
+Exit status: 0 when everything resolves, 1 otherwise (the offending
 ``file: target`` pairs are printed).  Run from anywhere::
 
     python tools/check_links.py
@@ -22,19 +27,30 @@ import sys
 #: ``[text](target)`` / ``![alt](target)``; the target is captured up
 #: to the first ``#`` (fragment), whitespace or closing parenthesis.
 LINK = re.compile(r"!?\[[^\]]*\]\(\s*<?([^)#\s>]+)[^)]*\)")
+#: `` `dir/path` `` or `` `dir/path::name` `` where ``dir`` is a
+#: top-level repo directory; spans with spaces, globs or placeholders
+#: are prose or commands, not file references, and do not match.
+REPO_PATH = re.compile(
+    r"`((?:src|tests|benchmarks|tools|docs|examples|\.github)"
+    r"/[\w./-]*)(?:::[^`\s]*)?`")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def check(root: pathlib.Path = ROOT) -> list[str]:
-    """Return ``"file: target"`` for every broken relative link."""
+    """Return ``"file: target"`` for every broken relative link and
+    every back-ticked repo path that does not exist."""
     files = [root / "README.md",
              *sorted((root / "docs").glob("**/*.md"))]
     broken = []
     for path in files:
         if not path.exists():
             continue
-        for match in LINK.finditer(path.read_text()):
+        text = path.read_text()
+        broken += [f"{path.relative_to(root)}: `{match.group(1)}`"
+                   for match in REPO_PATH.finditer(text)
+                   if not (root / match.group(1)).exists()]
+        for match in LINK.finditer(text):
             target = match.group(1)
             if "://" in target or target.startswith("mailto:"):
                 continue
@@ -52,11 +68,12 @@ def check(root: pathlib.Path = ROOT) -> list[str]:
 def main() -> int:
     broken = check()
     if broken:
-        print("broken relative links:")
+        print("broken relative links / missing repo paths:")
         for entry in broken:
             print(f"  {entry}")
         return 1
-    print("all relative links in README.md and docs/ resolve")
+    print("all relative links and repo paths in README.md and docs/ "
+          "resolve")
     return 0
 
 
