@@ -248,8 +248,11 @@ class Cluster:
         return self.silo_named(silo) if isinstance(silo, str) else silo
 
     def _new_silo(self, name: str | None = None) -> Silo:
-        silo = Silo(self.env, name or f"silo-{self._silo_ids}",
-                    self.config.cores_per_silo)
+        name = name or f"silo-{self._silo_ids}"
+        if any(silo.name == name for silo in self.silos):
+            # Ring points hash the name: a second one would collide.
+            raise ValueError(f"silo name {name!r} is already in use")
+        silo = Silo(self.env, name, self.config.cores_per_silo)
         self._silo_ids += 1
         silo.directory = self.directory
         self.silos.append(silo)
@@ -274,6 +277,14 @@ class Cluster:
         self.env.process(self._rebalance_for(silo),
                          name=f"rebalance:{silo.name}")
         return silo
+
+    def drain_candidate(self) -> str | None:
+        """The silo an untargeted drain retires: the newest one still
+        accepting activations.  Silos join in list order, so scale-in
+        unwinds scale-out deterministically."""
+        running = [silo.name for silo in self.silos
+                   if silo.accepting_activations]
+        return running[-1] if running else None
 
     def drain_silo(self, silo: Silo | str) -> "Event":
         """Gracefully retire a silo (scale-in / rolling restart).

@@ -27,11 +27,13 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.control.actions import CrashSilo, DrainSilo
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.driver.metrics import RunMetrics
 
 #: Fault actions that take capacity away (joins only add it).
-DISRUPTIVE_ACTIONS = ("crash_silo", "drain_silo")
+DISRUPTIVE_ACTIONS = (CrashSilo.kind, DrainSilo.kind)
 
 
 @dataclasses.dataclass
@@ -93,7 +95,7 @@ def availability_report(metrics: "RunMetrics",
     """Compute the availability story of ``metrics``.
 
     Works on any open-loop run that carried a fault schedule; a run
-    whose faults were all skipped (no actor cluster) yields a report
+    whose faults were all skipped (no scaling host) yields a report
     with ``fault_second=None`` and every second available.
     """
     faults = [entry for entry

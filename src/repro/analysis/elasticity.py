@@ -37,6 +37,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.control.actions import AddSilo, DrainSilo
+
 
 @dataclasses.dataclass
 class ElasticityReport:
@@ -129,7 +131,7 @@ def elasticity_report(control: dict,
     recovery_time = None
     if first_breach is not None:
         adds = [entry["time"] for entry in control.get("actions", [])
-                if entry["action"] == "add_silo" and entry["applied"]
+                if entry["action"] == AddSilo.kind and entry["applied"]
                 and entry.get("source") == "autoscaler"
                 and entry["time"] >= first_breach]
         if adds:
@@ -157,9 +159,9 @@ def elasticity_report(control: dict,
         peak_silos=max(s["silos"] for s in samples),
         min_silos=min(s["silos"] for s in samples),
         scale_ups=sum(1 for entry in actions
-                      if entry["action"] == "add_silo"),
+                      if entry["action"] == AddSilo.kind),
         scale_downs=sum(1 for entry in actions
-                        if entry["action"] == "drain_silo"))
+                        if entry["action"] == DrainSilo.kind))
 
 
 def elasticity_rows(reports: "list[ElasticityReport]") -> list[dict]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.control.signals import PlatformStats
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.control.signals import PlatformStats
     from repro.core.workload.dataset import Dataset
     from repro.runtime import Environment
 
@@ -62,6 +63,12 @@ class MarketplaceApp:
     """Abstract base for the four implementations."""
 
     name = "abstract"
+
+    #: What membership actions act on and ``platform_stats()`` reads:
+    #: the object with the ``add_silo``/``drain_silo`` verbs and
+    #: ``control_stats()``.  None = the app cannot scale, so every
+    #: control action on it records as skipped.
+    scaling_host: object | None = None
 
     def __init__(self, env: "Environment",
                  config: AppConfig | None = None) -> None:
@@ -214,29 +221,16 @@ class MarketplaceApp:
         """
         return {}
 
-    def platform_stats(self) -> "PlatformStats":
-        """Typed control-plane snapshot; same schema on every stack.
-
-        The documented contract is :data:`repro.control.signals.
-        PLATFORM_SCHEMA` (see :meth:`stats_schema`); the control-plane
-        contract test holds all four implementations to it.  The base
-        implementation reports the static configured shape with
-        nothing resident — correct for apps without a scalable
-        runtime, e.g. test stubs.
-        """
-        from repro.control.signals import PlatformStats
-
-        return PlatformStats(
-            silos_live=self.config.silos, silos_draining=0,
-            silos_total=self.config.silos, resident=0, paged=0,
-            messages=0)
-
-    @classmethod
-    def stats_schema(cls) -> dict[str, type]:
-        """The :meth:`platform_stats` field contract: name -> type."""
-        from repro.control.signals import PLATFORM_SCHEMA
-
-        return dict(PLATFORM_SCHEMA)
+    def platform_stats(self) -> PlatformStats:
+        """Typed control-plane snapshot; same schema on every stack:
+        the host's ``control_stats()``, or the static configured shape
+        with nothing resident when the app declares no host."""
+        if self.scaling_host is None:
+            return PlatformStats(
+                silos_live=self.config.silos, silos_draining=0,
+                silos_total=self.config.silos, resident=0, paged=0,
+                messages=0)
+        return PlatformStats(**self.scaling_host.control_stats())
 
 
 def ok(operation: str, **payload) -> OperationResult:

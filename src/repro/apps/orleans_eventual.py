@@ -44,6 +44,7 @@ class OrleansEventualApp(MarketplaceApp):
             activation_limit=self.config.activation_limit),
             broker=broker)
         self.cluster.app = self
+        self.scaling_host = self.cluster
         self._grains = dict(grains.EVENTUAL_GRAINS)
         for grain_type in self._grains.values():
             self.cluster.register_grain(grain_type)
@@ -307,11 +308,6 @@ class OrleansEventualApp(MarketplaceApp):
             "utilisation": self.cluster.utilisation(),
             "working_set": self.cluster.working_set_stats(),
         }
-
-    def platform_stats(self):
-        from repro.control.signals import PlatformStats
-
-        return PlatformStats(**self.cluster.control_stats())
 
 
 _TYPE_TO_SERVICE = {

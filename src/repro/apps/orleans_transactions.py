@@ -44,6 +44,7 @@ class OrleansTransactionsApp(MarketplaceApp):
             activation_limit=self.config.activation_limit),
             broker=broker)
         self.cluster.app = self
+        self.scaling_host = self.cluster
         self.runner = TransactionRunner(self.cluster, txn_config)
         self._grains = dict(TXN_GRAINS)
         for grain_type in self._grains.values():
@@ -344,8 +345,3 @@ class OrleansTransactionsApp(MarketplaceApp):
             "utilisation": self.cluster.utilisation(),
             "working_set": self.cluster.working_set_stats(),
         }
-
-    def platform_stats(self):
-        from repro.control.signals import PlatformStats
-
-        return PlatformStats(**self.cluster.control_stats())

@@ -39,6 +39,7 @@ class StatefunApp(MarketplaceApp):
                                            .config.checkpoint_interval,
                                            max_resident_addresses=self
                                            .config.activation_limit))
+        self.scaling_host = self.runtime
         for name, cls in (
                 ("product", fns.ProductFn), ("replica", fns.ReplicaFn),
                 ("stock", fns.StockFn), ("cart", fns.CartFn),
@@ -234,8 +235,3 @@ class StatefunApp(MarketplaceApp):
             "ingress_compacted": self.runtime.ingress_compacted,
             "working_set": self.runtime.working_set_stats(),
         }
-
-    def platform_stats(self):
-        from repro.control.signals import PlatformStats
-
-        return PlatformStats(**self.runtime.control_stats())

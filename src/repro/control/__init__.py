@@ -9,8 +9,10 @@ facade:
 * :class:`AddSilo` / :class:`DrainSilo` / :class:`CrashSilo` — typed
   membership commands shared by fault schedules and the autoscaler
   (``actions.py``);
-* :class:`ControlPlane` / :func:`control_plane_for` — the per-stack
-  read/act surface (``plane.py``);
+* :class:`ControlPlane` — the read/act surface over an app's scaling
+  host, and the run's one audited action log (``plane.py``);
+* :class:`FaultSchedule` / :class:`FaultEvent` — timed actions fired
+  through the plane (``faults.py``);
 * :class:`Autoscaler` / :class:`AutoscalerConfig` / :class:`SLOTarget`
   — the controller (``autoscaler.py``);
 * :func:`run_scenario` / :class:`ScenarioRun` — the one entry point
@@ -22,11 +24,9 @@ report computed from its samples.
 
 from repro.control.actions import (
     AddSilo,
-    CallMethod,
     ControlAction,
     CrashSilo,
     DrainSilo,
-    parse_action,
 )
 from repro.control.autoscaler import (
     Autoscaler,
@@ -34,41 +34,28 @@ from repro.control.autoscaler import (
     SLOTarget,
 )
 from repro.control.facade import ScenarioRun, run_scenario
-from repro.control.plane import (
-    ClusterControlPlane,
-    ControlPlane,
-    NullControlPlane,
-    StatefunControlPlane,
-    control_plane_for,
-)
+from repro.control.faults import FaultEvent, FaultSchedule
+from repro.control.plane import ControlPlane
 from repro.control.signals import (
-    PLATFORM_SCHEMA,
-    SIGNALS_SCHEMA,
     PlatformStats,
     RuntimeSignals,
     SignalWindow,
 )
 
 __all__ = [
-    "PLATFORM_SCHEMA",
-    "SIGNALS_SCHEMA",
     "AddSilo",
     "Autoscaler",
     "AutoscalerConfig",
-    "CallMethod",
-    "ClusterControlPlane",
     "ControlAction",
     "ControlPlane",
     "CrashSilo",
     "DrainSilo",
-    "NullControlPlane",
+    "FaultEvent",
+    "FaultSchedule",
     "PlatformStats",
     "RuntimeSignals",
     "ScenarioRun",
     "SignalWindow",
     "SLOTarget",
-    "StatefunControlPlane",
-    "control_plane_for",
-    "parse_action",
     "run_scenario",
 ]

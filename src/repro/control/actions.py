@@ -1,20 +1,16 @@
 """Typed control actions: the commands that change cluster shape.
 
-Historically the only way to change membership mid-run was a
-:class:`~repro.runtime.faults.FaultEvent` carrying a stringly-typed
-``action`` (a method name) and ``target``.  That shape is kept as a thin
-parsing shim — :func:`parse_action` turns it into one of the typed
-commands below — and both entry points (scheduled faults and the
-autoscaler) now dispatch through :func:`execute`, so a single audited
-record format covers every membership change in a run.
+Every membership change in a run — a scheduled fault
+(:mod:`repro.control.faults`) or an autoscaler decision — is one of the
+frozen commands below, dispatched by :func:`execute` into one audited
+record format.
 
 Each action names the verb it invokes on a *scaling host* — an actor
 cluster (``add_silo``/``drain_silo``/``crash_silo``) or the dataflow
-runtime (which exposes the same verbs for stop-the-world rescale, see
-:meth:`repro.dataflow.runtime.StatefunRuntime.add_silo`).  The record
-dicts produced here carry the historical ``FaultSchedule.log`` fields
-(``time``/``action``/``target``/``applied``/``detail``) plus a
-``source`` field saying who issued the command (``"fault"`` or
+runtime (which exposes ``add_silo``/``drain_silo`` for stop-the-world
+rescale, see :meth:`repro.dataflow.runtime.StatefunRuntime.add_silo`).
+A record carries ``time``/``action``/``target``/``applied``/``detail``
+plus a ``source`` field saying who issued the command (``"fault"`` or
 ``"autoscaler"``).
 """
 
@@ -27,21 +23,16 @@ import dataclasses
 class ControlAction:
     """Base class for typed membership commands.
 
-    ``target`` is an optional silo name; actions that grow the cluster
-    ignore it, actions that shrink it treat ``None`` as "let the host
-    pick a victim" (the control plane resolves that deterministically
-    to the newest live silo before dispatch).
+    ``target`` is an optional silo name: the victim of a drain or
+    crash, the name a joining silo takes.  ``None`` lets the host name
+    the joiner and lets the control plane pick the drain victim (the
+    newest live silo, resolved before dispatch).
     """
 
     target: str | None = None
 
     #: Name of the verb — also the method invoked on the scaling host.
     kind = "noop"
-
-    def describe(self) -> str:
-        if self.target is None:
-            return self.kind
-        return f"{self.kind}({self.target})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,44 +56,11 @@ class CrashSilo(ControlAction):
     kind = "crash_silo"
 
 
-@dataclasses.dataclass(frozen=True)
-class CallMethod(ControlAction):
-    """Fallback for fault actions outside the membership vocabulary.
-
-    ``FaultSchedule`` stays generic at the kernel level — a schedule can
-    drive any object with matching method names (tests do).  Unknown
-    verbs parse into this shim, which dispatches exactly like the
-    historical ``getattr`` path.
-    """
-
-    method: str = ""
-
-    @property
-    def kind(self) -> str:  # type: ignore[override]
-        return self.method
-
-
-_TYPED_ACTIONS = {
-    AddSilo.kind: AddSilo,
-    DrainSilo.kind: DrainSilo,
-    CrashSilo.kind: CrashSilo,
-}
-
-
-def parse_action(action: str, target: str | None = None) -> ControlAction:
-    """Parse the stringly ``action``/``target`` form into a command."""
-    cls = _TYPED_ACTIONS.get(action)
-    if cls is not None:
-        return cls(target=target)
-    return CallMethod(target=target, method=action)
-
-
 def execute(host: object, action: ControlAction, now: float,
             source: str = "fault") -> dict:
     """Invoke ``action`` on ``host`` and return one audited record.
 
-    Mirrors the historical ``FaultSchedule._fire`` semantics exactly: a
-    missing host or verb is recorded as skipped, an exception from the
+    A missing host or verb is recorded as skipped, an exception from the
     verb is recorded (not raised — a schedule may legitimately race a
     crash against a drain), and the verb's return value is captured as
     ``repr`` in ``detail`` (deterministic — silo and process reprs

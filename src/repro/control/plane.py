@@ -9,21 +9,17 @@ A :class:`ControlPlane` pairs the two halves of reactive operations:
   ``platform_stats()`` contract (live/draining silos, working set);
 
 * **act** — :meth:`ControlPlane.execute` dispatches typed
-  :class:`~repro.control.actions.ControlAction` commands to the
-  platform's scaling host and appends the audited record to
-  :attr:`ControlPlane.action_log`.  Scheduled faults route their
-  firings through the same log (see
-  :meth:`repro.runtime.faults.FaultSchedule.install`), so one run's
-  membership history — autoscaler decisions and injected faults — reads
-  as a single ordered sequence.
+  :class:`~repro.control.actions.ControlAction` commands to the app's
+  ``scaling_host`` and appends the audited record to
+  :attr:`ControlPlane.action_log`.  Scheduled faults
+  (:class:`repro.control.faults.FaultSchedule`) and the autoscaler are
+  both issuers on this one path, so a run's membership history reads as
+  a single sequence in sim-time order.
 
-:func:`control_plane_for` picks the right plane for an app: the actor
-stacks scale their :class:`~repro.actors.cluster.ActorCluster`, the
-dataflow stack rescales its
-:class:`~repro.dataflow.runtime.StatefunRuntime`, and apps without a
-scalable runtime (test stubs) get a :class:`NullControlPlane` whose
-actions are recorded as skipped — exactly how fault schedules have
-always degraded on such apps.
+The host is what the app declares: the actor stacks scale their
+:class:`~repro.actors.cluster.Cluster`, the dataflow stack rescales its
+:class:`~repro.dataflow.runtime.StatefunRuntime`, and an app that
+declares none (test stubs) has every action recorded as skipped.
 """
 
 from __future__ import annotations
@@ -78,74 +74,14 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # act side
     # ------------------------------------------------------------------
-    @property
-    def scaling_host(self) -> object | None:
-        """The object whose ``add_silo``/``drain_silo`` verbs scale the
-        platform; ``None`` when the app cannot scale."""
-        return None
-
-    def resolve(self, action: ControlAction) -> ControlAction:
-        """Pin an open-ended action to a concrete target (if needed)."""
-        return action
-
     def execute(self, action: ControlAction,
                 source: str = "api") -> dict:
         """Dispatch one command, append and return its audit record."""
-        record = execute(self.scaling_host, self.resolve(action),
-                         self.env.now, source=source)
+        host = self.app.scaling_host
+        if (isinstance(action, DrainSilo) and action.target is None
+                and host is not None):
+            # Pinned before dispatch so the record names the victim.
+            action = DrainSilo(host.drain_candidate())
+        record = execute(host, action, self.env.now, source=source)
         self.action_log.append(record)
         return record
-
-    def record(self, record: dict) -> None:
-        """Append an externally produced record (fault firings)."""
-        self.action_log.append(record)
-
-
-class ClusterControlPlane(ControlPlane):
-    """Control plane over an actor cluster (the three Orleans stacks)."""
-
-    @property
-    def scaling_host(self) -> object:
-        return self.app.cluster
-
-    def resolve(self, action: ControlAction) -> ControlAction:
-        if isinstance(action, DrainSilo) and action.target is None:
-            running = [silo for silo in self.app.cluster.silos
-                       if silo.accepting_activations]
-            if running:
-                # Newest joiner drains first: silos join in list order,
-                # so scale-in unwinds scale-out deterministically.
-                return DrainSilo(target=running[-1].name)
-        return action
-
-
-class StatefunControlPlane(ControlPlane):
-    """Control plane over the dataflow runtime (statefun stack).
-
-    ``add_silo``/``drain_silo`` map to stop-the-world rescales of the
-    partition-worker set; ``crash_silo`` is not in the dataflow
-    vocabulary (failures go through checkpoint recovery instead), so a
-    scheduled crash records as skipped — unchanged fault semantics.
-    """
-
-    @property
-    def scaling_host(self) -> object:
-        return self.app.runtime
-
-
-class NullControlPlane(ControlPlane):
-    """Plane for apps with no scalable runtime: reads work (platform
-    stats fall back to the static configured shape), actions record as
-    skipped."""
-
-
-def control_plane_for(env: "Environment", app: "MarketplaceApp",
-                      driver: "OpenLoopDriver | None" = None,
-                      window: SignalWindow | None = None) -> ControlPlane:
-    """Build the right control plane for ``app``."""
-    if getattr(app, "cluster", None) is not None:
-        return ClusterControlPlane(env, app, driver, window)
-    runtime = getattr(app, "runtime", None)
-    if runtime is not None and hasattr(runtime, "add_silo"):
-        return StatefunControlPlane(env, app, driver, window)
-    return NullControlPlane(env, app, driver, window)

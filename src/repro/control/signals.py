@@ -11,7 +11,7 @@ snapshots that replace those reads for control purposes:
     working-set residency and substrate message counts.  Every
     implementation of :class:`~repro.apps.base.MarketplaceApp` returns
     one from ``platform_stats()`` with identical fields and types —
-    ``stats_schema()`` is the documented contract and
+    the dataclass is the documented contract and
     ``tests/test_control.py`` holds the four stacks to it.  The legacy
     ``runtime_stats()`` dicts are untouched (their shapes are baked
     into committed payloads); they are now the *extras*, not the API.
@@ -58,15 +58,6 @@ class PlatformStats:
         return dataclasses.asdict(self)
 
 
-#: The documented ``platform_stats()`` schema: field name -> type.
-#: ``MarketplaceApp.stats_schema()`` returns this and the contract test
-#: asserts every stack's snapshot matches it exactly.
-PLATFORM_SCHEMA: dict[str, type] = {
-    field.name: field.type if isinstance(field.type, type) else int
-    for field in dataclasses.fields(PlatformStats)
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class RuntimeSignals:
     """One control-plane snapshot: driver-side load + app-side shape.
@@ -96,27 +87,6 @@ class RuntimeSignals:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-#: The documented ``RuntimeSignals`` schema: field name -> type.
-SIGNALS_SCHEMA: dict[str, type] = {
-    "time": float,
-    "queue_delay_p95": float,
-    "queue_delay_mean": float,
-    "queue_samples": int,
-    "error_rate": float,
-    "errors": int,
-    "completions": int,
-    "arrival_rate": float,
-    "queue_length": int,
-    "in_flight": int,
-    "silos_live": int,
-    "silos_draining": int,
-    "silos_total": int,
-    "resident": int,
-    "paged": int,
-    "messages": int,
-}
 
 
 class SignalWindow:

@@ -32,6 +32,10 @@ import dataclasses
 import math
 import typing
 
+from repro.control.autoscaler import Autoscaler, AutoscalerConfig
+from repro.control.faults import FaultSchedule
+from repro.control.plane import ControlPlane
+from repro.control.signals import SignalWindow
 from repro.core.driver.arrivals import ArrivalProcess
 from repro.core.driver.issuer import (
     RESULT_OPERATION,
@@ -44,11 +48,7 @@ from repro.core.workload.dataset import Dataset
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
-    from repro.control.autoscaler import Autoscaler, AutoscalerConfig
-    from repro.control.plane import ControlPlane
-    from repro.control.signals import SignalWindow
     from repro.runtime import Environment
-    from repro.runtime.faults import FaultSchedule
 
 
 @dataclasses.dataclass
@@ -90,13 +90,14 @@ class OpenLoopConfig:
     #: Optional flash-sale style skew spike.
     hotspot: HotspotSpec | None = None
     #: Optional timed membership faults (crash/drain/join), times
-    #: relative to run start like the hotspot window.  Applied to the
-    #: app's actor cluster; apps without one log the events as skipped.
-    faults: "FaultSchedule | None" = None
+    #: relative to run start like the hotspot window.  Fired through
+    #: the run's control plane at the app's ``scaling_host``; an app
+    #: without one logs the events as skipped.
+    faults: FaultSchedule | None = None
     #: Optional SLO-driven elasticity: with a config the driver builds
     #: a control plane over the app, feeds it live signals, and runs an
     #: :class:`~repro.control.autoscaler.Autoscaler` for the whole run.
-    autoscaler: "AutoscalerConfig | None" = None
+    autoscaler: AutoscalerConfig | None = None
 
     def __post_init__(self) -> None:
         if self.warmup < 0 or self.duration <= 0 or self.drain < 0:
@@ -135,9 +136,9 @@ class OpenLoopDriver(IssuerStateView):
         self._ingested = False
         #: Control-plane surface of this run (built in :meth:`run` when
         #: the config carries faults or an autoscaler).
-        self.control: "ControlPlane | None" = None
-        self.autoscaler: "Autoscaler | None" = None
-        self._signals: "SignalWindow | None" = None
+        self.control: ControlPlane | None = None
+        self.autoscaler: Autoscaler | None = None
+        self._signals: SignalWindow | None = None
         self.stats = {"arrivals": 0, "dispatched": 0, "completed": 0,
                       "shed": 0, "max_in_flight": 0, "max_queue": 0}
 
@@ -175,14 +176,11 @@ class OpenLoopDriver(IssuerStateView):
             # One control plane per run: the shared audit log for
             # scheduled faults and autoscaler actions, and the signal
             # surface the autoscaler samples.
-            from repro.control.plane import control_plane_for
-            from repro.control.signals import SignalWindow
-
             window = (SignalWindow(self.config.autoscaler.window)
                       if self.config.autoscaler is not None
                       else None)
-            self.control = control_plane_for(self.env, self.app,
-                                             driver=self, window=window)
+            self.control = ControlPlane(self.env, self.app,
+                                        driver=self, window=window)
         self.env.process(self._arrival_source(start), name="arrivals")
         for index in range(self.config.max_in_flight):
             self.env.process(self._dispatcher(), name=f"dispatch-{index}")
@@ -190,15 +188,8 @@ class OpenLoopDriver(IssuerStateView):
             self.env.process(self._hotspot_controller(self.config.hotspot),
                              name="hotspot")
         if self.config.faults is not None:
-            # Membership faults act on the app's actor cluster; apps
-            # without one (e.g. the dataflow stack) log them as skipped
-            # so the run — and its report — still completes.
-            self.config.faults.install(self.env,
-                                       getattr(self.app, "cluster", None),
-                                       control=self.control)
+            self.config.faults.install(self.env, self.control)
         if self.config.autoscaler is not None:
-            from repro.control.autoscaler import Autoscaler
-
             # Live signal taps: arrivals and queue delays from the
             # dispatch path, completion outcomes from the issuer —
             # ungated by the measurement window, free of RNG use.
@@ -220,7 +211,8 @@ class OpenLoopDriver(IssuerStateView):
                 dict(entry,
                      second=math.floor(entry["time"]
                                        - self._measure_start))
-                for entry in self.config.faults.log]
+                for entry in self.control.action_log
+                if entry["source"] == "fault"]
         if self.autoscaler is not None:
             autoscale = self.config.autoscaler
             open_loop["control"] = {

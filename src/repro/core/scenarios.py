@@ -65,7 +65,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.control.actions import AddSilo, CrashSilo, DrainSilo
 from repro.control.autoscaler import AutoscalerConfig, SLOTarget
+from repro.control.faults import FaultEvent, FaultSchedule
 from repro.core.driver.arrivals import (
     ArrivalProcess,
     ConstantRate,
@@ -80,7 +82,6 @@ from repro.core.driver.open_loop import (
     OpenLoopDriver,
 )
 from repro.core.workload.config import TransactionMix, WorkloadConfig
-from repro.runtime.faults import FaultEvent, FaultSchedule
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
@@ -115,7 +116,7 @@ class Scenario:
     #: Hotspot window relative to run start, or None.
     hotspot: typing.Callable[[], HotspotSpec] | None = None
     #: Timed membership faults (times relative to run start), or None.
-    faults: typing.Callable[[], FaultSchedule] | None = None
+    faults: FaultSchedule | None = None
     #: SLO-driven elasticity controller for the run, or None.
     autoscaler: typing.Callable[[], AutoscalerConfig] | None = None
     #: Cluster shape the scenario is designed for; the CLI and benches
@@ -163,7 +164,7 @@ class Scenario:
                 end=hotspot.end * duration_scale,
                 top_ranks=hotspot.top_ranks,
                 probability=hotspot.probability)
-        faults = self.faults() if self.faults else None
+        faults = self.faults
         if faults is not None and duration_scale != 1.0:
             faults = faults.time_scaled(duration_scale)
         autoscaler = self.autoscaler() if self.autoscaler else None
@@ -314,8 +315,8 @@ _register(Scenario(
     warmup=1.0,
     # Crash lands at measured second 2, leaving two clean pre-fault
     # seconds to baseline the recovery against.
-    faults=lambda: FaultSchedule([
-        FaultEvent(at=3.0, action="crash_silo", target="silo-1"),
+    faults=FaultSchedule([
+        FaultEvent(3.0, CrashSilo("silo-1")),
     ]),
 ))
 
@@ -333,9 +334,9 @@ _register(Scenario(
     max_in_flight=12,
     cluster_silos=2,
     cluster_cores=2,
-    faults=lambda: FaultSchedule([
-        FaultEvent(at=3.0, action="add_silo"),
-        FaultEvent(at=4.0, action="add_silo"),
+    faults=FaultSchedule([
+        FaultEvent(3.0, AddSilo()),
+        FaultEvent(4.0, AddSilo()),
     ]),
 ))
 
@@ -351,15 +352,15 @@ _register(Scenario(
     warmup=1.0,
     # First drain at measured second 2, leaving a pre-fault baseline;
     # each replacement joins half a second after its drain begins.
-    faults=lambda: FaultSchedule([
-        FaultEvent(at=3.0, action="drain_silo", target="silo-0"),
-        FaultEvent(at=3.5, action="add_silo"),
-        FaultEvent(at=4.5, action="drain_silo", target="silo-1"),
-        FaultEvent(at=5.0, action="add_silo"),
-        FaultEvent(at=6.0, action="drain_silo", target="silo-2"),
-        FaultEvent(at=6.5, action="add_silo"),
-        FaultEvent(at=7.5, action="drain_silo", target="silo-3"),
-        FaultEvent(at=8.0, action="add_silo"),
+    faults=FaultSchedule([
+        FaultEvent(3.0, DrainSilo("silo-0")),
+        FaultEvent(3.5, AddSilo()),
+        FaultEvent(4.5, DrainSilo("silo-1")),
+        FaultEvent(5.0, AddSilo()),
+        FaultEvent(6.0, DrainSilo("silo-2")),
+        FaultEvent(6.5, AddSilo()),
+        FaultEvent(7.5, DrainSilo("silo-3")),
+        FaultEvent(8.0, AddSilo()),
     ]),
 ))
 

@@ -532,6 +532,11 @@ class StatefunRuntime:
         return self.env.process(self._rescale(+1),
                                 name=f"rescale-out-{self._worker_ids}")
 
+    def drain_candidate(self) -> None:
+        """Partitions are anonymous hash ranges: an untargeted drain
+        stays untargeted (the newest worker always retires)."""
+        return None
+
     def drain_silo(self, target: str | None = None) -> "Process":
         """Scale in by one partition worker (stop-the-world rescale).
 

@@ -10,7 +10,6 @@ simulation run is reproducible bit-for-bit.
 
 from repro.runtime.environment import Environment, Interrupt, SimulationError
 from repro.runtime.events import AllOf, AnyOf, Event, Timeout
-from repro.runtime.faults import FaultEvent, FaultSchedule
 from repro.runtime.process import Process
 from repro.runtime.resources import Resource, ResourceRequest
 from repro.runtime.rng import RngStream, SeedSequenceFactory
@@ -20,8 +19,6 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
-    "FaultEvent",
-    "FaultSchedule",
     "Interrupt",
     "Process",
     "Resource",

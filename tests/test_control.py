@@ -1,6 +1,6 @@
 """Control-plane API tests: the platform_stats contract, typed
-actions, plane selection, autoscaler hysteresis and the run_scenario
-facade.
+actions, the plane over each stack's scaling host, autoscaler
+hysteresis and the run_scenario facade.
 
 The autoscaler unit tests drive ``tick()`` by hand against a scripted
 plane (no simulation), so each stability guard — hysteresis, cooldown,
@@ -9,6 +9,7 @@ end-to-end tests then run the real catalogue scenarios.
 """
 
 import dataclasses
+import typing
 
 import pytest
 
@@ -18,17 +19,15 @@ from repro.control import (
     AddSilo,
     Autoscaler,
     AutoscalerConfig,
-    CallMethod,
-    ClusterControlPlane,
+    ControlPlane,
     CrashSilo,
     DrainSilo,
-    NullControlPlane,
+    FaultEvent,
+    FaultSchedule,
+    PlatformStats,
     RuntimeSignals,
     SignalWindow,
     SLOTarget,
-    StatefunControlPlane,
-    control_plane_for,
-    parse_action,
     run_scenario,
 )
 from repro.control.actions import execute
@@ -77,9 +76,10 @@ class TestPlatformStatsContract:
     @pytest.mark.parametrize("name", sorted(ALL_APPS))
     def test_schema_holds_on_every_stack(self, name):
         env, app = _build_app(name)
-        schema = app.stats_schema()
+        schema = typing.get_type_hints(PlatformStats)
         stats = app.platform_stats().as_dict()
-        assert set(stats) == set(schema)
+        assert list(stats) == [field.name for field
+                               in dataclasses.fields(PlatformStats)]
         for field, kind in schema.items():
             assert isinstance(stats[field], kind), field
         assert stats["silos_live"] == 2
@@ -92,6 +92,13 @@ class TestPlatformStatsContract:
         stats = app.platform_stats()
         assert stats.silos_live == app.config.silos
         assert stats.resident == 0
+
+    def test_signals_carry_every_platform_field(self):
+        platform = {field.name: field.type
+                    for field in dataclasses.fields(PlatformStats)}
+        signals = {field.name: field.type
+                   for field in dataclasses.fields(RuntimeSignals)}
+        assert platform.items() <= signals.items()
 
     def test_legacy_runtime_stats_untouched_by_contract(self):
         env, app = _build_app("orleans-eventual")
@@ -133,19 +140,6 @@ class TestSignalWindow:
 
 
 class TestActions:
-    def test_parse_membership_verbs(self):
-        assert parse_action("add_silo") == AddSilo()
-        assert parse_action("drain_silo", "silo-2") == \
-            DrainSilo(target="silo-2")
-        assert parse_action("crash_silo", "silo-1") == \
-            CrashSilo(target="silo-1")
-
-    def test_unknown_verb_parses_to_call_method(self):
-        action = parse_action("pause", "silo-1")
-        assert isinstance(action, CallMethod)
-        assert action.kind == "pause"
-        assert action.describe() == "pause(silo-1)"
-
     def test_execute_without_host_records_skip(self):
         record = execute(None, AddSilo(), 3.0, source="autoscaler")
         assert record["applied"] is False
@@ -174,43 +168,73 @@ class TestActions:
 
 
 class TestPlaneSelection:
+    """One plane class; the app declares what it acts on."""
+
     def test_actor_stacks_get_cluster_plane(self):
         for name in ("orleans-eventual", "orleans-transactions",
                      "customized-orleans"):
             env, app = _build_app(name)
-            plane = control_plane_for(env, app)
-            assert isinstance(plane, ClusterControlPlane), name
-            assert plane.scaling_host is app.cluster
+            assert app.scaling_host is app.cluster, name
+            record = ControlPlane(env, app).execute(AddSilo("blue"))
+            assert record["applied"] is True, name
+            assert app.cluster.silos[-1].name == "blue"
 
     def test_dataflow_stack_gets_statefun_plane(self):
         env, app = _build_app("statefun")
-        plane = control_plane_for(env, app)
-        assert isinstance(plane, StatefunControlPlane)
-        assert plane.scaling_host is app.runtime
+        assert app.scaling_host is app.runtime
+        plane = ControlPlane(env, app)
+        assert plane.execute(AddSilo())["applied"] is True
+        # The dataflow runtime has no crash verb: skipped, not raised.
+        crash = plane.execute(CrashSilo("silo-0"))
+        assert crash["applied"] is False
+        assert crash["detail"] == "target does not support this action"
+        env.run(until=1.0)
+        assert len(app.runtime.workers) == 3
 
     def test_stub_gets_null_plane_and_skipped_actions(self):
         env = Environment(seed=1)
         app = StubApp(env)
-        plane = control_plane_for(env, app)
-        assert isinstance(plane, NullControlPlane)
-        record = plane.execute(AddSilo(), source="autoscaler")
-        assert record["applied"] is False
-        assert plane.action_log == [record]
+        assert app.scaling_host is None
+        plane = ControlPlane(env, app)
+        for action in (AddSilo(), DrainSilo(), CrashSilo("silo-0")):
+            record = plane.execute(action, source="autoscaler")
+            assert record["applied"] is False
+            assert record["target"] == action.target
+        assert len(plane.action_log) == 3
 
     def test_cluster_drain_resolves_to_newest_running_silo(self):
         env, app = _build_app("orleans-eventual", silos=3)
-        plane = control_plane_for(env, app)
-        resolved = plane.resolve(DrainSilo())
-        assert resolved.target == app.cluster.silos[-1].name
+        plane = ControlPlane(env, app)
+        record = plane.execute(DrainSilo())
+        assert record["applied"] is True
+        assert record["target"] == "silo-2"
+        # The next untargeted drain skips the silo already draining.
+        assert plane.execute(DrainSilo())["target"] == "silo-1"
         # An explicit victim is passed through untouched.
-        pinned = plane.resolve(DrainSilo(target="silo-0"))
-        assert pinned.target == "silo-0"
+        assert plane.execute(DrainSilo("silo-0"))["target"] == "silo-0"
+
+    def test_dataflow_drain_stays_untargeted(self):
+        env, app = _build_app("statefun")
+        record = ControlPlane(env, app).execute(DrainSilo())
+        assert record["applied"] is True
+        assert record["target"] is None
+
+    def test_add_silo_target_names_the_joiner(self):
+        env, app = _build_app("orleans-eventual")
+        plane = ControlPlane(env, app)
+        assert plane.execute(AddSilo())["applied"] is True
+        assert app.cluster.silos[-1].name == "silo-2"
+        # A name already in use is refused by the cluster and recorded.
+        taken = plane.execute(AddSilo("silo-0"))
+        assert taken["applied"] is False
+        assert taken["detail"].startswith("ValueError")
+        assert len(app.cluster.silos) == 3
 
     def test_signals_snapshot_merges_both_halves(self):
         env, app = _build_app("orleans-eventual")
         window = SignalWindow(window=2.0)
         window.observe_arrival(0.0)
-        plane = control_plane_for(env, app, window=window)
+        plane = ControlPlane(env, app, window=window)
         signals = plane.signals()
         assert signals.silos_live == 2
         assert signals.queue_length == 0  # no driver attached
@@ -336,6 +360,32 @@ class TestAutoscalerEndToEnd:
         assert control["samples"][-1]["breach"] is False
         assert run.autoscaler is not None
         assert run.control is not None
+
+    def test_faults_and_autoscaler_share_one_action_log(self):
+        """A run carrying both issuers has one membership history: in
+        sim-time order, both sources, and the driver's fault timeline
+        is exactly its ``"fault"`` slice."""
+        scenario = dataclasses.replace(
+            get_scenario("autoscale-flash-sale"),
+            faults=FaultSchedule([FaultEvent(1.0, AddSilo()),
+                                  FaultEvent(6.0, CrashSilo("silo-0"))]))
+        run = run_scenario(scenario, app="orleans-eventual", seed=7,
+                           duration_scale=0.5)
+        log = run.control.action_log
+        assert {entry["source"] for entry in log} == \
+            {"fault", "autoscaler"}
+        times = [entry["time"] for entry in log]
+        assert times == sorted(times)
+        open_loop = run.metrics.open_loop
+        assert open_loop["control"]["actions"] == log
+        faults = [entry for entry in log if entry["source"] == "fault"]
+        assert [entry["action"] for entry in faults] == \
+            ["add_silo", "crash_silo"]
+        assert [{key: value for key, value in entry.items()
+                 if key != "second"}
+                for entry in open_loop["fault_events"]] == faults
+        assert [entry["second"] for entry
+                in open_loop["fault_events"]] == [0, 2]
 
     def test_burst_then_quiesce_holds_fixed_capacity(self):
         """Retrofit the controller onto the burst-then-quiesce

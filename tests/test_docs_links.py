@@ -1,5 +1,5 @@
-"""Docs hygiene: every relative link and back-ticked repo path in
-README.md and docs/ resolves.
+"""Docs hygiene: every relative link, back-ticked repo path and
+back-ticked dotted name in README.md and docs/ resolves.
 
 Runs the same script the CI lint job runs (``tools/check_links.py``)
 so a broken link fails locally before it fails in CI.
@@ -13,6 +13,14 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _load_check_links():
+    spec = importlib.util.spec_from_file_location(
+        "check_links", ROOT / "tools" / "check_links.py")
+    check_links = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_links)
+    return check_links
+
+
 def test_readme_and_docs_links_resolve():
     completed = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_links.py")],
@@ -23,16 +31,39 @@ def test_readme_and_docs_links_resolve():
 def test_stale_repo_path_is_reported(tmp_path):
     """A doc that names a file the repo does not have fails the check;
     real paths, test ids and non-path spans pass."""
-    spec = importlib.util.spec_from_file_location(
-        "check_links", ROOT / "tools" / "check_links.py")
-    check_links = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_links)
+    check_links = _load_check_links()
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "real.py").touch()
     (tmp_path / "README.md").write_text(
         "See `tools/real.py`, `tools/real.py::main`, `tools/gone.py`, "
         "`python tools/run me` and `benchmarks/*.py`.\n")
     assert check_links.check(tmp_path) == ["README.md: `tools/gone.py`"]
+
+
+def test_stale_dotted_name_is_reported(tmp_path):
+    """A doc that names a moved module or a deleted function in dotted
+    form fails the check; modules, packages, re-exports, top-level
+    defs/classes/assignments and other packages' names pass."""
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__init__.py").write_text("from pkg.sub.mod import run\n")
+    (package / "sub" / "__init__.py").touch()
+    (package / "sub" / "mod.py").write_text(
+        "LIMIT: int = 3\nFLAG = True\n\n"
+        "class Plane:\n    def execute(self):\n        pass\n\n"
+        "def run():\n    def inner():\n        pass\n")
+    (tmp_path / "README.md").write_text(
+        "`pkg`, `pkg.sub`, `pkg.sub.mod`, `pkg.run()`, "
+        "`pkg.sub.mod.run()`, `pkg.sub.mod.Plane`, "
+        "`pkg.sub.mod.Plane.execute()`, `pkg.sub.mod.LIMIT`, "
+        "`pkg.sub.mod.FLAG`, `os.path.join`, `metrics.runtime`, "
+        "`pkg.sub.gone`, `pkg.sub.mod.inner()`, `pkg.sub.mod.execute`, "
+        "`pkg.moved.mod.run()`.\n")
+    assert _load_check_links().check(tmp_path) == [
+        "README.md: `pkg.sub.gone`",
+        "README.md: `pkg.sub.mod.inner`",
+        "README.md: `pkg.sub.mod.execute`",
+        "README.md: `pkg.moved.mod.run`"]
 
 
 def test_docs_tree_present():

@@ -15,6 +15,7 @@ from repro.analysis.availability import (
     availability_rows,
 )
 from repro.apps import ALL_APPS, AppConfig
+from repro.control import run_scenario
 from repro.core.scenarios import get_scenario
 from repro.runtime import Environment
 
@@ -108,3 +109,21 @@ class TestScaleOut:
                    in metrics.open_loop["fault_events"]
                    if entry["applied"]]
         assert len(applied) == 2
+
+    def test_scheduled_adds_rescale_the_dataflow_stack(self):
+        """The same AddSilo means the same thing whoever issues it: on
+        statefun a scheduled join rescales the partition workers, as an
+        autoscaler-issued one does, and the audit still holds."""
+        run = run_scenario("scale-out-under-load", app="statefun",
+                           seed=SEED, duration_scale=0.5)
+        events = run.metrics.open_loop["fault_events"]
+        assert [(entry["action"], entry["applied"])
+                for entry in events] == [("add_silo", True)] * 2
+        assert run.app.runtime.rescales == 2
+        assert len(run.app.runtime.workers) == 4
+        for criterion in ("C1-atomicity", "C3-integrity",
+                          "C5-event-ordering",
+                          "C6-exactly-once-ingest"):
+            assert run.report.results[criterion].violations == 0, \
+                criterion
+        assert run.metrics.open_loop["final_queue"] == 0

@@ -1,5 +1,7 @@
 """Dynamic cluster membership: crash, drain, join and migration."""
 
+import types
+
 import pytest
 
 from repro.actors import (
@@ -10,7 +12,14 @@ from repro.actors import (
     SiloState,
     SiloUnavailable,
 )
-from repro.runtime import Environment, FaultEvent, FaultSchedule
+from repro.control import (
+    AddSilo,
+    ControlPlane,
+    CrashSilo,
+    FaultEvent,
+    FaultSchedule,
+)
+from repro.runtime import Environment
 
 
 class DurableCounter(Grain):
@@ -277,6 +286,21 @@ class TestJoin:
                   for key in fresh}
         assert new.name in owners
 
+    def test_join_rejects_a_name_already_in_use(self):
+        env, cluster = make_cluster(silos=2)
+        epoch = cluster.placement.epoch
+        with pytest.raises(ValueError, match="already in use"):
+            cluster.add_silo("silo-0")
+        assert [silo.name for silo in cluster.silos] == \
+            ["silo-0", "silo-1"]
+        assert cluster.placement.epoch == epoch
+        assert cluster.membership.joins == 0
+        # A stopped silo still owns its name (and its ring points).
+        cluster.crash_silo("silo-1")
+        with pytest.raises(ValueError):
+            cluster.add_silo("silo-1")
+        assert cluster.add_silo("blue").name == "blue"
+
     def test_join_migrates_reassigned_grains_with_state(self):
         env, cluster = make_cluster(silos=2)
         refs = {key: cluster.grain_ref(VolatileCounter, key)
@@ -385,12 +409,21 @@ class TestDirectory:
 # ---------------------------------------------------------------------------
 # fault schedules
 # ---------------------------------------------------------------------------
+def fire(env, schedule, host, until=1.0):
+    """Install ``schedule`` on a plane over ``host``; run; return the
+    plane's audited log."""
+    plane = ControlPlane(env, types.SimpleNamespace(scaling_host=host))
+    schedule.install(env, plane)
+    env.run(until=env.now + until)
+    return plane.action_log
+
+
 class TestFaultSchedule:
     def test_events_fire_in_order_at_their_times(self):
         env = Environment(seed=1)
         hits = []
 
-        class Target:
+        class Host:
             def crash_silo(self, name):
                 hits.append((env.now, "crash", name))
                 return name
@@ -398,50 +431,49 @@ class TestFaultSchedule:
             def add_silo(self):
                 hits.append((env.now, "join", None))
 
-        schedule = FaultSchedule([
-            FaultEvent(at=0.5, action="add_silo"),
-            FaultEvent(at=0.2, action="crash_silo", target="s0"),
-        ])
-        schedule.install(env, Target())
-        env.run(until=1.0)
+        log = fire(env, FaultSchedule([
+            FaultEvent(0.5, AddSilo()),
+            FaultEvent(0.2, CrashSilo("s0")),
+        ]), Host())
         assert hits == [(0.2, "crash", "s0"), (0.5, "join", None)]
-        assert all(entry["applied"] for entry in schedule.log)
+        assert [(entry["time"], entry["action"], entry["source"])
+                for entry in log] == [(0.2, "crash_silo", "fault"),
+                                      (0.5, "add_silo", "fault")]
+        assert all(entry["applied"] for entry in log)
 
     def test_unsupported_actions_logged_not_raised(self):
-        env = Environment(seed=1)
-        schedule = FaultSchedule([
-            FaultEvent(at=0.1, action="crash_silo", target="s0")])
-        schedule.install(env, target=None)
-        env.run(until=1.0)
-        assert len(schedule.log) == 1
-        assert not schedule.log[0]["applied"]
+        schedule = FaultSchedule([FaultEvent(0.1, CrashSilo("s0"))])
+        # No host at all, and a host without the verb.
+        for host in (None, object()):
+            log = fire(Environment(seed=1), schedule, host)
+            assert len(log) == 1
+            assert not log[0]["applied"]
+            assert log[0]["detail"] == \
+                "target does not support this action"
 
     def test_action_errors_logged_not_raised(self):
-        env = Environment(seed=1)
-
         class Exploding:
             def crash_silo(self, name):
                 raise KeyError(name)
 
-        schedule = FaultSchedule([
-            FaultEvent(at=0.1, action="crash_silo", target="s9")])
-        schedule.install(env, Exploding())
-        env.run(until=1.0)
-        assert not schedule.log[0]["applied"]
-        assert "KeyError" in schedule.log[0]["detail"]
+        log = fire(Environment(seed=1), FaultSchedule([
+            FaultEvent(0.1, CrashSilo("s9"))]), Exploding())
+        assert not log[0]["applied"]
+        assert "KeyError" in log[0]["detail"]
 
     def test_time_scaled(self):
-        schedule = FaultSchedule([
-            FaultEvent(at=2.0, action="add_silo")])
-        assert schedule.time_scaled(0.5).events[0].at == 1.0
+        schedule = FaultSchedule([FaultEvent(2.0, AddSilo())])
+        assert schedule.time_scaled(0.5) == \
+            FaultSchedule([FaultEvent(1.0, AddSilo())])
+        assert schedule.events[0].at == 2.0  # the original is a value
         with pytest.raises(ValueError):
             schedule.time_scaled(0.0)
 
     def test_invalid_events_rejected(self):
         with pytest.raises(ValueError):
-            FaultEvent(at=-1.0, action="crash_silo")
-        with pytest.raises(ValueError):
-            FaultEvent(at=1.0, action="")
+            FaultEvent(-1.0, CrashSilo("s0"))
+        with pytest.raises(TypeError):
+            FaultEvent(1.0, "crash_silo")
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +484,11 @@ class TestFaultScheduleOnCluster:
         env, cluster = make_cluster()
         ref = cluster.grain_ref(DurableCounter, "x")
         call_sync(env, ref, "bump")
-        schedule = FaultSchedule([
-            FaultEvent(at=0.3, action="crash_silo", target="silo-0"),
-            FaultEvent(at=0.6, action="add_silo"),
-        ])
-        schedule.install(env, cluster)
-        env.run(until=env.now + 1.0)
+        log = fire(env, FaultSchedule([
+            FaultEvent(0.3, CrashSilo("silo-0")),
+            FaultEvent(0.6, AddSilo()),
+        ]), cluster)
         assert cluster.membership.crashes == 1
         assert cluster.membership.joins == 1
-        assert [entry["applied"] for entry in schedule.log] == \
-            [True, True]
+        assert [entry["applied"] for entry in log] == [True, True]
         assert len(cluster.live_silos) == 4

@@ -1,6 +1,11 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import ast
+import pathlib
+
 import pytest
+
+import repro.runtime
 
 from repro.runtime import (
     AllOf,
@@ -461,3 +466,24 @@ class TestResource:
         env.run(until=8.0)
         # one of two slots busy for half the horizon -> 25%
         assert resource.utilisation() == pytest.approx(0.25)
+
+
+def test_kernel_imports_nothing_above_it():
+    """The kernel is the bottom layer: no module under ``runtime/``
+    imports the control plane, the drivers or the apps — at any level,
+    function bodies and ``TYPE_CHECKING`` blocks included."""
+    upward = ("repro.control", "repro.core", "repro.apps")
+    offenders = []
+    package = pathlib.Path(repro.runtime.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} imports {name}"
+                          for name in names
+                          if name.startswith(upward)]
+    assert offenders == []

@@ -1,9 +1,12 @@
 """Smoke tests for the named scenario suite (driven against the stub
 app for speed; the bench suite exercises them on the real platforms)."""
 
+import dataclasses
+
 import pytest
 
 from _stub_app import StubApp
+from repro import control
 from repro.core.scenarios import SCENARIOS, get_scenario, scenario_names
 from repro.runtime import Environment
 
@@ -100,8 +103,8 @@ class TestScenarioSmoke:
 
 
 class TestFaultScenarios:
-    """The stub app has no actor cluster: every membership fault must
-    be skipped gracefully and the run must still complete."""
+    """The stub app declares no scaling host: every membership fault
+    must be skipped gracefully and the run must still complete."""
 
     @pytest.mark.parametrize("name", sorted(FAULT_SCENARIOS))
     def test_faults_logged_and_skipped_without_cluster(self, name):
@@ -118,10 +121,32 @@ class TestFaultScenarios:
         assert half.faults.events[0].at == \
             full.faults.events[0].at * 0.5
 
-    def test_fault_schedules_are_fresh_per_build(self):
-        scenario = get_scenario("silo-crash")
-        assert scenario.build_config().faults is not \
-            scenario.build_config().faults
+    def test_fault_schedule_is_a_shared_immutable_value(self):
+        scenario = get_scenario("rolling-restart")
+        assert scenario.build_config().faults is scenario.faults
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.faults.events = ()
+        # Nothing per-run lives on it: a second run logs 8, not 16.
+        for _ in range(2):
+            metrics, driver, app = run_scenario("rolling-restart")
+            assert len(metrics.open_loop["fault_events"]) == 8
+
+    def test_facade_records_every_fault_skipped_without_host(self):
+        run = control.run_scenario("rolling-restart", app=StubApp,
+                                   seed=3, rate_scale=0.5,
+                                   duration_scale=0.5, audit=False)
+        assert run.app.scaling_host is None
+        events = run.metrics.open_loop["fault_events"]
+        assert [entry["action"] for entry in events] == \
+            ["drain_silo", "add_silo"] * 4
+        assert all(entry["applied"] is False
+                   and entry["source"] == "fault"
+                   and entry["detail"]
+                   == "target does not support this action"
+                   for entry in events)
+        assert [dict(entry, second=None) for entry in events] == \
+            [dict(entry, second=None)
+             for entry in run.control.action_log]
 
     def test_availability_report_without_applied_faults(self):
         from repro.analysis.availability import availability_report
@@ -133,9 +158,9 @@ class TestFaultScenarios:
 
 
 class TestAutoscaledScenarios:
-    """The stub app has no scalable runtime: the controller still
-    samples, but its actions record as skipped (the NullControlPlane
-    degradation fault schedules have always used)."""
+    """The stub app declares no scaling host: the controller still
+    samples, but its actions record as skipped, as scheduled faults
+    do."""
 
     @pytest.mark.parametrize("name", sorted(AUTOSCALED_SCENARIOS))
     def test_control_block_exported(self, name):
