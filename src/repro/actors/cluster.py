@@ -20,6 +20,7 @@ attempts before failing the caller's promise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import typing
 
@@ -35,9 +36,10 @@ from repro.actors.silo import Message, Silo, SiloState
 from repro.actors.storage import GrainStorage, MemoryGrainStorage
 from repro.broker import Broker
 from repro.cow import clone as cow_clone
+from repro.runtime.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import Environment, Event
+    from repro.runtime import Environment
 
 
 @dataclasses.dataclass
@@ -77,6 +79,26 @@ class ClusterConfig:
     activation_limit: int | None = None
     #: Sweep interval of the working-set eviction loop.
     working_set_sweep: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Checked once, here: routing never looks again, and a negative
+        # latency would schedule deliveries into the past.
+        limit = self.activation_limit
+        rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
+            "local_latency", "remote_latency", "remote_jitter",
+            "failure_detection_delay")]
+        rules += [(name, "> 0", getattr(self, name) > 0)
+                  for name in ("handoff_poll", "working_set_sweep")]
+        rules += [(name, ">= 1", getattr(self, name) >= 1) for name in (
+            "silos", "cores_per_silo", "max_delivery_attempts")]
+        rules += [("drop_probability", "in [0, 1]",
+                   0.0 <= self.drop_probability <= 1.0),
+                  ("activation_limit", ">= 1 or None",
+                   limit is None or limit >= 1)]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass
@@ -186,10 +208,6 @@ class Cluster:
         self._route_cache_epoch = 0
         _cache = self._route_cache
         self.directory.on_change = lambda ident: _cache.pop(ident, None)
-        #: Cache telemetry for the kernel micro-benchmark (kept out of
-        #: membership_stats so reported payloads are unchanged).
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
         self.silos: list[Silo] = []
         self._silo_ids = 0
         for _ in range(self.config.silos):
@@ -355,8 +373,7 @@ class Cluster:
                 continue  # the caller already saw a failure
             message.attempts += 1
             self.membership.reroutes += 1
-            self._route(typing.cast(GrainRef, message.ref), message,
-                        caller_silo=None)
+            self._route(message, caller_silo=None)
 
     def _drain(self, silo: Silo):
         """Hand off every activation, then mark the silo stopped."""
@@ -495,7 +512,7 @@ class Cluster:
         liveness re-check on hits means a dying silo is never served
         from cache in a state the uncached path would not also return.
         """
-        ident = (ref.type_name, ref.key)
+        ident = ref.ident
         epoch = self.placement.epoch
         cache = self._route_cache
         if epoch != self._route_cache_epoch:
@@ -503,9 +520,7 @@ class Cluster:
             self._route_cache_epoch = epoch
         cached = cache.get(ident)
         if cached is not None and cached.alive:
-            self.route_cache_hits += 1
             return cached
-        self.route_cache_misses += 1
         entry = self.directory.lookup(ref.type_name, ref.key)
         if entry is not None and entry.silo.alive:
             cache[ident] = entry.silo
@@ -523,42 +538,38 @@ class Cluster:
         """Direct access to the grain object (tests and audits only)."""
         return self.activation_of(ref).grain
 
-    def _latency(self, caller_silo: Silo | None, target: Silo) -> float:
-        if caller_silo is target:
-            return self.config.local_latency
-        return (self.config.remote_latency
-                + self._rng.random() * self.config.remote_jitter)
-
     def dispatch(self, ref: GrainRef, method: str, args: tuple,
                  kwargs: dict, txn=None,
                  caller_silo: Silo | None = None) -> "Event":
         """Route a grain call; returns the promise for its result."""
-        promise = self.env.event()
-        message = Message(method=method, args=args, kwargs=kwargs,
-                          promise=promise, txn=txn, reply_latency=0.0,
-                          ref=ref, attempts=1)
-        self._route(ref, message, caller_silo)
+        promise = Event(self.env)
+        self._route(Message(method, args, kwargs, promise, txn, 0.0, ref, 1),
+                    caller_silo)
         return promise
 
-    def _route(self, ref: GrainRef, message: Message,
-               caller_silo: Silo | None) -> None:
+    def _route(self, message: Message, caller_silo: Silo | None) -> None:
         """Send (or re-send) ``message`` toward the grain's owner.
 
         Failures never escape as exceptions: an empty ring or an
         exhausted retry budget fails the message's promise, so the
         caller observes a failed call, not a crashed driver.
         """
+        ref = message.ref  # a routed message always has one
+        config = self.config
         try:
             target = self._target_for(ref)
         except NoLiveSilos as error:
             self.membership.unavailable_failures += 1
-            self._fail_after(message,
-                             self.config.remote_latency, error)
+            self._fail_after(message, config.remote_latency, error)
             return
-        latency = self._latency(caller_silo, target)
+        if caller_silo is target:
+            latency = config.local_latency
+        else:
+            latency = (config.remote_latency
+                       + self._rng.random() * config.remote_jitter)
         self.messages_sent += 1
-        if (self.config.drop_probability > 0.0
-                and self._rng.random() < self.config.drop_probability):
+        if (config.drop_probability > 0.0
+                and self._rng.random() < config.drop_probability):
             self.messages_dropped += 1
             failure = MessageDropped(
                 f"{ref.type_name}/{ref.key}.{message.method} "
@@ -566,35 +577,30 @@ class Cluster:
             self._fail_after(message, latency, failure)
             return
         message.reply_latency = latency
-
         # A raw pooled-event callback, not a process: message transit
         # has no body to suspend, and a full Process costs two extra
         # events per hop on the hottest path in the simulator.
-        def deliver(_event, ref=ref, message=message, target=target):
-            self._deliver(ref, message, target)
+        self.env.call_after(
+            latency, functools.partial(self._deliver, message, target))
 
-        self.env.call_after(latency, deliver)
-
-    def _deliver(self, ref: GrainRef, message: Message,
-                 target: Silo) -> None:
+    def _deliver(self, message: Message, target: Silo,
+                 _event: "Event") -> None:
         """Hand the message to ``target`` — or re-place it if the
         cluster moved underneath the send."""
-        ident = (ref.type_name, ref.key)
-        hosted = ident in target.activations
-        # Re-derive the route on arrival: the grain may have migrated
-        # (directory moved) or the target may have died/drained while
-        # the message was on the wire.
-        stale = False
-        if not hosted:
+        ref = message.ref  # a routed message always has one
+        activation = target.activations.get(ref.ident)
+        if activation is None:
+            # Not hosted there: re-derive the route on arrival.  The
+            # grain may have migrated (directory moved) or the target
+            # died/drained while the message was on the wire.
             try:
                 stale = self._target_for(ref) is not target
             except NoLiveSilos:
                 stale = True
-        if target.alive and not stale and (
-                hosted or target.accepting_activations):
-            target.messages_received += 1
-            activation = target.activation_for(self, ref.grain_type,
-                                               ref.key)
+            if not stale and target.accepting_activations:
+                activation = target.activation_for(self, ref.grain_type,
+                                                   ref.key)
+        if activation is not None and target.alive:
             activation.enqueue(message)
             return
         # Dead, draining-without-activation, or stale target: re-place.
@@ -607,7 +613,7 @@ class Cluster:
             return
         message.attempts += 1
         self.membership.reroutes += 1
-        self._route(ref, message, caller_silo=None)
+        self._route(message, caller_silo=None)
 
     def _fail_after(self, message: Message, delay: float,
                     error: BaseException) -> None:
@@ -644,7 +650,7 @@ class Cluster:
         while True:
             yield self.env.timeout(sweep_interval)
             for silo in self.silos:
-                if silo.state != SiloState.RUNNING:
+                if not silo.accepting_activations:
                     continue  # draining silos hand off their own grains
                 for activation in silo.idle_activations(max_age):
                     yield from self._collect(silo, activation)
@@ -717,7 +723,7 @@ class Cluster:
         while True:
             yield self.env.timeout(sweep_interval)
             for silo in self.silos:
-                if silo.state != SiloState.RUNNING:
+                if not silo.accepting_activations:
                     continue  # draining silos hand off their own grains
                 excess = silo.activation_count - limit
                 if excess <= 0:

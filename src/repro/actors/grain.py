@@ -137,17 +137,16 @@ class Grain:
 class GrainRef:
     """A location-transparent handle to a grain."""
 
-    __slots__ = ("cluster", "grain_type", "key")
+    __slots__ = ("cluster", "grain_type", "key", "type_name", "ident")
 
     def __init__(self, cluster: "Cluster", grain_type: type[Grain],
                  key: str) -> None:
         self.cluster = cluster
         self.grain_type = grain_type
         self.key = key
-
-    @property
-    def type_name(self) -> str:
-        return self.grain_type.__name__
+        self.type_name = type_name = grain_type.__name__
+        #: Key of activation tables, grain directory and routing cache.
+        self.ident = (type_name, key)
 
     def call(self, method: str, *args, txn=None, caller_silo=None,
              **kwargs) -> "Event":

@@ -13,6 +13,7 @@ in a crash (state discarded, must re-activate from storage).
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import typing
 
@@ -25,6 +26,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def _hash(value: str) -> int:
     return int.from_bytes(
         hashlib.sha256(value.encode()).digest()[:8], "big")
+
+
+@functools.lru_cache
+def _ring_points(name: str, virtual_nodes: int) -> tuple[int, ...]:
+    """A silo's ring points; pure, so hashed once per process."""
+    return tuple(_hash(f"{name}#{i}") for i in range(virtual_nodes))
 
 
 class ConsistentHashPlacement:
@@ -50,8 +57,7 @@ class ConsistentHashPlacement:
 
     def add_silo(self, silo: "Silo") -> None:
         self._silos.append(silo)
-        for i in range(self.virtual_nodes):
-            point = _hash(f"{silo.name}#{i}")
+        for point in _ring_points(silo.name, self.virtual_nodes):
             index = bisect.bisect(self._hashes, point)
             self._hashes.insert(index, point)
             self._ring.insert(index, (point, silo))

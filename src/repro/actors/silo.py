@@ -24,18 +24,18 @@ count.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import inspect
 import typing
 from types import GeneratorType as _GeneratorType
 
 from repro.actors.errors import GrainCallError, SiloUnavailable
 from repro.actors.grain import Grain
-from repro.runtime.events import Event
+from repro.runtime.events import PENDING, Event
 from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
+    from repro.actors.grain import GrainRef
     from repro.actors.placement import GrainDirectory
     from repro.runtime import Environment
 
@@ -49,23 +49,129 @@ class SiloState:
     CRASHED = "crashed"
 
 
-@dataclasses.dataclass(eq=False)
 class Message:
-    """One grain-method invocation in flight (identity semantics: the
-    same message object survives rerouting across silos)."""
+    """One grain-method invocation, from send to reply: the message on
+    the wire and, once an activation starts it, its own turn there —
+    CPU charge, method body, reply — driven by kernel callbacks, not by
+    a process.  Identity semantics: the same object survives rerouting
+    across silos and runs on whichever activation it reaches.
 
-    method: str
-    args: tuple
-    kwargs: dict
-    promise: "Event"
-    txn: object | None
-    reply_latency: float
-    #: Grain reference, kept so the cluster can re-place the message
-    #: after a membership change (None for activation-local timer
-    #: ticks, which die with their activation).
-    ref: object | None = None
-    #: Delivery attempts so far; rerouting is bounded by the cluster.
-    attempts: int = 0
+    A grain method that never waits costs three timeline entries
+    (delivery, CPU hold, the reply carrying the caller's promise); a
+    generator method adds exactly the events it yields.  Two rules of
+    the actor model live here:
+
+    * ``grain.current_txn`` is restored before *every* resumption.
+      Reentrant grains interleave turns on one grain instance, so
+      without this a method resuming after a wait would read (and
+      charge its writes to) whichever transaction ran last — the
+      actor-runtime analogue of async-local context flow.
+    * A crashed silo is fail-stop: once the activation is defunct the
+      body is never resumed (the generator is closed instead), so no
+      side effect — nested call, publish, write — leaks from beyond
+      the grave.  The caller's promise was failed at crash time.
+    """
+
+    __slots__ = ("method", "args", "kwargs", "promise", "txn",
+                 "reply_latency", "ref", "attempts", "activation",
+                 "generator")
+
+    def __init__(self, method: str, args: tuple, kwargs: dict,
+                 promise: "Event", txn: object | None,
+                 reply_latency: float, ref: "GrainRef | None" = None,
+                 attempts: int = 0) -> None:
+        self.method = method
+        self.args = args
+        self.kwargs = kwargs
+        self.promise = promise
+        self.txn = txn
+        self.reply_latency = reply_latency
+        #: Grain reference, kept so the cluster can re-place the message
+        #: after a membership change (None for activation-local timer
+        #: ticks, which die with their activation).
+        self.ref = ref
+        #: Delivery attempts so far; rerouting is bounded by the cluster.
+        self.attempts = attempts
+        #: The activation serving this message, set when its turn starts.
+        self.activation: "Activation | None" = None
+        self.generator: typing.Generator | None = None
+
+    def _run(self, _event: "Event") -> None:
+        """The CPU hold is over: run the method body."""
+        activation = self.activation
+        if activation.defunct:
+            return  # crashed while waiting for a core; promise failed
+        grain = activation.grain
+        method = getattr(grain, self.method, None)
+        if method is None or not callable(method):
+            self._reply(GrainCallError(
+                f"{type(grain).__name__} has no method {self.method!r}"),
+                ok=False)
+            return
+        grain.current_txn = self.txn
+        try:
+            result = method(*self.args, **self.kwargs)
+        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(exc, ok=False)
+            return
+        if type(result) is _GeneratorType:
+            self.generator = result
+            # The hold event is an ordinary success carrying None:
+            # resuming on it is the generator's first ``send(None)``.
+            self._resume(_event)
+        else:
+            self._reply(result)
+
+    def _resume(self, event: "Event") -> None:
+        """Advance the body to its next wait (or its end); the callback
+        on every event the method yields."""
+        activation = self.activation
+        generator = self.generator
+        if activation.defunct:
+            event.defuse()  # a failure meant for the abandoned body
+            generator.close()
+            return
+        activation.grain.current_txn = self.txn
+        try:
+            if event._ok:
+                target = generator.send(event._value)
+            else:
+                event.defuse()
+                target = generator.throw(event._value)
+        except StopIteration as stop:
+            self._reply(stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
+            self._reply(exc, ok=False)
+            return
+        if not isinstance(target, Event):
+            generator.close()
+            self._reply(RuntimeError(
+                f"{self.method!r} yielded {target!r}, "
+                f"which is not an Event"), ok=False)
+        elif target.callbacks is not None:
+            target.callbacks.append(self._resume)
+        else:
+            # Already fired: resume on the next kernel step, exactly
+            # as a process waiting on a processed event would.
+            activation.env.call_after(
+                0.0, lambda _event: self._resume(target))
+
+    def _reply(self, value: object, ok: bool = True) -> None:
+        """End the turn: answer the caller, start the next message."""
+        activation = self.activation
+        activation.grain.current_txn = None
+        activation.inflight.discard(self)
+        if ok:
+            activation.processed += 1
+        promise = self.promise
+        if promise._value is PENDING:
+            # The promise itself travels back: triggered now, fired at
+            # arrival.  (Already triggered: the silo crashed under this
+            # call and failed it; no late outcome escapes a dead silo.)
+            promise.trigger_after(self.reply_latency, value, ok)
+        if activation.mailbox:
+            activation._pump()
 
 
 class Activation:
@@ -73,7 +179,7 @@ class Activation:
 
     No process serves the mailbox: a message that may start at once
     (always on a reentrant grain, when nothing is mid-execution
-    otherwise) becomes a :class:`_Turn` in the delivery callback, and a
+    otherwise) starts its turn in the delivery callback, and a
     finishing turn starts the next queued message itself.
     """
 
@@ -115,8 +221,16 @@ class Activation:
     # ------------------------------------------------------------------
     def enqueue(self, message: Message) -> None:
         self.last_activity = self.env.now
-        self.mailbox.append(message)
-        self._pump()
+        if (self.mailbox or not self.started or self.defunct
+                or (self.inflight and not self.grain.reentrant)):
+            # Whatever holds it up — ``_start``, or the turn in flight
+            # that a non-empty mailbox implies — pumps the mailbox.
+            self.mailbox.append(message)
+        else:
+            # The common case: charge the CPU cost, as ``_pump`` would.
+            message.activation = self
+            self.inflight.add(message)
+            self.silo.cpu.hold(self.grain.cpu_cost, message._run)
 
     def _pump(self) -> None:
         """Start every queued message that may run now: all of them on
@@ -126,7 +240,10 @@ class Activation:
         mailbox = self.mailbox
         reentrant = self.grain.reentrant
         while mailbox and (reentrant or not self.inflight):
-            _Turn(self, mailbox.popleft())
+            message = mailbox.popleft()
+            message.activation = self
+            self.inflight.add(message)
+            self.silo.cpu.hold(self.grain.cpu_cost, message._run)
 
     # ------------------------------------------------------------------
     # grain timers (Orleans RegisterTimer analogue)
@@ -150,9 +267,7 @@ class Activation:
                 return
             promise = self.env.event()
             self.grain.cluster.track_oneway(promise)
-            self.enqueue(Message(method=method, args=args, kwargs=kwargs,
-                                 promise=promise, txn=None,
-                                 reply_latency=0.0))
+            self.enqueue(Message(method, args, kwargs, promise, None, 0.0))
 
     # ------------------------------------------------------------------
     def _start(self):
@@ -178,114 +293,6 @@ class Activation:
         self._pump()
 
 
-class _Turn:
-    """One message's execution on an activation: CPU charge, method
-    body, reply — driven by kernel callbacks, not by a process.
-
-    A grain method that never waits costs three timeline entries
-    (delivery, CPU hold, the reply carrying the caller's promise); a
-    generator method adds exactly the events it yields.  Two rules of
-    the actor model live here:
-
-    * ``grain.current_txn`` is restored before *every* resumption.
-      Reentrant grains interleave turns on one grain instance, so
-      without this a method resuming after a wait would read (and
-      charge its writes to) whichever transaction ran last — the
-      actor-runtime analogue of async-local context flow.
-    * A crashed silo is fail-stop: once the activation is defunct the
-      body is never resumed (the generator is closed instead), so no
-      side effect — nested call, publish, write — leaks from beyond
-      the grave.  The caller's promise was failed at crash time.
-    """
-
-    __slots__ = ("activation", "message", "generator")
-
-    def __init__(self, activation: Activation, message: Message) -> None:
-        self.activation = activation
-        self.message = message
-        self.generator: typing.Generator | None = None
-        activation.inflight.add(message)
-        # Charge the method's CPU cost on this silo's cores.
-        activation.silo.cpu.hold(activation.grain.cpu_cost, self._run)
-
-    def _run(self, _event: "Event") -> None:
-        activation = self.activation
-        if activation.defunct:
-            return  # crashed while waiting for a core; promise failed
-        grain = activation.grain
-        message = self.message
-        method = getattr(grain, message.method, None)
-        if method is None or not callable(method):
-            self._reply(GrainCallError(
-                f"{type(grain).__name__} has no method {message.method!r}"),
-                ok=False)
-            return
-        grain.current_txn = message.txn
-        try:
-            result = method(*message.args, **message.kwargs)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(exc, ok=False)
-            return
-        if type(result) is _GeneratorType:
-            self.generator = result
-            # The hold event is an ordinary success carrying None:
-            # resuming on it is the generator's first ``send(None)``.
-            self._resume(_event)
-        else:
-            self._reply(result)
-
-    def _resume(self, event: "Event") -> None:
-        """Advance the body to its next wait (or its end); the callback
-        on every event the method yields."""
-        activation = self.activation
-        generator = self.generator
-        if activation.defunct:
-            event.defuse()  # a failure meant for the abandoned body
-            generator.close()
-            return
-        activation.grain.current_txn = self.message.txn
-        try:
-            if event._ok:
-                target = generator.send(event._value)
-            else:
-                event.defuse()
-                target = generator.throw(event._value)
-        except StopIteration as stop:
-            self._reply(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(exc, ok=False)
-            return
-        if not isinstance(target, Event):
-            generator.close()
-            self._reply(RuntimeError(
-                f"{self.message.method!r} yielded {target!r}, "
-                f"which is not an Event"), ok=False)
-        elif target.callbacks is not None:
-            target.callbacks.append(self._resume)
-        else:
-            # Already fired: resume on the next kernel step, exactly
-            # as a process waiting on a processed event would.
-            activation.env.call_after(
-                0.0, lambda _event: self._resume(target))
-
-    def _reply(self, value: object, ok: bool = True) -> None:
-        """End the turn: answer the caller, start the next message."""
-        activation = self.activation
-        message = self.message
-        activation.grain.current_txn = None
-        activation.inflight.discard(message)
-        if ok:
-            activation.processed += 1
-        if not message.promise.triggered:
-            # The promise itself travels back: triggered now, fired at
-            # arrival.  (Already triggered: the silo crashed under this
-            # call and failed it; no late outcome escapes a dead silo.)
-            message.promise.trigger_after(message.reply_latency, value, ok)
-        if activation.mailbox:
-            activation._pump()
-
-
 class Silo:
     """One node of the cluster: CPU cores plus hosted activations."""
 
@@ -295,7 +302,6 @@ class Silo:
         self.cpu = Resource(env, capacity=cores)
         self.state = SiloState.RUNNING
         self.activations: dict[tuple[str, str], Activation] = {}
-        self.messages_received = 0
         #: Set by the cluster so activation bookkeeping reaches the
         #: grain directory (None for silos used standalone in tests).
         self.directory: "GrainDirectory | None" = None
@@ -304,14 +310,18 @@ class Silo:
     # lifecycle
     # ------------------------------------------------------------------
     @property
-    def alive(self) -> bool:
-        """Processing work (running or finishing a drain)."""
-        return self.state in (SiloState.RUNNING, SiloState.DRAINING)
+    def state(self) -> str:
+        """Lifecycle state; assigning it sets ``alive`` and
+        ``accepting_activations``, which routing reads per message."""
+        return self._state
 
-    @property
-    def accepting_activations(self) -> bool:
-        """Willing to host *new* activations."""
-        return self.state == SiloState.RUNNING
+    @state.setter
+    def state(self, state: str) -> None:
+        self._state = state
+        #: Processing work (running or finishing a drain).
+        self.alive = state in (SiloState.RUNNING, SiloState.DRAINING)
+        #: Willing to host *new* activations.
+        self.accepting_activations = state == SiloState.RUNNING
 
     def crash(self) -> tuple[list[Message], list[Activation]]:
         """Fail-stop this silo.

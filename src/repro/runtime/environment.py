@@ -63,7 +63,9 @@ class Environment:
     PRIORITY_NORMAL = 1
 
     def __init__(self, seed: int = 0) -> None:
-        self._now: float = 0.0
+        #: Current simulated time (seconds).  A plain attribute that the
+        #: kernel alone writes; everything else only reads it.
+        self.now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         #: Same-tick fast path: ``(seq, event)`` pairs for zero-delay,
         #: normal-priority schedules.  Entries can only fire at the
@@ -87,22 +89,19 @@ class Environment:
     # time & scheduling
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self._now
-
-    @property
     def active_process(self) -> Process | None:
         return self._active_process
 
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = PRIORITY_NORMAL) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
+        if not delay >= 0:
+            raise ValueError(f"negative delay {delay}")
         self._seq = seq = self._seq + 1
         if delay == 0.0 and priority == 1:
             self._bucket.append((seq, event))
         else:
-            _heappush(self._queue, (self._now + delay, priority, seq, event))
+            _heappush(self._queue, (self.now + delay, priority, seq, event))
 
     def acquire_event(self) -> PooledEvent:
         """Check a pending event out of the kernel free-list.
@@ -137,17 +136,19 @@ class Environment:
         event._value = None
         event.callbacks.append(callback)  # type: ignore[union-attr]
         self._seq = seq = self._seq + 1
-        if delay == 0.0:
+        if delay > 0.0:
+            _heappush(self._queue, (self.now + delay, 1, seq, event))
+        elif delay == 0.0:
             self._bucket.append((seq, event))
         else:
-            _heappush(self._queue, (self._now + delay, 1, seq, event))
+            raise ValueError(f"negative delay {delay}")
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         # A non-empty bucket always holds events due *now*; heap entries
         # are never earlier than now, so now is the minimum.
         if self._bucket:
-            return self._now
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -160,14 +161,14 @@ class Environment:
             # sequence number (possible for a delayed event maturing
             # exactly now, or a priority-0 interrupt).
             head = queue[0] if queue else None
-            if (head is not None and head[0] == self._now
+            if (head is not None and head[0] == self.now
                     and (head[1] < 1
                          or (head[1] == 1 and head[2] < bucket[0][0]))):
-                self._now, _, _, event = _heappop(queue)
+                self.now, _, _, event = _heappop(queue)
             else:
                 _, event = bucket.popleft()
         elif queue:
-            self._now, _, _, event = _heappop(queue)
+            self.now, _, _, event = _heappop(queue)
         else:
             raise RuntimeError("no scheduled events")
         self.events_processed += 1
@@ -205,9 +206,9 @@ class Environment:
                     lambda event: event.defuse() if not event.ok else None)
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if stop_time < self.now:
                 raise ValueError(
-                    f"until={stop_time} lies in the past (now={self._now})")
+                    f"until={stop_time} lies in the past (now={self.now})")
 
         # The dispatch body is intentionally inlined three times below
         # (bucket, lone non-normal-priority pop, batched drain): this
@@ -225,11 +226,11 @@ class Environment:
                     break
                 if bucket:
                     head = queue[0] if queue else None
-                    if (head is not None and head[0] == self._now
+                    if (head is not None and head[0] == self.now
                             and (head[1] < 1
                                  or (head[1] == 1
                                      and head[2] < bucket[0][0]))):
-                        self._now, _, _, event = _heappop(queue)
+                        self.now, _, _, event = _heappop(queue)
                     else:
                         _, event = pop_bucket()
                     processed += 1
@@ -255,9 +256,9 @@ class Environment:
                 head = queue[0]
                 time = head[0]
                 if time > stop_time:
-                    self._now = stop_time
+                    self.now = stop_time
                     break
-                self._now = time
+                self.now = time
                 if head[1] != 1:
                     # Non-normal priority (process interrupts): dispatch
                     # singly so normal-priority events scheduled by its
@@ -328,9 +329,9 @@ class Environment:
                 stop_event.defuse()
                 raise typing.cast(BaseException, stop_event._value)
             return stop_event.value
-        if (until is not None and self._now < stop_time
+        if (until is not None and self.now < stop_time
                 and not self._queue and not self._bucket):
-            self._now = stop_time
+            self.now = stop_time
         return None
 
     # ------------------------------------------------------------------

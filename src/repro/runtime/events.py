@@ -99,15 +99,19 @@ class Event:
         """
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = ok
-        self._value = value
-        # Inlined env.schedule(self, delay) — see succeed().
+        # Inlined env.schedule(self, delay) — see succeed() — before the
+        # outcome is stored: a rejected delay leaves the event pending.
         env = self.env
-        env._seq = seq = env._seq + 1
-        if delay == 0.0:
+        seq = env._seq + 1
+        if delay > 0.0:
+            _heappush(env._queue, (env.now + delay, 1, seq, self))
+        elif delay == 0.0:
             env._bucket.append((seq, self))
         else:
-            _heappush(env._queue, (env._now + delay, 1, seq, self))
+            raise ValueError(f"negative delay {delay}")
+        env._seq = seq
+        self._ok = ok
+        self._value = value
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the kernel will not re-raise."""
@@ -160,7 +164,7 @@ class Timeout(Event):
         if delay == 0.0:
             env._bucket.append((seq, self))
         else:
-            _heappush(env._queue, (env._now + delay, 1, seq, self))
+            _heappush(env._queue, (env.now + delay, 1, seq, self))
 
 
 class ConditionValue:

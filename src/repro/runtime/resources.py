@@ -60,6 +60,7 @@ class Resource:
         return len(self._waiting)
 
     def _account(self) -> None:
+        # Inlined at the per-message sites below; keep them identical.
         now = self.env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
@@ -90,7 +91,9 @@ class Resource:
 
     def _release_slot(self) -> None:
         """Free one slot and grant queued waiters (shared bookkeeping)."""
-        self._account()
+        now = self.env.now  # _account(), inline: once per message
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
         self._in_use -= 1
         while self._waiting and self._in_use < self.capacity:
             waiter = self._waiting.popleft()
@@ -118,7 +121,9 @@ class Resource:
         abandoned waiter never strands a slot.
         """
         if self._in_use < self.capacity:
-            self._account()
+            now = self.env.now  # _account(), inline
+            self._busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
             try:
                 yield self.env.timeout(duration)
@@ -146,11 +151,19 @@ class Resource:
         released, whatever became of the caller meanwhile.
         """
         def held(event: Event) -> None:
-            self._release_slot()
+            if self._waiting:
+                self._release_slot()
+            else:  # the same with nobody to grant, inline
+                now = self.env.now
+                self._busy_time += self._in_use * (now - self._last_change)
+                self._last_change = now
+                self._in_use -= 1
             then(event)
 
         if self._in_use < self.capacity:
-            self._account()
+            now = self.env.now  # _account(), inline
+            self._busy_time += self._in_use * (now - self._last_change)
+            self._last_change = now
             self._in_use += 1
             self.env.call_after(duration, held)
         else:

@@ -395,6 +395,62 @@ def test_utilisation_reporting():
     assert all(value == 0.0 for value in usage.values())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("local_latency", -0.001),
+    ("remote_latency", -0.001),
+    ("remote_jitter", -0.001),
+    ("failure_detection_delay", -1.0),
+    ("remote_latency", float("nan")),
+    ("handoff_poll", 0.0),
+    ("working_set_sweep", 0.0),
+    ("working_set_sweep", -0.05),
+    ("drop_probability", -0.1),
+    ("drop_probability", 1.1),
+    ("silos", 0),
+    ("cores_per_silo", 0),
+    ("max_delivery_attempts", 0),
+    ("activation_limit", 0),
+])
+def test_cluster_config_rejects_out_of_range_values(field, value):
+    # A negative latency used to construct, heap-push deliveries into
+    # the past and let ``env.now`` run backwards.
+    with pytest.raises(ValueError, match=field):
+        ClusterConfig(**{field: value})
+
+
+def test_cluster_config_accepts_defaults_boundaries_and_the_catalogue():
+    from repro.core.scenarios import SCENARIOS
+
+    ClusterConfig()
+    # Zero is a legal latency, 0 and 1 legal drop rates, None no limit.
+    ClusterConfig(local_latency=0.0, remote_latency=0.0, remote_jitter=0.0,
+                  failure_detection_delay=0.0, drop_probability=1.0,
+                  silos=1, cores_per_silo=1, max_delivery_attempts=1,
+                  activation_limit=1)
+    for scenario in SCENARIOS.values():
+        config = ClusterConfig(
+            silos=scenario.effective_silos,
+            cores_per_silo=scenario.effective_cores,
+            drop_probability=scenario.drop_probability,
+            activation_limit=scenario.activation_limit)
+        assert config.silos >= 1, scenario.name
+
+
+def test_two_clusters_in_one_process_build_equal_rings():
+    # Ring points are memoised per (silo name, virtual nodes): the
+    # second cluster reuses the first one's digests.
+    _, first = make_cluster(silos=4)
+    _, second = make_cluster(seed=2, silos=4)
+    assert first.placement._hashes == second.placement._hashes
+    assert ([silo.name for _, silo in first.placement._ring]
+            == [silo.name for _, silo in second.placement._ring])
+    # Equal to a ring built without the memo.
+    from repro.actors.placement import _hash
+    assert first.placement._hashes == sorted(
+        _hash(f"silo-{silo}#{node}")
+        for silo in range(4) for node in range(64))
+
+
 class TestTimers:
     def test_timer_ticks_through_mailbox(self):
         class Ticker(Grain):

@@ -6,19 +6,25 @@ A grain turn, a 2PC round and a statefun delivery run as pooled
 that restructuring here, all as exact counts or exact float times read
 from the kernel (``env.events_processed``, ``env.now``):
 
-* the *budget*: a call to a method that never waits costs 3 events, a
-  committed transaction's 2PC 8 events whatever the participant count;
+* the *budget*: a call to a method that never waits costs 3 events
+  and at most 24 Python frames of ``repro.actors`` + ``repro.runtime``,
+  a committed transaction's 2PC 8 events whatever the participant
+  count;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
   (that model is kept below as the reference);
 * the *crash matrix*: a silo dying under a turn at each of its three
   states yields exactly one outcome per caller and never resumes the
-  abandoned body.
+  abandoned body; the message is its own turn, so the same object is
+  followed from a dying silo's mailbox to its new owner.
 """
+
+import cProfile
 
 import pytest
 
 from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
+from repro.actors.silo import SiloState
 from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
 from repro.runtime import Environment
 from repro.runtime.process import Process
@@ -86,6 +92,47 @@ def test_a_waiting_method_adds_exactly_its_own_events():
     cluster = Cluster(env, ClusterConfig())
     ref = cluster.grain_ref(Reentrant, "k")
     assert events_for(env, ref.call("waits", 0.001)) == 3 + 1
+
+
+#: Python frames (cProfile, builtins off) of ``repro.actors`` and
+#: ``repro.runtime`` code per warm ``env.run(until=ref.call("plain"))``.
+#: Measured 21: 15 for the call — ref.call, dispatch, the promise's and
+#: the message's ``__init__``, _route, _target_for, call_after,
+#: _deliver, enqueue, hold, call_after, held, _run, _reply,
+#: trigger_after — and 6 for the ``run(until=…)`` wrapper.  It was 37
+#: while a call was a message, a turn and two closures.  ``<=`` because
+#: interpreters differ in what they inline.
+MAX_FRAMES_PER_CALL = 24
+#: Pure reads of kernel state: attribute loads, never frames.
+READ_ONLY_FRAMES = {"now", "type_name", "alive", "_account"}
+#: The fused path itself: exactly one frame of each per call.
+FUSED_PATH = ("dispatch", "_route", "_deliver", "enqueue", "hold", "held",
+              "_run", "_reply")
+
+
+def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig())
+    ref = cluster.grain_ref(Plain, "k")
+    for _ in range(10):
+        env.run(until=ref.call("plain"))
+    calls = 1000
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    for _ in range(calls):
+        env.run(until=ref.call("plain"))
+    profiler.disable()
+    frames = {}
+    for entry in profiler.getstats():
+        filename = entry.code.co_filename.replace("\\", "/")
+        if "repro/actors/" in filename or "repro/runtime/" in filename:
+            name = entry.code.co_name
+            frames[name] = frames.get(name, 0) + entry.callcount
+    assert not READ_ONLY_FRAMES & set(frames), frames
+    per_call = sum(frames.values()) / calls
+    assert per_call <= MAX_FRAMES_PER_CALL, (per_call, frames)
+    assert ({name: frames[name] for name in FUSED_PATH}
+            == dict.fromkeys(FUSED_PATH, calls))
 
 
 def test_statefun_message_costs_one_delivery_event():
@@ -297,7 +344,7 @@ def test_participants_are_visited_in_enlistment_order():
 
 
 # ---------------------------------------------------------------------------
-# (c) crash matrix for the turn object
+# (c) crash matrix for the message that is its own turn
 # ---------------------------------------------------------------------------
 class Witness(Grain):
     """Records how far each body got; class-level so that it survives
@@ -411,3 +458,142 @@ def test_crash_after_the_reply_left_delivers_the_result_once():
     env.run()
     assert seen == [key]
     assert cluster.membership.unavailable_failures == 0
+
+
+class Slow(Grain):
+    """Non-reentrant; keeps its core for 10 ms a call."""
+
+    cpu_cost = 0.01
+    served: list = []
+
+    def serve(self, tag):
+        self.served.append((tag, self.silo.name, self.env.now))
+        return tag
+
+    def tick(self):
+        self.served.append(("tick", self.silo.name, self.env.now))
+
+
+def test_message_queued_on_a_crashing_silo_is_replaced_as_the_same_object():
+    Slow.served = []
+    env, cluster, _ = crash_cluster()
+    ref = cluster.grain_ref(Slow, "s")
+    victim = cluster.silo_for(ref)
+    (survivor,) = [silo for silo in cluster.silos if silo is not victim]
+    outcomes = {tag: outcomes_of(ref.call("serve", tag))
+                for tag in ("x", "y")}
+    env.run(until=0.005)
+    old = victim.activations[ref.ident]
+    # Whichever arrived first (the wire jitters) holds the grain's only
+    # turn; the other waits in the mailbox, not yet anyone's turn.
+    (running,), (queued,) = old.inflight, old.mailbox
+    assert running.activation is old and queued.activation is None
+    cluster.crash_silo(victim)
+    env.run()
+    new = survivor.activations[ref.ident]
+    (failure,) = outcomes[running.args[0]]
+    assert isinstance(failure, SiloUnavailable)
+    assert outcomes[queued.args[0]] == [queued.args[0]]
+    # The very object that sat in the dead mailbox ran, once, on the
+    # new owner; the one caught mid-turn never ran anywhere.
+    assert queued.activation is new and queued.attempts == 2
+    assert running.activation is old
+    assert [(tag, silo) for tag, silo, _ in Slow.served] == [
+        (queued.args[0], survivor.name)]
+    assert new.processed == 1 and not new.inflight and not new.mailbox
+    assert cluster.membership.reroutes == 1
+
+
+def test_timer_tick_queued_on_a_crashing_silo_dies_with_it():
+    Slow.served = []
+    env, cluster, _ = crash_cluster()
+    ref = cluster.grain_ref(Slow, "s")
+    victim = cluster.silo_for(ref)
+    cluster.activation_of(ref).register_timer(0.004, "tick")
+    blocker = outcomes_of(ref.call("serve", "blocker"))
+    env.run(until=0.005)
+    activation = victim.activations[ref.ident]
+    # The 4 ms tick found the grain busy and queued behind the call.
+    (tick,) = activation.mailbox
+    assert tick.ref is None and tick.method == "tick"
+    cluster.crash_silo(victim)
+    env.run(until=1.0)  # the tick's failure must not surface
+    assert tick.promise.processed and not tick.promise.ok
+    assert tick.activation is None and Slow.served == []
+    assert isinstance(blocker[0], SiloUnavailable)
+    assert cluster.membership.reroutes == 0
+
+
+#: ``state`` -> (``alive``, ``accepting_activations``), for every
+#: state of the diagram in ``repro/actors/silo.py``.
+FLAGS = {SiloState.RUNNING: (True, True),
+         SiloState.DRAINING: (True, False),
+         SiloState.STOPPED: (False, False),
+         SiloState.CRASHED: (False, False)}
+
+
+def flags_of(silo):
+    return silo.alive, silo.accepting_activations
+
+
+def test_liveness_flags_move_with_state_on_every_transition():
+    env, cluster, keys = crash_cluster()
+    drained, crashed = cluster.silos
+    assert drained.state == crashed.state == SiloState.RUNNING
+    assert flags_of(drained) == FLAGS[SiloState.RUNNING]
+    # running -> draining -> stopped, with work still queued on it.
+    busy = cluster.grain_ref(Witness, keys[drained][0]).call("quick")
+    env.run(until=0.001)
+    drain = cluster.drain_silo(drained)
+    assert drained.state == SiloState.DRAINING
+    assert flags_of(drained) == FLAGS[SiloState.DRAINING]
+    assert cluster.live_silos == [drained, crashed]
+    assert cluster.drain_candidate() == crashed.name
+    env.run(until=drain)
+    assert busy.ok and drained.state == SiloState.STOPPED
+    assert flags_of(drained) == FLAGS[SiloState.STOPPED]
+    # running -> crashed.
+    cluster.crash_silo(crashed)
+    assert crashed.state == SiloState.CRASHED
+    assert flags_of(crashed) == FLAGS[SiloState.CRASHED]
+    assert cluster.live_silos == [] and cluster.drain_candidate() is None
+    # Any writer goes through the setter; there is no way to set the
+    # state without the flags following.
+    for state, flags in FLAGS.items():
+        drained.state = state
+        assert flags_of(drained) == flags
+
+
+def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
+    Slow.served = []
+    env = Environment(seed=1)
+    # No jitter: the wire keeps send order, so arrival order is known.
+    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=4,
+                                         remote_jitter=0.0))
+    ref = cluster.grain_ref(Slow, "s")
+    activation = cluster.activation_of(ref)
+    replies = []
+
+    def send(tag):
+        ref.call("serve", tag).callbacks.append(
+            lambda event: replies.append(event.value))
+
+    # Three at once, then one that lands while the first turn holds
+    # its core and one while the second does: free cores never let a
+    # later message overtake a queued one.
+    for tag in "abc":
+        send(tag)
+    env.run(until=0.005)
+    assert len(activation.inflight) == 1 and len(activation.mailbox) == 2
+    send("d")
+    env.run(until=0.015)
+    send("e")
+    assert [message.args[0] for message in activation.mailbox] == ["c", "d"]
+    env.run()
+    assert [tag for tag, _, _ in Slow.served] == list("abcde")
+    assert replies == list("abcde")
+    # Only the first found the grain idle and started in ``enqueue``;
+    # each later turn was started by the one finishing before it.
+    times = [time for _, _, time in Slow.served]
+    assert times == sorted(times) and len(set(times)) == 5
+    assert activation.processed == 5 and not activation.mailbox

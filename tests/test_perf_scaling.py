@@ -27,11 +27,16 @@ from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 761 -> 681 (start-up cost amortises, nothing grows);
+#: Measured: 612 -> 540 (start-up cost amortises, nothing grows);
 #: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %,
 #: against 1 162 -> 1 043 at the time) over the same span, but only
 #: +4 % up to 0.4 — hence the long cell.
 MAX_GROWTH = 1.10
+
+#: Python calls per committed transaction at ``duration_scale`` 0.8.
+#: Measured 540; 679 while a grain call was a message, a turn and two
+#: closures reading kernel state through properties.
+MAX_CALLS_PER_TX = 600
 
 
 #: Kernel events and ``Process`` objects per committed transaction.
@@ -74,6 +79,10 @@ def test_calls_per_tx_do_not_grow_with_run_length():
         f"calls/tx grew {long / short:.2f}x between duration_scale 0.1 "
         f"({short:.0f}) and 0.8 ({long:.0f}); an O(state) copy or scan "
         f"is back on the hot path")
+    assert long <= MAX_CALLS_PER_TX, (
+        f"{long:.0f} Python calls per transaction: wrapper frames are "
+        f"back on the grain-call path (see the frame budget in "
+        f"test_event_budgets.py)")
 
 
 @pytest.mark.parametrize("duration_scale", [0.1, 0.8])

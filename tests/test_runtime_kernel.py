@@ -317,6 +317,23 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+def test_no_scheduling_call_accepts_a_negative_delay():
+    env = Environment()
+    env.run(until=1.0)
+    event = env.event()
+    for schedule in (
+            lambda: env.call_after(-0.5, lambda _event: None),
+            lambda: event.trigger_after(-0.5, "early"),
+            lambda: event.trigger_after(float("nan"), "never"),
+            lambda: env.schedule(env.event(), delay=-0.5)):
+        with pytest.raises(ValueError, match="negative delay|nan"):
+            schedule()
+    # Nothing was queued, and the rejected event is still pending.
+    assert env.peek() == float("inf") and not event.triggered
+    event.trigger_after(0.5, "on time")
+    assert env.run(until=event) == "on time" and env.now == 1.5
+
+
 def test_rng_streams_are_deterministic_and_independent():
     env1 = Environment(seed=7)
     env2 = Environment(seed=7)
