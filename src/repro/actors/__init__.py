@@ -1,9 +1,10 @@
 """Virtual-actor runtime in the style of Microsoft Orleans.
 
 Grains are single-threaded virtual actors addressed by (type, key);
-they are activated on demand on one of the cluster's silos, process one
-message at a time (turn-based concurrency), and may persist state via a
-grain-storage provider.  The runtime models network latency between
+they are activated on demand on one of the cluster's silos and process
+one message at a time (turn-based concurrency).  Their state lives in
+memory: under an activation budget the working-set pager moves quiet
+grains' state out and back.  The runtime models network latency between
 silos and CPU service time on each silo's cores, which is what produces
 realistic saturation behaviour in the benchmark results.
 
@@ -23,7 +24,6 @@ from repro.actors.errors import (
 from repro.actors.grain import Grain, GrainRef
 from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Silo, SiloState
-from repro.actors.storage import GrainStorage, MemoryGrainStorage
 
 __all__ = [
     "Cluster",
@@ -34,9 +34,7 @@ __all__ = [
     "GrainDirectory",
     "GrainError",
     "GrainRef",
-    "GrainStorage",
     "MembershipStats",
-    "MemoryGrainStorage",
     "NoLiveSilos",
     "Silo",
     "SiloState",

@@ -3,12 +3,11 @@
 Membership is dynamic.  :meth:`Cluster.add_silo` grows the cluster at
 runtime (existing grains whose placement moved are handed off to the
 new owner), :meth:`Cluster.drain_silo` retires a silo gracefully
-(storage-backed state persisted, activations deactivated, placement
-updated first so no new work arrives) and :meth:`Cluster.crash_silo`
-fail-stops one: queued messages are re-placed onto surviving silos,
-mid-execution calls fail with ``SiloUnavailable`` and volatile grain
-state is discarded — the next activation re-reads storage or, for
-non-persistent grains, starts empty (counted as a state-loss anomaly).
+(placement updated first so no new work arrives, then every activation
+live-migrated with its state) and :meth:`Cluster.crash_silo` fail-stops
+one: queued messages are re-placed onto surviving silos, mid-execution
+calls fail with ``SiloUnavailable`` and grain state is discarded — the
+next activation starts empty (counted as a state-loss anomaly).
 
 Routing tolerates membership churn: every message snapshots the
 placement epoch when it is sent; if the ring changed while the message
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import typing
 
 from repro.actors.errors import (
@@ -33,7 +31,6 @@ from repro.actors.errors import (
 from repro.actors.grain import Grain, GrainRef
 from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
-from repro.actors.storage import GrainStorage, MemoryGrainStorage
 from repro.broker import Broker
 from repro.cow import clone as cow_clone
 from repro.runtime.events import Event
@@ -72,10 +69,9 @@ class ClusterConfig:
     failure_detection_delay: float = 1.0
     #: Working-set budget: max resident activations per silo.  None
     #: (the default) keeps the historical grow-forever behaviour.
-    #: Under a budget, a periodic sweep deactivates least-recently-used
-    #: quiet grains above the limit: storage-backed state persists to
-    #: its own provider, volatile pageable state to the pager store;
-    #: re-activation transparently re-reads it.
+    #: Under a budget, a periodic sweep pages least-recently-used quiet
+    #: grains above the limit out to the pager store; re-activation
+    #: transparently reads them back.
     activation_limit: int | None = None
     #: Sweep interval of the working-set eviction loop.
     working_set_sweep: float = 0.05
@@ -115,12 +111,12 @@ class MembershipStats:
     #: Calls failed with SiloUnavailable (crash mid-execution, retry
     #: budget exhausted, or an empty ring).
     unavailable_failures: int = 0
-    #: Non-persistent activations whose state was destroyed: discarded
-    #: by a crash, or orphaned by a handoff with no surviving owner
-    #: (the measurable anomaly of the fault scenarios).
+    #: Activations whose state was destroyed: discarded by a crash, or
+    #: orphaned by a handoff with no surviving owner (the measurable
+    #: anomaly of the fault scenarios).
     state_loss_events: int = 0
-    #: Non-persistent activations live-migrated with their in-memory
-    #: state intact (drain or post-join rebalancing).
+    #: Activations live-migrated with their in-memory state intact
+    #: (drain or post-join rebalancing).
     volatile_handoffs: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -135,7 +131,7 @@ class WorkingSetStats:
     activations: int = 0
     #: Activations deactivated by the working-set sweep.
     evictions: int = 0
-    #: Re-activations that restored paged volatile state.
+    #: Re-activations that restored paged state.
     reloads: int = 0
     #: High-water mark of concurrently resident activations.
     peak_resident: int = 0
@@ -145,12 +141,12 @@ class WorkingSetStats:
 
 
 class _WorkingSetPager:
-    """Holds paged-out volatile grain state (models external storage).
+    """Holds paged-out grain state (models external storage).
 
     Payloads are detached clones on both sides of the boundary, so a
-    resident grain and its paged copy can never alias.  Latencies mirror
-    the default grain storage: eviction pays a write, re-activation a
-    read — the cost that makes an activation budget a real trade-off.
+    resident grain and its paged copy can never alias.  Eviction pays a
+    write, re-activation a read — the cost that makes an activation
+    budget a real trade-off.
     """
 
     def __init__(self, env: "Environment",
@@ -184,9 +180,6 @@ class _WorkingSetPager:
         payload = self._data.get(ident)
         return cow_clone(payload) if payload is not None else None
 
-    def idents(self) -> list[tuple[str, str]]:
-        return list(self._data)
-
 
 class Cluster:
     """A set of silos with consistent-hash placement and a broker."""
@@ -212,13 +205,10 @@ class Cluster:
         self._silo_ids = 0
         for _ in range(self.config.silos):
             self._new_silo()
-        self._storages: dict[str, GrainStorage] = {
-            "default": MemoryGrainStorage(env, "default")}
         self._grain_types: dict[str, type[Grain]] = {}
         self._rng = env.rng("cluster")
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.collections = 0
         self.membership = MembershipStats()
         #: Timeline of membership events: (time, event, silo name).
         self.membership_log: list[tuple[float, str, str]] = []
@@ -230,10 +220,10 @@ class Cluster:
         #: successful evictions register here, so an eviction aborted
         #: mid-write can never resurrect a stale snapshot.
         self._paged: set[tuple[str, str]] = set()
-        self._activation_limit: int | None = None
         if self.config.activation_limit is not None:
-            self.enable_working_set_limit(self.config.activation_limit,
-                                          self.config.working_set_sweep)
+            env.process(self._working_set_loop(
+                self.config.activation_limit,
+                self.config.working_set_sweep), name="working-set")
 
     # ------------------------------------------------------------------
     # registries
@@ -242,12 +232,6 @@ class Cluster:
         """Register a grain type (enables string-based references)."""
         self._grain_types[grain_type.__name__] = grain_type
         return grain_type
-
-    def storage(self, name: str | None) -> GrainStorage:
-        storage = self._storages.get(name or "default")
-        if storage is None:
-            raise KeyError(f"no storage provider {name!r}")
-        return storage
 
     # ------------------------------------------------------------------
     # membership
@@ -285,9 +269,7 @@ class Cluster:
 
         The placement ring is updated immediately, so new calls route
         to the new silo at once; activations the ring reassigned are
-        handed off in the background (storage-backed state persisted,
-        then deactivated so the next call re-activates on the new
-        owner).
+        live-migrated to it in the background.
         """
         silo = self._new_silo(name)
         self.membership.joins += 1
@@ -308,8 +290,8 @@ class Cluster:
         """Gracefully retire a silo (scale-in / rolling restart).
 
         Returns the drain process: it completes when every activation
-        has finished its queued work and been deactivated (persisting
-        storage-backed state), leaving the silo ``stopped``.
+        has finished its queued work and been handed off, leaving the
+        silo ``stopped``.
         """
         silo = self._resolve_silo(silo)
         if not silo.alive:
@@ -322,11 +304,11 @@ class Cluster:
                                 name=f"drain:{silo.name}")
 
     def crash_silo(self, silo: Silo | str) -> Silo:
-        """Fail-stop a silo, discarding all volatile state.
+        """Fail-stop a silo, discarding its grains' state.
 
         The silo stops processing immediately: mid-execution calls fail
-        with ``SiloUnavailable`` and non-persistent activations lose
-        their state (counted in ``membership.state_loss_events``).  The
+        with ``SiloUnavailable`` and every activation loses its state
+        (counted in ``membership.state_loss_events``).  The
         membership view only evicts the silo after
         ``failure_detection_delay``; until then the ring keeps routing
         to it and callers see unavailability — the outage window.  At
@@ -338,9 +320,8 @@ class Cluster:
             raise SiloUnavailable(f"{silo.name} is already {silo.state}")
         queued, discarded = silo.crash()
         self.membership.crashes += 1
+        self.membership.state_loss_events += len(discarded)
         for activation in discarded:
-            if activation.grain.storage_name is None:
-                self.membership.state_loss_events += 1
             if activation.inflight:
                 self.membership.unavailable_failures += \
                     len(activation.inflight)
@@ -363,12 +344,6 @@ class Cluster:
             self.placement.remove_silo(silo)
         self._log_membership("evicted", silo)
         for message in queued:
-            if message.ref is None:
-                # Activation-local timer tick: dies with its grain.
-                if not message.promise.triggered:
-                    message.promise.fail(SiloUnavailable(
-                        f"{silo.name} crashed"))
-                continue
             if message.promise.triggered:
                 continue  # the caller already saw a failure
             message.attempts += 1
@@ -418,28 +393,21 @@ class Cluster:
     def _handoff(self, silo: Silo, activation) -> typing.Generator:
         """Move one quiet activation off ``silo``.
 
-        Storage-backed grains persist and deactivate — the next call
-        re-activates from storage on the new owner (the authoritative
-        copy).  Volatile grains are *live-migrated*: the grain object
-        moves to the new owner with its in-memory state, paying one
-        state-transfer hop; only when no live owner exists is the
-        state genuinely lost.
+        The grain is *live-migrated*: the grain object moves to the new
+        owner with its in-memory state, paying one state-transfer hop.
+        Only when no live owner exists is the state lost.  Callers
+        hand over quiet activations only (empty mailbox, nothing in
+        flight).
         """
         if activation.collected:
             return
         grain = activation.grain
-        if grain.storage_name is not None:
-            done = yield from self._deactivate(silo, activation)
-            if done:
-                self.membership.migrations += 1
-            return
         type_name = type(grain).__name__
         target = self._owner_of(type_name, grain.key)
         if target is None or target is silo or not \
                 target.accepting_activations:
-            done = yield from self._deactivate(silo, activation)
-            if done:
-                self.membership.state_loss_events += 1
+            silo.deactivate(type_name, grain.key)
+            self.membership.state_loss_events += 1
             return
         # One network hop for the state transfer, then an atomic (in
         # simulated time) deactivate-and-adopt so no message can land
@@ -496,10 +464,6 @@ class Cluster:
                 raise UnknownGrainType(grain_type)
             grain_type = resolved
         return GrainRef(self, grain_type, key)
-
-    def silo_for(self, ref: GrainRef) -> Silo:
-        """The ring owner of ``ref`` (where a *new* activation goes)."""
-        return self.placement.place(ref.type_name, ref.key)
 
     def _target_for(self, ref: GrainRef) -> Silo:
         """Where to route a message: the directory pins routing to the
@@ -631,86 +595,8 @@ class Cluster:
             promise.callbacks.append(swallow)
 
     # ------------------------------------------------------------------
-    # idle activation collection (Orleans activation GC analogue)
-    # ------------------------------------------------------------------
-    def enable_idle_collection(self, max_age: float,
-                               sweep_interval: float = 1.0) -> None:
-        """Periodically deactivate grains idle longer than ``max_age``.
-
-        State of storage-backed grains is persisted before collection;
-        the next call to a collected grain transparently re-activates it
-        (virtual-actor lifecycle transparency).
-        """
-        if max_age <= 0 or sweep_interval <= 0:
-            raise ValueError("max_age and sweep_interval must be > 0")
-        self.env.process(self._collection_loop(max_age, sweep_interval),
-                         name="idle-collector")
-
-    def _collection_loop(self, max_age: float, sweep_interval: float):
-        while True:
-            yield self.env.timeout(sweep_interval)
-            for silo in self.silos:
-                if not silo.accepting_activations:
-                    continue  # draining silos hand off their own grains
-                for activation in silo.idle_activations(max_age):
-                    yield from self._collect(silo, activation)
-
-    def _collect(self, silo: Silo, activation) -> typing.Generator:
-        done = yield from self._deactivate(silo, activation)
-        if done:
-            self.collections += 1
-
-    def _deactivate(self, silo: Silo, activation) -> typing.Generator:
-        """Run deactivation hooks, persist storage-backed state and
-        drop the activation (shared by idle collection, drain and
-        post-join rebalancing).  Returns True when the activation was
-        actually dropped: a message that slips into the mailbox while
-        the hooks/persist yield aborts the deactivation (it would be
-        processed by a dead worker and its writes silently lost), and
-        the caller's sweep simply retries once the grain is quiet —
-        re-persisting, but never re-running ``on_deactivate``.
-        """
-        if activation.collected:
-            return False
-        grain = activation.grain
-        if not activation.deactivate_hook_ran:
-            hook = grain.on_deactivate()
-            if inspect.isgenerator(hook):
-                yield from hook
-            activation.deactivate_hook_ran = True
-        if grain.storage_name is not None:
-            storage = self.storage(grain.storage_name)
-            yield from storage.write(type(grain).__name__, grain.key,
-                                     grain.state)
-        if activation.collected or activation.mailbox or activation.busy:
-            return False  # changed under the hooks; retried later
-        silo.deactivate(type(grain).__name__, grain.key)
-        return True
-
-    # ------------------------------------------------------------------
     # working-set control (LRU deactivation under an activation budget)
     # ------------------------------------------------------------------
-    def enable_working_set_limit(self, activation_limit: int,
-                                 sweep_interval: float = 0.05) -> None:
-        """Keep each silo at or below ``activation_limit`` residents.
-
-        A periodic sweep deactivates least-recently-used quiet grains
-        above the budget.  Storage-backed grains persist through their
-        own provider (the existing deactivation path); volatile grains
-        that declare ``paged_attrs`` page out to the pager store and
-        are restored on re-activation.  Volatile grains that refuse to
-        page (no ``paged_attrs``, or locks held) stay resident — the
-        budget is a target, not a hard cap.
-        """
-        if activation_limit < 1:
-            raise ValueError("activation_limit must be >= 1")
-        if sweep_interval <= 0:
-            raise ValueError("sweep_interval must be > 0")
-        self._activation_limit = activation_limit
-        self.env.process(
-            self._working_set_loop(activation_limit, sweep_interval),
-            name="working-set")
-
     def note_activation(self, silo: Silo) -> None:
         """Activation-creation bookkeeping (called by the silo)."""
         stats = self.working_set
@@ -720,6 +606,14 @@ class Cluster:
             stats.peak_resident = resident
 
     def _working_set_loop(self, limit: int, sweep_interval: float):
+        """Keep each silo at or below ``limit`` residents.
+
+        Every ``sweep_interval`` the least-recently-used quiet grains
+        above the budget page out to the pager store; they are restored
+        on re-activation.  Grains that refuse to page (no
+        ``paged_attrs``, or locks held) stay resident — the budget is a
+        target, not a hard cap.
+        """
         while True:
             yield self.env.timeout(sweep_interval)
             for silo in self.silos:
@@ -743,30 +637,19 @@ class Cluster:
                              activation) -> typing.Generator:
         """Evict one activation under the working-set budget.
 
-        Storage-backed grains reuse the shared deactivation path.
-        Volatile grains snapshot their ``paged_attrs``, pay the pager
-        write, and only then deactivate; if the grain became busy while
-        the write was in flight the eviction aborts and — crucially —
-        the ident is never registered as paged, so the stale snapshot
-        is unreachable and the sweep simply retries later.
+        The grain snapshots its ``paged_attrs``, pays the pager write,
+        and only then deactivates; if the grain became busy while the
+        write was in flight the eviction aborts and — crucially — the
+        ident is never registered as paged, so the stale snapshot is
+        unreachable and the sweep simply retries later.
         """
         if activation.collected:
             return False
         grain = activation.grain
         type_name = type(grain).__name__
-        if grain.storage_name is not None:
-            done = yield from self._deactivate(silo, activation)
-            if done:
-                self.working_set.evictions += 1
-            return done
         paged = grain.page_out()
         if paged is None:
             return False  # not pageable; stays resident
-        if not activation.deactivate_hook_ran:
-            hook = grain.on_deactivate()
-            if inspect.isgenerator(hook):
-                yield from hook
-            activation.deactivate_hook_ran = True
         ident = (type_name, grain.key)
         yield from self.pager.write(ident, paged)
         if activation.collected or activation.mailbox or activation.busy:
@@ -789,8 +672,8 @@ class Cluster:
         return (type(grain).__name__, grain.key) in self._paged
 
     def page_in(self, grain: Grain) -> typing.Generator:
-        """Restore paged volatile state at re-activation (process
-        helper, called from ``Activation._start``)."""
+        """Restore paged state at re-activation (process helper,
+        called from ``Activation._start``)."""
         ident = (type(grain).__name__, grain.key)
         if ident not in self._paged:
             return
@@ -801,7 +684,7 @@ class Cluster:
             self.working_set.reloads += 1
 
     def paged_states(self) -> dict[tuple[str, str], dict]:
-        """Paged-out volatile state for audits (detached copies)."""
+        """Paged-out state for audits (detached copies)."""
         return {ident: self.pager.peek(ident) for ident in self._paged}
 
     def working_set_stats(self) -> dict:
@@ -809,7 +692,7 @@ class Cluster:
         return dict(self.working_set.as_dict(),
                     resident=self.total_activations,
                     paged=len(self._paged),
-                    limit=self._activation_limit)
+                    limit=self.config.activation_limit)
 
     # ------------------------------------------------------------------
     # introspection

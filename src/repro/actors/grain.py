@@ -23,25 +23,18 @@ class Grain:
     cpu_cost:
         Simulated CPU seconds charged on the hosting silo per invocation
         (before the method body runs).
-    storage_name:
-        When set, ``self.state`` is loaded from the cluster's storage
-        provider of that name at activation, and :meth:`write_state`
-        persists it.
     reentrant:
         When True, messages may be processed concurrently (interleaving
         at yield points).
     """
 
     cpu_cost: float = 0.0001
-    storage_name: str | None = None
     reentrant: bool = False
-    #: Instance attributes captured by the working-set pager when a
-    #: volatile (non-storage-backed) grain is deactivated under an
-    #: activation budget, and restored on re-activation.  Empty means
-    #: the grain is not pageable: evicting it would destroy state, so
-    #: the working-set sweep leaves it resident.  Storage-backed grains
-    #: ignore this — their own storage provider already persists
-    #: ``self.state``.
+    #: Instance attributes captured by the working-set pager when the
+    #: grain is deactivated under an activation budget, and restored on
+    #: re-activation.  Empty means the grain is not pageable: evicting
+    #: it would destroy state, so the working-set sweep leaves it
+    #: resident.
     paged_attrs: tuple[str, ...] = ()
 
     def __init__(self) -> None:
@@ -50,23 +43,10 @@ class Grain:
         self.cluster: "Cluster" = None  # type: ignore[assignment]
         self.silo: "Silo" = None  # type: ignore[assignment]
         self.key: str = ""
-        self.state: dict[str, typing.Any] = {}
         self.current_txn = None  # transaction context, set per message
-        self.activation = None  # set by the runtime
 
     # ------------------------------------------------------------------
-    # lifecycle hooks
-    # ------------------------------------------------------------------
-    def on_activate(self):
-        """Override to run logic at activation (may be a generator)."""
-        return None
-
-    def on_deactivate(self):
-        """Override to run logic at deactivation (may be a generator)."""
-        return None
-
-    # ------------------------------------------------------------------
-    # working-set paging (volatile grains under an activation budget)
+    # working-set paging (under an activation budget)
     # ------------------------------------------------------------------
     def page_out(self) -> dict | None:
         """Capture volatile state for the working-set pager.
@@ -98,31 +78,6 @@ class Grain:
         """Call another grain, propagating the transaction context."""
         return ref.call(method, *args, txn=self.current_txn,
                         caller_silo=self.silo, **kwargs)
-
-    def cpu(self, seconds: float):
-        """Process helper: charge extra CPU on the hosting silo."""
-        return self.silo.cpu.use(seconds)
-
-    def register_timer(self, interval: float, method: str,
-                       *args, **kwargs) -> None:
-        """Invoke ``method`` on this grain every ``interval`` seconds
-        (through the mailbox, like Orleans' RegisterTimer)."""
-        self.activation.register_timer(interval, method, *args, **kwargs)
-
-    def write_state(self):
-        """Process helper: persist ``self.state``.
-
-        The storage provider materialises the state into a frozen
-        version (copy-on-write views persist only their changes).
-        """
-        storage = self.cluster.storage(self.storage_name)
-        yield from storage.write(type(self).__name__, self.key,
-                                 self.state)
-
-    def clear_state(self):
-        """Process helper: delete persisted state."""
-        storage = self.cluster.storage(self.storage_name)
-        yield from storage.clear(type(self).__name__, self.key)
 
     def publish(self, topic: str, key: str, payload: object,
                 causal_deps: typing.Iterable[int] = ()):

@@ -5,9 +5,8 @@ ring change bumps the placement *epoch*; messages snapshot the epoch
 when they are routed, so delivery can detect that the ring moved under
 them and re-place instead of creating an activation on a stale owner.
 The :class:`GrainDirectory` complements the ring with a record of where
-each grain is *actually* activated, letting lookups distinguish a grain
-that moved (stale activation on an old owner) from one that was lost
-in a crash (state discarded, must re-activate from storage).
+each grain is *actually* activated; routing follows it, so a grain
+whose ring owner moved keeps its traffic until it is handed off.
 """
 
 from __future__ import annotations
@@ -93,23 +92,11 @@ class GrainDirectory:
 
     The ring says where a grain *should* live; the directory says where
     it *does* live (and since which epoch).  After a membership change
-    the two can disagree, and :meth:`classify` names the disagreement:
-
-    ``active``
-        activated on the silo the current ring points at.
-    ``moved``
-        activated on a silo the ring no longer points at — a stale
-        activation from an earlier epoch (migration pending).
-    ``lost``
-        its hosting silo crashed; the activation (and any volatile
-        state) is gone and the next call re-activates from storage.
-    ``unknown``
-        never activated, or deactivated cleanly.
+    the two disagree until the grain is handed off to its new owner.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[str, str], DirectoryEntry] = {}
-        self._lost: set[tuple[str, str]] = set()
         #: Invalidation hook called with each (type_name, key) whose
         #: entry changes.  The cluster points this at its routing cache:
         #: register/unregister/drop happen without an epoch bump (e.g. a
@@ -118,13 +105,9 @@ class GrainDirectory:
         self.on_change: typing.Callable[[tuple[str, str]], object] | None = (
             None)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def register(self, type_name: str, key: str, silo: "Silo",
                  epoch: int) -> None:
         self._entries[(type_name, key)] = DirectoryEntry(silo, epoch)
-        self._lost.discard((type_name, key))
         if self.on_change is not None:
             self.on_change((type_name, key))
 
@@ -133,29 +116,15 @@ class GrainDirectory:
         if self.on_change is not None:
             self.on_change((type_name, key))
 
-    def drop_silo(self, silo: "Silo") -> list[tuple[str, str]]:
-        """Remove every entry hosted on ``silo`` (crash path); the
-        dropped idents are remembered as *lost* until re-registered."""
+    def drop_silo(self, silo: "Silo") -> None:
+        """Remove every entry hosted on ``silo`` (crash path)."""
         dropped = [ident for ident, entry in self._entries.items()
                    if entry.silo is silo]
         for ident in dropped:
             del self._entries[ident]
-            self._lost.add(ident)
         if self.on_change is not None:
             for ident in dropped:
                 self.on_change(ident)
-        return dropped
 
     def lookup(self, type_name: str, key: str) -> DirectoryEntry | None:
         return self._entries.get((type_name, key))
-
-    def classify(self, type_name: str, key: str,
-                 placement: ConsistentHashPlacement) -> str:
-        entry = self._entries.get((type_name, key))
-        if entry is None:
-            return "lost" if (type_name, key) in self._lost else "unknown"
-        try:
-            owner = placement.place(type_name, key)
-        except NoLiveSilos:
-            return "moved"
-        return "active" if owner is entry.silo else "moved"

@@ -13,29 +13,26 @@ Silos have a lifecycle::
 
 A *draining* silo accepts no new activations (the placement ring has
 already forgotten it) but finishes the work its existing activations
-have queued, persisting storage-backed state before deactivating.  A
-*crashed* silo discards everything volatile on the spot: queued
-messages are re-placed by the cluster, mid-execution calls fail with
-:class:`~repro.actors.errors.SiloUnavailable`, and non-persistent grain
-state is simply gone — the measurable anomaly the fault scenarios
-count.
+have queued before handing them off.  A *crashed* silo discards
+everything on the spot: queued messages are re-placed by the cluster,
+mid-execution calls fail with
+:class:`~repro.actors.errors.SiloUnavailable`, and grain state is
+simply gone — the measurable anomaly the fault scenarios count.
 """
 
 from __future__ import annotations
 
 import collections
-import inspect
 import typing
 from types import GeneratorType as _GeneratorType
 
 from repro.actors.errors import GrainCallError, SiloUnavailable
-from repro.actors.grain import Grain
 from repro.runtime.events import PENDING, Event
 from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.actors.grain import GrainRef
+    from repro.actors.grain import Grain, GrainRef
     from repro.actors.placement import GrainDirectory
     from repro.runtime import Environment
 
@@ -78,8 +75,8 @@ class Message:
 
     def __init__(self, method: str, args: tuple, kwargs: dict,
                  promise: "Event", txn: object | None,
-                 reply_latency: float, ref: "GrainRef | None" = None,
-                 attempts: int = 0) -> None:
+                 reply_latency: float, ref: "GrainRef",
+                 attempts: int) -> None:
         self.method = method
         self.args = args
         self.kwargs = kwargs
@@ -87,8 +84,7 @@ class Message:
         self.txn = txn
         self.reply_latency = reply_latency
         #: Grain reference, kept so the cluster can re-place the message
-        #: after a membership change (None for activation-local timer
-        #: ticks, which die with their activation).
+        #: after a membership change.
         self.ref = ref
         #: Delivery attempts so far; rerouting is bounded by the cluster.
         self.attempts = attempts
@@ -192,24 +188,16 @@ class Activation:
         self.processed = 0
         self.last_activity = env.now
         self.collected = False
-        #: Guards ``on_deactivate`` against double execution when a
-        #: deactivation aborts (a message slipped in mid-hook) and is
-        #: later retried.
-        self.deactivate_hook_ran = False
         #: Set when the hosting silo crashes: turns stop, queued work
         #: is re-placed and late replies are suppressed.
         self.defunct = False
         #: Messages currently being executed (≤1 unless reentrant).
         self.inflight: set[Message] = set()
-        grain.activation = self
-        #: False while ``_start`` still has state to read or a hook to
-        #: run (messages wait in the mailbox).  With nothing to await —
+        #: False while ``_start`` still reads a paged snapshot back
+        #: (messages wait in the mailbox).  With nothing to read —
         #: always so for an ``adopted`` grain, whose in-memory state
         #: travelled with it — the activation serves from construction.
-        self.started = adopted or not (
-            grain.storage_name is not None
-            or type(grain).on_activate is not Grain.on_activate
-            or grain.cluster.is_paged(grain))
+        self.started = adopted or not grain.cluster.is_paged(grain)
         if not self.started:
             env.process(self._start(), name=f"activate:{grain!r}")
 
@@ -246,49 +234,11 @@ class Activation:
             self.silo.cpu.hold(self.grain.cpu_cost, message._run)
 
     # ------------------------------------------------------------------
-    # grain timers (Orleans RegisterTimer analogue)
-    # ------------------------------------------------------------------
-    def register_timer(self, interval: float, method: str,
-                       *args, **kwargs) -> None:
-        """Invoke ``method`` on this grain every ``interval`` seconds.
-
-        Timer ticks go through the normal mailbox (single-threaded with
-        ordinary messages) and stop when the activation is collected.
-        """
-        if interval <= 0:
-            raise ValueError("timer interval must be > 0")
-        self.env.process(self._timer_loop(interval, method, args, kwargs),
-                         name=f"timer:{self.grain!r}.{method}")
-
-    def _timer_loop(self, interval: float, method: str, args, kwargs):
-        while not self.collected:
-            yield self.env.timeout(interval)
-            if self.collected:
-                return
-            promise = self.env.event()
-            self.grain.cluster.track_oneway(promise)
-            self.enqueue(Message(method, args, kwargs, promise, None, 0.0))
-
-    # ------------------------------------------------------------------
     def _start(self):
-        """Process: load state and run ``on_activate``, then serve."""
-        grain = self.grain
-        if grain.storage_name is not None:
-            storage = grain.cluster.storage(grain.storage_name)
-            state = yield from storage.read(type(grain).__name__,
-                                            grain.key)
-            if state is not None:
-                grain.state = state
-        else:
-            # Volatile grain evicted under the activation budget:
-            # reload the paged snapshot (no-op — zero events — when
-            # the grain was never paged out).
-            yield from grain.cluster.page_in(grain)
+        """Process: reload the grain's paged snapshot, then serve."""
+        yield from self.grain.cluster.page_in(self.grain)
         if self.defunct:
-            return  # silo crashed during the state read
-        hook = grain.on_activate()
-        if inspect.isgenerator(hook):
-            yield from hook
+            return  # silo crashed during the read
         self.started = True
         self._pump()
 
@@ -405,7 +355,7 @@ class Silo:
         return activation
 
     def deactivate(self, grain_type_name: str, key: str) -> bool:
-        """Drop an activation (its state remains in storage)."""
+        """Drop an activation; False when there was none to drop."""
         activation = self.activations.pop((grain_type_name, key), None)
         if activation is None:
             return False
@@ -413,14 +363,6 @@ class Silo:
         if self.directory is not None:
             self.directory.unregister(grain_type_name, key)
         return True
-
-    def idle_activations(self, max_age: float) -> list[Activation]:
-        """Activations idle (empty mailbox, no recent message) longer
-        than ``max_age``."""
-        now = self.env.now
-        return [activation for activation in self.activations.values()
-                if not activation.mailbox
-                and now - activation.last_activity > max_age]
 
     @property
     def activation_count(self) -> int:

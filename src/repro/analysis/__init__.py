@@ -1,16 +1,8 @@
 """Statistics helpers and anomaly analysis for benchmark reports."""
 
 from repro.analysis.anomalies import AnomalyReport
-from repro.analysis.availability import (
-    AvailabilityReport,
-    availability_report,
-    availability_rows,
-)
-from repro.analysis.elasticity import (
-    ElasticityReport,
-    elasticity_report,
-    elasticity_rows,
-)
+from repro.analysis.availability import AvailabilityReport, availability_report
+from repro.analysis.elasticity import ElasticityReport, elasticity_report
 from repro.analysis.matrix_report import (
     availability_pct,
     format_table,
@@ -18,21 +10,7 @@ from repro.analysis.matrix_report import (
     merge_cells,
     render_matrix_report,
 )
-from repro.analysis.report import (
-    criteria_rows,
-    csv_table,
-    experiment_report,
-    markdown_table,
-    metrics_rows,
-    saturation_second,
-    timeline_rows,
-)
-from repro.analysis.stats import (
-    describe,
-    mean,
-    percentile,
-    percentiles,
-)
+from repro.analysis.stats import describe, mean, percentile, percentiles
 
 __all__ = [
     "AnomalyReport",
@@ -40,22 +18,13 @@ __all__ = [
     "ElasticityReport",
     "availability_pct",
     "availability_report",
-    "availability_rows",
-    "criteria_rows",
-    "csv_table",
     "describe",
     "elasticity_report",
-    "elasticity_rows",
-    "experiment_report",
     "format_table",
-    "markdown_table",
     "matrix_report_json",
     "mean",
     "merge_cells",
-    "metrics_rows",
     "percentile",
     "percentiles",
     "render_matrix_report",
-    "saturation_second",
-    "timeline_rows",
 ]

@@ -65,9 +65,6 @@ class AvailabilityReport:
     def unavailable_seconds(self) -> int:
         return sum(1 for row in self.rows if not row["available"])
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def summary_row(self) -> dict:
         """One table row for cross-app comparisons."""
         window = self.unavailability_window
@@ -151,8 +148,3 @@ def availability_report(metrics: "RunMetrics",
         reroutes=membership.get("reroutes", 0),
         unavailable_failures=membership.get("unavailable_failures", 0))
 
-
-def availability_rows(metrics: "RunMetrics") -> list[dict]:
-    """Per-second availability rows (for CSV/markdown export)."""
-    report = availability_report(metrics)
-    return [dict(row, app=metrics.app) for row in report.rows]

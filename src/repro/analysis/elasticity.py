@@ -73,9 +73,6 @@ class ElasticityReport:
     scale_ups: int
     scale_downs: int
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def summary_row(self) -> dict:
         """One table row for cross-app comparisons."""
         return {
@@ -163,7 +160,3 @@ def elasticity_report(control: dict,
         scale_downs=sum(1 for entry in actions
                         if entry["action"] == DrainSilo.kind))
 
-
-def elasticity_rows(reports: "list[ElasticityReport]") -> list[dict]:
-    """Summary rows for CSV/markdown export, one per report."""
-    return [report.summary_row() for report in reports]

@@ -10,8 +10,7 @@ fault scenarios, and the worst criteria score any seed produced.
 Pure functions over plain data: cells come in as
 :class:`repro.core.matrix.CellResult` (their ``payload`` dicts are
 canonical, wall-clock-free simulated-time records), tables go out as
-dict rows ready for :func:`format_table` (console),
-:func:`repro.analysis.report.markdown_table` (docs) or JSON export.
+dict rows ready for :func:`format_table` (console) or JSON export.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ class AppConfig:
     #: Working-set budget: max resident grain activations per silo
     #: (statefun: max resident addresses per worker).  None = unbounded,
     #: the historical behaviour.  Under a budget, least-recently-used
-    #: idle grains persist their state and deactivate; re-activation
-    #: re-reads it (see ``actors/cluster.py``).
+    #: quiet grains page their state out and deactivate; re-activation
+    #: reads it back (see ``actors/cluster.py``).
     activation_limit: int | None = None
 
 
@@ -245,9 +245,4 @@ def rejected(operation: str, **payload) -> OperationResult:
 
 def failed(operation: str, **payload) -> OperationResult:
     return OperationResult(status="failed", operation=operation,
-                           payload=payload)
-
-
-def aborted(operation: str, **payload) -> OperationResult:
-    return OperationResult(status="aborted", operation=operation,
                            payload=payload)

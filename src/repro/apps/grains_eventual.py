@@ -47,11 +47,6 @@ class ProductGrain(Grain):
         super().__init__()
         self.data: dict | None = None
 
-    def install(self, data: dict):
-        self.data = dict(data)
-        return True
-        yield  # pragma: no cover - generator marker
-
     def get(self):
         return dict(self.data) if self.data else None
         yield  # pragma: no cover - generator marker
@@ -90,13 +85,6 @@ class ReplicaGrain(Grain):
         super().__init__()
         self.data: dict | None = None
 
-    def install(self, data: dict):
-        self.data = {"price_cents": data["price_cents"],
-                     "version": data["version"],
-                     "active": data["active"]}
-        return True
-        yield  # pragma: no cover - generator marker
-
     def get_price(self):
         if self.data is None or not self.data["active"]:
             return None
@@ -133,11 +121,6 @@ class StockGrain(Grain):
     def __init__(self) -> None:
         super().__init__()
         self.data: dict | None = None
-
-    def install(self, data: dict):
-        self.data = dict(data)
-        return True
-        yield  # pragma: no cover - generator marker
 
     def reserve(self, quantity: int):
         if self.data is None:
@@ -261,7 +244,7 @@ class OrderGrain(Grain):
                                f"{item['seller_id']}/{item['product_id']}"),
                 "reserve", item["quantity"])))
             for item in items])
-        flags = list(outcomes.todict().values())
+        flags = list(outcomes.values())
         confirmed = [item for item, flag in zip(items, flags) if flag]
         reserved = list(confirmed)
         if not confirmed:
@@ -340,7 +323,7 @@ class OrderGrain(Grain):
                                f"{item['seller_id']}/{item['product_id']}"),
                 "allocate", item["quantity"])))
             for item in items])
-        flags = list(outcomes.todict().values())
+        flags = list(outcomes.values())
         confirmed = [item for item, flag in zip(items, flags) if flag]
         if not confirmed:
             return {"status": "rejected", "reason": "no_stock",
@@ -505,10 +488,6 @@ class ShipmentGrain(Grain):
         return True
         yield  # pragma: no cover - generator marker
 
-    def undelivered_sellers(self, limit: int = 10):
-        return shipment_logic.undelivered_sellers(self.data, limit)
-        yield  # pragma: no cover - generator marker
-
     def undelivered_seller_times(self):
         return shipment_logic.undelivered_seller_times(self.data)
         yield  # pragma: no cover - generator marker
@@ -552,13 +531,6 @@ class CustomerGrain(Grain):
             self.data = customer_logic.new_customer(int(self.key))
         return self.data
 
-    def install(self, data: dict):
-        self.data = customer_logic.new_customer(
-            data["customer_id"], data.get("name", ""),
-            data.get("city", ""))
-        return True
-        yield  # pragma: no cover - generator marker
-
     def record_payment(self, amount_cents: int, approved: bool):
         self._ensure()
         self.data = customer_logic.record_payment(
@@ -598,12 +570,6 @@ class SellerGrain(Grain):
         if self.data is None:
             self.data = seller_logic.new_seller(int(self.key))
         return self.data
-
-    def install(self, data: dict):
-        self.data = seller_logic.new_seller(
-            data["seller_id"], data.get("name", ""), data.get("city", ""))
-        return True
-        yield  # pragma: no cover - generator marker
 
     def apply_order_event(self, payload: dict):
         """Entry maintenance driven by the order-events topic."""

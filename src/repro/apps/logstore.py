@@ -3,8 +3,7 @@ audit logging").
 
 The customized stack records every completed business transaction to an
 append-only log, asynchronously (audit writes must not sit on the
-critical path).  The log supports range and type queries — enough for
-compliance-style "what happened to order X" questions.
+critical path).
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ class AuditLogStore:
                  write_latency: float = 0.0003) -> None:
         self.env = env
         self.write_latency = write_latency
-        self._records: list[AuditRecord] = []
+        #: The appended records, oldest first.
+        self.records: list[AuditRecord] = []
         self.pending = 0
 
     # ------------------------------------------------------------------
@@ -52,37 +52,10 @@ class AuditLogStore:
 
     def _write(self, operation: str, subject: str, payload: dict):
         yield self.env.timeout(self.write_latency)
-        self._records.append(AuditRecord(
+        self.records.append(AuditRecord(
             sequence=next(_sequence), time=self.env.now,
             operation=operation, subject=subject, payload=dict(payload)))
         self.pending -= 1
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
-
-    def all(self) -> list[AuditRecord]:
-        return list(self._records)
-
-    def by_operation(self, operation: str) -> list[AuditRecord]:
-        return [record for record in self._records
-                if record.operation == operation]
-
-    def by_subject(self, subject: str) -> list[AuditRecord]:
-        """The full audited history of one order/product/seller."""
-        return [record for record in self._records
-                if record.subject == subject]
-
-    def between(self, start: float, end: float) -> list[AuditRecord]:
-        """Records with start <= time < end."""
-        if end < start:
-            raise ValueError("end must be >= start")
-        return [record for record in self._records
-                if start <= record.time < end]
-
-    def tail(self, count: int) -> list[AuditRecord]:
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        return self._records[-count:] if count else []
+        return len(self.records)

@@ -217,7 +217,7 @@ class OrleansEventualApp(MarketplaceApp):
                 None, ref.call("undelivered_seller_times")))
             for ref in partitions])
         earliest: dict[int, float] = {}
-        for pairs in per_partition.todict().values():
+        for pairs in per_partition.values():
             for seller_id, when in pairs or ():
                 if seller_id not in earliest or when < earliest[seller_id]:
                     earliest[seller_id] = when
@@ -232,7 +232,7 @@ class OrleansEventualApp(MarketplaceApp):
                 for ref in partitions])
             best, best_ref = None, None
             for ref, package in zip(partitions,
-                                    candidates.todict().values()):
+                                    candidates.values()):
                 if package is not None and (
                         best is None
                         or package["shipped_at"] < best["shipped_at"]):

@@ -212,7 +212,3 @@ class Broker:
                 entries.append((subscription.name, when, envelope))
         entries.sort(key=lambda item: (item[1], item[2].sequence))
         return entries
-
-    @property
-    def topics(self) -> dict[str, Topic]:
-        return dict(self._topics)

@@ -489,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="arrival-rate multipliers, e.g. 0.5,1.0 (default: 1.0)")
     matrix_parser.add_argument(
         "--duration-scale", type=float, default=1.0,
-        help="stretch/shrink every cell's time axis (shape-preserving)")
+        help="stretch/shrink every cell's time axis (platform constants "
+             "such as failure detection are not stretched)")
     matrix_parser.add_argument(
         "--workers", type=int, default=0,
         help="worker processes; 0 = one per CPU core, capped at the "

@@ -20,8 +20,6 @@ import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
-    from repro.control.autoscaler import Autoscaler
-    from repro.control.plane import ControlPlane
     from repro.core.criteria import CriteriaReport
     from repro.core.driver.metrics import RunMetrics
     from repro.core.driver.open_loop import OpenLoopDriver
@@ -39,16 +37,6 @@ class ScenarioRun:
     driver: "OpenLoopDriver"
     metrics: "RunMetrics"
     report: "CriteriaReport"
-
-    @property
-    def control(self) -> "ControlPlane | None":
-        """The run's control plane (present when the scenario carries
-        an autoscaler, or faults routed through a plane)."""
-        return self.driver.control
-
-    @property
-    def autoscaler(self) -> "Autoscaler | None":
-        return self.driver.autoscaler
 
 
 def run_scenario(scenario: "Scenario | str",

@@ -62,9 +62,6 @@ class FaultSchedule:
         object.__setattr__(self, "events", tuple(sorted(
             self.events, key=lambda event: event.at)))
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def time_scaled(self, factor: float) -> "FaultSchedule":
         """A copy with every event time stretched by ``factor``."""
         if factor <= 0:

@@ -54,9 +54,6 @@ class PlatformStats:
     paged: int
     messages: int
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class RuntimeSignals:
@@ -84,9 +81,6 @@ class RuntimeSignals:
     resident: int
     paged: int
     messages: int
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 class SignalWindow:

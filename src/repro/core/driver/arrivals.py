@@ -22,10 +22,6 @@ import typing
 class ArrivalProcess:
     """Generates absolute arrival times inside ``[start, until)``."""
 
-    def mean_rate(self) -> float:
-        """Average arrivals per second (informational)."""
-        raise NotImplementedError
-
     def arrival_times(self, rng: random.Random, start: float,
                       until: float) -> typing.Iterator[float]:
         raise NotImplementedError
@@ -48,9 +44,6 @@ class ConstantRate(ArrivalProcess):
         if rate <= 0:
             raise ValueError("rate must be > 0")
         self.rate = rate
-
-    def mean_rate(self) -> float:
-        return self.rate
 
     def arrival_times(self, rng: random.Random, start: float,
                       until: float) -> typing.Iterator[float]:
@@ -76,9 +69,6 @@ class PoissonArrivals(ArrivalProcess):
         if rate <= 0:
             raise ValueError("rate must be > 0")
         self.rate = rate
-
-    def mean_rate(self) -> float:
-        return self.rate
 
     def arrival_times(self, rng: random.Random, start: float,
                       until: float) -> typing.Iterator[float]:
@@ -108,12 +98,6 @@ class PhasedArrivals(ArrivalProcess):
             if duration <= 0:
                 raise ValueError("phase durations must be > 0")
         self.phases = list(phases)
-
-    def mean_rate(self) -> float:
-        total = sum(duration for duration, _ in self.phases)
-        weighted = sum(duration * process.mean_rate()
-                       for duration, process in self.phases)
-        return weighted / total
 
     def arrival_times(self, rng: random.Random, start: float,
                       until: float) -> typing.Iterator[float]:
@@ -156,9 +140,6 @@ class RampArrivals(ArrivalProcess):
         self.end_rate = end_rate
         self.ramp_duration = ramp_duration
         self.poisson = poisson
-
-    def mean_rate(self) -> float:
-        return (self.start_rate + self.end_rate) / 2
 
     def rate_at(self, elapsed: float) -> float:
         fraction = min(max(elapsed / self.ramp_duration, 0.0), 1.0)
@@ -213,9 +194,6 @@ class SinusoidArrivals(ArrivalProcess):
         self.period = period
         self.phase = phase
         self.poisson = poisson
-
-    def mean_rate(self) -> float:
-        return self.base_rate
 
     def rate_at(self, elapsed: float) -> float:
         angle = 2 * math.pi * (elapsed / self.period + self.phase)

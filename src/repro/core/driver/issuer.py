@@ -54,38 +54,18 @@ RESULT_OPERATION = {
 
 
 class IssuerStateView:
-    """Mixin exposing a driver's issuer state under the attribute names
-    the criteria auditors and tests historically used on the driver."""
+    """Mixin exposing the issuer state the criteria auditors read on a
+    driver."""
 
     issuer: "TransactionIssuer"
-
-    @property
-    def registry(self):
-        return self.issuer.registry
-
-    @property
-    def coordinator(self):
-        return self.issuer.coordinator
 
     @property
     def sampler(self):
         return self.issuer.sampler
 
     @property
-    def skipped(self) -> dict[str, int]:
-        return self.issuer.skipped
-
-    @property
     def observations(self) -> dict[str, int]:
         return self.issuer.observations
-
-    @property
-    def acked_versions(self) -> dict[str, int]:
-        return self.issuer.acked_versions
-
-    @property
-    def acked_deletes(self) -> set[str]:
-        return self.issuer.acked_deletes
 
 
 class TransactionIssuer:

@@ -189,10 +189,6 @@ class LatencyRecorder:
             return sum(per_status.values())
         return per_status.get(status, 0)
 
-    def total(self, status: str | None = None) -> int:
-        return sum(self.count(operation, status)
-                   for operation in self.outcomes)
-
     def operations(self) -> list[str]:
         return sorted(self.outcomes)
 
@@ -221,9 +217,6 @@ class OpStats:
     queue_delay: dict[str, float] | None = None
     #: Open-loop only: queue wait + service time.
     response: dict[str, float] | None = None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def queue_columns(self) -> dict[str, float]:
         """Rounded queue-delay table cells (0.0 when none recorded)."""
@@ -256,17 +249,6 @@ class RunMetrics:
     def total_throughput(self) -> float:
         """Successful business transactions per simulated second."""
         return sum(op.ok for op in self.ops.values()) / self.duration
-
-    @property
-    def goodput_checkout(self) -> float:
-        checkout = self.ops.get("checkout")
-        return checkout.ok / self.duration if checkout else 0.0
-
-    @property
-    def peak_rate(self) -> float:
-        """Highest per-second completion count on the timeline."""
-        return float(max((count for _, count in self.timeline),
-                         default=0))
 
     def latency_of(self, operation: str, which: str = "p50") -> float:
         op = self.ops.get(operation)

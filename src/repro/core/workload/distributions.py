@@ -171,7 +171,6 @@ class ProductKeyRegistry:
                  reserve_per_seller: int) -> None:
         if min(sellers, products_per_seller, reserve_per_seller) < 1:
             raise ValueError("need >= 1 seller, product and reserve each")
-        self._sellers = sellers
         self._per_seller = products_per_seller
         self._reserve_per_seller = reserve_per_seller
         self._block = products_per_seller + reserve_per_seller
@@ -180,8 +179,6 @@ class ProductKeyRegistry:
         #: reserve key to hand out; counts DOWN from the end.
         self._reserve_next = sellers * reserve_per_seller - 1
         self._rebound: dict[int, tuple[int, int]] = {}  # rank -> new key
-        self._rebound_ranks: dict[tuple[int, int], int] = {}
-        self._deleted: set[tuple[int, int]] = set()
         self.deletes = 0
         self.refused_deletes = 0
 
@@ -209,36 +206,6 @@ class ProductKeyRegistry:
             return rebound
         return self._initial_at(rank)
 
-    def rank_of(self, key: tuple[int, int]) -> int | None:
-        rank = self._rebound_ranks.get(key)
-        if rank is not None:
-            return rank
-        seller, product_id = key
-        if not 1 <= seller <= self._sellers:
-            return None
-        offset = product_id - 1 - (seller - 1) * self._block
-        if not 0 <= offset < self._per_seller:
-            return None
-        rank = (seller - 1) * self._per_seller + offset
-        # An initially-bound key whose rank was since rebound elsewhere
-        # is no longer present anywhere in the registry.
-        return None if rank in self._rebound else rank
-
-    def is_live(self, key: tuple[int, int]) -> bool:
-        if key in self._deleted:
-            return False
-        if key in self._rebound_ranks:
-            return True
-        seller, product_id = key
-        if not 1 <= seller <= self._sellers:
-            return False
-        offset = product_id - 1 - (seller - 1) * self._block
-        return 0 <= offset < self._per_seller
-
-    @property
-    def reserve_remaining(self) -> int:
-        return self._reserve_next + 1
-
     def delete_at(self, rank: int) -> tuple[tuple[int, int],
                                             tuple[int, int]] | None:
         """Delete the product at ``rank``; rebind to a replacement.
@@ -252,10 +219,7 @@ class ProductKeyRegistry:
         deleted = self.product_at(rank)
         replacement = self._reserve_key(self._reserve_next)
         self._reserve_next -= 1
-        self._rebound_ranks.pop(deleted, None)
         self._rebound[rank] = replacement
-        self._rebound_ranks[replacement] = rank
-        self._deleted.add(deleted)
         self.deletes += 1
         return deleted, replacement
 

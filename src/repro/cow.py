@@ -41,11 +41,11 @@ views and O(dirty) installs:
 
 The engine's contract ("frozen base") for state authors:
 
-* State handed out by the engine (transactional reads, storage reads)
-  is a ``CowState``.  Mutate it freely — through the view — and hand
-  it back (``txn_write``, ``write_state``); mutations never leak into
-  committed/persisted state until installed.
-* Once a state tree has been installed (committed, persisted), it is
+* State handed out by the engine (transactional reads) is a
+  ``CowState``.  Mutate it freely — through the view — and hand it
+  back (``txn_write``); mutations never leak into committed state
+  until installed.
+* Once a state tree has been installed (committed), it is
   frozen: the engine shares installed sub-trees structurally, so code
   must never mutate a container it obtained from an *installed* plain
   state in place.  Views enforce this mechanically; raw access to
@@ -448,25 +448,6 @@ def peek(mapping, key, default=None):
     return mapping.get(key, default)
 
 
-def scan_items(mapping):
-    """The (key, value) pairs of a mapping, without creating views.
-
-    Untouched entries of a :class:`CowState` come straight from the
-    frozen base — no wrapper allocation, no caching — and a view with
-    an empty overlay hands back the base's own C-level items view, so
-    a whole-state read-only scan is as cheap as iterating a plain
-    dict.  Entries touched through the view come from its overlay, so
-    the scan still observes the view's own (staged) mutations.
-
-    READ-ONLY: see :func:`peek` — never mutate a yielded value.
-    """
-    if type(mapping) is not CowState:
-        return mapping.items()
-    if not mapping._written and not mapping._wrapped:
-        return mapping._base.items()
-    return _scan_overlaid(mapping)
-
-
 def _scan_overlaid(mapping):
     written = mapping._written
     wrapped = mapping._wrapped
@@ -476,23 +457,33 @@ def _scan_overlaid(mapping):
             value = written[key]
             if value is _DELETED:
                 continue
-            yield key, value
+            yield value
         elif key in wrapped:
-            yield key, wrapped[key]
+            yield wrapped[key]
         else:
-            yield key, value
+            yield value
     for key, value in written.items():
         if key not in base and value is not _DELETED:
-            yield key, value
+            yield value
 
 
 def scan_values(mapping):
-    """A mapping's values without creating views (read-only)."""
+    """A mapping's values, without creating views.
+
+    Untouched entries of a :class:`CowState` come straight from the
+    frozen base — no wrapper allocation, no caching — and a view with
+    an empty overlay hands back the base's own C-level values view, so
+    a whole-state read-only scan is as cheap as iterating a plain
+    dict.  Entries touched through the view come from its overlay, so
+    the scan still observes the view's own (staged) mutations.
+
+    READ-ONLY: see :func:`peek` — never mutate a yielded value.
+    """
     if type(mapping) is not CowState:
         return mapping.values()
     if not mapping._written and not mapping._wrapped:
         return mapping._base.values()
-    return (value for _, value in _scan_overlaid(mapping))
+    return _scan_overlaid(mapping)
 
 
 def assoc_in(tree, path, value):

@@ -83,10 +83,6 @@ def seal_for_checkout(state: dict) -> tuple[dict, list[dict]]:
     return new_state, items
 
 
-def item_count(state: dict) -> int:
-    return len(state["items"])
-
-
 def total_cents(state: dict) -> int:
     """Current cart total under the replicated prices."""
     total = 0

@@ -10,10 +10,6 @@ def new_customer(customer_id: int, name: str = "", city: str = "") -> dict:
             "refunds": 0}
 
 
-def record_order_placed(state: dict) -> dict:
-    return {**state, "orders_placed": state["orders_placed"] + 1}
-
-
 def record_payment(state: dict, amount_cents: int, approved: bool) -> dict:
     if approved:
         return {**state,

@@ -17,7 +17,7 @@ measures (duplicate internal orders, orphaned registrations).
 
 from __future__ import annotations
 
-from repro.cow import assoc_in, dissoc_in, peek, scan_items
+from repro.cow import assoc_in, dissoc_in
 
 
 def shard_key(platform: str, shop_id: int) -> str:
@@ -33,11 +33,6 @@ def dedup_key(platform: str, shop_id: int, ext_order_no: str) -> str:
 def new_registry(shard: str) -> dict:
     """State of one ingestion-registry partition."""
     return {"shard": shard, "entries": {}, "next_seq": 1}
-
-
-def lookup(state: dict, key: str) -> str | None:
-    """The internal order id registered for ``key``, if any."""
-    return state["entries"].get(key)
 
 
 def register(state: dict, key: str) -> tuple[dict, str, bool]:
@@ -67,8 +62,3 @@ def release(state: dict, key: str) -> dict:
     if key not in state["entries"]:
         return state
     return dissoc_in(state, ("entries", key))
-
-
-def registered_keys(state: dict) -> dict:
-    """key -> internal order id mapping of one partition (a copy)."""
-    return dict(scan_items(peek(state, "entries")))

@@ -100,8 +100,3 @@ def record_delivery(state: dict, order_id: str, now: float) -> tuple[dict,
     else:
         order["updated_at"] = now
     return assoc_in(state, ("orders", order_id), order), completed
-
-
-def in_progress_orders(state: dict) -> list[dict]:
-    return [order for order in state["orders"].values()
-            if order["status"] in OrderStatus.IN_PROGRESS]

@@ -66,12 +66,6 @@ def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
     return sorted(first_seen.items(), key=lambda item: (item[1], item[0]))
 
 
-def undelivered_sellers(state: dict, limit: int = 10) -> list[int]:
-    """First ``limit`` sellers with undelivered packages, chronological."""
-    ranked = undelivered_seller_times(state)
-    return [seller for seller, _ in ranked[:limit]]
-
-
 def oldest_undelivered_package(state: dict,
                                seller_id: int) -> dict | None:
     """The seller's oldest package not yet delivered (or None)."""

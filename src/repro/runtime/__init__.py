@@ -8,18 +8,16 @@ modelling CPU cores, and seeded random-number streams so that every
 simulation run is reproducible bit-for-bit.
 """
 
-from repro.runtime.environment import Environment, Interrupt, SimulationError
-from repro.runtime.events import AllOf, AnyOf, Event, Timeout
+from repro.runtime.environment import Environment, SimulationError
+from repro.runtime.events import AllOf, Event, Timeout
 from repro.runtime.process import Process
 from repro.runtime.resources import Resource, ResourceRequest
 from repro.runtime.rng import RngStream, SeedSequenceFactory
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "ResourceRequest",

@@ -26,15 +26,14 @@ import typing
 from repro.runtime.events import (
     PENDING,
     AllOf,
-    AnyOf,
     Event,
     PooledEvent,
     Timeout,
 )
-from repro.runtime.process import Interrupt, Process
+from repro.runtime.process import Process
 from repro.runtime.rng import SeedSequenceFactory
 
-__all__ = ["Environment", "Interrupt", "SimulationError"]
+__all__ = ["Environment", "SimulationError"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -143,51 +142,6 @@ class Environment:
         else:
             raise ValueError(f"negative delay {delay}")
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        # A non-empty bucket always holds events due *now*; heap entries
-        # are never earlier than now, so now is the minimum.
-        if self._bucket:
-            return self.now
-        return self._queue[0][0] if self._queue else float("inf")
-
-    def step(self) -> None:
-        """Process the single next event in the queue."""
-        bucket = self._bucket
-        queue = self._queue
-        if bucket:
-            # The heap head precedes the bucket head only when it fires
-            # at the current tick with higher priority or an earlier
-            # sequence number (possible for a delayed event maturing
-            # exactly now, or a priority-0 interrupt).
-            head = queue[0] if queue else None
-            if (head is not None and head[0] == self.now
-                    and (head[1] < 1
-                         or (head[1] == 1 and head[2] < bucket[0][0]))):
-                self.now, _, _, event = _heappop(queue)
-            else:
-                _, event = bucket.popleft()
-        elif queue:
-            self.now, _, _, event = _heappop(queue)
-        else:
-            raise RuntimeError("no scheduled events")
-        self.events_processed += 1
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks or ():
-            callback(event)
-        if not event._ok and not event._defused:
-            exc = typing.cast(BaseException, event._value)
-            raise SimulationError(
-                f"unhandled failure in {event!r}") from exc
-        if event.__class__ is PooledEvent and len(self._pool) < _POOL_MAX:
-            event._ok = True
-            event._defused = False
-            event._value = PENDING
-            callbacks.clear()  # type: ignore[union-attr]
-            event.callbacks = callbacks
-            self._pool.append(event)  # type: ignore[arg-type]
-
     def run(self, until: float | Event | None = None) -> object:
         """Run the simulation.
 
@@ -213,8 +167,7 @@ class Environment:
         # The dispatch body is intentionally inlined three times below
         # (bucket, lone non-normal-priority pop, batched drain): this
         # loop is the hottest code in the repository and a shared helper
-        # costs a call frame per event.  ``step()`` above keeps the
-        # reference semantics.
+        # costs a call frame per event.
         queue = self._queue
         bucket = self._bucket
         pool = self._pool
@@ -260,9 +213,9 @@ class Environment:
                     break
                 self.now = time
                 if head[1] != 1:
-                    # Non-normal priority (process interrupts): dispatch
-                    # singly so normal-priority events scheduled by its
-                    # callbacks order correctly behind remaining peers.
+                    # Non-normal priority: dispatch singly so
+                    # normal-priority events scheduled by its callbacks
+                    # order correctly behind remaining peers.
                     _, _, _, event = _heappop(queue)
                     processed += 1
                     callbacks = event.callbacks
@@ -287,9 +240,8 @@ class Environment:
                 # (new same-tick schedules land in the bucket, and the
                 # batch's time already passed the check above).  The
                 # drain yields back to the outer loop as soon as a
-                # bucket entry, a priority change (e.g. an interrupt
-                # scheduled by a callback) or the stop event could alter
-                # what must run next.
+                # bucket entry, a priority change or the stop event
+                # could alter what must run next.
                 while True:
                     _, _, _, event = _heappop(queue)
                     processed += 1
@@ -352,9 +304,6 @@ class Environment:
 
     def all_of(self, events: typing.Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: typing.Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def rng(self, name: str):
         """Return a named, independently-seeded random stream.

@@ -135,7 +135,7 @@ class PooledEvent(Event):
     callbacks run, resetting ``callbacks``/``_value``/``_ok``/
     ``_defused`` to the pending state.  Consequently a pooled event must
     never be retained past its dispatch — in particular it must not be
-    yielded from a process or stored in a :class:`Condition`, both of
+    yielded from a process or stored in an :class:`AllOf`, both of
     which read ``value``/``processed`` later.
     """
 
@@ -167,47 +167,18 @@ class Timeout(Event):
             _heappush(env._queue, (env.now + delay, 1, seq, self))
 
 
-class ConditionValue:
-    """Mapping of event -> value for the events that fired in a condition."""
+class AllOf(Event):
+    """Waits for every one of ``events``.
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> object:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> typing.Iterator[Event]:
-        return iter(self.events)
-
-    def todict(self) -> dict[Event, object]:
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Waits for a combination of events (see :class:`AllOf`, :class:`AnyOf`).
-
-    The condition fires as soon as ``evaluate(events, fired_count)``
-    returns True, or fails as soon as any constituent event fails.
+    Fires with a dict of event -> value, in the order given, once all
+    of them have fired; fails as soon as any one of them fails.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment",
-                 evaluate: typing.Callable[[list[Event], int], bool],
                  events: typing.Iterable[Event]) -> None:
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
 
@@ -215,10 +186,8 @@ class Condition(Event):
             if event.env is not env:
                 raise ValueError("events belong to different environments")
 
-        # Evaluate immediately in case the condition is trivially met
-        # (e.g. AllOf over an empty list).
-        if self._evaluate(self._events, 0) and not self._events:
-            self.succeed(ConditionValue())
+        if not self._events:
+            self.succeed({})
             return
 
         for event in self._events:
@@ -229,15 +198,6 @@ class Condition(Event):
             elif event.callbacks is not None:
                 event.callbacks.append(self._check)
 
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            # Only events that have actually fired (been processed) count;
-            # a Timeout is "triggered" at creation but fires later.
-            if event.processed and event.ok:
-                value.events.append(event)
-        return value
-
     def _check(self, event: Event) -> None:
         if self.triggered:
             return
@@ -246,17 +206,16 @@ class Condition(Event):
             event.defuse()
             self.fail(typing.cast(BaseException, event.value))
             self._detach()
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-            self._detach()
+        elif self._count >= len(self._events):
+            self.succeed({member: member.value
+                          for member in self._events})
 
     def _detach(self) -> None:
         """Unsubscribe from constituents that have not fired yet.
 
-        Without this, a decided condition (e.g. an ``AnyOf`` whose
-        winner fired) stays registered on every losing event; a
-        long-lived loser then pins the condition — and through it the
-        whole event list — for its own lifetime.
+        Without this, a failed condition stays registered on every
+        event still pending; a long-lived one then pins the condition —
+        and through it the whole event list — for its own lifetime.
         """
         check = self._check
         for event in self._events:
@@ -266,29 +225,3 @@ class Condition(Event):
                     callbacks.remove(check)
                 except ValueError:
                     pass
-
-
-class AllOf(Condition):
-    """Condition that fires when *all* constituent events have fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment",
-                 events: typing.Iterable[Event]) -> None:
-        super().__init__(env, lambda events, count: count >= len(events),
-                         events)
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue())
-
-
-class AnyOf(Condition):
-    """Condition that fires when *any* constituent event has fired."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment",
-                 events: typing.Iterable[Event]) -> None:
-        super().__init__(env, lambda events, count: count >= 1 or
-                         not events, events)
-        if not self._events and not self.triggered:
-            self.succeed(ConditionValue())

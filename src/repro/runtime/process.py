@@ -18,14 +18,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.environment import Environment
 
 
-class Interrupt(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    @property
-    def cause(self) -> object:
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """A running simulation process driving a generator.
 
@@ -34,7 +26,7 @@ class Process(Event):
     exception that escaped it.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_target", "name")
+    __slots__ = ("_generator", "_send", "_throw", "name")
 
     def __init__(self, env: "Environment",
                  generator: typing.Generator[Event, object, object],
@@ -47,7 +39,6 @@ class Process(Event):
         # process waits on, so per-resume attribute chains add up.
         self._send = generator.send
         self._throw = generator.throw
-        self._target: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process via an immediately-scheduled init event.
         # Pooled: dispatched exactly once and never retained.
@@ -55,33 +46,6 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         env.schedule(init)
-
-    @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        return self._value is PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Raise :class:`Interrupt` inside the process at its yield point."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self.name} has terminated; cannot interrupt")
-        # Detach from the event currently waited upon, then schedule an
-        # immediate resumption that throws the interrupt.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        interrupt_event = self.env.acquire_event()
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        interrupt_event._defused = True
-        interrupt_event.callbacks.append(self._resume)
-        self.env.schedule(interrupt_event, priority=0)
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -98,14 +62,12 @@ class Process(Event):
             self._ok = True
             self._value = stop.value
             env.schedule(self)
-            self._target = None
             env._active_process = None
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
             env.schedule(self)
-            self._target = None
             env._active_process = None
             return
         finally:
@@ -120,7 +82,7 @@ class Process(Event):
         callbacks = result.callbacks
         if callbacks is None:
             # Already processed: resume immediately (next scheduler step)
-            # via a pooled proxy — _target stays the real result event.
+            # via a pooled proxy.
             immediate = env.acquire_event()
             immediate._ok = result._ok
             immediate._value = result._value
@@ -129,10 +91,8 @@ class Process(Event):
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
             env.schedule(immediate)
-            self._target = result
         else:
             callbacks.append(self._resume)
-            self._target = result
 
     def _kill(self, exc: BaseException) -> None:
         try:
@@ -144,8 +104,7 @@ class Process(Event):
             self._ok = False
             self._value = inner
         self.env.schedule(self)
-        self._target = None
 
     def __repr__(self) -> str:
-        state = "alive" if self.is_alive else "dead"
+        state = "alive" if self._value is PENDING else "dead"
         return f"<Process {self.name!r} {state}>"

@@ -5,7 +5,7 @@ Orleans* implementation offloads consistent querying (the seller
 dashboard's two queries must observe the same snapshot) to a relational
 store.  This engine provides multi-version storage, snapshot-isolated
 transactions with first-committer-wins conflict detection, secondary
-indexes and a small predicate query layer.
+indexes and a small equality-predicate query layer.
 """
 
 from repro.sqlstore.engine import (
@@ -14,18 +14,7 @@ from repro.sqlstore.engine import (
     Snapshot,
     Transaction,
 )
-from repro.sqlstore.query import (
-    Predicate,
-    and_,
-    eq,
-    ge,
-    gt,
-    in_,
-    le,
-    lt,
-    not_,
-    or_,
-)
+from repro.sqlstore.query import Predicate, and_, eq
 from repro.sqlstore.table import Row, Table, UniqueViolation
 
 __all__ = [
@@ -39,11 +28,4 @@ __all__ = [
     "UniqueViolation",
     "and_",
     "eq",
-    "ge",
-    "gt",
-    "in_",
-    "le",
-    "lt",
-    "not_",
-    "or_",
 ]

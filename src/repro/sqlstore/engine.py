@@ -265,10 +265,6 @@ class MVCCEngine:
         return table
 
     @property
-    def tables(self) -> dict[str, Table]:
-        return dict(self._tables)
-
-    @property
     def committed_count(self) -> int:
         return self._committed
 

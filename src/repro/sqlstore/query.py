@@ -1,9 +1,10 @@
 """Tiny predicate combinators for querying MVCC tables.
 
 These deliberately mirror the shape of a SQL ``WHERE`` clause without
-parsing SQL: each combinator returns a :class:`Predicate` that can be
-tested against a row-data mapping, and reports the (column, value) pair
-it pins down exactly — which lets the engine use a secondary index.
+parsing SQL: :func:`eq` and its conjunction :func:`and_` (also spelt
+``p & q``) return a :class:`Predicate` that can be tested against a
+row-data mapping, and report the (column, value) pair they pin down
+exactly — which lets the engine use a secondary index.
 """
 
 from __future__ import annotations
@@ -39,55 +40,6 @@ def eq(column: str, value: object) -> Predicate:
     return Predicate(lambda row: row.get(column) == value,
                      equality=(column, value),
                      description=f"{column} == {value!r}")
-
-
-def _compare(column: str, value, op, symbol: str) -> Predicate:
-    def test(row: RowData) -> bool:
-        actual = row.get(column)
-        if actual is None:
-            return False
-        return op(actual, value)
-    return Predicate(test, description=f"{column} {symbol} {value!r}")
-
-
-def lt(column: str, value) -> Predicate:
-    return _compare(column, value, lambda a, b: a < b, "<")
-
-
-def le(column: str, value) -> Predicate:
-    return _compare(column, value, lambda a, b: a <= b, "<=")
-
-
-def gt(column: str, value) -> Predicate:
-    return _compare(column, value, lambda a, b: a > b, ">")
-
-
-def ge(column: str, value) -> Predicate:
-    return _compare(column, value, lambda a, b: a >= b, ">=")
-
-
-def in_(column: str, values: typing.Iterable[object]) -> Predicate:
-    """``column IN (values)``; index-assisted for single-value sets."""
-    candidates = set(values)
-    equality = None
-    if len(candidates) == 1:
-        equality = (column, next(iter(candidates)))
-    return Predicate(lambda row: row.get(column) in candidates,
-                     equality=equality,
-                     description=f"{column} IN {sorted(map(repr, candidates))}")
-
-
-def not_(predicate: Predicate) -> Predicate:
-    """Negation (never index-assisted)."""
-    return Predicate(lambda row: not predicate(row),
-                     description=f"NOT ({predicate.description})")
-
-
-def or_(*predicates: Predicate) -> Predicate:
-    """Disjunction (never index-assisted)."""
-    return Predicate(
-        lambda row: any(predicate(row) for predicate in predicates),
-        description=" OR ".join(p.description for p in predicates))
 
 
 def and_(*predicates: Predicate) -> Predicate:

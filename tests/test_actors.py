@@ -8,7 +8,6 @@ from repro.actors import (
     ConsistentHashPlacement,
     Grain,
     GrainCallError,
-    MemoryGrainStorage,
 )
 from repro.actors.errors import MessageDropped, UnknownGrainType
 from repro.runtime import Environment
@@ -220,71 +219,6 @@ def test_single_core_silo_queues_work():
     assert finish_times[1] - finish_times[0] >= 0.1
 
 
-def test_grain_storage_roundtrip():
-    class Durable(Grain):
-        storage_name = "default"
-
-        def set(self, value):
-            self.state["value"] = value
-            yield from self.write_state()
-            return True
-
-        def get(self):
-            return self.state.get("value")
-            yield  # pragma: no cover
-
-    env, cluster = make_cluster()
-    ref = cluster.grain_ref(Durable, "d1")
-    call_sync(env, ref, "set", 42)
-    # Deactivate, then reactivate: state must be reloaded from storage.
-    silo = cluster.silo_for(ref)
-    assert silo.deactivate("Durable", "d1")
-    assert call_sync(env, ref, "get") == 42
-
-
-def test_clear_state_removes_persisted_state():
-    class Durable(Grain):
-        storage_name = "default"
-
-        def set(self, value):
-            self.state["value"] = value
-            yield from self.write_state()
-
-        def wipe(self):
-            yield from self.clear_state()
-
-        def get(self):
-            return self.state.get("value")
-            yield  # pragma: no cover
-
-    env, cluster = make_cluster()
-    ref = cluster.grain_ref(Durable, "d1")
-    call_sync(env, ref, "set", 1)
-    call_sync(env, ref, "wipe")
-    silo = cluster.silo_for(ref)
-    silo.deactivate("Durable", "d1")
-    assert call_sync(env, ref, "get") is None
-
-
-def test_on_activate_runs_before_first_message():
-    class Warm(Grain):
-        def __init__(self):
-            super().__init__()
-            self.activated_at = None
-
-        def on_activate(self):
-            self.activated_at = self.env.now
-            yield self.env.timeout(0.005)
-
-        def probe(self):
-            return self.activated_at
-            yield  # pragma: no cover
-
-    env, cluster = make_cluster()
-    ref = cluster.grain_ref(Warm, "w")
-    assert call_sync(env, ref, "probe") is not None
-
-
 def test_string_grain_ref_requires_registration():
     env, cluster = make_cluster()
     with pytest.raises(UnknownGrainType):
@@ -323,14 +257,14 @@ def test_placement_is_deterministic():
     env1, cluster1 = make_cluster(seed=1)
     env2, cluster2 = make_cluster(seed=2)
     for key in ("a", "b", "c", "d"):
-        silo1 = cluster1.silo_for(cluster1.grain_ref(Counter, key))
-        silo2 = cluster2.silo_for(cluster2.grain_ref(Counter, key))
+        silo1 = cluster1.placement.place("Counter", key)
+        silo2 = cluster2.placement.place("Counter", key)
         assert silo1.name == silo2.name
 
 
 def test_placement_spreads_keys_across_silos():
     env, cluster = make_cluster(silos=4)
-    names = {cluster.silo_for(cluster.grain_ref(Counter, f"k{i}")).name
+    names = {cluster.placement.place("Counter", f"k{i}").name
              for i in range(200)}
     assert len(names) == 4
 
@@ -355,37 +289,6 @@ def test_consistent_hash_remove_silo_moves_few_keys():
         != name)
     # Keys not on the removed silo must not move.
     assert moved == 0
-
-
-def test_storage_peek_and_keys():
-    env = Environment()
-    storage = MemoryGrainStorage(env, "s")
-
-    def scenario():
-        yield from storage.write("T", "k", {"a": 1})
-
-    env.process(scenario())
-    env.run()
-    assert storage.peek("T", "k") == {"a": 1}
-    assert storage.keys() == [("T", "k")]
-    assert storage.peek("T", "missing") is None
-
-
-def test_storage_deep_copies_state():
-    env = Environment()
-    storage = MemoryGrainStorage(env, "s")
-    original = {"items": [1, 2]}
-
-    def scenario():
-        yield from storage.write("T", "k", original)
-        loaded = yield from storage.read("T", "k")
-        return loaded
-
-    process = env.process(scenario())
-    env.run()
-    loaded = process.value
-    loaded["items"].append(3)
-    assert storage.peek("T", "k") == {"items": [1, 2]}
 
 
 def test_utilisation_reporting():
@@ -449,170 +352,3 @@ def test_two_clusters_in_one_process_build_equal_rings():
     assert first.placement._hashes == sorted(
         _hash(f"silo-{silo}#{node}")
         for silo in range(4) for node in range(64))
-
-
-class TestTimers:
-    def test_timer_ticks_through_mailbox(self):
-        class Ticker(Grain):
-            def __init__(self):
-                super().__init__()
-                self.ticks = []
-
-            def on_activate(self):
-                self.register_timer(0.1, "tick")
-
-            def tick(self):
-                self.ticks.append(self.env.now)
-                return None
-                yield  # pragma: no cover
-
-            def count(self):
-                return len(self.ticks)
-                yield  # pragma: no cover
-
-        env, cluster = make_cluster()
-        ref = cluster.grain_ref(Ticker, "t")
-        call_sync(env, ref, "count")  # activate
-        env.run(until=1.05)
-        promise = ref.call("count")
-        assert env.run(until=promise) == 10
-
-    def test_timer_stops_after_deactivation(self):
-        class Ticker(Grain):
-            def __init__(self):
-                super().__init__()
-                self.ticks = 0
-
-            def on_activate(self):
-                self.register_timer(0.1, "tick")
-
-            def tick(self):
-                self.ticks += 1
-                return None
-                yield  # pragma: no cover
-
-        env, cluster = make_cluster()
-        ref = cluster.grain_ref(Ticker, "t")
-        grain = cluster.grain_instance(ref)
-        env.run(until=0.35)
-        cluster.silo_for(ref).deactivate("Ticker", "t")
-        ticks_at_deactivation = grain.ticks
-        env.run(until=2.0)
-        assert grain.ticks == ticks_at_deactivation
-
-    def test_invalid_timer_interval_rejected(self):
-        env, cluster = make_cluster()
-        ref = cluster.grain_ref(Counter, "c")
-        grain = cluster.grain_instance(ref)
-        with pytest.raises(ValueError):
-            grain.register_timer(0.0, "increment")
-
-
-class TestIdleCollection:
-    class Durable(Grain):
-        storage_name = "default"
-
-        def bump(self):
-            self.state["n"] = self.state.get("n", 0) + 1
-            return self.state["n"]
-            yield  # pragma: no cover
-
-    def test_idle_activation_collected_and_state_persisted(self):
-        env, cluster = make_cluster()
-        cluster.enable_idle_collection(max_age=0.5, sweep_interval=0.25)
-        ref = cluster.grain_ref(self.Durable, "d")
-        assert call_sync(env, ref, "bump") == 1
-        env.run(until=env.now + 2.0)
-        assert cluster.total_activations == 0
-        assert cluster.collections == 1
-        # Transparent re-activation restores the persisted state.
-        assert call_sync(env, ref, "bump") == 2
-
-    def test_busy_activation_not_collected(self):
-        class Chatty(Grain):
-            def ping(self):
-                return self.env.now
-                yield  # pragma: no cover
-
-        env, cluster = make_cluster()
-        cluster.enable_idle_collection(max_age=0.5, sweep_interval=0.25)
-        ref = cluster.grain_ref(Chatty, "c")
-
-        def keep_busy():
-            for _ in range(20):
-                promise = ref.call("ping")
-                yield promise
-                yield env.timeout(0.1)
-
-        process = env.process(keep_busy())
-        env.run(until=process)
-        assert cluster.total_activations == 1
-
-    def test_invalid_collection_parameters_rejected(self):
-        env, cluster = make_cluster()
-        with pytest.raises(ValueError):
-            cluster.enable_idle_collection(max_age=0.0)
-        with pytest.raises(ValueError):
-            cluster.enable_idle_collection(max_age=1.0, sweep_interval=0)
-
-    def test_message_during_deactivation_aborts_and_hook_runs_once(self):
-        """A call arriving while on_deactivate/persist yields must not
-        be lost: the deactivation aborts, the message is served, and a
-        later sweep deactivates without re-running the hook."""
-        class SlowFarewell(Grain):
-            storage_name = "default"
-            hook_runs = 0
-
-            def on_deactivate(self):
-                type(self).hook_runs += 1
-                yield self.env.timeout(0.02)
-
-            def bump(self):
-                self.state["n"] = self.state.get("n", 0) + 1
-                return self.state["n"]
-                yield  # pragma: no cover
-
-        env, cluster = make_cluster()
-        cluster.enable_idle_collection(max_age=0.5, sweep_interval=0.25)
-        ref = cluster.grain_ref(SlowFarewell, "f")
-        assert call_sync(env, ref, "bump") == 1
-        # The first collecting sweep fires at t=0.75 and spends 20ms in
-        # the hook; land a call inside that window.
-        def intruder():
-            yield env.timeout(0.76)
-            result = yield ref.call("bump")
-            return result
-
-        process = env.process(intruder())
-        assert env.run(until=process) == 2  # served, not lost
-        env.run(until=2.0)  # a later sweep completes the deactivation
-        assert cluster.total_activations == 0
-        assert cluster.collections == 1
-        assert SlowFarewell.hook_runs == 1
-        assert cluster.storage("default").peek("SlowFarewell", "f") == \
-            {"n": 2}  # the slipped-in bump made it into the persist
-
-    def test_collection_roundtrip_through_storage(self):
-        """The virtual-actor lifecycle end to end: state written at
-        idle collection is exactly what storage holds, and the next
-        call reads it back transparently (fresh activation, same
-        state)."""
-        env, cluster = make_cluster()
-        cluster.enable_idle_collection(max_age=0.5, sweep_interval=0.25)
-        ref = cluster.grain_ref(self.Durable, "d")
-        for expected in (1, 2, 3):
-            assert call_sync(env, ref, "bump") == expected
-        first_grain = cluster.grain_instance(ref)
-        storage = cluster.storage("default")
-        writes_before = storage.writes
-        env.run(until=env.now + 2.0)  # idle long enough to collect
-        assert cluster.collections == 1
-        # Collection persisted the grain's full state dict.
-        assert storage.peek("Durable", "d") == {"n": 3}
-        assert storage.writes == writes_before + 1
-        # The next call re-activates: a *new* grain instance whose
-        # state came back from storage via a read.
-        reads_before = storage.reads
-        assert call_sync(env, ref, "bump") == 4
-        assert storage.reads == reads_before + 1
-        assert cluster.grain_instance(ref) is not first_grain

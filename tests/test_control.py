@@ -77,7 +77,7 @@ class TestPlatformStatsContract:
     def test_schema_holds_on_every_stack(self, name):
         env, app = _build_app(name)
         schema = typing.get_type_hints(PlatformStats)
-        stats = app.platform_stats().as_dict()
+        stats = dataclasses.asdict(app.platform_stats())
         assert list(stats) == [field.name for field
                                in dataclasses.fields(PlatformStats)]
         for field, kind in schema.items():
@@ -358,8 +358,8 @@ class TestAutoscalerEndToEnd:
         assert len(kinds) <= 6
         # The cluster ends back inside its bounds with the SLO held.
         assert control["samples"][-1]["breach"] is False
-        assert run.autoscaler is not None
-        assert run.control is not None
+        assert run.driver.autoscaler is not None
+        assert run.driver.control is not None
 
     def test_faults_and_autoscaler_share_one_action_log(self):
         """A run carrying both issuers has one membership history: in
@@ -371,7 +371,7 @@ class TestAutoscalerEndToEnd:
                                   FaultEvent(6.0, CrashSilo("silo-0"))]))
         run = run_scenario(scenario, app="orleans-eventual", seed=7,
                            duration_scale=0.5)
-        log = run.control.action_log
+        log = run.driver.control.action_log
         assert {entry["source"] for entry in log} == \
             {"fault", "autoscaler"}
         times = [entry["time"] for entry in log]
@@ -448,6 +448,6 @@ class TestRunScenarioFacade:
         run = run_scenario("baseline", app=StubApp, seed=3,
                            rate_scale=0.25, duration_scale=0.25,
                            audit=False)
-        assert run.control is None
-        assert run.autoscaler is None
+        assert run.driver.control is None
+        assert run.driver.autoscaler is None
         assert run.report is None

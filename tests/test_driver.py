@@ -149,9 +149,9 @@ class TestInputSafety:
         env, app, driver = make_driver(seed=11, mix=mix, duration=2.0)
         driver.run()
         # After the reserve pool is exhausted deletes are refused...
-        assert driver.skipped["no_reserve"] > 0
+        assert driver.issuer.skipped["no_reserve"] > 0
         # ...and the sampling population never contains a deleted key.
-        for seller_id, product_id in driver.registry.live_products():
+        for seller_id, product_id in driver.issuer.registry.live_products():
             assert f"{seller_id}/{product_id}" not in app.deleted
 
     def test_observations_catch_injected_staleness(self):

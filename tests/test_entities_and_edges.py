@@ -80,19 +80,10 @@ class TestKernelEdges:
         with pytest.raises(AttributeError):
             _ = event.value
 
-    def test_step_with_empty_queue_rejected(self):
-        env = Environment()
-        with pytest.raises(RuntimeError):
-            env.step()
-
     def test_fail_requires_exception(self):
         env = Environment()
         with pytest.raises(TypeError):
             env.event().fail("not an exception")  # type: ignore[arg-type]
-
-    def test_peek_empty_queue_is_infinite(self):
-        env = Environment()
-        assert env.peek() == float("inf")
 
     def test_process_waiting_on_already_processed_event(self):
         env = Environment()

@@ -10,10 +10,7 @@ state-loss anomalies on the eventual one.
 
 import pytest
 
-from repro.analysis.availability import (
-    availability_report,
-    availability_rows,
-)
+from repro.analysis.availability import availability_report
 from repro.apps import ALL_APPS, AppConfig
 from repro.control import run_scenario
 from repro.core.scenarios import get_scenario
@@ -75,10 +72,10 @@ class TestSiloCrash:
 
     def test_availability_rows_export(self, eventual):
         metrics, report, app = eventual
-        rows = availability_rows(metrics)
-        assert len(rows) == int(metrics.duration)
-        assert all(row["app"] == "orleans-eventual" for row in rows)
-        assert any(not row["available"] for row in rows)
+        assert report.app == "orleans-eventual"
+        assert [row["second"] for row in report.rows] == list(
+            range(int(metrics.duration)))
+        assert any(not row["available"] for row in report.rows)
 
 
 class TestRollingRestart:

@@ -218,13 +218,14 @@ class TestShipmentGrain:
         env, cluster = make_cluster()
         ref = cluster.grain_ref(grains.ShipmentGrain, "part-0")
         call(env, ref, "create", self.order(), 0)
-        sellers = call(env, ref, "undelivered_sellers", 10)
-        assert sellers == [1, 2]
+        sellers = call(env, ref, "undelivered_seller_times")
+        assert [seller for seller, _ in sellers] == [1, 2]
         package = call(env, ref, "oldest_package", 1)
         assert package is not None
         assert call(env, ref, "mark_delivered", "o1",
                     package["package_id"]) is True
-        assert call(env, ref, "undelivered_sellers", 10) == [2]
+        assert [seller for seller, _ in call(
+            env, ref, "undelivered_seller_times")] == [2]
 
     def test_mark_delivered_unknown_order(self):
         env, cluster = make_cluster()

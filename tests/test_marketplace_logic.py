@@ -25,24 +25,24 @@ class TestCart:
     def test_new_cart_is_open_and_empty(self):
         cart = logic.cart.new_cart(7)
         assert cart["status"] == logic.cart.OPEN
-        assert logic.cart.item_count(cart) == 0
+        assert len(cart["items"]) == 0
 
     def test_add_item(self):
         cart = logic.cart.add_item(logic.cart.new_cart(1), item())
-        assert logic.cart.item_count(cart) == 1
+        assert len(cart["items"]) == 1
         assert logic.cart.total_cents(cart) == 2000
 
     def test_add_same_product_merges_quantity(self):
         cart = logic.cart.new_cart(1)
         cart = logic.cart.add_item(cart, item(qty=1))
         cart = logic.cart.add_item(cart, item(qty=2))
-        assert logic.cart.item_count(cart) == 1
+        assert len(cart["items"]) == 1
         assert cart["items"]["1/1"]["quantity"] == 3
 
     def test_remove_item(self):
         cart = logic.cart.add_item(logic.cart.new_cart(1), item())
         cart = logic.cart.remove_item(cart, "1/1")
-        assert logic.cart.item_count(cart) == 0
+        assert len(cart["items"]) == 0
 
     def test_remove_missing_item_is_noop(self):
         cart = logic.cart.new_cart(1)
@@ -71,13 +71,13 @@ class TestCart:
         cart = logic.cart.add_item(logic.cart.new_cart(1), item())
         cart, applied = logic.cart.apply_product_delete(cart, "1/1")
         assert applied
-        assert logic.cart.item_count(cart) == 0
+        assert len(cart["items"]) == 0
 
     def test_checkout_seals_and_clears(self):
         cart = logic.cart.add_item(logic.cart.new_cart(1), item())
         cart, items = logic.cart.seal_for_checkout(cart)
         assert len(items) == 1
-        assert logic.cart.item_count(cart) == 0
+        assert len(cart["items"]) == 0
         assert cart["checkouts"] == 1
 
     def test_checkout_empty_cart_rejected(self):
@@ -92,7 +92,7 @@ class TestCart:
     def test_add_item_does_not_mutate_input(self):
         original = logic.cart.new_cart(1)
         logic.cart.add_item(original, item())
-        assert logic.cart.item_count(original) == 0
+        assert len(original["items"]) == 0
 
 
 class TestStock:
@@ -222,15 +222,6 @@ class TestOrder:
         assert done
         assert state["orders"]["o1"]["status"] == OrderStatus.COMPLETED
 
-    def test_in_progress_filter(self):
-        state = logic.order.new_customer_orders(1)
-        state, _ = logic.order.assemble(state, "o1", [item()], now=0.0)
-        state, _ = logic.order.assemble(state, "o2", [item()], now=0.0)
-        state = logic.order.set_status(state, "o2", OrderStatus.CANCELED,
-                                       1.0)
-        in_progress = logic.order.in_progress_orders(state)
-        assert [order["order_id"] for order in in_progress] == ["o1"]
-
 
 class TestPayment:
     def test_build_payment_validates_method(self):
@@ -322,8 +313,11 @@ class TestShipment:
             state, _ = logic.shipment.create_shipment(
                 state, f"o{index}", 1, [item(seller=index)],
                 now=float(index))
-        sellers = logic.shipment.undelivered_sellers(state, limit=10)
-        assert sellers == list(range(10))
+        ranked = logic.shipment.undelivered_seller_times(state)
+        # Oldest first: the update-delivery transaction takes the head.
+        assert [seller for seller, _ in ranked[:10]] == list(range(10))
+        assert [when for _, when in ranked] == sorted(
+            when for _, when in ranked)
 
     def test_oldest_undelivered_package(self):
         state = logic.shipment.new_shipments()
@@ -361,6 +355,7 @@ class TestShipment:
         with pytest.raises(KeyError):
             logic.shipment.mark_delivered(state, "o1", "pkg-1", now=1.0)
 
+
     def test_package_count(self):
         state = logic.shipment.new_shipments()
         state, _ = logic.shipment.create_shipment(
@@ -373,11 +368,12 @@ class TestShipment:
 class TestCustomerSellerStats:
     def test_customer_stats_accumulate(self):
         state = logic.customer.new_customer(1, "alice")
-        state = logic.customer.record_order_placed(state)
         state = logic.customer.record_payment(state, 500, approved=True)
         state = logic.customer.record_payment(state, 300, approved=False)
         state = logic.customer.record_delivery(state)
-        assert state["orders_placed"] == 1
+        assert state["payments_succeeded"] == 1
+        assert state["payments_failed"] == 1
+        assert state["deliveries"] == 1
         assert state["spent_cents"] == 500
         assert state["payments_failed"] == 1
         assert state["deliveries"] == 1
@@ -470,23 +466,22 @@ class TestIngestion:
         assert same is state and again == first and not created
         state, second, _ = logic.ingestion.register(state, "ozon/3/b")
         assert second == "xozon.3-00002"
-        assert logic.ingestion.registered_keys(state) == {
-            "ozon/3/a": first, "ozon/3/b": second}
+        assert state["entries"] == {"ozon/3/a": first, "ozon/3/b": second}
 
     def test_release_drops_the_registration_once(self):
         empty = logic.ingestion.new_registry("ozon/3")
         state, _, _ = logic.ingestion.register(empty, "ozon/3/a")
         released = logic.ingestion.release(state, "ozon/3/a")
-        assert logic.ingestion.lookup(released, "ozon/3/a") is None
-        assert logic.ingestion.lookup(state, "ozon/3/a") is not None
+        assert "ozon/3/a" not in released["entries"]
+        assert "ozon/3/a" in state["entries"]
         assert logic.ingestion.release(released, "ozon/3/a") is released
 
     def test_rebind_points_the_key_at_the_retry_order(self):
         state, order_id, _ = logic.ingestion.register(
             logic.ingestion.new_registry("ozon/3"), "ozon/3/a")
         rebound = logic.ingestion.rebind(state, "ozon/3/a", "retry.r1")
-        assert logic.ingestion.lookup(rebound, "ozon/3/a") == "retry.r1"
-        assert logic.ingestion.lookup(state, "ozon/3/a") == order_id
+        assert rebound["entries"]["ozon/3/a"] == "retry.r1"
+        assert state["entries"]["ozon/3/a"] == order_id
 
 
 def lifecycle_script(states):

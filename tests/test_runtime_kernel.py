@@ -9,9 +9,7 @@ import repro.runtime
 
 from repro.runtime import (
     AllOf,
-    AnyOf,
     Environment,
-    Interrupt,
     Resource,
     SimulationError,
 )
@@ -254,20 +252,6 @@ def test_all_of_waits_for_every_event():
     assert process.value == (3.0, ["a", "b"])
 
 
-def test_any_of_fires_on_first_event():
-    env = Environment()
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        results = yield AnyOf(env, [t1, t2])
-        return (env.now, t1 in results, t2 in results)
-
-    process = env.process(proc(env))
-    env.run()
-    assert process.value == (1.0, True, False)
-
-
 def test_all_of_empty_fires_immediately():
     env = Environment()
 
@@ -278,37 +262,6 @@ def test_all_of_empty_fires_immediately():
     process = env.process(proc(env))
     env.run()
     assert process.value == 0.0
-
-
-def test_interrupt_raises_inside_process():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause, env.now)
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert victim.value == ("interrupted", "wake up", 2.0)
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        process.interrupt()
 
 
 def test_negative_timeout_rejected():
@@ -329,7 +282,8 @@ def test_no_scheduling_call_accepts_a_negative_delay():
         with pytest.raises(ValueError, match="negative delay|nan"):
             schedule()
     # Nothing was queued, and the rejected event is still pending.
-    assert env.peek() == float("inf") and not event.triggered
+    env.run()
+    assert env.now == 1.0 and not event.triggered
     event.trigger_after(0.5, "on time")
     assert env.run(until=event) == "on time" and env.now == 1.5
 
@@ -401,34 +355,26 @@ class TestResource:
         assert resource.in_use == 0
 
     def test_abandoned_waiter_withdraws_its_request(self):
-        """A waiter interrupted while queued must not be granted a slot
-        later: nobody would release it."""
+        """A waiter abandoned while queued (its generator closed) must
+        not be granted a slot later: nobody would release it."""
         env = Environment()
         resource = Resource(env, capacity=1)
         order = []
 
         def user(name, hold):
-            try:
-                yield from resource.use(hold)
-            except Interrupt:
-                order.append((name, "interrupted", env.now))
-                return
+            yield from resource.use(hold)
             order.append((name, env.now))
 
         env.process(user("a", 2.0))
-        victim = env.process(user("b", 1.0))
+        victim = user("b", 1.0)
+        env.process(victim)
         env.process(user("c", 1.0))
         env.process(user("d", 1.0))
-
-        def interrupter():
-            yield env.timeout(1.0)
-            victim.interrupt()
-
-        env.process(interrupter())
+        env.run(until=1.0)
+        victim.close()
         env.run()
         # Surviving waiters keep their FIFO order and nothing leaks.
-        assert order == [("b", "interrupted", 1.0), ("a", 2.0),
-                         ("c", 3.0), ("d", 4.0)]
+        assert order == [("a", 2.0), ("c", 3.0), ("d", 4.0)]
         assert resource.in_use == 0
         assert resource.queue_length == 0
 

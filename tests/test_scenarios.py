@@ -84,8 +84,8 @@ class TestScenarioSmoke:
     def test_delete_churn_exercises_compensation(self):
         metrics, driver, app = run_scenario("delete-churn",
                                             duration_scale=1.0)
-        assert driver.registry.deletes > 0
-        for seller_id, product_id in driver.registry.live_products():
+        assert driver.issuer.registry.deletes > 0
+        for seller_id, product_id in driver.issuer.registry.live_products():
             assert f"{seller_id}/{product_id}" not in app.deleted
 
     def test_overload_ramp_builds_queue(self):
@@ -146,7 +146,7 @@ class TestFaultScenarios:
                    for entry in events)
         assert [dict(entry, second=None) for entry in events] == \
             [dict(entry, second=None)
-             for entry in run.control.action_log]
+             for entry in run.driver.control.action_log]
 
     def test_availability_report_without_applied_faults(self):
         from repro.analysis.availability import availability_report

@@ -8,10 +8,6 @@ from repro.sqlstore import (
     UniqueViolation,
     and_,
     eq,
-    ge,
-    gt,
-    le,
-    lt,
 )
 
 
@@ -212,18 +208,6 @@ class TestQueries:
         rows = engine.snapshot().scan("orders", predicate)
         assert [row.key for row in rows] == [3]
 
-    def test_comparison_predicates(self, engine):
-        self.setup_rows(engine)
-        snapshot = engine.snapshot()
-        assert len(snapshot.scan("orders", gt("total", 20.0))) == 2
-        assert len(snapshot.scan("orders", ge("total", 20.0))) == 3
-        assert len(snapshot.scan("orders", lt("total", 20.0))) == 1
-        assert len(snapshot.scan("orders", le("total", 20.0))) == 2
-
-    def test_comparison_ignores_missing_column(self, engine):
-        self.setup_rows(engine)
-        assert engine.snapshot().scan("orders", gt("missing", 0)) == []
-
     def test_aggregates(self, engine):
         self.setup_rows(engine)
         snapshot = engine.snapshot()
@@ -338,35 +322,6 @@ class TestQueryExtensions:
         ]
         for row in rows:
             put(engine, **row)
-
-    def test_in_predicate(self, engine):
-        from repro.sqlstore import in_
-        self.setup_rows(engine)
-        rows = engine.snapshot().scan("orders",
-                                      in_("status", ["open", "paid"]))
-        assert {row.key for row in rows} == {1, 2, 3, 4}
-
-    def test_in_predicate_single_value_index_assisted(self, engine):
-        from repro.sqlstore import in_
-        self.setup_rows(engine)
-        engine.table("orders").create_index("seller")
-        predicate = in_("seller", ["b"])
-        assert predicate.equality == ("seller", "b")
-        rows = engine.snapshot().scan("orders", predicate)
-        assert {row.key for row in rows} == {3, 4}
-
-    def test_not_predicate(self, engine):
-        from repro.sqlstore import eq, not_
-        self.setup_rows(engine)
-        rows = engine.snapshot().scan("orders", not_(eq("seller", "a")))
-        assert {row.key for row in rows} == {3, 4, 5}
-
-    def test_or_predicate(self, engine):
-        from repro.sqlstore import eq, or_
-        self.setup_rows(engine)
-        rows = engine.snapshot().scan(
-            "orders", or_(eq("seller", "a"), eq("status", "canceled")))
-        assert {row.key for row in rows} == {1, 2, 5}
 
     def test_order_by_ascending_descending(self, engine):
         self.setup_rows(engine)

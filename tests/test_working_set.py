@@ -18,6 +18,7 @@ budget and assert the three observable guarantees:
 import pytest
 
 from repro.apps import ALL_APPS, AppConfig
+from repro.apps.grains_eventual import ProductGrain
 from repro.core import BenchmarkDriver, Dataset, DriverConfig, WorkloadConfig
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
@@ -160,6 +161,79 @@ def test_resident_population_respects_limit(name):
     assert stats["resident"] <= TIGHT_LIMIT * app.config.silos, stats
     assert stats["paged"] > 0
     assert stats["peak_resident"] >= stats["resident"]
+
+
+def first_evicted_product():
+    """A budgeted orleans-eventual app whose first working-set sweep
+    (t = 0.05 s) starts by paging out the first product's grain, plus
+    that grain's ref."""
+    env, app = make_app("orleans-eventual", activation_limit=TIGHT_LIMIT)
+    ref = app.cluster.grain_ref(ProductGrain, app.dataset.products[0].key)
+    return env, app, ref
+
+
+def during_eviction_write(app, ref, action):
+    """Run ``action()`` as the pager starts writing ``ref``'s eviction
+    snapshot (a write of ``pager.write_latency`` = 0.4 ms)."""
+    pager = app.cluster.pager
+    write = pager.write
+    started = []
+
+    def hooked(ident, payload):
+        if ident == ref.ident and not started:
+            started.append(app.env.now)
+            action()
+        yield from write(ident, payload)
+
+    pager.write = hooked
+    return started
+
+
+def test_call_landing_mid_eviction_aborts_it_and_is_served():
+    env, app, ref = first_evicted_product()
+    cluster = app.cluster
+    grain = cluster.grain_instance(ref)
+    silo = grain.silo
+    replies = []
+
+    def late_local_call(_event):
+        replies.append(ref.call("update_price", 4242, caller_silo=silo))
+
+    # Sent 0.3 ms into the write, the call lands 0.35 ms in and still
+    # holds its core (0.1 ms) when the write completes.
+    started = during_eviction_write(
+        app, ref, lambda: env.call_after(0.0003, late_local_call))
+    env.run(until=0.06)
+    assert started and replies
+    assert replies[0].value == {"applied": True, "version": 2}
+    # The eviction aborted: same activation, nothing registered paged.
+    assert not cluster.is_paged(grain)
+    assert silo.activations[ref.ident].grain is grain
+    assert grain.data["price_cents"] == 4242
+
+
+def test_turn_inside_the_write_window_survives_via_the_re_snapshot():
+    env, app, ref = first_evicted_product()
+    cluster = app.cluster
+    grain = cluster.grain_instance(ref)
+    silo = grain.silo
+    replies = []
+
+    # Lands 0.05 ms into the write and is done 0.1 ms later: the grain
+    # is quiet again when the write completes, but its snapshot is not.
+    started = during_eviction_write(app, ref, lambda: replies.append(
+        ref.call("update_price", 4242, caller_silo=silo)))
+    env.run(until=0.06)
+    assert started and replies
+    assert replies[0].value == {"applied": True, "version": 2}
+    assert cluster.is_paged(grain)
+    assert ref.ident not in silo.activations
+    # The paged copy is the refreshed snapshot, and re-activation
+    # continues from it.
+    assert cluster.pager.peek(ref.ident)["data"]["price_cents"] == 4242
+    promise = ref.call("update_price", 4343)
+    assert env.run(until=promise) == {"applied": True, "version": 3}
+    assert not cluster.is_paged(grain)
 
 
 def test_statefun_cold_tier_survives_failure():

@@ -385,9 +385,7 @@ class TestProductKeyRegistry:
     def test_rank_lookup(self):
         registry = self.make()
         assert registry.product_at(0) == (1, 1)
-        assert registry.rank_of((1, 3)) == 2
-        assert registry.rank_of((9, 9)) is None
-        assert registry.rank_of((1, 6)) is None  # an unused reserve
+        assert registry.product_at(2) == (1, 3)
         with pytest.raises(IndexError):
             registry.product_at(5)
 
@@ -399,10 +397,7 @@ class TestProductKeyRegistry:
         assert deleted == (1, 1)
         assert replacement == (1, 8)  # reserves are taken from the end
         assert registry.product_at(0) == (1, 8)
-        assert not registry.is_live((1, 1))
-        assert registry.is_live((1, 8))
-        assert registry.rank_of((1, 1)) is None
-        assert registry.rank_of((1, 8)) == 0
+        assert (1, 1) not in registry.live_products()
 
     def test_population_size_invariant_under_deletes(self):
         registry = self.make()
@@ -418,12 +413,6 @@ class TestProductKeyRegistry:
         assert registry.delete_at(0) is None
         assert registry.refused_deletes == 1
         assert registry.deletes == 3
-
-    def test_reserve_remaining(self):
-        registry = self.make()
-        assert registry.reserve_remaining == 3
-        registry.delete_at(0)
-        assert registry.reserve_remaining == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -452,16 +441,8 @@ class TestProductKeyRegistry:
                 gone.add(outcome[0])
         assert registry.deletes == len(gone)
         assert registry.refused_deletes == model.refused
-        assert registry.reserve_remaining == len(model.reserve)
         assert registry.live_products() == model.by_rank
-        for rank, key in enumerate(model.by_rank):
-            assert registry.rank_of(key) == rank
-            assert registry.is_live(key)
-        for key in gone:
-            assert registry.rank_of(key) is None
-            assert not registry.is_live(key)
-        for key in model.reserve:
-            assert not registry.is_live(key)
+        assert not gone & set(registry.live_products())
 
     def test_memory_is_o_deletes(self):
         """A million-rank registry costs nothing until deletes happen."""
@@ -471,9 +452,6 @@ class TestProductKeyRegistry:
         # 1000 live + 100 reserve, the dataset's layout.
         assert registry.product_at(0) == (1, 1)
         assert registry.product_at(999_999) == (1000, 999 * 1100 + 1000)
-        mid = registry.product_at(550_000)
-        assert registry.rank_of(mid) == 550_000
-        assert registry.is_live(mid)
         before = len(registry._rebound)
         registry.delete_at(123_456)
         assert len(registry._rebound) == before + 1
