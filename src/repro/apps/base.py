@@ -10,8 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import typing
+import zlib
 
+from repro.actors import Cluster, ClusterConfig
+from repro.broker import Broker, DeliveryMode
 from repro.control.signals import PlatformStats
+from repro.marketplace.constants import Topics
+from repro.marketplace.logic import customer as customer_logic
+from repro.marketplace.logic import seller as seller_logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workload.dataset import Dataset
@@ -22,6 +28,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: up front; anything bigger is installed record by record on first
 #: touch, so set-up stays O(1) in the configured world.
 PRELOAD_MAX_RECORDS = 4096
+
+#: The audit view each service's state lands in (:meth:`audit_views`).
+SERVICE_VIEWS = {
+    "product": "products", "replica": "replicas", "stock": "stock",
+    "order": "orders", "payment": "payments", "shipment": "shipments",
+    "customer": "customers", "seller": "sellers", "cart": "carts",
+    "ingestion": "ingestion",
+}
 
 
 @dataclasses.dataclass
@@ -63,6 +77,7 @@ class MarketplaceApp:
     """Abstract base for the four implementations."""
 
     name = "abstract"
+    shipment_partitions = 4
 
     #: What membership actions act on and ``platform_stats()`` reads:
     #: the object with the ``add_silo``/``drain_silo`` verbs and
@@ -116,17 +131,30 @@ class MarketplaceApp:
                 self.touch_customer(customer_id)
         self._post_ingest()
 
-    # Per-record installation hooks; implementations override these.
+    # Per-record installation hooks, all through the stack's _install.
     def _ingest_product(self, product) -> None:
-        raise NotImplementedError
+        data = product.as_dict()
+        self._install("product", product.key, data)
+        self._install("replica", product.key, {
+            "price_cents": data["price_cents"],
+            "version": data["version"], "active": data["active"]})
 
     def _ingest_stock(self, stock_item) -> None:
-        raise NotImplementedError
+        self._install("stock", stock_item.key, stock_item.as_dict())
 
     def _ingest_seller(self, seller) -> None:
-        raise NotImplementedError
+        self._install("seller", str(seller.seller_id),
+                      seller_logic.new_seller(
+                          seller.seller_id, seller.name, seller.city))
 
     def _ingest_customer(self, customer) -> None:
+        self._install("customer", str(customer.customer_id),
+                      customer_logic.new_customer(
+                          customer.customer_id, customer.name,
+                          customer.city))
+
+    def _install(self, service: str, key: str, state: dict) -> None:
+        """Install ``state`` as the record of ``service``/``key``."""
         raise NotImplementedError
 
     def _post_ingest(self) -> None:
@@ -161,6 +189,11 @@ class MarketplaceApp:
         self._ingest_product(product)
         self._ingest_stock(dataset.stock_item(seller_id, product_id))
         self._touched_products.add(key)
+
+    def shipment_partition(self, order_id: str) -> str:
+        """The shipment partition an order's packages live in."""
+        digest = zlib.crc32(order_id.encode())
+        return f"part-{digest % self.shipment_partitions}"
 
     # ------------------------------------------------------------------
     # workload operations (process helpers)
@@ -246,3 +279,115 @@ def rejected(operation: str, **payload) -> OperationResult:
 def failed(operation: str, **payload) -> OperationResult:
     return OperationResult(status="failed", operation=operation,
                            payload=payload)
+
+
+def from_reply(operation: str, reply: dict) -> OperationResult:
+    """Map a ``{"status": ..., **payload}`` service reply (``ok`` when
+    it carries no status) to the driver's result record."""
+    status = reply.pop("status", "ok")
+    if status not in ("ok", "rejected"):
+        status = "failed"
+    return OperationResult(status=status, operation=operation,
+                           payload=dict(reply))
+
+
+def empty_views() -> dict[str, dict]:
+    """One empty audit view per service."""
+    return {view: {} for view in SERVICE_VIEWS.values()}
+
+
+class ActorApp(MarketplaceApp):
+    """Shell of the two Orleans stacks: one cluster whose grain types
+    are keyed by service.  A stack supplies ``grains``, how its broker
+    is built, how a grain's state is installed and read for audits, and
+    its operations."""
+
+    delivery_mode = DeliveryMode.UNORDERED
+    #: Grain class per service name.
+    grains: dict[str, type] = {}
+    #: Key of a grain's state in its paged-out snapshot.
+    paged_attr = "data"
+
+    def __init__(self, env: "Environment",
+                 config: AppConfig | None = None) -> None:
+        super().__init__(env, config)
+        self.cluster = Cluster(env, ClusterConfig(
+            silos=self.config.silos,
+            cores_per_silo=self.config.cores_per_silo,
+            drop_probability=self.config.drop_probability,
+            activation_limit=self.config.activation_limit),
+            broker=self._broker())
+        self.cluster.app = self
+        self.scaling_host = self.cluster
+        self._grains = dict(self.grains)
+        for grain_type in self._grains.values():
+            self.cluster.register_grain(grain_type)
+        self._subscribe()
+
+    def _broker(self) -> Broker:
+        return Broker(self.env, default_mode=self.delivery_mode)
+
+    def _subscribe(self) -> None:
+        """Wire the stack's broker subscriptions."""
+        raise NotImplementedError
+
+    def _grain(self, service: str, key: str):
+        return self.cluster.grain_ref(self._grains[service], key)
+
+    def dashboard(self, seller_id: int):
+        """Two *separate* grain calls: updates may interleave between
+        them — the platform gives the dashboard no shared snapshot,
+        which is exactly the snapshot criterion's failure mode."""
+        seller = self._grain("seller", str(seller_id))
+        try:
+            amount = yield seller.call("dashboard_amount")
+            entries = yield seller.call("dashboard_entries")
+        except Exception:
+            return failed("dashboard", reason="unreachable")
+        return ok("dashboard", amount_cents=amount, entries=entries,
+                  entries_total_cents=sum(entry["amount_cents"]
+                                          for entry in entries))
+
+    @staticmethod
+    def _live_state(grain):
+        """An activation's state as the audits see it (falsy: none)."""
+        return grain.data
+
+    def audit_views(self) -> dict:
+        views = empty_views()
+        services = {grain_type.__name__: service
+                    for service, grain_type in self._grains.items()}
+        for silo in self.cluster.silos:
+            for (type_name, key), activation in silo.activations.items():
+                service = services.get(type_name)
+                state = service and self._live_state(activation.grain)
+                if state:
+                    views[SERVICE_VIEWS[service]][key] = state
+        # Grains paged out under the activation budget are still part
+        # of the logical state the audits check.
+        for (type_name, key), paged in self.cluster.paged_states().items():
+            service = services.get(type_name)
+            state = service and paged and paged.get(self.paged_attr)
+            if state:
+                views[SERVICE_VIEWS[service]].setdefault(key, state)
+        views["event_log"] = [
+            {"subscriber": name, "time": when,
+             "order_id": envelope.key, "kind": envelope.payload["kind"]}
+            for name, when, envelope in
+            self.cluster.broker.deliveries(Topics.ORDER_EVENTS)]
+        return views
+
+    def runtime_stats(self) -> dict:
+        return self._cluster_stats()
+
+    def _cluster_stats(self, **extra) -> dict:
+        cluster = self.cluster
+        return {
+            "messages_sent": cluster.messages_sent,
+            "messages_dropped": cluster.messages_dropped,
+            "activations": cluster.total_activations,
+            **extra,
+            "membership": cluster.membership_stats(),
+            "utilisation": cluster.utilisation(),
+            "working_set": cluster.working_set_stats(),
+        }

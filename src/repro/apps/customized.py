@@ -31,7 +31,6 @@ from repro.sqlstore import MVCCEngine, Predicate, eq
 from repro.txn import TxnConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.workload.dataset import Dataset
     from repro.runtime import Environment
 
 #: Simulated latency of one MVCC (PostgreSQL) round trip.

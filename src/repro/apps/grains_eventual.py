@@ -27,7 +27,7 @@ from repro.marketplace.logic import (
 )
 
 
-def _safe_call(grain: Grain, promise):
+def _safe_call(promise):
     """Await a promise, mapping failures (e.g. dropped messages) to None."""
     try:
         value = yield promise
@@ -140,7 +140,7 @@ class StockGrain(Grain):
         yield  # pragma: no cover - generator marker
 
     def allocate(self, quantity: int):
-        """Reserve-and-confirm in one step (external-order ingestion)."""
+        """Reserve-and-confirm in one step (external orders)."""
         if self.data is None or not self.data.get("active", True):
             return False
         available = self.data["qty_available"] - self.data["qty_reserved"]
@@ -188,8 +188,7 @@ class CartGrain(Grain):
         self._ensure()
         key = f"{seller_id}/{product_id}"
         replica = self.grain_ref(ReplicaGrain, key)
-        price = yield from _safe_call(
-            self, self.call(replica, "get_price"))
+        price = yield from _safe_call(self.call(replica, "get_price"))
         if price is None:
             return {"added": False, "reason": "unavailable"}
         self.data = cart_logic.add_item(self.data, {
@@ -208,16 +207,15 @@ class CartGrain(Grain):
         except ValueError:
             return {"status": "rejected", "reason": "empty_cart"}
         orders = self.grain_ref(OrderGrain, self.key)
-        result = yield from _safe_call(
-            self, self.call(orders, "process_checkout", order_id, items,
-                            payment_method))
+        result = yield from _safe_call(self.call(
+            orders, "place_order", order_id, items, payment_method))
         if result is None:
             return {"status": "failed", "reason": "order_unreachable"}
         return result
 
 
 class OrderGrain(Grain):
-    """Per-customer order manager: the checkout orchestrator."""
+    """Per-customer order manager: the order-placement orchestrator."""
 
     #: All state lives in ``data`` -> pageable under an
     #: activation budget.
@@ -233,106 +231,70 @@ class OrderGrain(Grain):
         return self.data
 
     # ------------------------------------------------------------------
-    def process_checkout(self, order_id: str, items: list[dict],
-                         payment_method: str):
+    def place_order(self, order_id: str, items: list[dict],
+                    payment_method: str | None = None,
+                    ext: str | None = None):
+        """Place an order: a checkout, or with ``ext`` a prepaid
+        external-platform order.
+
+        A checkout reserves stock, awaits the payment and then confirms
+        the reservations; an external order allocates stock in one step
+        (no dangling reservations) and skips the payment.  Past that,
+        both run the same droppable, unordered downstream effects.
+        """
         app = self.cluster.app
         self._ensure()
-        # 1. Reserve stock for every item (parallel awaited calls).
+        # 1. Reserve (or allocate) stock for every item: parallel
+        #    awaited calls.
+        verb = "reserve" if ext is None else "allocate"
         outcomes = yield self.env.all_of([
-            self.env.process(_safe_call(self, self.call(
+            self.env.process(_safe_call(self.call(
                 self.grain_ref(StockGrain,
                                f"{item['seller_id']}/{item['product_id']}"),
-                "reserve", item["quantity"])))
+                verb, item["quantity"])))
             for item in items])
         flags = list(outcomes.values())
         confirmed = [item for item, flag in zip(items, flags) if flag]
-        reserved = list(confirmed)
         if not confirmed:
             return {"status": "rejected", "reason": "no_stock",
                     "order_id": order_id}
         # 2. Assemble the order (invoice, totals).
         self.data, order = order_logic.assemble(
-            self.data, order_id, confirmed, self.env.now)
-        sellers = order_logic.seller_ids(order)
-        created = self.publish(Topics.ORDER_EVENTS, order_id, {
-            "kind": "order_created", "order": order, "sellers": sellers})
-        # 3. Process payment synchronously.
-        payment_ref = self.grain_ref(PaymentGrain, order_id)
-        payment = yield from _safe_call(self, self.call(
-            payment_ref, "process", order, payment_method,
-            app.config.approval_rate))
-        if payment is None or not payment_logic.is_approved(payment):
-            # Roll back reservations (fire-and-forget: may be lost).
-            for item in reserved:
-                self.grain_ref(
-                    StockGrain,
-                    f"{item['seller_id']}/{item['product_id']}").tell(
-                        "cancel", item["quantity"])
-            self.data = order_logic.set_status(
-                self.data, order_id, OrderStatus.PAYMENT_FAILED,
-                self.env.now)
-            # Close the compensation chain locally: a failed payment
-            # cancels the order (the stock cancels above may be lost —
-            # that gap is what the criteria audit measures).
-            self.data = order_logic.set_status(
-                self.data, order_id, OrderStatus.CANCELED, self.env.now)
-            self.grain_ref(CustomerGrain, self.key).tell(
-                "record_payment", order["total_cents"], False)
-            self.publish(Topics.ORDER_EVENTS, order_id, {
-                "kind": "payment_failed", "order_id": order_id,
-                "customer_id": order["customer_id"], "sellers": sellers},
-                causal_deps=[created.sequence])
-            return {"status": "failed", "reason": "payment",
-                    "order_id": order_id,
-                    "total_cents": order["total_cents"]}
-        # 4. Payment confirmed: async effects (all droppable/unordered).
-        self.data = order_logic.set_status(
-            self.data, order_id, OrderStatus.PAYMENT_PROCESSED,
-            self.env.now)
-        paid = self.publish(Topics.ORDER_EVENTS, order_id, {
-            "kind": "payment_confirmed", "order_id": order_id,
-            "customer_id": order["customer_id"], "sellers": sellers,
-            "amount_cents": order["total_cents"]},
-            causal_deps=[created.sequence])
-        for item in reserved:
-            self.grain_ref(
-                StockGrain,
-                f"{item['seller_id']}/{item['product_id']}").tell(
-                    "confirm", item["quantity"])
-        shipment_ref = self.grain_ref(
-            ShipmentGrain, app.shipment_partition(order_id))
-        shipment_ref.tell("create", order, paid.sequence)
-        self.grain_ref(CustomerGrain, self.key).tell(
-            "record_payment", order["total_cents"], True)
-        return {"status": "ok", "order_id": order_id,
-                "invoice": order["invoice"],
-                "total_cents": order["total_cents"]}
-
-    # ------------------------------------------------------------------
-    def ingest_external(self, order_id: str, items: list[dict], ext: str):
-        """Create a prepaid external-platform order.
-
-        Stock is allocated with awaited one-step calls (no dangling
-        reservations); the downstream effects mirror the post-payment
-        half of checkout and are just as droppable.
-        """
-        self._ensure()
-        outcomes = yield self.env.all_of([
-            self.env.process(_safe_call(self, self.call(
-                self.grain_ref(StockGrain,
-                               f"{item['seller_id']}/{item['product_id']}"),
-                "allocate", item["quantity"])))
-            for item in items])
-        flags = list(outcomes.values())
-        confirmed = [item for item, flag in zip(items, flags) if flag]
-        if not confirmed:
-            return {"status": "rejected", "reason": "no_stock",
-                    "order_id": order_id}
-        self.data, order = order_logic.assemble(
             self.data, order_id, confirmed, self.env.now, ext=ext)
         sellers = order_logic.seller_ids(order)
         created = self.publish(Topics.ORDER_EVENTS, order_id, {
             "kind": "order_created", "order": order, "sellers": sellers})
+        # 3. Process a checkout's payment synchronously.
+        if ext is None:
+            payment_ref = self.grain_ref(PaymentGrain, order_id)
+            payment = yield from _safe_call(self.call(
+                payment_ref, "process", order, payment_method,
+                app.config.approval_rate))
+            if payment is None or not payment_logic.is_approved(payment):
+                # Roll back reservations (fire-and-forget: may be lost).
+                for item in confirmed:
+                    self.grain_ref(
+                        StockGrain,
+                        f"{item['seller_id']}/{item['product_id']}").tell(
+                            "cancel", item["quantity"])
+                # Close the compensation chain locally: a failed payment
+                # cancels the order (the stock cancels above may be lost
+                # — that gap is what the criteria audit measures).
+                for status in (OrderStatus.PAYMENT_FAILED,
+                               OrderStatus.CANCELED):
+                    self.data = order_logic.set_status(
+                        self.data, order_id, status, self.env.now)
+                self.grain_ref(CustomerGrain, self.key).tell(
+                    "record_payment", order["total_cents"], False)
+                self.publish(Topics.ORDER_EVENTS, order_id, {
+                    "kind": "payment_failed", "order_id": order_id,
+                    "customer_id": order["customer_id"],
+                    "sellers": sellers},
+                    causal_deps=[created.sequence])
+                return {"status": "failed", "reason": "payment",
+                        "order_id": order_id,
+                        "total_cents": order["total_cents"]}
+        # 4. Paid: async effects (all droppable/unordered).
         self.data = order_logic.set_status(
             self.data, order_id, OrderStatus.PAYMENT_PROCESSED,
             self.env.now)
@@ -341,7 +303,12 @@ class OrderGrain(Grain):
             "customer_id": order["customer_id"], "sellers": sellers,
             "amount_cents": order["total_cents"]},
             causal_deps=[created.sequence])
-        app = self.cluster.app
+        if ext is None:
+            for item in confirmed:
+                self.grain_ref(
+                    StockGrain,
+                    f"{item['seller_id']}/{item['product_id']}").tell(
+                        "confirm", item["quantity"])
         shipment_ref = self.grain_ref(
             ShipmentGrain, app.shipment_partition(order_id))
         shipment_ref.tell("create", order, paid.sequence)
@@ -377,8 +344,7 @@ class OrderGrain(Grain):
             "kind": "return_requested", "order_id": order_id,
             "customer_id": order["customer_id"], "sellers": sellers})
         payment_ref = self.grain_ref(PaymentGrain, order_id)
-        refunded = yield from _safe_call(
-            self, self.call(payment_ref, "refund"))
+        refunded = yield from _safe_call(self.call(payment_ref, "refund"))
         if not refunded:
             return {"status": "failed", "reason": "refund_unreachable",
                     "order_id": order_id}
@@ -643,12 +609,12 @@ class IngestionGrain(Grain):
             return {"status": "ok", "order_id": order_id,
                     "idempotent": True}
         order_ref = self.grain_ref(OrderGrain, str(customer_id))
-        result = yield from _safe_call(self, self.call(
-            order_ref, "ingest_external", order_id, items, key))
+        result = yield from _safe_call(self.call(
+            order_ref, "place_order", order_id, items, ext=key))
         if result is None:
             retry_id = f"{order_id}.r1"
-            result = yield from _safe_call(self, self.call(
-                order_ref, "ingest_external", retry_id, items, key))
+            result = yield from _safe_call(self.call(
+                order_ref, "place_order", retry_id, items, ext=key))
             if result is None:
                 # Registered but (as far as we know) never created: an
                 # orphaned registration the audit counts.

@@ -26,10 +26,6 @@ from repro.marketplace.logic import (
 from repro.txn import TransactionalGrain
 
 
-class PaymentDeclined(Exception):
-    """Payment authorisation failed: abort the checkout, do not retry."""
-
-
 class TxnProductGrain(TransactionalGrain):
     """Authoritative product record under transactional state."""
 
@@ -159,16 +155,24 @@ class TxnCartGrain(TransactionalGrain):
             return {"status": "rejected", "reason": "empty_cart"}
         yield from self.txn_write(state)
         orders = self.grain_ref(TxnOrderGrain, self.key)
-        result = yield self.call(orders, "process_checkout", order_id,
-                                 items, payment_method)
+        result = yield self.call(orders, "place_order", order_id, items,
+                                 payment_method)
         return result
 
 
 class TxnOrderGrain(TransactionalGrain):
-    """Checkout orchestrator: every effect inside one transaction."""
+    """Order orchestrator: every effect inside one transaction."""
 
-    def process_checkout(self, order_id: str, items: list[dict],
-                         payment_method: str):
+    def place_order(self, order_id: str, items: list[dict],
+                    payment_method: str | None = None,
+                    ext: str | None = None):
+        """Place an order: a checkout, or with ``ext`` a prepaid
+        external-platform order, which skips the payment step.
+
+        Stock allocation, payment, shipment, seller entries and customer
+        statistics all commit in the caller's one transaction (for an
+        external order, together with the dedup registration).
+        """
         app = self.cluster.app
         state = yield from self.txn_read()
         if not state:
@@ -188,35 +192,39 @@ class TxnOrderGrain(TransactionalGrain):
                     "order_id": order_id}
         # 2. Assemble order.
         state, order = order_logic.assemble(state, order_id, confirmed,
-                                            self.env.now)
-        # 3. Payment inside the transaction; declines abort everything.
-        payment_ref = self.grain_ref(TxnPaymentGrain, order_id)
-        payment = yield self.call(payment_ref, "process", order,
-                                  payment_method, app.config.approval_rate)
-        if not payment_logic.is_approved(payment):
-            # Payment-failure abort as an explicit compensation inside
-            # the same ACID transaction: hand the allocated stock back
-            # and keep the order as an auditable PAYMENT_FAILED ->
-            # CANCELED tombstone (all-or-nothing with the release).
-            for item in confirmed:
-                ref = self.grain_ref(
-                    TxnStockGrain,
-                    f"{item['seller_id']}/{item['product_id']}")
-                yield self.call(ref, "release", item["quantity"])
-            state = order_logic.set_status(
-                state, order_id, OrderStatus.PAYMENT_FAILED, self.env.now)
-            state = order_logic.set_status(
-                state, order_id, OrderStatus.CANCELED, self.env.now)
-            yield from self.txn_write(state)
-            customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
-            yield self.call(customer_ref, "record_payment",
-                            order["total_cents"], False)
-            self.publish(Topics.ORDER_EVENTS, order_id, {
-                "kind": "payment_failed", "order_id": order_id,
-                "customer_id": order["customer_id"], "sellers": [],
-                "amount_cents": order["total_cents"]})
-            return {"status": "failed", "reason": "payment",
-                    "order_id": order_id}
+                                            self.env.now, ext=ext)
+        # 3. Payment inside the transaction (an external order arrives
+        #    prepaid); declines abort everything.
+        if ext is None:
+            payment_ref = self.grain_ref(TxnPaymentGrain, order_id)
+            payment = yield self.call(payment_ref, "process", order,
+                                      payment_method,
+                                      app.config.approval_rate)
+            if not payment_logic.is_approved(payment):
+                # Payment-failure abort as an explicit compensation
+                # inside the same ACID transaction: hand the allocated
+                # stock back and keep the order as an auditable
+                # PAYMENT_FAILED -> CANCELED tombstone (all-or-nothing
+                # with the release).
+                for item in confirmed:
+                    ref = self.grain_ref(
+                        TxnStockGrain,
+                        f"{item['seller_id']}/{item['product_id']}")
+                    yield self.call(ref, "release", item["quantity"])
+                for status in (OrderStatus.PAYMENT_FAILED,
+                               OrderStatus.CANCELED):
+                    state = order_logic.set_status(state, order_id, status,
+                                                   self.env.now)
+                yield from self.txn_write(state)
+                customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
+                yield self.call(customer_ref, "record_payment",
+                                order["total_cents"], False)
+                self.publish(Topics.ORDER_EVENTS, order_id, {
+                    "kind": "payment_failed", "order_id": order_id,
+                    "customer_id": order["customer_id"], "sellers": [],
+                    "amount_cents": order["total_cents"]})
+                return {"status": "failed", "reason": "payment",
+                        "order_id": order_id}
         state = order_logic.set_status(
             state, order_id, OrderStatus.PAYMENT_PROCESSED, self.env.now)
         # 4. Shipment, seller dashboard entries and customer statistics —
@@ -261,59 +269,6 @@ class TxnOrderGrain(TransactionalGrain):
         return {"completed": completed, "known": True,
                 "sellers": order_logic.seller_ids(
                     state["orders"][order_id])}
-
-    def ingest_external(self, order_id: str, items: list[dict], ext: str):
-        """Create a prepaid external-platform order (one transaction).
-
-        The external channel already collected payment, so the order
-        goes straight to PAYMENT_PROCESSED and ships; stock allocation,
-        seller entries and customer statistics commit atomically with
-        it — and with the caller's dedup registration.
-        """
-        app = self.cluster.app
-        state = yield from self.txn_read()
-        if not state:
-            state = order_logic.new_customer_orders(int(self.key))
-        confirmed = []
-        for item in sorted(items, key=lambda entry:
-                           (entry["seller_id"], entry["product_id"])):
-            ref = self.grain_ref(
-                TxnStockGrain, f"{item['seller_id']}/{item['product_id']}")
-            granted = yield self.call(ref, "allocate", item["quantity"])
-            if granted:
-                confirmed.append(item)
-        if not confirmed:
-            return {"status": "rejected", "reason": "no_stock",
-                    "order_id": order_id}
-        state, order = order_logic.assemble(state, order_id, confirmed,
-                                            self.env.now, ext=ext)
-        state = order_logic.set_status(
-            state, order_id, OrderStatus.PAYMENT_PROCESSED, self.env.now)
-        shipment_ref = self.grain_ref(
-            TxnShipmentGrain, app.shipment_partition(order_id))
-        package_count = yield self.call(shipment_ref, "create", order)
-        state = order_logic.record_shipment(state, order_id,
-                                            package_count, self.env.now)
-        yield from self.txn_write(state)
-        for seller_id in order_logic.seller_ids(order):
-            seller_ref = self.grain_ref(TxnSellerGrain, str(seller_id))
-            yield self.call(seller_ref, "upsert_entry",
-                            {**order, "status": OrderStatus.IN_TRANSIT})
-        customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
-        yield self.call(customer_ref, "record_payment",
-                        order["total_cents"], True)
-        created = self.publish(Topics.ORDER_EVENTS, order_id, {
-            "kind": "payment_confirmed", "order_id": order_id,
-            "customer_id": order["customer_id"], "sellers": [],
-            "amount_cents": order["total_cents"]})
-        self.publish(Topics.ORDER_EVENTS, order_id, {
-            "kind": "shipment_notification", "order_id": order_id,
-            "customer_id": order["customer_id"], "sellers": [],
-            "package_count": package_count},
-            causal_deps=[created.sequence])
-        return {"status": "ok", "order_id": order_id,
-                "invoice": order["invoice"],
-                "total_cents": order["total_cents"]}
 
     def process_return(self, order_id: str):
         """Return/refund compensation saga as one ACID transaction.
@@ -532,8 +487,8 @@ class TxnIngestionGrain(TransactionalGrain):
             return {"status": "ok", "order_id": order_id,
                     "idempotent": True}
         order_ref = self.grain_ref(TxnOrderGrain, str(customer_id))
-        result = yield self.call(order_ref, "ingest_external", order_id,
-                                 items, key)
+        result = yield self.call(order_ref, "place_order", order_id,
+                                 items, ext=key)
         if result.get("status") != "ok":
             # No txn_write: the registration is dropped with the rest
             # of the transaction's effects, so a retry can succeed.

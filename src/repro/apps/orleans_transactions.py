@@ -12,12 +12,10 @@ at every participant, and a coordinator log write per transaction.
 from __future__ import annotations
 
 import typing
-import zlib
 
-from repro.actors import Cluster, ClusterConfig
-from repro.apps.base import AppConfig, MarketplaceApp, failed, ok, rejected
-from repro.apps.grains_txn import TXN_GRAINS, PaymentDeclined
-from repro.broker import Broker, DeliveryMode
+from repro.apps.base import ActorApp, AppConfig, failed, from_reply, ok, \
+    rejected
+from repro.apps.grains_txn import TXN_GRAINS
 from repro.marketplace.constants import Topics
 from repro.txn import TransactionAborted, TransactionRunner, TxnConfig
 
@@ -25,40 +23,20 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
 
-class OrleansTransactionsApp(MarketplaceApp):
+class OrleansTransactionsApp(ActorApp):
     """ACID Online Marketplace on transactional actors."""
 
     name = "orleans-transactions"
-    delivery_mode = DeliveryMode.UNORDERED
-    shipment_partitions = 4
+    grains = TXN_GRAINS
+    paged_attr = "state"
 
     def __init__(self, env: "Environment",
                  config: AppConfig | None = None,
                  txn_config: TxnConfig | None = None) -> None:
         super().__init__(env, config)
-        broker = Broker(env, default_mode=self.delivery_mode)
-        self.cluster = Cluster(env, ClusterConfig(
-            silos=self.config.silos,
-            cores_per_silo=self.config.cores_per_silo,
-            drop_probability=self.config.drop_probability,
-            activation_limit=self.config.activation_limit),
-            broker=broker)
-        self.cluster.app = self
-        self.scaling_host = self.cluster
         self.runner = TransactionRunner(self.cluster, txn_config)
-        self._grains = dict(TXN_GRAINS)
-        for grain_type in self._grains.values():
-            self.cluster.register_grain(grain_type)
-        self._subscribe()
 
     # ------------------------------------------------------------------
-    def _grain(self, service: str, key: str):
-        return self.cluster.grain_ref(self._grains[service], key)
-
-    def shipment_partition(self, order_id: str) -> str:
-        digest = zlib.crc32(order_id.encode())
-        return f"part-{digest % self.shipment_partitions}"
-
     def _subscribe(self) -> None:
         # Replica maintenance is still event-driven (the platform has no
         # replication primitive); seller entries are transactional, so
@@ -80,35 +58,15 @@ class OrleansTransactionsApp(MarketplaceApp):
             self._grain("replica", key).tell(
                 "apply_delete", payload["version"])
 
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-    def _ingest_product(self, product) -> None:
-        data = product.as_dict()
-        self._install("product", product.key, data)
-        self._install("replica", product.key, {
-            "price_cents": data["price_cents"],
-            "version": data["version"], "active": data["active"]})
-
-    def _ingest_stock(self, stock_item) -> None:
-        self._install("stock", stock_item.key, stock_item.as_dict())
-
-    def _ingest_seller(self, seller) -> None:
-        from repro.marketplace.logic import seller as seller_logic
-        self._install("seller", str(seller.seller_id),
-                      seller_logic.new_seller(
-                          seller.seller_id, seller.name, seller.city))
-
-    def _ingest_customer(self, customer) -> None:
-        from repro.marketplace.logic import customer as customer_logic
-        self._install("customer", str(customer.customer_id),
-                      customer_logic.new_customer(
-                          customer.customer_id, customer.name,
-                          customer.city))
-
     def _install(self, service: str, key: str, state: dict) -> None:
         grain = self.cluster.grain_instance(self._grain(service, key))
         grain.participant.write_committed(state)
+
+    @staticmethod
+    def _live_state(grain):
+        participant = grain._participant
+        return None if participant is None \
+            else participant.committed_state
 
     # ------------------------------------------------------------------
     # workload operations (each one a distributed transaction)
@@ -117,9 +75,6 @@ class OrleansTransactionsApp(MarketplaceApp):
         """Run ``body(ctx)`` transactionally, mapping failures."""
         try:
             result = yield from self.runner.run(body)
-        except PaymentDeclined as declined:
-            return failed(operation, reason="payment",
-                          order_id=str(declined))
         except TransactionAborted as abort:
             return failed(operation, reason=f"aborted:{abort.reason}")
         except Exception:
@@ -151,12 +106,7 @@ class OrleansTransactionsApp(MarketplaceApp):
 
         outcome = yield from self._transact("checkout", body)
         if isinstance(outcome, dict):
-            status = outcome.pop("status")
-            if status == "ok":
-                return ok("checkout", **outcome)
-            if status == "failed":
-                return failed("checkout", **outcome)
-            return rejected("checkout", **outcome)
+            return from_reply("checkout", outcome)
         return outcome
 
     def submit_external(self, platform: str, shop_id: int,
@@ -174,10 +124,7 @@ class OrleansTransactionsApp(MarketplaceApp):
 
         outcome = yield from self._transact("submit_external", body)
         if isinstance(outcome, dict):
-            status = outcome.pop("status")
-            if status == "ok":
-                return ok("submit_external", **outcome)
-            return rejected("submit_external", **outcome)
+            return from_reply("submit_external", outcome)
         return outcome
 
     def request_return(self, customer_id: int, order_id: str):
@@ -189,10 +136,7 @@ class OrleansTransactionsApp(MarketplaceApp):
 
         outcome = yield from self._transact("request_return", body)
         if isinstance(outcome, dict):
-            status = outcome.pop("status")
-            if status == "ok":
-                return ok("request_return", **outcome)
-            return rejected("request_return", **outcome)
+            return from_reply("request_return", outcome)
         return outcome
 
     def update_price(self, seller_id: int, product_id: int,
@@ -269,8 +213,6 @@ class OrleansTransactionsApp(MarketplaceApp):
 
             try:
                 outcome = yield from self.runner.run(body)
-            except TransactionAborted:
-                continue
             except Exception:
                 continue
             if outcome is not None:
@@ -278,70 +220,6 @@ class OrleansTransactionsApp(MarketplaceApp):
         return ok("update_delivery", sellers=len(chosen),
                   packages_delivered=delivered)
 
-    def dashboard(self, seller_id: int):
-        """Two separate committed reads — the platform cannot give the
-        dashboard a shared snapshot (paper §III)."""
-        seller = self._grain("seller", str(seller_id))
-        try:
-            amount = yield seller.call("dashboard_amount")
-            entries = yield seller.call("dashboard_entries")
-        except Exception:
-            return failed("dashboard", reason="unreachable")
-        return ok("dashboard", amount_cents=amount, entries=entries,
-                  entries_total_cents=sum(entry["amount_cents"]
-                                          for entry in entries))
-
-    # ------------------------------------------------------------------
-    # audits
-    # ------------------------------------------------------------------
-    def audit_views(self) -> dict:
-        views: dict[str, dict] = {
-            "products": {}, "replicas": {}, "stock": {}, "orders": {},
-            "payments": {}, "shipments": {}, "customers": {},
-            "sellers": {}, "carts": {}, "ingestion": {},
-        }
-        service_to_view = {
-            "product": "products", "replica": "replicas",
-            "stock": "stock", "order": "orders", "payment": "payments",
-            "shipment": "shipments", "customer": "customers",
-            "seller": "sellers", "cart": "carts",
-            "ingestion": "ingestion",
-        }
-        type_to_service = {grain_type.__name__: service
-                           for service, grain_type in self._grains.items()}
-        for silo in self.cluster.silos:
-            for (type_name, key), activation in silo.activations.items():
-                service = type_to_service.get(type_name)
-                if service is None:
-                    continue
-                grain = activation.grain
-                if grain._participant is not None \
-                        and grain.participant.committed_state:
-                    views[service_to_view[service]][key] = \
-                        grain.participant.committed_state
-        # Grains paged out under the activation budget are still part
-        # of the logical state the audits check.
-        for (type_name, key), paged in self.cluster.paged_states().items():
-            service = type_to_service.get(type_name)
-            if service is None or not paged:
-                continue
-            state = paged.get("state")
-            if state:
-                views[service_to_view[service]].setdefault(key, state)
-        views["event_log"] = [
-            {"subscriber": name, "time": when,
-             "order_id": envelope.key, "kind": envelope.payload["kind"]}
-            for name, when, envelope in
-            self.cluster.broker.deliveries(Topics.ORDER_EVENTS)]
-        return views
-
     def runtime_stats(self) -> dict:
-        return {
-            "messages_sent": self.cluster.messages_sent,
-            "messages_dropped": self.cluster.messages_dropped,
-            "activations": self.cluster.total_activations,
-            "transactions": self.runner.stats.as_dict(),
-            "membership": self.cluster.membership_stats(),
-            "utilisation": self.cluster.utilisation(),
-            "working_set": self.cluster.working_set_stats(),
-        }
+        return self._cluster_stats(
+            transactions=self.runner.stats.as_dict())

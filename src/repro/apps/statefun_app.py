@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import typing
-import zlib
 
 from repro.apps import statefun_fns as fns
-from repro.apps.base import AppConfig, MarketplaceApp, failed, ok, rejected
+from repro.apps.base import (
+    SERVICE_VIEWS, AppConfig, MarketplaceApp, empty_views, failed, from_reply,
+    ok)
 from repro.dataflow import StatefunConfig, StatefunRuntime
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -24,7 +25,6 @@ class StatefunApp(MarketplaceApp):
     """Online Marketplace as stateful functions with exactly-once."""
 
     name = "statefun"
-    shipment_partitions = 4
 
     def __init__(self, env: "Environment",
                  config: AppConfig | None = None,
@@ -52,10 +52,6 @@ class StatefunApp(MarketplaceApp):
         self._request_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
-    def shipment_partition(self, order_id: str) -> str:
-        digest = zlib.crc32(order_id.encode())
-        return f"part-{digest % self.shipment_partitions}"
-
     def record_event(self, order_id: str, kind: str) -> None:
         """Audit hook: seller-side lifecycle event processed."""
         self.event_log.append({"subscriber": "seller-service",
@@ -68,29 +64,8 @@ class StatefunApp(MarketplaceApp):
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    def _ingest_product(self, product) -> None:
-        data = product.as_dict()
-        self.runtime.install(("product", product.key), data)
-        self.runtime.install(("replica", product.key), {
-            "price_cents": data["price_cents"],
-            "version": data["version"], "active": data["active"]})
-
-    def _ingest_stock(self, stock_item) -> None:
-        self.runtime.install(("stock", stock_item.key),
-                             stock_item.as_dict())
-
-    def _ingest_seller(self, seller) -> None:
-        from repro.marketplace.logic import seller as seller_logic
-        self.runtime.install(
-            ("seller", str(seller.seller_id)), seller_logic.new_seller(
-                seller.seller_id, seller.name, seller.city))
-
-    def _ingest_customer(self, customer) -> None:
-        from repro.marketplace.logic import customer as customer_logic
-        self.runtime.install(
-            ("customer", str(customer.customer_id)),
-            customer_logic.new_customer(
-                customer.customer_id, customer.name, customer.city))
+    def _install(self, service: str, key: str, state: dict) -> None:
+        self.runtime.install((service, key), state)
 
     def _post_ingest(self) -> None:
         # Ingested data is durable: it survives a crash that happens
@@ -109,12 +84,7 @@ class StatefunApp(MarketplaceApp):
             outcome = yield promise
         except Exception:
             return failed(operation, reason="unreachable")
-        status = outcome.pop("status", "ok")
-        if status == "ok":
-            return ok(operation, **outcome)
-        if status == "rejected":
-            return rejected(operation, **outcome)
-        return failed(operation, **outcome)
+        return from_reply(operation, outcome)
 
     def add_item(self, customer_id: int, seller_id: int, product_id: int,
                  quantity: int, voucher_cents: int = 0):
@@ -204,23 +174,12 @@ class StatefunApp(MarketplaceApp):
     # audits
     # ------------------------------------------------------------------
     def audit_views(self) -> dict:
-        views: dict[str, dict] = {
-            "products": {}, "replicas": {}, "stock": {}, "orders": {},
-            "payments": {}, "shipments": {}, "customers": {},
-            "sellers": {}, "carts": {}, "ingestion": {},
-        }
-        type_to_view = {
-            "product": "products", "replica": "replicas", "stock": "stock",
-            "order": "orders", "payment": "payments",
-            "shipment": "shipments", "customer": "customers",
-            "seller": "sellers", "cart": "carts",
-            "ingestion": "ingestion",
-        }
+        views = empty_views()
         for worker in self.runtime.workers:
             # Cold (spilled) addresses are the same logical state.
             for states in (worker.state, worker.cold):
                 for (type_name, key), state in states.items():
-                    view = type_to_view.get(type_name)
+                    view = SERVICE_VIEWS.get(type_name)
                     if view is not None and state:
                         views[view][key] = state
         views["event_log"] = list(self.event_log)

@@ -266,23 +266,20 @@ class OrderFn(_AppFunction):
             return None
         return handler(context, payload, state)
 
-    # -- phase 1: reserve stock -----------------------------------------
-    def _create_order(self, context, payload, state):
-        order_id = payload["order_id"]
-        items = payload["items"]
-        state["pending"][order_id] = {
-            "items": items, "method": payload["method"],
-            "awaiting": len(items), "confirmed": []}
+    # -- phase 1: reserve (checkout) or allocate (external) stock -------
+    @staticmethod
+    def _request_stock(context, verb, order_id, items):
         for item in items:
             key = f"{item['seller_id']}/{item['product_id']}"
             context.send("stock", key, {
-                "kind": "reserve", "order_id": order_id,
+                "kind": verb, "order_id": order_id,
                 "quantity": item["quantity"], "reply_to": context.key})
-        return None
 
-    def _reserve_result(self, context, payload, state):
-        order_id = payload["order_id"]
-        pending = state["pending"].get(order_id)
+    @staticmethod
+    def _collect_stock_reply(payload, state):
+        """Count one stock reply in; the pending order once it has all
+        its replies, else None."""
+        pending = state["pending"].get(payload["order_id"])
         if pending is None:
             return None
         pending["awaiting"] -= 1
@@ -291,9 +288,22 @@ class OrderFn(_AppFunction):
                        if f"{item['seller_id']}/{item['product_id']}"
                        == payload["key"]]
             pending["confirmed"].extend(matched)
-        if pending["awaiting"] > 0:
+        return None if pending["awaiting"] > 0 else pending
+
+    def _create_order(self, context, payload, state):
+        order_id = payload["order_id"]
+        items = payload["items"]
+        state["pending"][order_id] = {
+            "items": items, "method": payload["method"],
+            "awaiting": len(items), "confirmed": []}
+        self._request_stock(context, "reserve", order_id, items)
+        return None
+
+    def _reserve_result(self, context, payload, state):
+        pending = self._collect_stock_reply(payload, state)
+        if pending is None:
             return None
-        # All reservation replies are in.
+        order_id = payload["order_id"]
         if not pending["confirmed"]:
             state["pending"].pop(order_id)
             context.egress("checkout",
@@ -301,16 +311,11 @@ class OrderFn(_AppFunction):
                             "order_id": order_id},
                            effect_id=f"{order_id}:checkout")
             return None
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
-        new_base, order = order_logic.assemble(
-            base, order_id, pending["confirmed"],
+        base, order = order_logic.assemble(
+            self._base(state), order_id, pending["confirmed"],
             context.worker.env.now)
-        pending_map = state["pending"]
-        state.clear()
-        state.update(new_base)
-        state["pending"] = pending_map
-        pending_map[order_id]["order"] = order
+        self._replace(state, base)
+        pending["order"] = order
         for seller_id in order_logic.seller_ids(order):
             context.send("seller", str(seller_id), {
                 "kind": "upsert_entry", "order": order})
@@ -326,26 +331,14 @@ class OrderFn(_AppFunction):
             "items": payload["items"], "awaiting": len(payload["items"]),
             "confirmed": [], "ext": payload["ext"], "external": True,
             "reply_shard": payload["reply_shard"]}
-        for item in payload["items"]:
-            key = f"{item['seller_id']}/{item['product_id']}"
-            context.send("stock", key, {
-                "kind": "allocate", "order_id": order_id,
-                "quantity": item["quantity"], "reply_to": context.key})
+        self._request_stock(context, "allocate", order_id, payload["items"])
         return None
 
     def _allocate_result(self, context, payload, state):
-        order_id = payload["order_id"]
-        pending = state["pending"].get(order_id)
+        pending = self._collect_stock_reply(payload, state)
         if pending is None:
             return None
-        pending["awaiting"] -= 1
-        if payload["ok"]:
-            matched = [item for item in pending["items"]
-                       if f"{item['seller_id']}/{item['product_id']}"
-                       == payload["key"]]
-            pending["confirmed"].extend(matched)
-        if pending["awaiting"] > 0:
-            return None
+        order_id = payload["order_id"]
         state["pending"].pop(order_id)
         if not pending["confirmed"]:
             # Nothing allocated: un-register the dedup entry so a later
@@ -356,15 +349,13 @@ class OrderFn(_AppFunction):
                            {"status": "rejected", "reason": "no_stock",
                             "order_id": order_id})
             return None
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
         base, order = order_logic.assemble(
-            base, order_id, pending["confirmed"],
+            self._base(state), order_id, pending["confirmed"],
             context.worker.env.now, ext=pending["ext"])
         base = order_logic.set_status(
             base, order_id, OrderStatus.PAYMENT_PROCESSED,
             context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         for seller_id in order_logic.seller_ids(order):
             context.send("seller", str(seller_id), {
                 "kind": "upsert_entry", "order": order})
@@ -385,8 +376,7 @@ class OrderFn(_AppFunction):
     # -- return/refund compensation saga ----------------------------------
     def _request_return(self, context, payload, state):
         order_id = payload["order_id"]
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
+        base = self._base(state)
         if order_id not in base["orders"]:
             context.egress("request_return",
                            {"status": "rejected",
@@ -404,7 +394,7 @@ class OrderFn(_AppFunction):
         base = order_logic.set_status(
             base, order_id, OrderStatus.RETURN_REQUESTED,
             context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         state["pending"][f"return:{order_id}"] = {
             "outcome": lifecycle.disposition(order_id)}
         context.send("payment", order_id, {
@@ -425,12 +415,11 @@ class OrderFn(_AppFunction):
                             "order_id": order_id})
             return None
         outcome = pending["outcome"]
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
+        base = self._base(state)
         for hop in lifecycle.return_hops(outcome)[1:]:
             base = order_logic.set_status(base, order_id, hop,
                                           context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         order = base["orders"][order_id]
         if outcome != OrderStatus.DEFECT:
             for item in order["items"]:
@@ -460,8 +449,7 @@ class OrderFn(_AppFunction):
             return None
         order = pending["order"]
         sellers = order_logic.seller_ids(order)
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
+        base = self._base(state)
         if not payload["approved"]:
             for item in pending["confirmed"]:
                 key = f"{item['seller_id']}/{item['product_id']}"
@@ -473,7 +461,7 @@ class OrderFn(_AppFunction):
             base = order_logic.set_status(
                 base, order_id, OrderStatus.CANCELED,
                 context.worker.env.now)
-            self._replace(state, base, pending_map=None)
+            self._replace(state, base)
             for seller_id in sellers:
                 context.send("seller", str(seller_id), {
                     "kind": "update_entry_status", "order_id": order_id,
@@ -494,7 +482,7 @@ class OrderFn(_AppFunction):
         base = order_logic.set_status(
             base, order_id, OrderStatus.PAYMENT_PROCESSED,
             context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         for seller_id in sellers:
             context.send("seller", str(seller_id), {
                 "kind": "update_entry_status", "order_id": order_id,
@@ -508,25 +496,23 @@ class OrderFn(_AppFunction):
 
     # -- phase 3: shipment / delivery --------------------------------------
     def _record_shipment(self, context, payload, state):
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
+        base = self._base(state)
         if payload["order_id"] not in base["orders"]:
             return None
         base = order_logic.record_shipment(
             base, payload["order_id"], payload["package_count"],
             context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         return None
 
     def _record_delivery(self, context, payload, state):
         order_id = payload["order_id"]
-        base = {key: value for key, value in state.items()
-                if key != "pending"}
+        base = self._base(state)
         if order_id not in base["orders"]:
             return None
         base, completed = order_logic.record_delivery(
             base, order_id, context.worker.env.now)
-        self._replace(state, base, pending_map=None)
+        self._replace(state, base)
         if completed:
             order = base["orders"][order_id]
             for seller_id in order_logic.seller_ids(order):
@@ -538,9 +524,15 @@ class OrderFn(_AppFunction):
         return None
 
     @staticmethod
-    def _replace(state, base, pending_map):
-        pending = pending_map if pending_map is not None \
-            else state.get("pending", {})
+    def _base(state):
+        """The order state without the in-flight ``pending`` map."""
+        return {key: value for key, value in state.items()
+                if key != "pending"}
+
+    @staticmethod
+    def _replace(state, base):
+        """Install ``base`` as the order state, keeping ``pending``."""
+        pending = state["pending"]
         state.clear()
         state.update(base)
         state["pending"] = pending

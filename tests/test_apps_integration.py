@@ -182,6 +182,38 @@ class TestSingleOperations:
         assert customer["payments_succeeded"] == 1
         assert customer["spent_cents"] == checkout.payload["total_cents"]
 
+    def test_external_order_has_a_checkouts_downstream_effects(self, name):
+        """An external order is a prepaid checkout: placing one item
+        either way decrements the same stock, adds the same seller
+        dashboard amount and counts the same customer payment."""
+
+        def via_checkout(env, app, price_cents):
+            assert run_op(env, app.add_item(1, 1, 1, 3)).ok
+            return app.checkout(1, "order-1", PaymentMethod.CREDIT_CARD)
+
+        def via_external(env, app, price_cents):
+            return app.submit_external("p1", 2, "E1", 1, [
+                {"seller_id": 1, "product_id": 1, "quantity": 3,
+                 "unit_price_cents": price_cents}])
+
+        def effects(place):
+            env, app = make_app(name)
+            views = app.audit_views()
+            stock = views["stock"]["1/1"]["qty_available"]
+            price_cents = views["products"]["1/1"]["price_cents"]
+            assert run_op(env, place(env, app, price_cents)).ok
+            env.run(until=env.now + 1.0)  # let async effects quiesce
+            views = app.audit_views()
+            dashboard = run_op(env, app.dashboard(1))
+            assert dashboard.ok
+            return (stock - views["stock"]["1/1"]["qty_available"],
+                    dashboard.payload["amount_cents"],
+                    views["customers"]["1"]["payments_succeeded"])
+
+        checkout = effects(via_checkout)
+        assert checkout[0] == 3 and checkout[1] > 0 and checkout[2] == 1
+        assert effects(via_external) == checkout
+
 
 #: The record kinds ingestion installs, by audit view.
 INSTALLED_VIEWS = ("products", "replicas", "stock", "sellers", "customers")
