@@ -7,12 +7,18 @@ state machines keyed by order/request id.  Delivery is guaranteed
 why this implementation keeps all-or-nothing *completeness* without
 transactions — at the cost of the dataflow envelope overhead and
 checkpoint stalls the benchmark measures.
+
+State is a value (see :class:`~repro.dataflow.Context`): a function
+writes the top-level keys of ``context.state`` in place but replaces,
+never mutates, anything below them — the marketplace logic path-copies,
+and the in-flight maps here go through ``assoc_in`` / ``dissoc_in``.
 """
 
 from __future__ import annotations
 
 import typing
 
+from repro.cow import assoc_in, dissoc_in
 from repro.dataflow import Context, StatefulFunction
 from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import (
@@ -171,20 +177,22 @@ class CartFn(_AppFunction):
             state["pending_adds"] = {}
         if kind == "add_item":
             pending_id = payload["pending_id"]
-            state["pending_adds"][pending_id] = {
-                "seller_id": payload["seller_id"],
-                "product_id": payload["product_id"],
-                "quantity": payload["quantity"],
-                "voucher_cents": payload.get("voucher_cents", 0)}
+            state["pending_adds"] = assoc_in(
+                state["pending_adds"], (pending_id,), {
+                    "seller_id": payload["seller_id"],
+                    "product_id": payload["product_id"],
+                    "quantity": payload["quantity"],
+                    "voucher_cents": payload.get("voucher_cents", 0)})
             key = f"{payload['seller_id']}/{payload['product_id']}"
             context.send("replica", key, {
                 "kind": "get_price", "reply_to": context.key,
                 "pending_id": pending_id})
         elif kind == "price_reply":
-            pending = state["pending_adds"].pop(payload["pending_id"],
-                                                None)
+            pending = state["pending_adds"].get(payload["pending_id"])
             if pending is None:
                 return None
+            state["pending_adds"] = dissoc_in(state["pending_adds"],
+                                              (payload["pending_id"],))
             if payload["price"] is None:
                 context.egress("add_item",
                                {"status": "rejected",
@@ -279,23 +287,25 @@ class OrderFn(_AppFunction):
     def _collect_stock_reply(payload, state):
         """Count one stock reply in; the pending order once it has all
         its replies, else None."""
-        pending = state["pending"].get(payload["order_id"])
+        order_id = payload["order_id"]
+        pending = state["pending"].get(order_id)
         if pending is None:
             return None
-        pending["awaiting"] -= 1
+        pending = {**pending, "awaiting": pending["awaiting"] - 1}
         if payload["ok"]:
             matched = [item for item in pending["items"]
                        if f"{item['seller_id']}/{item['product_id']}"
                        == payload["key"]]
-            pending["confirmed"].extend(matched)
+            pending["confirmed"] = pending["confirmed"] + matched
+        state["pending"] = assoc_in(state["pending"], (order_id,), pending)
         return None if pending["awaiting"] > 0 else pending
 
     def _create_order(self, context, payload, state):
         order_id = payload["order_id"]
         items = payload["items"]
-        state["pending"][order_id] = {
+        state["pending"] = assoc_in(state["pending"], (order_id,), {
             "items": items, "method": payload["method"],
-            "awaiting": len(items), "confirmed": []}
+            "awaiting": len(items), "confirmed": []})
         self._request_stock(context, "reserve", order_id, items)
         return None
 
@@ -305,7 +315,7 @@ class OrderFn(_AppFunction):
             return None
         order_id = payload["order_id"]
         if not pending["confirmed"]:
-            state["pending"].pop(order_id)
+            self._take_pending(state, order_id)
             context.egress("checkout",
                            {"status": "rejected", "reason": "no_stock",
                             "order_id": order_id},
@@ -315,7 +325,8 @@ class OrderFn(_AppFunction):
             self._base(state), order_id, pending["confirmed"],
             context.worker.env.now)
         self._replace(state, base)
-        pending["order"] = order
+        state["pending"] = assoc_in(state["pending"], (order_id,),
+                                    {**pending, "order": order})
         for seller_id in order_logic.seller_ids(order):
             context.send("seller", str(seller_id), {
                 "kind": "upsert_entry", "order": order})
@@ -327,10 +338,10 @@ class OrderFn(_AppFunction):
     # -- external-order ingestion (prepaid, no reservation round) ---------
     def _ingest_external(self, context, payload, state):
         order_id = payload["order_id"]
-        state["pending"][order_id] = {
+        state["pending"] = assoc_in(state["pending"], (order_id,), {
             "items": payload["items"], "awaiting": len(payload["items"]),
             "confirmed": [], "ext": payload["ext"], "external": True,
-            "reply_shard": payload["reply_shard"]}
+            "reply_shard": payload["reply_shard"]})
         self._request_stock(context, "allocate", order_id, payload["items"])
         return None
 
@@ -339,7 +350,7 @@ class OrderFn(_AppFunction):
         if pending is None:
             return None
         order_id = payload["order_id"]
-        state["pending"].pop(order_id)
+        self._take_pending(state, order_id)
         if not pending["confirmed"]:
             # Nothing allocated: un-register the dedup entry so a later
             # submit can retry from scratch.
@@ -395,8 +406,9 @@ class OrderFn(_AppFunction):
             base, order_id, OrderStatus.RETURN_REQUESTED,
             context.worker.env.now)
         self._replace(state, base)
-        state["pending"][f"return:{order_id}"] = {
-            "outcome": lifecycle.disposition(order_id)}
+        state["pending"] = assoc_in(
+            state["pending"], (f"return:{order_id}",),
+            {"outcome": lifecycle.disposition(order_id)})
         context.send("payment", order_id, {
             "kind": "refund", "order_id": order_id,
             "reply_to": context.key})
@@ -404,7 +416,7 @@ class OrderFn(_AppFunction):
 
     def _refund_result(self, context, payload, state):
         order_id = payload["order_id"]
-        pending = state["pending"].pop(f"return:{order_id}", None)
+        pending = self._take_pending(state, f"return:{order_id}")
         if pending is None:
             return None
         if not payload["ok"]:
@@ -444,7 +456,7 @@ class OrderFn(_AppFunction):
     # -- phase 2: payment -------------------------------------------------
     def _payment_result(self, context, payload, state):
         order_id = payload["order_id"]
-        pending = state["pending"].pop(order_id, None)
+        pending = self._take_pending(state, order_id)
         if pending is None:
             return None
         order = pending["order"]
@@ -522,6 +534,15 @@ class OrderFn(_AppFunction):
             context.send("customer", context.key,
                          {"kind": "record_delivery"})
         return None
+
+    @staticmethod
+    def _take_pending(state, pending_id):
+        """Remove and return the in-flight entry ``pending_id`` (None
+        when absent)."""
+        pending = state["pending"].get(pending_id)
+        if pending is not None:
+            state["pending"] = dissoc_in(state["pending"], (pending_id,))
+        return pending
 
     @staticmethod
     def _base(state):
@@ -657,9 +678,9 @@ class DeliveryFn(_AppFunction):
                     "reply_to": context.key})
         elif kind == "partition_summary":
             state["awaiting"] -= 1
-            state["summaries"].extend(
-                [{**entry, "partition": payload["partition"]}
-                 for entry in payload["summary"]])
+            state["summaries"] = state["summaries"] + [
+                {**entry, "partition": payload["partition"]}
+                for entry in payload["summary"]]
             if state["awaiting"] > 0:
                 return None
             best: dict[int, dict] = {}

@@ -33,11 +33,13 @@ views and O(dirty) installs:
     in a view per update and made the simulator quadratic again.
 
 ``clone(value)``
-    A fully detached deep clone specialised for plain-data trees.  It
-    does the same job ``copy.deepcopy`` did in the checkpoint path at
-    a fraction of the constant cost (no memo dict, no type dispatch
-    tables), and is only used where true physical isolation is
-    required (checkpoint snapshots of in-place-mutated worker state).
+    A fully detached deep clone specialised for plain-data trees, at a
+    fraction of ``copy.deepcopy``'s constant cost (no memo dict, no
+    type dispatch tables).  Outside this module only the grain pager
+    uses it: a paged-out snapshot must share nothing with a grain that
+    keeps mutating its fields in place.  Dataflow checkpoints do not
+    clone — statefun state is a value below its top level, so a
+    shallow ``dict(state)`` isolates it.
 
 The engine's contract ("frozen base") for state authors:
 
@@ -553,7 +555,7 @@ def clone(value):
 
     Unlike :func:`materialize` the result shares *nothing* mutable
     with its input — required where the source is mutated in place
-    afterwards (dataflow worker state between checkpoints).
+    afterwards (a grain's fields after the pager wrote its snapshot).
     """
     kind = type(value)
     if kind is dict:

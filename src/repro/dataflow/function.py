@@ -12,10 +12,20 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Context:
     """Handed to a function invocation: state access plus messaging.
 
-    ``state`` is the per-(type, key) persistent dictionary; mutations
-    are visible to later invocations of the same address and are rolled
+    ``state`` is the per-(type, key) persistent dictionary; writes are
+    visible to later invocations of the same address and are rolled
     back to the last checkpoint on failure (then regenerated by replay).
+
+    State is a value: a function may set, delete or clear the top-level
+    keys of ``state`` in place, but it replaces every container below
+    that level instead of mutating it (``repro.cow.assoc_in`` /
+    ``dissoc_in``, or a fresh dict or list).  A checkpoint keeps a
+    shallow copy of the top level and shares everything below it with
+    the live state, so a nested in-place write would rewrite history.
     """
+
+    __slots__ = ("runtime", "worker", "message", "state", "key",
+                 "request_id")
 
     def __init__(self, runtime: "StatefunRuntime", worker: "Worker",
                  message: "FunctionMessage",
@@ -24,14 +34,8 @@ class Context:
         self.worker = worker
         self.message = message
         self.state = state
-
-    @property
-    def key(self) -> str:
-        return self.message.target_key
-
-    @property
-    def request_id(self) -> str | None:
-        return self.message.request_id
+        self.key: str = message.target_key
+        self.request_id: str | None = message.request_id
 
     def send(self, target_type: str, target_key: str, payload: object,
              request_id: str | None = None) -> None:
@@ -42,7 +46,7 @@ class Context:
         self.runtime.send_internal(
             target_type, target_key, payload,
             request_id=request_id if request_id is not None
-            else self.message.request_id,
+            else self.request_id,
             source_worker=self.worker)
 
     def egress(self, kind: str, payload: object,
@@ -54,7 +58,7 @@ class Context:
         at-least-once replay into exactly-once egress.
         """
         if effect_id is None:
-            effect_id = f"{self.message.request_id}:{kind}"
+            effect_id = f"{self.request_id}:{kind}"
         self.runtime.emit_egress(kind, payload, effect_id)
 
 

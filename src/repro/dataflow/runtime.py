@@ -4,17 +4,19 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import inspect
+import itertools
 import typing
 import zlib
+from types import GeneratorType as _GeneratorType
 
-from repro.cow import clone
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
+from repro.runtime.environment import SimulationError
+from repro.runtime.events import Event
 from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import Environment, Event
+    from repro.runtime import Environment
     from repro.runtime.process import Process
 
 
@@ -52,17 +54,38 @@ class StatefunConfig:
     #: reload transparently on next access.
     max_resident_addresses: int | None = None
 
+    def __post_init__(self) -> None:
+        # Checked once, here: a negative latency or pause would schedule
+        # into the past, and NaN fails every comparison below.
+        limit = self.max_resident_addresses
+        rules = [(name, ">= 1", getattr(self, name) >= 1)
+                 for name in ("partitions", "cores_per_partition")]
+        rules += [(name, ">= 0", getattr(self, name) >= 0) for name in (
+            "delivery_latency", "envelope_cpu", "cross_partition_latency",
+            "cross_partition_cpu", "checkpoint_interval", "checkpoint_sync",
+            "recovery_pause", "rescale_pause")]
+        rules += [("max_resident_addresses", ">= 1 or None",
+                   limit is None or limit >= 1)]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclasses.dataclass
 class _Checkpoint:
     """An aligned snapshot.
 
-    ``worker_states`` entries are *frozen*: the snapshot maps are built
-    incrementally (unchanged addresses share their state tree with the
-    previous checkpoint) and must never be mutated — restores hand
-    clones back to the workers.  The one addition a map ever sees is
-    a freshly installed address (:meth:`StatefunRuntime.install`); each
-    checkpoint owns its maps, so that touches no other snapshot.
+    ``worker_states`` maps each address to a shallow copy of its state's
+    top level.  Function state is a value (see :class:`Context`), so
+    everything below the top level is shared with the live state and
+    with other checkpoints and is never mutated; a restore hands each
+    worker fresh top-level copies, which it may write in place.  The
+    maps are built incrementally (unchanged addresses share their copy
+    with the previous checkpoint) and must never be mutated, with one
+    exception: a freshly installed address
+    (:meth:`StatefunRuntime.install`); each checkpoint owns its maps,
+    so that touches no other snapshot.
     """
 
     time: float
@@ -72,7 +95,16 @@ class _Checkpoint:
 
 
 class Worker:
-    """One partition: a queue, per-address state, and CPU cores."""
+    """One partition: a queue, per-address state, and CPU cores.
+
+    No process serves the queue: a worker is a chain of kernel
+    callbacks that takes one message at a time — look at the queue,
+    hold a core for the message's CPU cost, run the function, look
+    again.  Its timeline entries are those of the process it replaced:
+    a zero-delay entry at construction (the bootstrap), a zero-delay
+    wake-up when an idle worker gets a message, the CPU hold, and a
+    callback on the runtime's resume event while paused.
+    """
 
     def __init__(self, env: "Environment", runtime: "StatefunRuntime",
                  index: int, cores: int) -> None:
@@ -101,13 +133,21 @@ class Worker:
         self.cold_reloads = 0
         self.peak_resident = 0
         self.addresses_created = 0
-        self._wakeup: "Event | None" = None
-        env.process(self._loop(), name=f"worker-{index}")
+        #: True while parked on an empty queue: the next message wakes
+        #: the worker with one zero-delay timeline entry.
+        self.idle = False
+        #: The message in its CPU hold or running, its function, and
+        #: the generator a suspended function is running in.
+        self._message: FunctionMessage | None = None
+        self._function: StatefulFunction | None = None
+        self._generator: typing.Generator | None = None
+        env.call_after(0.0, self._next)
 
     def enqueue(self, message: FunctionMessage) -> None:
         self.queue.append(message)
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self.idle:
+            self.idle = False
+            self.env.call_after(0.0, self._next)
 
     def state_for(self, address: tuple[str, str]) -> dict:
         self.dirty.add(address)
@@ -133,54 +173,100 @@ class Worker:
         """Move LRU clean addresses to the cold tier, oldest first.
 
         Dirty addresses stay hot — their latest state is not yet in a
-        checkpoint, and the incremental snapshotter only re-clones
+        checkpoint, and the incremental snapshotter only re-copies
         dirty ones, so spilling them would checkpoint stale state.  The
         active (mid-message) address and the one just requested stay
         hot too.  When everything above budget is dirty, the worker
         simply runs over budget until the next checkpoint cleans it.
         """
         excess = len(self.state) - limit
-        victims = [address for address in self.state
-                   if address not in self.dirty
-                   and address != self.active_address
-                   and (keep is None or address != keep)]
-        for address in victims[:excess]:
+        victims = list(itertools.islice(
+            (address for address in self.state
+             if address not in self.dirty
+             and address != self.active_address
+             and (keep is None or address != keep)), excess))
+        for address in victims:
             self.cold[address] = self.state.pop(address)
             self.cold_evictions += 1
 
-    def _loop(self):
+    def _next(self, _event: Event | None = None) -> None:
+        """Take the next message: wait out a pause, park on an empty
+        queue, or start the message's CPU hold."""
         runtime = self.runtime
-        while True:
-            if runtime.paused:
-                yield runtime.resume_event
-                continue
-            if not self.queue:
-                self._wakeup = self.env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-            message = self.queue.popleft()
-            yield from self._process(message)
-
-    def _process(self, message: FunctionMessage):
-        runtime = self.runtime
-        function = runtime.function_for(message.target_type)
+        if runtime.paused:
+            runtime.resume_event.callbacks.append(self._next)
+            return
+        if not self.queue:
+            self.idle = True
+            return
+        message = self.queue.popleft()
+        function = runtime._functions.get(message.target_type)
+        if function is None:
+            raise SimulationError(
+                f"no function registered for {message.target_type!r}")
         cpu_cost = function.cpu_cost + runtime.config.envelope_cpu
-        if getattr(message, "cross_partition", False):
+        if message.cross_partition:
             cpu_cost += runtime.config.cross_partition_cpu
-        yield from self.cpu.use(cpu_cost)
-        address = message.address()
+        self._message = message
+        self._function = function
+        self.cpu.hold(cpu_cost, self._run)
+
+    def _run(self, event: Event) -> None:
+        """The CPU hold is over: run the function.  State is fetched
+        only now, so a restore during the hold is seen."""
+        message = self._message
+        address = message.address
         self.active_address = address
+        context = Context(self.runtime, self, message,
+                          self.state_for(address))
         try:
-            state = self.state_for(address)
-            context = Context(runtime, self, message, state)
-            result = function.invoke(context, message.payload)
-            if inspect.isgenerator(result):
-                yield from result
-        finally:
-            self.active_address = None
+            result = self._function.invoke(context, message.payload)
+        except Exception as exc:
+            raise SimulationError(
+                f"function {address} failed on {message!r}") from exc
+        if result.__class__ is _GeneratorType:
+            self._generator = result
+            # The hold event is an ordinary success carrying None:
+            # resuming on it is the generator's first ``send(None)``.
+            self._resume(event)
+        else:
+            self._finish()
+
+    def _resume(self, event: Event) -> None:
+        """Advance a suspended function to its next wait (or its end);
+        the callback on every event the function yields."""
+        generator = self._generator
+        try:
+            if event._ok:
+                target = generator.send(event._value)
+            else:
+                event.defuse()
+                target = generator.throw(event._value)
+        except StopIteration:
+            self._generator = None
+            self._finish()
+            return
+        except Exception as exc:
+            raise SimulationError(
+                f"function {self.active_address} failed on "
+                f"{self._message!r}") from exc
+        if not isinstance(target, Event):
+            generator.close()
+            raise SimulationError(
+                f"function {self.active_address} yielded {target!r}, "
+                f"which is not an Event")
+        if target.callbacks is not None:
+            target.callbacks.append(self._resume)
+        else:
+            # Already fired: resume on the next kernel step, exactly as
+            # a process waiting on a processed event would.
+            self.env.call_after(0.0, lambda _event: self._resume(target))
+
+    def _finish(self) -> None:
+        self.active_address = None
         self.processed += 1
-        runtime.messages_processed += 1
+        self.runtime.messages_processed += 1
+        self._next()
 
 
 class StatefunRuntime:
@@ -190,6 +276,8 @@ class StatefunRuntime:
                  config: StatefunConfig | None = None) -> None:
         self.env = env
         self.config = config or StatefunConfig()
+        #: Routing memo, address -> owning worker; cleared by a rescale.
+        self._routes: dict[tuple[str, str], Worker] = {}
         self.workers = [Worker(env, self, index,
                                self.config.cores_per_partition)
                         for index in range(self.config.partitions)]
@@ -231,17 +319,17 @@ class StatefunRuntime:
                  function: StatefulFunction) -> None:
         self._functions[type_name] = function
 
-    def function_for(self, type_name: str) -> StatefulFunction:
-        function = self._functions.get(type_name)
-        if function is None:
-            raise KeyError(f"no function registered for {type_name!r}")
-        return function
-
     def worker_for(self, address: tuple[str, str]) -> Worker:
-        # zlib.crc32 is stable across processes (unlike built-in hash()
-        # on strings), keeping partition routing deterministic.
-        digest = zlib.crc32(f"{address[0]}/{address[1]}".encode())
-        return self.workers[digest % len(self.workers)]
+        """The worker owning ``address``: one crc32 per address, then a
+        memo hit (the hot paths inline the hit as ``_routes.get``)."""
+        worker = self._routes.get(address)
+        if worker is None:
+            # zlib.crc32 is stable across processes (unlike built-in
+            # hash() on strings), keeping partition routing deterministic.
+            digest = zlib.crc32(f"{address[0]}/{address[1]}".encode())
+            worker = self._routes[address] = \
+                self.workers[digest % len(self.workers)]
+        return worker
 
     # ------------------------------------------------------------------
     # messaging
@@ -262,20 +350,22 @@ class StatefunRuntime:
                       payload: object,
                       request_id: str | None = None,
                       source_worker: "Worker | None" = None) -> None:
-        message = FunctionMessage(
-            target_type=target_type, target_key=target_key,
-            payload=payload, request_id=request_id)
-        target_worker = self.worker_for(message.address())
-        if source_worker is not None and source_worker is not target_worker:
-            message.cross_partition = True
+        message = FunctionMessage(target_type, target_key, payload,
+                                  request_id)
+        if source_worker is not None:
+            address = message.address
+            if source_worker is not (self._routes.get(address)
+                                     or self.worker_for(address)):
+                message.cross_partition = True
         self._deliver(message)
 
     def _deliver(self, message: FunctionMessage) -> None:
         """Put ``message`` on the wire: one pooled timeline entry that
-        enqueues it at the owning worker on arrival."""
+        enqueues it at the owning worker on arrival.  The owner is
+        looked up again at arrival — a rescale may have moved it."""
         self._in_flight += 1
         latency = self.config.delivery_latency
-        if getattr(message, "cross_partition", False):
+        if message.cross_partition:
             latency += self.config.cross_partition_latency
 
         def arrive(_event) -> None:
@@ -285,7 +375,9 @@ class StatefunRuntime:
                 # failed epoch; it will be regenerated by replay.
                 if self._recovering:
                     return
-            self.worker_for(message.address()).enqueue(message)
+            address = message.address
+            (self._routes.get(address)
+             or self.worker_for(address)).enqueue(message)
 
         self.env.call_after(latency, arrive)
 
@@ -332,10 +424,12 @@ class StatefunRuntime:
     def _resume(self) -> None:
         self.paused = False
         self.resume_event.succeed()
+        # A restore or rescale refills queues without enqueue(): wake
+        # the idle workers that now have work.
         for worker in self.workers:
-            if worker.queue and worker._wakeup is not None \
-                    and not worker._wakeup.triggered:
-                worker._wakeup.succeed()
+            if worker.queue and worker.idle:
+                worker.idle = False
+                self.env.call_after(0.0, worker._next)
 
     def seal_initial_state(self) -> None:
         """Record the current state as checkpoint zero.
@@ -369,7 +463,7 @@ class StatefunRuntime:
         checkpoint = self._last_checkpoint
         if checkpoint is not None:
             snapshot = checkpoint.worker_states[self.workers.index(worker)]
-            snapshot[address] = clone(state)
+            snapshot[address] = dict(state)
 
     def _enforce_resident_budget(self) -> None:
         """Spill down to budget right after a checkpoint.
@@ -388,11 +482,15 @@ class StatefunRuntime:
     def _snapshot_worker_states(self, full: bool = False) -> list[dict]:
         """Frozen per-worker state maps for a new checkpoint.
 
+        Each address is kept as a shallow copy of its state's top
+        level: state is a value below that level (see
+        :class:`~repro.dataflow.function.Context`), so the copy costs
+        O(top-level keys) however large the state has grown.
         Incremental: only addresses touched since the previous
-        checkpoint are re-cloned; unchanged addresses share their
-        (frozen) state tree with the previous snapshot.  ``full``
-        forces a complete snapshot (used when state was installed
-        outside the message path, e.g. data ingestion).
+        checkpoint are copied again; unchanged addresses share their
+        copy with the previous snapshot.  ``full`` forces a complete
+        snapshot (used when state was installed outside the message
+        path, e.g. data ingestion).
         """
         previous = self._last_checkpoint
         states = []
@@ -401,20 +499,20 @@ class StatefunRuntime:
                 # Cold (spilled) addresses are part of the state too —
                 # they are clean by construction but a *full* snapshot
                 # rebuilds from scratch rather than trusting history.
-                snapshot = {address: clone(state)
+                snapshot = {address: dict(state)
                             for address, state in worker.state.items()}
-                snapshot.update({address: clone(state)
+                snapshot.update({address: dict(state)
                                  for address, state in worker.cold.items()})
             else:
                 snapshot = dict(previous.worker_states[index])
                 for address in worker.dirty:
                     state = worker.state.get(address)
                     if state is not None:
-                        snapshot[address] = clone(state)
+                        snapshot[address] = dict(state)
             worker.dirty.clear()
             # A function suspended across this checkpoint still holds
-            # its state dict and may mutate it after resuming; keep its
-            # address dirty so the *next* snapshot re-clones it.
+            # its state dict and may write it after resuming; keep its
+            # address dirty so the *next* snapshot copies it again.
             if worker.active_address is not None:
                 worker.dirty.add(worker.active_address)
             states.append(snapshot)
@@ -491,11 +589,12 @@ class StatefunRuntime:
             for worker, state, queue in zip(self.workers,
                                             checkpoint.worker_states,
                                             checkpoint.worker_queues):
-                # Clone: the snapshot stays frozen (it may be restored
-                # again) while the worker mutates its copy in place.
-                # The checkpoint map is complete (spilled addresses
-                # included), so the cold tier resets with it.
-                worker.state = {address: clone(tree)
+                # Copy the top level: the snapshot stays frozen (it may
+                # be restored again) while the worker writes its copy's
+                # top-level keys in place.  The checkpoint map is
+                # complete (spilled addresses included), so the cold
+                # tier resets with it.
+                worker.state = {address: dict(tree)
                                 for address, tree in state.items()}
                 worker.cold.clear()
                 worker.dirty.clear()
@@ -567,7 +666,7 @@ class StatefunRuntime:
         old_workers = list(self.workers)
         # Mid-message functions keep executing across the pause (as
         # they do across checkpoints); remember their addresses so the
-        # new owners re-clone that state at the next checkpoint.
+        # new owners copy that state again at the next checkpoint.
         carried_active = [worker.active_address for worker in old_workers
                           if worker.active_address is not None]
         if delta > 0:
@@ -576,6 +675,7 @@ class StatefunRuntime:
             self._worker_ids += 1
         else:
             self.workers.pop()
+        self._routes.clear()
         # Repartition: every address (hot and cold tiers alike) and
         # every queued message moves to its new ``crc32 % N`` owner.
         # State dicts move by reference — a suspended function holding
@@ -596,7 +696,7 @@ class StatefunRuntime:
         for address, state in moved_cold:
             self.worker_for(address).cold[address] = state
         for message in moved_queue:
-            self.worker_for(message.address()).queue.append(message)
+            self.worker_for(message.address).queue.append(message)
         # The old checkpoint's per-worker layout no longer matches the
         # topology; seal a full snapshot so a later failure restores
         # into the new shape (savepoint semantics).

@@ -1,15 +1,16 @@
 """Exact kernel-event budgets, timing equivalence and crash points of
 the callback-driven hot paths.
 
-A grain turn, a 2PC round and a statefun delivery run as pooled
-``call_after`` timeline entries, not as processes.  Three things pin
+A grain turn, a 2PC round and a statefun delivery and worker run as
+pooled ``call_after`` timeline entries, not as processes.  Three things pin
 that restructuring here, all as exact counts or exact float times read
 from the kernel (``env.events_processed``, ``env.now``):
 
 * the *budget*: a call to a method that never waits costs 3 events
   and at most 24 Python frames of ``repro.actors`` + ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
-  count;
+  count, a statefun message at most 16 frames of ``repro.dataflow`` +
+  ``repro.runtime``;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
   (that model is kept below as the reference);
@@ -26,7 +27,7 @@ import pytest
 from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
 from repro.actors.silo import SiloState
 from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
-from repro.runtime import Environment
+from repro.runtime import Environment, SimulationError
 from repro.runtime.process import Process
 from repro.txn import (
     TransactionAborted,
@@ -154,6 +155,106 @@ def test_statefun_message_costs_one_delivery_event():
     # Delivery, the worker's wake-up, its CPU hold: the wire itself is
     # one pooled entry (it was a three-event process).
     assert env.events_processed - before == 3
+
+
+class Relay(StatefulFunction):
+    """Records the hops left and passes the rest down the chain."""
+
+    cpu_cost = 0.0
+
+    def invoke(self, context, payload):
+        chain, hops = payload
+        context.state["hops"] = hops
+        if hops:
+            context.send("relay", f"{chain}/{hops - 1}", (chain, hops - 1))
+
+
+#: Python frames (cProfile, builtins off) of ``repro.dataflow`` and
+#: ``repro.runtime`` code per statefun message on a relay over four
+#: partitions.  Measured 14.9: the send (Context.send, send_internal,
+#: the message's ``__init__``, _deliver, call_after; one frame less
+#: from ingress), the arrival (arrive, enqueue; a call_after more when
+#: it wakes an idle worker) and the turn (_next, hold, call_after,
+#: held, _run, state_for, Context's ``__init__``, _finish).  It was
+#: 23.8 while a worker was a process.  ``<=`` because interpreters
+#: differ in what they inline.
+MAX_FRAMES_PER_STATEFUN_MESSAGE = 16
+#: Frames of the retired worker process, its ``address()`` method and
+#: the per-delivery checks, none of which a message may cost any more.
+RETIRED_STATEFUN_FRAMES = {"address", "isgenerator", "triggered", "_loop",
+                           "_process", "use", "timeout"}
+
+
+def test_statefun_message_stays_in_its_frame_budget():
+    env = Environment(seed=1)
+    runtime = StatefunRuntime(env, StatefunConfig(
+        partitions=4, checkpoint_interval=0))
+    runtime.register("relay", Relay())
+    chains, hops = 100, 9
+
+    def relay_all():
+        for chain in range(chains):
+            runtime.send_ingress("relay", f"{chain}/{hops}", (chain, hops))
+        env.run()
+
+    relay_all()  # warm: every address routed once, the event pool full
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    relay_all()
+    profiler.disable()
+    messages = chains * (hops + 1)
+    assert runtime.messages_processed == 2 * messages
+    frames = {}
+    for entry in profiler.getstats():
+        filename = entry.code.co_filename.replace("\\", "/")
+        if "repro/dataflow/" in filename or "repro/runtime/" in filename:
+            name = entry.code.co_name
+            frames[name] = frames.get(name, 0) + entry.callcount
+    assert not RETIRED_STATEFUN_FRAMES & set(frames), frames
+    per_message = sum(frames.values()) / messages
+    assert per_message <= MAX_FRAMES_PER_STATEFUN_MESSAGE, (
+        per_message, frames)
+
+
+class Faulty(StatefulFunction):
+    """Fails in each way a function body can."""
+
+    cpu_cost = 0.0
+
+    def invoke(self, context, payload):
+        env = context.worker.env
+        if payload == "raises":
+            raise ValueError(payload)
+        if payload == "raises-after-a-wait":
+            return self.wait_then_raise(env)
+        return self.yield_junk()
+
+    @staticmethod
+    def wait_then_raise(env):
+        yield env.timeout(0.001)
+        raise ValueError("raises-after-a-wait")
+
+    @staticmethod
+    def yield_junk():
+        yield 42
+
+
+@pytest.mark.parametrize("payload", [
+    "raises", "raises-after-a-wait", "yields-a-non-event"])
+def test_statefun_function_failure_surfaces_as_simulation_error(payload):
+    env = Environment(seed=1)
+    runtime = StatefunRuntime(env, StatefunConfig(
+        partitions=1, checkpoint_interval=0))
+    runtime.register("faulty", Faulty())
+    runtime.send_ingress("faulty", "k", payload)
+    with pytest.raises(SimulationError) as excinfo:
+        env.run()
+    cause = excinfo.value.__cause__
+    if payload == "yields-a-non-event":
+        assert "not an Event" in str(excinfo.value)
+    else:
+        assert isinstance(cause, ValueError) and str(cause) == payload
+    assert runtime.messages_processed == 0
 
 
 #: Events of one ``runner.run`` around its 2PC: the driving process's
