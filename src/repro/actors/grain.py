@@ -118,14 +118,5 @@ class GrainRef:
         promise = self.call(method, *args, **kwargs)
         self.cluster.track_oneway(promise)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrainRef):
-            return NotImplemented
-        return (self.grain_type is other.grain_type
-                and self.key == other.key)
-
-    def __hash__(self) -> int:
-        return hash((self.grain_type, self.key))
-
     def __repr__(self) -> str:
         return f"<GrainRef {self.type_name}/{self.key}>"

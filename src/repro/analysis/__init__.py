@@ -10,7 +10,7 @@ from repro.analysis.matrix_report import (
     merge_cells,
     render_matrix_report,
 )
-from repro.analysis.stats import describe, mean, percentile, percentiles
+from repro.analysis.stats import describe, mean, percentile
 
 __all__ = [
     "AnomalyReport",
@@ -25,6 +25,5 @@ __all__ = [
     "mean",
     "merge_cells",
     "percentile",
-    "percentiles",
     "render_matrix_report",
 ]

@@ -40,14 +40,6 @@ def percentile(values: typing.Sequence[float], q: float) -> float:
     return ordered[lower] * (1 - fraction) + ordered[upper] * fraction
 
 
-def percentiles(values: typing.Sequence[float],
-                qs: typing.Sequence[float] = (50, 95, 99)) -> dict[
-                    float, float]:
-    """Several percentiles at once (sorted once)."""
-    ordered = sorted(values)
-    return {q: percentile(ordered, q) for q in qs}
-
-
 def describe(values: typing.Sequence[float]) -> dict[str, float]:
     """count/mean/p50/p95/p99/min/max summary of a latency sample."""
     if not values:

@@ -47,10 +47,6 @@ class ProductGrain(Grain):
         super().__init__()
         self.data: dict | None = None
 
-    def get(self):
-        return dict(self.data) if self.data else None
-        yield  # pragma: no cover - generator marker
-
     def update_price(self, price_cents: int):
         if self.data is None or not self.data["active"]:
             return {"applied": False}
@@ -60,7 +56,6 @@ class ProductGrain(Grain):
             "price_cents": price_cents, "version": self.data["version"],
         })
         return {"applied": True, "version": self.data["version"]}
-        yield  # pragma: no cover - generator marker
 
     def delete(self):
         if self.data is None or not self.data["active"]:
@@ -71,7 +66,6 @@ class ProductGrain(Grain):
             "version": self.data["version"],
         })
         return {"applied": True, "version": self.data["version"]}
-        yield  # pragma: no cover - generator marker
 
 
 class ReplicaGrain(Grain):
@@ -89,7 +83,6 @@ class ReplicaGrain(Grain):
         if self.data is None or not self.data["active"]:
             return None
         return dict(self.data)
-        yield  # pragma: no cover - generator marker
 
     def apply_update(self, price_cents: int, version: int):
         if self.data is None:
@@ -101,14 +94,12 @@ class ReplicaGrain(Grain):
         self.data = {**self.data, "price_cents": price_cents,
                      "version": version}
         return True
-        yield  # pragma: no cover - generator marker
 
     def apply_delete(self, version: int):
         if self.data is None or self.data["version"] >= version:
             return False
         self.data = {**self.data, "active": False, "version": version}
         return True
-        yield  # pragma: no cover - generator marker
 
 
 class StockGrain(Grain):
@@ -127,17 +118,14 @@ class StockGrain(Grain):
             return False
         self.data, ok = stock_logic.reserve(self.data, quantity)
         return ok
-        yield  # pragma: no cover - generator marker
 
     def confirm(self, quantity: int):
         self.data = stock_logic.confirm_reservation(self.data, quantity)
         return True
-        yield  # pragma: no cover - generator marker
 
     def cancel(self, quantity: int):
         self.data = stock_logic.cancel_reservation(self.data, quantity)
         return True
-        yield  # pragma: no cover - generator marker
 
     def allocate(self, quantity: int):
         """Reserve-and-confirm in one step (external orders)."""
@@ -149,7 +137,6 @@ class StockGrain(Grain):
         self.data = {**self.data,
                      "qty_available": self.data["qty_available"] - quantity}
         return True
-        yield  # pragma: no cover - generator marker
 
     def restock(self, quantity: int):
         """Hand returned units back (return-saga compensation)."""
@@ -157,14 +144,12 @@ class StockGrain(Grain):
             return False
         self.data = stock_logic.restock(self.data, quantity)
         return True
-        yield  # pragma: no cover - generator marker
 
     def deactivate(self, version: int):
         if self.data is None:
             return False
         self.data = stock_logic.deactivate(self.data, version)
         return True
-        yield  # pragma: no cover - generator marker
 
 
 class CartGrain(Grain):
@@ -375,7 +360,6 @@ class OrderGrain(Grain):
         self.data = order_logic.record_shipment(
             self.data, order_id, package_count, self.env.now)
         return True
-        yield  # pragma: no cover - generator marker
 
     def record_delivery(self, order_id: str, event_sequence: int = 0):
         self._ensure()
@@ -392,7 +376,6 @@ class OrderGrain(Grain):
                 causal_deps=[event_sequence] if event_sequence else ())
             self.grain_ref(CustomerGrain, self.key).tell("record_delivery")
         return completed
-        yield  # pragma: no cover - generator marker
 
 
 class PaymentGrain(Grain):
@@ -412,18 +395,12 @@ class PaymentGrain(Grain):
             order["total_cents"], method, self.env.now)
         self.data = payment_logic.authorize(payment, approval_rate)
         return dict(self.data)
-        yield  # pragma: no cover - generator marker
 
     def refund(self):
         if self.data is None or not payment_logic.is_approved(self.data):
             return False
         self.data = payment_logic.refund(self.data)
         return True
-        yield  # pragma: no cover - generator marker
-
-    def get(self):
-        return dict(self.data) if self.data else None
-        yield  # pragma: no cover - generator marker
 
 
 class ShipmentGrain(Grain):
@@ -452,17 +429,14 @@ class ShipmentGrain(Grain):
             "sellers": order_logic.seller_ids(order)},
             causal_deps=[payment_sequence])
         return True
-        yield  # pragma: no cover - generator marker
 
     def undelivered_seller_times(self):
         return shipment_logic.undelivered_seller_times(self.data)
-        yield  # pragma: no cover - generator marker
 
     def oldest_package(self, seller_id: int):
         package = shipment_logic.oldest_undelivered_package(
             self.data, seller_id)
         return dict(package) if package else None
-        yield  # pragma: no cover - generator marker
 
     def mark_delivered(self, order_id: str, package_id: str):
         try:
@@ -478,7 +452,6 @@ class ShipmentGrain(Grain):
         self.grain_ref(OrderGrain, str(shipment["customer_id"])).tell(
             "record_delivery", order_id, delivery.sequence)
         return True
-        yield  # pragma: no cover - generator marker
 
 
 class CustomerGrain(Grain):
@@ -502,23 +475,16 @@ class CustomerGrain(Grain):
         self.data = customer_logic.record_payment(
             self.data, amount_cents, approved)
         return True
-        yield  # pragma: no cover - generator marker
 
     def record_delivery(self):
         self._ensure()
         self.data = customer_logic.record_delivery(self.data)
         return True
-        yield  # pragma: no cover - generator marker
 
     def record_refund(self, amount_cents: int):
         self._ensure()
         self.data = customer_logic.record_refund(self.data, amount_cents)
         return True
-        yield  # pragma: no cover - generator marker
-
-    def get(self):
-        return dict(self._ensure())
-        yield  # pragma: no cover - generator marker
 
 
 class SellerGrain(Grain):
@@ -566,17 +532,14 @@ class SellerGrain(Grain):
             if amount:
                 self.data = seller_logic.record_return(self.data, amount)
         return True
-        yield  # pragma: no cover - generator marker
 
     def dashboard_amount(self):
         """Dashboard query 1: total in-progress amount."""
         return seller_logic.dashboard_amount(self._ensure())
-        yield  # pragma: no cover - generator marker
 
     def dashboard_entries(self):
         """Dashboard query 2: the tuples behind query 1."""
         return seller_logic.dashboard_entries(self._ensure())
-        yield  # pragma: no cover - generator marker
 
 
 class IngestionGrain(Grain):

@@ -29,10 +29,6 @@ from repro.txn import TransactionalGrain
 class TxnProductGrain(TransactionalGrain):
     """Authoritative product record under transactional state."""
 
-    def get(self):
-        state = yield from self.txn_read()
-        return state or None
-
     def update_price(self, price_cents: int):
         state = yield from self.txn_read()
         if not state or not state["active"]:
@@ -82,7 +78,6 @@ class TxnReplicaGrain(TransactionalGrain):
             "price_cents": price_cents, "version": version,
             "active": state.get("active", True) if state else True})
         return True
-        yield  # pragma: no cover - generator marker
 
     def apply_delete(self, version: int):
         state = self.participant.read_committed()
@@ -90,7 +85,6 @@ class TxnReplicaGrain(TransactionalGrain):
             return False
         self.non_txn_write({**state, "active": False, "version": version})
         return True
-        yield  # pragma: no cover - generator marker
 
 
 class TxnStockGrain(TransactionalGrain):
@@ -420,10 +414,6 @@ class TxnCustomerGrain(TransactionalGrain):
         yield from self.txn_write(customer_logic.record_refund(
             state, amount_cents))
         return True
-
-    def get(self):
-        state = yield from self.txn_read()
-        return state or customer_logic.new_customer(int(self.key))
 
 
 class TxnSellerGrain(TransactionalGrain):

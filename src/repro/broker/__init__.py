@@ -3,8 +3,8 @@
 Microservices in Online Marketplace exchange data via asynchronous
 events.  The paper's criteria distinguish *unordered* delivery from
 *causally ordered* delivery (e.g. payment events must precede shipment
-events of the same order).  This broker implements both, plus per-key
-FIFO, so the criterion can be toggled per experiment.
+events of the same order).  This broker implements both; causal delivery
+also keeps same-key events in publish order.
 """
 
 from repro.broker.messages import EventEnvelope

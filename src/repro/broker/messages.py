@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import typing
 
 _sequence = itertools.count(1)
 
@@ -18,9 +17,9 @@ class EventEnvelope:
     topic:
         The topic name the event was published to.
     key:
-        Partition/ordering key (e.g. order id).  Events with the same key
-        are FIFO-ordered under ``DeliveryMode.FIFO`` and causality is
-        tracked per key under ``DeliveryMode.CAUSAL``.
+        Partition/ordering key (e.g. order id).  Under
+        ``DeliveryMode.CAUSAL`` events with the same key are delivered in
+        publish order and causality is tracked per key.
     payload:
         The application event object.
     publish_time:
@@ -40,8 +39,3 @@ class EventEnvelope:
     sequence: int = dataclasses.field(
         default_factory=lambda: next(_sequence))
     causal_deps: tuple[int, ...] = ()
-
-    def with_deps(self, deps: typing.Iterable[int]) -> "EventEnvelope":
-        """Return a copy with additional causal dependencies recorded."""
-        merged = tuple(sorted(set(self.causal_deps) | set(deps)))
-        return dataclasses.replace(self, causal_deps=merged)

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import collections
 import enum
-import inspect
 import typing
 
 from repro.broker.messages import EventEnvelope
+from repro.runtime.environment import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
-Handler = typing.Callable[[EventEnvelope], object]
+Handler = typing.Callable[[EventEnvelope], None]
 
 
 class DeliveryMode(enum.Enum):
@@ -21,9 +21,6 @@ class DeliveryMode(enum.Enum):
     UNORDERED
         Each event is delivered after an independently sampled latency;
         events may be reordered arbitrarily (the paper's baseline).
-    FIFO
-        Events with the same key are delivered to each subscriber in
-        publish order.
     CAUSAL
         An event is delivered only after all events it causally depends
         on (its ``causal_deps``) have been delivered to that subscriber;
@@ -31,12 +28,16 @@ class DeliveryMode(enum.Enum):
     """
 
     UNORDERED = "unordered"
-    FIFO = "fifo"
     CAUSAL = "causal"
 
 
 class Subscription:
-    """One subscriber attached to a topic."""
+    """One subscriber attached to a topic.
+
+    The handler is a plain callable that runs to completion and returns
+    ``None``: a delivery is the call.  A handler that returns anything
+    else (a generator, say) fails the run.
+    """
 
     def __init__(self, env: "Environment", name: str, handler: Handler,
                  mode: DeliveryMode) -> None:
@@ -46,7 +47,7 @@ class Subscription:
         self.mode = mode
         self.delivered_sequences: set[int] = set()
         self.delivery_log: list[tuple[float, EventEnvelope]] = []
-        # FIFO/CAUSAL state -------------------------------------------------
+        # CAUSAL state ------------------------------------------------------
         self._key_queues: dict[str, collections.deque[EventEnvelope]] = (
             collections.defaultdict(collections.deque))
         self._key_busy: set[str] = set()
@@ -72,23 +73,14 @@ class Subscription:
 
     def _drain_key(self, key: str, latency: float):
         queue = self._key_queues[key]
+        delivered = self.delivered_sequences
         while queue:
-            envelope = queue[0]
-            if self.mode is DeliveryMode.CAUSAL:
-                missing = [dep for dep in envelope.causal_deps
-                           if dep not in self.delivered_sequences]
-                if missing:
-                    # Park the head until dependencies arrive; re-check on
-                    # every later delivery via _poke().
-                    queue.popleft()
-                    self._causal_buffer.append(envelope)
-                    continue
-            else:
-                queue.popleft()
-                yield self.env.timeout(latency)
-                self._invoke(envelope)
+            envelope = queue.popleft()
+            if any(dep not in delivered for dep in envelope.causal_deps):
+                # Park the head until its dependencies arrive; _poke()
+                # re-checks it on every later delivery.
+                self._causal_buffer.append(envelope)
                 continue
-            queue.popleft()
             yield self.env.timeout(latency)
             self._invoke(envelope)
         self._key_busy.discard(key)
@@ -108,8 +100,11 @@ class Subscription:
         self.delivered_sequences.add(envelope.sequence)
         self.delivery_log.append((self.env.now, envelope))
         result = self.handler(envelope)
-        if inspect.isgenerator(result):
-            self.env.process(result, name=f"handle:{self.name}")
+        if result is not None:
+            raise SimulationError(
+                f"subscriber {self.name!r} returned {result!r} on "
+                f"{envelope.topic}/{envelope.key}; a handler runs to "
+                f"completion and returns None")
         if self.mode is DeliveryMode.CAUSAL:
             self._poke()
 
@@ -138,15 +133,15 @@ class Topic:
 
 
 class Broker:
-    """Topic-based pub/sub with per-topic delivery guarantees.
+    """Topic-based pub/sub with one delivery guarantee for all topics.
 
     Parameters
     ----------
     env:
         Simulation environment.
     default_mode:
-        Delivery mode applied to topics that are not configured
-        explicitly via :meth:`configure_topic`.
+        Delivery mode of every topic: UNORDERED for the eventual and
+        transactional stacks, CAUSAL for the customized one.
     base_latency / jitter:
         Delivery latency is ``base_latency + U(0, jitter)`` sampled per
         (event, subscriber) pair.  A non-zero jitter is what allows
@@ -162,20 +157,12 @@ class Broker:
         self.base_latency = base_latency
         self.jitter = jitter
         self._topics: dict[str, Topic] = {}
-        self._modes: dict[str, DeliveryMode] = {}
         self._rng = env.rng("broker")
-
-    def configure_topic(self, name: str, mode: DeliveryMode) -> None:
-        """Pin ``name`` to a specific delivery mode (before first use)."""
-        if name in self._topics:
-            raise RuntimeError(f"topic {name!r} already instantiated")
-        self._modes[name] = mode
 
     def topic(self, name: str) -> Topic:
         topic = self._topics.get(name)
         if topic is None:
-            mode = self._modes.get(name, self.default_mode)
-            topic = Topic(self.env, name, mode)
+            topic = Topic(self.env, name, self.default_mode)
             self._topics[name] = topic
         return topic
 

@@ -63,10 +63,6 @@ class CriterionResult:
     def passed(self) -> bool:
         return self.violations == 0
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "checked": self.checked,
-                "violations": self.violations, "passed": self.passed}
-
 
 @dataclasses.dataclass
 class CriteriaReport:

@@ -36,8 +36,6 @@ class DriverConfig:
     #: Extra simulated seconds to let asynchronous effects quiesce
     #: before auditing.
     drain: float = 2.0
-    #: Think time between a worker's transactions.
-    think_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -101,5 +99,3 @@ class BenchmarkDriver(IssuerStateView):
         while self.env.now < self._deadline:
             operation = self.issuer.choose_operation()
             yield from self.issuer.issue(operation)
-            if self.config.think_time > 0:
-                yield self.env.timeout(self.config.think_time)

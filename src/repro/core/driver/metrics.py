@@ -123,19 +123,17 @@ class LatencyRecorder:
     """Collects per-operation latencies and outcomes inside the
     measurement window (warm-up samples are discarded).
 
-    Besides service latency the recorder keeps two optional channels
+    Besides service latency the recorder keeps one optional channel
     used by the open-loop driver: per-operation *queueing delay* (time
-    an arrival waited for a dispatch slot) and *response time* (queue
-    wait + service time, i.e. what a client would experience).  It also
-    accumulates a per-second timeline of successful completions so the
-    analysis layer can show saturation knees.
+    an arrival waited for a dispatch slot).  It also accumulates a
+    per-second timeline of successful completions so the analysis
+    layer can show saturation knees.
     """
 
     def __init__(self, raw_samples: bool = False) -> None:
         self.raw_samples = raw_samples
         self.histograms: dict[str, StreamingHistogram] = {}
         self.queue_delays: dict[str, StreamingHistogram] = {}
-        self.responses: dict[str, StreamingHistogram] = {}
         self.latencies: dict[str, list[float]] = {}
         self.outcomes: dict[str, dict[str, int]] = {}
         #: Timeline buckets are whole seconds *since this origin* (the
@@ -178,11 +176,6 @@ class LatencyRecorder:
             return
         self._histogram(self.queue_delays, operation).add(delay)
 
-    def record_response(self, operation: str, latency: float) -> None:
-        if not self.enabled:
-            return
-        self._histogram(self.responses, operation).add(latency)
-
     def count(self, operation: str, status: str | None = None) -> int:
         per_status = self.outcomes.get(operation, {})
         if status is None:
@@ -215,8 +208,6 @@ class OpStats:
     latency: dict[str, float]
     #: Open-loop only: time arrivals waited for a dispatch slot.
     queue_delay: dict[str, float] | None = None
-    #: Open-loop only: queue wait + service time.
-    response: dict[str, float] | None = None
 
     def queue_columns(self) -> dict[str, float]:
         """Rounded queue-delay table cells (0.0 when none recorded)."""
@@ -269,7 +260,6 @@ class RunMetrics:
         ops = {}
         for operation in recorder.operations():
             queue = recorder.queue_delays.get(operation)
-            response = recorder.responses.get(operation)
             ops[operation] = OpStats(
                 operation=operation,
                 count=recorder.count(operation),
@@ -279,8 +269,7 @@ class RunMetrics:
                         + recorder.count(operation, "aborted")),
                 throughput=recorder.count(operation, "ok") / duration,
                 latency=recorder.describe_latency(operation),
-                queue_delay=queue.describe() if queue else None,
-                response=response.describe() if response else None)
+                queue_delay=queue.describe() if queue else None)
         return cls(app=app, workers=workers, duration=duration, ops=ops,
                    runtime=runtime or {},
                    timeline=sorted(recorder.timeline.items()),

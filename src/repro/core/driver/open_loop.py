@@ -286,19 +286,17 @@ class OpenLoopDriver(IssuerStateView):
                 self.stats["max_in_flight"], self._in_flight)
             self.stats["dispatched"] += 1
             # All channels gate on the arrival timestamp, so outcome,
-            # service latency, queue wait and response describe one
-            # population: transactions *arriving* inside the window.
+            # service latency and queue wait describe one population:
+            # transactions *arriving* inside the window.
             record = self._measure_start <= arrived <= self._deadline
             executed = yield from self.issuer.issue(operation,
                                                     record=record)
             self._in_flight -= 1
             self.stats["completed"] += 1
-            # Queue wait and response use the app-facing operation
-            # name so they land on the same rows as service latency.
+            # Queue wait uses the app-facing operation name so it
+            # lands on the same rows as service latency.
             # Skipped transactions (lease miss, reserve dry) never
             # touched the app and contribute no samples.
             if executed and record:
                 recorded = RESULT_OPERATION[operation]
                 self.recorder.record_queue_delay(recorded, queue_delay)
-                self.recorder.record_response(recorded,
-                                              self.env.now - arrived)

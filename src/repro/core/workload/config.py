@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass
@@ -67,8 +68,6 @@ class WorkloadConfig:
     max_price_cents: int = 100_000
     #: Probability a cart item carries a voucher.
     voucher_probability: float = 0.1
-    #: Price update magnitude: new = old * U(1 - x, 1 + x).
-    price_change_fraction: float = 0.2
     #: External-platform ingestion shape: how many platforms/shops the
     #: submit_external mix draws dedup shards from.
     external_platforms: int = 2
@@ -79,17 +78,28 @@ class WorkloadConfig:
     mix: TransactionMix = dataclasses.field(default_factory=TransactionMix)
 
     def __post_init__(self) -> None:
-        if self.sellers < 1 or self.customers < 1:
-            raise ValueError("need at least one seller and one customer")
-        if self.products_per_seller < 1:
-            raise ValueError("need at least one product per seller")
-        if not 0 <= self.voucher_probability <= 1:
-            raise ValueError("voucher_probability must be in [0, 1]")
-        if self.min_cart_items < 1 \
-                or self.max_cart_items < self.min_cart_items:
-            raise ValueError("invalid cart size range")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be >= 0")
+        # Checked once, here: a bad range would otherwise construct and
+        # fail deep inside the first product generated or checkout drawn.
+        # Every rule is a comparison that NaN fails.
+        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in (
+            "sellers", "customers", "products_per_seller", "min_cart_items",
+            "min_quantity", "min_price_cents", "external_platforms",
+            "external_shops")]
+        rules += [(f"max_{name}", f">= min_{name}",
+                   getattr(self, f"max_{name}")
+                   >= getattr(self, f"min_{name}"))
+                  for name in ("cart_items", "quantity", "price_cents")]
+        rules += [(name, ">= 0", getattr(self, name) >= 0)
+                  for name in ("initial_stock", "zipf_s")]
+        rules += [("reserve_fraction", "finite and >= 0",
+                   0 <= self.reserve_fraction < math.inf)]
+        rules += [(name, "in [0, 1]", 0 <= getattr(self, name) <= 1)
+                  for name in ("voucher_probability",
+                               "duplicate_submit_probability")]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
     @property
     def total_products(self) -> int:

@@ -124,15 +124,6 @@ class Dataset:
         offset = product_id - 1 - (seller_id - 1) * self._block
         return 0 <= offset < self._block
 
-    def product_by_key(self, key: str) -> Product | None:
-        try:
-            seller_id, product_id = (int(part) for part in key.split("/"))
-        except ValueError:
-            return None
-        if not self._owns(seller_id, product_id):
-            return None
-        return self.product(seller_id, product_id)
-
     # ------------------------------------------------------------------
     # the whole world (O(world): small worlds only)
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@ import dataclasses
 import itertools
 import typing
 import zlib
-from types import GeneratorType as _GeneratorType
 
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
@@ -118,16 +117,9 @@ class Worker:
         #: checkpoint; only these are re-snapshotted (dirty tracking is
         #: conservative: any state access marks the address).
         self.dirty: set[tuple[str, str]] = set()
-        #: Address of the message currently being processed (workers
-        #: process one message at a time).  A generator function
-        #: suspended across a checkpoint still holds its state dict, so
-        #: the checkpoint must keep this address dirty.
-        self.active_address: tuple[str, str] | None = None
         self.processed = 0
         #: Cold tier (RocksDB-backend analogue): state dicts spilled
-        #: under ``max_resident_addresses``.  Holds the *same* dict
-        #: objects — a suspended function keeping a reference to a
-        #: spilled address keeps mutating the object that reloads.
+        #: under ``max_resident_addresses``.
         self.cold: dict[tuple[str, str], dict] = {}
         self.cold_evictions = 0
         self.cold_reloads = 0
@@ -136,11 +128,9 @@ class Worker:
         #: True while parked on an empty queue: the next message wakes
         #: the worker with one zero-delay timeline entry.
         self.idle = False
-        #: The message in its CPU hold or running, its function, and
-        #: the generator a suspended function is running in.
+        #: The message in its CPU hold and its function.
         self._message: FunctionMessage | None = None
         self._function: StatefulFunction | None = None
-        self._generator: typing.Generator | None = None
         env.call_after(0.0, self._next)
 
     def enqueue(self, message: FunctionMessage) -> None:
@@ -175,15 +165,14 @@ class Worker:
         Dirty addresses stay hot — their latest state is not yet in a
         checkpoint, and the incremental snapshotter only re-copies
         dirty ones, so spilling them would checkpoint stale state.  The
-        active (mid-message) address and the one just requested stay
-        hot too.  When everything above budget is dirty, the worker
-        simply runs over budget until the next checkpoint cleans it.
+        address just requested stays hot too.  When everything above
+        budget is dirty, the worker simply runs over budget until the
+        next checkpoint cleans it.
         """
         excess = len(self.state) - limit
         victims = list(itertools.islice(
             (address for address in self.state
              if address not in self.dirty
-             and address != self.active_address
              and (keep is None or address != keep)), excess))
         for address in victims:
             self.cold[address] = self.state.pop(address)
@@ -211,12 +200,11 @@ class Worker:
         self._function = function
         self.cpu.hold(cpu_cost, self._run)
 
-    def _run(self, event: Event) -> None:
-        """The CPU hold is over: run the function.  State is fetched
-        only now, so a restore during the hold is seen."""
+    def _run(self, _event: Event) -> None:
+        """The CPU hold is over: run the function to completion.  State
+        is fetched only now, so a restore during the hold is seen."""
         message = self._message
         address = message.address
-        self.active_address = address
         context = Context(self.runtime, self, message,
                           self.state_for(address))
         try:
@@ -224,46 +212,10 @@ class Worker:
         except Exception as exc:
             raise SimulationError(
                 f"function {address} failed on {message!r}") from exc
-        if result.__class__ is _GeneratorType:
-            self._generator = result
-            # The hold event is an ordinary success carrying None:
-            # resuming on it is the generator's first ``send(None)``.
-            self._resume(event)
-        else:
-            self._finish()
-
-    def _resume(self, event: Event) -> None:
-        """Advance a suspended function to its next wait (or its end);
-        the callback on every event the function yields."""
-        generator = self._generator
-        try:
-            if event._ok:
-                target = generator.send(event._value)
-            else:
-                event.defuse()
-                target = generator.throw(event._value)
-        except StopIteration:
-            self._generator = None
-            self._finish()
-            return
-        except Exception as exc:
+        if result is not None:
             raise SimulationError(
-                f"function {self.active_address} failed on "
-                f"{self._message!r}") from exc
-        if not isinstance(target, Event):
-            generator.close()
-            raise SimulationError(
-                f"function {self.active_address} yielded {target!r}, "
-                f"which is not an Event")
-        if target.callbacks is not None:
-            target.callbacks.append(self._resume)
-        else:
-            # Already fired: resume on the next kernel step, exactly as
-            # a process waiting on a processed event would.
-            self.env.call_after(0.0, lambda _event: self._resume(target))
-
-    def _finish(self) -> None:
-        self.active_address = None
+                f"function {address} returned {result!r} on {message!r}; "
+                f"a stateful function runs to completion and returns None")
         self.processed += 1
         self.runtime.messages_processed += 1
         self._next()
@@ -510,11 +462,6 @@ class StatefunRuntime:
                     if state is not None:
                         snapshot[address] = dict(state)
             worker.dirty.clear()
-            # A function suspended across this checkpoint still holds
-            # its state dict and may write it after resuming; keep its
-            # address dirty so the *next* snapshot copies it again.
-            if worker.active_address is not None:
-                worker.dirty.add(worker.active_address)
             states.append(snapshot)
         return states
 
@@ -664,11 +611,6 @@ class StatefunRuntime:
         yield from self._pause()
         yield self.env.timeout(self.config.rescale_pause)
         old_workers = list(self.workers)
-        # Mid-message functions keep executing across the pause (as
-        # they do across checkpoints); remember their addresses so the
-        # new owners copy that state again at the next checkpoint.
-        carried_active = [worker.active_address for worker in old_workers
-                          if worker.active_address is not None]
         if delta > 0:
             self.workers.append(Worker(self.env, self, self._worker_ids,
                                        self.config.cores_per_partition))
@@ -678,8 +620,6 @@ class StatefunRuntime:
         self._routes.clear()
         # Repartition: every address (hot and cold tiers alike) and
         # every queued message moves to its new ``crc32 % N`` owner.
-        # State dicts move by reference — a suspended function holding
-        # one keeps mutating the object its new owner serves.
         moved_hot: list[tuple[tuple[str, str], dict]] = []
         moved_cold: list[tuple[tuple[str, str], dict]] = []
         moved_queue: list[FunctionMessage] = []
@@ -708,8 +648,6 @@ class StatefunRuntime:
                            for worker in self.workers])
         self._compact_ingress()
         self._enforce_resident_budget()
-        for address in carried_active:
-            self.worker_for(address).dirty.add(address)
         self.rescales += 1
         self._resume()
 

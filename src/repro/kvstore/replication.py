@@ -47,13 +47,10 @@ class Replica:
         self.apply_log: list[tuple[float, str, VersionVector]] = []
         self._waiters: list[tuple[VersionVector, object]] = []
 
-    def apply(self, key: str, entry: Versioned | None) -> None:
-        """Apply one replicated write (None entry means delete)."""
-        if entry is None:
-            self.store.delete_now(key)
-        else:
-            self.store.put_now(key, entry.value, entry.version)
-            self.applied = self.applied.merge(entry.version)
+    def apply(self, key: str, entry: Versioned) -> None:
+        """Apply one replicated write."""
+        self.store.put_now(key, entry.value, entry.version)
+        self.applied = self.applied.merge(entry.version)
         self.apply_log.append((self.env.now, key, self.applied.copy()))
         # Wake any causal readers whose frontier is now covered.
         still_waiting = []
@@ -121,20 +118,7 @@ class ReplicatedKV:
             session.observe(version)
         return entry
 
-    def delete(self, key: str, session: CausalSession | None = None):
-        """Process helper: delete through the primary."""
-        self._version = self._version.increment(self.primary.name)
-        version = self._version.copy()
-        existed = yield from self.primary.delete(key)
-        for replica in self.replicas:
-            self.env.process(self._replicate(replica, key, None),
-                             name=f"repl:{self.name}:{key}")
-        if session is not None:
-            session.observe(version)
-        return existed
-
-    def _replicate(self, replica: Replica, key: str,
-                   entry: Versioned | None):
+    def _replicate(self, replica: Replica, key: str, entry: Versioned):
         yield self.env.timeout(self.replication_lag)
         replica.apply(key, entry)
 

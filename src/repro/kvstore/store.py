@@ -45,9 +45,6 @@ class KVStore:
         """Read without charging latency (for audits, not workloads)."""
         return self._data.get(key)
 
-    def keys(self) -> list[str]:
-        return list(self._data)
-
     def put_now(self, key: str, value: object,
                 version: VersionVector | None = None) -> Versioned:
         """Write without charging latency (for audits/ingestion shortcuts)."""
@@ -57,10 +54,6 @@ class KVStore:
         self._data[key] = entry
         self.writes += 1
         return entry
-
-    def delete_now(self, key: str) -> bool:
-        self.writes += 1
-        return self._data.pop(key, None) is not None
 
     # ------------------------------------------------------------------
     # simulated-latency operations
@@ -76,14 +69,3 @@ class KVStore:
         """Process helper: write ``key``."""
         yield self.env.timeout(self.write_latency)
         return self.put_now(key, value, version)
-
-    def delete(self, key: str):
-        """Process helper: delete ``key``; returns True if it existed."""
-        yield self.env.timeout(self.write_latency)
-        return self.delete_now(key)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data

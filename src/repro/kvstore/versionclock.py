@@ -8,8 +8,8 @@ import typing
 class VersionVector:
     """A mapping node-id -> counter with the usual partial order.
 
-    ``a <= b`` iff every counter in ``a`` is <= the corresponding counter
-    in ``b``.  Two vectors are *concurrent* when neither dominates.
+    ``b`` dominates ``a`` iff every counter in ``a`` is <= the
+    corresponding counter in ``b``; missing entries count as zero.
     """
 
     __slots__ = ("_clock",)
@@ -39,14 +39,8 @@ class VersionVector:
         return all(self.get(node) >= counter
                    for node, counter in other._clock.items())
 
-    def concurrent_with(self, other: "VersionVector") -> bool:
-        return not self.dominates(other) and not other.dominates(self)
-
     def copy(self) -> "VersionVector":
         return VersionVector(self._clock)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._clock)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VersionVector):
@@ -59,9 +53,6 @@ class VersionVector:
         return hash(tuple(sorted(
             (node, counter) for node, counter in self._clock.items()
             if counter)))
-
-    def __le__(self, other: "VersionVector") -> bool:
-        return other.dominates(self)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{node}:{counter}" for node, counter

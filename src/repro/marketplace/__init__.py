@@ -19,7 +19,6 @@ from repro.marketplace.constants import (
     Topics,
 )
 from repro.marketplace.entities import (
-    CartItem,
     Customer,
     Product,
     Seller,
@@ -28,7 +27,6 @@ from repro.marketplace.entities import (
 )
 
 __all__ = [
-    "CartItem",
     "Customer",
     "OrderStatus",
     "PackageStatus",

@@ -1,7 +1,7 @@
 """Domain entities of Online Marketplace.
 
-Entities are dataclasses with ``as_dict`` converters; grain and function
-state holds the dict form (plain data survives storage providers and
+Entities are dataclasses; grain and function state holds the dict form
+of products and stock items (``as_dict``: plain data survives paging and
 checkpoints), while the driver and the data generator work with the
 typed form.  All money amounts are integer cents.
 """
@@ -9,7 +9,6 @@ typed form.  All money amounts are integer cents.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 
 def product_key(seller_id: int, product_id: int) -> str:
@@ -23,18 +22,12 @@ class Seller:
     name: str
     city: str = ""
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass
 class Customer:
     customer_id: int
     name: str
     city: str = ""
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -71,34 +64,3 @@ class StockItem:
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-
-@dataclasses.dataclass
-class CartItem:
-    """An item in a customer's cart.
-
-    ``unit_price_cents`` and ``price_version`` are the replicated
-    product data whose freshness the replication criterion audits.
-    """
-
-    product_id: int
-    seller_id: int
-    quantity: int
-    unit_price_cents: int
-    price_version: int = 1
-    voucher_cents: int = 0
-
-    @property
-    def key(self) -> str:
-        return product_key(self.seller_id, self.product_id)
-
-    @property
-    def subtotal_cents(self) -> int:
-        return max(self.quantity * self.unit_price_cents
-                   - self.voucher_cents, 0)
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping) -> "CartItem":
-        return cls(**dict(data))

@@ -1,15 +1,15 @@
 """Cart service logic: item management and checkout assembly.
 
-The cart holds *replicated* product data (price and version).  Price
-updates and product deletions arrive as events; how stale the replicas
-may be is exactly the replication criterion the benchmark audits.
+The cart holds *replicated* product data (price and version) copied
+into each item when it is added; how stale those copies may be at
+checkout is exactly the replication criterion the benchmark audits.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.cow import assoc_in, dissoc_in
+from repro.cow import assoc_in
 
 OPEN = "open"
 CHECKING_OUT = "checking_out"
@@ -33,38 +33,6 @@ def add_item(state: dict, item: typing.Mapping) -> dict:
     else:
         merged = dict(item)
     return assoc_in(state, ("items", key), merged)
-
-
-def remove_item(state: dict, key: str) -> dict:
-    """Remove the item under ``key`` (seller/product); no-op if absent."""
-    if state["status"] != OPEN:
-        raise ValueError("cart is checking out; cannot remove items")
-    if key not in state["items"]:
-        return state
-    return dissoc_in(state, ("items", key))
-
-
-def apply_price_update(state: dict, key: str, price_cents: int,
-                       version: int) -> tuple[dict, bool]:
-    """Apply a replicated price update to the cart.
-
-    Returns (new state, applied?).  Stale updates (version not newer
-    than the replica's) are ignored — last-writer-wins per product.
-    """
-    items = state["items"]
-    item = items.get(key)
-    if item is None or item.get("price_version", 0) >= version:
-        return state, False
-    new_item = {**item, "unit_price_cents": price_cents,
-                "price_version": version}
-    return assoc_in(state, ("items", key), new_item), True
-
-
-def apply_product_delete(state: dict, key: str) -> tuple[dict, bool]:
-    """Remove a deleted product's item from the cart (replicated)."""
-    if key not in state["items"]:
-        return state, False
-    return dissoc_in(state, ("items", key)), True
 
 
 def seal_for_checkout(state: dict) -> tuple[dict, list[dict]]:

@@ -98,8 +98,3 @@ def mark_delivered(state: dict, order_id: str, package_id: str,
                "delivered_at": now}
     path = ("shipments", order_id, "packages", package_id)
     return assoc_in(state, path, package), package
-
-
-def package_count(state: dict, order_id: str) -> int:
-    shipment = state["shipments"].get(order_id)
-    return len(shipment["packages"]) if shipment else 0

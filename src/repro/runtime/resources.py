@@ -1,7 +1,7 @@
 """Capacity-limited resources for modelling CPU cores and similar.
 
-A :class:`Resource` has a fixed number of slots.  Processes request a
-slot, hold it while doing simulated work, and release it.  When all
+A :class:`Resource` has a fixed number of slots.  A caller holds a slot
+for the duration of its simulated work (:meth:`Resource.hold`).  When all
 slots are busy, requests queue FIFO — this queueing is what produces
 realistic saturation behaviour (latency rising as offered load
 approaches capacity) in the benchmark results.
@@ -27,14 +27,6 @@ class ResourceRequest(Event):
         super().__init__(resource.env)
         self.resource = resource
         self.granted = False
-
-    def cancel(self) -> None:
-        """Withdraw an ungranted request (no-op once granted)."""
-        if not self.granted:
-            try:
-                self.resource._waiting.remove(self)
-            except ValueError:
-                pass
 
 
 class Resource:
@@ -106,49 +98,16 @@ class Resource:
             raise RuntimeError("releasing a request that was never granted")
         self._release_slot()
 
-    def use(self, duration: float):
-        """Process helper: acquire a slot, hold it ``duration``, release.
-
-        Usage inside a process generator::
-
-            yield from resource.use(0.002)
-
-        When a slot is free the grant is synchronous — no grant event
-        (and no :class:`ResourceRequest` at all) is created, the hold
-        timeout starts immediately.  Contended requests queue FIFO; a
-        waiter whose generator is closed or thrown into withdraws its
-        request (or frees the slot it was just granted), so an
-        abandoned waiter never strands a slot.
-        """
-        if self._in_use < self.capacity:
-            now = self.env.now  # _account(), inline
-            self._busy_time += self._in_use * (now - self._last_change)
-            self._last_change = now
-            self._in_use += 1
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                self._release_slot()
-        else:
-            request = self.request()
-            try:
-                yield request
-                yield self.env.timeout(duration)
-            finally:
-                if request.granted:
-                    self._release_slot()
-                else:
-                    request.cancel()
-
     def hold(self, duration: float,
              then: typing.Callable[[Event], None]) -> None:
-        """Callback form of :meth:`use`: acquire a slot, hold it
-        ``duration``, release it, then run ``then(event)``.
+        """Acquire a slot, hold it ``duration``, release it, then run
+        ``then(event)``.
 
-        For callers that are not processes (a grain turn).  Same grant
-        rules as :meth:`use` — synchronous when a slot is free, FIFO
-        behind earlier requests otherwise — and the slot is always
-        released, whatever became of the caller meanwhile.
+        The grant is synchronous when a slot is free — no grant event
+        (and no :class:`ResourceRequest` at all) is created and the hold
+        starts immediately; otherwise the caller queues FIFO behind
+        earlier requests.  The slot is always released, whatever became
+        of the caller meanwhile.
         """
         def held(event: Event) -> None:
             if self._waiting:

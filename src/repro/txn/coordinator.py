@@ -25,8 +25,6 @@ class TxnConfig:
     control_latency: float = 0.0003
     #: Durable write of the coordinator's commit decision.
     coordinator_log_latency: float = 0.0005
-    #: CPU charged on the coordinator side per 2PC round.
-    coordinator_cpu: float = 0.00005
     max_retries: int = 8
     backoff_base: float = 0.002
     backoff_factor: float = 2.0
@@ -34,6 +32,17 @@ class TxnConfig:
     #: Ablation switches (bench A1): disable pieces of the protocol.
     enable_locking: bool = True
     enable_two_phase_commit: bool = True
+
+    def __post_init__(self) -> None:
+        # Every rule is a comparison that NaN fails.
+        rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
+            "control_latency", "coordinator_log_latency", "max_retries",
+            "backoff_base", "backoff_jitter")]
+        rules += [("backoff_factor", ">= 1", self.backoff_factor >= 1)]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(
+                    f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass

@@ -228,16 +228,6 @@ def test_string_grain_ref_requires_registration():
     assert call_sync(env, ref, "increment") == 1
 
 
-def test_grain_ref_equality_and_hash():
-    env, cluster = make_cluster()
-    a1 = cluster.grain_ref(Counter, "a")
-    a2 = cluster.grain_ref(Counter, "a")
-    b = cluster.grain_ref(Counter, "b")
-    assert a1 == a2
-    assert a1 != b
-    assert len({a1, a2, b}) == 2
-
-
 def test_message_drop_fails_call():
     env, cluster = make_cluster(drop_probability=1.0)
     ref = cluster.grain_ref(Counter, "x")

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import AnomalyReport, describe, mean, percentile
-from repro.analysis.stats import percentiles
 from repro.core.driver.metrics import LatencyRecorder, RunMetrics
 
 
@@ -41,10 +40,6 @@ class TestStats:
     def test_percentile_validation(self):
         with pytest.raises(ValueError):
             percentile([1.0], 101)
-
-    def test_percentiles_batch(self):
-        result = percentiles([1, 2, 3, 4], qs=(50, 100))
-        assert result[100] == 4
 
     def test_describe_shape(self):
         summary = describe([2.0, 1.0, 3.0])
@@ -151,10 +146,3 @@ class TestCriteriaReport:
         assert row["C3-integrity"] == "FAIL(2)"
         assert row["C2-causal-replication"] == "pass"  # absent = pass
         assert not report.all_pass
-
-    def test_criterion_result_as_dict(self):
-        from repro.core.criteria import CriterionResult
-        result = CriterionResult("C1-atomicity", 3, 0)
-        assert result.as_dict() == {
-            "name": "C1-atomicity", "checked": 3, "violations": 0,
-            "passed": True}

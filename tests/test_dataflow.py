@@ -7,7 +7,7 @@ from repro.dataflow import (
     StatefunConfig,
     StatefunRuntime,
 )
-from repro.runtime import Environment
+from repro.runtime import Environment, SimulationError
 
 
 class CounterFn(StatefulFunction):
@@ -62,7 +62,6 @@ def test_message_updates_per_key_state():
 def test_unregistered_function_fails():
     env, runtime = make_runtime()
     runtime.send_ingress("ghost", "k", "x")
-    from repro.runtime import SimulationError
     with pytest.raises(SimulationError):
         env.run()
 
@@ -86,12 +85,10 @@ def test_same_key_processed_sequentially():
     order = []
 
     class SlowFn(StatefulFunction):
-        cpu_cost = 0.0
+        cpu_cost = 0.01
 
         def invoke(self, context, payload):
-            start = context.worker.env.now
-            yield context.worker.env.timeout(0.01)
-            order.append((payload, start))
+            order.append((payload, context.worker.env.now))
 
     env = Environment()
     runtime = StatefunRuntime(env, StatefunConfig(checkpoint_interval=0.0,
@@ -225,41 +222,22 @@ def test_state_of_unknown_address_is_none():
 
 
 class SuspendingMutatorFn(StatefulFunction):
-    """Mutates state, suspends for simulated time, mutates again.
-
-    Regression shape for incremental checkpoints: a checkpoint taken
-    while the invocation is suspended must not permanently treat the
-    address as clean — the resumed body mutates the same state dict.
-    """
+    """Written as a generator: mutates state, waits, mutates again."""
 
     def invoke(self, context, payload):
-        def body():
-            context.state["phase"] = 1
-            yield context.runtime.env.timeout(payload["hold"])
-            context.state["phase"] = 2
-        return body()
+        context.state["phase"] = 1
+        yield context.runtime.env.timeout(payload["hold"])
+        context.state["phase"] = 2
 
 
-def test_checkpoint_spanning_suspended_function_keeps_address_dirty():
+def test_generator_function_fails_the_run():
+    """A function runs to completion: one written as a generator would
+    never run its body, so its first delivery fails loudly instead."""
     env, runtime = make_runtime()
     runtime.register("mutator", SuspendingMutatorFn())
     runtime.send_ingress("mutator", "m1", {"hold": 0.5})
-
-    def scenario():
-        # First checkpoint lands while the invocation is suspended
-        # (phase == 1 captured, dirty set cleared).
-        yield env.timeout(0.1)
-        yield from runtime.take_checkpoint()
-        assert runtime.state_of("mutator", "m1")["phase"] == 1
-        # The function resumes at t=0.5 and writes phase == 2; the
-        # second checkpoint must re-snapshot the address.
-        yield env.timeout(0.8)
-        yield from runtime.take_checkpoint()
-        # Recovery restores the latest checkpoint; replay starts past
-        # the ingress message, so the checkpoint alone must carry the
-        # post-resume mutation.
-        yield from runtime.inject_failure()
-
-    env.process(scenario())
-    env.run()
-    assert runtime.state_of("mutator", "m1")["phase"] == 2
+    with pytest.raises(SimulationError,
+                       match=r"\('mutator', 'm1'\) returned <generator"):
+        env.run()
+    assert runtime.state_of("mutator", "m1") == {}
+    assert runtime.messages_processed == 0

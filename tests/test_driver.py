@@ -72,13 +72,6 @@ class TestLifecycle:
         assert app.calls["update_price"] == 0
         assert app.calls["dashboard"] == 0
 
-    def test_think_time_slows_submission(self):
-        _, app_fast, driver_fast = make_driver(seed=5)
-        driver_fast.run()
-        _, app_slow, driver_slow = make_driver(seed=5, think_time=0.05)
-        driver_slow.run()
-        assert sum(app_slow.calls.values()) < sum(app_fast.calls.values())
-
     def test_simulation_stops_after_drain(self):
         env, app, driver = make_driver(warmup=0.2, duration=1.0,
                                        drain=0.5)

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.marketplace import (
-    CartItem,
-    Customer,
     Product,
-    Seller,
     StockItem,
     product_key,
 )
@@ -29,25 +26,6 @@ class TestEntities:
         item = StockItem(product_id=5, seller_id=9, qty_available=10)
         assert item.key == "9/5"
         assert item.as_dict()["qty_reserved"] == 0
-
-    def test_cart_item_subtotal_floors_at_zero(self):
-        item = CartItem(product_id=1, seller_id=1, quantity=1,
-                        unit_price_cents=100, voucher_cents=500)
-        assert item.subtotal_cents == 0
-
-    def test_cart_item_subtotal(self):
-        item = CartItem(product_id=1, seller_id=1, quantity=3,
-                        unit_price_cents=100, voucher_cents=50)
-        assert item.subtotal_cents == 250
-
-    def test_cart_item_dict_roundtrip(self):
-        item = CartItem(product_id=1, seller_id=2, quantity=3,
-                        unit_price_cents=100)
-        assert CartItem.from_dict(item.as_dict()) == item
-
-    def test_seller_customer_as_dict(self):
-        assert Seller(1, "s", "city").as_dict()["name"] == "s"
-        assert Customer(2, "c").as_dict()["customer_id"] == 2
 
 
 class TestKernelEdges:

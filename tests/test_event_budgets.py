@@ -171,13 +171,13 @@ class Relay(StatefulFunction):
 
 #: Python frames (cProfile, builtins off) of ``repro.dataflow`` and
 #: ``repro.runtime`` code per statefun message on a relay over four
-#: partitions.  Measured 14.9: the send (Context.send, send_internal,
+#: partitions.  Measured 13.9: the send (Context.send, send_internal,
 #: the message's ``__init__``, _deliver, call_after; one frame less
 #: from ingress), the arrival (arrive, enqueue; a call_after more when
 #: it wakes an idle worker) and the turn (_next, hold, call_after,
-#: held, _run, state_for, Context's ``__init__``, _finish).  It was
-#: 23.8 while a worker was a process.  ``<=`` because interpreters
-#: differ in what they inline.
+#: held, _run, state_for, Context's ``__init__``).  It was 23.8 while
+#: a worker was a process.  ``<=`` because interpreters differ in what
+#: they inline.
 MAX_FRAMES_PER_STATEFUN_MESSAGE = 16
 #: Frames of the retired worker process, its ``address()`` method and
 #: the per-delivery checks, none of which a message may cost any more.
@@ -217,7 +217,8 @@ def test_statefun_message_stays_in_its_frame_budget():
 
 
 class Faulty(StatefulFunction):
-    """Fails in each way a function body can."""
+    """Fails in each way a function body can: by raising, or by being
+    written as a generator, whose body the runtime never runs."""
 
     cpu_cost = 0.0
 
@@ -250,10 +251,11 @@ def test_statefun_function_failure_surfaces_as_simulation_error(payload):
     with pytest.raises(SimulationError) as excinfo:
         env.run()
     cause = excinfo.value.__cause__
-    if payload == "yields-a-non-event":
-        assert "not an Event" in str(excinfo.value)
-    else:
+    if payload == "raises":
         assert isinstance(cause, ValueError) and str(cause) == payload
+    else:
+        assert cause is None
+        assert "returned <generator" in str(excinfo.value)
     assert runtime.messages_processed == 0
 
 

@@ -146,11 +146,6 @@ class TestPaymentGrain:
         second = call(env, a, "process", order, "credit_card", 0.5)
         assert first["status"] == second["status"]
 
-    def test_get_returns_none_before_processing(self):
-        env, cluster = make_cluster()
-        ref = cluster.grain_ref(grains.PaymentGrain, "oY")
-        assert call(env, ref, "get") is None
-
 
 class TestSellerGrain:
     def order(self, status="invoiced"):

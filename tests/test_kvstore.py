@@ -35,29 +35,17 @@ class TestVersionVector:
         assert a.dominates(b)
         assert not b.dominates(a)
 
-    def test_concurrent_vectors(self):
-        a = VersionVector({"x": 2})
-        b = VersionVector({"y": 1})
-        assert a.concurrent_with(b)
-        assert b.concurrent_with(a)
-
     def test_merge_is_pointwise_max(self):
         a = VersionVector({"x": 2, "y": 1})
         b = VersionVector({"x": 1, "z": 3})
         merged = a.merge(b)
-        assert merged.as_dict() == {"x": 2, "y": 1, "z": 3}
+        assert [merged.get(node) for node in "xyz"] == [2, 1, 3]
 
     def test_missing_entries_treated_as_zero_for_equality(self):
         assert VersionVector({"x": 0}) == VersionVector()
 
     def test_hash_ignores_zero_entries(self):
         assert hash(VersionVector({"x": 0})) == hash(VersionVector())
-
-    def test_le_operator(self):
-        a = VersionVector({"x": 1})
-        b = VersionVector({"x": 2})
-        assert a <= b
-        assert not b <= a
 
 
 class TestKVStore:
@@ -93,33 +81,12 @@ class TestKVStore:
 
         assert run_proc(env, scenario()) == pytest.approx(0.75)
 
-    def test_delete_returns_existence(self):
-        env = Environment()
-        store = KVStore(env, "s")
-
-        def scenario():
-            yield from store.put("k", 1)
-            first = yield from store.delete("k")
-            second = yield from store.delete("k")
-            return first, second
-
-        assert run_proc(env, scenario()) == (True, False)
-
     def test_peek_does_not_count_as_read(self):
         env = Environment()
         store = KVStore(env, "s")
         store.put_now("k", 9)
         assert store.peek("k").value == 9
         assert store.reads == 0
-
-    def test_len_and_contains(self):
-        env = Environment()
-        store = KVStore(env, "s")
-        store.put_now("a", 1)
-        store.put_now("b", 2)
-        assert len(store) == 2
-        assert "a" in store
-        assert "z" not in store
 
 
 class TestReplicatedKV:
@@ -200,20 +167,6 @@ class TestReplicatedKV:
             return session.frontier.get(kv.primary.name)
 
         assert run_proc(env, scenario()) == 2
-
-    def test_delete_replicates(self):
-        env = Environment()
-        kv = ReplicatedKV(env, "kv", replicas=1, replication_lag=0.1)
-
-        def scenario():
-            yield from kv.put("k", 1)
-            yield env.timeout(1.0)
-            yield from kv.delete("k")
-            yield env.timeout(1.0)
-            entry = yield from kv.get_eventual("k")
-            return entry
-
-        assert run_proc(env, scenario()) is None
 
     def test_monotonic_reads_within_session(self):
         """A session never observes an older version after a newer one."""

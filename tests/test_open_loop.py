@@ -114,17 +114,6 @@ class TestOpenLoopLifecycle:
         assert checkout.queue_delay["p50"] > 10 * checkout.latency["p50"]
         assert metrics.open_loop["max_queue"] > 10
 
-    def test_response_time_includes_queue_wait(self):
-        env, app, driver = make_driver(
-            mix=CHECKOUT_ONLY, max_in_flight=1, rate=600.0)
-        metrics = driver.run()
-        checkout = metrics.ops["checkout"]
-        # Response (arrival -> completion) must be at least the queue
-        # wait and at least the service time, at every percentile.
-        for q in ("p50", "p95"):
-            assert checkout.response[q] >= checkout.queue_delay[q] * 0.95
-            assert checkout.response[q] >= checkout.latency[q] * 0.95
-
     def test_queue_capacity_sheds_excess(self):
         env, app, driver = make_driver(
             mix=CHECKOUT_ONLY, max_in_flight=1, rate=600.0,
@@ -150,12 +139,11 @@ class TestOpenLoopLifecycle:
         env, app, driver = make_driver(mix=mix)
         metrics = driver.run()
         assert metrics.ops["update_price"].queue_delay is not None
-        assert metrics.ops["update_price"].response is not None
         assert "price_update" not in metrics.ops
 
     def test_skipped_transactions_record_no_response(self):
         # 2 customers, checkout-only, deep pool: lease misses are
-        # frequent; they must not inject phantom response samples.
+        # frequent; they must not inject phantom queue-delay samples.
         env = Environment(seed=21)
         app = StubApp(env, op_latency=0.01)
         workload = WorkloadConfig(sellers=2, customers=2,
@@ -166,13 +154,13 @@ class TestOpenLoopLifecycle:
             drain=5.0, max_in_flight=16))
         metrics = driver.run()
         assert driver.issuer.skipped["no_lease"] > 0
-        responses = metrics.ops["checkout"].response
-        # Response samples can't outnumber recorded checkout calls.
-        assert responses["count"] <= metrics.ops["checkout"].count
+        queue = metrics.ops["checkout"].queue_delay
+        # Queue-delay samples can't outnumber recorded checkout calls.
+        assert queue["count"] <= metrics.ops["checkout"].count
 
     def test_empty_cart_checkouts_record_no_queue_samples(self):
         # When every add_item is rejected no checkout call happens;
-        # the checkout row must get no queue/response samples (they
+        # the checkout row must get no queue samples (they
         # would disagree with its outcome counts — or be silently
         # dropped when no checkout outcome exists at all).
         class RejectingApp(StubApp):
@@ -193,7 +181,6 @@ class TestOpenLoopLifecycle:
         assert driver.issuer.skipped["empty_cart"] > 0
         assert "checkout" not in metrics.ops
         assert "checkout" not in driver.recorder.queue_delays
-        assert "checkout" not in driver.recorder.responses
 
     def test_timeline_accounts_for_all_ok(self):
         env, app, driver = make_driver()

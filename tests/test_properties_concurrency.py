@@ -106,8 +106,9 @@ def test_lock_schedules_always_terminate(schedule):
        st.integers(min_value=0, max_value=9))
 @settings(max_examples=40, deadline=None)
 def test_fifo_broker_preserves_per_key_order(messages, seed):
+    """CAUSAL delivery with no dependencies keeps same-key FIFO order."""
     env = Environment(seed=seed)
-    broker = Broker(env, default_mode=DeliveryMode.FIFO,
+    broker = Broker(env, default_mode=DeliveryMode.CAUSAL,
                     base_latency=0.001, jitter=0.02)
     received = []
     broker.subscribe("t", "svc",

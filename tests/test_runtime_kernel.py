@@ -322,15 +322,17 @@ class TestResource:
         resource = Resource(env, capacity=1)
         order = []
 
-        def user(env, name, hold):
-            yield from resource.use(hold)
-            order.append((name, env.now))
+        def user(name, hold):
+            resource.hold(hold, lambda _event: order.append(
+                (name, env.now, resource.in_use)))
 
-        env.process(user(env, "a", 2.0))
-        env.process(user(env, "b", 1.0))
-        env.process(user(env, "c", 1.0))
+        user("a", 2.0)
+        user("b", 1.0)
+        user("c", 1.0)
         env.run()
-        assert order == [("a", 2.0), ("b", 3.0), ("c", 4.0)]
+        # FIFO; a slot is released (and handed to the next waiter)
+        # before the holder's continuation runs.
+        assert order == [("a", 2.0, 1), ("b", 3.0, 1), ("c", 4.0, 0)]
 
     def test_capacity_validation(self):
         env = Environment()
@@ -345,71 +347,6 @@ class TestResource:
         with pytest.raises(RuntimeError):
             resource.release(blocked)
 
-    def test_cancel_removes_waiting_request(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        held = resource.request()
-        blocked = resource.request()
-        blocked.cancel()
-        resource.release(held)
-        assert resource.in_use == 0
-
-    def test_abandoned_waiter_withdraws_its_request(self):
-        """A waiter abandoned while queued (its generator closed) must
-        not be granted a slot later: nobody would release it."""
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        order = []
-
-        def user(name, hold):
-            yield from resource.use(hold)
-            order.append((name, env.now))
-
-        env.process(user("a", 2.0))
-        victim = user("b", 1.0)
-        env.process(victim)
-        env.process(user("c", 1.0))
-        env.process(user("d", 1.0))
-        env.run(until=1.0)
-        victim.close()
-        env.run()
-        # Surviving waiters keep their FIFO order and nothing leaks.
-        assert order == [("a", 2.0), ("c", 3.0), ("d", 4.0)]
-        assert resource.in_use == 0
-        assert resource.queue_length == 0
-
-    def test_closed_waiter_frees_a_slot_granted_but_not_yet_taken(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        holder = resource.request()
-        waiting = resource.use(1.0)
-        next(waiting)  # queued behind ``holder``
-        resource.release(holder)  # grant triggered, not yet dispatched
-        assert resource.in_use == 1
-        waiting.close()
-        assert resource.in_use == 0
-        env.run()
-        assert resource.in_use == 0
-
-    def test_hold_is_the_callback_form_of_use(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        order = []
-
-        def user(name, hold):
-            yield from resource.use(hold)
-            order.append((name, env.now))
-
-        resource.hold(2.0, lambda _event: order.append(("a", env.now)))
-        env.process(user("b", 1.0))
-        env.run(until=0.5)  # b has queued behind a
-        resource.hold(1.0, lambda _event: order.append(
-            ("c", env.now, resource.in_use)))
-        env.run()
-        # FIFO across both forms; c's slot is free again by the time
-        # its continuation runs.
-        assert order == [("a", 2.0), ("b", 3.0), ("c", 4.0, 0)]
-
     def test_uncontended_hold_costs_one_event(self):
         env = Environment()
         resource = Resource(env, capacity=2)
@@ -421,11 +358,7 @@ class TestResource:
     def test_utilisation_accounting(self):
         env = Environment()
         resource = Resource(env, capacity=2)
-
-        def user(env):
-            yield from resource.use(4.0)
-
-        env.process(user(env))
+        resource.hold(4.0, lambda _event: None)
         env.run(until=8.0)
         # one of two slots busy for half the horizon -> 25%
         assert resource.utilisation() == pytest.approx(0.25)

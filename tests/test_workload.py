@@ -189,7 +189,7 @@ class TestDataset:
         # ... then enumerate a fresh world and check the early touches
         # are the records the enumeration produces.
         fresh = Dataset(config, seed=seed)
-        assert early_product == fresh.product_by_key(early_product.key)
+        assert early_product == fresh.product(2, 7)
         assert early_seller == fresh.sellers[2]
         # And the full worlds agree record for record.
         for view in ("sellers", "customers", "products",
@@ -197,15 +197,6 @@ class TestDataset:
             assert getattr(touched, view) == getattr(fresh, view)
         # Enumeration hands out the memoised records, not copies.
         assert touched.products[4] is early_product
-
-    def test_product_by_key(self):
-        dataset = Dataset(small_config(), seed=1)
-        product = dataset.product_by_key("2/7")
-        assert product is not None
-        assert (product.seller_id, product.product_id) == (2, 7)
-        assert dataset.product_by_key("2/7") is product  # memoised
-        assert dataset.product_by_key("99/1") is None
-        assert dataset.product_by_key("not-a-key") is None
 
     def test_out_of_range_touches_raise(self):
         dataset = Dataset(small_config(), seed=1)  # blocks of 6 ids
