@@ -9,15 +9,18 @@ so that every implementation charges its own simulated costs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 import zlib
 
-from repro.actors import Cluster, ClusterConfig
+from repro.actors import Cluster, ClusterConfig, GrainCallError
 from repro.broker import Broker, DeliveryMode
 from repro.control.signals import PlatformStats
 from repro.marketplace.constants import Topics
 from repro.marketplace.logic import customer as customer_logic
+from repro.marketplace.logic import ingestion as ingestion_logic
 from repro.marketplace.logic import seller as seller_logic
+from repro.marketplace.logic import shipment as shipment_logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.workload.dataset import Dataset
@@ -74,7 +77,11 @@ class OperationResult:
 
 
 class MarketplaceApp:
-    """Abstract base for the four implementations."""
+    """Abstract base for the four implementations: ingestion and the
+    eight operations, each a process helper returning an
+    :class:`OperationResult`.  :class:`ActorApp` writes the operations
+    once for the Orleans stacks; ``StatefunApp`` writes them over its
+    request/egress bridge."""
 
     name = "abstract"
     shipment_partitions = 4
@@ -283,12 +290,23 @@ def failed(operation: str, **payload) -> OperationResult:
 
 def from_reply(operation: str, reply: dict) -> OperationResult:
     """Map a ``{"status": ..., **payload}`` service reply (``ok`` when
-    it carries no status) to the driver's result record."""
-    status = reply.pop("status", "ok")
+    it carries no status) to the driver's result record.  The reply is
+    left as it was: on ``statefun`` it is the egress log's own record."""
+    payload = dict(reply)
+    status = payload.pop("status", "ok")
     if status not in ("ok", "rejected"):
         status = "failed"
     return OperationResult(status=status, operation=operation,
-                           payload=dict(reply))
+                           payload=payload)
+
+
+def _safe_call(promise):
+    """Await a grain call, mapping a platform failure (a dropped
+    message, a crashed silo) to None."""
+    try:
+        return (yield promise)
+    except GrainCallError:
+        return None
 
 
 def empty_views() -> dict[str, dict]:
@@ -298,9 +316,15 @@ def empty_views() -> dict[str, dict]:
 
 class ActorApp(MarketplaceApp):
     """Shell of the two Orleans stacks: one cluster whose grain types
-    are keyed by service.  A stack supplies ``grains``, how its broker
-    is built, how a grain's state is installed and read for audits, and
-    its operations."""
+    are keyed by service, and every marketplace operation written once.
+
+    A grain method is named after the operation it serves and answers
+    in the ``{"status": ..., **payload}`` vocabulary of
+    :func:`from_reply`.  A stack supplies ``grains``, how its broker is
+    built and wired, how a grain's state is installed and read for
+    audits, and how a grain call travels: :meth:`_request` for the six
+    request operations, :meth:`_gather` and :meth:`_deliver` for the
+    ``update_delivery`` batch.  The transport here is the plain call."""
 
     delivery_mode = DeliveryMode.UNORDERED
     #: Grain class per service name.
@@ -331,8 +355,105 @@ class ActorApp(MarketplaceApp):
         """Wire the stack's broker subscriptions."""
         raise NotImplementedError
 
+    def _on_price_event(self, envelope) -> None:
+        """Route product events to the cart-side replica."""
+        payload = envelope.payload
+        key = payload["key"]
+        if payload["kind"] == "price_updated":
+            self._grain("replica", key).tell(
+                "apply_update", payload["price_cents"], payload["version"])
+        elif payload["kind"] == "product_deleted":
+            self._grain("replica", key).tell(
+                "apply_delete", payload["version"])
+
     def _grain(self, service: str, key: str):
         return self.cluster.grain_ref(self._grains[service], key)
+
+    # ------------------------------------------------------------------
+    # transport
+    # ------------------------------------------------------------------
+    def _request(self, operation: str, service: str, key: str, *args):
+        """Call the ``operation`` method of grain ``service``/``key``
+        and map its reply."""
+        try:
+            reply = yield self._grain(service, key).call(operation, *args)
+        except GrainCallError:
+            return failed(operation, reason="unreachable")
+        return from_reply(operation, reply)
+
+    def _gather(self, refs: list, method: str, *args):
+        """Every grain's reply to ``method``, None where the call
+        failed: one parallel fan-out."""
+        replies = yield self.env.all_of([
+            self.env.process(_safe_call(ref.call(method, *args)))
+            for ref in refs])
+        return list(replies.values())
+
+    def _deliver(self, ref, package: dict):
+        """Mark one package delivered; truthy when it was."""
+        return (yield from _safe_call(ref.call(
+            "mark_delivered", package["order_id"], package["package_id"])))
+
+    # ------------------------------------------------------------------
+    # workload operations
+    # ------------------------------------------------------------------
+    def add_item(self, customer_id: int, seller_id: int, product_id: int,
+                 quantity: int, voucher_cents: int = 0):
+        return self._request("add_item", "cart", str(customer_id),
+                             seller_id, product_id, quantity, voucher_cents)
+
+    def checkout(self, customer_id: int, order_id: str,
+                 payment_method: str):
+        return self._request("checkout", "cart", str(customer_id),
+                             order_id, payment_method)
+
+    def submit_external(self, platform: str, shop_id: int,
+                        ext_order_no: str, customer_id: int,
+                        items: list[dict]):
+        return self._request(
+            "submit_external", "ingestion",
+            ingestion_logic.shard_key(platform, shop_id),
+            platform, shop_id, ext_order_no, customer_id, items)
+
+    def request_return(self, customer_id: int, order_id: str):
+        return self._request("request_return", "order", str(customer_id),
+                             order_id)
+
+    def update_price(self, seller_id: int, product_id: int,
+                     price_cents: int):
+        return self._request("update_price", "product",
+                             f"{seller_id}/{product_id}", price_cents)
+
+    def delete_product(self, seller_id: int, product_id: int):
+        return self._request("delete_product", "product",
+                             f"{seller_id}/{product_id}")
+
+    def update_delivery(self):
+        """Query every shipment partition, pick the first 10 sellers
+        with undelivered packages, deliver each one's oldest package."""
+        partitions = [self._grain("shipment", f"part-{index}")
+                      for index in range(self.shipment_partitions)]
+        per_partition = yield from self._gather(
+            partitions, "undelivered_seller_times")
+        chosen = shipment_logic.first_sellers(
+            itertools.chain.from_iterable(filter(None, per_partition)),
+            limit=10)
+        delivered = 0
+        for seller_id in chosen:
+            candidates = yield from self._gather(
+                partitions, "oldest_package", seller_id)
+            best, best_ref = None, None
+            for ref, package in zip(partitions, candidates):
+                if package is not None and (
+                        best is None
+                        or package["shipped_at"] < best["shipped_at"]):
+                    best, best_ref = package, ref
+            if best is None:
+                continue
+            if (yield from self._deliver(best_ref, best)):
+                delivered += 1
+        return ok("update_delivery", sellers=len(chosen),
+                  packages_delivered=delivered)
 
     def dashboard(self, seller_id: int):
         """Two *separate* grain calls: updates may interleave between
@@ -342,7 +463,7 @@ class ActorApp(MarketplaceApp):
         try:
             amount = yield seller.call("dashboard_amount")
             entries = yield seller.call("dashboard_entries")
-        except Exception:
+        except GrainCallError:
             return failed("dashboard", reason="unreachable")
         return ok("dashboard", amount_cents=amount, entries=entries,
                   entries_total_cents=sum(entry["amount_cents"]

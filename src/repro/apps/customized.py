@@ -50,7 +50,7 @@ class CausalCartGrain(TxnCartGrain):
         app = self.cluster.app
         entry = yield from app.kv.get_causal(key, app.session)
         if entry is None or not entry.value.get("active", False):
-            return {"added": False, "reason": "unavailable"}
+            return {"status": "rejected", "reason": "unavailable"}
         price = entry.value
         state = cart_logic.add_item(state, {
             "seller_id": seller_id, "product_id": product_id,
@@ -59,7 +59,7 @@ class CausalCartGrain(TxnCartGrain):
             "price_version": price["version"],
             "voucher_cents": voucher_cents})
         yield from self.txn_write(state)
-        return {"added": True, "price_version": price["version"]}
+        return {"price_version": price["version"]}
 
 
 class CustomizedOrleansApp(OrleansTransactionsApp):

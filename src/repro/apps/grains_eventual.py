@@ -10,8 +10,8 @@ the benchmark's criteria are designed to expose.
 
 from __future__ import annotations
 
-
 from repro.actors import Grain
+from repro.apps.base import _safe_call
 from repro.marketplace.constants import OrderStatus, Topics
 from repro.marketplace.logic import (
     cart as cart_logic,
@@ -27,57 +27,51 @@ from repro.marketplace.logic import (
 )
 
 
-def _safe_call(promise):
-    """Await a promise, mapping failures (e.g. dropped messages) to None."""
-    try:
-        value = yield promise
-    except Exception:
-        return None
-    return value
+class _StateGrain(Grain):
+    """A grain whose whole state is ``data``, so it pages out under an
+    activation budget.  A grain that creates its state on first use
+    (:meth:`_ensure`) names its constructor of the grain key
+    ``new_state``."""
 
-
-class ProductGrain(Grain):
-    """Authoritative product record (source of truth for price)."""
-
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
     paged_attrs = ("data",)
+    new_state = None
 
     def __init__(self) -> None:
         super().__init__()
         self.data: dict | None = None
 
+    def _ensure(self) -> dict:
+        if self.data is None:
+            self.data = self.new_state(self.key)
+        return self.data
+
+
+class ProductGrain(_StateGrain):
+    """Authoritative product record (source of truth for price)."""
+
     def update_price(self, price_cents: int):
         if self.data is None or not self.data["active"]:
-            return {"applied": False}
+            return {"status": "rejected", "reason": "inactive"}
         self.data = product_logic.update_price(self.data, price_cents)
         self.publish(Topics.PRICE_UPDATES, self.key, {
             "kind": "price_updated", "key": self.key,
             "price_cents": price_cents, "version": self.data["version"],
         })
-        return {"applied": True, "version": self.data["version"]}
+        return {"version": self.data["version"]}
 
-    def delete(self):
+    def delete_product(self):
         if self.data is None or not self.data["active"]:
-            return {"applied": False}
+            return {"status": "rejected", "reason": "inactive"}
         self.data = product_logic.delete(self.data)
         self.publish(Topics.PRICE_UPDATES, self.key, {
             "kind": "product_deleted", "key": self.key,
             "version": self.data["version"],
         })
-        return {"applied": True, "version": self.data["version"]}
+        return {"version": self.data["version"]}
 
 
-class ReplicaGrain(Grain):
+class ReplicaGrain(_StateGrain):
     """Cart-side replica of product price/existence (eventually fresh)."""
-
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
 
     def get_price(self):
         if self.data is None or not self.data["active"]:
@@ -102,16 +96,8 @@ class ReplicaGrain(Grain):
         return True
 
 
-class StockGrain(Grain):
+class StockGrain(_StateGrain):
     """Inventory item with the reserve/confirm/cancel protocol."""
-
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
 
     def reserve(self, quantity: int):
         if self.data is None:
@@ -152,21 +138,11 @@ class StockGrain(Grain):
         return True
 
 
-class CartGrain(Grain):
+class CartGrain(_StateGrain):
     """Per-customer cart; prices come from the cart-side replicas."""
 
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
-
-    def _ensure(self) -> dict:
-        if self.data is None:
-            self.data = cart_logic.new_cart(int(self.key))
-        return self.data
+    new_state = staticmethod(
+        lambda key: cart_logic.new_cart(int(key)))
 
     def add_item(self, seller_id: int, product_id: int, quantity: int,
                  voucher_cents: int = 0):
@@ -175,7 +151,7 @@ class CartGrain(Grain):
         replica = self.grain_ref(ReplicaGrain, key)
         price = yield from _safe_call(self.call(replica, "get_price"))
         if price is None:
-            return {"added": False, "reason": "unavailable"}
+            return {"status": "rejected", "reason": "unavailable"}
         self.data = cart_logic.add_item(self.data, {
             "seller_id": seller_id, "product_id": product_id,
             "quantity": quantity,
@@ -183,7 +159,7 @@ class CartGrain(Grain):
             "price_version": price["version"],
             "voucher_cents": voucher_cents,
         })
-        return {"added": True, "price_version": price["version"]}
+        return {"price_version": price["version"]}
 
     def checkout(self, order_id: str, payment_method: str):
         self._ensure()
@@ -199,21 +175,11 @@ class CartGrain(Grain):
         return result
 
 
-class OrderGrain(Grain):
+class OrderGrain(_StateGrain):
     """Per-customer order manager: the order-placement orchestrator."""
 
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data = None
-
-    def _ensure(self) -> dict:
-        if self.data is None:
-            self.data = order_logic.new_customer_orders(int(self.key))
-        return self.data
+    new_state = staticmethod(
+        lambda key: order_logic.new_customer_orders(int(key)))
 
     # ------------------------------------------------------------------
     def place_order(self, order_id: str, items: list[dict],
@@ -303,7 +269,7 @@ class OrderGrain(Grain):
                 "invoice": order["invoice"],
                 "total_cents": order["total_cents"]}
 
-    def process_return(self, order_id: str):
+    def request_return(self, order_id: str):
         """Return/refund as a compensating event chain.
 
         The refund is awaited (the saga must not proceed without it);
@@ -378,16 +344,8 @@ class OrderGrain(Grain):
         return completed
 
 
-class PaymentGrain(Grain):
+class PaymentGrain(_StateGrain):
     """Per-order payment processor."""
-
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
 
     def process(self, order: dict, method: str, approval_rate: float):
         payment = payment_logic.build_payment(
@@ -403,12 +361,8 @@ class PaymentGrain(Grain):
         return True
 
 
-class ShipmentGrain(Grain):
+class ShipmentGrain(_StateGrain):
     """A shipment partition holding many orders' packages."""
-
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
 
     def __init__(self) -> None:
         super().__init__()
@@ -454,21 +408,11 @@ class ShipmentGrain(Grain):
         return True
 
 
-class CustomerGrain(Grain):
+class CustomerGrain(_StateGrain):
     """Customer profile and running statistics."""
 
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
-
-    def _ensure(self) -> dict:
-        if self.data is None:
-            self.data = customer_logic.new_customer(int(self.key))
-        return self.data
+    new_state = staticmethod(
+        lambda key: customer_logic.new_customer(int(key)))
 
     def record_payment(self, amount_cents: int, approved: bool):
         self._ensure()
@@ -487,21 +431,11 @@ class CustomerGrain(Grain):
         return True
 
 
-class SellerGrain(Grain):
+class SellerGrain(_StateGrain):
     """Seller profile plus the dashboard's materialised view."""
 
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
-
-    def _ensure(self) -> dict:
-        if self.data is None:
-            self.data = seller_logic.new_seller(int(self.key))
-        return self.data
+    new_state = staticmethod(
+        lambda key: seller_logic.new_seller(int(key)))
 
     def apply_order_event(self, payload: dict):
         """Entry maintenance driven by the order-events topic."""
@@ -542,7 +476,7 @@ class SellerGrain(Grain):
         return seller_logic.dashboard_entries(self._ensure())
 
 
-class IngestionGrain(Grain):
+class IngestionGrain(_StateGrain):
     """Dedup registry shard for one external ``(platform, shop_id)``.
 
     Registration is grain-local, but order creation is a separate
@@ -553,18 +487,12 @@ class IngestionGrain(Grain):
     audit quantifies on this stack.
     """
 
-    #: All state lives in ``data`` -> pageable under an
-    #: activation budget.
-    paged_attrs = ("data",)
+    new_state = staticmethod(ingestion_logic.new_registry)
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
-
-    def submit(self, platform: str, shop_id: int, ext_order_no: str,
-               customer_id: int, items: list[dict]):
-        if self.data is None:
-            self.data = ingestion_logic.new_registry(self.key)
+    def submit_external(self, platform: str, shop_id: int,
+                        ext_order_no: str, customer_id: int,
+                        items: list[dict]):
+        self._ensure()
         key = ingestion_logic.dedup_key(platform, shop_id, ext_order_no)
         self.data, order_id, created = ingestion_logic.register(
             self.data, key)

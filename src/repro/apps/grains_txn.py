@@ -32,18 +32,18 @@ class TxnProductGrain(TransactionalGrain):
     def update_price(self, price_cents: int):
         state = yield from self.txn_read()
         if not state or not state["active"]:
-            return {"applied": False}
+            return {"status": "rejected", "reason": "inactive"}
         state = product_logic.update_price(state, price_cents)
         yield from self.txn_write(state)
         self.publish(Topics.PRICE_UPDATES, self.key, {
             "kind": "price_updated", "key": self.key,
             "price_cents": price_cents, "version": state["version"]})
-        return {"applied": True, "version": state["version"]}
+        return {"version": state["version"]}
 
-    def delete(self):
+    def delete_product(self):
         state = yield from self.txn_read()
         if not state or not state["active"]:
-            return {"applied": False}
+            return {"status": "rejected", "reason": "inactive"}
         state = product_logic.delete(state)
         yield from self.txn_write(state)
         # Deactivate the stock item inside the same transaction —
@@ -53,7 +53,7 @@ class TxnProductGrain(TransactionalGrain):
         self.publish(Topics.PRICE_UPDATES, self.key, {
             "kind": "product_deleted", "key": self.key,
             "version": state["version"]})
-        return {"applied": True, "version": state["version"]}
+        return {"version": state["version"]}
 
 
 class TxnReplicaGrain(TransactionalGrain):
@@ -129,7 +129,7 @@ class TxnCartGrain(TransactionalGrain):
         replica = self.grain_ref(TxnReplicaGrain, key)
         price = yield self.call(replica, "get_price")
         if price is None:
-            return {"added": False, "reason": "unavailable"}
+            return {"status": "rejected", "reason": "unavailable"}
         state = cart_logic.add_item(state, {
             "seller_id": seller_id, "product_id": product_id,
             "quantity": quantity,
@@ -137,7 +137,7 @@ class TxnCartGrain(TransactionalGrain):
             "price_version": price["version"],
             "voucher_cents": voucher_cents})
         yield from self.txn_write(state)
-        return {"added": True, "price_version": price["version"]}
+        return {"price_version": price["version"]}
 
     def checkout(self, order_id: str, payment_method: str):
         state = yield from self.txn_read()
@@ -264,7 +264,7 @@ class TxnOrderGrain(TransactionalGrain):
                 "sellers": order_logic.seller_ids(
                     state["orders"][order_id])}
 
-    def process_return(self, order_id: str):
+    def request_return(self, order_id: str):
         """Return/refund compensation saga as one ACID transaction.
 
         Restock (unless the return is defective), refund the payment,
@@ -466,8 +466,9 @@ class TxnIngestionGrain(TransactionalGrain):
     exists and a retry starts from scratch.
     """
 
-    def submit(self, platform: str, shop_id: int, ext_order_no: str,
-               customer_id: int, items: list[dict]):
+    def submit_external(self, platform: str, shop_id: int,
+                        ext_order_no: str, customer_id: int,
+                        items: list[dict]):
         state = yield from self.txn_read()
         if not state:
             state = ingestion_logic.new_registry(self.key)

@@ -13,8 +13,13 @@ import typing
 
 from repro.apps import statefun_fns as fns
 from repro.apps.base import (
-    SERVICE_VIEWS, AppConfig, MarketplaceApp, empty_views, failed, from_reply,
-    ok)
+    SERVICE_VIEWS,
+    AppConfig,
+    MarketplaceApp,
+    empty_views,
+    from_reply,
+    ok,
+)
 from repro.dataflow import StatefunConfig, StatefunRuntime
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,12 +83,8 @@ class StatefunApp(MarketplaceApp):
     # ------------------------------------------------------------------
     def _await(self, operation: str, target: tuple[str, str],
                payload: dict, request_id: str):
-        promise = self.runtime.request(target[0], target[1], payload,
-                                       request_id=request_id)
-        try:
-            outcome = yield promise
-        except Exception:
-            return failed(operation, reason="unreachable")
+        outcome = yield self.runtime.request(target[0], target[1], payload,
+                                             request_id=request_id)
         return from_reply(operation, outcome)
 
     def add_item(self, customer_id: int, seller_id: int, product_id: int,

@@ -90,12 +90,19 @@ def record_shipment(state: dict, order_id: str, package_count: int,
 
 def record_delivery(state: dict, order_id: str, now: float) -> tuple[dict,
                                                                      bool]:
-    """Record one delivered package; returns (state, order completed?)."""
+    """Record one delivered package; returns (state, order completed?).
+
+    A delivery that would complete an order which can no longer complete
+    (it was returned since) changes nothing: a package counted twice by
+    two racing delivery batches can complete an order early.
+    """
     order = {**state["orders"][order_id]}
     order["packages_delivered"] += 1
     completed = (order["packages_total"] > 0
                  and order["packages_delivered"] >= order["packages_total"])
     if completed and order["status"] != OrderStatus.COMPLETED:
+        if not lifecycle.can_advance(order["status"], OrderStatus.COMPLETED):
+            return state, False
         order = lifecycle.advance(order, OrderStatus.COMPLETED, now)
     else:
         order["updated_at"] = now

@@ -66,6 +66,18 @@ def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
     return sorted(first_seen.items(), key=lambda item: (item[1], item[0]))
 
 
+def first_sellers(pairs, limit: int) -> list[int]:
+    """Update Delivery's choice: the ``limit`` sellers whose earliest
+    undelivered package is oldest (ties by seller id), from the
+    (seller, ship time) pairs of any number of partitions."""
+    earliest: dict[int, float] = {}
+    for seller_id, when in pairs:
+        if seller_id not in earliest or when < earliest[seller_id]:
+            earliest[seller_id] = when
+    return [seller for seller, _ in sorted(
+        earliest.items(), key=lambda item: (item[1], item[0]))[:limit]]
+
+
 def oldest_undelivered_package(state: dict,
                                seller_id: int) -> dict | None:
     """The seller's oldest package not yet delivered (or None)."""

@@ -35,6 +35,11 @@ def run_op(env, generator):
     return result
 
 
+def rejection(result):
+    """A result's ``(status, reason)``: the same pair on every stack."""
+    return result.status, result.payload.get("reason")
+
+
 @pytest.mark.parametrize("name", APP_NAMES)
 class TestSingleOperations:
     def test_add_item_ok(self, name):
@@ -46,7 +51,7 @@ class TestSingleOperations:
     def test_add_unknown_product_rejected(self, name):
         env, app = make_app(name)
         result = run_op(env, app.add_item(1, 9, 999, 1))
-        assert result.status == "rejected"
+        assert rejection(result) == ("rejected", "unavailable")
 
     def test_checkout_happy_path(self, name):
         env, app = make_app(name)
@@ -60,7 +65,7 @@ class TestSingleOperations:
         env, app = make_app(name)
         result = run_op(env, app.checkout(1, "order-x",
                                           PaymentMethod.CREDIT_CARD))
-        assert result.status in ("rejected", "failed")
+        assert rejection(result) == ("rejected", "empty_cart")
 
     def test_checkout_decrements_stock(self, name):
         env, app = make_app(name)
@@ -117,14 +122,26 @@ class TestSingleOperations:
         assert result.ok
         env.run(until=env.now + 1.0)
         add = run_op(env, app.add_item(1, 1, 1, 1))
-        assert add.status == "rejected"
+        assert rejection(add) == ("rejected", "unavailable")
 
     def test_double_delete_rejected(self, name):
         env, app = make_app(name)
         assert run_op(env, app.delete_product(1, 1)).ok
         env.run(until=env.now + 1.0)
         second = run_op(env, app.delete_product(1, 1))
-        assert second.status in ("rejected", "failed")
+        assert rejection(second) == ("rejected", "inactive")
+
+    def test_price_update_of_deleted_product_rejected(self, name):
+        env, app = make_app(name)
+        assert run_op(env, app.delete_product(1, 1)).ok
+        env.run(until=env.now + 1.0)
+        result = run_op(env, app.update_price(1, 1, 123_45))
+        assert rejection(result) == ("rejected", "inactive")
+
+    def test_return_of_unknown_order_rejected(self, name):
+        env, app = make_app(name)
+        result = run_op(env, app.request_return(1, "order-x"))
+        assert rejection(result) == ("rejected", "unknown_order")
 
     def test_update_delivery_progresses_orders(self, name):
         env, app = make_app(name)

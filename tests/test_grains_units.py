@@ -115,7 +115,7 @@ class TestCartGrain:
                                    "active": True})
         cart = cluster.grain_ref(grains.CartGrain, "5")
         result = call(env, cart, "add_item", 1, 1, 2, 0)
-        assert result == {"added": True, "price_version": 7}
+        assert result == {"price_version": 7}
         grain = cluster.grain_instance(cart)
         assert grain.data["items"]["1/1"]["unit_price_cents"] == 450
 
@@ -123,7 +123,7 @@ class TestCartGrain:
         env, cluster = make_cluster()
         cart = cluster.grain_ref(grains.CartGrain, "5")
         result = call(env, cart, "add_item", 9, 9, 1, 0)
-        assert result == {"added": False, "reason": "unavailable"}
+        assert result == {"status": "rejected", "reason": "unavailable"}
 
     def test_checkout_empty_cart_rejected_without_order_call(self):
         env, cluster = make_cluster()

@@ -188,6 +188,26 @@ class TestOrder:
         assert done
         assert state["orders"]["o1"]["status"] == OrderStatus.COMPLETED
 
+    def test_delivery_to_a_returned_order_changes_nothing(self):
+        """Two racing delivery batches can count one package twice and
+        complete an order early; its last package may then arrive after
+        the return."""
+        state = logic.order.new_customer_orders(1)
+        state, _ = logic.order.assemble(
+            state, "o1", [item(seller=1), item(seller=2, product=2)],
+            now=0.0)
+        state = logic.order.set_status(state, "o1",
+                                       OrderStatus.PAYMENT_PROCESSED, 0.5)
+        state = logic.order.record_shipment(state, "o1", 2, now=1.0)
+        for now in (2.0, 3.0):
+            state, _ = logic.order.record_delivery(state, "o1", now=now)
+        state = logic.order.set_status(state, "o1",
+                                       OrderStatus.RETURN_REQUESTED, 4.0)
+        returned = logic.order.set_status(state, "o1", OrderStatus.DEFECT,
+                                          5.0)
+        late, done = logic.order.record_delivery(returned, "o1", now=6.0)
+        assert (late, done) == (returned, False)
+
 
 class TestPayment:
     def test_build_payment_validates_method(self):

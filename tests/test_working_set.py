@@ -205,7 +205,7 @@ def test_call_landing_mid_eviction_aborts_it_and_is_served():
         app, ref, lambda: env.call_after(0.0003, late_local_call))
     env.run(until=0.06)
     assert started and replies
-    assert replies[0].value == {"applied": True, "version": 2}
+    assert replies[0].value == {"version": 2}
     # The eviction aborted: same activation, nothing registered paged.
     assert not cluster.is_paged(grain)
     assert silo.activations[ref.ident].grain is grain
@@ -225,14 +225,14 @@ def test_turn_inside_the_write_window_survives_via_the_re_snapshot():
         ref.call("update_price", 4242, caller_silo=silo)))
     env.run(until=0.06)
     assert started and replies
-    assert replies[0].value == {"applied": True, "version": 2}
+    assert replies[0].value == {"version": 2}
     assert cluster.is_paged(grain)
     assert ref.ident not in silo.activations
     # The paged copy is the refreshed snapshot, and re-activation
     # continues from it.
     assert cluster.pager.peek(ref.ident)["data"]["price_cents"] == 4242
     promise = ref.call("update_price", 4343)
-    assert env.run(until=promise) == {"applied": True, "version": 3}
+    assert env.run(until=promise) == {"version": 3}
     assert not cluster.is_paged(grain)
 
 
