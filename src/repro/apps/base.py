@@ -79,9 +79,14 @@ class OperationResult:
 class MarketplaceApp:
     """Abstract base for the four implementations: ingestion and the
     eight operations, each a process helper returning an
-    :class:`OperationResult`.  :class:`ActorApp` writes the operations
-    once for the Orleans stacks; ``StatefunApp`` writes them over its
-    request/egress bridge."""
+    :class:`OperationResult`.
+
+    The six request operations are written here once, each a
+    :meth:`_request` of one named request to one service record; a
+    stack supplies only that transport.  ``update_delivery`` and
+    ``dashboard`` belong to the stack family: :class:`ActorApp` writes
+    them for the Orleans stacks, ``StatefunApp`` over its request/egress
+    bridge."""
 
     name = "abstract"
     shipment_partitions = 4
@@ -205,24 +210,37 @@ class MarketplaceApp:
     # ------------------------------------------------------------------
     # workload operations (process helpers)
     # ------------------------------------------------------------------
+    def _request(self, operation: str, service: str, key: str, **fields):
+        """Process helper: send request ``operation`` with its named
+        ``fields`` to record ``key`` of ``service`` and map the reply
+        through :func:`from_reply`.  The stack's transport."""
+        raise NotImplementedError
+
     def add_item(self, customer_id: int, seller_id: int, product_id: int,
                  quantity: int, voucher_cents: int = 0):
         """Add a product to the customer's cart at the replicated price."""
-        raise NotImplementedError
+        return self._request("add_item", "cart", str(customer_id),
+                             seller_id=seller_id, product_id=product_id,
+                             quantity=quantity, voucher_cents=voucher_cents)
 
     def checkout(self, customer_id: int, order_id: str,
                  payment_method: str):
         """The Customer Checkout business transaction."""
-        raise NotImplementedError
+        return self._request("checkout", "cart", str(customer_id),
+                             order_id=order_id,
+                             payment_method=payment_method)
 
     def update_price(self, seller_id: int, product_id: int,
                      price_cents: int):
         """The Price Update business transaction."""
-        raise NotImplementedError
+        return self._request("update_price", "product",
+                             f"{seller_id}/{product_id}",
+                             price_cents=price_cents)
 
     def delete_product(self, seller_id: int, product_id: int):
         """The Product Delete business transaction."""
-        raise NotImplementedError
+        return self._request("delete_product", "product",
+                             f"{seller_id}/{product_id}")
 
     def update_delivery(self):
         """The Update Delivery business transaction (10 sellers)."""
@@ -238,11 +256,16 @@ class MarketplaceApp:
         """Ingest one external-platform order, exactly once per
         ``(platform, shop_id, ext_order_no)`` — duplicates must return
         the originally created order."""
-        raise NotImplementedError
+        return self._request(
+            "submit_external", "ingestion",
+            ingestion_logic.shard_key(platform, shop_id),
+            platform=platform, shop_id=shop_id, ext_order_no=ext_order_no,
+            customer_id=customer_id, items=items)
 
     def request_return(self, customer_id: int, order_id: str):
         """The return/refund compensation saga for a completed order."""
-        raise NotImplementedError
+        return self._request("request_return", "order", str(customer_id),
+                             order_id=order_id)
 
     # ------------------------------------------------------------------
     # audits (zero-latency state inspection for the criteria checkers)
@@ -315,16 +338,18 @@ def empty_views() -> dict[str, dict]:
 
 
 class ActorApp(MarketplaceApp):
-    """Shell of the two Orleans stacks: one cluster whose grain types
-    are keyed by service, and every marketplace operation written once.
+    """Shell of the Orleans stacks: one cluster whose grain types are
+    keyed by service, plus the ``update_delivery`` and ``dashboard``
+    operations they share.
 
-    A grain method is named after the operation it serves and answers
-    in the ``{"status": ..., **payload}`` vocabulary of
-    :func:`from_reply`.  A stack supplies ``grains``, how its broker is
-    built and wired, how a grain's state is installed and read for
-    audits, and how a grain call travels: :meth:`_request` for the six
-    request operations, :meth:`_gather` and :meth:`_deliver` for the
-    ``update_delivery`` batch.  The transport here is the plain call."""
+    A grain method is named after the operation it serves, takes the
+    request's fields as keyword arguments and answers in the
+    ``{"status": ..., **payload}`` vocabulary of :func:`from_reply`.  A
+    stack supplies ``grains``, how its broker is built and wired, how a
+    grain's state is installed and read for audits, and how a grain
+    call travels: :meth:`_request` for the six request operations,
+    :meth:`_gather` and :meth:`_deliver` for the ``update_delivery``
+    batch.  The transport here is the plain call."""
 
     delivery_mode = DeliveryMode.UNORDERED
     #: Grain class per service name.
@@ -372,11 +397,11 @@ class ActorApp(MarketplaceApp):
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def _request(self, operation: str, service: str, key: str, *args):
+    def _request(self, operation: str, service: str, key: str, **fields):
         """Call the ``operation`` method of grain ``service``/``key``
-        and map its reply."""
+        with ``fields`` as its keyword arguments and map its reply."""
         try:
-            reply = yield self._grain(service, key).call(operation, *args)
+            reply = yield self._grain(service, key).call(operation, **fields)
         except GrainCallError:
             return failed(operation, reason="unreachable")
         return from_reply(operation, reply)
@@ -397,37 +422,6 @@ class ActorApp(MarketplaceApp):
     # ------------------------------------------------------------------
     # workload operations
     # ------------------------------------------------------------------
-    def add_item(self, customer_id: int, seller_id: int, product_id: int,
-                 quantity: int, voucher_cents: int = 0):
-        return self._request("add_item", "cart", str(customer_id),
-                             seller_id, product_id, quantity, voucher_cents)
-
-    def checkout(self, customer_id: int, order_id: str,
-                 payment_method: str):
-        return self._request("checkout", "cart", str(customer_id),
-                             order_id, payment_method)
-
-    def submit_external(self, platform: str, shop_id: int,
-                        ext_order_no: str, customer_id: int,
-                        items: list[dict]):
-        return self._request(
-            "submit_external", "ingestion",
-            ingestion_logic.shard_key(platform, shop_id),
-            platform, shop_id, ext_order_no, customer_id, items)
-
-    def request_return(self, customer_id: int, order_id: str):
-        return self._request("request_return", "order", str(customer_id),
-                             order_id)
-
-    def update_price(self, seller_id: int, product_id: int,
-                     price_cents: int):
-        return self._request("update_price", "product",
-                             f"{seller_id}/{product_id}", price_cents)
-
-    def delete_product(self, seller_id: int, product_id: int):
-        return self._request("delete_product", "product",
-                             f"{seller_id}/{product_id}")
-
     def update_delivery(self):
         """Query every shipment partition, pick the first 10 sellers
         with undelivered packages, deliver each one's oldest package."""

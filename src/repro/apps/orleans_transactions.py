@@ -61,11 +61,11 @@ class OrleansTransactionsApp(ActorApp):
     # ------------------------------------------------------------------
     # transport: every request operation is a distributed transaction
     # ------------------------------------------------------------------
-    def _request(self, operation: str, service: str, key: str, *args):
+    def _request(self, operation: str, service: str, key: str, **fields):
         ref = self._grain(service, key)
         try:
             reply = yield from self.runner.run(
-                lambda ctx: ref.call(operation, *args, txn=ctx))
+                lambda ctx: ref.call(operation, txn=ctx, **fields))
         except TransactionAborted as abort:
             return failed(operation, reason=f"aborted:{abort.reason}")
         except GrainCallError:

@@ -81,92 +81,39 @@ class StatefunApp(MarketplaceApp):
     # ------------------------------------------------------------------
     # workload operations
     # ------------------------------------------------------------------
-    def _await(self, operation: str, target: tuple[str, str],
-               payload: dict, request_id: str):
-        outcome = yield self.runtime.request(target[0], target[1], payload,
-                                             request_id=request_id)
-        return from_reply(operation, outcome)
-
-    def add_item(self, customer_id: int, seller_id: int, product_id: int,
-                 quantity: int, voucher_cents: int = 0):
-        request_id = self._request_id("add")
-        result = yield from self._await(
-            "add_item", ("cart", str(customer_id)), {
-                "kind": "add_item", "seller_id": seller_id,
-                "product_id": product_id, "quantity": quantity,
-                "voucher_cents": voucher_cents,
-                "pending_id": request_id},
-            request_id)
-        return result
+    def _request(self, operation: str, service: str, key: str, *,
+                 request_id: str | None = None, **fields):
+        """Send ``{"kind": operation, **fields}`` to function
+        ``service``/``key`` and map the egress that answers it.  The
+        request id is drawn when the request starts unless given."""
+        reply = yield self.runtime.request(
+            service, key, {"kind": operation, **fields},
+            request_id or self._request_id(operation))
+        return from_reply(operation, reply)
 
     def checkout(self, customer_id: int, order_id: str,
                  payment_method: str):
-        result = yield from self._await(
-            "checkout", ("cart", str(customer_id)), {
-                "kind": "checkout", "order_id": order_id,
-                "method": payment_method},
-            order_id)
-        return result
-
-    def submit_external(self, platform: str, shop_id: int,
-                        ext_order_no: str, customer_id: int,
-                        items: list[dict]):
-        from repro.marketplace.logic import ingestion as ingestion_logic
-        request_id = self._request_id("ext")
-        result = yield from self._await(
-            "submit_external",
-            ("ingestion", ingestion_logic.shard_key(platform, shop_id)), {
-                "kind": "submit", "platform": platform,
-                "shop_id": shop_id, "ext_order_no": ext_order_no,
-                "customer_id": customer_id, "items": items},
-            request_id)
-        return result
-
-    def request_return(self, customer_id: int, order_id: str):
-        request_id = self._request_id("return")
-        result = yield from self._await(
-            "request_return", ("order", str(customer_id)), {
-                "kind": "request_return", "order_id": order_id},
-            request_id)
-        return result
-
-    def update_price(self, seller_id: int, product_id: int,
-                     price_cents: int):
-        request_id = self._request_id("price")
-        result = yield from self._await(
-            "update_price", ("product", f"{seller_id}/{product_id}"), {
-                "kind": "update_price", "price_cents": price_cents},
-            request_id)
-        return result
-
-    def delete_product(self, seller_id: int, product_id: int):
-        request_id = self._request_id("delete")
-        result = yield from self._await(
-            "delete_product", ("product", f"{seller_id}/{product_id}"), {
-                "kind": "delete"},
-            request_id)
-        return result
+        """A checkout's request id is its order id: drawing one would
+        renumber every later ``delivery-N`` coordinator, and so move it
+        to another partition."""
+        return self._request("checkout", "cart", str(customer_id),
+                             request_id=order_id, order_id=order_id,
+                             payment_method=payment_method)
 
     def update_delivery(self):
+        """The batch coordinator is keyed by its request id."""
         request_id = self._request_id("delivery")
-        result = yield from self._await(
-            "update_delivery", ("delivery", request_id),
-            {"kind": "start"}, request_id)
-        return result
+        return (yield from self._request("update_delivery", "delivery",
+                                         request_id, request_id=request_id))
 
     def dashboard(self, seller_id: int):
         """Two separate requests -> two separate function invocations:
         no shared snapshot, as on the real platform."""
-        rid1 = self._request_id("dash-amount")
-        promise1 = self.runtime.request(
-            "seller", str(seller_id), {"kind": "dashboard_amount"}, rid1)
-        amount_reply = yield promise1
-        rid2 = self._request_id("dash-entries")
-        promise2 = self.runtime.request(
-            "seller", str(seller_id), {"kind": "dashboard_entries"}, rid2)
-        entries_reply = yield promise2
-        entries = entries_reply["entries"]
-        return ok("dashboard", amount_cents=amount_reply["amount_cents"],
+        amount = yield from self._request("dashboard_amount", "seller",
+                                          str(seller_id))
+        entries = (yield from self._request(
+            "dashboard_entries", "seller", str(seller_id))).payload["entries"]
+        return ok("dashboard", amount_cents=amount.payload["amount_cents"],
                   entries=entries,
                   entries_total_cents=sum(entry["amount_cents"]
                                           for entry in entries))

@@ -8,10 +8,15 @@ why this implementation keeps all-or-nothing *completeness* without
 transactions — at the cost of the dataflow envelope overhead and
 checkpoint stalls the benchmark measures.
 
+A request arrives as ``{"kind": operation, **fields}``, named after
+the operation it serves, and its answer is one egress of that kind.
 State is a value (see :class:`~repro.dataflow.Context`): a function
-writes the top-level keys of ``context.state`` in place but replaces,
-never mutates, anything below them — the marketplace logic path-copies,
-and the in-flight maps here go through ``assoc_in`` / ``dissoc_in``.
+replaces its domain state by assignment, ``context.state =
+logic(state, ...)`` — the marketplace logic path-copies and keeps the
+in-flight top-level keys (``pending``, ``pending_adds``,
+``parked_checkout``).  Protocol bookkeeping may still set top-level keys
+in place; the in-flight maps go through ``assoc_in`` / ``dissoc_in``,
+and nothing below the top level is ever mutated.
 """
 
 from __future__ import annotations
@@ -51,29 +56,21 @@ class ProductFn(_AppFunction):
     def invoke(self, context: Context, payload: dict):
         kind = payload["kind"]
         state = context.state
+        if kind not in ("update_price", "delete_product"):
+            return None
+        if not state or not state.get("active", False):
+            context.egress(kind, {"status": "rejected", "reason": "inactive"})
+            return None
         if kind == "update_price":
-            if not state or not state.get("active", False):
-                context.egress("update_price",
-                               {"status": "rejected", "reason": "inactive"})
-                return None
-            updated = product_logic.update_price(dict(state),
-                                                 payload["price_cents"])
-            state.clear()
-            state.update(updated)
+            context.state = state = product_logic.update_price(
+                state, payload["price_cents"])
             context.send("replica", context.key, {
-                "kind": "apply_update",
-                "price_cents": updated["price_cents"],
-                "version": updated["version"]})
-        elif kind == "delete":
-            if not state or not state.get("active", False):
-                context.egress("delete_product",
-                               {"status": "rejected", "reason": "inactive"})
-                return None
-            deleted = product_logic.delete(dict(state))
-            state.clear()
-            state.update(deleted)
+                "kind": "apply_update", "price_cents": state["price_cents"],
+                "version": state["version"]})
+        else:
+            context.state = state = product_logic.delete(state)
             context.send("replica", context.key, {
-                "kind": "apply_delete", "version": deleted["version"]})
+                "kind": "apply_delete", "version": state["version"]})
         return None
 
 
@@ -119,24 +116,17 @@ class StockFn(_AppFunction):
         if kind == "reserve":
             ok = False
             if state:
-                new_state, ok = stock_logic.reserve(dict(state),
-                                                    payload["quantity"])
-                if ok:
-                    state.clear()
-                    state.update(new_state)
+                context.state, ok = stock_logic.reserve(state,
+                                                        payload["quantity"])
             context.send("order", payload["reply_to"], {
                 "kind": "reserve_result", "order_id": payload["order_id"],
                 "key": context.key, "ok": ok})
         elif kind == "confirm":
-            updated = stock_logic.confirm_reservation(
-                dict(state), payload["quantity"])
-            state.clear()
-            state.update(updated)
+            context.state = stock_logic.confirm_reservation(
+                state, payload["quantity"])
         elif kind == "cancel":
-            updated = stock_logic.cancel_reservation(
-                dict(state), payload["quantity"])
-            state.clear()
-            state.update(updated)
+            context.state = stock_logic.cancel_reservation(
+                state, payload["quantity"])
         elif kind == "allocate":
             # Reserve-and-confirm in one step (external-order ingestion).
             ok = False
@@ -150,35 +140,30 @@ class StockFn(_AppFunction):
                 "key": context.key, "ok": ok})
         elif kind == "restock":
             if state:
-                updated = stock_logic.restock(dict(state),
-                                              payload["quantity"])
-                state.clear()
-                state.update(updated)
+                context.state = stock_logic.restock(state,
+                                                    payload["quantity"])
         elif kind == "deactivate":
             if state:
-                updated = stock_logic.deactivate(dict(state),
-                                                 payload["version"])
-                state.clear()
-                state.update(updated)
+                context.state = stock_logic.deactivate(state,
+                                                       payload["version"])
             context.egress("delete_product",
-                           {"status": "ok", "version": payload["version"]},
-                           effect_id=f"{context.request_id}:delete_product")
+                           {"status": "ok", "version": payload["version"]})
         return None
 
 
 class CartFn(_AppFunction):
-    """Per-customer cart with a pending-add state machine."""
+    """Per-customer cart with a pending-add state machine; an add is
+    pending under its request id."""
 
     def invoke(self, context: Context, payload: dict):
         kind = payload["kind"]
+        if not context.state:
+            context.state = {**cart_logic.new_cart(int(context.key)),
+                             "pending_adds": {}}
         state = context.state
-        if not state:
-            state.update(cart_logic.new_cart(int(context.key)))
-            state["pending_adds"] = {}
         if kind == "add_item":
-            pending_id = payload["pending_id"]
             state["pending_adds"] = assoc_in(
-                state["pending_adds"], (pending_id,), {
+                state["pending_adds"], (context.request_id,), {
                     "seller_id": payload["seller_id"],
                     "product_id": payload["product_id"],
                     "quantity": payload["quantity"],
@@ -186,93 +171,74 @@ class CartFn(_AppFunction):
             key = f"{payload['seller_id']}/{payload['product_id']}"
             context.send("replica", key, {
                 "kind": "get_price", "reply_to": context.key,
-                "pending_id": pending_id})
+                "pending_id": context.request_id})
         elif kind == "price_reply":
             pending = state["pending_adds"].get(payload["pending_id"])
             if pending is None:
                 return None
             state["pending_adds"] = dissoc_in(state["pending_adds"],
                                               (payload["pending_id"],))
-            if payload["price"] is None:
-                context.egress("add_item",
-                               {"status": "rejected",
-                                "reason": "unavailable"},
-                               effect_id=f"{context.request_id}:add_item")
+            price = payload["price"]
+            if price is None:
+                context.egress("add_item", {"status": "rejected",
+                                            "reason": "unavailable"})
             else:
-                updated = cart_logic.add_item(
-                    {key: value for key, value in state.items()
-                     if key not in ("pending_adds", "parked_checkout")},
-                    {**pending,
-                     "unit_price_cents": payload["price"]["price_cents"],
-                     "price_version": payload["price"]["version"]})
-                self._merge(state, updated)
-                context.egress(
-                    "add_item",
-                    {"status": "ok",
-                     "price_version": payload["price"]["version"]},
-                    effect_id=f"{context.request_id}:add_item")
+                context.state = state = cart_logic.add_item(state, {
+                    **pending, "unit_price_cents": price["price_cents"],
+                    "price_version": price["version"]})
+                context.egress("add_item", {"status": "ok",
+                                            "price_version": price["version"]})
             # Replay safety: a checkout that arrived while adds were in
             # flight was parked; run it once the last add resolves.
             parked = state.get("parked_checkout")
             if parked is not None and not state["pending_adds"]:
                 state["parked_checkout"] = None
-                self._checkout(context, parked, state)
+                self._checkout(context, **parked)
         elif kind == "checkout":
+            request = {"order_id": payload["order_id"],
+                       "payment_method": payload["payment_method"]}
             if state["pending_adds"]:
                 # Adds still doing their replica round-trip: defer the
                 # checkout so outcomes do not depend on message timing
                 # (crash replay collapses inter-arrival gaps).
-                state["parked_checkout"] = {
-                    "order_id": payload["order_id"],
-                    "method": payload["method"],
-                    "request_id": context.request_id}
+                state["parked_checkout"] = request
                 return None
-            self._checkout(context, {
-                "order_id": payload["order_id"],
-                "method": payload["method"],
-                "request_id": context.request_id}, state)
+            self._checkout(context, **request)
         return None
 
     @staticmethod
-    def _merge(state, updated):
-        pending_adds = state["pending_adds"]
-        parked = state.get("parked_checkout")
-        state.clear()
-        state.update(updated)
-        state["pending_adds"] = pending_adds
-        state["parked_checkout"] = parked
-
-    def _checkout(self, context, request, state):
-        base = {key: value for key, value in state.items()
-                if key not in ("pending_adds", "parked_checkout")}
+    def _checkout(context, order_id, payment_method):
         try:
-            sealed, items = cart_logic.seal_for_checkout(base)
+            context.state, items = cart_logic.seal_for_checkout(
+                context.state)
         except ValueError:
+            # A parked checkout runs in a later add's invocation, under
+            # the add's request id: name the checkout's own effect.
             context.egress("checkout",
                            {"status": "rejected", "reason": "empty_cart",
-                            "order_id": request["order_id"]},
-                           effect_id=f"{request['order_id']}:checkout")
+                            "order_id": order_id},
+                           effect_id=f"{order_id}:checkout")
             return
-        self._merge(state, sealed)
         context.send("order", context.key, {
-            "kind": "create_order", "order_id": request["order_id"],
-            "items": items, "method": request["method"]},
-            request_id=request["order_id"])
+            "kind": "create_order", "order_id": order_id,
+            "items": items, "method": payment_method},
+            request_id=order_id)
 
 
 class OrderFn(_AppFunction):
-    """Checkout orchestrator as an explicit state machine."""
+    """Checkout orchestrator as an explicit state machine.  The in-flight
+    ``pending`` map rides along at the top level of the order state;
+    every message of a checkout carries the order id as request id."""
 
     def invoke(self, context: Context, payload: dict):
-        kind = payload["kind"]
-        state = context.state
-        if not state:
-            state.update(order_logic.new_customer_orders(int(context.key)))
-            state["pending"] = {}
-        handler = getattr(self, f"_{kind}", None)
-        if handler is None:
-            return None
-        return handler(context, payload, state)
+        if not context.state:
+            context.state = {
+                **order_logic.new_customer_orders(int(context.key)),
+                "pending": {}}
+        handler = getattr(self, f"_{payload['kind']}", None)
+        if handler is not None:
+            handler(context, payload)
+        return None
 
     # -- phase 1: reserve (checkout) or allocate (external) stock -------
     @staticmethod
@@ -300,57 +266,55 @@ class OrderFn(_AppFunction):
         state["pending"] = assoc_in(state["pending"], (order_id,), pending)
         return None if pending["awaiting"] > 0 else pending
 
-    def _create_order(self, context, payload, state):
+    def _create_order(self, context, payload):
         order_id = payload["order_id"]
         items = payload["items"]
+        state = context.state
         state["pending"] = assoc_in(state["pending"], (order_id,), {
             "items": items, "method": payload["method"],
             "awaiting": len(items), "confirmed": []})
         self._request_stock(context, "reserve", order_id, items)
-        return None
 
-    def _reserve_result(self, context, payload, state):
-        pending = self._collect_stock_reply(payload, state)
+    def _reserve_result(self, context, payload):
+        pending = self._collect_stock_reply(payload, context.state)
         if pending is None:
-            return None
+            return
         order_id = payload["order_id"]
         if not pending["confirmed"]:
-            self._take_pending(state, order_id)
+            self._take_pending(context.state, order_id)
             context.egress("checkout",
                            {"status": "rejected", "reason": "no_stock",
-                            "order_id": order_id},
-                           effect_id=f"{order_id}:checkout")
-            return None
-        base, order = order_logic.assemble(
-            self._base(state), order_id, pending["confirmed"],
+                            "order_id": order_id})
+            return
+        state, order = order_logic.assemble(
+            context.state, order_id, pending["confirmed"],
             context.worker.env.now)
-        self._replace(state, base)
         state["pending"] = assoc_in(state["pending"], (order_id,),
                                     {**pending, "order": order})
+        context.state = state
         for seller_id in order_logic.seller_ids(order):
             context.send("seller", str(seller_id), {
                 "kind": "upsert_entry", "order": order})
         context.send("payment", order_id, {
             "kind": "process", "order": order,
             "method": pending["method"], "reply_to": context.key})
-        return None
 
     # -- external-order ingestion (prepaid, no reservation round) ---------
-    def _ingest_external(self, context, payload, state):
+    def _ingest_external(self, context, payload):
         order_id = payload["order_id"]
+        state = context.state
         state["pending"] = assoc_in(state["pending"], (order_id,), {
             "items": payload["items"], "awaiting": len(payload["items"]),
             "confirmed": [], "ext": payload["ext"], "external": True,
             "reply_shard": payload["reply_shard"]})
         self._request_stock(context, "allocate", order_id, payload["items"])
-        return None
 
-    def _allocate_result(self, context, payload, state):
-        pending = self._collect_stock_reply(payload, state)
+    def _allocate_result(self, context, payload):
+        pending = self._collect_stock_reply(payload, context.state)
         if pending is None:
-            return None
+            return
         order_id = payload["order_id"]
-        self._take_pending(state, order_id)
+        self._take_pending(context.state, order_id)
         if not pending["confirmed"]:
             # Nothing allocated: un-register the dedup entry so a later
             # submit can retry from scratch.
@@ -359,14 +323,13 @@ class OrderFn(_AppFunction):
             context.egress("submit_external",
                            {"status": "rejected", "reason": "no_stock",
                             "order_id": order_id})
-            return None
-        base, order = order_logic.assemble(
-            self._base(state), order_id, pending["confirmed"],
+            return
+        state, order = order_logic.assemble(
+            context.state, order_id, pending["confirmed"],
             context.worker.env.now, ext=pending["ext"])
-        base = order_logic.set_status(
-            base, order_id, OrderStatus.PAYMENT_PROCESSED,
+        context.state = order_logic.set_status(
+            state, order_id, OrderStatus.PAYMENT_PROCESSED,
             context.worker.env.now)
-        self._replace(state, base)
         for seller_id in order_logic.seller_ids(order):
             context.send("seller", str(seller_id), {
                 "kind": "upsert_entry", "order": order})
@@ -382,57 +345,55 @@ class OrderFn(_AppFunction):
                        {"status": "ok", "order_id": order_id,
                         "idempotent": False, "invoice": order["invoice"],
                         "total_cents": order["total_cents"]})
-        return None
 
     # -- return/refund compensation saga ----------------------------------
-    def _request_return(self, context, payload, state):
+    def _request_return(self, context, payload):
         order_id = payload["order_id"]
-        base = self._base(state)
-        if order_id not in base["orders"]:
+        state = context.state
+        if order_id not in state["orders"]:
             context.egress("request_return",
                            {"status": "rejected",
                             "reason": "unknown_order",
                             "order_id": order_id})
-            return None
-        order = base["orders"][order_id]
+            return
+        order = state["orders"][order_id]
         if order["status"] != OrderStatus.COMPLETED:
             context.egress("request_return",
                            {"status": "rejected",
                             "reason": "not_completed",
                             "order_id": order_id,
                             "state": order["status"]})
-            return None
-        base = order_logic.set_status(
-            base, order_id, OrderStatus.RETURN_REQUESTED,
+            return
+        state = order_logic.set_status(
+            state, order_id, OrderStatus.RETURN_REQUESTED,
             context.worker.env.now)
-        self._replace(state, base)
         state["pending"] = assoc_in(
             state["pending"], (f"return:{order_id}",),
             {"outcome": lifecycle.disposition(order_id)})
+        context.state = state
         context.send("payment", order_id, {
             "kind": "refund", "order_id": order_id,
             "reply_to": context.key})
-        return None
 
-    def _refund_result(self, context, payload, state):
+    def _refund_result(self, context, payload):
         order_id = payload["order_id"]
-        pending = self._take_pending(state, f"return:{order_id}")
+        pending = self._take_pending(context.state, f"return:{order_id}")
         if pending is None:
-            return None
+            return
         if not payload["ok"]:
             # Order stays in RETURN_REQUESTED — the audit counts it.
             context.egress("request_return",
                            {"status": "failed",
                             "reason": "refund_unreachable",
                             "order_id": order_id})
-            return None
+            return
         outcome = pending["outcome"]
-        base = self._base(state)
+        state = context.state
         for hop in lifecycle.return_hops(outcome)[1:]:
-            base = order_logic.set_status(base, order_id, hop,
-                                          context.worker.env.now)
-        self._replace(state, base)
-        order = base["orders"][order_id]
+            state = order_logic.set_status(state, order_id, hop,
+                                           context.worker.env.now)
+        context.state = state
+        order = state["orders"][order_id]
         if outcome != OrderStatus.DEFECT:
             for item in order["items"]:
                 key = f"{item['seller_id']}/{item['product_id']}"
@@ -451,29 +412,25 @@ class OrderFn(_AppFunction):
                        {"status": "ok", "order_id": order_id,
                         "outcome": outcome,
                         "refund_cents": order["total_cents"]})
-        return None
 
     # -- phase 2: payment -------------------------------------------------
-    def _payment_result(self, context, payload, state):
+    def _payment_result(self, context, payload):
         order_id = payload["order_id"]
-        pending = self._take_pending(state, order_id)
+        pending = self._take_pending(context.state, order_id)
         if pending is None:
-            return None
+            return
         order = pending["order"]
         sellers = order_logic.seller_ids(order)
-        base = self._base(state)
+        now = context.worker.env.now
         if not payload["approved"]:
             for item in pending["confirmed"]:
                 key = f"{item['seller_id']}/{item['product_id']}"
                 context.send("stock", key, {
                     "kind": "cancel", "quantity": item["quantity"]})
-            base = order_logic.set_status(
-                base, order_id, OrderStatus.PAYMENT_FAILED,
-                context.worker.env.now)
-            base = order_logic.set_status(
-                base, order_id, OrderStatus.CANCELED,
-                context.worker.env.now)
-            self._replace(state, base)
+            state = order_logic.set_status(
+                context.state, order_id, OrderStatus.PAYMENT_FAILED, now)
+            context.state = order_logic.set_status(
+                state, order_id, OrderStatus.CANCELED, now)
             for seller_id in sellers:
                 context.send("seller", str(seller_id), {
                     "kind": "update_entry_status", "order_id": order_id,
@@ -484,17 +441,14 @@ class OrderFn(_AppFunction):
             context.egress("checkout",
                            {"status": "failed", "reason": "payment",
                             "order_id": order_id,
-                            "total_cents": order["total_cents"]},
-                           effect_id=f"{order_id}:checkout")
-            return None
+                            "total_cents": order["total_cents"]})
+            return
         for item in pending["confirmed"]:
             key = f"{item['seller_id']}/{item['product_id']}"
             context.send("stock", key, {
                 "kind": "confirm", "quantity": item["quantity"]})
-        base = order_logic.set_status(
-            base, order_id, OrderStatus.PAYMENT_PROCESSED,
-            context.worker.env.now)
-        self._replace(state, base)
+        context.state = order_logic.set_status(
+            context.state, order_id, OrderStatus.PAYMENT_PROCESSED, now)
         for seller_id in sellers:
             context.send("seller", str(seller_id), {
                 "kind": "update_entry_status", "order_id": order_id,
@@ -504,36 +458,28 @@ class OrderFn(_AppFunction):
             "amount_cents": order["total_cents"], "approved": True})
         context.send("shipment", self.app.shipment_partition(order_id), {
             "kind": "create", "order": order})
-        return None
 
     # -- phase 3: shipment / delivery --------------------------------------
-    def _record_shipment(self, context, payload, state):
-        base = self._base(state)
-        if payload["order_id"] not in base["orders"]:
-            return None
-        base = order_logic.record_shipment(
-            base, payload["order_id"], payload["package_count"],
-            context.worker.env.now)
-        self._replace(state, base)
-        return None
+    def _record_shipment(self, context, payload):
+        if payload["order_id"] in context.state["orders"]:
+            context.state = order_logic.record_shipment(
+                context.state, payload["order_id"],
+                payload["package_count"], context.worker.env.now)
 
-    def _record_delivery(self, context, payload, state):
+    def _record_delivery(self, context, payload):
         order_id = payload["order_id"]
-        base = self._base(state)
-        if order_id not in base["orders"]:
-            return None
-        base, completed = order_logic.record_delivery(
-            base, order_id, context.worker.env.now)
-        self._replace(state, base)
+        if order_id not in context.state["orders"]:
+            return
+        context.state, completed = order_logic.record_delivery(
+            context.state, order_id, context.worker.env.now)
         if completed:
-            order = base["orders"][order_id]
+            order = context.state["orders"][order_id]
             for seller_id in order_logic.seller_ids(order):
                 context.send("seller", str(seller_id), {
                     "kind": "update_entry_status", "order_id": order_id,
                     "status": OrderStatus.COMPLETED})
             context.send("customer", context.key,
                          {"kind": "record_delivery"})
-        return None
 
     @staticmethod
     def _take_pending(state, pending_id):
@@ -543,20 +489,6 @@ class OrderFn(_AppFunction):
         if pending is not None:
             state["pending"] = dissoc_in(state["pending"], (pending_id,))
         return pending
-
-    @staticmethod
-    def _base(state):
-        """The order state without the in-flight ``pending`` map."""
-        return {key: value for key, value in state.items()
-                if key != "pending"}
-
-    @staticmethod
-    def _replace(state, base):
-        """Install ``base`` as the order state, keeping ``pending``."""
-        pending = state["pending"]
-        state.clear()
-        state.update(base)
-        state["pending"] = pending
 
 
 class PaymentFn(_AppFunction):
@@ -570,10 +502,8 @@ class PaymentFn(_AppFunction):
                 order["order_id"], order["customer_id"],
                 order["total_cents"], payload["method"],
                 context.worker.env.now)
-            payment = payment_logic.authorize(
+            context.state = payment = payment_logic.authorize(
                 payment, self.app.config.approval_rate)
-            context.state.clear()
-            context.state.update(payment)
             context.send("order", payload["reply_to"], {
                 "kind": "payment_result", "order_id": order["order_id"],
                 "approved": payment_logic.is_approved(payment)})
@@ -581,9 +511,7 @@ class PaymentFn(_AppFunction):
             state = context.state
             done = bool(state) and payment_logic.is_approved(state)
             if done:
-                updated = payment_logic.refund(dict(state))
-                state.clear()
-                state.update(updated)
+                context.state = payment_logic.refund(state)
             context.send("order", payload["reply_to"], {
                 "kind": "refund_result", "order_id": payload["order_id"],
                 "ok": done})
@@ -595,18 +523,16 @@ class ShipmentFn(_AppFunction):
 
     def invoke(self, context: Context, payload: dict):
         kind = payload["kind"]
+        if not context.state:
+            context.state = shipment_logic.new_shipments()
         state = context.state
-        if not state:
-            state.update(shipment_logic.new_shipments())
         if kind == "create":
             order = payload["order"]
             if order["order_id"] in state["shipments"]:
                 return None
-            updated, shipment = shipment_logic.create_shipment(
-                dict(state), order["order_id"], order["customer_id"],
+            context.state, shipment = shipment_logic.create_shipment(
+                state, order["order_id"], order["customer_id"],
                 order["items"], context.worker.env.now)
-            state.clear()
-            state.update(updated)
             count = len(shipment["packages"])
             context.send("order", str(order["customer_id"]), {
                 "kind": "record_shipment", "order_id": order["order_id"],
@@ -623,8 +549,7 @@ class ShipmentFn(_AppFunction):
                                {"status": "ok",
                                 "order_id": order["order_id"],
                                 "total_cents": order["total_cents"],
-                                "package_count": count},
-                               effect_id=f"{order['order_id']}:checkout")
+                                "package_count": count})
         elif kind == "collect_undelivered":
             summary = []
             for seller_id, when in shipment_logic.undelivered_seller_times(
@@ -646,13 +571,10 @@ class ShipmentFn(_AppFunction):
                 context.send("delivery", payload["reply_to"], {
                     "kind": "delivered_ack", "ok": False})
                 return None
-            updated, package = shipment_logic.mark_delivered(
-                dict(state), payload["order_id"],
-                payload["package_id"], context.worker.env.now)
-            state.clear()
-            state.update(updated)
-            shipment = state["shipments"][payload["order_id"]]
-            context.send("order", str(shipment["customer_id"]), {
+            context.state, package = shipment_logic.mark_delivered(
+                state, payload["order_id"], payload["package_id"],
+                context.worker.env.now)
+            context.send("order", str(existing["customer_id"]), {
                 "kind": "record_delivery",
                 "order_id": payload["order_id"]})
             context.send("delivery", payload["reply_to"], {
@@ -666,7 +588,7 @@ class DeliveryFn(_AppFunction):
     def invoke(self, context: Context, payload: dict):
         kind = payload["kind"]
         state = context.state
-        if kind == "start":
+        if kind == "update_delivery":
             state["awaiting"] = self.app.shipment_partitions
             state["summaries"] = []
             state["acks_expected"] = 0
@@ -720,22 +642,18 @@ class CustomerFn(_AppFunction):
     """Customer statistics."""
 
     def invoke(self, context: Context, payload: dict):
+        if not context.state:
+            context.state = customer_logic.new_customer(int(context.key))
         state = context.state
-        if not state:
-            state.update(customer_logic.new_customer(int(context.key)))
         kind = payload["kind"]
         if kind == "record_payment":
-            updated = customer_logic.record_payment(
-                dict(state), payload["amount_cents"], payload["approved"])
+            context.state = customer_logic.record_payment(
+                state, payload["amount_cents"], payload["approved"])
         elif kind == "record_delivery":
-            updated = customer_logic.record_delivery(dict(state))
+            context.state = customer_logic.record_delivery(state)
         elif kind == "record_refund":
-            updated = customer_logic.record_refund(
-                dict(state), payload["amount_cents"])
-        else:
-            return None
-        state.clear()
-        state.update(updated)
+            context.state = customer_logic.record_refund(
+                state, payload["amount_cents"])
         return None
 
 
@@ -743,41 +661,33 @@ class SellerFn(_AppFunction):
     """Seller dashboard view plus the two dashboard queries."""
 
     def invoke(self, context: Context, payload: dict):
+        if not context.state:
+            context.state = seller_logic.new_seller(int(context.key))
         state = context.state
-        if not state:
-            state.update(seller_logic.new_seller(int(context.key)))
         kind = payload["kind"]
         if kind == "upsert_entry":
             self.app.record_event(payload["order"]["order_id"],
                                   "order_created")
-            updated = seller_logic.upsert_entry(dict(state),
-                                                payload["order"])
+            context.state = seller_logic.upsert_entry(state,
+                                                      payload["order"])
         elif kind == "update_entry_status":
             self.app.record_event(
                 payload["order_id"],
                 _STATUS_TO_EVENT.get(payload["status"],
                                      payload["status"]))
-            updated = seller_logic.update_entry_status(
-                dict(state), payload["order_id"], payload["status"],
+            context.state = seller_logic.update_entry_status(
+                state, payload["order_id"], payload["status"],
                 context.worker.env.now)
         elif kind == "record_return":
             self.app.record_event(payload["order_id"], "order_returned")
-            updated = seller_logic.record_return(dict(state),
-                                                 payload["amount_cents"])
+            context.state = seller_logic.record_return(
+                state, payload["amount_cents"])
         elif kind == "dashboard_amount":
-            context.egress("dashboard_amount",
-                           {"amount_cents":
-                            seller_logic.dashboard_amount(state)})
-            return None
+            context.egress(kind, {"amount_cents":
+                                  seller_logic.dashboard_amount(state)})
         elif kind == "dashboard_entries":
-            context.egress("dashboard_entries",
-                           {"entries":
-                            seller_logic.dashboard_entries(state)})
-            return None
-        else:
-            return None
-        state.clear()
-        state.update(updated)
+            context.egress(kind, {"entries":
+                                  seller_logic.dashboard_entries(state)})
         return None
 
 
@@ -792,22 +702,19 @@ class IngestionFn(_AppFunction):
 
     def invoke(self, context: Context, payload: dict):
         kind = payload["kind"]
-        state = context.state
-        if not state:
-            state.update(ingestion_logic.new_registry(context.key))
-        if kind == "submit":
+        if not context.state:
+            context.state = ingestion_logic.new_registry(context.key)
+        if kind == "submit_external":
             key = ingestion_logic.dedup_key(
                 payload["platform"], payload["shop_id"],
                 payload["ext_order_no"])
-            updated, order_id, created = ingestion_logic.register(
-                dict(state), key)
+            context.state, order_id, created = ingestion_logic.register(
+                context.state, key)
             if not created:
                 context.egress("submit_external",
                                {"status": "ok", "order_id": order_id,
                                 "idempotent": True})
                 return None
-            state.clear()
-            state.update(updated)
             context.send("order", str(payload["customer_id"]), {
                 "kind": "ingest_external", "order_id": order_id,
                 "items": payload["items"], "ext": key,
@@ -815,7 +722,8 @@ class IngestionFn(_AppFunction):
         elif kind == "release":
             # The order side rejected the ingest (no stock): drop the
             # registration so a later submit can retry.
-            state.update(ingestion_logic.release(state, payload["key"]))
+            context.state = ingestion_logic.release(context.state,
+                                                    payload["key"])
         return None
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pathlib
 import sys
@@ -60,34 +61,55 @@ from repro.core.workload.config import TransactionMix
 from repro.runtime import Environment
 
 
+def _ranged(kind: type, rule: str, holds):
+    """An argparse ``type=`` parsing ``kind`` and checking ``holds``: a
+    value out of range is a usage error (exit 2), not a traceback."""
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value"
+    return parse
+
+
+_COUNT = _ranged(int, ">= 1", lambda value: value >= 1)
+_POSITIVE = _ranged(float, "finite and > 0",
+                    lambda value: 0 < value < math.inf)
+_NON_NEGATIVE = _ranged(float, "finite and >= 0",
+                        lambda value: 0 <= value < math.inf)
+_PROBABILITY = _ranged(float, "in [0, 1]", lambda value: 0 <= value <= 1)
+
+
 def _add_cluster_arguments(parser: argparse.ArgumentParser,
                            silos_default: int | None = 4,
                            cores_default: int | None = 4,
                            drop_default: float | None = 0.0) -> None:
-    parser.add_argument("--silos", type=int, default=silos_default,
+    parser.add_argument("--silos", type=_COUNT, default=silos_default,
                         help="cluster size (silos / partitions)")
-    parser.add_argument("--cores", type=int, default=cores_default,
+    parser.add_argument("--cores", type=_COUNT, default=cores_default,
                         help="CPU cores per silo")
-    parser.add_argument("--drop", type=float, default=drop_default,
+    parser.add_argument("--drop", type=_PROBABILITY, default=drop_default,
                         help="message-loss probability")
     parser.add_argument("--seed", type=int, default=42,
                         help="simulation + dataset RNG seed")
 
 
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=32,
+    parser.add_argument("--workers", type=_COUNT, default=32,
                         help="closed-loop driver workers")
-    parser.add_argument("--duration", type=float, default=2.0,
+    parser.add_argument("--duration", type=_POSITIVE, default=2.0,
                         help="measured window (simulated seconds)")
-    parser.add_argument("--warmup", type=float, default=0.5,
+    parser.add_argument("--warmup", type=_NON_NEGATIVE, default=0.5,
                         help="warm-up (simulated seconds)")
-    parser.add_argument("--sellers", type=int, default=10)
-    parser.add_argument("--customers", type=int, default=100)
-    parser.add_argument("--products", type=int, default=10,
+    parser.add_argument("--sellers", type=_COUNT, default=10)
+    parser.add_argument("--customers", type=_COUNT, default=100)
+    parser.add_argument("--products", type=_COUNT, default=10,
                         help="products per seller")
-    parser.add_argument("--zipf", type=float, default=0.8,
+    parser.add_argument("--zipf", type=_NON_NEGATIVE, default=0.8,
                         help="product popularity skew")
-    parser.add_argument("--checkout-weight", type=float, default=65.0)
+    parser.add_argument("--checkout-weight", type=_NON_NEGATIVE,
+                        default=65.0)
     _add_cluster_arguments(parser)
 
 
@@ -303,10 +325,6 @@ def cmd_scenario(args: argparse.Namespace,
             scenario = get_scenario(name)
             print(f"  {name:20s} {scenario.description}", file=stream)
         return 0
-    if args.rate_scale <= 0 or args.duration_scale <= 0:
-        print("error: --rate-scale and --duration-scale must be > 0",
-              file=stream)
-        return 2
     try:
         # One canonical assembly path: a scenario pins the cluster
         # shape / fault knobs it was designed for, explicit flags win
@@ -444,10 +462,10 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_parser.add_argument("--app", choices=sorted(ALL_APPS),
                                  default="orleans-eventual")
     scenario_parser.add_argument(
-        "--rate-scale", type=float, default=1.0,
+        "--rate-scale", type=_POSITIVE, default=1.0,
         help="multiply the scenario's arrival rates")
     scenario_parser.add_argument(
-        "--duration-scale", type=float, default=1.0,
+        "--duration-scale", type=_POSITIVE, default=1.0,
         help="stretch or shrink the measured window")
     # None = let the scenario's pinned cluster shape / fault knobs
     # (if any) apply.
@@ -488,11 +506,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-scale", action="append", metavar="X[,X...]",
         help="arrival-rate multipliers, e.g. 0.5,1.0 (default: 1.0)")
     matrix_parser.add_argument(
-        "--duration-scale", type=float, default=1.0,
+        "--duration-scale", type=_POSITIVE, default=1.0,
         help="stretch/shrink every cell's time axis (platform constants "
              "such as failure detection are not stretched)")
     matrix_parser.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_ranged(int, ">= 0", lambda value: value >= 0),
+        default=0,
         help="worker processes; 0 = one per CPU core, capped at the "
              "cell count (cells are single-threaded, so more workers "
              "than cores stops helping)")

@@ -168,8 +168,10 @@ class CellResult:
 
         Sorted keys, no whitespace, no wall-clock fields: two runs of
         the same cell — serial or parallel, any machine — produce the
-        same string.  This is the equality the determinism tests and
-        the M0 bench assert on."""
+        same string.  This is the equality the determinism tests
+        assert on; the perf ledger (``benchmarks/ledger``) hashes it,
+        and the payload goldens (``tests/golden_payloads.json``) hash
+        the same serialisation."""
         return json.dumps(self.payload, sort_keys=True,
                           separators=(",", ":"))
 

@@ -12,12 +12,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Context:
     """Handed to a function invocation: state access plus messaging.
 
-    ``state`` is the per-(type, key) persistent dictionary; writes are
-    visible to later invocations of the same address and are rolled
-    back to the last checkpoint on failure (then regenerated by replay).
+    ``state`` is the per-(type, key) persistent dictionary; the worker
+    stores what it holds when the invocation returns, visible to later
+    invocations of the same address and rolled back to the last
+    checkpoint on failure (then regenerated by replay).
 
-    State is a value: a function may set, delete or clear the top-level
-    keys of ``state`` in place, but it replaces every container below
+    State is a value: a function replaces it by assignment,
+    ``context.state = logic(context.state, ...)``, or sets and deletes
+    its top-level keys in place, but it replaces every container below
     that level instead of mutating it (``repro.cow.assoc_in`` /
     ``dissoc_in``, or a fresh dict or list).  A checkpoint keeps a
     shallow copy of the top level and shares everything below it with

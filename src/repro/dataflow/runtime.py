@@ -209,6 +209,7 @@ class Worker:
                           self.state_for(address))
         try:
             result = self._function.invoke(context, message.payload)
+            self.state[address] = context.state
         except Exception as exc:
             raise SimulationError(
                 f"function {address} failed on {message!r}") from exc

@@ -34,6 +34,19 @@ class TestParser:
             ["audit", "--app", "statefun", "--drop", "0.05"])
         assert args.drop == 0.05
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workers", "0"], ["run", "--duration", "-1"],
+        ["run", "--silos", "0"], ["audit", "--drop", "1.5"],
+        ["scenario", "baseline", "--silos", "0"],
+        ["matrix", "--workers", "-2"]], ids=" ".join)
+    def test_out_of_range_number_is_a_usage_error(self, argv):
+        """Exit 2 with argparse's usage error, before anything runs —
+        not a traceback and exit 1, which ``audit`` uses for a failed
+        criterion."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv, stream=io.StringIO())
+        assert exit_info.value.code == 2
+
 
 class TestRunCommand:
     def test_run_prints_metrics_and_criteria(self):

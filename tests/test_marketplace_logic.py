@@ -493,9 +493,35 @@ def lifecycle_script(states):
     seller = logic.seller.update_entry_status(
         seller, "o1", OrderStatus.COMPLETED, now=4.0)
     registry, _, _ = logic.ingestion.register(states["ingestion"], "k/1/b")
+    registry = logic.ingestion.rebind(registry, "k/1/b", "o9")
     registry = logic.ingestion.release(registry, "k/1/a")
     return {"cart": cart, "order": orders, "shipment": shipments,
             "seller": seller, "ingestion": registry}
+
+
+def copying_updaters(states):
+    """Every other updater a stack calls, each applied to the seeded
+    state itself: these return a new dict (``{**state, ...}``) rather
+    than the view they were handed."""
+    stock, product = states["stock"], states["product"]
+    payment, customer = states["payment"], states["customer"]
+    assert logic.stock.reserve(stock, 2)[1]
+    logic.stock.confirm_reservation(stock, 1)
+    logic.stock.cancel_reservation(stock, 1)
+    logic.stock.restock(stock, 3)
+    logic.stock.deactivate(stock, 2)
+    logic.product.update_price(product, 1200)
+    logic.product.delete(product)
+    logic.payment.authorize(payment)
+    logic.payment.refund(payment)
+    logic.customer.record_payment(customer, 900, True)
+    logic.customer.record_payment(customer, 900, False)
+    logic.customer.record_delivery(customer)
+    logic.customer.record_refund(customer, 900)
+    logic.cart.seal_for_checkout(states["cart"])
+    logic.order.set_status(states["order"], "o1",
+                           OrderStatus.PAYMENT_FAILED, now=1.0)
+    logic.seller.record_return(states["seller"], 500)
 
 
 def seeded_states():
@@ -509,17 +535,26 @@ def seeded_states():
     registry, _, _ = logic.ingestion.register(
         logic.ingestion.new_registry("k/1"), "k/1/a")
     return {"cart": cart, "order": orders, "shipment": shipments,
-            "seller": seller, "ingestion": registry}
+            "seller": seller, "ingestion": registry,
+            "stock": logic.stock.reserve(logic.stock.new_item(1, 7, 10),
+                                         2)[0],
+            "product": logic.product.new_product(1, 7, "p", "c", 1000),
+            "payment": logic.payment.authorize(logic.payment.build_payment(
+                "o1", 1, 2000, PaymentMethod.CREDIT_CARD, now=0.0)),
+            "customer": logic.customer.new_customer(1)}
 
 
 def test_updaters_agree_on_plain_state_and_on_views():
-    """One updater serves both: the transactional stacks pass CowState
-    views (updated in place), the others plain dicts (never mutated)."""
+    """One updater serves all stacks: the transactional ones pass
+    CowState views (``assoc_in`` updates them in place), the others
+    plain dicts, which no updater mutates — statefun replaces its state
+    with what the updater returns."""
     plain = seeded_states()
     frozen = copy.deepcopy(plain)
     expected = lifecycle_script(plain)
+    copying_updaters(plain)
     assert plain == frozen, "an updater mutated its plain-dict input"
-    views = {name: CowState(state) for name, state in plain.items()}
+    views = {name: CowState(plain[name]) for name in expected}
     results = lifecycle_script(views)
     assert plain == frozen, "an update through a view reached its base"
     for name, view in views.items():
