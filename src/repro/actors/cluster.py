@@ -626,12 +626,18 @@ class Cluster:
                     yield from self._page_out_activation(silo, activation)
 
     def _lru_victims(self, silo: Silo, count: int) -> list:
-        """The ``count`` least-recently-used quiet activations."""
-        quiet = [activation for activation in silo.activations.values()
-                 if not activation.mailbox and not activation.busy
-                 and not activation.collected]
-        quiet.sort(key=lambda activation: activation.last_activity)
-        return quiet[:count]
+        """The ``count`` least-recently-used quiet activations (empty
+        mailbox, nothing in flight), read off the front of
+        ``silo.lru``: the cost follows the activations walked, not the
+        resident population, and no sort runs.  Activations last used
+        at the same sim instant come in enqueue order."""
+        victims = []
+        for activation in silo.lru:
+            if not activation.mailbox and not activation.inflight:
+                victims.append(activation)
+                if len(victims) == count:
+                    break
+        return victims
 
     def _page_out_activation(self, silo: Silo,
                              activation) -> typing.Generator:
@@ -699,7 +705,7 @@ class Cluster:
     # ------------------------------------------------------------------
     @property
     def total_activations(self) -> int:
-        return sum(silo.activation_count for silo in self.silos)
+        return sum([len(silo.activations) for silo in self.silos])
 
     def utilisation(self) -> dict[str, float]:
         return {silo.name: silo.cpu.utilisation() for silo in self.silos}

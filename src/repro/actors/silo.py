@@ -186,7 +186,6 @@ class Activation:
         self.grain = grain
         self.mailbox: collections.deque[Message] = collections.deque()
         self.processed = 0
-        self.last_activity = env.now
         self.collected = False
         #: Set when the hosting silo crashes: turns stop, queued work
         #: is re-placed and late replies are suppressed.
@@ -208,7 +207,10 @@ class Activation:
 
     # ------------------------------------------------------------------
     def enqueue(self, message: Message) -> None:
-        self.last_activity = self.env.now
+        # Most recently used: move to the end of the silo's LRU order.
+        lru = self.silo.lru
+        del lru[self]
+        lru[self] = None
         if (self.mailbox or not self.started or self.defunct
                 or (self.inflight and not self.grain.reentrant)):
             # Whatever holds it up — ``_start``, or the turn in flight
@@ -244,7 +246,15 @@ class Activation:
 
 
 class Silo:
-    """One node of the cluster: CPU cores plus hosted activations."""
+    """One node of the cluster: CPU cores plus hosted activations.
+
+    ``lru`` holds the same activations as ``activations``, ordered
+    least recently used first: an activation enters at the end when it
+    is created or adopted and moves to the end each time a message is
+    enqueued on it, so dict order doubles as the LRU order and the
+    working-set sweep reads its victims off the front.  Activations
+    last used at the same sim instant are in enqueue order.
+    """
 
     def __init__(self, env: "Environment", name: str, cores: int) -> None:
         self.env = env
@@ -252,6 +262,7 @@ class Silo:
         self.cpu = Resource(env, capacity=cores)
         self.state = SiloState.RUNNING
         self.activations: dict[tuple[str, str], Activation] = {}
+        self.lru: dict[Activation, None] = {}
         #: Set by the cluster so activation bookkeeping reaches the
         #: grain directory (None for silos used standalone in tests).
         self.directory: "GrainDirectory | None" = None
@@ -300,6 +311,7 @@ class Silo:
         if self.directory is not None:
             self.directory.drop_silo(self)
         self.activations.clear()
+        self.lru.clear()
         return queued, discarded
 
     # ------------------------------------------------------------------
@@ -322,6 +334,7 @@ class Silo:
             grain.key = key
             activation = Activation(self.env, self, grain)
             self.activations[ident] = activation
+            self.lru[activation] = None
             cluster.note_activation(self)
             if self.directory is not None:
                 self.directory.register(grain_type.__name__, key, self,
@@ -348,6 +361,7 @@ class Silo:
         grain.silo = self
         activation = Activation(self.env, self, grain, adopted=True)
         self.activations[ident] = activation
+        self.lru[activation] = None
         cluster.note_activation(self)
         if self.directory is not None:
             self.directory.register(ident[0], ident[1], self,
@@ -359,6 +373,7 @@ class Silo:
         activation = self.activations.pop((grain_type_name, key), None)
         if activation is None:
             return False
+        del self.lru[activation]
         activation.collected = True
         if self.directory is not None:
             self.directory.unregister(grain_type_name, key)

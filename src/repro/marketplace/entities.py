@@ -3,7 +3,8 @@
 Entities are dataclasses; grain and function state holds the dict form
 of products and stock items (``as_dict``: plain data survives paging and
 checkpoints), while the driver and the data generator work with the
-typed form.  All money amounts are integer cents.
+typed form.  Every field is a scalar, so ``as_dict`` is a shallow copy
+of the instance dict.  All money amounts are integer cents.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class Product:
         return product_key(self.seller_id, self.product_id)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(self.__dict__)
 
 
 @dataclasses.dataclass
@@ -62,5 +63,5 @@ class StockItem:
         return product_key(self.seller_id, self.product_id)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return dict(self.__dict__)
 

@@ -63,7 +63,10 @@ def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
                 when = package["shipped_at"]
                 if seller not in first_seen or when < first_seen[seller]:
                     first_seen[seller] = when
-    return sorted(first_seen.items(), key=lambda item: (item[1], item[0]))
+    # Sorting (when, seller) tuples orders as a (time, seller) key
+    # would (seller ids are unique) without a key call per seller.
+    return [(seller, when) for when, seller
+            in sorted(zip(first_seen.values(), first_seen))]
 
 
 def first_sellers(pairs, limit: int) -> list[int]:
@@ -74,8 +77,8 @@ def first_sellers(pairs, limit: int) -> list[int]:
     for seller_id, when in pairs:
         if seller_id not in earliest or when < earliest[seller_id]:
             earliest[seller_id] = when
-    return [seller for seller, _ in sorted(
-        earliest.items(), key=lambda item: (item[1], item[0]))[:limit]]
+    return [seller for _, seller
+            in sorted(zip(earliest.values(), earliest))[:limit]]
 
 
 def oldest_undelivered_package(state: dict,

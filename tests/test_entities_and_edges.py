@@ -1,7 +1,10 @@
 """Entity converters and kernel edge cases not covered elsewhere."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import Dataset, WorkloadConfig
 from repro.marketplace import (
     Product,
     StockItem,
@@ -26,6 +29,27 @@ class TestEntities:
         item = StockItem(product_id=5, seller_id=9, qty_available=10)
         assert item.key == "9/5"
         assert item.as_dict()["qty_reserved"] == 0
+
+    def test_as_dict_equals_dataclasses_asdict_key_for_key(self):
+        dataset = Dataset(WorkloadConfig(sellers=3, customers=4,
+                                         products_per_seller=5), seed=9)
+        entities = [*dataset.products, *dataset.stock.values()]
+        assert entities
+        for entity in entities:
+            assert list(entity.as_dict().items()) == \
+                list(dataclasses.asdict(entity).items())
+
+    def test_as_dict_is_a_fresh_dict_each_call(self):
+        for entity in (Product(product_id=1, seller_id=2, name="n",
+                               category="c", price_cents=100),
+                       StockItem(product_id=5, seller_id=9,
+                                 qty_available=10)):
+            before = dataclasses.asdict(entity)
+            data = entity.as_dict()
+            assert data is not entity.as_dict()
+            data["version"] = 99
+            data["extra"] = True
+            assert dataclasses.asdict(entity) == before
 
 
 class TestKernelEdges:
