@@ -27,7 +27,7 @@ from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import cart as cart_logic
 from repro.marketplace.logic import order as order_logic
 from repro.marketplace.logic import seller as seller_logic
-from repro.sqlstore import MVCCEngine, Predicate, eq
+from repro.sqlstore import MVCCEngine, eq, isin
 from repro.txn import TxnConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,11 +89,9 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
              "amount_cents", "status", "updated_at"],
             primary_key="entry_id")
         self.sql.table("order_entries").create_index("seller_id")
-        # The delivery batch retires in-transit entries; an index on
-        # status lets that scan skip materialising retired rows.  (The
-        # additive MVCC index keeps every key that *ever* matched, so
-        # the candidate walk still grows with history — only the
-        # per-row Row construction is saved absent version GC.)
+        # The delivery batch retires in-transit entries and the
+        # dashboard reads in-progress ones; the status index is exact
+        # at the current snapshot, so both walk only those rows.
         self.sql.table("order_entries").create_index("status")
 
     # ------------------------------------------------------------------
@@ -246,12 +244,12 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         txn = self.sql.begin()
         # Index-assisted: only entries still in transit are candidates
         # for retirement (completed ones were already re-statused).
-        in_transit = eq("status", OrderStatus.IN_TRANSIT)
-        for row in txn.scan("order_entries", in_transit):
-            if row["order_id"] in completed:
-                txn.update("order_entries", row.key,
-                           {"status": OrderStatus.COMPLETED,
-                            "updated_at": self.env.now})
+        retiring = (eq("status", OrderStatus.IN_TRANSIT)
+                    & isin("order_id", completed))
+        for row in txn.scan("order_entries", retiring):
+            txn.update("order_entries", row.key,
+                       {"status": OrderStatus.COMPLETED,
+                        "updated_at": self.env.now})
         txn.commit()
 
     # ------------------------------------------------------------------
@@ -260,10 +258,8 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
     def dashboard(self, seller_id: int):
         yield self.env.timeout(SQL_QUERY_LATENCY)
         snapshot = self.sql.snapshot()
-        in_progress = Predicate(
-            lambda row: row.get("status") in OrderStatus.IN_PROGRESS,
-            description="status in progress")
-        predicate = eq("seller_id", seller_id) & in_progress
+        predicate = (eq("seller_id", seller_id)
+                     & isin("status", OrderStatus.IN_PROGRESS))
         amount = snapshot.aggregate("order_entries", "amount_cents",
                                     predicate)
         rows = snapshot.scan("order_entries", predicate)

@@ -5,7 +5,9 @@ Orleans* implementation offloads consistent querying (the seller
 dashboard's two queries must observe the same snapshot) to a relational
 store.  This engine provides multi-version storage, snapshot-isolated
 transactions with first-committer-wins conflict detection, secondary
-indexes and a small equality-predicate query layer.
+indexes exact at the current snapshot, and predicates that are
+conjunctions of :func:`eq` / :func:`isin` column conditions, tested
+inline by one loop per scan.
 """
 
 from repro.sqlstore.engine import (
@@ -14,7 +16,7 @@ from repro.sqlstore.engine import (
     Snapshot,
     Transaction,
 )
-from repro.sqlstore.query import Predicate, and_, eq
+from repro.sqlstore.query import Predicate, and_, eq, isin
 from repro.sqlstore.table import Row, Table, UniqueViolation
 
 __all__ = [
@@ -28,4 +30,5 @@ __all__ = [
     "UniqueViolation",
     "and_",
     "eq",
+    "isin",
 ]

@@ -18,11 +18,24 @@ def _order_rows(rows: list[Row], order_by: str | None,
                 descending: bool) -> None:
     """Sort rows in place: by column (missing-first) or primary key."""
     if order_by is not None:
-        rows.sort(key=lambda row: (row.get(order_by) is not None,
-                                   row.get(order_by), str(row.key)),
+        rows.sort(key=lambda row: (row.data.get(order_by) is not None,
+                                   row.data.get(order_by), str(row.key)),
                   reverse=descending)
     else:
-        rows.sort(key=lambda row: str(row.key))
+        # A C-level sort key: no Python call per row.
+        names = [str(row.key) for row in rows]
+        rows[:] = [rows[index] for index in
+                   sorted(range(len(rows)), key=names.__getitem__)]
+
+
+_new_row = tuple.__new__
+
+
+def _rows(found: typing.Iterable[tuple[object, dict[str, object]]],
+          ) -> list[Row]:
+    """A private-copy :class:`Row` per ``(key, data)``; ``tuple.__new__``
+    skips the named tuple's Python-level constructor."""
+    return [_new_row(Row, (key, dict(data))) for key, data in found]
 
 
 class Snapshot:
@@ -50,27 +63,18 @@ class Snapshot:
              limit: int | None = None) -> list[Row]:
         """All rows visible at this snapshot matching ``predicate``.
 
-        Uses a secondary index when the predicate pins an indexed column
-        to a single value; otherwise a full scan.  ``order_by`` sorts by
-        a column (rows missing the column sort first); without it, rows
-        are ordered by primary key for determinism.
+        Walks the intersection of the secondary indexes of the
+        predicate's indexed columns, or every key when none is indexed.
+        ``order_by`` sorts by a column (rows missing the column sort
+        first); without it, rows are ordered by primary key for
+        determinism.
         """
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0")
         table = self.engine.table(table_name)
-        candidates: typing.Iterable[object]
-        if (predicate is not None and predicate.equality is not None
-                and predicate.equality[0] in table.indexed_columns):
-            candidates = table.index_lookup(*predicate.equality)
-        else:
-            candidates = list(table.keys_at(self.ts))
-        rows = []
-        for key in candidates:
-            data = table.visible(key, self.ts)
-            if data is None:
-                continue
-            if predicate is None or predicate(data):
-                rows.append(Row(key=key, data=dict(data)))
+        conditions = () if predicate is None else predicate.conditions
+        rows = _rows(table.matching(
+            self.ts, table.candidates(conditions, self.ts), conditions))
         _order_rows(rows, order_by, descending)
         if limit is not None:
             rows = rows[:limit]
@@ -81,9 +85,10 @@ class Snapshot:
                   function: str = "sum"):
         """SUM/COUNT/AVG/MIN/MAX over matching rows at this snapshot."""
         rows = self.scan(table_name, predicate)
-        values = [row[column] for row in rows if row.get(column) is not None]
         if function == "count":
             return len(rows)
+        values = [value for row in rows
+                  if (value := row.data.get(column)) is not None]
         if not values:
             return None if function in ("min", "max", "avg") else 0
         if function == "sum":
@@ -132,29 +137,29 @@ class Transaction:
              limit: int | None = None) -> list[Row]:
         """Snapshot scan merged with this transaction's own writes.
 
-        Index-assisted exactly like :meth:`Snapshot.scan` (a predicate
-        pinning an indexed column to one value walks the index rather
-        than the whole table); ``limit`` applies *after* the merge so
-        own writes cannot be displaced by committed rows.
+        Index-assisted exactly like :meth:`Snapshot.scan`; ``limit``
+        applies *after* the merge so own writes cannot be displaced by
+        committed rows.
         """
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0")
-        rows = {row.key: row
-                for row in self.snapshot.scan(table_name, predicate)}
+        table = self.engine.table(table_name)
+        conditions = () if predicate is None else predicate.conditions
+        found = dict(table.matching(
+            self.begin_ts, table.candidates(conditions, self.begin_ts),
+            conditions))
         for (tname, key), data in self._writes.items():
             if tname != table_name:
                 continue
-            if data is None:
-                rows.pop(key, None)
-            elif predicate is None or predicate(data):
-                rows[key] = Row(key=key, data=dict(data))
+            if data is not None and (predicate is None or predicate(data)):
+                found[key] = data
             else:
-                rows.pop(key, None)
-        merged = list(rows.values())
-        _order_rows(merged, order_by, descending)
+                found.pop(key, None)
+        rows = _rows(found.items())
+        _order_rows(rows, order_by, descending)
         if limit is not None:
-            merged = merged[:limit]
-        return merged
+            rows = rows[:limit]
+        return rows
 
     # ------------------------------------------------------------------
     # writes

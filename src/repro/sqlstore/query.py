@@ -1,10 +1,12 @@
 """Tiny predicate combinators for querying MVCC tables.
 
 These deliberately mirror the shape of a SQL ``WHERE`` clause without
-parsing SQL: :func:`eq` and its conjunction :func:`and_` (also spelt
-``p & q``) return a :class:`Predicate` that can be tested against a
-row-data mapping, and report the (column, value) pair they pin down
-exactly — which lets the engine use a secondary index.
+parsing SQL.  A :class:`Predicate` is data: a conjunction of
+``(column, values)`` conditions, each meaning "``row.get(column)`` is
+one of ``values``".  :func:`eq` and :func:`isin` build one condition;
+:func:`and_` (also spelt ``p & q``) concatenates them.  Because the
+conditions are plain tuples, a table scan tests them inline and can
+start from the secondary index of any condition's column.
 """
 
 from __future__ import annotations
@@ -12,44 +14,42 @@ from __future__ import annotations
 import typing
 
 RowData = typing.Mapping[str, object]
+Condition = tuple[str, typing.Container[object]]
 
 
 class Predicate:
-    """A testable row condition, possibly index-assisted."""
+    """A conjunction of ``row.get(column) in values`` conditions."""
 
-    def __init__(self, test: typing.Callable[[RowData], bool],
-                 equality: tuple[str, object] | None = None,
-                 description: str = "?") -> None:
-        self._test = test
-        #: (column, value) when the predicate implies column == value.
-        self.equality = equality
-        self.description = description
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions: tuple[Condition, ...]) -> None:
+        self.conditions = conditions
 
     def __call__(self, row: RowData) -> bool:
-        return self._test(row)
+        for column, values in self.conditions:
+            if row.get(column) not in values:
+                return False
+        return True
 
     def __and__(self, other: "Predicate") -> "Predicate":
-        return and_(self, other)
+        return Predicate(self.conditions + other.conditions)
 
     def __repr__(self) -> str:
-        return f"<Predicate {self.description}>"
+        return "<Predicate {}>".format(" AND ".join(
+            f"{column} in {values!r}" for column, values in self.conditions))
 
 
 def eq(column: str, value: object) -> Predicate:
     """``column == value`` (index-assisted when an index exists)."""
-    return Predicate(lambda row: row.get(column) == value,
-                     equality=(column, value),
-                     description=f"{column} == {value!r}")
+    return Predicate(((column, (value,)),))
+
+
+def isin(column: str, values: typing.Iterable[object]) -> Predicate:
+    """``column IN values`` (index-assisted when an index exists)."""
+    return Predicate(((column, frozenset(values)),))
 
 
 def and_(*predicates: Predicate) -> Predicate:
-    """Conjunction; inherits the first index-usable equality, if any."""
-    equality = None
-    for predicate in predicates:
-        if predicate.equality is not None:
-            equality = predicate.equality
-            break
-    return Predicate(
-        lambda row: all(predicate(row) for predicate in predicates),
-        equality=equality,
-        description=" AND ".join(p.description for p in predicates))
+    """Conjunction of every predicate's conditions."""
+    return Predicate(tuple(condition for predicate in predicates
+                           for condition in predicate.conditions))

@@ -72,14 +72,15 @@ class LockManager:
     # ------------------------------------------------------------------
     def acquire(self, ctx: TransactionContext, mode: LockMode):
         """Process helper: acquire (or upgrade to) ``mode`` for ``ctx``."""
-        held = self.held_by(ctx)
+        held = self._holders.get(ctx.txid)
         if not ctx.locking or (held is not None
-                               and (held is mode
-                                    or held is LockMode.EXCLUSIVE)):
+                               and (held[1] is mode
+                                    or held[1] is LockMode.EXCLUSIVE)):
             return
             yield  # pragma: no cover - generator marker
         while True:
-            conflicting = self._conflicts(ctx, mode)
+            # An unheld lock is granted without a conflict scan.
+            conflicting = self._holders and self._conflicts(ctx, mode)
             if not conflicting:
                 self._holders[ctx.txid] = (ctx, mode)
                 return
@@ -100,7 +101,8 @@ class LockManager:
     def release(self, ctx: TransactionContext) -> None:
         """Release the lock held by ``ctx`` and wake eligible waiters."""
         self._holders.pop(ctx.txid, None)
-        self._wake()
+        if self._queue:
+            self._wake()
 
     def _wake(self) -> None:
         # Wake waiters whose request is now compatible, in FIFO order;

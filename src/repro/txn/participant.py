@@ -7,7 +7,7 @@ import typing
 
 from repro.actors.grain import Grain
 from repro.cow import CowState, materialize
-from repro.txn.context import TransactionContext
+from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.errors import TransactionAborted
 from repro.txn.locks import LockManager, LockMode
 
@@ -59,22 +59,22 @@ class TransactionParticipant:
     # ------------------------------------------------------------------
     def read(self, ctx: TransactionContext):
         """Process helper: S-lock and return a private view of state."""
-        if not ctx.is_active:
+        if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
         yield from self.lock.acquire(ctx, LockMode.SHARED)
-        ctx.register(self)
+        ctx.participants.setdefault(self.identity, self)
         if ctx.txid in self._staged:
             return CowState(self._staged[ctx.txid])
         return CowState(self.committed_state)
 
     def write(self, ctx: TransactionContext, state: dict):
         """Process helper: X-lock and stage the new state."""
-        if not ctx.is_active:
+        if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
         yield from self.lock.acquire(ctx, LockMode.EXCLUSIVE)
-        ctx.register(self)
+        ctx.participants.setdefault(self.identity, self)
         # An untouched view materialises to its frozen base by
         # reference, so a read-decide-write-back costs no rebuild.
         self._staged[ctx.txid] = materialize(state)
@@ -101,7 +101,7 @@ class TransactionParticipant:
     def vote(self, ctx: TransactionContext) -> bool:
         """Prepare request arrived: vote yes/no."""
         # Lost our locks (e.g. the txn died elsewhere): veto.
-        return not ctx.locking or self.lock.held_by(ctx) is not None
+        return not ctx.locking or ctx.txid in self.lock._holders
 
     def mark_prepared(self, ctx: TransactionContext) -> None:
         """The prepare record is durable."""

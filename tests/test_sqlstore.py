@@ -1,6 +1,8 @@
 """Unit tests for the MVCC engine and snapshot isolation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sqlstore import (
     MVCCEngine,
@@ -8,6 +10,7 @@ from repro.sqlstore import (
     UniqueViolation,
     and_,
     eq,
+    isin,
 )
 
 
@@ -250,9 +253,9 @@ class TestQueries:
         assert [row.key for row in new_rows] == [1]
         old_rows = snapshot.scan("orders", eq("seller", "zzz"))
         assert old_rows == []
-        # ... and must still FIND row 1 under its old value: the index
-        # is additive (a candidate superset), so a later commit cannot
-        # hide a row from an older snapshot (MVCC false negative).
+        # ... and must still FIND row 1 under its old value: the
+        # retired entry keeps it a candidate for snapshots older than
+        # the commit that moved it (no MVCC false negative).
         assert {row.key for row in snapshot.scan("orders",
                                                  eq("seller", "a"))} == {1, 2}
 
@@ -353,3 +356,207 @@ class TestQueryExtensions:
         txn.commit()
         rows = engine.snapshot().scan("orders", order_by="total")
         assert rows[0].key == 9  # missing column first
+
+
+class TestExactIndex:
+    """The secondary index holds exactly the current matches; older
+    snapshots also get the keys that left a value after them."""
+
+    def setup_rows(self, engine):
+        for key in (1, 2, 3, 4):
+            put(engine, id=key, seller="a", total=1.0, status="open")
+        engine.table("orders").create_index("status")
+
+    def test_current_snapshot_gets_exactly_the_live_keys(self, engine):
+        self.setup_rows(engine)
+        txn = engine.begin()
+        txn.update("orders", 1, {"status": "paid"})
+        txn.delete("orders", 2)
+        txn.commit()
+        table = engine.table("orders")
+        now = engine.snapshot().ts
+        assert table.index_lookup("status", ("open",), now) == {3, 4}
+        assert table.index_lookup("status", ("paid",), now) == {1}
+        assert table.index_lookup("status", ("open", "paid"), now) == {
+            1, 3, 4}
+
+    def test_older_snapshot_also_gets_the_keys_that_left(self, engine):
+        self.setup_rows(engine)
+        old = engine.snapshot()
+        txn = engine.begin()
+        txn.update("orders", 1, {"status": "paid"})
+        txn.delete("orders", 2)
+        txn.commit()
+        table = engine.table("orders")
+        assert table.index_lookup("status", ("open",), old.ts) == {
+            1, 2, 3, 4}
+        assert [row.key for row in old.scan("orders",
+                                            eq("status", "open"))] == [
+            1, 2, 3, 4]
+
+    def test_an_unchanged_value_stays_in_its_bucket(self, engine):
+        self.setup_rows(engine)
+        txn = engine.begin()
+        txn.update("orders", 3, {"total": 9.0})
+        txn.commit()
+        table = engine.table("orders")
+        assert table.index_lookup("status", ("open",),
+                                  engine.snapshot().ts) == {1, 2, 3, 4}
+        assert not table._retired["status"]
+
+    def test_index_created_midway_sees_older_snapshots(self, engine):
+        """Built after the fact, the index replays version changes in
+        commit order: key 1 (inserted first) leaves "open" after key 2
+        does, and a snapshot between the two still finds key 1."""
+        put(engine, id=1, seller="a", total=1.0, status="open")
+        put(engine, id=2, seller="a", total=1.0, status="open")
+        for key in (2, 1):
+            txn = engine.begin()
+            txn.update("orders", key, {"status": "paid"})
+            txn.commit()
+            if key == 2:
+                between = engine.snapshot()
+        engine.table("orders").create_index("status")
+        assert [row.key for row in between.scan(
+            "orders", eq("status", "open"))] == [1]
+        assert engine.snapshot().scan("orders", eq("status", "open")) == []
+
+    def test_lookup_on_unindexed_column_rejected(self, engine):
+        with pytest.raises(KeyError):
+            engine.table("orders").index_lookup("seller", ("a",), 0.0)
+
+    def test_isin_and_conjunction_use_both_indexes(self, engine):
+        self.setup_rows(engine)
+        engine.table("orders").create_index("seller")
+        put(engine, id=5, seller="b", total=1.0, status="paid")
+        predicate = isin("status", ["open", "paid"]) & eq("seller", "b")
+        assert [row.key for row in engine.snapshot().scan(
+            "orders", predicate)] == [5]
+        assert engine.table("orders").index_hits == 2
+
+
+# ---------------------------------------------------------------------------
+# property: an index-assisted scan equals a brute-force scan
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("a", "b", "c")
+INDEXED = ("a", "b")
+VALUES = (0, 1, 2, None)
+
+#: A row's non-key columns: each absent or one of three values.
+row_values = st.dictionaries(st.sampled_from(COLUMNS),
+                             st.integers(min_value=0, max_value=2))
+#: Keys 0..11: ``str`` order ("10" < "2") differs from ``int`` order.
+write_ops = st.tuples(
+    st.sampled_from(("insert", "update", "upsert", "delete")),
+    st.integers(min_value=0, max_value=11), row_values)
+steps = st.lists(st.one_of(
+    st.tuples(st.just("commit"), st.lists(write_ops, min_size=1,
+                                          max_size=4)),
+    st.tuples(st.just("keep"), st.lists(write_ops, max_size=3)),
+    st.tuples(st.just("index"), st.just([]))), max_size=14)
+conditions = st.tuples(
+    st.sampled_from(COLUMNS),
+    st.one_of(st.sampled_from(VALUES).map(lambda value: ("eq", value)),
+              st.frozensets(st.sampled_from(VALUES), max_size=3)
+              .map(lambda values: ("isin", values))))
+predicates = st.lists(st.lists(conditions, min_size=1, max_size=3),
+                      min_size=1, max_size=4)
+
+
+def _predicate(spec):
+    parts = [eq(column, arg) if kind == "eq" else isin(column, arg)
+             for column, (kind, arg) in spec]
+    return and_(*parts)
+
+
+def _model_apply(state, op):
+    """Apply one write to a ``{key: data}`` model, as the engine does;
+    False when the engine refuses or ignores it."""
+    kind, key, values = op
+    data = {"id": key, **values}
+    if kind == "insert" or (kind == "upsert" and key not in state):
+        if key in state:
+            return False
+        state[key] = data
+    elif kind in ("update", "upsert"):
+        if key not in state:
+            return False
+        state[key] = {**state[key], **data}
+    else:
+        if state.pop(key, None) is None:
+            return False
+    return True
+
+
+def _txn_apply(txn, op):
+    kind, key, values = op
+    if kind == "insert":
+        try:
+            txn.insert("t", {"id": key, **values})
+        except UniqueViolation:
+            pass
+    elif kind == "update":
+        txn.update("t", key, dict(values))
+    elif kind == "upsert":
+        txn.upsert("t", {"id": key, **values})
+    else:
+        txn.delete("t", key)
+
+
+def _brute_force(state, spec):
+    return sorted((key for key, data in state.items()
+                   if all(data.get(column) in
+                          ((arg,) if kind == "eq" else arg)
+                          for column, (kind, arg) in spec)), key=str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_first=st.booleans(), history=steps, specs=predicates)
+def test_index_assisted_scan_equals_brute_force_scan(index_first, history,
+                                                     specs):
+    engine = MVCCEngine()
+    table = engine.create_table("t", ("id",) + COLUMNS, primary_key="id")
+
+    def create_indexes():
+        for column in INDEXED:
+            table.create_index(column)
+
+    if index_first:
+        create_indexes()
+    state: dict = {}
+    kept = []  # (snapshot, its model, open txn, model with own writes)
+    for kind, ops in history:
+        if kind == "index":
+            create_indexes()
+        elif kind == "commit":
+            txn = engine.begin()
+            for op in ops:
+                _txn_apply(txn, op)
+                _model_apply(state, op)
+            txn.commit()
+        else:
+            txn = engine.begin()
+            own = dict(state)
+            for op in ops:
+                _txn_apply(txn, op)
+                _model_apply(own, op)
+            kept.append((engine.snapshot(), dict(state), txn, own))
+    kept.append((engine.snapshot(), dict(state), engine.begin(),
+                 dict(state)))
+    for snapshot, seen, txn, own in kept:
+        for spec in specs:
+            predicate = _predicate(spec)
+            assert [row.key for row in snapshot.scan("t", predicate)] == \
+                _brute_force(seen, spec)
+            assert [row.key for row in txn.scan("t", predicate)] == \
+                _brute_force(own, spec)
+            rows = txn.scan("t", predicate)
+            assert [dict(row.data) for row in rows] == [
+                own[row.key] for row in rows]
+    now = engine.snapshot().ts
+    for column in table._indexes:
+        for value in VALUES:
+            assert table.index_lookup(column, (value,), now) == {
+                key for key, data in state.items()
+                if data.get(column) == value}
