@@ -460,8 +460,8 @@ class ActorApp(MarketplaceApp):
         except GrainCallError:
             return failed("dashboard", reason="unreachable")
         return ok("dashboard", amount_cents=amount, entries=entries,
-                  entries_total_cents=sum(entry["amount_cents"]
-                                          for entry in entries))
+                  entries_total_cents=seller_logic.entries_total_cents(
+                      entries))
 
     @staticmethod
     def _live_state(grain):

@@ -265,8 +265,8 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         rows = snapshot.scan("order_entries", predicate)
         entries = [dict(row.data) for row in rows]
         return ok("dashboard", amount_cents=amount or 0, entries=entries,
-                  entries_total_cents=sum(entry["amount_cents"]
-                                          for entry in entries))
+                  entries_total_cents=seller_logic.entries_total_cents(
+                      entries))
 
     # ------------------------------------------------------------------
     def runtime_stats(self) -> dict:

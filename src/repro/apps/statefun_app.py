@@ -21,6 +21,7 @@ from repro.apps.base import (
     ok,
 )
 from repro.dataflow import StatefunConfig, StatefunRuntime
+from repro.marketplace.logic import seller as seller_logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -115,8 +116,8 @@ class StatefunApp(MarketplaceApp):
             "dashboard_entries", "seller", str(seller_id))).payload["entries"]
         return ok("dashboard", amount_cents=amount.payload["amount_cents"],
                   entries=entries,
-                  entries_total_cents=sum(entry["amount_cents"]
-                                          for entry in entries))
+                  entries_total_cents=seller_logic.entries_total_cents(
+                      entries))
 
     # ------------------------------------------------------------------
     # audits

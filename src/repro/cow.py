@@ -1,36 +1,25 @@
-"""Copy-on-write state engine shared by every app stack.
+"""Frozen-state helpers shared by every app stack.
 
 The simulator's states are JSON-ish trees (dicts, lists, sets, tuples
-and atoms).  Before this module existed, every transactional read,
-storage round trip and checkpoint ``copy.deepcopy``-ed whole state
-trees; because state grows with the run, the simulator was quadratic
-in run length.  The engine replaces those O(state) copies with O(1)
-views and O(dirty) installs:
-
-``CowState`` / ``CowList``
-    Lazy copy-on-write views over a frozen *base* container.  Reading
-    hands back nested values wrapped in further views; the base is
-    never mutated through a view, so creating one is O(1) regardless
-    of state size.  A mutation is recorded in the view's private
-    overlay (copying only the touched node), which is what makes a
-    read's "private copy" semantics hold without copying anything up
-    front.
-
-``materialize(value)``
-    Collapses a view (or a plain tree containing views) into plain
-    containers.  Untouched sub-trees are returned *by reference* to
-    the engine-owned base — structural sharing — while every plain
-    container the caller could still reach is rebuilt fresh, so the
-    result is isolated from later mutations of the source.  Cost is
-    O(touched part), not O(state).
+and atoms).  Transactional state is a *frozen* dict: a participant
+hands out its committed (or staged) dict behind a read-only
+``types.MappingProxyType``, an updater returns a new dict, and a write
+stages that dict by reference (:mod:`repro.txn.participant`).  An
+update copies one dict per level of the path it touches, at C speed,
+and never walks the state in Python.
 
 ``assoc_in(tree, path, value)`` / ``dissoc_in(tree, path)``
-    The one way to change a key deep inside a state tree.  Through a
-    view the write lands in the overlay of the node that owns the key
-    — O(path), not O(collection) — and the same view comes back; a
-    plain dict is path-copied and left untouched.  ``dict(view)`` on a
-    growing collection, the idiom they replace, wrapped every record
-    in a view per update and made the simulator quadratic again.
+    The one way to change a key deep inside a state tree.  A plain
+    dict (or read-only proxy) is path-copied with ``{**d}`` per level
+    and never mutated, so untouched sub-trees stay shared with the
+    input.  ``dict(x)`` plus an in-place write, the idiom they
+    replace, is exactly the mutation a frozen tree forbids.
+
+``materialize(value)``
+    Rebuilds every plain container the caller could still reach, so
+    the result is isolated from later mutations of the source.  It
+    serves ``TransactionParticipant.write_committed`` — ingestion and
+    event-driven replica updates, whose callers keep their dicts.
 
 ``clone(value)``
     A fully detached deep clone specialised for plain-data trees, at a
@@ -41,28 +30,34 @@ views and O(dirty) installs:
     clone — statefun state is a value below its top level, so a
     shallow ``dict(state)`` isolates it.
 
-The engine's contract ("frozen base") for state authors:
+``CowState`` / ``CowList``
+    Lazy copy-on-write views over a frozen base, with a private
+    overlay per view.  No ``src/`` path builds one any more; they stay
+    only because the benchmark ledger profiles ``CowState.__init__``
+    and ``materialize`` by name, and go with the ledger change that
+    stops profiling them (ROADMAP, "delete the CoW view layer").
 
-* State handed out by the engine (transactional reads) is a
-  ``CowState``.  Mutate it freely — through the view — and hand it
-  back (``txn_write``); mutations never leak into committed state
-  until installed.
-* Once a state tree has been installed (committed), it is
-  frozen: the engine shares installed sub-trees structurally, so code
-  must never mutate a container it obtained from an *installed* plain
-  state in place.  Views enforce this mechanically; raw access to
-  e.g. ``participant.committed_state`` is read-only by contract.
+The frozen-state contract for state authors:
+
+* A transactional read is read-only: the proxy refuses top-level
+  writes, and containers below it are frozen by contract.  Build the
+  new state with ``assoc_in`` / ``{**state, ...}`` and hand it to
+  ``txn_write``.
+* Never mutate a dict after ``txn_write``: commit installs it by
+  reference and later versions share its sub-trees.
 * Values must be plain data: dict/list/tuple/set/str/int/float/bool/
   bytes/None.  Unknown object types are treated as atoms and shared.
 
-The operator-facing version of this contract lives in
-``docs/architecture.md`` ("The CowState contract").
+``tests/test_frozen_state.py`` checks the contract on both
+transactional stacks.  The operator-facing version lives in
+``docs/architecture.md`` ("The frozen-state contract").
 """
 
 from __future__ import annotations
 
 import typing
 from collections.abc import MutableMapping, MutableSequence
+from types import MappingProxyType
 
 _DELETED = object()
 """Overlay marker: the key exists in the base but was deleted."""
@@ -430,64 +425,6 @@ class CowList(MutableSequence):
         return f"CowList({list(self)!r})"
 
 
-def peek(mapping, key, default=None):
-    """Raw read of ``mapping[key]`` without creating a view.
-
-    READ-ONLY: the result may be an engine-owned frozen container;
-    mutating it corrupts committed state.  Use only in pure read paths
-    (scans, aggregations) and copy anything handed onwards.
-    """
-    if type(mapping) is CowState:
-        written = mapping._written
-        if written:
-            value = written.get(key, _MISSING)
-            if value is not _MISSING:
-                return default if value is _DELETED else value
-        value = mapping._wrapped.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        return mapping._base.get(key, default)
-    return mapping.get(key, default)
-
-
-def _scan_overlaid(mapping):
-    written = mapping._written
-    wrapped = mapping._wrapped
-    base = mapping._base
-    for key, value in base.items():
-        if key in written:
-            value = written[key]
-            if value is _DELETED:
-                continue
-            yield value
-        elif key in wrapped:
-            yield wrapped[key]
-        else:
-            yield value
-    for key, value in written.items():
-        if key not in base and value is not _DELETED:
-            yield value
-
-
-def scan_values(mapping):
-    """A mapping's values, without creating views.
-
-    Untouched entries of a :class:`CowState` come straight from the
-    frozen base — no wrapper allocation, no caching — and a view with
-    an empty overlay hands back the base's own C-level values view, so
-    a whole-state read-only scan is as cheap as iterating a plain
-    dict.  Entries touched through the view come from its overlay, so
-    the scan still observes the view's own (staged) mutations.
-
-    READ-ONLY: see :func:`peek` — never mutate a yielded value.
-    """
-    if type(mapping) is not CowState:
-        return mapping.values()
-    if not mapping._written and not mapping._wrapped:
-        return mapping._base.values()
-    return _scan_overlaid(mapping)
-
-
 def assoc_in(tree, path, value):
     """``tree`` with ``value`` stored under the key path ``path``.
 
@@ -556,9 +493,10 @@ def clone(value):
     Unlike :func:`materialize` the result shares *nothing* mutable
     with its input — required where the source is mutated in place
     afterwards (a grain's fields after the pager wrote its snapshot).
+    A read-only proxy of a transactional read clones to a plain dict.
     """
     kind = type(value)
-    if kind is dict:
+    if kind is dict or kind is MappingProxyType:
         return {key: clone(item) for key, item in value.items()}
     if kind is list:
         return [clone(item) for item in value]

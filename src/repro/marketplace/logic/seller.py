@@ -10,8 +10,13 @@ payment events — which is what makes the two reads able to diverge.
 
 from __future__ import annotations
 
-from repro.cow import assoc_in, dissoc_in, peek, scan_values
+from operator import itemgetter
+
+from repro.cow import assoc_in, dissoc_in
 from repro.marketplace.constants import OrderStatus
+
+_amount = itemgetter("amount_cents")
+_order_id = itemgetter("order_id")
 
 
 def new_seller(seller_id: int, name: str = "", city: str = "") -> dict:
@@ -49,7 +54,7 @@ def upsert_entry(state: dict, order: dict) -> dict:
 def update_entry_status(state: dict, order_id: str, status: str,
                         now: float) -> dict:
     """Track a status change; terminal statuses retire the entry."""
-    entry = peek(peek(state, "entries"), order_id)
+    entry = state["entries"].get(order_id)
     if entry is None:
         return state
     if status in OrderStatus.IN_PROGRESS:
@@ -74,19 +79,18 @@ def record_return(state: dict, amount_cents: int) -> dict:
             "returns": state.get("returns", 0) + 1}
 
 
-def _iter_entries(state: dict):
-    """Copy-free read-only iteration over the dashboard entries."""
-    return scan_values(peek(state, "entries"))
+def entries_total_cents(entries) -> int:
+    """The amounts of dashboard entries, summed at C speed."""
+    return sum(map(_amount, entries))
 
 
 def dashboard_amount(state: dict) -> int:
     """Query 1: financial amount of orders in progress."""
-    return sum(entry["amount_cents"] for entry in _iter_entries(state))
+    return entries_total_cents(state["entries"].values())
 
 
 def dashboard_entries(state: dict) -> list[dict]:
     """Query 2: the tuples behind query 1 (sorted for determinism).
 
-    Entries are copied on the way out (the scan yields frozen state)."""
-    return sorted((dict(entry) for entry in _iter_entries(state)),
-                  key=lambda entry: entry["order_id"])
+    Entries are copied on the way out (they are frozen state)."""
+    return sorted(map(dict, state["entries"].values()), key=_order_id)

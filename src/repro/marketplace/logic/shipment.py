@@ -8,7 +8,7 @@ sets their respective oldest order's packages as delivered".
 
 from __future__ import annotations
 
-from repro.cow import assoc_in, peek, scan_values
+from repro.cow import assoc_in
 from repro.marketplace.constants import PackageStatus
 
 
@@ -50,13 +50,12 @@ def create_shipment(state: dict, order_id: str, customer_id: int,
 def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
     """(seller, earliest undelivered ship time) pairs for this partition.
 
-    A read-only scan of the whole partition, so it walks the frozen
-    state raw (``peek`` / ``scan_values``) in plain nested loops:
-    untouched shipments are plain dicts and cost no Python call each.
+    A read-only scan of the whole partition in plain nested loops:
+    shipments are frozen plain dicts and cost no Python call each.
     """
     first_seen: dict[int, float] = {}
     delivered = PackageStatus.DELIVERED
-    for shipment in scan_values(peek(state, "shipments")):
+    for shipment in state["shipments"].values():
         for package in shipment["packages"].values():
             if package["status"] != delivered:
                 seller = package["seller_id"]
@@ -86,7 +85,7 @@ def oldest_undelivered_package(state: dict,
     """The seller's oldest package not yet delivered (or None)."""
     best = None
     delivered = PackageStatus.DELIVERED
-    for shipment in scan_values(peek(state, "shipments")):
+    for shipment in state["shipments"].values():
         for package in shipment["packages"].values():
             if (package["seller_id"] == seller_id
                     and package["status"] != delivered

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import collections
 import typing
+from types import MappingProxyType
 
 from repro.actors.grain import Grain
-from repro.cow import CowState, materialize
+from repro.cow import materialize
 from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.errors import TransactionAborted
 from repro.txn.locks import LockManager, LockMode
@@ -28,12 +29,16 @@ class TransactionParticipant:
     agent — so a commit can never deadlock behind a queued grain call
     that is itself waiting for the commit's locks.
 
-    State is managed copy-on-write (:mod:`repro.cow`): reads hand out
-    an isolated :class:`~repro.cow.CowState` view in O(1), writes stage
-    a materialised version sharing untouched sub-trees with committed
-    state, and commit installs the staged version by reference.  The
-    committed tree is frozen by contract — it is only ever replaced,
-    never mutated in place.
+    State is a frozen dict: a read hands out the committed (or this
+    transaction's staged) dict behind a read-only
+    :class:`types.MappingProxyType` in O(1), a write stages the new
+    dict by reference, and commit installs it by reference.  Updaters
+    build new dicts (``repro.cow.assoc_in`` / ``{**state, ...}``), so
+    a staged dict shares its untouched sub-trees with committed state.
+    The proxy refuses top-level writes; below the top level the tree
+    is frozen by contract — never mutate a container reached through
+    a read, nor a dict after handing it to :meth:`write`
+    (``tests/test_frozen_state.py`` checks both on the real stacks).
     """
 
     def __init__(self, env: "Environment", identity: tuple[str, str],
@@ -58,37 +63,40 @@ class TransactionParticipant:
     # data access (called from inside grain methods)
     # ------------------------------------------------------------------
     def read(self, ctx: TransactionContext):
-        """Process helper: S-lock and return a private view of state."""
+        """Process helper: S-lock and return a read-only view of the
+        transaction's state (staged if it wrote, else committed)."""
         if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
         yield from self.lock.acquire(ctx, LockMode.SHARED)
         ctx.participants.setdefault(self.identity, self)
-        if ctx.txid in self._staged:
-            return CowState(self._staged[ctx.txid])
-        return CowState(self.committed_state)
+        return MappingProxyType(
+            self._staged.get(ctx.txid, self.committed_state))
 
     def write(self, ctx: TransactionContext, state: dict):
-        """Process helper: X-lock and stage the new state."""
+        """Process helper: X-lock and stage the new state by reference
+        (a read proxy written back unchanged stages a shallow copy)."""
         if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
         yield from self.lock.acquire(ctx, LockMode.EXCLUSIVE)
         ctx.participants.setdefault(self.identity, self)
-        # An untouched view materialises to its frozen base by
-        # reference, so a read-decide-write-back costs no rebuild.
-        self._staged[ctx.txid] = materialize(state)
+        self._staged[ctx.txid] = state if type(state) is dict \
+            else dict(state)
 
-    def read_committed(self) -> CowState:
-        """Lock-free read of the last committed state (non-txn callers)."""
-        return CowState(self.committed_state)
+    def read_committed(self) -> MappingProxyType:
+        """Lock-free read-only view of the last committed state
+        (non-txn callers)."""
+        return MappingProxyType(self.committed_state)
 
     def write_committed(self, state: dict) -> None:
         """Lock-free direct write (non-transactional replication paths).
 
         Used where the paper's platforms offer no transactional
         primitive — e.g. event-driven replica maintenance — so the write
-        bypasses locking exactly like the real system would.
+        bypasses locking exactly like the real system would.  Also the
+        ingestion path: ``materialize`` rebuilds the caller's containers,
+        so the installed tree shares nothing the caller keeps mutating.
         """
         self.committed_state = materialize(state)
 
@@ -112,9 +120,8 @@ class TransactionParticipant:
     def install(self, ctx: TransactionContext) -> bool:
         """Commit decision arrived: install the staged state.
 
-        The staged version was materialised at write time, so the
-        install is a reference swap, not a copy.  Returns True (the
-        commit record is always forced next).
+        The install is a reference swap of the staged dict, not a copy.
+        Returns True (the commit record is always forced next).
         """
         if ctx.txid in self._staged:
             self.committed_state = self._staged.pop(ctx.txid)
@@ -136,13 +143,22 @@ class TransactionParticipant:
         self.lock.release(ctx)
 
 
+def _committed(participant: TransactionParticipant):
+    """Process helper: the committed state, read without a lock."""
+    return participant.read_committed()
+    yield  # pragma: no cover - generator marker
+
+
 class TransactionalGrain(Grain):
     """A grain whose state is managed by a :class:`TransactionParticipant`.
 
     Inside a transactional method (``self.current_txn`` set), use
-    :meth:`txn_read` / :meth:`txn_write`; outside, :meth:`txn_read`
-    falls back to the last committed state, giving non-transactional
-    queries read-committed semantics.
+    ``yield from self.txn_read()`` / ``yield from self.txn_write(new)``;
+    outside, :meth:`txn_read` falls back to the last committed state,
+    giving non-transactional queries read-committed semantics.  A read
+    is a read-only proxy of a frozen dict: build the new state with
+    ``repro.cow.assoc_in`` / ``{**state, ...}`` and never mutate a
+    dict after writing it.
     """
 
     log_write_latency: float = 0.0005
@@ -168,12 +184,13 @@ class TransactionalGrain(Grain):
 
     def txn_read(self):
         """Process helper: read state under the current transaction."""
+        # Not a generator itself: the caller's ``yield from`` drives the
+        # participant's generator directly, one frame fewer per read.
+        participant = self._participant or self.participant
         ctx = self.current_txn
         if ctx is None:
-            return self.participant.read_committed()
-            yield  # pragma: no cover - generator marker
-        state = yield from self.participant.read(ctx)
-        return state
+            return _committed(participant)
+        return participant.read(ctx)
 
     def txn_write(self, state: dict):
         """Process helper: write state under the current transaction."""
@@ -181,7 +198,7 @@ class TransactionalGrain(Grain):
         if ctx is None:
             raise TransactionAborted(
                 f"{self!r}: write outside a transaction", reason="failure")
-        yield from self.participant.write(ctx, state)
+        return (self._participant or self.participant).write(ctx, state)
 
     def non_txn_write(self, state: dict) -> None:
         """Direct committed-state write for non-transactional paths."""

@@ -1,15 +1,17 @@
-"""Property-based tests for the copy-on-write state engine.
+"""Property-based tests for the state engine.
 
-The engine's isolation contract is load-bearing for every app stack:
-a grain method mutating its read view must never leak into committed
-state, an aborted transaction's staging must vanish, and a commit must
-install exactly the staged version.  These properties are exercised
-over randomly generated JSON-ish state trees and random mutation
-programs, plus directly at the :class:`TransactionParticipant` level.
+The copy-on-write views, ``materialize``, ``clone`` and the path
+updates are exercised over randomly generated JSON-ish state trees and
+random mutation programs.  At the :class:`TransactionParticipant`
+level the frozen-state contract is checked: a read is read-only at the
+top level and never changes committed state, an aborted transaction's
+staging vanishes, and a commit installs the staged dict by reference.
 """
 
 import copy
+from types import MappingProxyType
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +22,6 @@ from repro.cow import (
     clone,
     dissoc_in,
     materialize,
-    peek,
-    scan_values,
 )
 from repro.runtime import Environment
 from repro.txn.context import TransactionContext
@@ -147,7 +147,6 @@ def test_clean_view_materializes_to_base_by_reference(base):
     # Reading (including nested reads) does not count as a change.
     for key in list(view):
         view[key]
-        list(scan_values(view))
     assert materialize(view) is base
 
 
@@ -166,25 +165,6 @@ def test_clone_is_fully_detached(base):
         elif isinstance(value, list):
             value.append("poison")
     assert base == frozen
-
-
-@settings(max_examples=100, deadline=None)
-@given(states)
-def test_scan_matches_view_iteration(base):
-    view = CowState(base)
-    assert list(scan_values(view)) == list(
-        materialize(value) for value in view.values())
-    for key in base:
-        assert materialize(peek(view, key)) == materialize(view[key])
-
-
-@settings(max_examples=100, deadline=None)
-@given(states, mutations)
-def test_scan_observes_overlay_mutations(base, program):
-    view = CowState(base)
-    apply_program(view, program)
-    assert [materialize(value) for value in scan_values(view)] == list(
-        materialize(view).values())
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +326,23 @@ def run_process(env, generator):
 
 @settings(max_examples=60, deadline=None)
 @given(states, mutations)
-def test_read_copy_mutation_never_leaks_into_committed(initial, program):
+def test_read_is_read_only_and_never_changes_committed(initial, program):
     env, participant = make_participant(copy.deepcopy(initial))
     ctx = make_ctx(env)
 
     def txn():
         state = yield from participant.read(ctx)
-        apply_program(state, program)
-        # No write: the mutated read copy is simply dropped.
+        assert type(state) is MappingProxyType
+        for op, key, value in program:
+            with pytest.raises(TypeError):
+                if op == "del":
+                    del state[key]
+                else:
+                    state[key] = value
+        return state
 
-    run_process(env, txn())
-    assert participant.committed_state == initial
+    state = run_process(env, txn())
+    assert state == participant.committed_state == initial
 
 
 @settings(max_examples=60, deadline=None)
@@ -366,7 +352,7 @@ def test_abort_discards_staging(initial, program):
     ctx = make_ctx(env)
 
     def txn():
-        state = yield from participant.read(ctx)
+        state = clone((yield from participant.read(ctx)))
         apply_program(state, program)
         yield from participant.write(ctx, state)
 
@@ -383,15 +369,17 @@ def test_commit_installs_exactly_the_staged_version(initial, program):
     ctx = make_ctx(env)
 
     def txn():
-        state = yield from participant.read(ctx)
+        state = clone((yield from participant.read(ctx)))
         apply_program(state, program)
         yield from participant.write(ctx, state)
-        staged = participant._staged[ctx.txid]
+        assert participant._staged[ctx.txid] is state
+        # A read after the write sees the staged dict.
+        assert (yield from participant.read(ctx)) == state
         assert participant.vote(ctx)
         participant.mark_prepared(ctx)
         participant.install(ctx)
         participant.mark_committed(ctx)
-        return staged
+        return state
 
     staged = run_process(env, txn())
     reference = copy.deepcopy(initial)
@@ -409,8 +397,7 @@ def test_commit_log_is_bounded_but_counters_are_not():
 
         def txn(ctx=ctx):
             state = yield from participant.read(ctx)
-            state["n"] = ctx.txid
-            yield from participant.write(ctx, state)
+            yield from participant.write(ctx, {**state, "n": ctx.txid})
             participant.mark_prepared(ctx)
             participant.install(ctx)
             participant.mark_committed(ctx)

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -546,14 +547,23 @@ def seeded_states():
 
 def test_updaters_agree_on_plain_state_and_on_views():
     """One updater serves all stacks: the transactional ones pass
-    CowState views (``assoc_in`` updates them in place), the others
-    plain dicts, which no updater mutates — statefun replaces its state
-    with what the updater returns."""
+    read-only proxies of frozen dicts, the others plain dicts, and no
+    updater mutates either — every stack replaces its state with what
+    the updater returns.  ``CowState`` views (``assoc_in`` updates them
+    in place) still give the same results."""
     plain = seeded_states()
     frozen = copy.deepcopy(plain)
     expected = lifecycle_script(plain)
     copying_updaters(plain)
     assert plain == frozen, "an updater mutated its plain-dict input"
+    proxies = {name: MappingProxyType(state)
+               for name, state in plain.items()}
+    copying_updaters(proxies)
+    results = lifecycle_script(proxies)
+    assert plain == frozen, "an update through a proxy reached its base"
+    for name in expected:
+        assert (json.dumps(results[name])
+                == json.dumps(expected[name])), name
     views = {name: CowState(plain[name]) for name in expected}
     results = lifecycle_script(views)
     assert plain == frozen, "an update through a view reached its base"

@@ -9,7 +9,7 @@ engine) or a ``dict(view)`` of a growing collection (before
 ``repro.cow.assoc_in``) makes it quadratic.  Wall time on CI machines
 is too noisy to gate (+-25 %), so every pin below is an exact count:
 Python function calls, kernel events and processes per committed
-transaction, and ``CowState`` views allocated by one update.
+transaction, and Python calls of one update and of one MVCC scan.
 """
 
 import cProfile
@@ -20,7 +20,6 @@ import pytest
 
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import get_scenario
-from repro.cow import CowState
 from repro.marketplace.logic import seller as seller_logic
 from repro.runtime import Environment
 from repro.runtime.process import Process
@@ -29,18 +28,20 @@ from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 524 -> 484 (start-up cost amortises, nothing grows);
+#: Measured: 421 -> 360 (start-up cost amortises, nothing grows; 524
+#: -> 484 while a transactional read was a ``CowState`` view);
 #: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %,
 #: against 1 162 -> 1 043 at the time) over the same span, but only
 #: +4 % up to 0.4 — hence the long cell.
 MAX_GROWTH = 1.10
 
 #: Python calls per committed transaction at ``duration_scale`` 0.8.
-#: Measured 484; 530 while an uncontended lock grant called
-#: ``held_by``, ``_conflicts`` and ``_wake``, and 679 while a grain
-#: call was a message, a turn and two closures reading kernel state
-#: through properties.
-MAX_CALLS_PER_TX = 540
+#: Measured 360; 484 while a transactional read was a ``CowState``
+#: view, 530 while an uncontended lock grant called ``held_by``,
+#: ``_conflicts`` and ``_wake``, and 679 while a grain call was a
+#: message, a turn and two closures reading kernel state through
+#: properties.
+MAX_CALLS_PER_TX = 400
 
 
 #: Kernel events and ``Process`` objects per committed transaction.
@@ -101,9 +102,10 @@ def test_events_and_processes_per_tx_are_bounded(duration_scale):
         f"is back on a per-message or per-participant path")
 
 
-def views_for_one_upsert(entries: int, monkeypatch) -> int:
-    """``CowState`` views allocated by read + upsert_entry + write on a
-    seller that already holds ``entries`` dashboard entries."""
+def calls_for_one_upsert(entries: int) -> int:
+    """Python calls (cProfile primitive, builtins off) of read +
+    upsert_entry + write on a seller that already holds ``entries``
+    dashboard entries."""
     state = seller_logic.new_seller(1)
     state["entries"] = {
         f"o{index}": {"order_id": f"o{index}", "customer_id": index,
@@ -118,36 +120,34 @@ def views_for_one_upsert(entries: int, monkeypatch) -> int:
              "updated_at": 1.0,
              "items": [{"seller_id": 1, "quantity": 1,
                         "unit_price_cents": 500}]}
-    allocated = 0
-    init = CowState.__init__
-
-    def counting_init(self, base=None):
-        nonlocal allocated
-        allocated += 1
-        init(self, base)
 
     def txn():
-        view = yield from participant.read(ctx)
-        view = seller_logic.upsert_entry(view, order)
-        yield from participant.write(ctx, view)
+        read = yield from participant.read(ctx)
+        yield from participant.write(
+            ctx, seller_logic.upsert_entry(read, order))
 
-    with monkeypatch.context() as patch:
-        patch.setattr(CowState, "__init__", counting_init)
-        env.run(until=env.process(txn()))
+    process = env.process(txn())
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    gc.collect()
+    gc.disable()
+    try:
+        profiler.runcall(env.run, until=process)
+    finally:
+        gc.enable()
     staged = participant._staged[ctx.txid]
     assert len(staged["entries"]) == entries + 1
     assert staged["entries"]["o0"] is state["entries"]["o0"]
-    return allocated
+    return sum(entry.callcount - entry.reccallcount
+               for entry in profiler.getstats())
 
 
-def test_one_upsert_allocates_views_independent_of_seller_size(
-        monkeypatch):
-    small = views_for_one_upsert(10, monkeypatch)
-    large = views_for_one_upsert(5000, monkeypatch)
+def test_one_upsert_costs_the_same_python_calls_at_any_seller_size():
+    small = calls_for_one_upsert(10)
+    large = calls_for_one_upsert(5000)
     assert small == large, (
-        f"upsert_entry + txn_write allocated {small} views on a "
+        f"read + upsert_entry + write made {small} Python calls on a "
         f"10-entry seller but {large} on a 5 000-entry one: the update "
-        f"wraps untouched records again")
+        f"visits untouched records again")
 
 
 def calls_for_one_scan(matching: int) -> int:

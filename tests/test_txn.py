@@ -21,7 +21,7 @@ class Account(TransactionalGrain):
 
     def deposit(self, amount):
         state = yield from self.txn_read()
-        state["balance"] = state.get("balance", 0) + amount
+        state = {**state, "balance": state.get("balance", 0) + amount}
         yield from self.txn_write(state)
         return state["balance"]
 
@@ -31,7 +31,7 @@ class Account(TransactionalGrain):
         if balance < amount:
             raise TransactionAborted(
                 f"insufficient funds on {self.key}", reason="application")
-        state["balance"] = balance - amount
+        state = {**state, "balance": balance - amount}
         yield from self.txn_write(state)
         return state["balance"]
 
