@@ -9,11 +9,12 @@ one: queued messages are re-placed onto surviving silos, mid-execution
 calls fail with ``SiloUnavailable`` and grain state is discarded — the
 next activation starts empty (counted as a state-loss anomaly).
 
-Routing tolerates membership churn: every message snapshots the
-placement epoch when it is sent; if the ring changed while the message
-was on the wire, or the target silo died, delivery re-places the
-message (paying another network hop) up to a bounded number of
-attempts before failing the caller's promise.
+Routing tolerates membership churn: the routing cache is keyed by the
+placement epoch, and delivery re-derives the route when the message
+arrives.  If the grain moved while the message was on the wire, or the
+target silo died, delivery re-places the message (paying another
+network hop) up to a bounded number of attempts before failing the
+call.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
 from repro.broker import Broker
 from repro.cow import clone as cow_clone
-from repro.runtime.events import Event
+from repro.runtime.events import PENDING
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime import Environment
+    from repro.runtime import Environment, Event
 
 
 @dataclasses.dataclass
@@ -201,6 +202,11 @@ class Cluster:
         self._route_cache_epoch = 0
         _cache = self._route_cache
         self.directory.on_change = lambda ident: _cache.pop(ident, None)
+        #: ``grain_ref(grain_type, key)``: the one reference per grain,
+        #: interned per cluster, so a repeat lookup runs in C.  An
+        #: unknown type name raises on every lookup (exceptions are not
+        #: cached).
+        self.grain_ref = functools.cache(self._new_ref)
         self.silos: list[Silo] = []
         self._silo_ids = 0
         for _ in range(self.config.silos):
@@ -344,7 +350,7 @@ class Cluster:
             self.placement.remove_silo(silo)
         self._log_membership("evicted", silo)
         for message in queued:
-            if message.promise.triggered:
+            if message._value is not PENDING:
                 continue  # the caller already saw a failure
             message.attempts += 1
             self.membership.reroutes += 1
@@ -456,13 +462,15 @@ class Cluster:
     # ------------------------------------------------------------------
     # references and routing
     # ------------------------------------------------------------------
-    def grain_ref(self, grain_type: type[Grain] | str,
-                  key: str) -> GrainRef:
+    def _new_ref(self, grain_type: type[Grain] | str,
+                 key: str) -> GrainRef:
+        """Build the reference ``grain_ref`` interns (a type name
+        resolves to its registered type, and so to the same object)."""
         if isinstance(grain_type, str):
             resolved = self._grain_types.get(grain_type)
             if resolved is None:
                 raise UnknownGrainType(grain_type)
-            grain_type = resolved
+            return self.grain_ref(resolved, key)
         return GrainRef(self, grain_type, key)
 
     def _target_for(self, ref: GrainRef) -> Silo:
@@ -485,10 +493,10 @@ class Cluster:
         cached = cache.get(ident)
         if cached is not None and cached.alive:
             return cached
-        entry = self.directory.lookup(ref.type_name, ref.key)
-        if entry is not None and entry.silo.alive:
-            cache[ident] = entry.silo
-            return entry.silo
+        host = self.directory.lookup(ref.type_name, ref.key)
+        if host is not None and host.alive:
+            cache[ident] = host
+            return host
         target = self.placement.place(ref.type_name, ref.key)
         cache[ident] = target
         return target
@@ -502,30 +510,26 @@ class Cluster:
         """Direct access to the grain object (tests and audits only)."""
         return self.activation_of(ref).grain
 
-    def dispatch(self, ref: GrainRef, method: str, args: tuple,
-                 kwargs: dict, txn=None,
-                 caller_silo: Silo | None = None) -> "Event":
-        """Route a grain call; returns the promise for its result."""
-        promise = Event(self.env)
-        self._route(Message(method, args, kwargs, promise, txn, 0.0, ref, 1),
-                    caller_silo)
-        return promise
-
     def _route(self, message: Message, caller_silo: Silo | None) -> None:
         """Send (or re-send) ``message`` toward the grain's owner.
 
         Failures never escape as exceptions: an empty ring or an
-        exhausted retry budget fails the message's promise, so the
-        caller observes a failed call, not a crashed driver.
+        exhausted retry budget fails the message, so the caller
+        observes a failed call, not a crashed driver.
         """
         ref = message.ref  # a routed message always has one
         config = self.config
-        try:
-            target = self._target_for(ref)
-        except NoLiveSilos as error:
-            self.membership.unavailable_failures += 1
-            self._fail_after(message, config.remote_latency, error)
-            return
+        # ``_target_for``'s cache hit, inline: same epoch, live silo.
+        target = (self._route_cache.get(ref.ident)
+                  if self.placement.epoch == self._route_cache_epoch
+                  else None)
+        if target is None or not target.alive:
+            try:
+                target = self._target_for(ref)
+            except NoLiveSilos as error:
+                self.membership.unavailable_failures += 1
+                self._fail_after(message, config.remote_latency, error)
+                return
         if caller_silo is target:
             latency = config.local_latency
         else:
@@ -565,13 +569,30 @@ class Cluster:
                 activation = target.activation_for(self, ref.grain_type,
                                                    ref.key)
         if activation is not None and target.alive:
-            activation.enqueue(message)
+            # Most recently used: move to the end of the silo's LRU order.
+            lru = target.lru
+            del lru[activation]
+            lru[activation] = None
+            if (activation.mailbox or not activation.started
+                    or activation.defunct
+                    or (activation.inflight
+                        and not activation.grain.reentrant)):
+                # Whatever holds it up — ``_start``, or the turn in
+                # flight that a non-empty mailbox implies — pumps the
+                # mailbox.
+                activation.mailbox.append(message)
+            else:
+                # The common case: charge the CPU cost, as ``_pump``
+                # would.
+                message.activation = activation
+                activation.inflight.add(message)
+                target.cpu.hold(activation.grain.cpu_cost, message._run)
             return
         # Dead, draining-without-activation, or stale target: re-place.
         if message.attempts >= self.config.max_delivery_attempts:
             self.membership.unavailable_failures += 1
-            if not message.promise.triggered:
-                message.promise.fail(SiloUnavailable(
+            if message._value is PENDING:
+                message.fail(SiloUnavailable(
                     f"{ref.type_name}/{ref.key}.{message.method} "
                     f"undeliverable after {message.attempts} attempts"))
             return
@@ -582,17 +603,9 @@ class Cluster:
     def _fail_after(self, message: Message, delay: float,
                     error: BaseException) -> None:
         def fail_later(_event):
-            if not message.promise.triggered:
-                message.promise.fail(error)
+            if message._value is PENDING:
+                message.fail(error)
         self.env.call_after(delay, fail_later)
-
-    def track_oneway(self, promise: "Event") -> None:
-        """Silence failures of fire-and-forget calls (they are 'lost')."""
-        def swallow(event):
-            if not event.ok:
-                event.defuse()
-        if promise.callbacks is not None:
-            promise.callbacks.append(swallow)
 
     # ------------------------------------------------------------------
     # working-set control (LRU deactivation under an activation budget)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import typing
 
+from repro.actors.silo import Message
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
     from repro.actors.silo import Silo
-    from repro.runtime import Environment, Event
+    from repro.runtime import Environment
 
 
 class Grain:
@@ -68,16 +70,15 @@ class Grain:
     # ------------------------------------------------------------------
     # helpers available inside grain methods
     # ------------------------------------------------------------------
-    def grain_ref(self, grain_type: type["Grain"] | str,
-                  key: str) -> "GrainRef":
-        """Reference another grain by type and key."""
-        return self.cluster.grain_ref(grain_type, key)
-
     def call(self, ref: "GrainRef", method: str, *args,
-             **kwargs) -> "Event":
-        """Call another grain, propagating the transaction context."""
-        return ref.call(method, *args, txn=self.current_txn,
-                        caller_silo=self.silo, **kwargs)
+             **kwargs) -> "Message":
+        """Call another grain, propagating the transaction context.
+
+        Name the callee with ``self.cluster.grain_ref(type, key)``."""
+        message = Message(self.env, method, args, kwargs,
+                          self.current_txn, ref, False)
+        self.cluster._route(message, self.silo)
+        return message
 
     def publish(self, topic: str, key: str, payload: object,
                 causal_deps: typing.Iterable[int] = ()):
@@ -90,7 +91,11 @@ class Grain:
 
 
 class GrainRef:
-    """A location-transparent handle to a grain."""
+    """A location-transparent handle to a grain.
+
+    Interned: ``Cluster.grain_ref`` builds one per (type, key) and
+    cluster and hands the same object back on every later lookup.
+    """
 
     __slots__ = ("cluster", "grain_type", "key", "type_name", "ident")
 
@@ -104,19 +109,26 @@ class GrainRef:
         self.ident = (type_name, key)
 
     def call(self, method: str, *args, txn=None, caller_silo=None,
-             **kwargs) -> "Event":
-        """Invoke ``method`` on the grain; returns a promise event.
+             **kwargs) -> "Message":
+        """Invoke ``method`` on the grain; returns the message, which is
+        the caller's promise.
 
-        The promise fires with the method's return value, or fails with
-        the exception the method raised.
+        It fires with the method's return value, or fails with the
+        exception the method raised.
         """
-        return self.cluster.dispatch(self, method, args, kwargs,
-                                     txn=txn, caller_silo=caller_silo)
+        cluster = self.cluster
+        message = Message(cluster.env, method, args, kwargs, txn, self,
+                          False)
+        cluster._route(message, caller_silo)
+        return message
 
     def tell(self, method: str, *args, **kwargs) -> None:
-        """Fire-and-forget invocation (failures are logged, not raised)."""
-        promise = self.call(method, *args, **kwargs)
-        self.cluster.track_oneway(promise)
+        """Fire-and-forget invocation: no reply travels back, and a
+        failure — the method raising, the message dropped, the silo
+        crashing under the turn — is lost, never raised."""
+        cluster = self.cluster
+        cluster._route(Message(cluster.env, method, args, kwargs, None,
+                               self, True), None)
 
     def __repr__(self) -> str:
         return f"<GrainRef {self.type_name}/{self.key}>"

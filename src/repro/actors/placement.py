@@ -1,9 +1,9 @@
 """Placement: deciding which silo hosts a grain activation.
 
 Membership is dynamic: silos join, drain and crash at runtime.  Every
-ring change bumps the placement *epoch*; messages snapshot the epoch
-when they are routed, so delivery can detect that the ring moved under
-them and re-place instead of creating an activation on a stale owner.
+ring change bumps the placement *epoch*, which keys the cluster's
+routing cache; delivery re-derives the route when a message arrives,
+so it re-places instead of creating an activation on a stale owner.
 The :class:`GrainDirectory` complements the ring with a record of where
 each grain is *actually* activated; routing follows it, so a grain
 whose ring owner moved keeps its traffic until it is handed off.
@@ -80,23 +80,17 @@ class ConsistentHashPlacement:
         return self._ring[index][1]
 
 
-class DirectoryEntry(typing.NamedTuple):
-    """Where a grain is activated and under which placement epoch."""
-
-    silo: "Silo"
-    epoch: int
-
-
 class GrainDirectory:
     """Cluster-wide record of live activations.
 
     The ring says where a grain *should* live; the directory says where
-    it *does* live (and since which epoch).  After a membership change
-    the two disagree until the grain is handed off to its new owner.
+    it *does* live: it maps a grain's (type name, key) to its silo.
+    After a membership change the two disagree until the grain is
+    handed off to its new owner.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], DirectoryEntry] = {}
+        self._entries: dict[tuple[str, str], "Silo"] = {}
         #: Invalidation hook called with each (type_name, key) whose
         #: entry changes.  The cluster points this at its routing cache:
         #: register/unregister/drop happen without an epoch bump (e.g. a
@@ -105,9 +99,8 @@ class GrainDirectory:
         self.on_change: typing.Callable[[tuple[str, str]], object] | None = (
             None)
 
-    def register(self, type_name: str, key: str, silo: "Silo",
-                 epoch: int) -> None:
-        self._entries[(type_name, key)] = DirectoryEntry(silo, epoch)
+    def register(self, type_name: str, key: str, silo: "Silo") -> None:
+        self._entries[(type_name, key)] = silo
         if self.on_change is not None:
             self.on_change((type_name, key))
 
@@ -118,13 +111,14 @@ class GrainDirectory:
 
     def drop_silo(self, silo: "Silo") -> None:
         """Remove every entry hosted on ``silo`` (crash path)."""
-        dropped = [ident for ident, entry in self._entries.items()
-                   if entry.silo is silo]
+        dropped = [ident for ident, host in self._entries.items()
+                   if host is silo]
         for ident in dropped:
             del self._entries[ident]
         if self.on_change is not None:
             for ident in dropped:
                 self.on_change(ident)
 
-    def lookup(self, type_name: str, key: str) -> DirectoryEntry | None:
+    def lookup(self, type_name: str, key: str) -> "Silo | None":
+        """The silo hosting the grain's activation, if it has one."""
         return self._entries.get((type_name, key))

@@ -46,17 +46,20 @@ class SiloState:
     CRASHED = "crashed"
 
 
-class Message:
+class Message(Event):
     """One grain-method invocation, from send to reply: the message on
-    the wire and, once an activation starts it, its own turn there —
-    CPU charge, method body, reply — driven by kernel callbacks, not by
-    a process.  Identity semantics: the same object survives rerouting
-    across silos and runs on whichever activation it reaches.
+    the wire, its own turn on whichever activation it reaches — CPU
+    charge, method body, reply — driven by kernel callbacks, not by a
+    process, and the caller's promise.  Identity semantics: the same
+    object survives rerouting across silos and is what ``call``
+    returns; it fires with the method's outcome.
 
     A grain method that never waits costs three timeline entries
-    (delivery, CPU hold, the reply carrying the caller's promise); a
-    generator method adds exactly the events it yields.  Two rules of
-    the actor model live here:
+    (delivery, CPU hold, the reply: the message itself, triggered at
+    the end of the turn and fired at the caller); a generator method
+    adds exactly the events it yields.  A ``oneway`` message (a
+    ``tell``) is defused from birth and never triggered by its turn,
+    so it costs two.  Two rules of the actor model live here:
 
     * ``grain.current_txn`` is restored before *every* resumption.
       Reentrant grains interleave turns on one grain instance, so
@@ -66,37 +69,43 @@ class Message:
     * A crashed silo is fail-stop: once the activation is defunct the
       body is never resumed (the generator is closed instead), so no
       side effect — nested call, publish, write — leaks from beyond
-      the grave.  The caller's promise was failed at crash time.
+      the grave.  The message was failed at crash time.
     """
 
-    __slots__ = ("method", "args", "kwargs", "promise", "txn",
-                 "reply_latency", "ref", "attempts", "activation",
-                 "generator")
+    __slots__ = ("method", "args", "kwargs", "txn", "reply_latency", "ref",
+                 "attempts", "activation", "generator", "oneway")
 
-    def __init__(self, method: str, args: tuple, kwargs: dict,
-                 promise: "Event", txn: object | None,
-                 reply_latency: float, ref: "GrainRef",
-                 attempts: int) -> None:
+    def __init__(self, env: "Environment", method: str, args: tuple,
+                 kwargs: dict, txn: object | None, ref: "GrainRef",
+                 oneway: bool) -> None:
+        # Event's fields, set here: a message is built per call, and
+        # ``Event.__init__`` would add a frame to the call's ten.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        #: Nobody waits on a tell: its failures are lost, not raised.
+        self._defused = oneway
         self.method = method
         self.args = args
         self.kwargs = kwargs
-        self.promise = promise
         self.txn = txn
-        self.reply_latency = reply_latency
+        self.reply_latency = 0.0
         #: Grain reference, kept so the cluster can re-place the message
         #: after a membership change.
         self.ref = ref
         #: Delivery attempts so far; rerouting is bounded by the cluster.
-        self.attempts = attempts
+        self.attempts = 1
         #: The activation serving this message, set when its turn starts.
         self.activation: "Activation | None" = None
         self.generator: typing.Generator | None = None
+        self.oneway = oneway
 
     def _run(self, _event: "Event") -> None:
         """The CPU hold is over: run the method body."""
         activation = self.activation
         if activation.defunct:
-            return  # crashed while waiting for a core; promise failed
+            return  # crashed while waiting for a core; already failed
         grain = activation.grain
         method = getattr(grain, self.method, None)
         if method is None or not callable(method):
@@ -160,12 +169,11 @@ class Message:
         activation.inflight.discard(self)
         if ok:
             activation.processed += 1
-        promise = self.promise
-        if promise._value is PENDING:
-            # The promise itself travels back: triggered now, fired at
+        if self._value is PENDING and not self.oneway:
+            # The message itself travels back: triggered now, fired at
             # arrival.  (Already triggered: the silo crashed under this
             # call and failed it; no late outcome escapes a dead silo.)
-            promise.trigger_after(self.reply_latency, value, ok)
+            self.trigger_after(self.reply_latency, value, ok)
         if activation.mailbox:
             activation._pump()
 
@@ -206,22 +214,6 @@ class Activation:
         return bool(self.inflight)
 
     # ------------------------------------------------------------------
-    def enqueue(self, message: Message) -> None:
-        # Most recently used: move to the end of the silo's LRU order.
-        lru = self.silo.lru
-        del lru[self]
-        lru[self] = None
-        if (self.mailbox or not self.started or self.defunct
-                or (self.inflight and not self.grain.reentrant)):
-            # Whatever holds it up — ``_start``, or the turn in flight
-            # that a non-empty mailbox implies — pumps the mailbox.
-            self.mailbox.append(message)
-        else:
-            # The common case: charge the CPU cost, as ``_pump`` would.
-            message.activation = self
-            self.inflight.add(message)
-            self.silo.cpu.hold(self.grain.cpu_cost, message._run)
-
     def _pump(self) -> None:
         """Start every queued message that may run now: all of them on
         a reentrant grain, one at a time otherwise."""
@@ -302,8 +294,8 @@ class Silo:
             queued.extend(activation.mailbox)
             activation.mailbox.clear()
             for message in list(activation.inflight):
-                if not message.promise.triggered:
-                    message.promise.fail(SiloUnavailable(
+                if message._value is PENDING:
+                    message.fail(SiloUnavailable(
                         f"{self.name} crashed during "
                         f"{type(activation.grain).__name__}/"
                         f"{activation.grain.key}.{message.method}"))
@@ -337,8 +329,7 @@ class Silo:
             self.lru[activation] = None
             cluster.note_activation(self)
             if self.directory is not None:
-                self.directory.register(grain_type.__name__, key, self,
-                                        cluster.placement.epoch)
+                self.directory.register(grain_type.__name__, key, self)
         return activation
 
     def adopt(self, cluster: "Cluster", grain: "Grain") -> Activation:
@@ -364,8 +355,7 @@ class Silo:
         self.lru[activation] = None
         cluster.note_activation(self)
         if self.directory is not None:
-            self.directory.register(ident[0], ident[1], self,
-                                    cluster.placement.epoch)
+            self.directory.register(ident[0], ident[1], self)
         return activation
 
     def deactivate(self, grain_type_name: str, key: str) -> bool:

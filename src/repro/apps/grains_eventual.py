@@ -148,7 +148,7 @@ class CartGrain(_StateGrain):
                  voucher_cents: int = 0):
         self._ensure()
         key = f"{seller_id}/{product_id}"
-        replica = self.grain_ref(ReplicaGrain, key)
+        replica = self.cluster.grain_ref(ReplicaGrain, key)
         price = yield from _safe_call(self.call(replica, "get_price"))
         if price is None:
             return {"status": "rejected", "reason": "unavailable"}
@@ -167,7 +167,7 @@ class CartGrain(_StateGrain):
             self.data, items = cart_logic.seal_for_checkout(self.data)
         except ValueError:
             return {"status": "rejected", "reason": "empty_cart"}
-        orders = self.grain_ref(OrderGrain, self.key)
+        orders = self.cluster.grain_ref(OrderGrain, self.key)
         result = yield from _safe_call(self.call(
             orders, "place_order", order_id, items, payment_method))
         if result is None:
@@ -200,8 +200,8 @@ class OrderGrain(_StateGrain):
         verb = "reserve" if ext is None else "allocate"
         outcomes = yield self.env.all_of([
             self.env.process(_safe_call(self.call(
-                self.grain_ref(StockGrain,
-                               f"{item['seller_id']}/{item['product_id']}"),
+                self.cluster.grain_ref(
+                    StockGrain, f"{item['seller_id']}/{item['product_id']}"),
                 verb, item["quantity"])))
             for item in items])
         flags = list(outcomes.values())
@@ -217,14 +217,14 @@ class OrderGrain(_StateGrain):
             "kind": "order_created", "order": order, "sellers": sellers})
         # 3. Process a checkout's payment synchronously.
         if ext is None:
-            payment_ref = self.grain_ref(PaymentGrain, order_id)
+            payment_ref = self.cluster.grain_ref(PaymentGrain, order_id)
             payment = yield from _safe_call(self.call(
                 payment_ref, "process", order, payment_method,
                 app.config.approval_rate))
             if payment is None or not payment_logic.is_approved(payment):
                 # Roll back reservations (fire-and-forget: may be lost).
                 for item in confirmed:
-                    self.grain_ref(
+                    self.cluster.grain_ref(
                         StockGrain,
                         f"{item['seller_id']}/{item['product_id']}").tell(
                             "cancel", item["quantity"])
@@ -235,7 +235,7 @@ class OrderGrain(_StateGrain):
                                OrderStatus.CANCELED):
                     self.data = order_logic.set_status(
                         self.data, order_id, status, self.env.now)
-                self.grain_ref(CustomerGrain, self.key).tell(
+                self.cluster.grain_ref(CustomerGrain, self.key).tell(
                     "record_payment", order["total_cents"], False)
                 self.publish(Topics.ORDER_EVENTS, order_id, {
                     "kind": "payment_failed", "order_id": order_id,
@@ -256,14 +256,14 @@ class OrderGrain(_StateGrain):
             causal_deps=[created.sequence])
         if ext is None:
             for item in confirmed:
-                self.grain_ref(
+                self.cluster.grain_ref(
                     StockGrain,
                     f"{item['seller_id']}/{item['product_id']}").tell(
                         "confirm", item["quantity"])
-        shipment_ref = self.grain_ref(
+        shipment_ref = self.cluster.grain_ref(
             ShipmentGrain, app.shipment_partition(order_id))
         shipment_ref.tell("create", order, paid.sequence)
-        self.grain_ref(CustomerGrain, self.key).tell(
+        self.cluster.grain_ref(CustomerGrain, self.key).tell(
             "record_payment", order["total_cents"], True)
         return {"status": "ok", "order_id": order_id,
                 "invoice": order["invoice"],
@@ -294,7 +294,7 @@ class OrderGrain(_StateGrain):
         requested = self.publish(Topics.ORDER_EVENTS, order_id, {
             "kind": "return_requested", "order_id": order_id,
             "customer_id": order["customer_id"], "sellers": sellers})
-        payment_ref = self.grain_ref(PaymentGrain, order_id)
+        payment_ref = self.cluster.grain_ref(PaymentGrain, order_id)
         refunded = yield from _safe_call(self.call(payment_ref, "refund"))
         if not refunded:
             return {"status": "failed", "reason": "refund_unreachable",
@@ -304,7 +304,7 @@ class OrderGrain(_StateGrain):
                                                self.env.now)
         if outcome != OrderStatus.DEFECT:
             for item in order["items"]:
-                self.grain_ref(
+                self.cluster.grain_ref(
                     StockGrain,
                     f"{item['seller_id']}/{item['product_id']}").tell(
                         "restock", item["quantity"])
@@ -313,7 +313,7 @@ class OrderGrain(_StateGrain):
             "customer_id": order["customer_id"], "sellers": sellers,
             "order": order, "outcome": outcome},
             causal_deps=[requested.sequence])
-        self.grain_ref(CustomerGrain, self.key).tell(
+        self.cluster.grain_ref(CustomerGrain, self.key).tell(
             "record_refund", order["total_cents"])
         return {"status": "ok", "order_id": order_id, "outcome": outcome,
                 "refund_cents": order["total_cents"]}
@@ -340,7 +340,8 @@ class OrderGrain(_StateGrain):
                 "customer_id": self.data["customer_id"],
                 "sellers": order_logic.seller_ids(order)},
                 causal_deps=[event_sequence] if event_sequence else ())
-            self.grain_ref(CustomerGrain, self.key).tell("record_delivery")
+            self.cluster.grain_ref(CustomerGrain, self.key).tell(
+                "record_delivery")
         return completed
 
 
@@ -375,7 +376,7 @@ class ShipmentGrain(_StateGrain):
             self.data, order["order_id"], order["customer_id"],
             order["items"], self.env.now)
         count = len(shipment["packages"])
-        self.grain_ref(OrderGrain, str(order["customer_id"])).tell(
+        self.cluster.grain_ref(OrderGrain, str(order["customer_id"])).tell(
             "record_shipment", order["order_id"], count)
         self.publish(Topics.ORDER_EVENTS, order["order_id"], {
             "kind": "shipment_notification", "order_id": order["order_id"],
@@ -403,7 +404,7 @@ class ShipmentGrain(_StateGrain):
             "kind": "delivery_notification", "order_id": order_id,
             "seller_id": package["seller_id"], "sellers": [],
             "package_id": package_id})
-        self.grain_ref(OrderGrain, str(shipment["customer_id"])).tell(
+        self.cluster.grain_ref(OrderGrain, str(shipment["customer_id"])).tell(
             "record_delivery", order_id, delivery.sequence)
         return True
 
@@ -499,7 +500,7 @@ class IngestionGrain(_StateGrain):
         if not created:
             return {"status": "ok", "order_id": order_id,
                     "idempotent": True}
-        order_ref = self.grain_ref(OrderGrain, str(customer_id))
+        order_ref = self.cluster.grain_ref(OrderGrain, str(customer_id))
         result = yield from _safe_call(self.call(
             order_ref, "place_order", order_id, items, ext=key))
         if result is None:

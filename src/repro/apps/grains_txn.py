@@ -48,7 +48,7 @@ class TxnProductGrain(TransactionalGrain):
         yield from self.txn_write(state)
         # Deactivate the stock item inside the same transaction —
         # referential integrity is enforced, not hoped for.
-        stock_ref = self.grain_ref(TxnStockGrain, self.key)
+        stock_ref = self.cluster.grain_ref(TxnStockGrain, self.key)
         yield self.call(stock_ref, "deactivate", state["version"])
         self.publish(Topics.PRICE_UPDATES, self.key, {
             "kind": "product_deleted", "key": self.key,
@@ -126,7 +126,7 @@ class TxnCartGrain(TransactionalGrain):
         if not state:
             state = cart_logic.new_cart(int(self.key))
         key = f"{seller_id}/{product_id}"
-        replica = self.grain_ref(TxnReplicaGrain, key)
+        replica = self.cluster.grain_ref(TxnReplicaGrain, key)
         price = yield self.call(replica, "get_price")
         if price is None:
             return {"status": "rejected", "reason": "unavailable"}
@@ -148,7 +148,7 @@ class TxnCartGrain(TransactionalGrain):
         except ValueError:
             return {"status": "rejected", "reason": "empty_cart"}
         yield from self.txn_write(state)
-        orders = self.grain_ref(TxnOrderGrain, self.key)
+        orders = self.cluster.grain_ref(TxnOrderGrain, self.key)
         result = yield self.call(orders, "place_order", order_id, items,
                                  payment_method)
         return result
@@ -176,7 +176,7 @@ class TxnOrderGrain(TransactionalGrain):
         confirmed = []
         for item in sorted(items, key=lambda entry:
                            (entry["seller_id"], entry["product_id"])):
-            ref = self.grain_ref(
+            ref = self.cluster.grain_ref(
                 TxnStockGrain, f"{item['seller_id']}/{item['product_id']}")
             granted = yield self.call(ref, "allocate", item["quantity"])
             if granted:
@@ -190,7 +190,7 @@ class TxnOrderGrain(TransactionalGrain):
         # 3. Payment inside the transaction (an external order arrives
         #    prepaid); declines abort everything.
         if ext is None:
-            payment_ref = self.grain_ref(TxnPaymentGrain, order_id)
+            payment_ref = self.cluster.grain_ref(TxnPaymentGrain, order_id)
             payment = yield self.call(payment_ref, "process", order,
                                       payment_method,
                                       app.config.approval_rate)
@@ -201,7 +201,7 @@ class TxnOrderGrain(TransactionalGrain):
                 # PAYMENT_FAILED -> CANCELED tombstone (all-or-nothing
                 # with the release).
                 for item in confirmed:
-                    ref = self.grain_ref(
+                    ref = self.cluster.grain_ref(
                         TxnStockGrain,
                         f"{item['seller_id']}/{item['product_id']}")
                     yield self.call(ref, "release", item["quantity"])
@@ -210,7 +210,8 @@ class TxnOrderGrain(TransactionalGrain):
                     state = order_logic.set_status(state, order_id, status,
                                                    self.env.now)
                 yield from self.txn_write(state)
-                customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
+                customer_ref = self.cluster.grain_ref(TxnCustomerGrain,
+                                                      self.key)
                 yield self.call(customer_ref, "record_payment",
                                 order["total_cents"], False)
                 self.publish(Topics.ORDER_EVENTS, order_id, {
@@ -223,17 +224,17 @@ class TxnOrderGrain(TransactionalGrain):
             state, order_id, OrderStatus.PAYMENT_PROCESSED, self.env.now)
         # 4. Shipment, seller dashboard entries and customer statistics —
         #    all participants of the same transaction.
-        shipment_ref = self.grain_ref(
+        shipment_ref = self.cluster.grain_ref(
             TxnShipmentGrain, app.shipment_partition(order_id))
         package_count = yield self.call(shipment_ref, "create", order)
         state = order_logic.record_shipment(state, order_id,
                                             package_count, self.env.now)
         yield from self.txn_write(state)
         for seller_id in order_logic.seller_ids(order):
-            seller_ref = self.grain_ref(TxnSellerGrain, str(seller_id))
+            seller_ref = self.cluster.grain_ref(TxnSellerGrain, str(seller_id))
             yield self.call(seller_ref, "upsert_entry",
                             {**order, "status": OrderStatus.IN_TRANSIT})
-        customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
+        customer_ref = self.cluster.grain_ref(TxnCustomerGrain, self.key)
         yield self.call(customer_ref, "record_payment",
                         order["total_cents"], True)
         # Events still published (unordered) for external consumers.
@@ -258,7 +259,7 @@ class TxnOrderGrain(TransactionalGrain):
             state, order_id, self.env.now)
         yield from self.txn_write(state)
         if completed:
-            customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
+            customer_ref = self.cluster.grain_ref(TxnCustomerGrain, self.key)
             yield self.call(customer_ref, "record_delivery")
         return {"completed": completed, "known": True,
                 "sellers": order_logic.seller_ids(
@@ -286,21 +287,22 @@ class TxnOrderGrain(TransactionalGrain):
                                            self.env.now)
         yield from self.txn_write(state)
         order = state["orders"][order_id]
-        payment_ref = self.grain_ref(TxnPaymentGrain, order_id)
+        payment_ref = self.cluster.grain_ref(TxnPaymentGrain, order_id)
         yield self.call(payment_ref, "refund")
         if outcome != OrderStatus.DEFECT:
             for item in sorted(order["items"], key=lambda entry:
                                (entry["seller_id"], entry["product_id"])):
-                ref = self.grain_ref(
+                ref = self.cluster.grain_ref(
                     TxnStockGrain,
                     f"{item['seller_id']}/{item['product_id']}")
                 yield self.call(ref, "release", item["quantity"])
         for seller_id in order_logic.seller_ids(order):
             amount = seller_logic.seller_share_cents(order, seller_id)
             if amount:
-                seller_ref = self.grain_ref(TxnSellerGrain, str(seller_id))
+                seller_ref = self.cluster.grain_ref(TxnSellerGrain,
+                                                    str(seller_id))
                 yield self.call(seller_ref, "record_return", amount)
-        customer_ref = self.grain_ref(TxnCustomerGrain, self.key)
+        customer_ref = self.cluster.grain_ref(TxnCustomerGrain, self.key)
         yield self.call(customer_ref, "record_refund",
                         order["total_cents"])
         created = self.publish(Topics.ORDER_EVENTS, order_id, {
@@ -372,12 +374,13 @@ class TxnShipmentGrain(TransactionalGrain):
             return None
         yield from self.txn_write(state)
         customer_id = state["shipments"][order_id]["customer_id"]
-        order_ref = self.grain_ref(TxnOrderGrain, str(customer_id))
+        order_ref = self.cluster.grain_ref(TxnOrderGrain, str(customer_id))
         outcome = yield self.call(order_ref, "record_delivery", order_id)
         if outcome["completed"]:
             # Retire the sellers' dashboard entries in the same txn.
             for seller_id in outcome.get("sellers", []):
-                seller_ref = self.grain_ref(TxnSellerGrain, str(seller_id))
+                seller_ref = self.cluster.grain_ref(TxnSellerGrain,
+                                                    str(seller_id))
                 yield self.call(seller_ref, "update_entry_status",
                                 order_id, OrderStatus.COMPLETED)
         self.publish(Topics.ORDER_EVENTS, order_id, {
@@ -477,7 +480,7 @@ class TxnIngestionGrain(TransactionalGrain):
         if not created:
             return {"status": "ok", "order_id": order_id,
                     "idempotent": True}
-        order_ref = self.grain_ref(TxnOrderGrain, str(customer_id))
+        order_ref = self.cluster.grain_ref(TxnOrderGrain, str(customer_id))
         result = yield self.call(order_ref, "place_order", order_id,
                                  items, ext=key)
         if result.get("status") != "ok":

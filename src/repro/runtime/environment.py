@@ -124,6 +124,7 @@ class Environment:
         Replaces the ``env.timeout(d).callbacks.append(cb)`` idiom on
         the message send/reply/broker-deliver hot paths with a pooled
         event, so steady-state delivery allocates nothing.
+        ``Resource.hold`` inlines this body; keep the two identical.
         """
         self.pool_acquires += 1
         pool = self._pool

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import collections
 import typing
+from heapq import heappush as _heappush
 
-from repro.runtime.events import Event
+from repro.runtime.events import Event, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.environment import Environment
@@ -120,11 +121,29 @@ class Resource:
             then(event)
 
         if self._in_use < self.capacity:
-            now = self.env.now  # _account(), inline
+            env = self.env
+            now = env.now  # _account(), inline
             self._busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
             self._in_use += 1
-            self.env.call_after(duration, held)
+            # env.call_after(duration, held), inline: the same pool,
+            # sequence and heap steps in the same order.
+            env.pool_acquires += 1
+            pool = env._pool
+            if pool:
+                env.pool_hits += 1
+                event = pool.pop()
+            else:
+                event = PooledEvent(env)
+            event._value = None
+            event.callbacks.append(held)  # type: ignore[union-attr]
+            env._seq = seq = env._seq + 1
+            if duration > 0.0:
+                _heappush(env._queue, (now + duration, 1, seq, event))
+            elif duration == 0.0:
+                env._bucket.append((seq, event))
+            else:
+                raise ValueError(f"negative delay {duration}")
         else:
             self.request().callbacks.append(  # type: ignore[union-attr]
                 lambda _grant: self.env.call_after(duration, held))

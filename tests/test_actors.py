@@ -10,7 +10,7 @@ from repro.actors import (
     GrainCallError,
 )
 from repro.actors.errors import MessageDropped, UnknownGrainType
-from repro.runtime import Environment
+from repro.runtime import Environment, SimulationError
 
 
 class Counter(Grain):
@@ -42,7 +42,7 @@ class Relay(Grain):
     """Calls another grain (for inter-grain messaging tests)."""
 
     def forward(self, target_key, by):
-        ref = self.grain_ref(Counter, target_key)
+        ref = self.cluster.grain_ref(Counter, target_key)
         result = yield self.call(ref, "increment", by)
         return result
 
@@ -228,6 +228,25 @@ def test_string_grain_ref_requires_registration():
     assert call_sync(env, ref, "increment") == 1
 
 
+def test_grain_references_are_interned_per_cluster():
+    env, cluster = make_cluster()
+    ref = cluster.grain_ref(Counter, "x")
+    assert cluster.grain_ref(Counter, "x") is ref
+    assert cluster.grain_ref(Counter, "y") is not ref
+    # Exceptions are not cached: an unknown name raises every time,
+    # and once registered it names the very same reference.
+    for _ in range(2):
+        with pytest.raises(UnknownGrainType):
+            cluster.grain_ref("Counter", "x")
+    cluster.register_grain(Counter)
+    assert cluster.grain_ref("Counter", "x") is ref
+    # Two clusters never share one: a reference routes on its own.
+    _, other = make_cluster()
+    theirs = other.grain_ref(Counter, "x")
+    assert theirs is not ref and theirs.cluster is other
+    assert ref.cluster is cluster
+
+
 def test_message_drop_fails_call():
     env, cluster = make_cluster(drop_probability=1.0)
     ref = cluster.grain_ref(Counter, "x")
@@ -241,6 +260,76 @@ def test_tell_swallows_drop_failures():
     ref = cluster.grain_ref(Counter, "x")
     ref.tell("increment")
     env.run()  # must not raise
+
+
+class Doomed(Grain):
+    """Fails every way a one-way message can be lost."""
+
+    cpu_cost = 0.01
+    reentrant = True
+    ran: list = []
+
+    def boom(self):
+        self.ran.append("boom")
+        raise ValueError("bang")
+
+    def slow(self):
+        self.ran.append("slow")
+        yield self.env.timeout(0.01)
+        self.ran.append("woke")
+
+    def ask(self, method):
+        return (yield self.call(
+            self.cluster.grain_ref(Doomed, "other"), method))
+
+
+def test_tell_to_a_raising_grain_is_lost_silently():
+    Doomed.ran = []
+    env, cluster = make_cluster()
+    cluster.grain_ref(Doomed, "x").tell("boom")
+    env.run()  # no SimulationError: nobody waits on a tell
+    assert Doomed.ran == ["boom"]
+    assert cluster.messages_dropped == 0
+    assert cluster.membership.unavailable_failures == 0
+
+
+def test_dropped_tell_is_lost_silently_and_counted():
+    Doomed.ran = []
+    env, cluster = make_cluster(drop_probability=1.0)
+    cluster.grain_ref(Doomed, "x").tell("boom")
+    env.run()
+    assert Doomed.ran == [] and cluster.messages_dropped == 1
+
+
+@pytest.mark.parametrize("crash_at, trail", [
+    (0.005, []),                 # holding its core: the body never ran
+    (0.015, ["slow"]),           # the body waits on its timeout
+])
+def test_tell_caught_by_a_crash_is_lost_silently_and_counted(
+        crash_at, trail):
+    Doomed.ran = []
+    env, cluster = make_cluster(silos=2, failure_detection_delay=0.0)
+    ref = cluster.grain_ref(Doomed, "x")
+    ref.tell("slow")
+    env.run(until=crash_at)
+    cluster.crash_silo(cluster.placement.place("Doomed", "x"))
+    env.run()
+    assert Doomed.ran == trail  # an abandoned body never resumes
+    assert cluster.membership.unavailable_failures == 1
+
+
+def test_failing_call_still_reaches_its_caller():
+    env, cluster = make_cluster()
+    with pytest.raises(ValueError, match="bang"):
+        call_sync(env, cluster.grain_ref(Doomed, "x"), "boom")
+    # Through a grain: the failure is raised at the caller's yield.
+    with pytest.raises(ValueError, match="bang"):
+        call_sync(env, cluster.grain_ref(Doomed, "y"), "ask", "boom")
+    # Nobody waiting: a failed call is unhandled, unlike a tell.
+    cluster.grain_ref(Doomed, "z").call("boom")
+    with pytest.raises(SimulationError) as excinfo:
+        env.run()
+    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 def test_placement_is_deterministic():

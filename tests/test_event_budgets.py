@@ -7,7 +7,8 @@ that restructuring here, all as exact counts or exact float times read
 from the kernel (``env.events_processed``, ``env.now``):
 
 * the *budget*: a call to a method that never waits costs 3 events
-  and at most 24 Python frames of ``repro.actors`` + ``repro.runtime``,
+  and at most 18 Python frames of ``repro.actors`` + ``repro.runtime``,
+  a ``tell`` 2 events and at most 10 frames,
   a committed transaction's 2PC 8 events whatever the participant
   count, a statefun message at most 16 frames of ``repro.dataflow`` +
   ``repro.runtime``;
@@ -97,18 +98,45 @@ def test_a_waiting_method_adds_exactly_its_own_events():
 
 #: Python frames (cProfile, builtins off) of ``repro.actors`` and
 #: ``repro.runtime`` code per warm ``env.run(until=ref.call("plain"))``.
-#: Measured 21: 15 for the call — ref.call, dispatch, the promise's and
-#: the message's ``__init__``, _route, _target_for, call_after,
-#: _deliver, enqueue, hold, call_after, held, _run, _reply,
-#: trigger_after — and 6 for the ``run(until=…)`` wrapper.  It was 37
+#: Measured 16: 10 for the call — ref.call, the message's
+#: ``__init__``, _route, call_after, _deliver, hold, held, _run,
+#: _reply, trigger_after — and 6 for the ``run(until=…)`` wrapper.  It
+#: was 21 while the promise was an event beside the message, and 37
 #: while a call was a message, a turn and two closures.  ``<=`` because
 #: interpreters differ in what they inline.
-MAX_FRAMES_PER_CALL = 24
+MAX_FRAMES_PER_CALL = 18
 #: Pure reads of kernel state: attribute loads, never frames.
 READ_ONLY_FRAMES = {"now", "type_name", "alive", "_account"}
 #: The fused path itself: exactly one frame of each per call.
-FUSED_PATH = ("dispatch", "_route", "_deliver", "enqueue", "hold", "held",
-              "_run", "_reply")
+FUSED_PATH = ("_route", "_deliver", "hold", "held", "_run", "_reply")
+#: Frames a warm call no longer costs: the retired dispatch hop, the
+#: activation's enqueue, the routing-cache hit, the tell's failure
+#: swallowing and the grain-side reference lookup.
+RETIRED_FRAMES = {"dispatch", "enqueue", "_target_for", "track_oneway",
+                  "swallow", "grain_ref"}
+#: Frames of a ``tell`` plus the ``env.run()`` that delivers it.
+#: Measured 10: tell, the message's ``__init__``, _route, call_after,
+#: _deliver, hold, held, _run, _reply — no reply travels back — and
+#: ``run``.  It was 20 while a tell was a call with a reply whose
+#: callback swallowed failures.
+MAX_FRAMES_PER_TELL = 10
+
+
+def profiled_frames(action, repeats):
+    """``{frame name: calls}`` of ``repro.actors`` and ``repro.runtime``
+    code over ``repeats`` runs of ``action``."""
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    for _ in range(repeats):
+        action()
+    profiler.disable()
+    frames = {}
+    for entry in profiler.getstats():
+        filename = entry.code.co_filename.replace("\\", "/")
+        if "repro/actors/" in filename or "repro/runtime/" in filename:
+            name = entry.code.co_name
+            frames[name] = frames.get(name, 0) + entry.callcount
+    return frames
 
 
 def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
@@ -118,22 +146,41 @@ def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
     for _ in range(10):
         env.run(until=ref.call("plain"))
     calls = 1000
-    profiler = cProfile.Profile(subcalls=False, builtins=False)
-    profiler.enable()
-    for _ in range(calls):
-        env.run(until=ref.call("plain"))
-    profiler.disable()
-    frames = {}
-    for entry in profiler.getstats():
-        filename = entry.code.co_filename.replace("\\", "/")
-        if "repro/actors/" in filename or "repro/runtime/" in filename:
-            name = entry.code.co_name
-            frames[name] = frames.get(name, 0) + entry.callcount
+    frames = profiled_frames(lambda: env.run(until=ref.call("plain")),
+                             calls)
     assert not READ_ONLY_FRAMES & set(frames), frames
+    assert not RETIRED_FRAMES & set(frames), frames
     per_call = sum(frames.values()) / calls
     assert per_call <= MAX_FRAMES_PER_CALL, (per_call, frames)
     assert ({name: frames[name] for name in FUSED_PATH}
             == dict.fromkeys(FUSED_PATH, calls))
+
+
+@pytest.mark.parametrize("grain_type", [Plain, Reentrant])
+def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig())
+    ref = cluster.grain_ref(grain_type, "k")
+    for _ in range(10):
+        ref.tell("plain")
+        env.run()
+    # Delivery and CPU hold: no reply travels back.
+    before = env.events_processed
+    ref.tell("plain")
+    env.run()
+    assert env.events_processed - before == 2
+    assert cluster.activation_of(ref).processed == 11
+
+    def tell():
+        ref.tell("plain")
+        env.run()
+
+    tells = 1000
+    frames = profiled_frames(tell, tells)
+    assert not RETIRED_FRAMES & set(frames), frames
+    per_tell = sum(frames.values()) / tells
+    assert per_tell <= MAX_FRAMES_PER_TELL, (per_tell, frames)
+    assert "trigger_after" not in frames, frames
 
 
 def test_statefun_message_costs_one_delivery_event():
@@ -467,7 +514,7 @@ class Witness(Grain):
 
     def nested(self, target_key, method="quick"):
         self.trail.append(("before", self.key))
-        result = yield self.call(self.grain_ref(Witness, target_key),
+        result = yield self.call(self.cluster.grain_ref(Witness, target_key),
                                  method)
         self.trail.append(("after", self.key))
         return result
@@ -672,7 +719,7 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
     env.run()
     assert [tag for tag, _, _ in Slow.served] == list("abcde")
     assert replies == list("abcde")
-    # Only the first found the grain idle and started in ``enqueue``;
+    # Only the first found the grain idle and started in ``_deliver``;
     # each later turn was started by the one finishing before it.
     times = [time for _, _, time in Slow.served]
     assert times == sorted(times) and len(set(times)) == 5

@@ -239,7 +239,7 @@ class TestJoin:
         assert cluster.membership.migrations >= len(moved_keys)
         for key in moved_keys:
             assert (new.name, ) == (cluster.directory.lookup(
-                "VolatileCounter", key).silo.name, )
+                "VolatileCounter", key).name, )
             assert call_sync(env, refs[key], "get") == 1
 
     def test_crash_then_join_restores_capacity(self):
@@ -289,12 +289,12 @@ class TestDirectory:
         ref = cluster.grain_ref(VolatileCounter, "x")
         call_sync(env, ref, "bump")
         home = owner(cluster, ref)
-        assert directory.lookup("VolatileCounter", "x").silo is home
+        assert directory.lookup("VolatileCounter", "x") is home
         cluster.crash_silo(home)
         assert directory.lookup("VolatileCounter", "x") is None
         call_sync(env, ref, "bump")  # re-activates on the new owner
-        entry = directory.lookup("VolatileCounter", "x")
-        assert entry.silo is owner(cluster, ref) is not home
+        host = directory.lookup("VolatileCounter", "x")
+        assert host is owner(cluster, ref) is not home
 
     def test_lookup_stays_on_old_owner_until_rebalanced(self):
         env, cluster = make_cluster(silos=2)
@@ -307,10 +307,10 @@ class TestDirectory:
         assert moved
         # Before the rebalance completes the old activation is stale:
         # the ring points at the new owner, the directory at the old.
-        assert all(cluster.directory.lookup("VolatileCounter", key).silo
+        assert all(cluster.directory.lookup("VolatileCounter", key)
                    is not new for key in moved)
         env.run(until=env.now + 0.5)
-        assert all(cluster.directory.lookup("VolatileCounter", key).silo
+        assert all(cluster.directory.lookup("VolatileCounter", key)
                    is new for key in moved)
 
     def test_deactivation_unregisters(self):

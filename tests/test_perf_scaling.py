@@ -28,20 +28,22 @@ from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 421 -> 360 (start-up cost amortises, nothing grows; 524
-#: -> 484 while a transactional read was a ``CowState`` view);
+#: Measured: 368 -> 306 (start-up cost amortises, nothing grows; 421
+#: -> 360 while a grain call was 15 frames, 524 -> 484 while a
+#: transactional read was a ``CowState`` view);
 #: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %,
 #: against 1 162 -> 1 043 at the time) over the same span, but only
 #: +4 % up to 0.4 — hence the long cell.
 MAX_GROWTH = 1.10
 
 #: Python calls per committed transaction at ``duration_scale`` 0.8.
-#: Measured 360; 484 while a transactional read was a ``CowState``
-#: view, 530 while an uncontended lock grant called ``held_by``,
-#: ``_conflicts`` and ``_wake``, and 679 while a grain call was a
-#: message, a turn and two closures reading kernel state through
-#: properties.
-MAX_CALLS_PER_TX = 400
+#: Measured 306; 360 while the promise was an event beside the message
+#: and a call went through ``dispatch`` and ``enqueue``, 484 while a
+#: transactional read was a ``CowState`` view, 530 while an
+#: uncontended lock grant called ``held_by``, ``_conflicts`` and
+#: ``_wake``, and 679 while a grain call was a message, a turn and two
+#: closures reading kernel state through properties.
+MAX_CALLS_PER_TX = 340
 
 
 #: Kernel events and ``Process`` objects per committed transaction.

@@ -44,8 +44,8 @@ class Bank(TransactionalGrain):
     """Coordinator-side grain that moves money between accounts."""
 
     def transfer(self, source, target, amount):
-        src = self.grain_ref(Account, source)
-        dst = self.grain_ref(Account, target)
+        src = self.cluster.grain_ref(Account, source)
+        dst = self.cluster.grain_ref(Account, target)
         yield self.call(src, "withdraw", amount)
         yield self.call(dst, "deposit", amount)
         return amount
