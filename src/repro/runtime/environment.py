@@ -1,17 +1,17 @@
 """The simulation environment: virtual clock plus event queue.
 
 :class:`Environment` owns simulated time.  Events are scheduled onto a
-binary heap keyed by ``(time, priority, sequence)``; the sequence number
-makes the ordering total and therefore the whole simulation
-deterministic for a given seed.
+binary heap keyed by ``(time, sequence)``; the sequence number makes the
+ordering total and therefore the whole simulation deterministic for a
+given seed.
 
 Two hot-path structures sit in front of the heap without changing that
 total order (see ``docs/performance.md``):
 
-* a *same-tick bucket* — zero-delay, normal-priority schedules go to a
-  FIFO deque instead of the heap, because they can only ever fire at the
-  current time; the dispatch loop interleaves bucket and heap strictly
-  by ``(time, priority, sequence)``;
+* a *same-tick bucket* — zero-delay schedules go to a FIFO deque instead
+  of the heap, because they can only ever fire at the current time; the
+  dispatch loop interleaves bucket and heap strictly by
+  ``(time, sequence)``;
 * an *event free-list* — short-lived kernel events (message transit,
   process bootstrap) are :class:`~repro.runtime.events.PooledEvent`
   instances recycled after their callbacks run.
@@ -58,22 +58,17 @@ class Environment:
         same model produce identical traces.
     """
 
-    #: Scheduling priority for ordinary events.
-    PRIORITY_NORMAL = 1
-
     def __init__(self, seed: int = 0) -> None:
         #: Current simulated time (seconds).  A plain attribute that the
         #: kernel alone writes; everything else only reads it.
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, int, Event]] = []
-        #: Same-tick fast path: ``(seq, event)`` pairs for zero-delay,
-        #: normal-priority schedules.  Entries can only fire at the
-        #: current time, so FIFO order *is* sequence order and no heap
-        #: sifting is needed.
+        self._queue: list[tuple[float, int, Event]] = []
+        #: Same-tick fast path: ``(seq, event)`` pairs for zero-delay
+        #: schedules.  Entries can only fire at the current time, so
+        #: FIFO order *is* sequence order and no heap sifting is needed.
         self._bucket: collections.deque[tuple[int, Event]] = (
             collections.deque())
         self._seq = 0
-        self._active_process: Process | None = None
         self._seeds = SeedSequenceFactory(seed)
         self.seed = seed
         #: Events processed so far — the kernel's unit of work, used by
@@ -87,20 +82,15 @@ class Environment:
     # ------------------------------------------------------------------
     # time & scheduling
     # ------------------------------------------------------------------
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
-
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = PRIORITY_NORMAL) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
         if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
         self._seq = seq = self._seq + 1
-        if delay == 0.0 and priority == 1:
+        if delay == 0.0:
             self._bucket.append((seq, event))
         else:
-            _heappush(self._queue, (self.now + delay, priority, seq, event))
+            _heappush(self._queue, (self.now + delay, seq, event))
 
     def acquire_event(self) -> PooledEvent:
         """Check a pending event out of the kernel free-list.
@@ -137,7 +127,7 @@ class Environment:
         event.callbacks.append(callback)  # type: ignore[union-attr]
         self._seq = seq = self._seq + 1
         if delay > 0.0:
-            _heappush(self._queue, (self.now + delay, 1, seq, event))
+            _heappush(self._queue, (self.now + delay, seq, event))
         elif delay == 0.0:
             self._bucket.append((seq, event))
         else:
@@ -161,117 +151,52 @@ class Environment:
                     lambda event: event.defuse() if not event.ok else None)
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self.now:
+            if not stop_time >= self.now:
                 raise ValueError(
-                    f"until={stop_time} lies in the past (now={self.now})")
+                    f"until={stop_time} is not a time at or after "
+                    f"now={self.now}")
 
-        # The dispatch body is intentionally inlined three times below
-        # (bucket, lone non-normal-priority pop, batched drain): this
-        # loop is the hottest code in the repository and a shared helper
-        # costs a call frame per event.
+        # One dispatch body, inlined: this loop is the hottest code in
+        # the repository and a shared helper costs a call frame per
+        # event.  The bucket holds only entries due now, so its head
+        # runs unless the heap head is also due now and was scheduled
+        # first.
         queue = self._queue
         bucket = self._bucket
         pool = self._pool
         pop_bucket = bucket.popleft
         processed = 0
         try:
-            while True:
-                if stop_event is not None and stop_event.callbacks is None:
-                    break
+            while stop_event is None or stop_event.callbacks is not None:
                 if bucket:
-                    head = queue[0] if queue else None
-                    if (head is not None and head[0] == self.now
-                            and (head[1] < 1
-                                 or (head[1] == 1
-                                     and head[2] < bucket[0][0]))):
-                        self.now, _, _, event = _heappop(queue)
+                    if (queue and queue[0][0] == self.now
+                            and queue[0][1] < bucket[0][0]):
+                        event = _heappop(queue)[2]
                     else:
-                        _, event = pop_bucket()
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks or ():
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = typing.cast(BaseException, event._value)
-                        raise SimulationError(
-                            f"unhandled failure in {event!r}") from exc
-                    if (event.__class__ is PooledEvent
-                            and len(pool) < _POOL_MAX):
-                        event._ok = True
-                        event._defused = False
-                        event._value = PENDING
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                    continue
-                if not queue:
+                        event = pop_bucket()[1]
+                elif not queue:
                     break
-                head = queue[0]
-                time = head[0]
-                if time > stop_time:
+                elif queue[0][0] > stop_time:
                     self.now = stop_time
                     break
-                self.now = time
-                if head[1] != 1:
-                    # Non-normal priority: dispatch singly so
-                    # normal-priority events scheduled by its callbacks
-                    # order correctly behind remaining peers.
-                    _, _, _, event = _heappop(queue)
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks or ():
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = typing.cast(BaseException, event._value)
-                        raise SimulationError(
-                            f"unhandled failure in {event!r}") from exc
-                    if (event.__class__ is PooledEvent
-                            and len(pool) < _POOL_MAX):
-                        event._ok = True
-                        event._defused = False
-                        event._value = PENDING
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                    continue
-                # Batched drain: pop every heap entry sharing
-                # (time, PRIORITY_NORMAL) without re-checking stop_time
-                # (new same-tick schedules land in the bucket, and the
-                # batch's time already passed the check above).  The
-                # drain yields back to the outer loop as soon as a
-                # bucket entry, a priority change or the stop event
-                # could alter what must run next.
-                while True:
-                    _, _, _, event = _heappop(queue)
-                    processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks or ():
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        exc = typing.cast(BaseException, event._value)
-                        raise SimulationError(
-                            f"unhandled failure in {event!r}") from exc
-                    if (event.__class__ is PooledEvent
-                            and len(pool) < _POOL_MAX):
-                        event._ok = True
-                        event._defused = False
-                        event._value = PENDING
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                        pool.append(event)
-                    if bucket:
-                        break
-                    if (stop_event is not None
-                            and stop_event.callbacks is None):
-                        break
-                    if not queue:
-                        break
-                    head = queue[0]
-                    if head[0] != time or head[1] != 1:
-                        break
+                else:
+                    self.now, _, event = _heappop(queue)
+                processed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks or ():
+                    callback(event)
+                if not event._ok and not event._defused:
+                    exc = typing.cast(BaseException, event._value)
+                    raise SimulationError(
+                        f"unhandled failure in {event!r}") from exc
+                if event.__class__ is PooledEvent and len(pool) < _POOL_MAX:
+                    event._ok = True
+                    event._defused = False
+                    event._value = PENDING
+                    callbacks.clear()
+                    event.callbacks = callbacks
+                    pool.append(event)
         finally:
             self.events_processed += processed
 

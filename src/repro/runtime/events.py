@@ -63,8 +63,8 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined env.schedule(self): triggering is always zero-delay at
-        # normal priority, i.e. a straight same-tick bucket append.
+        # Inlined env.schedule(self): triggering is always zero-delay,
+        # i.e. a straight same-tick bucket append.
         env = self.env
         env._seq = seq = env._seq + 1
         env._bucket.append((seq, self))
@@ -104,7 +104,7 @@ class Event:
         env = self.env
         seq = env._seq + 1
         if delay > 0.0:
-            _heappush(env._queue, (env.now + delay, 1, seq, self))
+            _heappush(env._queue, (env.now + delay, seq, self))
         elif delay == 0.0:
             env._bucket.append((seq, self))
         else:
@@ -145,11 +145,11 @@ class PooledEvent(Event):
 class Timeout(Event):
     """An event that fires after a fixed delay of simulated time."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float,
                  value: object = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"negative delay {delay}")
         # Inlined Event.__init__ and env.schedule — timeouts are the
         # kernel's most frequently created event; one call frame per
@@ -159,12 +159,11 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self._defused = False
-        self.delay = delay
         env._seq = seq = env._seq + 1
         if delay == 0.0:
             env._bucket.append((seq, self))
         else:
-            _heappush(env._queue, (env.now + delay, 1, seq, self))
+            _heappush(env._queue, (env.now + delay, seq, self))
 
 
 class AllOf(Event):

@@ -40,16 +40,11 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process via an immediately-scheduled init event.
-        # Pooled: dispatched exactly once and never retained.
-        init = env.acquire_event()
-        init._value = None
-        init.callbacks.append(self._resume)
-        env.schedule(init)
+        # Kick off the process via an immediately-scheduled pooled event.
+        env.call_after(0.0, self._resume)
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 result = self._send(event._value)
@@ -62,16 +57,12 @@ class Process(Event):
             self._ok = True
             self._value = stop.value
             env.schedule(self)
-            env._active_process = None
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
             env.schedule(self)
-            env._active_process = None
             return
-        finally:
-            env._active_process = None
 
         if not isinstance(result, Event):
             error = RuntimeError(

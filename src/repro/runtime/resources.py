@@ -139,10 +139,11 @@ class Resource:
             event.callbacks.append(held)  # type: ignore[union-attr]
             env._seq = seq = env._seq + 1
             if duration > 0.0:
-                _heappush(env._queue, (now + duration, 1, seq, event))
+                _heappush(env._queue, (now + duration, seq, event))
             elif duration == 0.0:
                 env._bucket.append((seq, event))
             else:
+                self._in_use -= 1
                 raise ValueError(f"negative delay {duration}")
         else:
             self.request().callbacks.append(  # type: ignore[union-attr]

@@ -101,18 +101,5 @@ class TestKernelEdges:
         env.run()
         assert process.value == "early"
 
-    def test_active_process_visible_during_execution(self):
-        env = Environment()
-        seen = []
-
-        def proc(env):
-            seen.append(env.active_process)
-            yield env.timeout(0.1)
-
-        process = env.process(proc(env))
-        env.run()
-        assert seen == [process]
-        assert env.active_process is None
-
     def test_environment_seed_recorded(self):
         assert Environment(seed=123).seed == 123

@@ -1,13 +1,12 @@
-"""Kernel round-2 invariants: batched timeline, event pool, run(until=...).
+"""Kernel round-2 invariants: same-tick bucket, event pool, run(until=...).
 
-The dispatch loop now interleaves a same-tick bucket with the binary
-heap and drains same-``(time, priority)`` heap runs in a batch.  None
-of that may change the kernel's contract: events are processed in
-strict ``(time, priority, sequence)`` order, where sequence is
-schedule-call order.  The property tests here compare the real kernel
-against a pure-``heapq`` reference model over randomly generated
-schedules, including events scheduled from inside callbacks (the
-bucket path) and non-normal priorities (the preemption path).
+The dispatch loop interleaves a same-tick bucket with the binary heap.
+That may not change the kernel's contract: events are processed in
+strict ``(time, sequence)`` order, where sequence is schedule-call
+order.  The property tests here compare the real kernel against a
+pure-``heapq`` reference model over randomly generated schedules,
+including events scheduled from inside callbacks (the bucket path) and
+events pushed through every scheduling site the kernel has.
 """
 
 from __future__ import annotations
@@ -18,123 +17,117 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import Environment, SimulationError
-from repro.runtime.events import PENDING, Event, PooledEvent
+from repro.runtime import Environment, Resource, SimulationError
+from repro.runtime.events import PENDING, PooledEvent
 
 # Coarse delay grid so that generated schedules collide on the same
-# timestamp often — collisions are exactly what the batched drain and
-# the bucket/heap ordering guard have to get right.
+# timestamp often — collisions are exactly what the bucket/heap
+# ordering guard has to get right.
 _delays = st.sampled_from([0.0, 0.5, 1.0, 1.5])
-# 0 preempts (interrupts), 1 is normal, 2 is a hypothetical laggard.
-_priorities = st.sampled_from([0, 1, 2])
-_specs = st.tuples(_delays, _priorities)
 
-#: Root schedules plus per-root follow-up schedules issued from inside
-#: the root's callback (exercising mid-dispatch scheduling).
-_schedules = st.lists(
-    st.tuples(_specs, st.lists(_specs, max_size=3)),
-    min_size=1, max_size=12)
+#: Every way the kernel pushes an event onto its timeline.  ``succeed``
+#: is zero-delay by definition; ``hold`` takes a free slot.
+_SITES = ("schedule", "call_after", "trigger_after", "timeout", "succeed",
+          "hold")
 
 
-def _reference_order(roots) -> list:
-    """Dispatch order per a plain single-heap kernel (the old one)."""
-    heap: list[tuple[float, int, int, object]] = []
-    order = []
+def _specs(sites):
+    return st.tuples(st.sampled_from(sites), _delays).map(
+        lambda spec: (spec[0], 0.0) if spec[0] == "succeed" else spec)
+
+
+def _schedules(sites=("schedule",)):
+    """Root schedules plus per-root follow-up schedules issued from
+    inside the root's callback (exercising mid-dispatch scheduling)."""
+    specs = _specs(sites)
+    return st.lists(st.tuples(specs, st.lists(specs, max_size=3)),
+                    min_size=1, max_size=12)
+
+
+def _reference(roots) -> list[tuple[object, float]]:
+    """``(label, time)`` in dispatch order per a plain ``(time, seq)``
+    heap."""
+    heap: list[tuple[float, int, object]] = []
+    fired = []
     seq = 0
 
     def push(now: float, label, spec) -> None:
         nonlocal seq
         seq += 1
-        delay, priority = spec
-        heapq.heappush(heap, (now + delay, priority, seq, label))
+        heapq.heappush(heap, (now + spec[1], seq, label))
 
     for index, (spec, _followups) in enumerate(roots):
         push(0.0, index, spec)
     while heap:
-        now, _, _, label = heapq.heappop(heap)
-        order.append(label)
+        now, _, label = heapq.heappop(heap)
+        fired.append((label, now))
         if isinstance(label, int):
             for sub, spec in enumerate(roots[label][1]):
                 push(now, (label, sub), spec)
-    return order
+    return fired
 
 
-def _kernel_order(roots) -> list:
-    """Dispatch order from the real Environment for the same schedule."""
+def _kernel_order(roots, until: float | None = None) -> list:
+    """Dispatch order from the real Environment for the same schedule,
+    each entry pushed through the site its spec names."""
     env = Environment()
+    resource = Resource(env, capacity=1_000)
     order = []
 
-    def schedule(label, spec, followups) -> None:
-        event = Event(env)
-        event._value = None  # pre-triggered: fires when dispatched
-
-        def record(_event, label=label, followups=followups):
+    def push(label, spec, followups) -> None:
+        def record(_event):
             order.append(label)
             for sub, sub_spec in enumerate(followups):
-                schedule((label, sub), sub_spec, ())
+                push((label, sub), sub_spec, ())
 
-        event.callbacks.append(record)
-        delay, priority = spec
-        env.schedule(event, delay, priority)
+        site, delay = spec
+        if site == "call_after":
+            env.call_after(delay, record)
+        elif site == "hold":
+            resource.hold(delay, record)
+        elif site == "timeout":
+            env.timeout(delay).callbacks.append(record)
+        else:
+            event = env.event()
+            event.callbacks.append(record)
+            if site == "schedule":
+                event._value = None  # pre-triggered: fires when dispatched
+                env.schedule(event, delay)
+            elif site == "trigger_after":
+                event.trigger_after(delay)
+            else:
+                event.succeed()
 
     for index, (spec, followups) in enumerate(roots):
-        schedule(index, spec, followups)
-    env.run()
+        push(index, spec, followups)
+    env.run(until=until)
+    if until is not None:
+        assert env.now == until
     return order
 
 
 @settings(max_examples=200, deadline=None)
-@given(_schedules)
+@given(_schedules())
 def test_batched_dispatch_matches_heap_reference(roots):
-    assert _kernel_order(roots) == _reference_order(roots)
+    assert _kernel_order(roots) == [label for label, _ in _reference(roots)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_schedules, st.floats(min_value=0.0, max_value=2.0))
+@given(_schedules(), st.floats(min_value=0.0, max_value=2.0))
 def test_batched_dispatch_respects_until(roots, stop_time):
     """run(until=t) processes exactly the reference prefix with time <= t."""
-    env = Environment()
-    order = []
+    expected = [label for label, time in _reference(roots)
+                if time <= stop_time]
+    assert _kernel_order(roots, until=stop_time) == expected
 
-    def schedule(label, spec, followups) -> None:
-        event = Event(env)
-        event._value = None
 
-        def record(_event, label=label, followups=followups):
-            order.append(label)
-            for sub, sub_spec in enumerate(followups):
-                schedule((label, sub), sub_spec, ())
-
-        event.callbacks.append(record)
-        delay, priority = spec
-        env.schedule(event, delay, priority)
-
-    for index, (spec, followups) in enumerate(roots):
-        schedule(index, spec, followups)
-    env.run(until=stop_time)
-    assert env.now == stop_time
-
-    reference = _reference_order(roots)
-    # Re-derive each reference label's firing time to cut the prefix.
-    times: dict = {}
-    heap: list = []
-    seq = 0
-
-    def push(now, label, spec):
-        nonlocal seq
-        seq += 1
-        heapq.heappush(heap, (now + spec[0], spec[1], seq, label))
-
-    for index, (spec, _f) in enumerate(roots):
-        push(0.0, index, spec)
-    while heap:
-        now, _, _, label = heapq.heappop(heap)
-        times[label] = now
-        if isinstance(label, int):
-            for sub, spec in enumerate(roots[label][1]):
-                push(now, (label, sub), spec)
-    expected = [label for label in reference if times[label] <= stop_time]
-    assert order == expected
+@settings(max_examples=200, deadline=None)
+@given(_schedules(_SITES))
+def test_every_push_site_orders_by_time_then_sequence(roots):
+    """Each scheduling site takes one sequence number and pushes a
+    ``(time, seq, event)`` entry: mixed freely, they still dispatch in
+    the reference order."""
+    assert _kernel_order(roots) == [label for label, _ in _reference(roots)]
 
 
 # ---------------------------------------------------------------------------

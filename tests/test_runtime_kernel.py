@@ -288,6 +288,33 @@ def test_no_scheduling_call_accepts_a_negative_delay():
     assert env.run(until=event) == "on time" and env.now == 1.5
 
 
+@pytest.mark.parametrize("call", [
+    lambda env, cpu: env.timeout(float("nan")),
+    lambda env, cpu: env.schedule(env.event(), float("nan")),
+    lambda env, cpu: env.call_after(float("nan"), lambda _event: None),
+    lambda env, cpu: env.event().trigger_after(float("nan")),
+    lambda env, cpu: cpu.hold(float("nan"), lambda _event: None),
+    lambda env, cpu: env.run(until=float("nan")),
+], ids=["timeout", "schedule", "call_after", "trigger_after", "hold",
+        "run-until"])
+def test_nan_delay_or_stop_time_is_rejected(call):
+    """A NaN compares false with everything, so a check written as
+    ``delay < 0`` lets it through and the clock becomes NaN."""
+    env = Environment()
+    cpu = Resource(env, capacity=1)
+
+    def ticker(env):
+        for _ in range(3):
+            yield env.timeout(1.0)
+
+    env.process(ticker(env))
+    env.run(until=1.5)
+    with pytest.raises(ValueError):
+        call(env, cpu)
+    env.run()
+    assert env.now == 3.0 and cpu.in_use == 0
+
+
 def test_rng_streams_are_deterministic_and_independent():
     env1 = Environment(seed=7)
     env2 = Environment(seed=7)
