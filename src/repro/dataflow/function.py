@@ -24,20 +24,25 @@ class Context:
     ``dissoc_in``, or a fresh dict or list).  A checkpoint keeps a
     shallow copy of the top level and shares everything below it with
     the live state, so a nested in-place write would rewrite history.
+
+    A worker owns one context and refills its ``message``, ``key``,
+    ``request_id`` and ``state`` before each invocation.  That is safe
+    because a function runs to completion (a generator is rejected):
+    no invocation can still hold the context when the next one starts.
+    A function must not keep it beyond its return.
     """
 
     __slots__ = ("runtime", "worker", "message", "state", "key",
                  "request_id")
 
-    def __init__(self, runtime: "StatefunRuntime", worker: "Worker",
-                 message: "FunctionMessage",
-                 state: dict[str, typing.Any]) -> None:
+    def __init__(self, runtime: "StatefunRuntime",
+                 worker: "Worker") -> None:
         self.runtime = runtime
         self.worker = worker
-        self.message = message
-        self.state = state
-        self.key: str = message.target_key
-        self.request_id: str | None = message.request_id
+        self.message: "FunctionMessage | None" = None
+        self.state: dict[str, typing.Any] = {}
+        self.key = ""
+        self.request_id: str | None = None
 
     def send(self, target_type: str, target_key: str, payload: object,
              request_id: str | None = None) -> None:

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import typing
 
-class FunctionMessage:
-    """A message addressed to a stateful function instance.
+from repro.runtime.events import PENDING, Event
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runtime import Environment
+
+
+class FunctionMessage(Event):
+    """A message addressed to a stateful function instance, and its own
+    delivery event: putting it on the wire triggers it after the
+    delivery latency, and its arrival callback queues it at the owning
+    worker.  A message is delivered at most once; a replay builds a
+    fresh one.
 
     ``request_id`` threads the driver's request identity through the
     function chain so that the final egress can complete the right
@@ -17,10 +28,18 @@ class FunctionMessage:
                  "is_ingress", "ingress_offset", "cross_partition",
                  "address")
 
-    def __init__(self, target_type: str, target_key: str, payload: object,
+    def __init__(self, env: "Environment", target_type: str,
+                 target_key: str, payload: object,
                  request_id: str | None = None, is_ingress: bool = False,
                  ingress_offset: int = -1,
                  cross_partition: bool = False) -> None:
+        # Event's fields, set here: a message is built per hop, and
+        # ``Event.__init__`` would add a frame to each.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self.target_type = target_type
         self.target_key = target_key
         self.payload = payload

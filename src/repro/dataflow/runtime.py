@@ -21,7 +21,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass
 class StatefunConfig:
-    """Deployment and cost-model parameters for the dataflow runtime."""
+    """Deployment and cost-model parameters for the dataflow runtime.
+
+    ``cores_per_partition`` is validated but not modelled: a partition
+    serves one message at a time, as a single-threaded Flink subtask
+    does, so its CPU charges never overlap whatever the core count.
+    """
 
     partitions: int = 4
     cores_per_partition: int = 4
@@ -94,23 +99,25 @@ class _Checkpoint:
 
 
 class Worker:
-    """One partition: a queue, per-address state, and CPU cores.
+    """One partition: a queue and per-address state, served one message
+    at a time, as a single-threaded Flink subtask serves its input.
 
     No process serves the queue: a worker is a chain of kernel
-    callbacks that takes one message at a time — look at the queue,
-    hold a core for the message's CPU cost, run the function, look
-    again.  Its timeline entries are those of the process it replaced:
-    a zero-delay entry at construction (the bootstrap), a zero-delay
-    wake-up when an idle worker gets a message, the CPU hold, and a
-    callback on the runtime's resume event while paused.
+    callbacks — look at the queue, charge the message's CPU cost as one
+    timed entry, run the function, look again.  Only one message is
+    ever in service, so no CPU resource is modelled (see
+    :class:`StatefunConfig`).  Its timeline entries are those of the
+    process it replaced: a zero-delay entry at construction (the
+    bootstrap), a zero-delay wake-up when an idle worker gets a
+    message, the CPU charge, and a callback on the runtime's resume
+    event while paused.
     """
 
     def __init__(self, env: "Environment", runtime: "StatefunRuntime",
-                 index: int, cores: int) -> None:
+                 index: int) -> None:
         self.env = env
         self.runtime = runtime
         self.index = index
-        self.cpu = Resource(env, capacity=cores)
         self.queue: collections.deque[FunctionMessage] = collections.deque()
         self.state: dict[tuple[str, str], dict] = {}
         #: Addresses whose state may have changed since the last
@@ -128,16 +135,13 @@ class Worker:
         #: True while parked on an empty queue: the next message wakes
         #: the worker with one zero-delay timeline entry.
         self.idle = False
-        #: The message in its CPU hold and its function.
+        #: The message in its CPU charge and its function.
         self._message: FunctionMessage | None = None
         self._function: StatefulFunction | None = None
+        #: The one context every invocation on this worker is handed,
+        #: refilled per message (see :class:`Context`).
+        self.context = Context(runtime, self)
         env.call_after(0.0, self._next)
-
-    def enqueue(self, message: FunctionMessage) -> None:
-        self.queue.append(message)
-        if self.idle:
-            self.idle = False
-            self.env.call_after(0.0, self._next)
 
     def state_for(self, address: tuple[str, str]) -> dict:
         self.dirty.add(address)
@@ -180,7 +184,7 @@ class Worker:
 
     def _next(self, _event: Event | None = None) -> None:
         """Take the next message: wait out a pause, park on an empty
-        queue, or start the message's CPU hold."""
+        queue, or start the message's CPU charge."""
         runtime = self.runtime
         if runtime.paused:
             runtime.resume_event.callbacks.append(self._next)
@@ -198,15 +202,33 @@ class Worker:
             cpu_cost += runtime.config.cross_partition_cpu
         self._message = message
         self._function = function
-        self.cpu.hold(cpu_cost, self._run)
+        self.env.call_after(cpu_cost, self._run)
 
     def _run(self, _event: Event) -> None:
-        """The CPU hold is over: run the function to completion.  State
-        is fetched only now, so a restore during the hold is seen."""
+        """The CPU charge is over: run the function to completion.
+        State is fetched only now, so a restore during the charge is
+        seen."""
         message = self._message
         address = message.address
-        context = Context(self.runtime, self, message,
-                          self.state_for(address))
+        runtime = self.runtime
+        states = self.state
+        # A hot hit without a resident budget is state_for inline: the
+        # peak is still checked, since a restore or a rescale fills
+        # ``state`` without counting it.
+        state = (states.pop(address, None)
+                 if runtime.config.max_resident_addresses is None else None)
+        if state is None:
+            state = self.state_for(address)
+        else:
+            self.dirty.add(address)
+            states[address] = state
+            if len(states) > self.peak_resident:
+                self.peak_resident = len(states)
+        context = self.context
+        context.message = message
+        context.key = message.target_key
+        context.request_id = message.request_id
+        context.state = state
         try:
             result = self._function.invoke(context, message.payload)
             self.state[address] = context.state
@@ -218,8 +240,11 @@ class Worker:
                 f"function {address} returned {result!r} on {message!r}; "
                 f"a stateful function runs to completion and returns None")
         self.processed += 1
-        self.runtime.messages_processed += 1
-        self._next()
+        runtime.messages_processed += 1
+        if self.queue or runtime.paused:
+            self._next()
+        else:
+            self.idle = True
 
 
 class StatefunRuntime:
@@ -231,8 +256,7 @@ class StatefunRuntime:
         self.config = config or StatefunConfig()
         #: Routing memo, address -> owning worker; cleared by a rescale.
         self._routes: dict[tuple[str, str], Worker] = {}
-        self.workers = [Worker(env, self, index,
-                               self.config.cores_per_partition)
+        self.workers = [Worker(env, self, index)
                         for index in range(self.config.partitions)]
         self._worker_ids = self.config.partitions
         self.rescales = 0
@@ -292,47 +316,54 @@ class StatefunRuntime:
                      request_id: str | None = None) -> FunctionMessage:
         """Inject a message from outside the dataflow (the driver)."""
         message = FunctionMessage(
-            target_type=target_type, target_key=target_key,
-            payload=payload, request_id=request_id, is_ingress=True,
+            self.env, target_type, target_key, payload,
+            request_id=request_id, is_ingress=True,
             ingress_offset=self.ingress_base + len(self.ingress_log))
         self.ingress_log.append(message)
-        self._deliver(message)
+        self._deliver_ingress(message)
         return message
+
+    def _deliver_ingress(self, message: FunctionMessage) -> None:
+        """Put an ingress (or replayed) message on the wire."""
+        self._in_flight += 1
+        message.callbacks.append(self._arrive)
+        message.trigger_after(self.config.delivery_latency)
 
     def send_internal(self, target_type: str, target_key: str,
                       payload: object,
                       request_id: str | None = None,
                       source_worker: "Worker | None" = None) -> None:
-        message = FunctionMessage(target_type, target_key, payload,
-                                  request_id)
+        """Put a function-to-function message on the wire: the message
+        is its own timeline entry, fired at its owner after the
+        delivery latency (plus the shuffle latency when it crosses
+        partitions)."""
+        message = FunctionMessage(self.env, target_type, target_key,
+                                  payload, request_id)
+        latency = self.config.delivery_latency
         if source_worker is not None:
             address = message.address
             if source_worker is not (self._routes.get(address)
                                      or self.worker_for(address)):
                 message.cross_partition = True
-        self._deliver(message)
-
-    def _deliver(self, message: FunctionMessage) -> None:
-        """Put ``message`` on the wire: one pooled timeline entry that
-        enqueues it at the owning worker on arrival.  The owner is
-        looked up again at arrival — a rescale may have moved it."""
+                latency += self.config.cross_partition_latency
         self._in_flight += 1
-        latency = self.config.delivery_latency
-        if message.cross_partition:
-            latency += self.config.cross_partition_latency
+        message.callbacks.append(self._arrive)
+        message.trigger_after(latency)
 
-        def arrive(_event) -> None:
-            self._in_flight -= 1
-            if self.paused and message.is_ingress is False:
-                # Internal message arriving mid-recovery belongs to the
-                # failed epoch; it will be regenerated by replay.
-                if self._recovering:
-                    return
-            address = message.address
-            (self._routes.get(address)
-             or self.worker_for(address)).enqueue(message)
-
-        self.env.call_after(latency, arrive)
+    def _arrive(self, message: FunctionMessage) -> None:
+        """A message lands: queue it at its owner, looked up again now
+        (a rescale may have moved it), and wake the owner if idle."""
+        self._in_flight -= 1
+        if self._recovering and message.is_ingress is False:
+            # Internal message arriving mid-recovery belongs to the
+            # failed epoch; it will be regenerated by replay.
+            return
+        address = message.address
+        worker = self._routes.get(address) or self.worker_for(address)
+        worker.queue.append(message)
+        if worker.idle:
+            worker.idle = False
+            self.env.call_after(0.0, worker._next)
 
     # ------------------------------------------------------------------
     # request/response bridging for the benchmark driver
@@ -377,7 +408,7 @@ class StatefunRuntime:
     def _resume(self) -> None:
         self.paused = False
         self.resume_event.succeed()
-        # A restore or rescale refills queues without enqueue(): wake
+        # A restore or rescale refills queues without _arrive(): wake
         # the idle workers that now have work.
         for worker in self.workers:
             if worker.queue and worker.idle:
@@ -553,14 +584,10 @@ class StatefunRuntime:
         self._resume()
         for message in self.ingress_log[max(
                 0, replay_from - self.ingress_base):]:
-            replayed = FunctionMessage(
-                target_type=message.target_type,
-                target_key=message.target_key,
-                payload=message.payload,
-                request_id=message.request_id,
-                is_ingress=True,
-                ingress_offset=message.ingress_offset)
-            self._deliver(replayed)
+            self._deliver_ingress(FunctionMessage(
+                self.env, message.target_type, message.target_key,
+                message.payload, request_id=message.request_id,
+                is_ingress=True, ingress_offset=message.ingress_offset))
 
     # ------------------------------------------------------------------
     # rescaling (the control plane's add_silo / drain_silo verbs)
@@ -613,8 +640,7 @@ class StatefunRuntime:
         yield self.env.timeout(self.config.rescale_pause)
         old_workers = list(self.workers)
         if delta > 0:
-            self.workers.append(Worker(self.env, self, self._worker_ids,
-                                       self.config.cores_per_partition))
+            self.workers.append(Worker(self.env, self, self._worker_ids))
             self._worker_ids += 1
         else:
             self.workers.pop()

@@ -33,10 +33,11 @@ class LockManager:
 
     Wait-die: a requester that conflicts with current holders may wait
     only if it is *older* (lower priority tuple) than every conflicting
-    holder; otherwise it dies immediately with
-    :class:`TransactionAborted` (reason ``"wait-die"``).  Older
-    transactions therefore never wait behind younger ones, which rules
-    out deadlock cycles.
+    holder; otherwise it dies with :class:`TransactionAborted` (reason
+    ``"wait-die"``).  The rule is checked when a request first
+    conflicts and again for every waiter whenever a grant or a release
+    changes the holders.  Younger transactions therefore never wait
+    behind older ones, which rules out deadlock cycles.
 
     A context created with ``locking=False`` (the
     ``TxnConfig.enable_locking`` ablation, bench A1) is granted every
@@ -83,6 +84,8 @@ class LockManager:
             conflicting = self._holders and self._conflicts(ctx, mode)
             if not conflicting:
                 self._holders[ctx.txid] = (ctx, mode)
+                if self._queue:
+                    self._wake()
                 return
             if any(not ctx.older_than(holder) for holder in conflicting):
                 self.deaths += 1
@@ -105,13 +108,31 @@ class LockManager:
             self._wake()
 
     def _wake(self) -> None:
-        # Wake waiters whose request is now compatible, in FIFO order;
-        # each woken waiter re-checks conflicts itself.
+        """Re-apply wait-die to every waiter after the holders changed,
+        in FIFO order: wake one whose request is now compatible (it
+        re-checks conflicts itself), keep one that is still older than
+        every conflicting holder, fail the rest.
+
+        A grant or a release can leave a waiter behind a holder older
+        than itself — a shared grant ignores queued exclusive waiters,
+        and an upgrade conflicts with the holders it queued beside.
+        Kept waiting, two such upgraders would wait for each other
+        forever.
+        """
         still_waiting: collections.deque[_Waiter] = collections.deque()
         while self._queue:
             waiter = self._queue.popleft()
-            if not self._conflicts(waiter.ctx, waiter.mode):
+            ctx = waiter.ctx
+            conflicting = self._conflicts(ctx, waiter.mode)
+            if not conflicting:
                 waiter.event.succeed()
+            elif any(not ctx.older_than(holder) for holder in conflicting):
+                self.deaths += 1
+                waiter.event.fail(TransactionAborted(
+                    f"txn {ctx.txid} died waiting on lock {self.name!r} "
+                    f"(wait-die, held by "
+                    f"{[holder.txid for holder in conflicting]})",
+                    reason="wait-die"))
             else:
                 still_waiting.append(waiter)
         self._queue = still_waiting

@@ -205,6 +205,35 @@ def test_envelope_cpu_charged_per_message():
     assert env.now >= 0.05
 
 
+def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
+    """``cores_per_partition`` is validated, not modelled: a partition
+    runs its messages one after another, as a single-threaded subtask
+    does, even with four cores and messages for distinct keys."""
+    ends = []
+
+    class TimedFn(StatefulFunction):
+        cpu_cost = 0.002
+
+        def invoke(self, context, payload):
+            ends.append(context.runtime.env.now)
+
+    env = Environment()
+    config = StatefunConfig(checkpoint_interval=0.0, partitions=1,
+                            cores_per_partition=4, envelope_cpu=0.001,
+                            delivery_latency=0.0)
+    runtime = StatefunRuntime(env, config)
+    runtime.register("timed", TimedFn())
+    for i in range(8):
+        runtime.send_ingress("timed", f"k{i}", i)
+    env.run()
+    # An invocation ends its CPU charge; the charges never overlap.
+    service = TimedFn.cpu_cost + config.envelope_cpu
+    assert len(ends) == 8
+    for earlier, later in zip(ends, ends[1:]):
+        assert later - service >= earlier - 1e-12
+    assert env.now >= 8 * service - 1e-12
+
+
 def test_total_queued_reflects_backlog():
     env, runtime = make_runtime(partitions=1, cores_per_partition=1)
     for i in range(10):

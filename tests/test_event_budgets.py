@@ -2,15 +2,16 @@
 the callback-driven hot paths.
 
 A grain turn, a 2PC round and a statefun delivery and worker run as
-pooled ``call_after`` timeline entries, not as processes.  Three things pin
-that restructuring here, all as exact counts or exact float times read
-from the kernel (``env.events_processed``, ``env.now``):
+timeline entries — pooled ``call_after`` entries, or the message
+itself — not as processes.  Three things pin that restructuring here,
+all as exact counts or exact float times read from the kernel
+(``env.events_processed``, ``env.now``):
 
 * the *budget*: a call to a method that never waits costs 3 events
   and at most 18 Python frames of ``repro.actors`` + ``repro.runtime``,
   a ``tell`` 2 events and at most 10 frames,
   a committed transaction's 2PC 8 events whatever the participant
-  count, a statefun message at most 16 frames of ``repro.dataflow`` +
+  count, a statefun message at most 9 frames of ``repro.dataflow`` +
   ``repro.runtime``;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
@@ -199,8 +200,8 @@ def test_statefun_message_costs_one_delivery_event():
     runtime.send_ingress("sink", "a", 1)
     env.run()
     assert runtime.state_of("sink", "a") == {"seen": 1}
-    # Delivery, the worker's wake-up, its CPU hold: the wire itself is
-    # one pooled entry (it was a three-event process).
+    # Delivery, the worker's wake-up, its CPU charge: the message is
+    # its own delivery entry (it was a three-event process).
     assert env.events_processed - before == 3
 
 
@@ -218,18 +219,22 @@ class Relay(StatefulFunction):
 
 #: Python frames (cProfile, builtins off) of ``repro.dataflow`` and
 #: ``repro.runtime`` code per statefun message on a relay over four
-#: partitions.  Measured 13.9: the send (Context.send, send_internal,
-#: the message's ``__init__``, _deliver, call_after; one frame less
-#: from ingress), the arrival (arrive, enqueue; a call_after more when
-#: it wakes an idle worker) and the turn (_next, hold, call_after,
-#: held, _run, state_for, Context's ``__init__``).  It was 23.8 while
-#: a worker was a process.  ``<=`` because interpreters differ in what
-#: they inline.
-MAX_FRAMES_PER_STATEFUN_MESSAGE = 16
-#: Frames of the retired worker process, its ``address()`` method and
-#: the per-delivery checks, none of which a message may cost any more.
+#: partitions.  Measured 8.0: the send (Context.send, send_internal,
+#: the message's ``__init__``, trigger_after; from ingress
+#: send_ingress, ``__init__``, _deliver_ingress, trigger_after), the
+#: arrival (_arrive; a call_after more when it wakes an idle worker)
+#: and the turn (_next, call_after, _run).  It was 12.9 while the
+#: delivery was a closure on a pooled event and the CPU charge a
+#: ``Resource.hold``, and 23.8 while a worker was a process.  ``<=``
+#: because interpreters differ in what they inline.
+MAX_FRAMES_PER_STATEFUN_MESSAGE = 9
+#: Frames of the retired worker process, its ``address()`` method, the
+#: per-delivery checks, the delivery closure, ``Worker.enqueue`` and
+#: the one-slot CPU resource, none of which a message may cost any
+#: more.
 RETIRED_STATEFUN_FRAMES = {"address", "isgenerator", "triggered", "_loop",
-                           "_process", "use", "timeout"}
+                           "_process", "use", "timeout", "hold", "held",
+                           "arrive", "enqueue"}
 
 
 def test_statefun_message_stays_in_its_frame_budget():

@@ -46,6 +46,13 @@ MAX_GROWTH = 1.10
 MAX_CALLS_PER_TX = 340
 
 
+#: Python calls per committed transaction of the ``statefun`` cell at
+#: ``duration_scale`` 0.8.  Measured 161.4; 208.6 while a message
+#: was delivered by a closure on a pooled event and its CPU charge
+#: was a ``Resource.hold`` on a one-slot-in-use resource.
+MAX_STATEFUN_CALLS_PER_TX = 178
+
+
 #: Kernel events and ``Process`` objects per committed transaction.
 #: Measured 33.1 / 0.19 at ``duration_scale`` 0.1 and 32.4 / 0.02 at
 #: 0.8; a process per grain call and per 2PC participant measured
@@ -55,13 +62,14 @@ MAX_PROCESSES_PER_TX = 1
 
 
 @functools.lru_cache(maxsize=None)
-def host_work_per_tx(duration_scale: float) -> dict[str, float]:
+def host_work_per_tx(duration_scale: float,
+                     app_name: str = "orleans-transactions"
+                     ) -> dict[str, float]:
     """Python calls (cProfile, builtins off), kernel events and
     ``Process`` objects per committed transaction (one run per cell,
     shared by the tests below)."""
     env = Environment(seed=7)
-    app = ALL_APPS["orleans-transactions"](
-        env, AppConfig(silos=2, cores_per_silo=2))
+    app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=2))
     driver = get_scenario("baseline").build_driver(
         env, app, duration_scale=duration_scale, data_seed=7)
     profiler = cProfile.Profile(subcalls=False, builtins=False)
@@ -90,6 +98,14 @@ def test_calls_per_tx_do_not_grow_with_run_length():
         f"{long:.0f} Python calls per transaction: wrapper frames are "
         f"back on the grain-call path (see the frame budget in "
         f"test_event_budgets.py)")
+
+
+def test_statefun_calls_per_tx_are_bounded():
+    calls = host_work_per_tx(0.8, "statefun")["calls"]
+    assert calls <= MAX_STATEFUN_CALLS_PER_TX, (
+        f"{calls:.0f} Python calls per statefun transaction: wrapper "
+        f"frames are back on the message path (see the statefun frame "
+        f"budget in test_event_budgets.py)")
 
 
 @pytest.mark.parametrize("duration_scale", [0.1, 0.8])
