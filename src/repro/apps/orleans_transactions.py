@@ -64,7 +64,7 @@ class OrleansTransactionsApp(ActorApp):
     def _request(self, operation: str, service: str, key: str, **fields):
         ref = self._grain(service, key)
         try:
-            reply = yield from self.runner.run(
+            reply = yield self.runner.run(
                 lambda ctx: ref.call(operation, txn=ctx, **fields))
         except TransactionAborted as abort:
             return failed(operation, reason=f"aborted:{abort.reason}")
@@ -94,7 +94,7 @@ class OrleansTransactionsApp(ActorApp):
         letting the batch make progress under load.
         """
         try:
-            return (yield from self.runner.run(
+            return (yield self.runner.run(
                 lambda ctx: ref.call("mark_delivered", package["order_id"],
                                      package["package_id"], txn=ctx)))
         except (GrainCallError, TransactionAborted):

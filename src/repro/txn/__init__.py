@@ -10,7 +10,12 @@ transactions eventually win).
 """
 
 from repro.txn.context import TransactionContext, TransactionStatus
-from repro.txn.coordinator import TransactionRunner, TxnConfig, TxnStats
+from repro.txn.coordinator import (
+    Transaction,
+    TransactionRunner,
+    TxnConfig,
+    TxnStats,
+)
 from repro.txn.errors import TransactionAborted, TransactionError
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.participant import TransactionalGrain, TransactionParticipant
@@ -18,6 +23,7 @@ from repro.txn.participant import TransactionalGrain, TransactionParticipant
 __all__ = [
     "LockManager",
     "LockMode",
+    "Transaction",
     "TransactionAborted",
     "TransactionContext",
     "TransactionError",

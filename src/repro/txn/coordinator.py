@@ -8,12 +8,12 @@ from functools import partial
 from operator import methodcaller
 
 from repro.actors.errors import SiloUnavailable
+from repro.runtime.events import PENDING, Event
 from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.errors import TransactionAborted
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.runtime import Event
     from repro.txn.participant import TransactionParticipant
 
 
@@ -79,64 +79,16 @@ class TransactionRunner:
         self._rng = cluster.env.rng("txn-runner")
 
     # ------------------------------------------------------------------
-    def run(self, body: typing.Callable[[TransactionContext], "Event"]):
-        """Process helper: execute ``body`` transactionally with retry.
+    def run(self, body: typing.Callable[[TransactionContext], Event]
+            ) -> "Transaction":
+        """Execute ``body`` transactionally with retry; returns the
+        :class:`Transaction` event to wait on.
 
         ``body(ctx)`` must return an event (typically a grain-call
-        promise); its value becomes the transaction's result.
+        promise); its value becomes the transaction's result.  The
+        first attempt starts at once.
         """
-        priority: tuple[float, int] | None = None
-        attempt = 0
-        while True:
-            attempt += 1
-            ctx = TransactionContext(
-                self.env.now, inherit_priority=priority,
-                locking=self.config.enable_locking)
-            priority = ctx.priority
-            ctx.attempt = attempt
-            self.stats.started += 1
-            try:
-                result = yield body(ctx)
-            except TransactionAborted as abort:
-                yield from self._abort_all(ctx)
-                if abort.reason == "wait-die":
-                    self.stats.wait_die_deaths += 1
-                if attempt > self.config.max_retries:
-                    self.stats.aborted += 1
-                    raise
-                self.stats.retries += 1
-                yield self.env.timeout(self._backoff(attempt))
-                continue
-            except SiloUnavailable:
-                # A participant's silo crashed or stopped under the
-                # transaction: roll back and retry — the next attempt
-                # routes to the grain's new owner.  This is what makes
-                # the transactional app ride through membership churn
-                # (at the cost of retries the stats surface).
-                yield from self._abort_all(ctx)
-                if attempt > self.config.max_retries:
-                    self.stats.aborted += 1
-                    raise
-                self.stats.retries += 1
-                self.stats.silo_retries += 1
-                yield self.env.timeout(self._backoff(attempt))
-                continue
-            except BaseException:
-                # Non-transactional failure: roll back, do not retry.
-                yield from self._abort_all(ctx)
-                self.stats.aborted += 1
-                raise
-            committed = yield from self._commit(ctx)
-            if committed:
-                self.stats.committed += 1
-                return result
-            if attempt > self.config.max_retries:
-                self.stats.aborted += 1
-                raise TransactionAborted(
-                    f"txn {ctx.txid} exceeded {self.config.max_retries} "
-                    f"retries", reason="veto")
-            self.stats.retries += 1
-            yield self.env.timeout(self._backoff(attempt))
+        return Transaction(self, body)
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
@@ -145,34 +97,186 @@ class TransactionRunner:
         jitter = 1.0 + self.config.backoff_jitter * self._rng.random()
         return base * jitter
 
-    def _commit(self, ctx: TransactionContext):
-        """Process helper: run 2PC; returns True on commit."""
-        participants = list(ctx.participants.values())
-        if self.config.enable_two_phase_commit:
+
+class Transaction(Event):
+    """One transaction, from its first attempt to its outcome: what
+    :meth:`TransactionRunner.run` returns and the caller waits on.
+
+    No process drives it.  Kernel callbacks advance it: the body's
+    promise calls :meth:`_executed`, the prepare round ends in
+    :meth:`_prepared`, the coordinator's log force in :meth:`_decided`,
+    the commit round in :meth:`_committed`, and a backoff starts the
+    next :meth:`_attempt`.  Each wait is one timeline entry with the
+    delay the protocol models.
+
+    It settles *synchronously*: :meth:`_settle` runs the waiters'
+    callbacks inline, in the kernel step that decided the outcome,
+    rather than through the same-tick bucket — which would cost one
+    more timeline entry per transaction and resume the caller one
+    step later.  A failure that no callback defuses is scheduled like
+    a failed process, so the kernel surfaces it as
+    :class:`~repro.runtime.SimulationError`.
+    """
+
+    __slots__ = ("runner", "body", "ctx", "result", "votes")
+
+    def __init__(self, runner: TransactionRunner,
+                 body: typing.Callable[[TransactionContext], Event]
+                 ) -> None:
+        # Event's fields, set here: ``Event.__init__`` would add a frame.
+        self.env = runner.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.runner = runner
+        self.body = body
+        self.ctx: TransactionContext | None = None
+        self.result: object = None
+        #: The prepare round's answers, filled in as participants vote.
+        self.votes: list = []
+        self._attempt(None)
+
+    def _attempt(self, _event: Event | None) -> None:
+        """Start an attempt under a fresh context that keeps the first
+        attempt's wait-die priority."""
+        runner = self.runner
+        previous = self.ctx
+        self.ctx = ctx = TransactionContext(
+            self.env.now,
+            inherit_priority=None if previous is None else previous.priority,
+            locking=runner.config.enable_locking)
+        if previous is not None:
+            ctx.attempt = previous.attempt + 1
+        runner.stats.started += 1
+        try:
+            promise = self.body(ctx)
+        except BaseException as exc:
+            self._failed(exc)
+            return
+        if not isinstance(promise, Event):
+            self._failed(RuntimeError(
+                f"transaction body returned {promise!r}, "
+                f"which is not an Event"))
+            return
+        callbacks = promise.callbacks
+        if callbacks is not None:
+            callbacks.append(self._executed)
+            return
+        # Already processed: resume at the next scheduler step through
+        # a pooled proxy, as ``Process._resume`` does.
+        env = self.env
+        immediate = env.acquire_event()
+        immediate._ok = promise._ok
+        immediate._value = promise._value
+        if not promise._ok:
+            promise._defused = True
+            immediate._defused = True
+        immediate.callbacks.append(self._executed)
+        env.schedule(immediate)
+
+    def _executed(self, event: Event) -> None:
+        """The body's promise fired: prepare (or, under the no-2PC
+        ablation, commit at once) — or roll back."""
+        if not event._ok:
+            event._defused = True
+            self._failed(event._value)
+            return
+        self.result = event._value
+        if self.runner.config.enable_two_phase_commit:
+            ctx = self.ctx
             ctx.status = TransactionStatus.PREPARING
-            # Prepare phase: control round-trip + log force, in parallel.
-            votes = yield self._round(
-                participants, methodcaller("vote", ctx),
-                methodcaller("mark_prepared", ctx), reply_hop=True)
-            if not all(votes):
-                yield from self._abort_all(ctx)
-                return False
-            # Coordinator durably records the commit decision.
-            yield self.env.timeout(self.config.coordinator_log_latency)
-        # Commit phase, in parallel (the whole protocol under the
-        # no-2PC ablation: a one-shot commit without a prepare round).
-        yield self._round(
-            participants, methodcaller("install", ctx),
-            methodcaller("mark_committed", ctx), reply_hop=False)
-        ctx.status = TransactionStatus.COMMITTED
-        return True
+            # Prepare: control round-trip + log force, in parallel.
+            self.votes = self._round(
+                list(ctx.participants.values()), methodcaller("vote", ctx),
+                methodcaller("mark_prepared", ctx), True, self._prepared)
+        else:
+            # The no-2PC ablation: a one-shot commit, no prepare round.
+            self._decided(None)
+
+    def _prepared(self, _event: Event) -> None:
+        """Every vote is in: record the decision, or roll back."""
+        if all(self.votes):
+            # The coordinator durably records the commit decision.
+            self.env.call_after(self.runner.config.coordinator_log_latency,
+                                self._decided)
+            return
+        self._abort()
+        runner = self.runner
+        attempt = self.ctx.attempt
+        if attempt > runner.config.max_retries:
+            runner.stats.aborted += 1
+            self._settle(False, TransactionAborted(
+                f"txn {self.ctx.txid} exceeded "
+                f"{runner.config.max_retries} retries", reason="veto"))
+            return
+        runner.stats.retries += 1
+        self.env.call_after(runner._backoff(attempt), self._attempt)
+
+    def _decided(self, _event: Event | None) -> None:
+        """The commit decision is durable: run the commit round."""
+        ctx = self.ctx
+        self._round(list(ctx.participants.values()),
+                    methodcaller("install", ctx),
+                    methodcaller("mark_committed", ctx), False,
+                    self._committed)
+
+    def _committed(self, _event: Event) -> None:
+        self.ctx.status = TransactionStatus.COMMITTED
+        self.runner.stats.committed += 1
+        self._settle(True, self.result)
+
+    def _failed(self, exc: BaseException) -> None:
+        """The attempt failed: roll back, then retry a transactional
+        abort or a silo failure, or settle with ``exc``."""
+        self._abort()
+        runner = self.runner
+        stats = runner.stats
+        if isinstance(exc, TransactionAborted) and exc.reason == "wait-die":
+            stats.wait_die_deaths += 1
+        attempt = self.ctx.attempt
+        if (not isinstance(exc, (TransactionAborted, SiloUnavailable))
+                or attempt > runner.config.max_retries):
+            # A non-transactional failure is never retried.
+            stats.aborted += 1
+            self._settle(False, exc)
+            return
+        stats.retries += 1
+        if isinstance(exc, SiloUnavailable):
+            # A participant's silo crashed or stopped under the
+            # transaction: the next attempt routes to the grain's new
+            # owner.  This is what makes the transactional app ride
+            # through membership churn (at the cost of retries the
+            # stats surface).
+            stats.silo_retries += 1
+        self.env.call_after(runner._backoff(attempt), self._attempt)
+
+    def _abort(self) -> None:
+        ctx = self.ctx
+        ctx.status = TransactionStatus.ABORTED
+        for participant in ctx.participants.values():
+            participant.abort(ctx)
+
+    def _settle(self, ok: bool, value: object) -> None:
+        """Fire now: run the waiters' callbacks inline."""
+        self._ok = ok
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+        if not ok and not self._defused:
+            # Nobody handled the failure: let the kernel raise it.
+            self.env.schedule(self)
 
     def _round(self, participants: "list[TransactionParticipant]",
                arrive: typing.Callable[["TransactionParticipant"], bool],
                logged: typing.Callable[["TransactionParticipant"], None],
-               reply_hop: bool) -> "Event":
-        """One parallel 2PC fan-out; returns the event that fires, with
-        the list of ``arrive`` answers, once every participant is done.
+               reply_hop: bool,
+               then: typing.Callable[[Event], None]) -> list:
+        """One parallel 2PC fan-out; returns the list of ``arrive``
+        answers it fills in, and calls ``then`` one zero-delay timeline
+        entry after every participant is done.
 
         Each participant is modelled as: a control hop out, its
         ``arrive(participant)`` step, a log force of its own
@@ -185,13 +289,12 @@ class TransactionRunner:
         still sees the exact times its own process would have produced,
         and at each of them participants run in enlistment order.
         """
-        env = self.env
-        call_after = env.call_after
-        hop = self.config.control_latency
-        done = env.event()
-        if not participants:
-            return done.succeed([])
+        call_after = self.env.call_after
+        hop = self.runner.config.control_latency
         answers: list = []
+        if not participants:
+            call_after(0.0, then)
+            return answers
         pending = 0
 
         def arrived(_event) -> None:
@@ -215,24 +318,15 @@ class TransactionRunner:
                 logged(participant)
             reply()
 
-        def reply() -> None:
-            if reply_hop:
-                call_after(hop, finished)
-            else:
-                finished(None)
-
         def finished(_event) -> None:
             nonlocal pending
             pending -= 1
             if not pending:
-                done.succeed(answers)
+                call_after(0.0, then)
 
+        # A participant done with its steps replies: over a hop back,
+        # or at once.
+        reply = (partial(call_after, hop, finished) if reply_hop
+                 else partial(finished, None))
         call_after(hop, arrived)
-        return done
-
-    def _abort_all(self, ctx: TransactionContext):
-        ctx.status = TransactionStatus.ABORTED
-        for participant in ctx.participants.values():
-            participant.abort(ctx)
-        return
-        yield  # pragma: no cover - generator marker
+        return answers

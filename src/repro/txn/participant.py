@@ -68,10 +68,20 @@ class TransactionParticipant:
         if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
-        yield from self.lock.acquire(ctx, LockMode.SHARED)
+        # A holder of either mode already covers S, and a non-locking
+        # context holds nothing.  An unheld lock with an empty queue is
+        # granted inline, as ``acquire`` would grant it.
+        lock = self.lock
+        holders = lock._holders
+        txid = ctx.txid
+        if ctx.locking and txid not in holders:
+            if holders or lock._queue:
+                yield from lock.acquire(ctx, LockMode.SHARED)
+            else:
+                holders[txid] = (ctx, LockMode.SHARED)
         ctx.participants.setdefault(self.identity, self)
         return MappingProxyType(
-            self._staged.get(ctx.txid, self.committed_state))
+            self._staged.get(txid, self.committed_state))
 
     def write(self, ctx: TransactionContext, state: dict):
         """Process helper: X-lock and stage the new state by reference
@@ -79,9 +89,21 @@ class TransactionParticipant:
         if ctx.status is not TransactionStatus.ACTIVE:
             raise TransactionAborted(
                 f"txn {ctx.txid} no longer active", reason="failure")
-        yield from self.lock.acquire(ctx, LockMode.EXCLUSIVE)
+        # With no other holder and an empty queue, X is granted (or a
+        # sole S holder upgraded) inline, as ``acquire`` would grant it.
+        lock = self.lock
+        holders = lock._holders
+        txid = ctx.txid
+        held = holders.get(txid)
+        if ctx.locking and (held is None
+                            or held[1] is not LockMode.EXCLUSIVE):
+            others = len(holders) if held is None else len(holders) - 1
+            if others or lock._queue:
+                yield from lock.acquire(ctx, LockMode.EXCLUSIVE)
+            else:
+                holders[txid] = (ctx, LockMode.EXCLUSIVE)
         ctx.participants.setdefault(self.identity, self)
-        self._staged[ctx.txid] = state if type(state) is dict \
+        self._staged[txid] = state if type(state) is dict \
             else dict(state)
 
     def read_committed(self) -> MappingProxyType:
@@ -104,7 +126,7 @@ class TransactionParticipant:
     # two-phase commit (called by the coordinator)
     # ------------------------------------------------------------------
     # The coordinator models the control hops and log forces between
-    # these steps (``TransactionRunner._round``); each step itself is
+    # these steps (``Transaction._round``); each step itself is
     # instantaneous.
     def vote(self, ctx: TransactionContext) -> bool:
         """Prepare request arrived: vote yes/no."""
@@ -132,7 +154,11 @@ class TransactionParticipant:
         self.commits += 1
         self.commit_log.append((self.env.now, ctx.txid, "committed"))
         self._prepared.discard(ctx.txid)
-        self.lock.release(ctx)
+        # ``LockManager.release``, inline.
+        lock = self.lock
+        lock._holders.pop(ctx.txid, None)
+        if lock._queue:
+            lock._wake()
 
     def abort(self, ctx: TransactionContext) -> None:
         """Discard staged state and release locks (no log force needed)."""

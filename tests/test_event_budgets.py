@@ -11,8 +11,9 @@ all as exact counts or exact float times read from the kernel
   and at most 18 Python frames of ``repro.actors`` + ``repro.runtime``,
   a ``tell`` 2 events and at most 10 frames,
   a committed transaction's 2PC 8 events whatever the participant
-  count, a statefun message at most 9 frames of ``repro.dataflow`` +
-  ``repro.runtime``;
+  count, a one-participant transaction at most 38 frames of
+  ``repro.txn`` + ``repro.runtime``, a statefun message at most 9
+  frames of ``repro.dataflow`` + ``repro.runtime``;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
   (that model is kept below as the reference);
@@ -23,13 +24,14 @@ all as exact counts or exact float times read from the kernel
 """
 
 import cProfile
+import inspect
 
 import pytest
 
 from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
 from repro.actors.silo import SiloState
 from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
-from repro.runtime import Environment, SimulationError
+from repro.runtime import Environment, SimulationError, Timeout
 from repro.runtime.process import Process
 from repro.txn import (
     TransactionAborted,
@@ -311,9 +313,11 @@ def test_statefun_function_failure_surfaces_as_simulation_error(payload):
     assert runtime.messages_processed == 0
 
 
-#: Events of one ``runner.run`` around its 2PC: the driving process's
-#: bootstrap, the body's own event, the process's completion.
-RUN_OVERHEAD = 3
+#: Events of one ``runner.run`` around its 2PC: the body's own event.
+#: No process starts or completes: the transaction is an event that
+#: kernel callbacks advance (3 while ``run`` was a generator driven
+#: by a process).
+RUN_OVERHEAD = 1
 HOP, COORDINATOR_LOG = 0.0003, 0.0005
 
 
@@ -349,8 +353,7 @@ def run_transaction(env, runner, participants, start=0.0123):
         return env.timeout(0.0)
 
     before = env.events_processed
-    process = env.process(runner.run(body))
-    env.run(until=process)
+    env.run(until=runner.run(body))
     return env.events_processed - before, start, env.now
 
 
@@ -401,9 +404,9 @@ def test_veto_skips_the_log_force():
         return env.timeout(0.0)
 
     before = env.events_processed
-    process = env.process(runner.run(body))
+    transaction = runner.run(body)
     with pytest.raises(TransactionAborted) as excinfo:
-        env.run(until=process)
+        env.run(until=transaction)
     assert excinfo.value.reason == "veto"
     # Hop out, hop back, round event: nothing was made durable.
     assert env.events_processed - before - RUN_OVERHEAD == 3
@@ -421,15 +424,150 @@ def test_yes_voters_still_force_their_log_beside_a_veto():
         ctx.register(vetoer)
         return env.timeout(0.0)
 
-    process = env.process(runner.run(body))
+    transaction = runner.run(body)
     with pytest.raises(TransactionAborted):
-        env.run(until=process)
+        env.run(until=transaction)
     # The coordinator waited for the slowest reply before aborting.
     assert env.now == ((0.0 + HOP) + 0.001) + HOP
     assert [entry[2] for entry in voter.commit_log] == [
         "prepared", "aborted"]
     assert voter.commit_log[0][0] == (0.0 + HOP) + 0.001
     assert voter.committed_state == {} and not voter.lock.holders()
+
+
+@pytest.mark.parametrize("outcome", ["veto", "body-fails", "body-raises"])
+def test_a_failed_transaction_nobody_awaits_surfaces_as_simulation_error(
+        outcome):
+    env, runner = make_runner(max_retries=0)
+    (participant,) = make_participants(env, [0.0005])
+
+    def body(ctx):
+        if outcome == "body-raises":  # settles before run() returns
+            raise ValueError(outcome)
+        if outcome == "body-fails":
+            return env.event().fail(ValueError(outcome))
+        ctx.register(participant)  # enlisted, but holds no lock: vetoes
+        return env.timeout(0.0)
+
+    runner.run(body)
+    with pytest.raises(SimulationError) as excinfo:
+        env.run()
+    cause = excinfo.value.__cause__
+    if outcome == "veto":
+        assert isinstance(cause, TransactionAborted)
+        assert cause.reason == "veto"
+    else:
+        assert isinstance(cause, ValueError) and str(cause) == outcome
+    assert runner.stats.aborted == 1
+
+
+def test_a_body_returning_a_processed_event_resumes_one_step_later():
+    env, runner = make_runner()
+    (participant,) = make_participants(env, [0.0005])
+    done = env.timeout(0.0, "result")
+    env.run()
+    assert done.processed
+
+    def body(ctx):
+        enlist(ctx, participant, 1)
+        return done
+
+    before = env.events_processed
+    assert env.run(until=runner.run(body)) == "result"
+    # The pooled proxy a process would use, then the 2PC.
+    assert env.events_processed - before == 1 + 8
+    assert participant.committed_state == {"value": 1}
+
+
+def test_the_caller_resumes_inside_the_commit_rounds_last_entry():
+    env, runner = make_runner()
+    participants = make_participants(env, [0.0005] * 2)
+    env.run(until=0.0123)
+    trail = []
+    call_after = env.call_after
+
+    def traced_call_after(delay, callback):
+        def step(event):
+            trail.append(("enter", callback))
+            callback(event)
+            trail.append(("exit", callback))
+
+        call_after(delay, step)
+
+    env.call_after = traced_call_after
+
+    def body(ctx):
+        for index, participant in enumerate(participants):
+            enlist(ctx, participant, index)
+        return env.timeout(0.0, "result")
+
+    def caller():
+        trail.append(("resumed", (yield runner.run(body))))
+
+    before = env.events_processed
+    env.run(until=env.process(caller()))
+    # The process's bootstrap and completion around the transaction:
+    # as many events as the retired ``yield from runner.run(...)``.
+    assert env.events_processed - before == 2 + RUN_OVERHEAD + 8
+    resumed = trail.index(("resumed", "result"))
+    (enter, step), (exit_, same_step) = trail[resumed - 1], trail[resumed + 1]
+    # Inside the zero-delay entry that closes the commit round, not in
+    # a timeline entry of its own.
+    assert (enter, exit_) == ("enter", "exit") and same_step is step
+    assert step.__name__ == "_committed" and trail[resumed + 2:] == []
+
+
+#: Python frames (cProfile, builtins off) of ``repro.txn`` and
+#: ``repro.runtime`` code per one-participant, uncontended write
+#: transaction, ``env.run(until=runner.run(body))``, its body included.
+#: Measured 37: run, the transaction's ``__init__``, _attempt, the
+#: context's ``__init__``, the participant's write and the body's
+#: ``Timeout``; _executed; per round _round, arrived, forced,
+#: finished and its participant's two steps (vote / mark_prepared,
+#: install / mark_committed); _prepared, _decided, _committed,
+#: _settle; eight call_after; and 6 for the ``run(until=…)``
+#: wrapper.  ``<=`` because interpreters differ in what they inline.
+MAX_FRAMES_PER_TRANSACTION = 38
+#: Frames a transaction no longer costs: the coordinator generators
+#: (``_commit``, ``_abort_all``), the lock manager's ``acquire`` and
+#: ``release`` of an uncontended lock, the round event (``event``,
+#: ``succeed``) and the yielded ``timeout`` of the log force.  ``run``
+#: as a generator is caught by the generator check below.
+RETIRED_TXN_FRAMES = {"_commit", "_abort_all", "acquire", "release",
+                      "event", "succeed", "timeout"}
+
+
+def test_an_uncontended_transaction_stays_in_its_frame_budget():
+    env, runner = make_runner()
+    (participant,) = make_participants(env, [0.0005])
+
+    def body(ctx):
+        enlist(ctx, participant, ctx.txid)
+        return Timeout(env, 0.0)
+
+    for _ in range(10):
+        env.run(until=runner.run(body))
+    transactions = 1000
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    for _ in range(transactions):
+        env.run(until=runner.run(body))
+    profiler.disable()
+    frames, generators = {}, set()
+    for entry in profiler.getstats():
+        filename = entry.code.co_filename.replace("\\", "/")
+        if "repro/txn/" in filename or "repro/runtime/" in filename:
+            name = entry.code.co_name
+            frames[name] = frames.get(name, 0) + entry.callcount
+            if entry.code.co_flags & inspect.CO_GENERATOR:
+                generators.add(name)
+    assert runner.stats.committed == 10 + transactions
+    assert not RETIRED_TXN_FRAMES & set(frames), frames
+    # The participant's write is the only generator left on the path.
+    assert generators == {"write"}, generators
+    per_transaction = sum(frames.values()) / transactions
+    assert per_transaction <= MAX_FRAMES_PER_TRANSACTION, (
+        per_transaction, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 368 -> 306 (start-up cost amortises, nothing grows; 421
-#: -> 360 while a grain call was 15 frames, 524 -> 484 while a
+#: Measured: 315 -> 256 (start-up cost amortises, nothing grows;
+#: 368 -> 306 while a 2PC transaction was a generator, 421 -> 360
+#: while a grain call was 15 frames, 524 -> 484 while a
 #: transactional read was a ``CowState`` view);
 #: the retired ``dict(view)`` idiom measured 1 220 -> 1 517 (+24 %,
 #: against 1 162 -> 1 043 at the time) over the same span, but only
@@ -37,13 +38,16 @@ from repro.txn.participant import TransactionParticipant
 MAX_GROWTH = 1.10
 
 #: Python calls per committed transaction at ``duration_scale`` 0.8.
-#: Measured 306; 360 while the promise was an event beside the message
+#: Measured 255.8 (bound: measured + 10 %); 306 while a 2PC
+#: transaction was a generator resumed through the caller's process
+#: and an uncontended lock grant called ``acquire`` / ``release``,
+#: 360 while the promise was an event beside the message
 #: and a call went through ``dispatch`` and ``enqueue``, 484 while a
 #: transactional read was a ``CowState`` view, 530 while an
 #: uncontended lock grant called ``held_by``, ``_conflicts`` and
 #: ``_wake``, and 679 while a grain call was a message, a turn and two
 #: closures reading kernel state through properties.
-MAX_CALLS_PER_TX = 340
+MAX_CALLS_PER_TX = 282
 
 
 #: Python calls per committed transaction of the ``statefun`` cell at

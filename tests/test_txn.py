@@ -1,6 +1,17 @@
 """Unit tests for the distributed transaction layer."""
 
+from functools import partial
+
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.actors import Cluster, ClusterConfig
 from repro.apps import ALL_APPS, AppConfig
@@ -16,6 +27,7 @@ from repro.txn import (
     LockMode,
     TransactionAborted,
     TransactionContext,
+    TransactionParticipant,
     TransactionRunner,
     TransactionStatus,
     TransactionalGrain,
@@ -67,9 +79,8 @@ def make_runner(seed=1, **txn_kwargs):
 
 def run_txn(env, cluster, runner, grain_type, key, method, *args):
     ref = cluster.grain_ref(grain_type, key)
-    process = env.process(runner.run(
+    return env.run(until=runner.run(
         lambda ctx: ref.call(method, *args, txn=ctx)))
-    return env.run(until=process)
 
 
 class TestLockManager:
@@ -201,6 +212,165 @@ class TestLockManager:
             env.run(until=process)
 
 
+class LockTable(RuleBasedStateMachine):
+    """Random interleavings of lock requests, commits, aborts and kernel
+    steps over one participant's lock, on a real environment.
+
+    Requests go through ``TransactionParticipant.read`` / ``write`` —
+    the inline grant when the lock is uncontended, ``LockManager
+    .acquire`` otherwise — and are driven by hand, so the table is
+    checked right after an inline grant as well as after every wake-up.
+    """
+
+    #: Transactions in flight at once (committed ones make room).
+    MAX_LIVE = 5
+
+    def __init__(self):
+        super().__init__()
+        self.env = Environment(seed=1)
+        self.participant = TransactionParticipant(
+            self.env, ("Account", "k"), 0.0005)
+        self.lock = self.participant.lock
+        self.contexts = []
+        #: txid -> "idle" (may request), "waiting" (parked on a lock
+        #: event), "dead" (died of wait-die) or "done" (committed or
+        #: aborted).
+        self.phase = {}
+        self.acquires = 0
+        acquire = self.lock.acquire
+
+        def counting_acquire(ctx, mode):
+            self.acquires += 1
+            return acquire(ctx, mode)
+
+        self.lock.acquire = counting_acquire
+
+    def ready(self, *phases):
+        return [ctx for ctx in self.contexts
+                if self.phase[ctx.txid] in phases]
+
+    def advance(self, ctx, request, event):
+        """Run the request's generator to its next wait (a tiny
+        process): granted, parked on a lock event, or dead."""
+        try:
+            if event is None:
+                waited = next(request)
+            elif event.ok:
+                waited = request.send(event.value)
+            else:
+                event.defuse()
+                waited = request.throw(event.value)
+        except StopIteration:
+            self.phase[ctx.txid] = "idle"
+        except TransactionAborted as abort:
+            assert abort.reason == "wait-die"
+            self.phase[ctx.txid] = "dead"
+        else:
+            self.phase[ctx.txid] = "waiting"
+            waited.callbacks.append(partial(self.advance, ctx, request))
+
+    @initialize(starts=st.lists(st.integers(0, 4), min_size=2,
+                                max_size=MAX_LIVE))
+    def begin_several(self, starts):
+        for start in starts:
+            self.begin(start)
+
+    @precondition(lambda self: len(self.ready("idle", "waiting", "dead"))
+                  < self.MAX_LIVE)
+    @rule(start=st.integers(0, 4))
+    def begin(self, start):
+        ctx = TransactionContext(float(start))
+        self.contexts.append(ctx)
+        self.phase[ctx.txid] = "idle"
+
+    @precondition(lambda self: self.ready("idle"))
+    @rule(data=st.data(), write=st.booleans())
+    def request(self, data, write):
+        ctx = data.draw(st.sampled_from(self.ready("idle")))
+        holders = dict(self.lock._holders)
+        queued = bool(self.lock._queue)
+        acquires = self.acquires
+        mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
+        request = (self.participant.write(ctx, {"by": ctx.txid}) if write
+                   else self.participant.read(ctx))
+        self.advance(ctx, request, None)
+        held = holders.get(ctx.txid)
+        new_grant = held is None or (
+            write and held[1] is LockMode.SHARED)
+        if self.acquires == acquires and new_grant:
+            # Granted inline: nobody was bypassed.
+            assert self.lock.held_by(ctx) is mode
+            assert not queued, "an inline grant bypassed a queued waiter"
+            assert set(holders) <= {ctx.txid}, (
+                "an inline grant ignored another holder")
+
+    @precondition(lambda self: self.ready("idle"))
+    @rule(data=st.data())
+    def commit(self, data):
+        ctx = data.draw(st.sampled_from(self.ready("idle")))
+        participant = self.participant
+        if participant.vote(ctx):
+            ctx.status = TransactionStatus.PREPARING
+            participant.mark_prepared(ctx)
+            participant.install(ctx)
+            participant.mark_committed(ctx)
+            ctx.status = TransactionStatus.COMMITTED
+        else:
+            ctx.status = TransactionStatus.ABORTED
+            participant.abort(ctx)
+        self.phase[ctx.txid] = "done"
+
+    @precondition(lambda self: self.ready("idle", "dead"))
+    @rule(data=st.data())
+    def abort(self, data):
+        ctx = data.draw(st.sampled_from(self.ready("idle", "dead")))
+        ctx.status = TransactionStatus.ABORTED
+        self.participant.abort(ctx)
+        self.phase[ctx.txid] = "done"
+
+    @rule()
+    def step(self):
+        """Run every kernel entry due now, not those they schedule."""
+        marker = self.env.event()
+        self.env.schedule(marker)
+        self.env.run(until=marker)
+
+    @rule()
+    def drain(self):
+        self.env.run()
+
+    @invariant()
+    def holders_are_compatible(self):
+        modes = [mode for _, mode in self.lock._holders.values()]
+        assert LockMode.EXCLUSIVE not in modes or len(modes) == 1, modes
+
+    @invariant()
+    def waiters_wait_only_for_younger_holders(self):
+        """Every queued waiter conflicts with some holder (no lost
+        wake-up) and is older than each one it conflicts with."""
+        for waiter in self.lock._queue:
+            assert self.phase[waiter.ctx.txid] == "waiting"
+            conflicting = [
+                holder for txid, (holder, mode)
+                in self.lock._holders.items()
+                if txid != waiter.ctx.txid
+                and LockMode.EXCLUSIVE in (mode, waiter.mode)]
+            assert conflicting, "a waiter was not woken"
+            for holder in conflicting:
+                assert waiter.ctx.older_than(holder), (
+                    waiter.ctx.priority, holder.priority)
+
+    @invariant()
+    def finished_transactions_hold_nothing(self):
+        for txid in self.lock._holders:
+            assert self.phase[txid] != "done"
+
+
+TestLockTable = LockTable.TestCase
+TestLockTable.settings = settings(max_examples=150,
+                                  stateful_step_count=50, deadline=None)
+
+
 class TestTransactionRunner:
     def test_commit_applies_state(self):
         env, cluster, runner = make_runner()
@@ -240,12 +410,11 @@ class TestTransactionRunner:
     def test_concurrent_increments_are_serialised(self):
         env, cluster, runner = make_runner()
         ref = cluster.grain_ref(Account, "hot")
-        processes = [
-            env.process(runner.run(
-                lambda ctx: ref.call("deposit", 1, txn=ctx)))
+        transactions = [
+            runner.run(lambda ctx: ref.call("deposit", 1, txn=ctx))
             for _ in range(25)]
         env.run()
-        failed = [p for p in processes if not p.ok]
+        failed = [txn for txn in transactions if not txn.ok]
         assert not failed
         assert run_txn(env, cluster, runner, Account, "hot",
                        "balance") == 25
@@ -257,13 +426,13 @@ class TestTransactionRunner:
         bank = cluster.grain_ref(Bank, "bank")
         pairs = [("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"),
                  ("b", "a"), ("c", "b")] * 4
-        processes = []
+        transactions = []
         for source, target in pairs:
-            processes.append(env.process(runner.run(
+            transactions.append(runner.run(
                 lambda ctx, s=source, t=target: bank.call(
-                    "transfer", s, t, 1, txn=ctx))))
+                    "transfer", s, t, 1, txn=ctx)))
         env.run()
-        committed = sum(1 for p in processes if p.ok)
+        committed = sum(1 for txn in transactions if txn.ok)
         assert committed >= 1
         total = sum(
             run_txn(env, cluster, runner, Account, key, "balance")
@@ -273,12 +442,11 @@ class TestTransactionRunner:
     def test_retry_preserves_priority_and_eventually_commits(self):
         env, cluster, runner = make_runner(max_retries=10)
         ref = cluster.grain_ref(Account, "hot")
-        processes = [
-            env.process(runner.run(
-                lambda ctx: ref.call("deposit", 1, txn=ctx)))
+        transactions = [
+            runner.run(lambda ctx: ref.call("deposit", 1, txn=ctx))
             for _ in range(10)]
         env.run()
-        assert all(p.ok for p in processes)
+        assert all(txn.ok for txn in transactions)
         assert runner.stats.committed == 10
 
     def test_stats_track_aborts(self):
@@ -309,12 +477,11 @@ class TestTransactionRunner:
         for locking in (True, False):
             env, cluster, runner = make_runner(enable_locking=locking)
             ref = cluster.grain_ref(Account, "hot")
-            processes = [
-                env.process(runner.run(
-                    lambda ctx: ref.call("deposit", 1, txn=ctx)))
+            transactions = [
+                runner.run(lambda ctx: ref.call("deposit", 1, txn=ctx))
                 for _ in range(10)]
             env.run()
-            assert all(p.ok for p in processes)
+            assert all(txn.ok for txn in transactions)
             assert runner.stats.committed == 10
             balance = run_txn(env, cluster, runner, Account, "hot",
                               "balance")
