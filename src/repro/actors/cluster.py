@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import typing
+from heapq import heappush as _heappush
 
 from repro.actors.errors import (
     MessageDropped,
@@ -34,7 +35,7 @@ from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
 from repro.broker import Broker
 from repro.cow import clone as cow_clone
-from repro.runtime.events import PENDING
+from repro.runtime.events import PENDING, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment, Event
@@ -548,8 +549,27 @@ class Cluster:
         # A raw pooled-event callback, not a process: message transit
         # has no body to suspend, and a full Process costs two extra
         # events per hop on the hottest path in the simulator.
-        self.env.call_after(
-            latency, functools.partial(self._deliver, message, target))
+        # ``env.call_after(latency, partial(self._deliver, ...))``,
+        # inline: the same pool, sequence and heap steps in the same
+        # order.
+        env = self.env
+        env.pool_acquires += 1
+        pool = env._pool
+        if pool:
+            env.pool_hits += 1
+            event = pool.pop()
+        else:
+            event = PooledEvent(env)
+        event._value = None
+        event.callbacks.append(  # type: ignore[union-attr]
+            functools.partial(self._deliver, message, target))
+        env._seq = seq = env._seq + 1
+        if latency > 0.0:
+            _heappush(env._queue, (env.now + latency, seq, event))
+        elif latency == 0.0:
+            env._bucket.append((seq, event))
+        else:
+            raise ValueError(f"negative delay {latency}")
 
     def _deliver(self, message: Message, target: Silo,
                  _event: "Event") -> None:
@@ -582,11 +602,9 @@ class Cluster:
                 # mailbox.
                 activation.mailbox.append(message)
             else:
-                # The common case: charge the CPU cost, as ``_pump``
-                # would.
-                message.activation = activation
-                activation.inflight.add(message)
-                target.cpu.hold(activation.grain.cpu_cost, message._run)
+                # The common case: the turn starts now, as ``_pump``
+                # would start it.
+                message._charge(activation)
             return
         # Dead, draining-without-activation, or stale target: re-place.
         if message.attempts >= self.config.max_delivery_attempts:

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import collections
 import typing
+from heapq import heappush as _heappush
 from types import GeneratorType as _GeneratorType
 
 from repro.actors.errors import GrainCallError, SiloUnavailable
-from repro.runtime.events import PENDING, Event
+from repro.runtime.events import PENDING, Event, PooledEvent
 from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -59,7 +60,11 @@ class Message(Event):
     the end of the turn and fired at the caller); a generator method
     adds exactly the events it yields.  A ``oneway`` message (a
     ``tell``) is defused from birth and never triggered by its turn,
-    so it costs two.  Two rules of the actor model live here:
+    so it costs two.  The message pushes each entry itself — the
+    cluster's ``_route`` the delivery, :meth:`_charge` the CPU hold,
+    :meth:`_reply` the reply — with the kernel's own pool, sequence
+    and heap steps, so a call costs seven Python frames.  Two rules of
+    the actor model live here:
 
     * ``grain.current_txn`` is restored before *every* resumption.
       Reentrant grains interleave turns on one grain instance, so
@@ -79,7 +84,7 @@ class Message(Event):
                  kwargs: dict, txn: object | None, ref: "GrainRef",
                  oneway: bool) -> None:
         # Event's fields, set here: a message is built per call, and
-        # ``Event.__init__`` would add a frame to the call's ten.
+        # ``Event.__init__`` would add a frame to the call's seven.
         self.env = env
         self.callbacks = []
         self._value = PENDING
@@ -101,9 +106,61 @@ class Message(Event):
         self.generator: typing.Generator | None = None
         self.oneway = oneway
 
+    def _charge(self, activation: "Activation") -> None:
+        """Start this message's turn on ``activation``: hold one of the
+        silo's cores for the grain's CPU cost, then :meth:`_run`.  The
+        only place a turn takes a core (``Cluster._deliver`` and
+        ``Activation._pump`` call it).
+
+        A free core is taken at once and the hold is one pooled entry,
+        pushed as ``env.call_after(cost, self._run)`` would push it;
+        with every core busy the turn queues FIFO behind earlier
+        requests (``Resource.request``).  A negative or NaN cost is
+        rejected before the turn starts, so it takes no core and
+        leaves nothing in flight."""
+        cost = activation.grain.cpu_cost
+        if not cost >= 0.0:
+            raise ValueError(f"negative delay {cost}")
+        self.activation = activation
+        activation.inflight.add(self)
+        cpu = activation.silo.cpu
+        if cpu._in_use < cpu.capacity:
+            env = self.env
+            now = env.now  # Resource._account(), inline
+            cpu._busy_time += cpu._in_use * (now - cpu._last_change)
+            cpu._last_change = now
+            cpu._in_use += 1
+            # env.call_after(cost, self._run), inline: the same pool,
+            # sequence and heap steps in the same order.
+            env.pool_acquires += 1
+            pool = env._pool
+            if pool:
+                env.pool_hits += 1
+                event = pool.pop()
+            else:
+                event = PooledEvent(env)
+            event._value = None
+            event.callbacks.append(self._run)  # type: ignore[union-attr]
+            env._seq = seq = env._seq + 1
+            if cost > 0.0:
+                _heappush(env._queue, (now + cost, seq, event))
+            else:
+                env._bucket.append((seq, event))
+        else:
+            cpu.request().callbacks.append(  # type: ignore[union-attr]
+                lambda _grant: self.env.call_after(cost, self._run))
+
     def _run(self, _event: "Event") -> None:
-        """The CPU hold is over: run the method body."""
+        """The CPU hold is over: free the core, run the method body."""
         activation = self.activation
+        cpu = activation.silo.cpu
+        if cpu._waiting:
+            cpu._release_slot()
+        else:  # the same with nobody to grant, inline
+            now = self.env.now
+            cpu._busy_time += cpu._in_use * (now - cpu._last_change)
+            cpu._last_change = now
+            cpu._in_use -= 1
         if activation.defunct:
             return  # crashed while waiting for a core; already failed
         grain = activation.grain
@@ -173,7 +230,17 @@ class Message(Event):
             # The message itself travels back: triggered now, fired at
             # arrival.  (Already triggered: the silo crashed under this
             # call and failed it; no late outcome escapes a dead silo.)
-            self.trigger_after(self.reply_latency, value, ok)
+            # ``self.trigger_after(self.reply_latency, value, ok)``,
+            # inline; ``_route`` already rejected a negative latency.
+            env = self.env
+            env._seq = seq = env._seq + 1
+            latency = self.reply_latency
+            if latency > 0.0:
+                _heappush(env._queue, (env.now + latency, seq, self))
+            else:
+                env._bucket.append((seq, self))
+            self._ok = ok
+            self._value = value
         if activation.mailbox:
             activation._pump()
 
@@ -222,10 +289,7 @@ class Activation:
         mailbox = self.mailbox
         reentrant = self.grain.reentrant
         while mailbox and (reentrant or not self.inflight):
-            message = mailbox.popleft()
-            message.activation = self
-            self.inflight.add(message)
-            self.silo.cpu.hold(self.grain.cpu_cost, message._run)
+            mailbox.popleft()._charge(self)
 
     # ------------------------------------------------------------------
     def _start(self):

@@ -114,7 +114,10 @@ class Environment:
         Replaces the ``env.timeout(d).callbacks.append(cb)`` idiom on
         the message send/reply/broker-deliver hot paths with a pooled
         event, so steady-state delivery allocates nothing.
-        ``Resource.hold`` inlines this body; keep the two identical.
+        The grain-call path inlines this body twice — the delivery in
+        ``repro.actors.cluster.Cluster._route`` and the CPU hold in
+        ``repro.actors.silo.Message._charge`` — keep all three
+        identical.
         """
         self.pool_acquires += 1
         pool = self._pool

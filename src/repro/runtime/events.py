@@ -177,36 +177,44 @@ class AllOf(Event):
 
     def __init__(self, env: "Environment",
                  events: typing.Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
+        # Event's fields, set here, and the members' states read as
+        # attributes, not properties: a fan-out builds one per call.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self._events = members = list(events)
         self._count = 0
 
-        for event in self._events:
+        for event in members:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
 
-        if not self._events:
+        if not members:
             self.succeed({})
             return
 
-        for event in self._events:
-            if self.triggered:
+        check = self._check
+        for event in members:
+            if self._value is not PENDING:
                 break  # already decided: do not subscribe to the rest
-            if event.processed:
-                self._check(event)
-            elif event.callbacks is not None:
-                event.callbacks.append(self._check)
+            callbacks = event.callbacks
+            if callbacks is None:  # already processed
+                check(event)
+            else:
+                callbacks.append(check)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
         self._count += 1
-        if not event.ok:
-            event.defuse()
-            self.fail(typing.cast(BaseException, event.value))
+        if not event._ok:
+            event._defused = True
+            self.fail(typing.cast(BaseException, event._value))
             self._detach()
         elif self._count >= len(self._events):
-            self.succeed({member: member.value
+            self.succeed({member: member._value
                           for member in self._events})
 
     def _detach(self) -> None:

@@ -33,7 +33,13 @@ class Process(Event):
                  name: str | None = None) -> None:
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # Event's fields, set here: a fan-out starts a process per
+        # member, and ``Event.__init__`` would add a frame to each.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         # Bound methods cached once: _resume runs for every event the
         # process waits on, so per-resume attribute chains add up.
@@ -50,18 +56,22 @@ class Process(Event):
                 result = self._send(event._value)
             else:
                 # The event failed: raise its exception inside the process.
-                event.defuse()
+                event._defused = True
                 result = self._throw(
-                    typing.cast(BaseException, event.value))
+                    typing.cast(BaseException, event._value))
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            env.schedule(self)
+            # Finished: fire as ``Event.succeed`` does, through the
+            # same-tick bucket (``env.schedule(self)``, inline).
+            env._seq = seq = env._seq + 1
+            env._bucket.append((seq, self))
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-            env.schedule(self)
+            env._seq = seq = env._seq + 1
+            env._bucket.append((seq, self))
             return
 
         if not isinstance(result, Event):

@@ -1,19 +1,24 @@
 """Capacity-limited resources for modelling CPU cores and similar.
 
-A :class:`Resource` has a fixed number of slots.  A caller holds a slot
-for the duration of its simulated work (:meth:`Resource.hold`).  When all
-slots are busy, requests queue FIFO — this queueing is what produces
-realistic saturation behaviour (latency rising as offered load
+A :class:`Resource` has a fixed number of slots.  A caller takes a slot
+with :meth:`Resource.request`, holds it for the duration of its
+simulated work and gives it back with :meth:`Resource.release`.  When
+all slots are busy, requests queue FIFO — this queueing is what
+produces realistic saturation behaviour (latency rising as offered load
 approaches capacity) in the benchmark results.
+
+A grain turn takes a silo core without a request when one is free
+(``repro.actors.silo.Message._charge`` and ``_run`` inline this
+module's bookkeeping) and queues through :meth:`Resource.request`
+otherwise.
 """
 
 from __future__ import annotations
 
 import collections
 import typing
-from heapq import heappush as _heappush
 
-from repro.runtime.events import Event, PooledEvent
+from repro.runtime.events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.environment import Environment
@@ -53,7 +58,8 @@ class Resource:
         return len(self._waiting)
 
     def _account(self) -> None:
-        # Inlined at the per-message sites below; keep them identical.
+        # Inlined in ``_release_slot`` and, per grain turn, in
+        # ``Message._charge`` / ``_run``; keep them identical.
         now = self.env.now
         self._busy_time += self._in_use * (now - self._last_change)
         self._last_change = now
@@ -98,53 +104,3 @@ class Resource:
         if not request.granted:
             raise RuntimeError("releasing a request that was never granted")
         self._release_slot()
-
-    def hold(self, duration: float,
-             then: typing.Callable[[Event], None]) -> None:
-        """Acquire a slot, hold it ``duration``, release it, then run
-        ``then(event)``.
-
-        The grant is synchronous when a slot is free — no grant event
-        (and no :class:`ResourceRequest` at all) is created and the hold
-        starts immediately; otherwise the caller queues FIFO behind
-        earlier requests.  The slot is always released, whatever became
-        of the caller meanwhile.
-        """
-        def held(event: Event) -> None:
-            if self._waiting:
-                self._release_slot()
-            else:  # the same with nobody to grant, inline
-                now = self.env.now
-                self._busy_time += self._in_use * (now - self._last_change)
-                self._last_change = now
-                self._in_use -= 1
-            then(event)
-
-        if self._in_use < self.capacity:
-            env = self.env
-            now = env.now  # _account(), inline
-            self._busy_time += self._in_use * (now - self._last_change)
-            self._last_change = now
-            self._in_use += 1
-            # env.call_after(duration, held), inline: the same pool,
-            # sequence and heap steps in the same order.
-            env.pool_acquires += 1
-            pool = env._pool
-            if pool:
-                env.pool_hits += 1
-                event = pool.pop()
-            else:
-                event = PooledEvent(env)
-            event._value = None
-            event.callbacks.append(held)  # type: ignore[union-attr]
-            env._seq = seq = env._seq + 1
-            if duration > 0.0:
-                _heappush(env._queue, (now + duration, seq, event))
-            elif duration == 0.0:
-                env._bucket.append((seq, event))
-            else:
-                self._in_use -= 1
-                raise ValueError(f"negative delay {duration}")
-        else:
-            self.request().callbacks.append(  # type: ignore[union-attr]
-                lambda _grant: self.env.call_after(duration, held))

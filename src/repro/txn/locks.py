@@ -6,7 +6,7 @@ import collections
 import enum
 import typing
 
-from repro.txn.context import TransactionContext
+from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.errors import TransactionAborted
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,7 +37,9 @@ class LockManager:
     ``"wait-die"``).  The rule is checked when a request first
     conflicts and again for every waiter whenever a grant or a release
     changes the holders.  Younger transactions therefore never wait
-    behind older ones, which rules out deadlock cycles.
+    behind older ones, which rules out deadlock cycles.  A waiter whose
+    transaction is no longer active when it wakes gives up (reason
+    ``"failure"``) instead of taking the lock.
 
     A context created with ``locking=False`` (the
     ``TxnConfig.enable_locking`` ablation, bench A1) is granted every
@@ -99,6 +101,14 @@ class LockManager:
             waiter = _Waiter(ctx, mode, self.env.event())
             self._queue.append(waiter)
             yield waiter.event
+            if ctx.status is not TransactionStatus.ACTIVE:
+                # The transaction ended while this request waited — its
+                # body died on a crashed silo and the runner aborted it
+                # before this grain enlisted — so nobody would ever
+                # release a lock granted now.
+                raise TransactionAborted(
+                    f"txn {ctx.txid} ended while waiting on lock "
+                    f"{self.name!r}", reason="failure")
             # Re-check conflicts after being woken (loop).
 
     def release(self, ctx: TransactionContext) -> None:

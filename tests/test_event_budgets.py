@@ -3,13 +3,14 @@ the callback-driven hot paths.
 
 A grain turn, a 2PC round and a statefun delivery and worker run as
 timeline entries — pooled ``call_after`` entries, or the message
-itself — not as processes.  Three things pin that restructuring here,
+itself — not as processes.  Four things pin that restructuring here,
 all as exact counts or exact float times read from the kernel
 (``env.events_processed``, ``env.now``):
 
 * the *budget*: a call to a method that never waits costs 3 events
-  and at most 18 Python frames of ``repro.actors`` + ``repro.runtime``,
-  a ``tell`` 2 events and at most 10 frames,
+  and at most 14 Python frames of ``repro.actors`` + ``repro.runtime``,
+  a ``tell`` 2 events and at most 8 frames, a four-member ``all_of``
+  fan-out over processes at most 38 frames of ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
   count, a one-participant transaction at most 38 frames of
   ``repro.txn`` + ``repro.runtime``, a statefun message at most 9
@@ -20,7 +21,10 @@ all as exact counts or exact float times read from the kernel
 * the *crash matrix*: a silo dying under a turn at each of its three
   states yields exactly one outcome per caller and never resumes the
   abandoned body; the message is its own turn, so the same object is
-  followed from a dying silo's mailbox to its new owner.
+  followed from a dying silo's mailbox to its new owner;
+* the *order*: a scripted mix of calls and tells on two one-core
+  silos dispatches its steps in the very ``(time, sequence)`` order it
+  had when every entry went through the kernel's scheduling helpers.
 """
 
 import cProfile
@@ -101,28 +105,35 @@ def test_a_waiting_method_adds_exactly_its_own_events():
 
 #: Python frames (cProfile, builtins off) of ``repro.actors`` and
 #: ``repro.runtime`` code per warm ``env.run(until=ref.call("plain"))``.
-#: Measured 16: 10 for the call — ref.call, the message's
-#: ``__init__``, _route, call_after, _deliver, hold, held, _run,
-#: _reply, trigger_after — and 6 for the ``run(until=…)`` wrapper.  It
-#: was 21 while the promise was an event beside the message, and 37
-#: while a call was a message, a turn and two closures.  ``<=`` because
-#: interpreters differ in what they inline.
-MAX_FRAMES_PER_CALL = 18
+#: Measured 13: 7 for the call — ref.call, the message's ``__init__``,
+#: _route, _deliver, _charge, _run, _reply — and 6 for the
+#: ``run(until=…)`` wrapper.  It was 16 while the hop, the CPU hold and
+#: the reply went through call_after, ``Resource.hold`` (and its
+#: ``held`` closure) and trigger_after, 21 while the promise was an
+#: event beside the message, and 37 while a call was a message, a turn
+#: and two closures.  ``<=`` because interpreters differ in what they
+#: inline.
+MAX_FRAMES_PER_CALL = 14
 #: Pure reads of kernel state: attribute loads, never frames.
 READ_ONLY_FRAMES = {"now", "type_name", "alive", "_account"}
 #: The fused path itself: exactly one frame of each per call.
-FUSED_PATH = ("_route", "_deliver", "hold", "held", "_run", "_reply")
+FUSED_PATH = ("_route", "_deliver", "_charge", "_run", "_reply")
 #: Frames a warm call no longer costs: the retired dispatch hop, the
 #: activation's enqueue, the routing-cache hit, the tell's failure
-#: swallowing and the grain-side reference lookup.
+#: swallowing, the grain-side reference lookup, and the scheduling
+#: helpers the message now inlines — the hop's call_after, the CPU
+#: hold (``Resource.hold`` and its ``held`` closure) and the reply's
+#: trigger_after.
 RETIRED_FRAMES = {"dispatch", "enqueue", "_target_for", "track_oneway",
-                  "swallow", "grain_ref"}
+                  "swallow", "grain_ref", "call_after", "hold", "held",
+                  "trigger_after"}
 #: Frames of a ``tell`` plus the ``env.run()`` that delivers it.
-#: Measured 10: tell, the message's ``__init__``, _route, call_after,
-#: _deliver, hold, held, _run, _reply — no reply travels back — and
-#: ``run``.  It was 20 while a tell was a call with a reply whose
+#: Measured 8: tell, the message's ``__init__``, _route, _deliver,
+#: _charge, _run, _reply — no reply travels back — and ``run``.  It
+#: was 10 while the hop and the CPU hold went through call_after and
+#: ``Resource.hold``, and 20 while a tell was a call with a reply whose
 #: callback swallowed failures.
-MAX_FRAMES_PER_TELL = 10
+MAX_FRAMES_PER_TELL = 8
 
 
 def profiled_frames(action, repeats):
@@ -184,6 +195,53 @@ def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
     per_tell = sum(frames.values()) / tells
     assert per_tell <= MAX_FRAMES_PER_TELL, (per_tell, frames)
     assert "trigger_after" not in frames, frames
+
+
+#: Frames of ``repro.runtime`` code per four-member fan-out: ``all_of``
+#: over four processes that each wait on one timeout, driven by
+#: ``env.run()``.  Measured 37: per member process, ``Process
+#: .__init__``, call_after, _resume twice, timeout, ``Timeout
+#: .__init__`` and _check; all_of, ``AllOf.__init__``, the value
+#: dict's comprehension, succeed and run.  It was 66 while a process
+#: and an ``AllOf`` ran ``Event.__init__``, ``AllOf`` read the state
+#: properties and a finished process called ``schedule``.  Bound:
+#: measured + 1.
+MAX_FRAMES_PER_FAN_OUT = 38
+#: Event plumbing a fan-out reads as attributes: the state properties
+#: and the zero-delay ``schedule`` of a finished process.
+FAN_OUT_READS = {"triggered", "processed", "ok", "value", "schedule"}
+
+
+def test_fan_out_stays_in_its_frame_budget():
+    env = Environment(seed=1)
+
+    def member(index):
+        yield env.timeout(0.001)
+        return index
+
+    def fan_out():
+        done = env.all_of([env.process(member(index))
+                           for index in range(4)])
+        env.run()
+        return done
+
+    for _ in range(10):
+        fan_out()
+    fan_outs = 1000
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    for _ in range(fan_outs):
+        done = fan_out()
+    profiler.disable()
+    assert list(done.value.values()) == [0, 1, 2, 3]
+    frames = {}
+    for entry in profiler.getstats():
+        if "repro/runtime/" in entry.code.co_filename.replace("\\", "/"):
+            name = entry.code.co_name
+            frames[name] = frames.get(name, 0) + entry.callcount
+    assert not FAN_OUT_READS & set(frames), frames
+    per_fan_out = sum(frames.values()) / fan_outs
+    assert per_fan_out <= MAX_FRAMES_PER_FAN_OUT, (per_fan_out, frames)
 
 
 def test_statefun_message_costs_one_delivery_event():
@@ -867,3 +925,162 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
     times = [time for _, _, time in Slow.served]
     assert times == sorted(times) and len(set(times)) == 5
     assert activation.processed == 5 and not activation.mailbox
+
+
+# ---------------------------------------------------------------------------
+# (d) same-tick order on the actor path
+# ---------------------------------------------------------------------------
+class Sequenced(Grain):
+    """Non-reentrant; logs every step of its turns to ``timeline``."""
+
+    cpu_cost = 0.001
+    timeline: list = []
+
+    def plain(self, label):
+        self.timeline.append((self.env.now, f"{label} ran"))
+        return label
+
+    def generator(self, label, target):
+        self.timeline.append((self.env.now, f"{label} before"))
+        reply = yield self.call(target, "plain", f"{label}/nested")
+        self.timeline.append((self.env.now, f"{label} after {reply}"))
+        return label
+
+    def sleeps(self, label, seconds):
+        yield self.env.timeout(seconds)
+        self.timeline.append((self.env.now, f"{label} woke"))
+        return label
+
+
+class Instant(Sequenced):
+    """Costs no CPU: its turn holds the core for zero time, so its body
+    runs in the tick its message arrives."""
+
+    cpu_cost = 0.0
+
+
+class SequencedReentrant(Sequenced):
+    reentrant = True
+
+
+def actor_timeline():
+    """Run a fixed script of calls and tells on two one-core silos with
+    a jitter-free wire, so that many entries share a tick.  Returns the
+    ``(env.now, label)`` steps in dispatch order and the kernel events
+    processed."""
+    Sequenced.timeline = timeline = []
+    env = Environment(seed=3)
+    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1,
+                                         remote_jitter=0.0))
+
+    def refs(grain_type, silo, count):
+        keys = (f"k{i}" for i in range(100))
+        return [cluster.grain_ref(grain_type, key) for key in keys
+                if cluster.placement.place(grain_type.__name__, key)
+                is silo][:count]
+
+    left, right = cluster.silos
+    a0, a1, a2 = refs(Sequenced, left, 3)
+    b0, b1 = refs(Sequenced, right, 2)
+    (i0, i1), (j0,) = refs(Instant, left, 2), refs(Instant, right, 1)
+    (shared,) = refs(SequencedReentrant, left, 1)
+
+    def call(ref, method, label, *args):
+        promise = ref.call(method, label, *args)
+        promise.callbacks.append(
+            lambda _event: timeline.append((env.now, f"{label} replied")))
+
+    def script():
+        # One tick: three turns for the left silo's only core (the
+        # second message to a0 waits in its mailbox, a1 for the core),
+        # a turn that sleeps for exactly the wire latency,
+        # nested calls across silos, two interleaving turns on a
+        # reentrant grain, zero-cost turns and a tell.
+        call(a0, "plain", "p1")
+        # Wakes in the tick p1's reply arrives, one entry after it.
+        call(b0, "sleeps", "w1", 0.0004)
+        call(b0, "generator", "g1", a2)
+        call(a0, "plain", "p2")
+        call(a1, "plain", "p3")
+        call(i0, "plain", "i1")
+        call(j0, "generator", "j1", i1)
+        call(shared, "generator", "r1", b1)
+        call(shared, "generator", "r2", j0)
+        a1.tell("plain", "t1")
+        call(i0, "generator", "i2", j0)
+        # A second wave lands while the first still queues.  Only a2, b1
+        # and i1 serve nested calls, and none of them nests: no turn
+        # waits on a grain that waits on it.
+        yield env.timeout(0.0016)
+        call(a2, "generator", "g2", b1)
+        b1.tell("plain", "t2")
+        call(a0, "plain", "p4")
+        call(j0, "generator", "j2", i1)
+        call(i1, "plain", "i3")
+
+    env.process(script())
+    env.run()
+    return timeline, env.events_processed
+
+
+#: ``actor_timeline()`` recorded before the grain message scheduled its
+#: own hop, core hold and reply (each step took the same sequence
+#: number through ``call_after``, ``Resource.hold`` and
+#: ``trigger_after``).  A reply sent one bucket step late swaps
+#: "p1 replied" and "w1 woke" and costs one event more per reply.
+ACTOR_TIMELINE = [
+    (0.0014, "p1 ran"),
+    (0.0014, "j1 before"),
+    (0.0018, "p1 replied"),
+    (0.0018, "w1 woke"),
+    (0.0022, "w1 replied"),
+    (0.0024000000000000002, "p3 ran"),
+    (0.0024000000000000002, "i1 ran"),
+    (0.0028, "g1 before"),
+    (0.0028000000000000004, "p3 replied"),
+    (0.0028000000000000004, "i1 replied"),
+    (0.0034000000000000002, "r1 before"),
+    (0.0038, "t2 ran"),
+    (0.0044, "r2 before"),
+    (0.0048000000000000004, "r1/nested ran"),
+    (0.005200000000000001, "r1 after r1/nested"),
+    (0.0054, "p2 ran"),
+    (0.0054, "j1/nested ran"),
+    (0.005600000000000001, "r1 replied"),
+    (0.0058000000000000005, "p2 replied"),
+    (0.0058000000000000005, "j1 after j1/nested"),
+    (0.0058000000000000005, "j2 before"),
+    (0.006200000000000001, "j1 replied"),
+    (0.0064, "g2 before"),
+    (0.0074, "t1 ran"),
+    (0.0074, "i2 before"),
+    (0.0078000000000000005, "g2/nested ran"),
+    (0.0082, "g2 after g2/nested"),
+    (0.008400000000000001, "p4 ran"),
+    (0.008400000000000001, "i3 ran"),
+    (0.0086, "g2 replied"),
+    (0.0088, "p4 replied"),
+    (0.0088, "i3 replied"),
+    (0.009400000000000002, "g1/nested ran"),
+    (0.009400000000000002, "j2/nested ran"),
+    (0.009800000000000001, "g1 after g1/nested"),
+    (0.009800000000000001, "j2 after j2/nested"),
+    (0.009800000000000001, "r2/nested ran"),
+    (0.009800000000000001, "i2/nested ran"),
+    (0.0102, "g1 replied"),
+    (0.0102, "j2 replied"),
+    (0.0102, "r2 after r2/nested"),
+    (0.0102, "i2 after i2/nested"),
+    (0.0106, "r2 replied"),
+    (0.0106, "i2 replied"),
+]
+ACTOR_TIMELINE_EVENTS = 86
+
+
+def test_same_tick_order_on_the_actor_path_is_pinned():
+    """The goldens hash payloads, and a payload rarely depends on which
+    of two entries due in one tick runs first; this pins that order on
+    the grain-call path step by step."""
+    timeline, events = actor_timeline()
+    assert timeline == ACTOR_TIMELINE
+    assert events == ACTOR_TIMELINE_EVENTS

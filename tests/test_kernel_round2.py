@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import Environment, Resource, SimulationError
+from repro.runtime import Environment, SimulationError
 from repro.runtime.events import PENDING, PooledEvent
 
 # Coarse delay grid so that generated schedules collide on the same
@@ -26,9 +26,10 @@ from repro.runtime.events import PENDING, PooledEvent
 _delays = st.sampled_from([0.0, 0.5, 1.0, 1.5])
 
 #: Every way the kernel pushes an event onto its timeline.  ``succeed``
-#: is zero-delay by definition; ``hold`` takes a free slot.
-_SITES = ("schedule", "call_after", "trigger_after", "timeout", "succeed",
-          "hold")
+#: is zero-delay by definition.  The grain-call path's inline copies of
+#: ``call_after`` and ``trigger_after`` are pinned by the actor-path
+#: order test in ``test_event_budgets.py``.
+_SITES = ("schedule", "call_after", "trigger_after", "timeout", "succeed")
 
 
 def _specs(sites):
@@ -71,7 +72,6 @@ def _kernel_order(roots, until: float | None = None) -> list:
     """Dispatch order from the real Environment for the same schedule,
     each entry pushed through the site its spec names."""
     env = Environment()
-    resource = Resource(env, capacity=1_000)
     order = []
 
     def push(label, spec, followups) -> None:
@@ -83,8 +83,6 @@ def _kernel_order(roots, until: float | None = None) -> list:
         site, delay = spec
         if site == "call_after":
             env.call_after(delay, record)
-        elif site == "hold":
-            resource.hold(delay, record)
         elif site == "timeout":
             env.timeout(delay).callbacks.append(record)
         else:

@@ -7,6 +7,7 @@ import pytest
 
 import repro.runtime
 
+from repro.actors import Cluster, ClusterConfig, Grain
 from repro.runtime import (
     AllOf,
     Environment,
@@ -288,20 +289,49 @@ def test_no_scheduling_call_accepts_a_negative_delay():
     assert env.run(until=event) == "on time" and env.now == 1.5
 
 
+class NanCost(Grain):
+    """A grain turn whose CPU hold would last NaN seconds."""
+
+    cpu_cost = float("nan")
+
+    def plain(self):
+        return self.key
+
+
+class Busy(Grain):
+    """Keeps a core for 10 ms a turn."""
+
+    cpu_cost = 0.01
+
+    def plain(self):
+        return self.key
+
+
+def _nan_cost_behind_a_busy_core(env, cluster):
+    cluster.grain_ref(Busy, "k").call("plain")
+    env.run(until=cluster.grain_ref(NanCost, "k").call("plain"))
+
+
 @pytest.mark.parametrize("call", [
-    lambda env, cpu: env.timeout(float("nan")),
-    lambda env, cpu: env.schedule(env.event(), float("nan")),
-    lambda env, cpu: env.call_after(float("nan"), lambda _event: None),
-    lambda env, cpu: env.event().trigger_after(float("nan")),
-    lambda env, cpu: cpu.hold(float("nan"), lambda _event: None),
-    lambda env, cpu: env.run(until=float("nan")),
-], ids=["timeout", "schedule", "call_after", "trigger_after", "hold",
-        "run-until"])
+    lambda env, cluster: env.timeout(float("nan")),
+    lambda env, cluster: env.schedule(env.event(), float("nan")),
+    lambda env, cluster: env.call_after(float("nan"), lambda _event: None),
+    lambda env, cluster: env.event().trigger_after(float("nan")),
+    lambda env, cluster: env.run(
+        until=cluster.grain_ref(NanCost, "k").call("plain")),
+    _nan_cost_behind_a_busy_core,
+    lambda env, cluster: env.run(until=float("nan")),
+], ids=["timeout", "schedule", "call_after", "trigger_after", "cpu_cost",
+        "cpu_cost-busy-core", "run-until"])
 def test_nan_delay_or_stop_time_is_rejected(call):
     """A NaN compares false with everything, so a check written as
-    ``delay < 0`` lets it through and the clock becomes NaN."""
+    ``delay < 0`` lets it through and the clock becomes NaN.  A grain
+    turn's CPU cost is rejected before the turn takes or queues for a
+    core: rejected only when a queued turn is granted its core, it
+    would keep that core for good and starve the silo."""
     env = Environment()
-    cpu = Resource(env, capacity=1)
+    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1))
+    (cpu,) = [silo.cpu for silo in cluster.silos]
 
     def ticker(env):
         for _ in range(3):
@@ -310,7 +340,7 @@ def test_nan_delay_or_stop_time_is_rejected(call):
     env.process(ticker(env))
     env.run(until=1.5)
     with pytest.raises(ValueError):
-        call(env, cpu)
+        call(env, cluster)
     env.run()
     assert env.now == 3.0 and cpu.in_use == 0
 
@@ -345,20 +375,31 @@ class TestResource:
         assert resource.queue_length == 1
 
     def test_release_wakes_fifo_waiter(self):
+        # Grain turns on a one-core silo over a zero-latency wire, all
+        # sent at 0: each turn holds the core for its grain's CPU cost.
         env = Environment()
-        resource = Resource(env, capacity=1)
+        cluster = Cluster(env, ClusterConfig(
+            silos=1, cores_per_silo=1, local_latency=0.0,
+            remote_latency=0.0, remote_jitter=0.0))
+        (cpu,) = [silo.cpu for silo in cluster.silos]
         order = []
 
-        def user(name, hold):
-            resource.hold(hold, lambda _event: order.append(
-                (name, env.now, resource.in_use)))
+        class Holder(Grain):
+            def work(self):
+                order.append((self.key, env.now, cpu.in_use))
 
-        user("a", 2.0)
-        user("b", 1.0)
-        user("c", 1.0)
+        class LongHolder(Holder):
+            cpu_cost = 2.0
+
+        class ShortHolder(Holder):
+            cpu_cost = 1.0
+
+        cluster.grain_ref(LongHolder, "a").call("work")
+        cluster.grain_ref(ShortHolder, "b").call("work")
+        cluster.grain_ref(ShortHolder, "c").call("work")
         env.run()
-        # FIFO; a slot is released (and handed to the next waiter)
-        # before the holder's continuation runs.
+        # FIFO; a core is released (and handed to the next waiter)
+        # before the turn's body runs.
         assert order == [("a", 2.0, 1), ("b", 3.0, 1), ("c", 4.0, 0)]
 
     def test_capacity_validation(self):
@@ -374,18 +415,21 @@ class TestResource:
         with pytest.raises(RuntimeError):
             resource.release(blocked)
 
-    def test_uncontended_hold_costs_one_event(self):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-        resource.hold(0.5, lambda _event: None)
-        env.run()
-        assert env.events_processed == 1
-        assert resource.utilisation() == pytest.approx(0.5)
-
     def test_utilisation_accounting(self):
+        # One grain turn holding a core of a two-core silo for 4 s.
         env = Environment()
-        resource = Resource(env, capacity=2)
-        resource.hold(4.0, lambda _event: None)
+        cluster = Cluster(env, ClusterConfig(
+            silos=1, cores_per_silo=2, local_latency=0.0,
+            remote_latency=0.0, remote_jitter=0.0))
+        (resource,) = [silo.cpu for silo in cluster.silos]
+
+        class Busy(Grain):
+            cpu_cost = 4.0
+
+            def work(self):
+                return self.key
+
+        cluster.grain_ref(Busy, "a").call("work")
         env.run(until=8.0)
         # one of two slots busy for half the horizon -> 25%
         assert resource.utilisation() == pytest.approx(0.25)

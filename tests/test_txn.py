@@ -13,7 +13,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.actors import Cluster, ClusterConfig
+from repro.actors import Cluster, ClusterConfig, SiloUnavailable
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import (
     BenchmarkDriver,
@@ -213,8 +213,9 @@ class TestLockManager:
 
 
 class LockTable(RuleBasedStateMachine):
-    """Random interleavings of lock requests, commits, aborts and kernel
-    steps over one participant's lock, on a real environment.
+    """Random interleavings of lock requests, commits, aborts, ends of
+    waiting transactions and kernel steps over one participant's lock,
+    on a real environment.
 
     Requests go through ``TransactionParticipant.read`` / ``write`` —
     the inline grant when the lock is uncontended, ``LockManager
@@ -233,8 +234,8 @@ class LockTable(RuleBasedStateMachine):
         self.lock = self.participant.lock
         self.contexts = []
         #: txid -> "idle" (may request), "waiting" (parked on a lock
-        #: event), "dead" (died of wait-die) or "done" (committed or
-        #: aborted).
+        #: event), "dead" (died of wait-die) or "done" (committed,
+        #: aborted, or ended while it waited and gave up).
         self.phase = {}
         self.acquires = 0
         acquire = self.lock.acquire
@@ -263,8 +264,14 @@ class LockTable(RuleBasedStateMachine):
         except StopIteration:
             self.phase[ctx.txid] = "idle"
         except TransactionAborted as abort:
-            assert abort.reason == "wait-die"
-            self.phase[ctx.txid] = "dead"
+            if ctx.status is TransactionStatus.ABORTED:
+                # Ended while it waited: it gives up or dies, either way
+                # without the lock.
+                assert abort.reason in ("failure", "wait-die"), abort
+                self.phase[ctx.txid] = "done"
+            else:
+                assert abort.reason == "wait-die"
+                self.phase[ctx.txid] = "dead"
         else:
             self.phase[ctx.txid] = "waiting"
             waited.callbacks.append(partial(self.advance, ctx, request))
@@ -328,6 +335,21 @@ class LockTable(RuleBasedStateMachine):
         self.participant.abort(ctx)
         self.phase[ctx.txid] = "done"
 
+    def waiting_and_active(self):
+        return [ctx for ctx in self.ready("waiting") if ctx.is_active]
+
+    @precondition(lambda self: self.waiting_and_active())
+    @rule(data=st.data())
+    def end_while_waiting(self, data):
+        """The transaction ends elsewhere — its body dies with a
+        crashed silo — while this request waits: the runner marks it
+        aborted and rolls back the participants it enlisted, which
+        need not include this one."""
+        ctx = data.draw(st.sampled_from(self.waiting_and_active()))
+        ctx.status = TransactionStatus.ABORTED
+        if self.participant.identity in ctx.participants:
+            self.participant.abort(ctx)
+
     @rule()
     def step(self):
         """Run every kernel entry due now, not those they schedule."""
@@ -362,8 +384,11 @@ class LockTable(RuleBasedStateMachine):
 
     @invariant()
     def finished_transactions_hold_nothing(self):
-        for txid in self.lock._holders:
+        for txid, (holder, _mode) in self.lock._holders.items():
             assert self.phase[txid] != "done"
+            assert holder.status not in (TransactionStatus.COMMITTED,
+                                         TransactionStatus.ABORTED), (
+                "a finished transaction holds the lock")
 
 
 TestLockTable = LockTable.TestCase
@@ -544,3 +569,54 @@ def test_sixteen_closed_loop_writers_do_not_stall_on_a_lock_cycle():
         DriverConfig(workers=16, warmup=0.5, duration=2.0, drain=1.0),
         data_seed=801).run()
     assert sum(op.ok for op in metrics.ops.values()) >= 1000
+
+
+class Reader(TransactionalGrain):
+    """Reads an account's balance through a nested call."""
+
+    def peek(self, key):
+        account = self.cluster.grain_ref(Account, key)
+        return (yield self.call(account, "balance"))
+
+
+def test_a_waiter_whose_transaction_ended_elsewhere_is_not_granted():
+    """An older transaction's nested read queues behind a younger one's
+    X lock; the silo running the older one's body crashes, and the
+    runner aborts the attempt before the waiting read ever enlisted
+    the account.  When the younger one commits, the woken read must
+    give up rather than take the lock for a dead transaction: a lock
+    so leaked makes every later writer of the account die by
+    wait-die."""
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig(silos=2,
+                                         failure_detection_delay=0.0))
+    runner = TransactionRunner(cluster, TxnConfig(max_retries=0))
+    account = cluster.grain_ref(Account, "x")
+    home = cluster.placement.place("Account", "x")
+    (crashing,) = [silo for silo in cluster.silos if silo is not home]
+    reader = cluster.grain_ref(Reader, next(
+        key for key in (f"r{i}" for i in range(100))
+        if cluster.placement.place("Reader", key) is crashing))
+
+    def older_body(ctx):
+        yield env.timeout(0.002)  # the younger one writes first
+        return (yield reader.call("peek", "x", txn=ctx))
+
+    def younger_body(ctx):
+        yield account.call("deposit", 5, txn=ctx)
+        yield env.timeout(0.01)
+
+    older = runner.run(lambda ctx: env.process(older_body(ctx)))
+    younger = runner.run(lambda ctx: env.process(younger_body(ctx)))
+    older.callbacks.append(lambda event: event.defuse())
+    lock = cluster.grain_instance(account).participant.lock
+    env.run(until=0.005)
+    assert [waiter.ctx for waiter in lock._queue] == [older.ctx]
+    cluster.crash_silo(crashing)
+    env.run(until=1.0)
+    assert younger.ok and not older.ok
+    assert isinstance(older.value, SiloUnavailable)
+    assert older.ctx.status is TransactionStatus.ABORTED
+    assert lock.holders() == [] and not lock._queue
+    assert env.run(until=runner.run(
+        lambda ctx: account.call("deposit", 1, txn=ctx))) == 6
