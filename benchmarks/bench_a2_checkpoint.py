@@ -18,7 +18,7 @@ INTERVALS = (0.05, 0.25, 1.0, 0.0)  # 0 disables checkpointing
 def run_sweep():
     cells = {}
     for interval in INTERVALS:
-        config = StatefunConfig(partitions=2, cores_per_partition=2,
+        config = StatefunConfig(partitions=2,
                                 checkpoint_interval=interval,
                                 checkpoint_sync=0.02)
         metrics, _, app = run_experiment(

@@ -23,8 +23,7 @@ def run(crashes: int):
     env = Environment(seed=5)
     app = StatefunApp(env, AppConfig(silos=2, cores_per_silo=4),
                       statefun_config=StatefunConfig(
-                          partitions=2, cores_per_partition=4,
-                          checkpoint_interval=0.2,
+                          partitions=2, checkpoint_interval=0.2,
                           recovery_pause=0.1))
     workload = WorkloadConfig(sellers=3, customers=30,
                               products_per_seller=5)

@@ -40,6 +40,12 @@ from repro.runtime.events import PENDING, PooledEvent
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment, Event
 
+#: Poll interval of drain/migration sweeps waiting for activations to
+#: go quiet.
+HANDOFF_POLL = 0.001
+#: Sweep interval of the working-set eviction loop.
+WORKING_SET_SWEEP = 0.05
+
 
 @dataclasses.dataclass
 class ClusterConfig:
@@ -60,9 +66,6 @@ class ClusterConfig:
     #: Delivery attempts per message before the caller sees
     #: ``SiloUnavailable`` (first send + rerouting hops).
     max_delivery_attempts: int = 4
-    #: Poll interval of drain/migration sweeps waiting for activations
-    #: to go quiet.
-    handoff_poll: float = 0.001
     #: Time between a silo crash and the membership view evicting it
     #: (Orleans-style failure detection).  Until eviction the ring
     #: still routes to the dead silo and callers see unavailability —
@@ -75,8 +78,6 @@ class ClusterConfig:
     #: grains above the limit out to the pager store; re-activation
     #: transparently reads them back.
     activation_limit: int | None = None
-    #: Sweep interval of the working-set eviction loop.
-    working_set_sweep: float = 0.05
 
     def __post_init__(self) -> None:
         # Checked once, here: routing never looks again, and a negative
@@ -85,8 +86,6 @@ class ClusterConfig:
         rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
             "local_latency", "remote_latency", "remote_jitter",
             "failure_detection_delay")]
-        rules += [(name, "> 0", getattr(self, name) > 0)
-                  for name in ("handoff_poll", "working_set_sweep")]
         rules += [(name, ">= 1", getattr(self, name) >= 1) for name in (
             "silos", "cores_per_silo", "max_delivery_attempts")]
         rules += [("drop_probability", "in [0, 1]",
@@ -229,8 +228,7 @@ class Cluster:
         self._paged: set[tuple[str, str]] = set()
         if self.config.activation_limit is not None:
             env.process(self._working_set_loop(
-                self.config.activation_limit,
-                self.config.working_set_sweep), name="working-set")
+                self.config.activation_limit), name="working-set")
 
     # ------------------------------------------------------------------
     # registries
@@ -367,7 +365,7 @@ class Cluster:
                 yield from self._handoff(silo, activation)
                 progressed = True
             if silo.activations and not progressed:
-                yield self.env.timeout(self.config.handoff_poll)
+                yield self.env.timeout(HANDOFF_POLL)
         silo.state = SiloState.STOPPED
         self._log_membership("stopped", silo)
 
@@ -393,7 +391,7 @@ class Cluster:
                             or not new_silo.accepting_activations):
                         break
                     if activation.mailbox or activation.busy:
-                        yield self.env.timeout(self.config.handoff_poll)
+                        yield self.env.timeout(HANDOFF_POLL)
                         continue
                     yield from self._handoff(silo, activation)
 
@@ -636,17 +634,17 @@ class Cluster:
         if resident > stats.peak_resident:
             stats.peak_resident = resident
 
-    def _working_set_loop(self, limit: int, sweep_interval: float):
+    def _working_set_loop(self, limit: int):
         """Keep each silo at or below ``limit`` residents.
 
-        Every ``sweep_interval`` the least-recently-used quiet grains
-        above the budget page out to the pager store; they are restored
-        on re-activation.  Grains that refuse to page (no
+        Every ``WORKING_SET_SWEEP`` seconds the least-recently-used
+        quiet grains above the budget page out to the pager store; they
+        are restored on re-activation.  Grains that refuse to page (no
         ``paged_attrs``, or locks held) stay resident — the budget is a
         target, not a hard cap.
         """
         while True:
-            yield self.env.timeout(sweep_interval)
+            yield self.env.timeout(WORKING_SET_SWEEP)
             for silo in self.silos:
                 if not silo.accepting_activations:
                     continue  # draining silos hand off their own grains
@@ -739,4 +737,4 @@ class Cluster:
         return sum([len(silo.activations) for silo in self.silos])
 
     def utilisation(self) -> dict[str, float]:
-        return {silo.name: silo.cpu.utilisation() for silo in self.silos}
+        return {silo.name: silo.utilisation() for silo in self.silos}

@@ -1,9 +1,10 @@
 """Silos and grain activations.
 
-A silo hosts grain activations and owns a CPU :class:`Resource` with a
-fixed number of cores.  Every grain-method invocation charges its CPU
-cost on the hosting silo, so a silo under heavy load queues work and
-latency climbs — the saturation behaviour the benchmark measures.
+A silo hosts grain activations and owns a fixed number of CPU cores.
+Every grain-method invocation holds one of its hosting silo's cores for
+its CPU cost; with every core busy, turns queue FIFO for the next free
+one, so a silo under heavy load queues work and latency climbs — the
+saturation behaviour the benchmark measures.
 
 Silos have a lifecycle::
 
@@ -29,7 +30,6 @@ from types import GeneratorType as _GeneratorType
 
 from repro.actors.errors import GrainCallError, SiloUnavailable
 from repro.runtime.events import PENDING, Event, PooledEvent
-from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
@@ -114,22 +114,22 @@ class Message(Event):
 
         A free core is taken at once and the hold is one pooled entry,
         pushed as ``env.call_after(cost, self._run)`` would push it;
-        with every core busy the turn queues FIFO behind earlier
-        requests (``Resource.request``).  A negative or NaN cost is
-        rejected before the turn starts, so it takes no core and
-        leaves nothing in flight."""
+        with every core busy the turn joins the silo's FIFO ``waiting``
+        queue, and a finishing turn hands it its core (:meth:`_run`).
+        A negative or NaN cost is rejected before the turn starts, so
+        it takes no core and leaves nothing in flight."""
         cost = activation.grain.cpu_cost
         if not cost >= 0.0:
             raise ValueError(f"negative delay {cost}")
         self.activation = activation
         activation.inflight.add(self)
-        cpu = activation.silo.cpu
-        if cpu._in_use < cpu.capacity:
+        silo = activation.silo
+        if silo.busy < silo.cores:
             env = self.env
-            now = env.now  # Resource._account(), inline
-            cpu._busy_time += cpu._in_use * (now - cpu._last_change)
-            cpu._last_change = now
-            cpu._in_use += 1
+            now = env.now  # Silo.utilisation()'s accounting, inline
+            silo.busy_time += silo.busy * (now - silo.last_change)
+            silo.last_change = now
+            silo.busy += 1
             # env.call_after(cost, self._run), inline: the same pool,
             # sequence and heap steps in the same order.
             env.pool_acquires += 1
@@ -147,20 +147,27 @@ class Message(Event):
             else:
                 env._bucket.append((seq, event))
         else:
-            cpu.request().callbacks.append(  # type: ignore[union-attr]
-                lambda _grant: self.env.call_after(cost, self._run))
+            silo.waiting.append(self)
+
+    def _granted(self, _event: "Event") -> None:
+        """A finishing turn handed this queued turn its core: hold it
+        for the grain's CPU cost, then :meth:`_run`."""
+        self.env.call_after(self.activation.grain.cpu_cost, self._run)
 
     def _run(self, _event: "Event") -> None:
-        """The CPU hold is over: free the core, run the method body."""
+        """The CPU hold is over: free the core — or hand it to the
+        oldest queued turn, one zero-delay entry that starts that
+        turn's hold — and run the method body."""
         activation = self.activation
-        cpu = activation.silo.cpu
-        if cpu._waiting:
-            cpu._release_slot()
-        else:  # the same with nobody to grant, inline
-            now = self.env.now
-            cpu._busy_time += cpu._in_use * (now - cpu._last_change)
-            cpu._last_change = now
-            cpu._in_use -= 1
+        silo = activation.silo
+        env = self.env
+        now = env.now  # Silo.utilisation()'s accounting, inline
+        silo.busy_time += silo.busy * (now - silo.last_change)
+        silo.last_change = now
+        if silo.waiting:
+            env.call_after(0.0, silo.waiting.popleft()._granted)
+        else:
+            silo.busy -= 1
         if activation.defunct:
             return  # crashed while waiting for a core; already failed
         grain = activation.grain
@@ -315,7 +322,14 @@ class Silo:
     def __init__(self, env: "Environment", name: str, cores: int) -> None:
         self.env = env
         self.name = name
-        self.cpu = Resource(env, capacity=cores)
+        self.cores = cores
+        #: Cores held by a turn; a core passes from a finishing turn
+        #: straight to the oldest of the ``waiting`` turns.
+        self.busy = 0
+        self.waiting: collections.deque[Message] = collections.deque()
+        #: Core-seconds held up to ``last_change`` (see utilisation()).
+        self.busy_time = 0.0
+        self.last_change = 0.0
         self.state = SiloState.RUNNING
         self.activations: dict[tuple[str, str], Activation] = {}
         self.lru: dict[Activation, None] = {}
@@ -432,6 +446,16 @@ class Silo:
         if self.directory is not None:
             self.directory.unregister(grain_type_name, key)
         return True
+
+    def utilisation(self) -> float:
+        """Average fraction of the cores busy since the start of the
+        run."""
+        now = self.env.now
+        self.busy_time += self.busy * (now - self.last_change)
+        self.last_change = now
+        if now <= 0:
+            return 0.0
+        return self.busy_time / (now * self.cores)
 
     @property
     def activation_count(self) -> int:

@@ -46,6 +46,8 @@ class AppConfig:
     """Deployment knobs shared by all implementations."""
 
     silos: int = 4
+    #: Orleans stacks only: a statefun partition serves one message at
+    #: a time whatever this says.
     cores_per_silo: int = 4
     #: Message-loss probability (exercised by the anomaly experiments).
     drop_probability: float = 0.0

@@ -39,8 +39,6 @@ class StatefunApp(MarketplaceApp):
         self.runtime = StatefunRuntime(env, statefun_config or
                                        StatefunConfig(
                                            partitions=self.config.silos,
-                                           cores_per_partition=self
-                                           .config.cores_per_silo,
                                            checkpoint_interval=self
                                            .config.checkpoint_interval,
                                            max_resident_addresses=self

@@ -12,7 +12,6 @@ from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
 from repro.runtime.environment import SimulationError
 from repro.runtime.events import Event
-from repro.runtime.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -23,13 +22,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class StatefunConfig:
     """Deployment and cost-model parameters for the dataflow runtime.
 
-    ``cores_per_partition`` is validated but not modelled: a partition
-    serves one message at a time, as a single-threaded Flink subtask
-    does, so its CPU charges never overlap whatever the core count.
+    A partition serves one message at a time, as a single-threaded
+    Flink subtask does, so its CPU charges never overlap: there is no
+    per-partition core count.
     """
 
     partitions: int = 4
-    cores_per_partition: int = 4
     #: One-way delivery latency between functions (and from ingress).
     delivery_latency: float = 0.0002
     #: Fixed CPU overhead per message for envelopes/serialisation —
@@ -62,8 +60,7 @@ class StatefunConfig:
         # Checked once, here: a negative latency or pause would schedule
         # into the past, and NaN fails every comparison below.
         limit = self.max_resident_addresses
-        rules = [(name, ">= 1", getattr(self, name) >= 1)
-                 for name in ("partitions", "cores_per_partition")]
+        rules = [("partitions", ">= 1", self.partitions >= 1)]
         rules += [(name, ">= 0", getattr(self, name) >= 0) for name in (
             "delivery_latency", "envelope_cpu", "cross_partition_latency",
             "cross_partition_cpu", "checkpoint_interval", "checkpoint_sync",
@@ -105,7 +102,7 @@ class Worker:
     No process serves the queue: a worker is a chain of kernel
     callbacks — look at the queue, charge the message's CPU cost as one
     timed entry, run the function, look again.  Only one message is
-    ever in service, so no CPU resource is modelled (see
+    ever in service, so no core count is modelled (see
     :class:`StatefunConfig`).  Its timeline entries are those of the
     process it replaced: a zero-delay entry at construction (the
     bootstrap), a zero-delay wake-up when an idle worker gets a
@@ -283,9 +280,11 @@ class StatefunRuntime:
         self._egress_ids: set[str] = set()
         self._request_waiters: dict[str, "Event"] = {}
         self.messages_processed = 0
-        #: Serialises stop-the-world operations (checkpoints, recovery):
-        #: overlapping pauses would corrupt the shared resume event.
-        self._stw_lock = Resource(env, capacity=1)
+        #: Serialise stop-the-world operations (checkpoints, recovery,
+        #: rescales): overlapping pauses would corrupt the shared resume
+        #: event.  Set while one runs; the rest wait FIFO.
+        self._stopped = False
+        self._stop_waiters: collections.deque[Event] = collections.deque()
         if self.config.checkpoint_interval > 0:
             env.process(self._checkpoint_loop(), name="checkpointer")
 
@@ -513,14 +512,27 @@ class StatefunRuntime:
             self.ingress_base = checkpoint.ingress_offset
             self.ingress_compacted += drop
 
-    def take_checkpoint(self):
-        """Process helper: stop-the-world aligned snapshot."""
-        request = self._stw_lock.request()
-        yield request
+    def _stop_the_world(self, body: typing.Generator):
+        """Process helper: run ``body`` with the world stopped, once
+        every stop-the-world operation requested before it is done."""
+        turn = self.env.event()
+        if self._stopped:
+            self._stop_waiters.append(turn)
+        else:
+            self._stopped = True
+            turn.succeed()
+        yield turn
         try:
-            yield from self._take_checkpoint_locked()
+            yield from body
         finally:
-            self._stw_lock.release(request)
+            if self._stop_waiters:
+                self._stop_waiters.popleft().succeed()
+            else:
+                self._stopped = False
+
+    def take_checkpoint(self) -> typing.Generator:
+        """Process helper: stop-the-world aligned snapshot."""
+        return self._stop_the_world(self._take_checkpoint_locked())
 
     def _take_checkpoint_locked(self):
         yield from self._pause()
@@ -536,19 +548,14 @@ class StatefunRuntime:
         self._enforce_resident_budget()
         self._resume()
 
-    def inject_failure(self):
+    def inject_failure(self) -> typing.Generator:
         """Process helper: crash, restore the last checkpoint, replay.
 
         All function state and queues roll back; ingress messages after
         the checkpoint offset are re-delivered.  Deterministic functions
         plus deduplicated egress give exactly-once end-to-end effects.
         """
-        request = self._stw_lock.request()
-        yield request
-        try:
-            yield from self._inject_failure_locked()
-        finally:
-            self._stw_lock.release(request)
+        return self._stop_the_world(self._inject_failure_locked())
 
     def _inject_failure_locked(self):
         self.recoveries += 1
@@ -626,14 +633,11 @@ class StatefunRuntime:
                                 name=f"rescale-in-{self._worker_ids}")
 
     def _rescale(self, delta: int):
-        request = self._stw_lock.request()
-        yield request
         try:
-            yield from self._rescale_locked(delta)
+            yield from self._stop_the_world(self._rescale_locked(delta))
         finally:
             if delta < 0:
                 self.draining_workers -= 1
-            self._stw_lock.release(request)
 
     def _rescale_locked(self, delta: int):
         yield from self._pause()

@@ -3,15 +3,15 @@
 Everything in this repository — the actor runtime, the transactional
 layer, the dataflow runtime, the stores and the workload driver — runs on
 this kernel.  It provides a virtual clock, an event queue, generator-based
-processes (in the style of SimPy), capacity-limited resources for
-modelling CPU cores, and seeded random-number streams so that every
-simulation run is reproducible bit-for-bit.
+processes (in the style of SimPy) and seeded random-number streams, so
+that every simulation run is reproducible bit-for-bit.  Capacity lives
+with the layer that models it: a silo owns its cores
+(``repro.actors.silo``).
 """
 
 from repro.runtime.environment import Environment, SimulationError
 from repro.runtime.events import AllOf, Event, Timeout
 from repro.runtime.process import Process
-from repro.runtime.resources import Resource, ResourceRequest
 from repro.runtime.rng import RngStream, SeedSequenceFactory
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "Environment",
     "Event",
     "Process",
-    "Resource",
-    "ResourceRequest",
     "RngStream",
     "SeedSequenceFactory",
     "SimulationError",

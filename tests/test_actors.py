@@ -383,9 +383,6 @@ def test_utilisation_reporting():
     ("remote_jitter", -0.001),
     ("failure_detection_delay", -1.0),
     ("remote_latency", float("nan")),
-    ("handoff_poll", 0.0),
-    ("working_set_sweep", 0.0),
-    ("working_set_sweep", -0.05),
     ("drop_probability", -0.1),
     ("drop_probability", 1.1),
     ("silos", 0),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.apps import AppConfig, StatefunApp
 from repro.dataflow import (
     StatefulFunction,
     StatefunConfig,
@@ -194,8 +195,7 @@ def test_recovery_counts_and_pause_cost():
 def test_envelope_cpu_charged_per_message():
     env = Environment()
     config = StatefunConfig(checkpoint_interval=0.0, partitions=1,
-                            cores_per_partition=1, envelope_cpu=0.01,
-                            delivery_latency=0.0)
+                            envelope_cpu=0.01, delivery_latency=0.0)
     runtime = StatefunRuntime(env, config)
     runtime.register("counter", CounterFn())
     for i in range(5):
@@ -206,9 +206,9 @@ def test_envelope_cpu_charged_per_message():
 
 
 def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
-    """``cores_per_partition`` is validated, not modelled: a partition
-    runs its messages one after another, as a single-threaded subtask
-    does, even with four cores and messages for distinct keys."""
+    """A partition has no core count: it runs its messages one after
+    another, as a single-threaded subtask does, even for distinct keys
+    (``AppConfig.cores_per_silo`` never reaches a statefun run)."""
     ends = []
 
     class TimedFn(StatefulFunction):
@@ -219,8 +219,7 @@ def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
 
     env = Environment()
     config = StatefunConfig(checkpoint_interval=0.0, partitions=1,
-                            cores_per_partition=4, envelope_cpu=0.001,
-                            delivery_latency=0.0)
+                            envelope_cpu=0.001, delivery_latency=0.0)
     runtime = StatefunRuntime(env, config)
     runtime.register("timed", TimedFn())
     for i in range(8):
@@ -232,10 +231,68 @@ def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
     for earlier, later in zip(ends, ends[1:]):
         assert later - service >= earlier - 1e-12
     assert env.now >= 8 * service - 1e-12
+    # The app's core count builds the very same runtime configuration.
+    one, eight = (StatefunApp(Environment(), AppConfig(
+        silos=1, cores_per_silo=cores)).runtime.config for cores in (1, 8))
+    assert one == eight
+
+
+def stop_the_world_trail():
+    """Request a checkpoint, a rescale and a failure in one tick while
+    messages flow; returns the ``(env.now, label)`` trail of each
+    request and of each stop-the-world body's start and end, and the
+    kernel events the run cost."""
+    env, runtime = make_runtime(partitions=2, checkpoint_sync=0.02,
+                                rescale_pause=0.08, recovery_pause=0.25)
+    trail = []
+    for name in ("_take_checkpoint_locked", "_rescale_locked",
+                 "_inject_failure_locked"):
+        def logged(*args, body=getattr(runtime, name), name=name):
+            trail.append((env.now, f"{name} starts"))
+            yield from body(*args)
+            trail.append((env.now, f"{name} ends"))
+
+        setattr(runtime, name, logged)
+
+    def requests():
+        for i in range(6):
+            runtime.send_ingress("counter", f"k{i}", "hit")
+        yield env.timeout(0.01)
+        trail.append((env.now, "requested"))
+        env.process(runtime.take_checkpoint())
+        runtime.add_silo()
+        env.process(runtime.inject_failure())
+        for i in range(6):
+            runtime.send_ingress("counter", f"k{i}", "hit")
+
+    env.process(requests())
+    before = env.events_processed
+    env.run()
+    assert len(runtime.workers) == 3 and runtime.recoveries == 1
+    assert runtime.state_of("counter", "k0")["count"] == 2
+    return trail, env.events_processed - before
+
+
+def test_contended_stop_the_world_runs_fifo():
+    """Checkpoint, rescale and recovery requested in one tick run one
+    at a time in request order, each starting in the tick its
+    predecessor ends: the release hands the turn on as one zero-delay
+    entry."""
+    trail, events = stop_the_world_trail()
+    assert trail == [
+        (0.01, "requested"),
+        (0.01, "_take_checkpoint_locked starts"),
+        (0.0302, "_take_checkpoint_locked ends"),
+        (0.0302, "_rescale_locked starts"),
+        (0.1102, "_rescale_locked ends"),
+        (0.1102, "_inject_failure_locked starts"),
+        (0.3602, "_inject_failure_locked ends"),
+    ]
+    assert events == 53
 
 
 def test_total_queued_reflects_backlog():
-    env, runtime = make_runtime(partitions=1, cores_per_partition=1)
+    env, runtime = make_runtime(partitions=1)
     for i in range(10):
         runtime.send_ingress("counter", f"k{i}", "hit")
     assert runtime.total_queued == 0  # not yet delivered

@@ -9,7 +9,8 @@ all as exact counts or exact float times read from the kernel
 
 * the *budget*: a call to a method that never waits costs 3 events
   and at most 14 Python frames of ``repro.actors`` + ``repro.runtime``,
-  a ``tell`` 2 events and at most 8 frames, a four-member ``all_of``
+  a ``tell`` 2 events and at most 8 frames, a turn queued behind a
+  busy core at most 11 more frames, a four-member ``all_of``
   fan-out over processes at most 38 frames of ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
   count, a one-participant transaction at most 38 frames of
@@ -24,7 +25,8 @@ all as exact counts or exact float times read from the kernel
   followed from a dying silo's mailbox to its new owner;
 * the *order*: a scripted mix of calls and tells on two one-core
   silos dispatches its steps in the very ``(time, sequence)`` order it
-  had when every entry went through the kernel's scheduling helpers.
+  had when every entry went through the kernel's scheduling helpers,
+  and so does a scripted mix of overlapping transactions.
 """
 
 import cProfile
@@ -39,6 +41,7 @@ from repro.runtime import Environment, SimulationError, Timeout
 from repro.runtime.process import Process
 from repro.txn import (
     TransactionAborted,
+    TransactionalGrain,
     TransactionParticipant,
     TransactionRunner,
     TxnConfig,
@@ -195,6 +198,50 @@ def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
     per_tell = sum(frames.values()) / tells
     assert per_tell <= MAX_FRAMES_PER_TELL, (per_tell, frames)
     assert "trigger_after" not in frames, frames
+
+
+#: Frames of ``repro.actors`` and ``repro.runtime`` code a turn that
+#: queues behind a busy core adds: two calls sent in one tick to two
+#: grains of a one-core silo, ``env.run(until=second)``, less one warm
+#: call.  Measured 10: call, the message's ``__init__``, _route,
+#: _deliver, _charge (the core is busy: the turn joins the silo's
+#: ``waiting`` queue), the finishing turn's call_after that hands the
+#: core over, _granted, its call_after, _run and _reply.  It was 16
+#: while the silo's cores were a kernel ``Resource`` (``request``, the
+#: request event's two ``__init__``, _release_slot, _grant, _account,
+#: succeed and the grant's lambda).  Bound: measured + 1.
+MAX_FRAMES_PER_QUEUED_TURN = 11
+#: The retired ``Resource`` bookkeeping.
+RETIRED_CORE_FRAMES = {"request", "_grant", "_release_slot", "_account"}
+
+
+def test_a_turn_queued_behind_a_busy_core_stays_in_its_frame_budget():
+    env = Environment(seed=1)
+    # No jitter: the first call always reaches the only core first.
+    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1,
+                                         remote_jitter=0.0))
+    first, second = (cluster.grain_ref(Plain, key) for key in "ab")
+
+    def pair():
+        first.call("plain")
+        env.run(until=second.call("plain"))
+
+    def single():
+        env.run(until=first.call("plain"))
+
+    for _ in range(10):
+        pair()
+        single()
+    (silo,) = cluster.silos
+    assert silo.busy == 0 and not silo.waiting
+    repeats = 1000
+    pairs = profiled_frames(pair, repeats)
+    singles = profiled_frames(single, repeats)
+    assert not RETIRED_CORE_FRAMES & set(pairs), pairs
+    assert pairs["_granted"] == repeats, pairs
+    per_queued_turn = (sum(pairs.values()) - sum(singles.values())) / repeats
+    assert per_queued_turn <= MAX_FRAMES_PER_QUEUED_TURN, (
+        per_queued_turn, pairs, singles)
 
 
 #: Frames of ``repro.runtime`` code per four-member fan-out: ``all_of``
@@ -753,13 +800,13 @@ def test_crash_while_a_turn_waits_for_a_core():
     queued = outcomes_of(cluster.grain_ref(Witness, second).call("quick"))
     env.run(until=0.005)
     # One core: the first turn holds it, the second queues for it.
-    assert victim.cpu.in_use == 1 and victim.cpu.queue_length == 1
+    assert victim.busy == 1 and len(victim.waiting) == 1
     cluster.crash_silo(victim)
     env.run()
     for seen in (running, queued):
         assert len(seen) == 1 and isinstance(seen[0], SiloUnavailable)
     assert Witness.trail == []  # neither body ever ran
-    assert victim.cpu.in_use == 0 and victim.cpu.queue_length == 0
+    assert victim.busy == 0 and not victim.waiting
     assert cluster.membership.unavailable_failures == 2
 
 
@@ -1084,3 +1131,210 @@ def test_same_tick_order_on_the_actor_path_is_pinned():
     timeline, events = actor_timeline()
     assert timeline == ACTOR_TIMELINE
     assert events == ACTOR_TIMELINE_EVENTS
+
+
+# ---------------------------------------------------------------------------
+# (e) same-tick order on the 2PC path
+# ---------------------------------------------------------------------------
+class LoggedParticipant(TransactionParticipant):
+    """Logs its 2PC steps to ``Ledger.timeline``."""
+
+    def _log(self, ctx, step):
+        Ledger.timeline.append(
+            (self.env.now, f"{Ledger.names[ctx.txid]} {step} "
+                           f"{self.identity[1]}"))
+
+    def mark_prepared(self, ctx):
+        self._log(ctx, "prepared")
+        super().mark_prepared(ctx)
+
+    def mark_committed(self, ctx):
+        self._log(ctx, "committed")
+        super().mark_committed(ctx)
+
+    def abort(self, ctx):
+        self._log(ctx, "aborted")
+        super().abort(ctx)
+
+
+class Ledger(TransactionalGrain):
+    """Logs every step of its turns; ``names`` maps a transaction id
+    to its script label."""
+
+    cpu_cost = 0.001
+    timeline: list = []
+    names: dict = {}
+
+    @property
+    def participant(self):
+        if self._participant is None:
+            self._participant = LoggedParticipant(
+                self.env, (type(self).__name__, self.key),
+                self.log_write_latency)
+        return self._participant
+
+    def _log(self, step):
+        self.timeline.append(
+            (self.env.now,
+             f"{self.names[self.current_txn.txid]} {step} {self.key}"))
+
+    def add(self, amount, hold=0.0, veto=False):
+        self._log("writes")
+        if veto and self.current_txn.attempt == 1:
+            # Enlisted, but holds no lock: the prepare round vetoes.
+            self.current_txn.register(self.participant)
+            return
+        state = yield from self.txn_read()
+        yield from self.txn_write({"total": state.get("total", 0) + amount})
+        self._log("wrote")
+        if hold:
+            yield self.env.timeout(hold)
+
+    def peek(self):
+        self._log("reads")
+        state = yield from self.txn_read()
+        self._log("read")
+        return state.get("total", 0)
+
+
+class SlowLedger(Ledger):
+    """Forces its log at twice a ``Ledger``'s latency."""
+
+    log_write_latency = 0.001
+
+
+class Forwarder(Grain):
+    """Not transactional: forwards a call, and its transaction, on."""
+
+    reentrant = True
+    cpu_cost = 0.001
+
+    def forward(self, target, method):
+        return (yield self.call(target, method))
+
+
+def txn_timeline():
+    """Run a fixed script of overlapping transactions on two one-core
+    silos with a jitter-free wire.  Returns the ``(env.now, label)``
+    steps in dispatch order and the kernel events processed.
+
+    At 0: ``u1`` writes a left and a right grain whose logs differ;
+    ``o1`` and ``o2`` read ``c`` through a relay on the right silo; ``y``
+    (younger than both) writes ``c`` first and keeps its turn, and so
+    its lock, for 3 ms, so both readers queue for ``c`` and are granted
+    in one wake-up when ``y`` commits.  At 0.5 ms ``v`` vetoes its
+    first prepare round and commits on its retry; at 1 ms ``z``
+    (youngest) dies by wait-die on ``c`` until the lock is free."""
+    Ledger.timeline = timeline = []
+    Ledger.names = names = {}
+    env = Environment(seed=3)
+    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1,
+                                         remote_jitter=0.0))
+    runner = TransactionRunner(cluster, TxnConfig())
+    left, right = cluster.silos
+
+    def ref(grain_type, silo, skip=0):
+        keys = (f"{grain_type.__name__[0].lower()}{i}" for i in range(100))
+        return [cluster.grain_ref(grain_type, key) for key in keys
+                if cluster.placement.place(grain_type.__name__, key)
+                is silo][skip]
+
+    a, c, e = ref(Ledger, left), ref(Ledger, left, 1), ref(Ledger, left, 2)
+    b, relay = ref(SlowLedger, right), ref(Forwarder, right)
+
+    def run(label, *calls):
+        def body(ctx):
+            names[ctx.txid] = label
+            timeline.append((env.now, f"{label} attempt {ctx.attempt}"))
+            return env.all_of([target.call(method, *args, txn=ctx)
+                               for target, method, *args in calls])
+
+        transaction = runner.run(body)
+        transaction.callbacks.append(lambda event: timeline.append(
+            (env.now, f"{label} {'settled' if event.ok else 'failed'}")))
+        return transaction
+
+    def script():
+        u1 = run("u1", (a, "add", 1), (b, "add", 2))
+        run("o1", (relay, "forward", c, "peek"))
+        run("o2", (relay, "forward", c, "peek"))
+        run("y", (c, "add", 10, 0.003))
+        yield env.timeout(0.0005)
+        run("v", (e, "add", 5, 0.0, True))
+        yield env.timeout(0.0005)
+        run("z", (c, "add", 100))
+        # Two waiters on one transaction: the log callback came first.
+        yield u1
+        timeline.append((env.now, "u1 resumed its caller"))
+
+    env.process(script())
+    env.run()
+    assert runner.stats.committed == 6 and runner.stats.aborted == 0
+    return timeline, env.events_processed
+
+
+#: ``txn_timeline()`` as recorded before a silo owned its cores (they
+#: were a kernel ``Resource``), which the hand-off of a queued turn's
+#: core reproduces entry for entry.  The goldens hash payloads, and a
+#: payload rarely depends on which of two entries due in one tick runs
+#: first: a lock manager that wakes its waiters LIFO swaps "o1 read"
+#: and "o2 read" at 0.0082, and a transaction that runs its waiters in
+#: reverse swaps "u1 settled" and "u1 resumed its caller".
+TXN_TIMELINE = [
+    (0.0, 'u1 attempt 1'),
+    (0.0, 'o1 attempt 1'),
+    (0.0, 'o2 attempt 1'),
+    (0.0, 'y attempt 1'),
+    (0.0005, 'v attempt 1'),
+    (0.001, 'z attempt 1'),
+    (0.0014, 'u1 writes l2'),
+    (0.0014, 'u1 wrote l2'),
+    (0.0014, 'u1 writes s0'),
+    (0.0014, 'u1 wrote s0'),
+    (0.0024000000000000002, 'y writes l4'),
+    (0.0024000000000000002, 'y wrote l4'),
+    (0.0026, 'u1 prepared l2'),
+    (0.0031, 'u1 prepared s0'),
+    (0.0034000000000000002, 'v writes l6'),
+    (0.0044, 'z writes l4'),
+    (0.0044, 'v aborted l6'),
+    (0.004699999999999999, 'u1 committed l2'),
+    (0.0052, 'u1 committed s0'),
+    (0.0052, 'u1 settled'),
+    (0.0052, 'u1 resumed its caller'),
+    (0.0054, 'o1 reads l4'),
+    (0.0064, 'o2 reads l4'),
+    (0.0066, 'y prepared l4'),
+    (0.006657162647448991, 'v attempt 2'),
+    (0.00731232506731078, 'z attempt 2'),
+    (0.00805716264744899, 'v writes l6'),
+    (0.00805716264744899, 'v wrote l6'),
+    (0.0082, 'y committed l4'),
+    (0.0082, 'o1 read l4'),
+    (0.0082, 'o2 read l4'),
+    (0.0082, 'y settled'),
+    (0.00905716264744899, 'z writes l4'),
+    (0.00925716264744899, 'v prepared l6'),
+    (0.00945716264744899, 'z aborted l4'),
+    (0.0098, 'o1 prepared l4'),
+    (0.0098, 'o2 prepared l4'),
+    (0.01085716264744899, 'v committed l6'),
+    (0.01085716264744899, 'v settled'),
+    (0.0114, 'o1 committed l4'),
+    (0.0114, 'o2 committed l4'),
+    (0.0114, 'o1 settled'),
+    (0.0114, 'o2 settled'),
+    (0.014271255380719647, 'z attempt 3'),
+    (0.015671255380719645, 'z writes l4'),
+    (0.015671255380719645, 'z wrote l4'),
+    (0.01687125538071965, 'z prepared l4'),
+    (0.018471255380719653, 'z committed l4'),
+    (0.018471255380719653, 'z settled'),
+]
+TXN_TIMELINE_EVENTS = 117
+
+
+def test_same_tick_order_on_the_2pc_path_is_pinned():
+    timeline, events = txn_timeline()
+    assert timeline == TXN_TIMELINE
+    assert events == TXN_TIMELINE_EVENTS

@@ -11,7 +11,6 @@ from repro.actors import Cluster, ClusterConfig, Grain
 from repro.runtime import (
     AllOf,
     Environment,
-    Resource,
     SimulationError,
 )
 
@@ -331,7 +330,7 @@ def test_nan_delay_or_stop_time_is_rejected(call):
     would keep that core for good and starve the silo."""
     env = Environment()
     cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1))
-    (cpu,) = [silo.cpu for silo in cluster.silos]
+    (silo,) = cluster.silos
 
     def ticker(env):
         for _ in range(3):
@@ -342,7 +341,7 @@ def test_nan_delay_or_stop_time_is_rejected(call):
     with pytest.raises(ValueError):
         call(env, cluster)
     env.run()
-    assert env.now == 3.0 and cpu.in_use == 0
+    assert env.now == 3.0 and silo.busy == 0 and not silo.waiting
 
 
 def test_rng_streams_are_deterministic_and_independent():
@@ -363,17 +362,7 @@ def test_rng_stream_is_cached():
     assert env.rng("x") is env.rng("x")
 
 
-class TestResource:
-    def test_grants_up_to_capacity_immediately(self):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-        r1 = resource.request()
-        r2 = resource.request()
-        r3 = resource.request()
-        assert r1.granted and r2.granted
-        assert not r3.granted
-        assert resource.queue_length == 1
-
+class TestSiloCores:
     def test_release_wakes_fifo_waiter(self):
         # Grain turns on a one-core silo over a zero-latency wire, all
         # sent at 0: each turn holds the core for its grain's CPU cost.
@@ -381,12 +370,12 @@ class TestResource:
         cluster = Cluster(env, ClusterConfig(
             silos=1, cores_per_silo=1, local_latency=0.0,
             remote_latency=0.0, remote_jitter=0.0))
-        (cpu,) = [silo.cpu for silo in cluster.silos]
+        (silo,) = cluster.silos
         order = []
 
         class Holder(Grain):
             def work(self):
-                order.append((self.key, env.now, cpu.in_use))
+                order.append((self.key, env.now, silo.busy))
 
         class LongHolder(Holder):
             cpu_cost = 2.0
@@ -402,26 +391,13 @@ class TestResource:
         # before the turn's body runs.
         assert order == [("a", 2.0, 1), ("b", 3.0, 1), ("c", 4.0, 0)]
 
-    def test_capacity_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_release_ungranted_rejected(self):
-        env = Environment()
-        resource = Resource(env, capacity=1)
-        resource.request()
-        blocked = resource.request()
-        with pytest.raises(RuntimeError):
-            resource.release(blocked)
-
     def test_utilisation_accounting(self):
         # One grain turn holding a core of a two-core silo for 4 s.
         env = Environment()
         cluster = Cluster(env, ClusterConfig(
             silos=1, cores_per_silo=2, local_latency=0.0,
             remote_latency=0.0, remote_jitter=0.0))
-        (resource,) = [silo.cpu for silo in cluster.silos]
+        (silo,) = cluster.silos
 
         class Busy(Grain):
             cpu_cost = 4.0
@@ -431,8 +407,8 @@ class TestResource:
 
         cluster.grain_ref(Busy, "a").call("work")
         env.run(until=8.0)
-        # one of two slots busy for half the horizon -> 25%
-        assert resource.utilisation() == pytest.approx(0.25)
+        # one of two cores busy for half the horizon -> 25%
+        assert silo.utilisation() == pytest.approx(0.25)
 
 
 def test_kernel_imports_nothing_above_it():

@@ -22,7 +22,7 @@ def make_app(seed=5, checkpoint_interval=0.2, recovery_pause=0.05,
     env = Environment(seed=seed)
     app = StatefunApp(env, AppConfig(silos=2, cores_per_silo=4),
                       statefun_config=StatefunConfig(
-                          partitions=2, cores_per_partition=4,
+                          partitions=2,
                           checkpoint_interval=checkpoint_interval,
                           recovery_pause=recovery_pause))
     app.ingest(Dataset(workload, seed=seed))
