@@ -54,8 +54,7 @@ def run_experiment(app_name: str,
                    cores_per_silo: int = 2,
                    workload_kwargs: dict | None = None,
                    app_kwargs: dict | None = None,
-                   txn_config=None,
-                   statefun_config=None):
+                   txn_config=None):
     """Run one (app, configuration) cell; returns (metrics, report, app)."""
     env = Environment(seed=seed)
     config = AppConfig(silos=silos, cores_per_silo=cores_per_silo,
@@ -65,8 +64,6 @@ def run_experiment(app_name: str,
     if txn_config is not None and app_name in (
             "orleans-transactions", "customized-orleans"):
         extra["txn_config"] = txn_config
-    if statefun_config is not None and app_name == "statefun":
-        extra["statefun_config"] = statefun_config
     app = cls(env, config, **extra)
     workload = WorkloadConfig(**{**DEFAULT_WORKLOAD,
                                  **(workload_kwargs or {})})

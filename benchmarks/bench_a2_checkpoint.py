@@ -8,8 +8,6 @@ infrequent ones cost recovery time (longer replay after a failure).
 
 import pytest
 
-from repro.dataflow import StatefunConfig
-
 from _harness import print_table, run_experiment
 
 INTERVALS = (0.05, 0.25, 1.0, 0.0)  # 0 disables checkpointing
@@ -18,12 +16,10 @@ INTERVALS = (0.05, 0.25, 1.0, 0.0)  # 0 disables checkpointing
 def run_sweep():
     cells = {}
     for interval in INTERVALS:
-        config = StatefunConfig(partitions=2,
-                                checkpoint_interval=interval,
-                                checkpoint_sync=0.02)
+        # Two partitions (the harness's two silos), default sync cost.
         metrics, _, app = run_experiment(
             "statefun", workers=32, duration=1.5, seed=47,
-            statefun_config=config)
+            app_kwargs={"checkpoint_interval": interval})
         cells[interval] = (metrics, app.runtime.checkpoints_taken)
     return cells
 

@@ -11,6 +11,7 @@ waits.
 import pytest
 
 from repro.core.workload.config import TransactionMix
+from repro.costs import CostModel
 
 from _harness import print_table, run_experiment
 
@@ -26,7 +27,7 @@ def run_sweep():
             metrics, report, app = run_experiment(
                 name, workers=24, duration=1.2, seed=53,
                 workload_kwargs={"mix": MIX},
-                app_kwargs={"replication_lag": lag})
+                app_kwargs={"costs": CostModel(replication_lag=lag)})
             stale = report.results["C2-causal-replication"].violations
             checked = report.results["C2-causal-replication"].checked
             waits = app.runtime_stats().get("kv_causal_waits", 0)

@@ -12,7 +12,7 @@ Run with:  python examples/failure_recovery.py
 
 from repro.apps import AppConfig, StatefunApp
 from repro.core import Dataset, WorkloadConfig
-from repro.dataflow import StatefunConfig
+from repro.costs import CostModel
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
@@ -21,10 +21,9 @@ CHECKOUTS = 60
 
 def run(crashes: int):
     env = Environment(seed=5)
-    app = StatefunApp(env, AppConfig(silos=2, cores_per_silo=4),
-                      statefun_config=StatefunConfig(
-                          partitions=2, checkpoint_interval=0.2,
-                          recovery_pause=0.1))
+    app = StatefunApp(env, AppConfig(
+        silos=2, cores_per_silo=4, checkpoint_interval=0.2,
+        costs=CostModel(recovery_pause=0.1)))
     workload = WorkloadConfig(sellers=3, customers=30,
                               products_per_seller=5)
     app.ingest(Dataset(workload, seed=5))

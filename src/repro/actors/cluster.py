@@ -34,6 +34,7 @@ from repro.actors.grain import Grain, GrainRef
 from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
 from repro.broker import Broker
+from repro.costs import CostModel
 from repro.cow import clone as cow_clone
 from repro.runtime.events import PENDING, PooledEvent
 
@@ -45,23 +46,22 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 HANDOFF_POLL = 0.001
 #: Sweep interval of the working-set eviction loop.
 WORKING_SET_SWEEP = 0.05
+#: Pager store access: a re-activation's read, an eviction's write.
+PAGER_READ_LATENCY = 0.0002
+PAGER_WRITE_LATENCY = 0.0004
 
 
 @dataclasses.dataclass
 class ClusterConfig:
-    """Deployment and cost-model parameters for an actor cluster.
-
-    Latencies are one-way; a call pays the latency twice (request and
-    reply).  ``drop_probability`` injects message loss, which the
-    eventually-consistent implementation does not recover from — the
-    mechanism behind the paper's atomicity-violation observations.
+    """Deployment parameters for an actor cluster (its costs are a
+    :class:`~repro.costs.CostModel`).  ``drop_probability`` injects
+    message loss, which the eventually-consistent implementation does
+    not recover from — the mechanism behind the paper's
+    atomicity-violation observations.
     """
 
     silos: int = 4
     cores_per_silo: int = 4
-    local_latency: float = 0.00005
-    remote_latency: float = 0.0004
-    remote_jitter: float = 0.0002
     drop_probability: float = 0.0
     #: Delivery attempts per message before the caller sees
     #: ``SiloUnavailable`` (first send + rerouting hops).
@@ -80,12 +80,10 @@ class ClusterConfig:
     activation_limit: int | None = None
 
     def __post_init__(self) -> None:
-        # Checked once, here: routing never looks again, and a negative
-        # latency would schedule deliveries into the past.
+        # Checked once, here: nothing downstream looks again.
         limit = self.activation_limit
-        rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
-            "local_latency", "remote_latency", "remote_jitter",
-            "failure_detection_delay")]
+        rules = [("failure_detection_delay", ">= 0",
+                  self.failure_detection_delay >= 0)]
         rules += [(name, ">= 1", getattr(self, name) >= 1) for name in (
             "silos", "cores_per_silo", "max_delivery_attempts")]
         rules += [("drop_probability", "in [0, 1]",
@@ -150,23 +148,19 @@ class _WorkingSetPager:
     budget a real trade-off.
     """
 
-    def __init__(self, env: "Environment",
-                 read_latency: float = 0.0002,
-                 write_latency: float = 0.0004) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.read_latency = read_latency
-        self.write_latency = write_latency
         self._data: dict[tuple[str, str], dict] = {}
         self.reads = 0
         self.writes = 0
 
     def write(self, ident: tuple[str, str], payload: dict):
-        yield self.env.timeout(self.write_latency)
+        yield self.env.timeout(PAGER_WRITE_LATENCY)
         self.writes += 1
         self._data[ident] = cow_clone(payload)
 
     def read(self, ident: tuple[str, str]):
-        yield self.env.timeout(self.read_latency)
+        yield self.env.timeout(PAGER_READ_LATENCY)
         self.reads += 1
         payload = self._data.pop(ident, None)
         return cow_clone(payload) if payload is not None else None
@@ -187,9 +181,11 @@ class Cluster:
 
     def __init__(self, env: "Environment",
                  config: ClusterConfig | None = None,
-                 broker: Broker | None = None) -> None:
+                 broker: Broker | None = None,
+                 costs: CostModel | None = None) -> None:
         self.env = env
         self.config = config or ClusterConfig()
+        self.costs = costs or CostModel()
         self.broker = broker or Broker(env)
         self.placement = ConsistentHashPlacement()
         self.directory = GrainDirectory()
@@ -417,7 +413,7 @@ class Cluster:
         # One network hop for the state transfer, then an atomic (in
         # simulated time) deactivate-and-adopt so no message can land
         # between the two owners.
-        yield self.env.timeout(self.config.remote_latency)
+        yield self.env.timeout(self.costs.remote_latency)
         if (activation.collected or activation.mailbox or activation.busy
                 or not target.accepting_activations):
             # The grain got busy — or the target itself crashed or
@@ -518,6 +514,7 @@ class Cluster:
         """
         ref = message.ref  # a routed message always has one
         config = self.config
+        costs = self.costs
         # ``_target_for``'s cache hit, inline: same epoch, live silo.
         target = (self._route_cache.get(ref.ident)
                   if self.placement.epoch == self._route_cache_epoch
@@ -527,13 +524,13 @@ class Cluster:
                 target = self._target_for(ref)
             except NoLiveSilos as error:
                 self.membership.unavailable_failures += 1
-                self._fail_after(message, config.remote_latency, error)
+                self._fail_after(message, costs.remote_latency, error)
                 return
         if caller_silo is target:
-            latency = config.local_latency
+            latency = costs.local_latency
         else:
-            latency = (config.remote_latency
-                       + self._rng.random() * config.remote_jitter)
+            latency = (costs.remote_latency
+                       + self._rng.random() * costs.remote_jitter)
         self.messages_sent += 1
         if (config.drop_probability > 0.0
                 and self._rng.random() < config.drop_probability):
@@ -564,10 +561,8 @@ class Cluster:
         env._seq = seq = env._seq + 1
         if latency > 0.0:
             _heappush(env._queue, (env.now + latency, seq, event))
-        elif latency == 0.0:
-            env._bucket.append((seq, event))
         else:
-            raise ValueError(f"negative delay {latency}")
+            env._bucket.append((seq, event))
 
     def _deliver(self, message: Message, target: Silo,
                  _event: "Event") -> None:
@@ -718,9 +713,12 @@ class Cluster:
             grain.page_in(payload)
             self.working_set.reloads += 1
 
-    def paged_states(self) -> dict[tuple[str, str], dict]:
-        """Paged-out state for audits (detached copies)."""
-        return {ident: self.pager.peek(ident) for ident in self._paged}
+    def paged_states(self, type_name: str | None = None
+                     ) -> dict[tuple[str, str], dict]:
+        """Paged-out state for audits (detached copies), of every
+        grain or of ``type_name``'s only."""
+        return {ident: self.pager.peek(ident) for ident in self._paged
+                if type_name is None or ident[0] == type_name}
 
     def working_set_stats(self) -> dict:
         """Working-set counters plus the current resident population."""

@@ -18,19 +18,16 @@ class Grain:
     Subclasses define *grain methods* as generator methods; inside a
     method, ``yield`` an event (for example another grain call) to wait
     for it.  A grain processes one message at a time unless the subclass
-    sets ``reentrant = True``.
+    sets ``reentrant = True``; a message first holds a silo core for
+    the cluster's ``grain_cpu``.
 
     Class attributes
     ----------------
-    cpu_cost:
-        Simulated CPU seconds charged on the hosting silo per invocation
-        (before the method body runs).
     reentrant:
         When True, messages may be processed concurrently (interleaving
         at yield points).
     """
 
-    cpu_cost: float = 0.0001
     reentrant: bool = False
     #: Instance attributes captured by the working-set pager when the
     #: grain is deactivated under an activation budget, and restored on

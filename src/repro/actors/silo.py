@@ -2,9 +2,9 @@
 
 A silo hosts grain activations and owns a fixed number of CPU cores.
 Every grain-method invocation holds one of its hosting silo's cores for
-its CPU cost; with every core busy, turns queue FIFO for the next free
-one, so a silo under heavy load queues work and latency climbs — the
-saturation behaviour the benchmark measures.
+the cost model's ``grain_cpu``; with every core busy, turns queue FIFO
+for the next free one, so a silo under heavy load queues work and
+latency climbs — the saturation behaviour the benchmark measures.
 
 Silos have a lifecycle::
 
@@ -108,23 +108,19 @@ class Message(Event):
 
     def _charge(self, activation: "Activation") -> None:
         """Start this message's turn on ``activation``: hold one of the
-        silo's cores for the grain's CPU cost, then :meth:`_run`.  The
-        only place a turn takes a core (``Cluster._deliver`` and
+        silo's cores for the cluster's ``grain_cpu``, then :meth:`_run`.
+        The only place a turn takes a core (``Cluster._deliver`` and
         ``Activation._pump`` call it).
 
         A free core is taken at once and the hold is one pooled entry,
         pushed as ``env.call_after(cost, self._run)`` would push it;
         with every core busy the turn joins the silo's FIFO ``waiting``
-        queue, and a finishing turn hands it its core (:meth:`_run`).
-        A negative or NaN cost is rejected before the turn starts, so
-        it takes no core and leaves nothing in flight."""
-        cost = activation.grain.cpu_cost
-        if not cost >= 0.0:
-            raise ValueError(f"negative delay {cost}")
+        queue, and a finishing turn hands it its core (:meth:`_run`)."""
         self.activation = activation
         activation.inflight.add(self)
         silo = activation.silo
         if silo.busy < silo.cores:
+            cost = activation.grain.cluster.costs.grain_cpu
             env = self.env
             now = env.now  # Silo.utilisation()'s accounting, inline
             silo.busy_time += silo.busy * (now - silo.last_change)
@@ -151,8 +147,9 @@ class Message(Event):
 
     def _granted(self, _event: "Event") -> None:
         """A finishing turn handed this queued turn its core: hold it
-        for the grain's CPU cost, then :meth:`_run`."""
-        self.env.call_after(self.activation.grain.cpu_cost, self._run)
+        for ``grain_cpu``, then :meth:`_run`."""
+        self.env.call_after(self.activation.grain.cluster.costs.grain_cpu,
+                            self._run)
 
     def _run(self, _event: "Event") -> None:
         """The CPU hold is over: free the core — or hand it to the
@@ -238,7 +235,7 @@ class Message(Event):
             # arrival.  (Already triggered: the silo crashed under this
             # call and failed it; no late outcome escapes a dead silo.)
             # ``self.trigger_after(self.reply_latency, value, ok)``,
-            # inline; ``_route`` already rejected a negative latency.
+            # inline; the cost model rejects a negative latency.
             env = self.env
             env._seq = seq = env._seq + 1
             latency = self.reply_latency

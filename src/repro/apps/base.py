@@ -16,6 +16,7 @@ import zlib
 from repro.actors import Cluster, ClusterConfig, GrainCallError
 from repro.broker import Broker, DeliveryMode
 from repro.control.signals import PlatformStats
+from repro.costs import CostModel
 from repro.marketplace.constants import Topics
 from repro.marketplace.logic import customer as customer_logic
 from repro.marketplace.logic import ingestion as ingestion_logic
@@ -53,8 +54,10 @@ class AppConfig:
     drop_probability: float = 0.0
     #: Payment approval rate (deterministic per order id).
     approval_rate: float = 1.0
-    #: Replication lag of the KV replica tier (customized app only).
-    replication_lag: float = 0.0005
+    #: Every simulated latency, CPU charge and pause (see
+    #: :mod:`repro.costs`); its ``replication_lag`` drives both the
+    #: eventual stack's broker and the customized stack's KV replicas.
+    costs: CostModel = dataclasses.field(default_factory=CostModel)
     #: Checkpoint interval (statefun app only; 0 disables).
     checkpoint_interval: float = 0.5
     #: Working-set budget: max resident grain activations per silo
@@ -367,7 +370,7 @@ class ActorApp(MarketplaceApp):
             cores_per_silo=self.config.cores_per_silo,
             drop_probability=self.config.drop_probability,
             activation_limit=self.config.activation_limit),
-            broker=self._broker())
+            broker=self._broker(), costs=self.config.costs)
         self.cluster.app = self
         self.scaling_host = self.cluster
         self._grains = dict(self.grains)

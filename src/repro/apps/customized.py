@@ -76,8 +76,9 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         self._grains["cart"] = CausalCartGrain
         self.cluster.register_grain(CausalCartGrain)
         # Storage layer (Figure 1): Redis-style replicated KV ...
-        self.kv = ReplicatedKV(env, "product-replica", replicas=2,
-                               replication_lag=self.config.replication_lag)
+        self.kv = ReplicatedKV(
+            env, "product-replica", replicas=2,
+            replication_lag=self.config.costs.replication_lag)
         self.session = CausalSession("marketplace")
         # ... and PostgreSQL-style MVCC for consistent querying, plus
         # the append-only audit log of Figure 1's storage layer.
@@ -226,19 +227,25 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         return result
 
     def _retire_completed_entries(self) -> None:
-        """Sync MVCC entry statuses with completed orders."""
-        completed: set[str] = set()
+        """Sync MVCC entry statuses with completed orders, resident or
+        paged out since (possible only under an activation budget)."""
+        states = []
         for silo in self.cluster.silos:
             for (type_name, _), activation in silo.activations.items():
                 if type_name != "TxnOrderGrain":
                     continue
                 participant = activation.grain._participant
-                if participant is None:
-                    continue
-                orders = participant.committed_state.get("orders", {})
-                for order_id, order in orders.items():
-                    if order["status"] == OrderStatus.COMPLETED:
-                        completed.add(order_id)
+                if participant is not None:
+                    states.append(participant.committed_state)
+        if self.config.activation_limit is not None:
+            for paged in self.cluster.paged_states("TxnOrderGrain").values():
+                if paged:
+                    states.append(paged["state"])
+        completed: set[str] = set()
+        for state in states:
+            for order_id, order in state.get("orders", {}).items():
+                if order["status"] == OrderStatus.COMPLETED:
+                    completed.add(order_id)
         if not completed:
             return
         txn = self.sql.begin()

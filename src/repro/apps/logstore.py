@@ -17,6 +17,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _sequence = itertools.count(1)
 
+#: Simulated latency of one audit-log append.
+AUDIT_WRITE_LATENCY = 0.0003
+
 
 @dataclasses.dataclass(frozen=True)
 class AuditRecord:
@@ -32,10 +35,8 @@ class AuditRecord:
 class AuditLogStore:
     """Asynchronous append-only audit log with simulated write latency."""
 
-    def __init__(self, env: "Environment",
-                 write_latency: float = 0.0003) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.write_latency = write_latency
         #: The appended records, oldest first.
         self.records: list[AuditRecord] = []
         self.pending = 0
@@ -51,7 +52,7 @@ class AuditLogStore:
                          name="audit-append")
 
     def _write(self, operation: str, subject: str, payload: dict):
-        yield self.env.timeout(self.write_latency)
+        yield self.env.timeout(AUDIT_WRITE_LATENCY)
         self.records.append(AuditRecord(
             sequence=next(_sequence), time=self.env.now,
             operation=operation, subject=subject, payload=dict(payload)))

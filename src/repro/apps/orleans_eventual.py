@@ -23,11 +23,11 @@ class OrleansEventualApp(ActorApp):
 
     def _broker(self) -> Broker:
         # In the eventual architecture, replica propagation delay IS the
-        # broker delivery latency — tie it to the replication_lag knob
+        # broker delivery latency — tie it to the replication_lag cost
         # so the replication ablation sweeps both stacks comparably.
+        lag = self.config.costs.replication_lag
         return Broker(self.env, default_mode=self.delivery_mode,
-                      base_latency=self.config.replication_lag,
-                      jitter=3 * self.config.replication_lag)
+                      base_latency=lag, jitter=3 * lag)
 
     def _subscribe(self) -> None:
         broker = self.cluster.broker

@@ -33,16 +33,13 @@ class StatefunApp(MarketplaceApp):
     name = "statefun"
 
     def __init__(self, env: "Environment",
-                 config: AppConfig | None = None,
-                 statefun_config: StatefunConfig | None = None) -> None:
+                 config: AppConfig | None = None) -> None:
         super().__init__(env, config)
-        self.runtime = StatefunRuntime(env, statefun_config or
-                                       StatefunConfig(
-                                           partitions=self.config.silos,
-                                           checkpoint_interval=self
-                                           .config.checkpoint_interval,
-                                           max_resident_addresses=self
-                                           .config.activation_limit))
+        self.runtime = StatefunRuntime(env, StatefunConfig(
+            partitions=self.config.silos,
+            checkpoint_interval=self.config.checkpoint_interval,
+            max_resident_addresses=self.config.activation_limit),
+            self.config.costs)
         self.scaling_host = self.runtime
         for name, cls in (
                 ("product", fns.ProductFn), ("replica", fns.ReplicaFn),

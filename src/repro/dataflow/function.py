@@ -73,15 +73,12 @@ class StatefulFunction:
     """Base class for stateful functions.
 
     Subclasses implement :meth:`invoke` as a plain method that runs to
-    completion and returns ``None``; its simulated work is
-    :attr:`cpu_cost`, which the worker charges before the call.  A
-    function that returns anything else (a generator, say) fails the
+    completion and returns ``None``; its simulated work is the cost
+    model's ``function_cpu``, which the worker charges before the call.
+    A function that returns anything else (a generator, say) fails the
     run.  Invocation is single-writer per address: no other invocation
     touches the same state concurrently.
     """
-
-    #: Simulated CPU seconds charged per invocation on the worker.
-    cpu_cost: float = 0.0001
 
     def invoke(self, context: Context, payload: object) -> None:
         """Handle one message."""

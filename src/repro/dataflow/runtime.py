@@ -8,6 +8,7 @@ import itertools
 import typing
 import zlib
 
+from repro.costs import CostModel
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
 from repro.runtime.environment import SimulationError
@@ -20,7 +21,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass
 class StatefunConfig:
-    """Deployment and cost-model parameters for the dataflow runtime.
+    """Deployment parameters for the dataflow runtime.
 
     A partition serves one message at a time, as a single-threaded
     Flink subtask does, so its CPU charges never overlap: there is no
@@ -28,28 +29,8 @@ class StatefunConfig:
     """
 
     partitions: int = 4
-    #: One-way delivery latency between functions (and from ingress).
-    delivery_latency: float = 0.0002
-    #: Fixed CPU overhead per message for envelopes/serialisation —
-    #: the dataflow tax relative to raw actor calls.
-    envelope_cpu: float = 0.00006
-    #: Extra cost of a message that crosses partitions (network shuffle
-    #: plus serialisation).  With P partitions, (P-1)/P of uniformly
-    #: routed messages pay it — the mechanical source of the dataflow's
-    #: sub-linear scaling (paper: "lower scalability compared to
-    #: Orleans Eventual").
-    cross_partition_latency: float = 0.0004
-    cross_partition_cpu: float = 0.00008
     #: Interval between aligned checkpoints (0 disables checkpointing).
     checkpoint_interval: float = 0.5
-    #: Stop-the-world duration of one aligned checkpoint.
-    checkpoint_sync: float = 0.02
-    #: Pause while restoring from a checkpoint after a failure.
-    recovery_pause: float = 0.25
-    #: Stop-the-world duration of one rescale (the savepoint-and-
-    #: restore a dataflow engine pays to change parallelism — an order
-    #: of magnitude above a checkpoint sync, well below a recovery).
-    rescale_pause: float = 0.08
     #: Per-worker budget of hot (in-memory) addresses; None = unbounded.
     #: Above the budget, least-recently-used clean addresses spill to
     #: the worker's cold tier (the RocksDB state backend analogue) and
@@ -57,14 +38,12 @@ class StatefunConfig:
     max_resident_addresses: int | None = None
 
     def __post_init__(self) -> None:
-        # Checked once, here: a negative latency or pause would schedule
-        # into the past, and NaN fails every comparison below.
+        # Checked once, here: a negative interval would schedule into
+        # the past, and NaN fails every comparison below.
         limit = self.max_resident_addresses
-        rules = [("partitions", ">= 1", self.partitions >= 1)]
-        rules += [(name, ">= 0", getattr(self, name) >= 0) for name in (
-            "delivery_latency", "envelope_cpu", "cross_partition_latency",
-            "cross_partition_cpu", "checkpoint_interval", "checkpoint_sync",
-            "recovery_pause", "rescale_pause")]
+        rules = [("partitions", ">= 1", self.partitions >= 1),
+                 ("checkpoint_interval", ">= 0",
+                  self.checkpoint_interval >= 0)]
         rules += [("max_resident_addresses", ">= 1 or None",
                    limit is None or limit >= 1)]
         for name, rule, holds in rules:
@@ -194,9 +173,10 @@ class Worker:
         if function is None:
             raise SimulationError(
                 f"no function registered for {message.target_type!r}")
-        cpu_cost = function.cpu_cost + runtime.config.envelope_cpu
+        costs = runtime.costs
+        cpu_cost = costs.function_cpu + costs.envelope_cpu
         if message.cross_partition:
-            cpu_cost += runtime.config.cross_partition_cpu
+            cpu_cost += costs.cross_partition_cpu
         self._message = message
         self._function = function
         self.env.call_after(cpu_cost, self._run)
@@ -248,9 +228,11 @@ class StatefunRuntime:
     """Registry, router and checkpoint coordinator for stateful functions."""
 
     def __init__(self, env: "Environment",
-                 config: StatefunConfig | None = None) -> None:
+                 config: StatefunConfig | None = None,
+                 costs: CostModel | None = None) -> None:
         self.env = env
         self.config = config or StatefunConfig()
+        self.costs = costs or CostModel()
         #: Routing memo, address -> owning worker; cleared by a rescale.
         self._routes: dict[tuple[str, str], Worker] = {}
         self.workers = [Worker(env, self, index)
@@ -326,7 +308,7 @@ class StatefunRuntime:
         """Put an ingress (or replayed) message on the wire."""
         self._in_flight += 1
         message.callbacks.append(self._arrive)
-        message.trigger_after(self.config.delivery_latency)
+        message.trigger_after(self.costs.delivery_latency)
 
     def send_internal(self, target_type: str, target_key: str,
                       payload: object,
@@ -338,13 +320,13 @@ class StatefunRuntime:
         partitions)."""
         message = FunctionMessage(self.env, target_type, target_key,
                                   payload, request_id)
-        latency = self.config.delivery_latency
+        latency = self.costs.delivery_latency
         if source_worker is not None:
             address = message.address
             if source_worker is not (self._routes.get(address)
                                      or self.worker_for(address)):
                 message.cross_partition = True
-                latency += self.config.cross_partition_latency
+                latency += self.costs.cross_partition_latency
         self._in_flight += 1
         message.callbacks.append(self._arrive)
         message.trigger_after(latency)
@@ -402,7 +384,7 @@ class StatefunRuntime:
         self.resume_event = self.env.event()
         # Aligned barrier: wait for in-flight messages to land in queues.
         while self._in_flight > 0:
-            yield self.env.timeout(self.config.delivery_latency)
+            yield self.env.timeout(self.costs.delivery_latency)
 
     def _resume(self) -> None:
         self.paused = False
@@ -536,7 +518,7 @@ class StatefunRuntime:
 
     def _take_checkpoint_locked(self):
         yield from self._pause()
-        yield self.env.timeout(self.config.checkpoint_sync)
+        yield self.env.timeout(self.costs.checkpoint_sync)
         self._last_checkpoint = _Checkpoint(
             time=self.env.now,
             ingress_offset=self.ingress_base + len(self.ingress_log),
@@ -561,7 +543,7 @@ class StatefunRuntime:
         self.recoveries += 1
         self._recovering = True
         yield from self._pause()
-        yield self.env.timeout(self.config.recovery_pause)
+        yield self.env.timeout(self.costs.recovery_pause)
         checkpoint = self._last_checkpoint
         if checkpoint is None:
             # No checkpoint yet: restart from scratch, replay everything.
@@ -641,7 +623,7 @@ class StatefunRuntime:
 
     def _rescale_locked(self, delta: int):
         yield from self._pause()
-        yield self.env.timeout(self.config.rescale_pause)
+        yield self.env.timeout(self.costs.rescale_pause)
         old_workers = list(self.workers)
         if delta > 0:
             self.workers.append(Worker(self.env, self, self._worker_ids))

@@ -38,11 +38,10 @@ class CausalSession:
 class Replica:
     """A read-only secondary that applies the primary's stream in order."""
 
-    def __init__(self, env: "Environment", name: str,
-                 read_latency: float) -> None:
+    def __init__(self, env: "Environment", name: str) -> None:
         self.env = env
         self.name = name
-        self.store = KVStore(env, name, read_latency=read_latency)
+        self.store = KVStore(env, name)
         self.applied = VersionVector()
         self.apply_log: list[tuple[float, str, VersionVector]] = []
         self._waiters: list[tuple[VersionVector, object]] = []
@@ -84,18 +83,14 @@ class ReplicatedKV:
 
     def __init__(self, env: "Environment", name: str,
                  replicas: int = 1,
-                 replication_lag: float = 0.002,
-                 read_latency: float = 0.0001,
-                 write_latency: float = 0.00015) -> None:
+                 replication_lag: float = 0.002) -> None:
         if replicas < 0:
             raise ValueError("replicas must be >= 0")
         self.env = env
         self.name = name
         self.replication_lag = replication_lag
-        self.primary = KVStore(env, f"{name}-primary",
-                               read_latency=read_latency,
-                               write_latency=write_latency)
-        self.replicas = [Replica(env, f"{name}-replica{i}", read_latency)
+        self.primary = KVStore(env, f"{name}-primary")
+        self.replicas = [Replica(env, f"{name}-replica{i}")
                          for i in range(replicas)]
         self._version = VersionVector()
         self._rng = env.rng(f"kv:{name}")

@@ -10,6 +10,10 @@ from repro.kvstore.versionclock import VersionVector
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
+#: Simulated access latency of one store read and one store write.
+KV_READ_LATENCY = 0.0001
+KV_WRITE_LATENCY = 0.00015
+
 
 @dataclasses.dataclass(frozen=True)
 class Versioned:
@@ -27,13 +31,9 @@ class KVStore:
     so that access latency is charged in simulated time.
     """
 
-    def __init__(self, env: "Environment", name: str,
-                 read_latency: float = 0.0001,
-                 write_latency: float = 0.00015) -> None:
+    def __init__(self, env: "Environment", name: str) -> None:
         self.env = env
         self.name = name
-        self.read_latency = read_latency
-        self.write_latency = write_latency
         self._data: dict[str, Versioned] = {}
         self.reads = 0
         self.writes = 0
@@ -60,12 +60,12 @@ class KVStore:
     # ------------------------------------------------------------------
     def get(self, key: str):
         """Process helper: read ``key`` (returns ``Versioned`` or None)."""
-        yield self.env.timeout(self.read_latency)
+        yield self.env.timeout(KV_READ_LATENCY)
         self.reads += 1
         return self._data.get(key)
 
     def put(self, key: str, value: object,
             version: VersionVector | None = None):
         """Process helper: write ``key``."""
-        yield self.env.timeout(self.write_latency)
+        yield self.env.timeout(KV_WRITE_LATENCY)
         return self.put_now(key, value, version)

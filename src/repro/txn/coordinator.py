@@ -19,12 +19,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclasses.dataclass
 class TxnConfig:
-    """Cost model and retry policy for distributed transactions."""
+    """Retry policy and ablation switches for distributed transactions."""
 
-    #: One-way latency of a coordinator <-> participant control message.
-    control_latency: float = 0.0003
-    #: Durable write of the coordinator's commit decision.
-    coordinator_log_latency: float = 0.0005
     max_retries: int = 8
     backoff_base: float = 0.002
     backoff_factor: float = 2.0
@@ -36,8 +32,7 @@ class TxnConfig:
     def __post_init__(self) -> None:
         # Every rule is a comparison that NaN fails.
         rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
-            "control_latency", "coordinator_log_latency", "max_retries",
-            "backoff_base", "backoff_jitter")]
+            "max_retries", "backoff_base", "backoff_jitter")]
         rules += [("backoff_factor", ">= 1", self.backoff_factor >= 1)]
         for name, rule, holds in rules:
             if not holds:
@@ -75,6 +70,7 @@ class TransactionRunner:
         self.cluster = cluster
         self.env = cluster.env
         self.config = config or TxnConfig()
+        self.costs = cluster.costs
         self.stats = TxnStats()
         self._rng = cluster.env.rng("txn-runner")
 
@@ -198,7 +194,7 @@ class Transaction(Event):
         """Every vote is in: record the decision, or roll back."""
         if all(self.votes):
             # The coordinator durably records the commit decision.
-            self.env.call_after(self.runner.config.coordinator_log_latency,
+            self.env.call_after(self.runner.costs.coordinator_log_latency,
                                 self._decided)
             return
         self._abort()
@@ -279,42 +275,43 @@ class Transaction(Event):
         entry after every participant is done.
 
         Each participant is modelled as: a control hop out, its
-        ``arrive(participant)`` step, a log force of its own
-        ``log_write_latency`` when that step answered True (a veto has
-        nothing to make durable), its ``logged(participant)`` step,
-        then a hop back if ``reply_hop``.  Nothing in that suspends,
-        so the round is a handful of pooled timeline entries — one per
-        hop and per *distinct* log latency, whatever the number of
-        participants — rather than a process each.  Every participant
-        still sees the exact times its own process would have produced,
-        and at each of them participants run in enlistment order.
+        ``arrive(participant)`` step, a ``participant_log_latency`` log
+        force when that step answered True (a veto has nothing to make
+        durable), its ``logged(participant)`` step, then a hop back if
+        ``reply_hop``.  Nothing in that suspends, and every participant
+        forces its log for the same time, so the round is a handful of
+        pooled timeline entries — one per hop and one for the forces,
+        whatever the number of participants — rather than a process
+        each.  Every participant still sees the exact times its own
+        process would have produced, and at each of them participants
+        run in enlistment order.
         """
         call_after = self.env.call_after
-        hop = self.runner.config.control_latency
+        costs = self.runner.costs
+        hop = costs.control_latency
         answers: list = []
         if not participants:
             call_after(0.0, then)
             return answers
+        voters: list = []
         pending = 0
 
         def arrived(_event) -> None:
             nonlocal pending
-            forces: dict[float, list] = {}
             for participant in participants:
                 answer = arrive(participant)
                 answers.append(answer)
                 if answer:
-                    forces.setdefault(participant.log_write_latency,
-                                      []).append(participant)
-            pending = len(forces)
-            for latency, group in forces.items():
-                call_after(latency, partial(forced, group))
+                    voters.append(participant)
+            if voters:
+                pending = 1
+                call_after(costs.participant_log_latency, forced)
             if not all(answers):
                 pending += 1
                 reply()  # the vetoers, at once
 
-        def forced(group: list, _event) -> None:
-            for participant in group:
+        def forced(_event) -> None:
+            for participant in voters:
                 logged(participant)
             reply()
 

@@ -42,12 +42,10 @@ class TransactionParticipant:
     """
 
     def __init__(self, env: "Environment", identity: tuple[str, str],
-                 log_write_latency: float,
                  initial_state: dict | None = None) -> None:
         self.env = env
         self.identity = identity
         self.lock = LockManager(env, f"{identity[0]}/{identity[1]}")
-        self.log_write_latency = log_write_latency
         self.committed_state: dict = initial_state or {}
         self._staged: dict[int, dict] = {}
         self._prepared: set[int] = set()
@@ -187,8 +185,6 @@ class TransactionalGrain(Grain):
     dict after writing it.
     """
 
-    log_write_latency: float = 0.0005
-
     #: Transactional grains interleave message processing: isolation
     #: comes from the participant's locks, not from turn concurrency.
     #: (A non-reentrant mailbox can deadlock invisibly to wait-die: txn
@@ -204,8 +200,7 @@ class TransactionalGrain(Grain):
     def participant(self) -> TransactionParticipant:
         if self._participant is None:
             self._participant = TransactionParticipant(
-                self.env, (type(self).__name__, self.key),
-                self.log_write_latency)
+                self.env, (type(self).__name__, self.key))
         return self._participant
 
     def txn_read(self):

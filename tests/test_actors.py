@@ -10,13 +10,12 @@ from repro.actors import (
     GrainCallError,
 )
 from repro.actors.errors import MessageDropped, UnknownGrainType
+from repro.costs import CostModel
 from repro.runtime import Environment, SimulationError
 
 
 class Counter(Grain):
     """Minimal stateful grain used across tests."""
-
-    cpu_cost = 0.0001
 
     def __init__(self):
         super().__init__()
@@ -47,9 +46,9 @@ class Relay(Grain):
         return result
 
 
-def make_cluster(seed=1, **config_kwargs):
+def make_cluster(seed=1, costs=None, **config_kwargs):
     env = Environment(seed=seed)
-    cluster = Cluster(env, ClusterConfig(**config_kwargs))
+    cluster = Cluster(env, ClusterConfig(**config_kwargs), costs=costs)
     return env, cluster
 
 
@@ -184,11 +183,10 @@ def test_reentrant_grain_interleaves_messages():
 
 
 def test_cpu_cost_charged_on_silo():
-    env, cluster = make_cluster(silos=1, cores_per_silo=1)
+    env, cluster = make_cluster(silos=1, cores_per_silo=1,
+                                costs=CostModel(grain_cpu=0.5))
 
     class Heavy(Grain):
-        cpu_cost = 0.5
-
         def work(self):
             return "done"
             yield  # pragma: no cover
@@ -199,11 +197,10 @@ def test_cpu_cost_charged_on_silo():
 
 
 def test_single_core_silo_queues_work():
-    env, cluster = make_cluster(silos=1, cores_per_silo=1)
+    env, cluster = make_cluster(silos=1, cores_per_silo=1,
+                                costs=CostModel(grain_cpu=0.1))
 
     class Busy(Grain):
-        cpu_cost = 0.1
-
         def work(self):
             return self.env.now
             yield  # pragma: no cover
@@ -265,7 +262,6 @@ def test_tell_swallows_drop_failures():
 class Doomed(Grain):
     """Fails every way a one-way message can be lost."""
 
-    cpu_cost = 0.01
     reentrant = True
     ran: list = []
 
@@ -308,7 +304,8 @@ def test_dropped_tell_is_lost_silently_and_counted():
 def test_tell_caught_by_a_crash_is_lost_silently_and_counted(
         crash_at, trail):
     Doomed.ran = []
-    env, cluster = make_cluster(silos=2, failure_detection_delay=0.0)
+    env, cluster = make_cluster(silos=2, failure_detection_delay=0.0,
+                                costs=CostModel(grain_cpu=0.01))
     ref = cluster.grain_ref(Doomed, "x")
     ref.tell("slow")
     env.run(until=crash_at)
@@ -378,11 +375,8 @@ def test_utilisation_reporting():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("local_latency", -0.001),
-    ("remote_latency", -0.001),
-    ("remote_jitter", -0.001),
     ("failure_detection_delay", -1.0),
-    ("remote_latency", float("nan")),
+    ("failure_detection_delay", float("nan")),
     ("drop_probability", -0.1),
     ("drop_probability", 1.1),
     ("silos", 0),
@@ -391,8 +385,6 @@ def test_utilisation_reporting():
     ("activation_limit", 0),
 ])
 def test_cluster_config_rejects_out_of_range_values(field, value):
-    # A negative latency used to construct, heap-push deliveries into
-    # the past and let ``env.now`` run backwards.
     with pytest.raises(ValueError, match=field):
         ClusterConfig(**{field: value})
 
@@ -401,9 +393,8 @@ def test_cluster_config_accepts_defaults_boundaries_and_the_catalogue():
     from repro.core.scenarios import SCENARIOS
 
     ClusterConfig()
-    # Zero is a legal latency, 0 and 1 legal drop rates, None no limit.
-    ClusterConfig(local_latency=0.0, remote_latency=0.0, remote_jitter=0.0,
-                  failure_detection_delay=0.0, drop_probability=1.0,
+    # Zero is a legal delay, 0 and 1 legal drop rates, None no limit.
+    ClusterConfig(failure_detection_delay=0.0, drop_probability=1.0,
                   silos=1, cores_per_silo=1, max_delivery_attempts=1,
                   activation_limit=1)
     for scenario in SCENARIOS.values():

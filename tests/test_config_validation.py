@@ -58,8 +58,6 @@ def test_workload_nan_is_rejected_in_every_float_field(field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("control_latency", -0.001),
-    ("coordinator_log_latency", -0.001),
     ("max_retries", -1),
     ("backoff_base", -1.0),
     ("backoff_factor", 0.0),
@@ -86,8 +84,7 @@ def test_float_fields_are_all_covered():
         "reserve_fraction", "zipf_s", "voucher_probability",
         "duplicate_submit_probability"}
     assert set(TXN_FLOATS) == {
-        "control_latency", "coordinator_log_latency", "backoff_base",
-        "backoff_factor", "backoff_jitter"}
+        "backoff_base", "backoff_factor", "backoff_jitter"}
 
 
 def test_every_construction_in_the_repository_still_builds():
@@ -100,8 +97,7 @@ def test_every_construction_in_the_repository_still_builds():
                    max_quantity=1, min_price_cents=1, max_price_cents=1,
                    voucher_probability=1.0, external_platforms=1,
                    external_shops=1, duplicate_submit_probability=1.0)
-    TxnConfig(control_latency=0.0, coordinator_log_latency=0.0,
-              max_retries=0, backoff_base=0.0, backoff_factor=1.0,
+    TxnConfig(max_retries=0, backoff_base=0.0, backoff_factor=1.0,
               backoff_jitter=0.0)
     # Every catalogue scenario's workload (the matrix and the ledger's
     # open-loop cells).

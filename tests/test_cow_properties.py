@@ -310,7 +310,7 @@ def test_delete_then_re_add_moves_the_key_to_the_end():
 def make_participant(initial):
     env = Environment(seed=1)
     participant = TransactionParticipant(
-        env, ("T", "k"), log_write_latency=0.001, initial_state=initial)
+        env, ("T", "k"), initial_state=initial)
     return env, participant
 
 

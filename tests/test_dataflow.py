@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import AppConfig, StatefunApp
+from repro.costs import CostModel
 from repro.dataflow import (
     StatefulFunction,
     StatefunConfig,
@@ -40,10 +41,10 @@ class AckFn(StatefulFunction):
         return None
 
 
-def make_runtime(seed=1, **config_kwargs):
+def make_runtime(seed=1, costs=None, **config_kwargs):
     env = Environment(seed=seed)
     config_kwargs.setdefault("checkpoint_interval", 0.0)
-    runtime = StatefunRuntime(env, StatefunConfig(**config_kwargs))
+    runtime = StatefunRuntime(env, StatefunConfig(**config_kwargs), costs)
     runtime.register("counter", CounterFn())
     runtime.register("chain", ChainFn())
     runtime.register("ack", AckFn())
@@ -86,14 +87,13 @@ def test_same_key_processed_sequentially():
     order = []
 
     class SlowFn(StatefulFunction):
-        cpu_cost = 0.01
-
         def invoke(self, context, payload):
             order.append((payload, context.worker.env.now))
 
     env = Environment()
     runtime = StatefunRuntime(env, StatefunConfig(checkpoint_interval=0.0,
-                                                  partitions=1))
+                                                  partitions=1),
+                              CostModel(function_cpu=0.01))
     runtime.register("slow", SlowFn())
     for i in range(3):
         runtime.send_ingress("slow", "k", i)
@@ -121,7 +121,7 @@ def test_keys_spread_across_partitions():
 
 def test_checkpoint_pauses_processing():
     env, runtime = make_runtime(checkpoint_interval=0.1,
-                                checkpoint_sync=0.05)
+                                costs=CostModel(checkpoint_sync=0.05))
     for i in range(5):
         runtime.send_ingress("counter", f"k{i}", "hit")
     env.run(until=0.5)
@@ -178,7 +178,7 @@ def test_exactly_once_egress_across_replay():
 
 
 def test_recovery_counts_and_pause_cost():
-    env, runtime = make_runtime(recovery_pause=0.3)
+    env, runtime = make_runtime(costs=CostModel(recovery_pause=0.3))
     runtime.send_ingress("counter", "k", "hit")
     env.run(until=0.05)
     before = env.now
@@ -194,9 +194,9 @@ def test_recovery_counts_and_pause_cost():
 
 def test_envelope_cpu_charged_per_message():
     env = Environment()
-    config = StatefunConfig(checkpoint_interval=0.0, partitions=1,
-                            envelope_cpu=0.01, delivery_latency=0.0)
-    runtime = StatefunRuntime(env, config)
+    config = StatefunConfig(checkpoint_interval=0.0, partitions=1)
+    runtime = StatefunRuntime(env, config, CostModel(envelope_cpu=0.01,
+                                                     delivery_latency=0.0))
     runtime.register("counter", CounterFn())
     for i in range(5):
         runtime.send_ingress("counter", f"k{i}", "hit")
@@ -212,21 +212,20 @@ def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
     ends = []
 
     class TimedFn(StatefulFunction):
-        cpu_cost = 0.002
-
         def invoke(self, context, payload):
             ends.append(context.runtime.env.now)
 
     env = Environment()
-    config = StatefunConfig(checkpoint_interval=0.0, partitions=1,
-                            envelope_cpu=0.001, delivery_latency=0.0)
-    runtime = StatefunRuntime(env, config)
+    costs = CostModel(function_cpu=0.002, envelope_cpu=0.001,
+                      delivery_latency=0.0)
+    runtime = StatefunRuntime(env, StatefunConfig(
+        checkpoint_interval=0.0, partitions=1), costs)
     runtime.register("timed", TimedFn())
     for i in range(8):
         runtime.send_ingress("timed", f"k{i}", i)
     env.run()
     # An invocation ends its CPU charge; the charges never overlap.
-    service = TimedFn.cpu_cost + config.envelope_cpu
+    service = costs.function_cpu + costs.envelope_cpu
     assert len(ends) == 8
     for earlier, later in zip(ends, ends[1:]):
         assert later - service >= earlier - 1e-12
@@ -242,8 +241,8 @@ def stop_the_world_trail():
     messages flow; returns the ``(env.now, label)`` trail of each
     request and of each stop-the-world body's start and end, and the
     kernel events the run cost."""
-    env, runtime = make_runtime(partitions=2, checkpoint_sync=0.02,
-                                rescale_pause=0.08, recovery_pause=0.25)
+    env, runtime = make_runtime(partitions=2, costs=CostModel(
+        checkpoint_sync=0.02, rescale_pause=0.08, recovery_pause=0.25))
     trail = []
     for name in ("_take_checkpoint_locked", "_rescale_locked",
                  "_inject_failure_locked"):
@@ -296,7 +295,7 @@ def test_total_queued_reflects_backlog():
     for i in range(10):
         runtime.send_ingress("counter", f"k{i}", "hit")
     assert runtime.total_queued == 0  # not yet delivered
-    env.run(until=runtime.config.delivery_latency * 1.5)
+    env.run(until=runtime.costs.delivery_latency * 1.5)
     assert runtime.total_queued > 0
     env.run()
     assert runtime.total_queued == 0

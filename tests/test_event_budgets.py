@@ -30,12 +30,14 @@ all as exact counts or exact float times read from the kernel
 """
 
 import cProfile
+import dataclasses
 import inspect
 
 import pytest
 
 from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
 from repro.actors.silo import SiloState
+from repro.costs import CostModel
 from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
 from repro.runtime import Environment, SimulationError, Timeout
 from repro.runtime.process import Process
@@ -218,8 +220,8 @@ RETIRED_CORE_FRAMES = {"request", "_grant", "_release_slot", "_account"}
 def test_a_turn_queued_behind_a_busy_core_stays_in_its_frame_budget():
     env = Environment(seed=1)
     # No jitter: the first call always reaches the only core first.
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1,
-                                         remote_jitter=0.0))
+    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
+                      costs=CostModel(remote_jitter=0.0))
     first, second = (cluster.grain_ref(Plain, key) for key in "ab")
 
     def pair():
@@ -291,16 +293,18 @@ def test_fan_out_stays_in_its_frame_budget():
     assert per_fan_out <= MAX_FRAMES_PER_FAN_OUT, (per_fan_out, frames)
 
 
+#: A dataflow whose functions cost no CPU (the envelope tax stays).
+FREE_FUNCTIONS = CostModel(function_cpu=0.0)
+
+
 def test_statefun_message_costs_one_delivery_event():
     class Sink(StatefulFunction):
-        cpu_cost = 0.0
-
         def invoke(self, context, payload):
             context.state["seen"] = payload
 
     env = Environment(seed=1)
     runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=1, checkpoint_interval=0))
+        partitions=1, checkpoint_interval=0), FREE_FUNCTIONS)
     runtime.register("sink", Sink())
     env.run()  # worker parked on its empty queue
     before = env.events_processed
@@ -314,8 +318,6 @@ def test_statefun_message_costs_one_delivery_event():
 
 class Relay(StatefulFunction):
     """Records the hops left and passes the rest down the chain."""
-
-    cpu_cost = 0.0
 
     def invoke(self, context, payload):
         chain, hops = payload
@@ -347,7 +349,7 @@ RETIRED_STATEFUN_FRAMES = {"address", "isgenerator", "triggered", "_loop",
 def test_statefun_message_stays_in_its_frame_budget():
     env = Environment(seed=1)
     runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=4, checkpoint_interval=0))
+        partitions=4, checkpoint_interval=0), FREE_FUNCTIONS)
     runtime.register("relay", Relay())
     chains, hops = 100, 9
 
@@ -379,8 +381,6 @@ class Faulty(StatefulFunction):
     """Fails in each way a function body can: by raising, or by being
     written as a generator, whose body the runtime never runs."""
 
-    cpu_cost = 0.0
-
     def invoke(self, context, payload):
         env = context.worker.env
         if payload == "raises":
@@ -404,7 +404,7 @@ class Faulty(StatefulFunction):
 def test_statefun_function_failure_surfaces_as_simulation_error(payload):
     env = Environment(seed=1)
     runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=1, checkpoint_interval=0))
+        partitions=1, checkpoint_interval=0), FREE_FUNCTIONS)
     runtime.register("faulty", Faulty())
     runtime.send_ingress("faulty", "k", payload)
     with pytest.raises(SimulationError) as excinfo:
@@ -423,21 +423,22 @@ def test_statefun_function_failure_surfaces_as_simulation_error(payload):
 #: kernel callbacks advance (3 while ``run`` was a generator driven
 #: by a process).
 RUN_OVERHEAD = 1
-HOP, COORDINATOR_LOG = 0.0003, 0.0005
+HOP, LOG, COORDINATOR_LOG = 0.0003, 0.0005, 0.0005
 
 
-def make_runner(**txn_kwargs):
+def make_runner(log=LOG, **txn_kwargs):
+    """A runner whose participants force their log for ``log``."""
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig())
-    runner = TransactionRunner(cluster, TxnConfig(
-        control_latency=HOP, coordinator_log_latency=COORDINATOR_LOG,
-        **txn_kwargs))
+    cluster = Cluster(env, ClusterConfig(), costs=CostModel(
+        control_latency=HOP, participant_log_latency=log,
+        coordinator_log_latency=COORDINATOR_LOG))
+    runner = TransactionRunner(cluster, TxnConfig(**txn_kwargs))
     return env, runner
 
 
-def make_participants(env, log_latencies):
-    return [TransactionParticipant(env, ("P", str(index)), latency)
-            for index, latency in enumerate(log_latencies)]
+def make_participants(env, count):
+    return [TransactionParticipant(env, ("P", str(index)))
+            for index in range(count)]
 
 
 def enlist(ctx, participant, value):
@@ -466,42 +467,37 @@ def run_transaction(env, runner, participants, start=0.0123):
 def test_two_phase_commit_costs_eight_events_for_any_participant_count(
         count):
     env, runner = make_runner()
-    participants = make_participants(env, [0.0005] * count)
-    events, _, _ = run_transaction(env, runner, participants)
+    participants = make_participants(env, count)
+    events, start, end = run_transaction(env, runner, participants)
     # Prepare: hop out, log force, hop back, round event.  Coordinator
     # log.  Commit: hop out, log force, round event.
     assert events - RUN_OVERHEAD == 8
     assert runner.stats.committed == 1
     assert all(p.commits == 1 and p.committed_state["value"] == index
                for index, p in enumerate(participants))
-
-
-@pytest.mark.parametrize("count", [4, 16])
-def test_each_distinct_log_latency_adds_a_fixed_three_events(count):
-    costs = []
-    for groups in (1, 2, 3):
-        env, runner = make_runner()
-        latencies = [0.0005 * (1 + index % groups)
-                     for index in range(count)]
-        events, _, _ = run_transaction(
-            env, runner, make_participants(env, latencies))
-        costs.append(events - RUN_OVERHEAD)
-    # One more prepare log force, hop back and commit log force.
-    assert costs == [8, 11, 14]
+    # Every participant and the coordinator see the times of the
+    # retired one-process-per-participant model.
+    prepared, committed, reference_end = reference_times(start, count)
+    for index, participant in enumerate(participants):
+        log = {outcome: time
+               for time, _txid, outcome in participant.commit_log}
+        assert log["prepared"] == prepared[index] == (start + HOP) + LOG
+        assert log["committed"] == committed[index]
+    assert end == reference_end == max(committed.values())
 
 
 def test_one_shot_commit_ablation_reuses_the_commit_round():
     env, runner = make_runner(enable_two_phase_commit=False)
-    participants = make_participants(env, [0.0005] * 4)
+    participants = make_participants(env, 4)
     events, start, end = run_transaction(env, runner, participants)
     assert events - RUN_OVERHEAD == 3  # hop out, log force, round event
-    assert end == (start + HOP) + 0.0005
+    assert end == (start + HOP) + LOG
     assert all(p.commits == 1 and p.prepares == 0 for p in participants)
 
 
 def test_veto_skips_the_log_force():
     env, runner = make_runner(max_retries=0)
-    (participant,) = make_participants(env, [0.0005])
+    (participant,) = make_participants(env, 1)
     env.run(until=0.0123)
 
     def body(ctx):
@@ -521,8 +517,8 @@ def test_veto_skips_the_log_force():
 
 
 def test_yes_voters_still_force_their_log_beside_a_veto():
-    env, runner = make_runner(max_retries=0)
-    voter, vetoer = make_participants(env, [0.001, 0.0005])
+    env, runner = make_runner(log=0.001, max_retries=0)
+    voter, vetoer = make_participants(env, 2)
 
     def body(ctx):
         enlist(ctx, voter, 1)
@@ -544,7 +540,7 @@ def test_yes_voters_still_force_their_log_beside_a_veto():
 def test_a_failed_transaction_nobody_awaits_surfaces_as_simulation_error(
         outcome):
     env, runner = make_runner(max_retries=0)
-    (participant,) = make_participants(env, [0.0005])
+    (participant,) = make_participants(env, 1)
 
     def body(ctx):
         if outcome == "body-raises":  # settles before run() returns
@@ -568,7 +564,7 @@ def test_a_failed_transaction_nobody_awaits_surfaces_as_simulation_error(
 
 def test_a_body_returning_a_processed_event_resumes_one_step_later():
     env, runner = make_runner()
-    (participant,) = make_participants(env, [0.0005])
+    (participant,) = make_participants(env, 1)
     done = env.timeout(0.0, "result")
     env.run()
     assert done.processed
@@ -586,7 +582,7 @@ def test_a_body_returning_a_processed_event_resumes_one_step_later():
 
 def test_the_caller_resumes_inside_the_commit_rounds_last_entry():
     env, runner = make_runner()
-    participants = make_participants(env, [0.0005] * 2)
+    participants = make_participants(env, 2)
     env.run(until=0.0123)
     trail = []
     call_after = env.call_after
@@ -644,7 +640,7 @@ RETIRED_TXN_FRAMES = {"_commit", "_abort_all", "acquire", "release",
 
 def test_an_uncontended_transaction_stays_in_its_frame_budget():
     env, runner = make_runner()
-    (participant,) = make_participants(env, [0.0005])
+    (participant,) = make_participants(env, 1)
 
     def body(ctx):
         enlist(ctx, participant, ctx.txid)
@@ -678,54 +674,38 @@ def test_an_uncontended_transaction_stays_in_its_frame_budget():
 # ---------------------------------------------------------------------------
 # (b) timing equivalence with the per-participant process model
 # ---------------------------------------------------------------------------
-def reference_times(start, log_latencies):
+def reference_times(start, count):
     """The retired model: one process per participant and phase, joined
     by ``all_of``.  Returns (prepared times, committed times, end)."""
     env = Environment(seed=1)
     env.run(until=start)
     prepared, committed = {}, {}
 
-    def prepare_one(index, log):
+    def prepare_one(index):
         yield env.timeout(HOP)
-        yield env.timeout(log)
+        yield env.timeout(LOG)
         prepared[index] = env.now
         yield env.timeout(HOP)
 
-    def commit_one(index, log):
+    def commit_one(index):
         yield env.timeout(HOP)
-        yield env.timeout(log)
+        yield env.timeout(LOG)
         committed[index] = env.now
 
     def coordinator():
-        yield env.all_of([env.process(prepare_one(index, log))
-                          for index, log in enumerate(log_latencies)])
+        yield env.all_of([env.process(prepare_one(index))
+                          for index in range(count)])
         yield env.timeout(COORDINATOR_LOG)
-        yield env.all_of([env.process(commit_one(index, log))
-                          for index, log in enumerate(log_latencies)])
+        yield env.all_of([env.process(commit_one(index))
+                          for index in range(count)])
 
     env.run(until=env.process(coordinator()))
     return prepared, committed, env.now
 
 
-def test_mixed_log_latencies_keep_every_per_participant_time():
-    latencies = [0.001, 0.0005, 0.002, 0.001, 0.0005, 0.00075]
-    env, runner = make_runner()
-    participants = make_participants(env, latencies)
-    _, start, end = run_transaction(env, runner, participants)
-    prepared, committed, reference_end = reference_times(start, latencies)
-    for index, participant in enumerate(participants):
-        log = {outcome: time
-               for time, _txid, outcome in participant.commit_log}
-        assert log["prepared"] == prepared[index]
-        assert log["prepared"] == (start + HOP) + latencies[index]
-        assert log["committed"] == committed[index]
-    # The coordinator resumes when the slowest participant is done.
-    assert end == reference_end == max(committed.values())
-
-
 def test_participants_are_visited_in_enlistment_order():
     env, runner = make_runner()
-    participants = make_participants(env, [0.001, 0.0005, 0.001, 0.0005])
+    participants = make_participants(env, 4)
     visits = []
     for participant in participants:
         original = participant.mark_committed
@@ -735,10 +715,10 @@ def test_participants_are_visited_in_enlistment_order():
             original(ctx)
 
         participant.mark_committed = spy
-    run_transaction(env, runner, participants)
-    # By time first; enlistment order among equals.
-    assert [key for _, key in visits] == ["1", "3", "0", "2"]
-    assert visits == sorted(visits, key=lambda visit: visit[0])
+    _, start, _ = run_transaction(env, runner, participants)
+    # One log force for all, then each in enlistment order.
+    committed = (((start + HOP) + LOG + HOP) + COORDINATOR_LOG + HOP) + LOG
+    assert visits == [(committed, key) for key in "0123"]
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +729,6 @@ class Witness(Grain):
     the activation."""
 
     reentrant = True
-    cpu_cost = 0.01
     trail: list = []
 
     def quick(self):
@@ -768,11 +747,16 @@ class Witness(Grain):
         return result
 
 
+#: Every turn keeps its core for 10 ms.
+SLOW_TURNS = CostModel(grain_cpu=0.01)
+
+
 def crash_cluster():
     Witness.trail = []
     env = Environment(seed=1)
     cluster = Cluster(env, ClusterConfig(
-        silos=2, cores_per_silo=1, failure_detection_delay=0.0))
+        silos=2, cores_per_silo=1, failure_detection_delay=0.0),
+        costs=SLOW_TURNS)
     keys = {silo: [key for key in (f"w{i}" for i in range(40))
                    if cluster.placement.place("Witness", key) is silo]
             for silo in cluster.silos}
@@ -859,9 +843,9 @@ def test_crash_after_the_reply_left_delivers_the_result_once():
 
 
 class Slow(Grain):
-    """Non-reentrant; keeps its core for 10 ms a call."""
+    """Non-reentrant; on a ``SLOW_TURNS`` cluster it keeps its core for
+    10 ms a call."""
 
-    cpu_cost = 0.01
     served: list = []
 
     def serve(self, tag):
@@ -943,8 +927,9 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
     Slow.served = []
     env = Environment(seed=1)
     # No jitter: the wire keeps send order, so arrival order is known.
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=4,
-                                         remote_jitter=0.0))
+    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=4),
+                      costs=dataclasses.replace(SLOW_TURNS,
+                                                remote_jitter=0.0))
     ref = cluster.grain_ref(Slow, "s")
     activation = cluster.activation_of(ref)
     replies = []
@@ -980,7 +965,6 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
 class Sequenced(Grain):
     """Non-reentrant; logs every step of its turns to ``timeline``."""
 
-    cpu_cost = 0.001
     timeline: list = []
 
     def plain(self, label):
@@ -999,15 +983,39 @@ class Sequenced(Grain):
         return label
 
 
+class FreeCpuView:
+    """``cluster`` seen through a cost model that charges no grain CPU;
+    everything else is the cluster's own."""
+
+    def __init__(self, cluster):
+        self._cluster = cluster
+        self.costs = dataclasses.replace(cluster.costs, grain_cpu=0.0)
+
+    def __getattr__(self, name):
+        return getattr(self._cluster, name)
+
+
 class Instant(Sequenced):
     """Costs no CPU: its turn holds the core for zero time, so its body
-    runs in the tick its message arrives."""
+    runs in the tick its message arrives.  A cluster charges every
+    grain the same ``grain_cpu``, so an instant grain sees its cluster
+    through a :class:`FreeCpuView`."""
 
-    cpu_cost = 0.0
+    @property
+    def cluster(self):
+        return self._cluster
+
+    @cluster.setter
+    def cluster(self, cluster):
+        self._cluster = cluster and FreeCpuView(cluster)
 
 
 class SequencedReentrant(Sequenced):
     reentrant = True
+
+
+#: The timelines' wire has no jitter, and a turn holds its core 1 ms.
+TIMELINE_COSTS = CostModel(remote_jitter=0.0, grain_cpu=0.001)
 
 
 def actor_timeline():
@@ -1017,8 +1025,8 @@ def actor_timeline():
     processed."""
     Sequenced.timeline = timeline = []
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1,
-                                         remote_jitter=0.0))
+    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1),
+                      costs=TIMELINE_COSTS)
 
     def refs(grain_type, silo, count):
         keys = (f"k{i}" for i in range(100))
@@ -1161,7 +1169,6 @@ class Ledger(TransactionalGrain):
     """Logs every step of its turns; ``names`` maps a transaction id
     to its script label."""
 
-    cpu_cost = 0.001
     timeline: list = []
     names: dict = {}
 
@@ -1169,8 +1176,7 @@ class Ledger(TransactionalGrain):
     def participant(self):
         if self._participant is None:
             self._participant = LoggedParticipant(
-                self.env, (type(self).__name__, self.key),
-                self.log_write_latency)
+                self.env, (type(self).__name__, self.key))
         return self._participant
 
     def _log(self, step):
@@ -1197,17 +1203,10 @@ class Ledger(TransactionalGrain):
         return state.get("total", 0)
 
 
-class SlowLedger(Ledger):
-    """Forces its log at twice a ``Ledger``'s latency."""
-
-    log_write_latency = 0.001
-
-
 class Forwarder(Grain):
     """Not transactional: forwards a call, and its transaction, on."""
 
     reentrant = True
-    cpu_cost = 0.001
 
     def forward(self, target, method):
         return (yield self.call(target, method))
@@ -1218,7 +1217,7 @@ def txn_timeline():
     silos with a jitter-free wire.  Returns the ``(env.now, label)``
     steps in dispatch order and the kernel events processed.
 
-    At 0: ``u1`` writes a left and a right grain whose logs differ;
+    At 0: ``u1`` writes a left and a right grain;
     ``o1`` and ``o2`` read ``c`` through a relay on the right silo; ``y``
     (younger than both) writes ``c`` first and keeps its turn, and so
     its lock, for 3 ms, so both readers queue for ``c`` and are granted
@@ -1228,8 +1227,8 @@ def txn_timeline():
     Ledger.timeline = timeline = []
     Ledger.names = names = {}
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1,
-                                         remote_jitter=0.0))
+    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1),
+                      costs=TIMELINE_COSTS)
     runner = TransactionRunner(cluster, TxnConfig())
     left, right = cluster.silos
 
@@ -1240,7 +1239,7 @@ def txn_timeline():
                 is silo][skip]
 
     a, c, e = ref(Ledger, left), ref(Ledger, left, 1), ref(Ledger, left, 2)
-    b, relay = ref(SlowLedger, right), ref(Forwarder, right)
+    b, relay = ref(Ledger, right), ref(Forwarder, right)
 
     def run(label, *calls):
         def body(ctx):
@@ -1273,13 +1272,14 @@ def txn_timeline():
     return timeline, env.events_processed
 
 
-#: ``txn_timeline()`` as recorded before a silo owned its cores (they
-#: were a kernel ``Resource``), which the hand-off of a queued turn's
-#: core reproduces entry for entry.  The goldens hash payloads, and a
-#: payload rarely depends on which of two entries due in one tick runs
-#: first: a lock manager that wakes its waiters LIFO swaps "o1 read"
-#: and "o2 read" at 0.0082, and a transaction that runs its waiters in
-#: reverse swaps "u1 settled" and "u1 resumed its caller".
+#: ``txn_timeline()`` as a round that forced its logs once per distinct
+#: participant latency produced it (and as one that forces every
+#: yes-voter's log in one entry reproduces it).  The goldens
+#: hash payloads, and a payload rarely depends on which of two entries
+#: due in one tick runs first: a lock manager that wakes its waiters
+#: LIFO swaps "o1 read" and "o2 read" at 0.0082, and a transaction that
+#: runs its waiters in reverse swaps "u1 settled" and "u1 resumed its
+#: caller".
 TXN_TIMELINE = [
     (0.0, 'u1 attempt 1'),
     (0.0, 'o1 attempt 1'),
@@ -1289,19 +1289,19 @@ TXN_TIMELINE = [
     (0.001, 'z attempt 1'),
     (0.0014, 'u1 writes l2'),
     (0.0014, 'u1 wrote l2'),
-    (0.0014, 'u1 writes s0'),
-    (0.0014, 'u1 wrote s0'),
+    (0.0014, 'u1 writes l0'),
+    (0.0014, 'u1 wrote l0'),
     (0.0024000000000000002, 'y writes l4'),
     (0.0024000000000000002, 'y wrote l4'),
     (0.0026, 'u1 prepared l2'),
-    (0.0031, 'u1 prepared s0'),
+    (0.0026, 'u1 prepared l0'),
     (0.0034000000000000002, 'v writes l6'),
+    (0.0042, 'u1 committed l2'),
+    (0.0042, 'u1 committed l0'),
+    (0.0042, 'u1 settled'),
+    (0.0042, 'u1 resumed its caller'),
     (0.0044, 'z writes l4'),
     (0.0044, 'v aborted l6'),
-    (0.004699999999999999, 'u1 committed l2'),
-    (0.0052, 'u1 committed s0'),
-    (0.0052, 'u1 settled'),
-    (0.0052, 'u1 resumed its caller'),
     (0.0054, 'o1 reads l4'),
     (0.0064, 'o2 reads l4'),
     (0.0066, 'y prepared l4'),
@@ -1331,7 +1331,7 @@ TXN_TIMELINE = [
     (0.018471255380719653, 'z committed l4'),
     (0.018471255380719653, 'z settled'),
 ]
-TXN_TIMELINE_EVENTS = 117
+TXN_TIMELINE_EVENTS = 114
 
 
 def test_same_tick_order_on_the_2pc_path_is_pinned():

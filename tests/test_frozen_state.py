@@ -104,8 +104,7 @@ def test_a_top_level_write_through_a_read_raises():
     env = Environment(seed=1)
     committed = {"balance": 10, "history": [1, 2]}
     participant = TransactionParticipant(
-        env, ("T", "k"), log_write_latency=0.001,
-        initial_state=copy.deepcopy(committed))
+        env, ("T", "k"), initial_state=copy.deepcopy(committed))
     ctx = TransactionContext(env.now)
 
     def txn():

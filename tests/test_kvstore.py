@@ -8,6 +8,7 @@ from repro.kvstore import (
     ReplicatedKV,
     VersionVector,
 )
+from repro.kvstore.store import KV_READ_LATENCY, KV_WRITE_LATENCY
 from repro.runtime import Environment
 
 
@@ -72,14 +73,15 @@ class TestKVStore:
 
     def test_operations_charge_latency(self):
         env = Environment()
-        store = KVStore(env, "s", read_latency=0.25, write_latency=0.5)
+        store = KVStore(env, "s")
 
         def scenario():
             yield from store.put("k", 1)
             yield from store.get("k")
             return env.now
 
-        assert run_proc(env, scenario()) == pytest.approx(0.75)
+        assert run_proc(env, scenario()) == pytest.approx(
+            KV_WRITE_LATENCY + KV_READ_LATENCY)
 
     def test_peek_does_not_count_as_read(self):
         env = Environment()

@@ -1,16 +1,16 @@
 """Unit tests for the append-only audit log storage."""
 
-from repro.apps.logstore import AuditLogStore
+from repro.apps.logstore import AUDIT_WRITE_LATENCY, AuditLogStore
 from repro.runtime import Environment
 
 
-def make_log(latency=0.001):
+def make_log():
     env = Environment()
-    return env, AuditLogStore(env, write_latency=latency)
+    return env, AuditLogStore(env)
 
 
 def test_append_is_asynchronous():
-    env, log = make_log(latency=0.5)
+    env, log = make_log()
     log.append_async("checkout", "o1", {"total": 100})
     assert len(log) == 0
     assert log.pending == 1
@@ -27,7 +27,7 @@ def test_records_carry_metadata():
     assert record.operation == "checkout"
     assert record.subject == "o1"
     assert record.payload == {"total": 100}
-    assert record.time == 0.001
+    assert record.time == AUDIT_WRITE_LATENCY
 
 
 def test_sequence_is_monotonic():

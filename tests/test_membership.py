@@ -109,8 +109,6 @@ class TestCrash:
 
     def test_queued_messages_replaced_on_eviction(self):
         class Slow(Grain):
-            cpu_cost = 0.0001
-
             def work(self, duration):
                 yield self.env.timeout(duration)
                 return self.env.now

@@ -157,7 +157,7 @@ def calls_for_one_upsert(entries: int) -> int:
         for index in range(entries)}
     env = Environment(seed=1)
     participant = TransactionParticipant(
-        env, ("seller", "1"), log_write_latency=0.001, initial_state=state)
+        env, ("seller", "1"), initial_state=state)
     ctx = TransactionContext(env.now)
     order = {"order_id": "new", "customer_id": 7, "status": "in_transit",
              "updated_at": 1.0,

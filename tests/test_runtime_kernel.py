@@ -8,6 +8,7 @@ import pytest
 import repro.runtime
 
 from repro.actors import Cluster, ClusterConfig, Grain
+from repro.costs import CostModel
 from repro.runtime import (
     AllOf,
     Environment,
@@ -288,46 +289,18 @@ def test_no_scheduling_call_accepts_a_negative_delay():
     assert env.run(until=event) == "on time" and env.now == 1.5
 
 
-class NanCost(Grain):
-    """A grain turn whose CPU hold would last NaN seconds."""
-
-    cpu_cost = float("nan")
-
-    def plain(self):
-        return self.key
-
-
-class Busy(Grain):
-    """Keeps a core for 10 ms a turn."""
-
-    cpu_cost = 0.01
-
-    def plain(self):
-        return self.key
-
-
-def _nan_cost_behind_a_busy_core(env, cluster):
-    cluster.grain_ref(Busy, "k").call("plain")
-    env.run(until=cluster.grain_ref(NanCost, "k").call("plain"))
-
-
 @pytest.mark.parametrize("call", [
     lambda env, cluster: env.timeout(float("nan")),
     lambda env, cluster: env.schedule(env.event(), float("nan")),
     lambda env, cluster: env.call_after(float("nan"), lambda _event: None),
     lambda env, cluster: env.event().trigger_after(float("nan")),
-    lambda env, cluster: env.run(
-        until=cluster.grain_ref(NanCost, "k").call("plain")),
-    _nan_cost_behind_a_busy_core,
     lambda env, cluster: env.run(until=float("nan")),
-], ids=["timeout", "schedule", "call_after", "trigger_after", "cpu_cost",
-        "cpu_cost-busy-core", "run-until"])
+], ids=["timeout", "schedule", "call_after", "trigger_after", "run-until"])
 def test_nan_delay_or_stop_time_is_rejected(call):
     """A NaN compares false with everything, so a check written as
-    ``delay < 0`` lets it through and the clock becomes NaN.  A grain
-    turn's CPU cost is rejected before the turn takes or queues for a
-    core: rejected only when a queued turn is granted its core, it
-    would keep that core for good and starve the silo."""
+    ``delay < 0`` lets it through and the clock becomes NaN.  (A grain
+    turn's CPU cost is a ``CostModel`` field, which rejects NaN where
+    it is built: ``tests/test_costs.py``.)"""
     env = Environment()
     cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1))
     (silo,) = cluster.silos
@@ -362,14 +335,19 @@ def test_rng_stream_is_cached():
     assert env.rng("x") is env.rng("x")
 
 
+def zero_wire(**costs):
+    """A cost model whose grain calls take no time on the wire."""
+    return CostModel(local_latency=0.0, remote_latency=0.0,
+                     remote_jitter=0.0, **costs)
+
+
 class TestSiloCores:
     def test_release_wakes_fifo_waiter(self):
         # Grain turns on a one-core silo over a zero-latency wire, all
-        # sent at 0: each turn holds the core for its grain's CPU cost.
+        # sent at 0: each turn holds the core for 1 s.
         env = Environment()
-        cluster = Cluster(env, ClusterConfig(
-            silos=1, cores_per_silo=1, local_latency=0.0,
-            remote_latency=0.0, remote_jitter=0.0))
+        cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
+                          costs=zero_wire(grain_cpu=1.0))
         (silo,) = cluster.silos
         order = []
 
@@ -377,31 +355,21 @@ class TestSiloCores:
             def work(self):
                 order.append((self.key, env.now, silo.busy))
 
-        class LongHolder(Holder):
-            cpu_cost = 2.0
-
-        class ShortHolder(Holder):
-            cpu_cost = 1.0
-
-        cluster.grain_ref(LongHolder, "a").call("work")
-        cluster.grain_ref(ShortHolder, "b").call("work")
-        cluster.grain_ref(ShortHolder, "c").call("work")
+        for key in "abc":
+            cluster.grain_ref(Holder, key).call("work")
         env.run()
         # FIFO; a core is released (and handed to the next waiter)
         # before the turn's body runs.
-        assert order == [("a", 2.0, 1), ("b", 3.0, 1), ("c", 4.0, 0)]
+        assert order == [("a", 1.0, 1), ("b", 2.0, 1), ("c", 3.0, 0)]
 
     def test_utilisation_accounting(self):
         # One grain turn holding a core of a two-core silo for 4 s.
         env = Environment()
-        cluster = Cluster(env, ClusterConfig(
-            silos=1, cores_per_silo=2, local_latency=0.0,
-            remote_latency=0.0, remote_jitter=0.0))
+        cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=2),
+                          costs=zero_wire(grain_cpu=4.0))
         (silo,) = cluster.silos
 
         class Busy(Grain):
-            cpu_cost = 4.0
-
             def work(self):
                 return self.key
 

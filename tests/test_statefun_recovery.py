@@ -7,7 +7,8 @@ import pytest
 from repro.apps import AppConfig, StatefunApp
 from repro.control import run_scenario
 from repro.core import Dataset, WorkloadConfig
-from repro.dataflow import StatefunConfig, StatefunRuntime
+from repro.costs import CostModel
+from repro.dataflow import StatefunRuntime
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
@@ -20,11 +21,9 @@ def make_app(seed=5, checkpoint_interval=0.2, recovery_pause=0.05,
              workload=WorkloadConfig(sellers=3, customers=24,
                                      products_per_seller=5)):
     env = Environment(seed=seed)
-    app = StatefunApp(env, AppConfig(silos=2, cores_per_silo=4),
-                      statefun_config=StatefunConfig(
-                          partitions=2,
-                          checkpoint_interval=checkpoint_interval,
-                          recovery_pause=recovery_pause))
+    app = StatefunApp(env, AppConfig(
+        silos=2, cores_per_silo=4, checkpoint_interval=checkpoint_interval,
+        costs=CostModel(recovery_pause=recovery_pause)))
     app.ingest(Dataset(workload, seed=seed))
     return env, app
 

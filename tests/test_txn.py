@@ -230,7 +230,7 @@ class LockTable(RuleBasedStateMachine):
         super().__init__()
         self.env = Environment(seed=1)
         self.participant = TransactionParticipant(
-            self.env, ("Account", "k"), 0.0005)
+            self.env, ("Account", "k"))
         self.lock = self.participant.lock
         self.contexts = []
         #: txid -> "idle" (may request), "waiting" (parked on a lock
@@ -486,12 +486,12 @@ class TestTransactionRunner:
         start = env.now
         run_txn(env, cluster, runner, Account, "a", "deposit", 1)
         elapsed = env.now - start
-        config = runner.config
+        costs = cluster.costs
         # At minimum: grain call + prepare round-trip + participant log
         # force + coordinator log + commit hop.
-        floor = (2 * config.control_latency
-                 + Account.log_write_latency
-                 + config.coordinator_log_latency)
+        floor = (2 * costs.control_latency
+                 + costs.participant_log_latency
+                 + costs.coordinator_log_latency)
         assert elapsed >= floor
 
     def test_ablation_without_locking_never_waits_or_dies(self):

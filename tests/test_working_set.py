@@ -24,8 +24,10 @@ from repro.actors import Cluster, ClusterConfig, Grain
 from repro.apps import ALL_APPS, AppConfig
 from repro.apps.grains_eventual import ProductGrain
 from repro.core import BenchmarkDriver, Dataset, DriverConfig, WorkloadConfig
-from repro.marketplace.constants import PaymentMethod
+from repro.control import run_scenario
+from repro.marketplace.constants import OrderStatus, PaymentMethod
 from repro.runtime import Environment
+from repro.sqlstore import eq
 
 APP_NAMES = list(ALL_APPS)
 ORLEANS_APPS = [name for name in APP_NAMES if name != "statefun"]
@@ -178,7 +180,7 @@ def first_evicted_product():
 
 def during_eviction_write(app, ref, action):
     """Run ``action()`` as the pager starts writing ``ref``'s eviction
-    snapshot (a write of ``pager.write_latency`` = 0.4 ms)."""
+    snapshot (a write of ``PAGER_WRITE_LATENCY`` = 0.4 ms)."""
     pager = app.cluster.pager
     write = pager.write
     started = []
@@ -296,6 +298,34 @@ def test_evicting_cell_counters_are_pinned():
         "activations": 6756, "evictions": 1750, "reloads": 134,
         "peak_resident": 5730, "resident": 5006, "paged": 1616,
         "limit": 500, "touched_products": 1450}
+
+
+def test_customized_dashboard_retires_orders_paged_out_mid_batch():
+    """A delivery batch retires the dashboard rows of every completed
+    order, including those whose order grain was paged out after the
+    order completed (it used to scan resident grains only, leaving such
+    rows ``in_transit`` and the dashboard overstating revenue)."""
+    run = run_scenario("baseline", app="customized-orleans", seed=5,
+                       duration_scale=0.5, activation_limit=20,
+                       audit=False)
+    app = run.app
+    assert app.cluster.working_set.evictions > 0
+    paged = [payload["state"] for (type_name, _), payload
+             in app.cluster.paged_states().items()
+             if type_name == "TxnOrderGrain" and payload]
+    resident = [activation.grain._participant.committed_state
+                for silo in app.cluster.silos
+                for (type_name, _), activation in silo.activations.items()
+                if type_name == "TxnOrderGrain"
+                and activation.grain._participant is not None]
+    status = {order_id: order["status"] for state in resident + paged
+              for order_id, order in state.get("orders", {}).items()}
+    assert OrderStatus.COMPLETED in status.values()
+    rows = app.sql.snapshot().scan(
+        "order_entries", eq("status", OrderStatus.IN_TRANSIT))
+    stuck = [row.data["order_id"] for row in rows
+             if status.get(row.data["order_id"]) == OrderStatus.COMPLETED]
+    assert stuck == []
 
 
 class Idle(Grain):
