@@ -674,22 +674,23 @@ def test_an_uncontended_transaction_stays_in_its_frame_budget():
 # ---------------------------------------------------------------------------
 # (b) timing equivalence with the per-participant process model
 # ---------------------------------------------------------------------------
-def reference_times(start, count):
+def reference_times(start, count, log=LOG):
     """The retired model: one process per participant and phase, joined
-    by ``all_of``.  Returns (prepared times, committed times, end)."""
+    by ``all_of``, each participant forcing its log for ``log``.
+    Returns (prepared times, committed times, end)."""
     env = Environment(seed=1)
     env.run(until=start)
     prepared, committed = {}, {}
 
     def prepare_one(index):
         yield env.timeout(HOP)
-        yield env.timeout(LOG)
+        yield env.timeout(log)
         prepared[index] = env.now
         yield env.timeout(HOP)
 
     def commit_one(index):
         yield env.timeout(HOP)
-        yield env.timeout(LOG)
+        yield env.timeout(log)
         committed[index] = env.now
 
     def coordinator():
@@ -701,6 +702,24 @@ def reference_times(start, count):
 
     env.run(until=env.process(coordinator()))
     return prepared, committed, env.now
+
+
+def test_mixed_log_latencies_keep_every_per_participant_time():
+    # Participant log forces unlike the coordinator's: swapping the
+    # two, or charging either twice, moves every time below.
+    for log in (0.001, 0.002, 0.00075):
+        env, runner = make_runner(log=log)
+        participants = make_participants(env, 6)
+        _, start, end = run_transaction(env, runner, participants)
+        prepared, committed, reference_end = reference_times(start, 6, log)
+        for index, participant in enumerate(participants):
+            times = {outcome: time
+                     for time, _txid, outcome in participant.commit_log}
+            assert times["prepared"] == prepared[index]
+            assert times["prepared"] == (start + HOP) + log
+            assert times["committed"] == committed[index]
+        # The coordinator resumes when the last participant is done.
+        assert end == reference_end == max(committed.values())
 
 
 def test_participants_are_visited_in_enlistment_order():

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
@@ -289,18 +290,42 @@ def test_no_scheduling_call_accepts_a_negative_delay():
     assert env.run(until=event) == "on time" and env.now == 1.5
 
 
+class Plain(Grain):
+    def plain(self):
+        return self.key
+
+
+def _nan_cost(env, cluster):
+    """A second cluster on the same clock whose turns would each keep
+    a core for NaN seconds."""
+    nan_cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
+                          costs=dataclasses.replace(cluster.costs,
+                                                    grain_cpu=float("nan")))
+    env.run(until=nan_cluster.grain_ref(Plain, "k").call("plain"))
+
+
+def _nan_cost_behind_a_busy_core(env, cluster):
+    cluster.grain_ref(Plain, "k").call("plain")
+    _nan_cost(env, cluster)
+
+
 @pytest.mark.parametrize("call", [
     lambda env, cluster: env.timeout(float("nan")),
     lambda env, cluster: env.schedule(env.event(), float("nan")),
     lambda env, cluster: env.call_after(float("nan"), lambda _event: None),
     lambda env, cluster: env.event().trigger_after(float("nan")),
+    _nan_cost,
+    _nan_cost_behind_a_busy_core,
     lambda env, cluster: env.run(until=float("nan")),
-], ids=["timeout", "schedule", "call_after", "trigger_after", "run-until"])
+], ids=["timeout", "schedule", "call_after", "trigger_after", "cpu_cost",
+        "cpu_cost-busy-core", "run-until"])
 def test_nan_delay_or_stop_time_is_rejected(call):
     """A NaN compares false with everything, so a check written as
-    ``delay < 0`` lets it through and the clock becomes NaN.  (A grain
-    turn's CPU cost is a ``CostModel`` field, which rejects NaN where
-    it is built: ``tests/test_costs.py``.)"""
+    ``delay < 0`` lets it through and the clock becomes NaN.  A grain
+    turn's CPU cost is a ``CostModel`` field, rejected where the model
+    is built, so no turn takes or queues for a core with it: rejected
+    only when a queued turn is granted its core, it would keep that
+    core for good and starve the silo."""
     env = Environment()
     cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1))
     (silo,) = cluster.silos
