@@ -63,8 +63,8 @@ Reading the table:
  * C4: the two dashboard queries disagreed about the same seller.
  * C5: a subscriber observed a shipment event before the payment event
    of the same order.
-The customized stack (transactions + causal KV replication + MVCC
-snapshot dashboard + causal topics) stays clean at every drop rate —
+The customized stack (transactions + causal KV replication + one-step
+SQL dashboard + causal topics) stays clean at every drop rate —
 dropped calls abort cleanly instead of half-applying.""")
 
 

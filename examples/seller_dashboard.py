@@ -7,8 +7,8 @@ from.  The benchmark's criterion: both must reflect the same snapshot.
 This example hammers one seller with concurrent checkouts while
 repeatedly reading the dashboard on (a) the eventual implementation
 (two independent grain reads) and (b) the customized implementation
-(both queries on one MVCC snapshot), and reports how often the pair
-disagreed.
+(both queries on one SQL table in one simulation step, so no write
+lands between them), and reports how often the pair disagreed.
 
 Run with:  python examples/seller_dashboard.py
 """
@@ -83,12 +83,12 @@ def main() -> None:
         mechanism = {
             "orleans-eventual": "two independent grain reads",
             "statefun": "two independent function invocations",
-            "customized-orleans": "both queries on one MVCC snapshot",
+            "customized-orleans": "both queries in one step on one table",
         }[app_name]
         print(f"{app_name:22s} ({mechanism})")
         print(f"{'':22s} {probes} probes, {mismatches} inconsistent "
               f"query pairs\n")
-    print("Only the MVCC-backed dashboard satisfies the snapshot "
+    print("Only the SQL-backed dashboard satisfies the snapshot "
           "criterion:\nits aggregate and its tuples can never disagree.")
 
 

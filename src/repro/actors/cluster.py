@@ -713,12 +713,9 @@ class Cluster:
             grain.page_in(payload)
             self.working_set.reloads += 1
 
-    def paged_states(self, type_name: str | None = None
-                     ) -> dict[tuple[str, str], dict]:
-        """Paged-out state for audits (detached copies), of every
-        grain or of ``type_name``'s only."""
-        return {ident: self.pager.peek(ident) for ident in self._paged
-                if type_name is None or ident[0] == type_name}
+    def paged_states(self) -> dict[tuple[str, str], dict]:
+        """Paged-out state for audits (detached copies)."""
+        return {ident: self.pager.peek(ident) for ident in self._paged}
 
     def working_set_stats(self) -> dict:
         """Working-set counters plus the current resident population."""

@@ -9,9 +9,10 @@ onto a different data management stack:
   ACID transactions (2PL + 2PC).
 * :class:`StatefunApp` — dataflow stateful functions with exactly-once
   processing (checkpoint/replay).
-* :class:`CustomizedOrleansApp` — transactions plus an MVCC store for
-  snapshot-consistent dashboards, a causally-replicated KV store for
-  product data, and causally-ordered event topics.
+* :class:`CustomizedOrleansApp` — transactions plus a single-version
+  indexed SQL table whose two dashboard reads run in one kernel step, a
+  causally-replicated KV store for product data, and causally-ordered
+  event topics.
 """
 
 from repro.apps.base import AppConfig, MarketplaceApp, OperationResult

@@ -5,8 +5,9 @@ Orleans Transactions for business transactions, plus:
 * a Redis-style primary-secondary KV store for *causal* replication of
   product data into carts (reads go through a causal session and never
   observe a state older than an acknowledged update);
-* a PostgreSQL-style MVCC store so both seller-dashboard queries read
-  one snapshot;
+* a PostgreSQL-style single-version indexed table for the seller
+  dashboard: both of its queries run in one kernel step after one
+  query latency, so they read one state;
 * causally-ordered event topics (payment before shipment per order).
 
 "Our implementation introduces low overhead, hence its performance is
@@ -27,13 +28,13 @@ from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import cart as cart_logic
 from repro.marketplace.logic import order as order_logic
 from repro.marketplace.logic import seller as seller_logic
-from repro.sqlstore import MVCCEngine, eq, isin
+from repro.sqlstore import Table, eq, isin
 from repro.txn import TxnConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
-#: Simulated latency of one MVCC (PostgreSQL) round trip.
+#: Simulated latency of one SQL (PostgreSQL) round trip.
 SQL_WRITE_LATENCY = 0.0004
 SQL_QUERY_LATENCY = 0.0008
 
@@ -63,7 +64,7 @@ class CausalCartGrain(TxnCartGrain):
 
 
 class CustomizedOrleansApp(OrleansTransactionsApp):
-    """Transactions + causal KV replication + MVCC snapshot queries."""
+    """Transactions + causal KV replication + SQL dashboard queries."""
 
     name = "customized-orleans"
     delivery_mode = DeliveryMode.CAUSAL
@@ -80,20 +81,17 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
             env, "product-replica", replicas=2,
             replication_lag=self.config.costs.replication_lag)
         self.session = CausalSession("marketplace")
-        # ... and PostgreSQL-style MVCC for consistent querying, plus
-        # the append-only audit log of Figure 1's storage layer.
+        # ... and a PostgreSQL-style table of dashboard entries, plus
+        # the append-only audit log of Figure 1's storage layer.  The
+        # delivery batch walks in-transit entries and the dashboard
+        # in-progress ones; the status index gives both only those, and
+        # the order index gives a re-status its order's rows.
         self.audit_log = AuditLogStore(env)
-        self.sql = MVCCEngine()
-        self.sql.create_table(
-            "order_entries",
+        self.sql = Table(
             ["entry_id", "order_id", "seller_id", "customer_id",
              "amount_cents", "status", "updated_at"],
-            primary_key="entry_id")
-        self.sql.table("order_entries").create_index("seller_id")
-        # The delivery batch retires in-transit entries and the
-        # dashboard reads in-progress ones; the status index is exact
-        # at the current snapshot, so both walk only those rows.
-        self.sql.table("order_entries").create_index("status")
+            primary_key="entry_id",
+            indexes=("seller_id", "status", "order_id"))
 
     # ------------------------------------------------------------------
     # ingestion: also seed the KV replica tier
@@ -147,7 +145,7 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         return result
 
     # ------------------------------------------------------------------
-    # checkout/delivery additionally maintain the MVCC dashboard rows
+    # checkout/delivery additionally maintain the SQL dashboard rows
     # ------------------------------------------------------------------
     def checkout(self, customer_id: int, order_id: str,
                  payment_method: str):
@@ -169,17 +167,15 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         order = orders.get(order_id)
         if order is None:
             return
-        txn = self.sql.begin()
-        for seller_id in order_logic.seller_ids(order):
-            amount = seller_logic.seller_share_cents(order, seller_id)
-            txn.upsert("order_entries", {
-                "entry_id": f"{order_id}/{seller_id}",
-                "order_id": order_id, "seller_id": seller_id,
-                "customer_id": order["customer_id"],
-                "amount_cents": amount,
-                "status": OrderStatus.IN_TRANSIT,
-                "updated_at": self.env.now})
-        txn.commit()
+        self.sql.upsert([{
+            "entry_id": f"{order_id}/{seller_id}",
+            "order_id": order_id, "seller_id": seller_id,
+            "customer_id": order["customer_id"],
+            "amount_cents": seller_logic.seller_share_cents(order,
+                                                            seller_id),
+            "status": OrderStatus.IN_TRANSIT,
+            "updated_at": self.env.now}
+            for seller_id in order_logic.seller_ids(order)])
 
     def submit_external(self, platform: str, shop_id: int,
                         ext_order_no: str, customer_id: int,
@@ -209,11 +205,8 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         return result
 
     def _restatus_entries(self, order_id: str, status: str) -> None:
-        txn = self.sql.begin()
-        for row in txn.scan("order_entries", eq("order_id", order_id)):
-            txn.update("order_entries", row.key,
-                       {"status": status, "updated_at": self.env.now})
-        txn.commit()
+        self.sql.update(eq("order_id", order_id),
+                        {"status": status, "updated_at": self.env.now})
 
     def update_delivery(self):
         result = yield from super().update_delivery()
@@ -227,51 +220,60 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
         return result
 
     def _retire_completed_entries(self) -> None:
-        """Sync MVCC entry statuses with completed orders, resident or
-        paged out since (possible only under an activation budget)."""
-        states = []
-        for silo in self.cluster.silos:
-            for (type_name, _), activation in silo.activations.items():
-                if type_name != "TxnOrderGrain":
-                    continue
-                participant = activation.grain._participant
-                if participant is not None:
-                    states.append(participant.committed_state)
-        if self.config.activation_limit is not None:
-            for paged in self.cluster.paged_states("TxnOrderGrain").values():
-                if paged:
-                    states.append(paged["state"])
+        """Mark completed the in-transit entries whose order has
+        completed.  Walks only the in-transit rows and reads each one's
+        order grain, resident or paged out (possible only under an
+        activation budget), so a pass costs O(orders in flight)."""
+        order_type = self._grains["order"].__name__
+        rows = self.sql.rows
+        orders_of: dict[object, list[dict]] = {}
         completed: set[str] = set()
-        for state in states:
-            for order_id, order in state.get("orders", {}).items():
-                if order["status"] == OrderStatus.COMPLETED:
-                    completed.add(order_id)
-        if not completed:
-            return
-        txn = self.sql.begin()
-        # Index-assisted: only entries still in transit are candidates
-        # for retirement (completed ones were already re-statused).
-        retiring = (eq("status", OrderStatus.IN_TRANSIT)
-                    & isin("order_id", completed))
-        for row in txn.scan("order_entries", retiring):
-            txn.update("order_entries", row.key,
-                       {"status": OrderStatus.COMPLETED,
-                        "updated_at": self.env.now})
-        txn.commit()
+        # The status bucket itself: no copy, no sort.
+        for key in self.sql.indexes["status"].get(OrderStatus.IN_TRANSIT,
+                                                  ()):
+            row = rows[key]
+            customer_id = row["customer_id"]
+            maps = orders_of.get(customer_id)
+            if maps is None:
+                orders_of[customer_id] = maps = self._order_maps(
+                    order_type, str(customer_id))
+            for orders in maps:
+                order = orders.get(row["order_id"])
+                if order and order["status"] == OrderStatus.COMPLETED:
+                    completed.add(row["order_id"])
+        self.sql.update(eq("status", OrderStatus.IN_TRANSIT)
+                        & isin("order_id", completed),
+                        {"status": OrderStatus.COMPLETED,
+                         "updated_at": self.env.now})
+
+    def _order_maps(self, order_type: str, key: str) -> list[dict]:
+        """The ``orders`` maps of one order grain: each resident
+        activation's committed state, and its paged-out state."""
+        ident = (order_type, key)
+        maps = []
+        for silo in self.cluster.silos:
+            activation = silo.activations.get(ident)
+            if activation and activation.grain._participant is not None:
+                maps.append(activation.grain._participant
+                            .committed_state.get("orders", {}))
+        if ident in self.cluster._paged:
+            paged = self.cluster.pager.peek(ident)
+            if paged:
+                maps.append(paged["state"].get("orders", {}))
+        return maps
 
     # ------------------------------------------------------------------
-    # the consistent dashboard: both queries on ONE snapshot
+    # the consistent dashboard: both queries in ONE kernel step
     # ------------------------------------------------------------------
     def dashboard(self, seller_id: int):
         yield self.env.timeout(SQL_QUERY_LATENCY)
-        snapshot = self.sql.snapshot()
+        # No yield between the two reads: no write can land between
+        # them, so they read one state (criterion C4).
         predicate = (eq("seller_id", seller_id)
                      & isin("status", OrderStatus.IN_PROGRESS))
-        amount = snapshot.aggregate("order_entries", "amount_cents",
-                                    predicate)
-        rows = snapshot.scan("order_entries", predicate)
-        entries = [dict(row.data) for row in rows]
-        return ok("dashboard", amount_cents=amount or 0, entries=entries,
+        amount = self.sql.sum("amount_cents", predicate)
+        entries = self.sql.scan(predicate)
+        return ok("dashboard", amount_cents=amount, entries=entries,
                   entries_total_cents=seller_logic.entries_total_cents(
                       entries))
 
@@ -279,9 +281,8 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
     def runtime_stats(self) -> dict:
         stats = super().runtime_stats()
         stats.update({
-            "kv_stale_reads": self.kv.stale_reads,
             "kv_causal_waits": self.kv.causal_waits,
-            "sql_committed": self.sql.committed_count,
+            "sql_committed": self.sql.committed,
             "audit_records": len(self.audit_log),
         })
         return stats

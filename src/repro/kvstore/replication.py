@@ -1,4 +1,4 @@
-"""Primary-secondary replication with eventual and causal read modes.
+"""Primary-secondary replication with primary and causal read modes.
 
 The primary accepts all writes and streams them to replicas with a
 configurable replication lag.  Readers may attach a
@@ -13,7 +13,6 @@ from __future__ import annotations
 import typing
 
 from repro.kvstore.store import KVStore, Versioned
-from repro.kvstore.versionclock import VersionVector
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -25,14 +24,16 @@ class CausalSession:
     Guarantees provided when every read/write goes through the session:
     *read-your-writes* and *monotonic reads* — together these give the
     causal replication semantics prescribed for Product -> Cart.
+    ``frontier`` is the newest primary write sequence number seen.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.frontier = VersionVector()
+        self.frontier = 0
 
-    def observe(self, version: VersionVector) -> None:
-        self.frontier = self.frontier.merge(version)
+    def observe(self, version: int) -> None:
+        if version > self.frontier:
+            self.frontier = version
 
 
 class Replica:
@@ -42,27 +43,27 @@ class Replica:
         self.env = env
         self.name = name
         self.store = KVStore(env, name)
-        self.applied = VersionVector()
-        self.apply_log: list[tuple[float, str, VersionVector]] = []
-        self._waiters: list[tuple[VersionVector, object]] = []
+        #: Newest primary write sequence number applied here.
+        self.applied = 0
+        self._waiters: list[tuple[int, object]] = []
 
     def apply(self, key: str, entry: Versioned) -> None:
         """Apply one replicated write."""
         self.store.put_now(key, entry.value, entry.version)
-        self.applied = self.applied.merge(entry.version)
-        self.apply_log.append((self.env.now, key, self.applied.copy()))
+        if entry.version > self.applied:
+            self.applied = entry.version
         # Wake any causal readers whose frontier is now covered.
         still_waiting = []
         for frontier, event in self._waiters:
-            if self.applied.dominates(frontier):
+            if self.applied >= frontier:
                 event.succeed()
             else:
                 still_waiting.append((frontier, event))
         self._waiters = still_waiting
 
-    def wait_for(self, frontier: VersionVector):
+    def wait_for(self, frontier: int):
         """Process helper: block until this replica covers ``frontier``."""
-        if self.applied.dominates(frontier):
+        if self.applied >= frontier:
             return
             yield  # pragma: no cover - makes this a generator
         event = self.env.event()
@@ -92,9 +93,8 @@ class ReplicatedKV:
         self.primary = KVStore(env, f"{name}-primary")
         self.replicas = [Replica(env, f"{name}-replica{i}")
                          for i in range(replicas)]
-        self._version = VersionVector()
+        self._version = 0
         self._rng = env.rng(f"kv:{name}")
-        self.stale_reads = 0
         self.causal_waits = 0
 
     # ------------------------------------------------------------------
@@ -103,8 +103,7 @@ class ReplicatedKV:
     def put(self, key: str, value: object,
             session: CausalSession | None = None):
         """Process helper: write through the primary and fan out async."""
-        self._version = self._version.increment(self.primary.name)
-        version = self._version.copy()
+        self._version = version = self._version + 1
         entry = yield from self.primary.put(key, value, version)
         for replica in self.replicas:
             self.env.process(self._replicate(replica, key, entry),
@@ -125,16 +124,6 @@ class ReplicatedKV:
         entry = yield from self.primary.get(key)
         return entry
 
-    def get_eventual(self, key: str):
-        """Process helper: read a random replica — may be stale."""
-        store = self._pick_replica()
-        entry = yield from store.store.get(key)
-        fresh = self.primary.peek(key)
-        if fresh is not None and (entry is None or
-                                  entry.version != fresh.version):
-            self.stale_reads += 1
-        return entry
-
     def get_causal(self, key: str, session: CausalSession):
         """Process helper: read a replica without violating the session.
 
@@ -142,7 +131,7 @@ class ReplicatedKV:
         session's frontier, then reads and advances the frontier.
         """
         replica = self._pick_replica()
-        if not replica.applied.dominates(session.frontier):
+        if replica.applied < session.frontier:
             self.causal_waits += 1
             yield from replica.wait_for(session.frontier)
         entry = yield from replica.store.get(key)

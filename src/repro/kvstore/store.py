@@ -5,8 +5,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.kvstore.versionclock import VersionVector
-
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
 
@@ -17,10 +15,10 @@ KV_WRITE_LATENCY = 0.00015
 
 @dataclasses.dataclass(frozen=True)
 class Versioned:
-    """A value paired with the version vector under which it was written."""
+    """A value paired with the primary's sequence number of its write."""
 
     value: object
-    version: VersionVector
+    version: int
     write_time: float
 
 
@@ -46,10 +44,9 @@ class KVStore:
         return self._data.get(key)
 
     def put_now(self, key: str, value: object,
-                version: VersionVector | None = None) -> Versioned:
+                version: int = 0) -> Versioned:
         """Write without charging latency (for audits/ingestion shortcuts)."""
-        entry = Versioned(value=value,
-                          version=version or VersionVector(),
+        entry = Versioned(value=value, version=version,
                           write_time=self.env.now)
         self._data[key] = entry
         self.writes += 1
@@ -64,8 +61,7 @@ class KVStore:
         self.reads += 1
         return self._data.get(key)
 
-    def put(self, key: str, value: object,
-            version: VersionVector | None = None):
+    def put(self, key: str, value: object, version: int = 0):
         """Process helper: write ``key``."""
         yield self.env.timeout(KV_WRITE_LATENCY)
         return self.put_now(key, value, version)

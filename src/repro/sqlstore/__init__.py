@@ -1,34 +1,15 @@
-"""MVCC storage engine with snapshot isolation.
+"""A single-version indexed table: the stand-in for PostgreSQL.
 
-The repository's stand-in for PostgreSQL: the paper's *Customized
-Orleans* implementation offloads consistent querying (the seller
-dashboard's two queries must observe the same snapshot) to a relational
-store.  This engine provides multi-version storage, snapshot-isolated
-transactions with first-committer-wins conflict detection, secondary
-indexes exact at the current snapshot, and predicates that are
-conjunctions of :func:`eq` / :func:`isin` column conditions, tested
-inline by one loop per scan.
+The paper's *Customized Orleans* implementation sends the seller
+dashboard to a relational store so that its two queries (revenue sum
+and entry list) read one snapshot.  Here the store is one
+:class:`Table` holding the current row per primary key, with exact
+secondary indexes and :func:`eq` / :func:`isin` predicates.  Every
+call runs to completion inside one kernel step, so two reads made in
+the same step see the same state: the dashboard pays one query latency
+and then runs both reads with no yield between them.
 """
 
-from repro.sqlstore.engine import (
-    MVCCEngine,
-    SerializationError,
-    Snapshot,
-    Transaction,
-)
-from repro.sqlstore.query import Predicate, and_, eq, isin
-from repro.sqlstore.table import Row, Table, UniqueViolation
+from repro.sqlstore.table import Predicate, Table, eq, isin
 
-__all__ = [
-    "MVCCEngine",
-    "Predicate",
-    "Row",
-    "SerializationError",
-    "Snapshot",
-    "Table",
-    "Transaction",
-    "UniqueViolation",
-    "and_",
-    "eq",
-    "isin",
-]
+__all__ = ["Predicate", "Table", "eq", "isin"]

@@ -1,211 +1,135 @@
-"""Tables, rows and version chains for the MVCC engine."""
+"""A single-version table with exact secondary indexes.
+
+A :class:`Predicate` is a SQL ``WHERE`` clause as data: a conjunction
+of ``(column, values)`` conditions, built by :func:`eq` / :func:`isin`
+and joined with ``&``, that a scan tests inline.
+"""
 
 from __future__ import annotations
 
-import bisect
-import dataclasses
-import operator
 import typing
 
-INFINITY = float("inf")
-
-_first = operator.itemgetter(0)
-_second = operator.itemgetter(1)
+Row = dict[str, object]
+Condition = tuple[str, typing.Container[object]]
 
 
-class UniqueViolation(Exception):
-    """Insert of a primary key that already has a visible version."""
+class Predicate:
+    """A conjunction of ``row.get(column) in values`` conditions."""
+
+    __slots__ = ("conditions",)
+
+    def __init__(self, conditions: tuple[Condition, ...]) -> None:
+        self.conditions = conditions
+
+    def __and__(self, other: "Predicate") -> "Predicate":
+        return Predicate(self.conditions + other.conditions)
 
 
-@dataclasses.dataclass
-class Version:
-    """One version of a row.
-
-    A version is visible to a snapshot taken at time ``ts`` when
-    ``begin_ts <= ts < end_ts``.  ``end_ts`` is infinity while the
-    version is current.
-    """
-
-    data: dict[str, object] | None  # None encodes a deletion marker
-    begin_ts: float
-    end_ts: float = INFINITY
-    txid: int = 0
+def eq(column: str, value: object) -> Predicate:
+    """``column == value`` (index-assisted when an index exists)."""
+    return Predicate(((column, (value,)),))
 
 
-class Row(typing.NamedTuple):
-    """An immutable row snapshot handed back to queries.
-
-    A tuple, so a scan can build one per match with ``tuple.__new__``
-    and no Python-level constructor call.
-    """
-
-    key: object
-    data: typing.Mapping[str, object]
-
-    def __getitem__(self, column: str) -> object:
-        return self.data[column]
-
-    def get(self, column: str, default: object = None) -> object:
-        return self.data.get(column, default)
+def isin(column: str, values: typing.Iterable[object]) -> Predicate:
+    """``column IN values`` (index-assisted when an index exists)."""
+    return Predicate(((column, frozenset(values)),))
 
 
 class Table:
-    """A table: primary-key -> version chain, plus secondary indexes.
+    """Primary key -> current row, plus exact secondary indexes.
 
-    A secondary index on ``column`` is exact at the current snapshot:
-    ``_indexes[column][value]`` holds the keys whose *current* version
-    has ``value``.  When a key's version leaves ``value`` (an update
-    to another value, or a delete) at commit time ``ts``, ``(ts, key)``
-    is appended to ``_retired[column][value]``.  Commit timestamps only
-    increase, so each retired list is sorted, and a snapshot at ``ts``
-    finds every key it can see under ``value`` in the current bucket
-    plus the retired entries that ended after ``ts``.
+    ``indexes[column][value]`` holds the keys whose row has ``value``
+    in ``column``; every write moves its key between buckets, so a
+    scan tests only the rows in every indexed condition's buckets.
+    ``committed`` counts write batches: one per :meth:`upsert` or
+    :meth:`update` call.
     """
 
-    def __init__(self, name: str, columns: typing.Sequence[str],
-                 primary_key: str) -> None:
-        if primary_key not in columns:
-            raise ValueError(
-                f"primary key {primary_key!r} not in columns {columns!r}")
-        self.name = name
-        self.columns = tuple(columns)
+    def __init__(self, columns: typing.Sequence[str], primary_key: str,
+                 indexes: typing.Sequence[str] = ()) -> None:
+        for column in (primary_key, *indexes):
+            if column not in columns:
+                raise ValueError(f"no column {column!r} in {columns!r}")
         self.primary_key = primary_key
-        self._chains: dict[object, list[Version]] = {}
-        self._indexes: dict[str, dict[object, set[object]]] = {}
-        self._retired: dict[str, dict[object,
-                                      list[tuple[float, object]]]] = {}
-        #: Scans answered from a secondary index (observability/tests).
-        self.index_hits = 0
+        self.rows: dict[object, Row] = {}
+        self.indexes: dict[str, dict[object, set[object]]] = {
+            column: {} for column in indexes}
+        self.committed = 0
 
-    # ------------------------------------------------------------------
-    # schema
-    # ------------------------------------------------------------------
-    def create_index(self, column: str) -> None:
-        if column not in self.columns:
-            raise ValueError(f"no column {column!r} in table {self.name!r}")
-        if column in self._indexes:
-            return
-        self._indexes[column] = {}
-        self._retired[column] = {}
-        # Replay every version change in commit order, so the retired
-        # lists come out sorted exactly as live installs keep them.
-        changes = []
-        for key, chain in self._chains.items():
-            old = None
-            for version in chain:
-                changes.append((version.begin_ts, key, old, version.data))
-                old = version.data
-        changes.sort(key=_first)
-        for ts, key, old, new in changes:
-            self._reindex((column,), key, old, new, ts)
+    def upsert(self, rows: typing.Iterable[Row]) -> None:
+        """Insert each row, or merge it into the row with its key."""
+        for data in rows:
+            key = data.get(self.primary_key)
+            if key is None:
+                raise ValueError(f"row has no {self.primary_key!r}")
+            old = self.rows.get(key)
+            self._put(key, old,
+                      dict(data) if old is None else {**old, **data})
+        self.committed += 1
 
-    # ------------------------------------------------------------------
-    # version-chain access (engine internal)
-    # ------------------------------------------------------------------
-    def latest(self, key: object) -> Version | None:
-        chain = self._chains.get(key)
-        return chain[-1] if chain else None
+    def update(self, predicate: Predicate, changes: Row) -> int:
+        """Merge ``changes`` (not the primary key) into every row
+        matching ``predicate``; returns how many rows matched."""
+        if self.primary_key in changes:
+            raise ValueError("update cannot change the primary key")
+        keys = self._matching(predicate.conditions)
+        for key in keys:
+            old = self.rows[key]
+            self._put(key, old, {**old, **changes})
+        self.committed += 1
+        return len(keys)
 
-    def visible(self, key: object, ts: float) -> dict[str, object] | None:
-        """The row data visible at snapshot ``ts`` (None if absent)."""
-        for version in reversed(self._chains.get(key, ())):
-            if version.begin_ts <= ts < version.end_ts:
-                return version.data
-        return None
-
-    def install(self, key: object, data: dict[str, object] | None,
-                ts: float, txid: int) -> None:
-        """Install a new current version at commit time ``ts``."""
-        chain = self._chains.setdefault(key, [])
-        old_data = None
-        if chain:
-            chain[-1].end_ts = ts
-            old_data = chain[-1].data
-        chain.append(Version(data=data, begin_ts=ts, txid=txid))
-        if self._indexes:
-            self._reindex(self._indexes, key, old_data, data, ts)
-
-    def _reindex(self, columns: typing.Iterable[str], key: object,
-                 old: dict[str, object] | None,
-                 new: dict[str, object] | None, ts: float) -> None:
-        """Move ``key`` between the buckets of ``columns`` for a version
-        change ``old`` -> ``new`` committed at ``ts``."""
-        for column in columns:
+    def _put(self, key: object, old: Row | None, new: Row) -> None:
+        self.rows[key] = new
+        for column, index in self.indexes.items():
+            value = new.get(column)
             if old is not None:
-                value = old.get(column)
-                if new is not None and new.get(column) == value:
+                previous = old.get(column)
+                if previous == value:
                     continue
-                current = self._indexes[column]
-                bucket = current[value]
+                bucket = index[previous]
                 bucket.discard(key)
                 if not bucket:
-                    del current[value]
-                self._retired[column].setdefault(value, []).append(
-                    (ts, key))
-            if new is not None:
-                self._indexes[column].setdefault(new.get(column),
-                                                 set()).add(key)
+                    del index[previous]
+            index.setdefault(value, set()).add(key)
 
-    # ------------------------------------------------------------------
-    # scans
-    # ------------------------------------------------------------------
-    def index_lookup(self, column: str, values: typing.Iterable[object],
-                     ts: float) -> set[object]:
-        """Keys that may have one of ``values`` in ``column`` at
-        snapshot ``ts``: exactly the matching keys at the current
-        snapshot, a superset (callers recheck) at an older one."""
-        current = self._indexes.get(column)
-        if current is None:
-            raise KeyError(f"no index on {self.name}.{column}")
-        retired = self._retired[column]
-        self.index_hits += 1
-        keys: set[object] = set()
-        for value in values:
-            keys.update(current.get(value, ()))
-            entries = retired.get(value)
-            if entries and entries[-1][0] > ts:
-                start = bisect.bisect_right(entries, ts, key=_first)
-                keys.update(map(_second, entries[start:]))
-        return keys
+    def scan(self, predicate: Predicate | None = None) -> list[Row]:
+        """Copies of the rows matching ``predicate``, in ``str(key)``
+        order (a C-level sort key: no Python call per row)."""
+        rows = self.rows
+        keys = self._matching(predicate.conditions if predicate else ())
+        return [dict(rows[key]) for key in sorted(keys, key=str)]
 
-    def candidates(self, conditions: typing.Sequence[tuple[str, object]],
-                   ts: float) -> typing.Iterable[object]:
-        """Keys a scan for ``conditions`` at ``ts`` must test: the
-        intersection of every indexed condition's index lookup,
-        smallest first, or every key when no condition is indexed."""
-        lookups = [self.index_lookup(column, values, ts)
-                   for column, values in conditions
-                   if column in self._indexes]
-        if not lookups:
-            return self._chains
-        lookups.sort(key=len)
-        return lookups[0].intersection(*lookups[1:])
+    def sum(self, column: str, predicate: Predicate | None = None) -> int:
+        """Sum of ``column`` over matching rows (missing values skipped)."""
+        rows = self.rows
+        keys = self._matching(predicate.conditions if predicate else ())
+        return sum([value for key in keys
+                    if (value := rows[key].get(column)) is not None])
 
-    def matching(self, ts: float, keys: typing.Iterable[object],
-                 conditions: typing.Sequence[tuple[str, object]],
-                 ) -> list[tuple[object, dict[str, object]]]:
-        """``(key, data)`` for each of ``keys`` whose version visible at
-        ``ts`` meets every condition, in ``keys`` order.  One inline
-        loop: no Python call per candidate."""
-        chains = self._chains
+    def _matching(self, conditions: tuple[Condition, ...]) -> list[object]:
+        """Keys whose row meets every condition: one inline loop over
+        the intersection of the indexed conditions' keys (its cost is
+        the smallest one's size), or over every key."""
+        lookups = []
+        for column, values in conditions:
+            index = self.indexes.get(column)
+            if index is not None:
+                # A lone bucket is read in place, never copied.
+                buckets = [index[value] for value in values if value in index]
+                lookups.append(buckets[0] if len(buckets) == 1
+                               else set().union(*buckets))
+        rows = self.rows
+        candidates: typing.Iterable[object] = rows
+        if lookups:
+            lookups.sort(key=len)
+            candidates = lookups[0].intersection(*lookups[1:])
         found = []
-        for key in keys:
-            for version in reversed(chains.get(key, ())):
-                if version.begin_ts <= ts < version.end_ts:
-                    data = version.data
-                    break
-            else:
-                continue
-            if data is None:
-                continue
+        for key in candidates:
+            data = rows[key]
             for column, values in conditions:
                 if data.get(column) not in values:
                     break
             else:
-                found.append((key, data))
+                found.append(key)
         return found
-
-    def __len__(self) -> int:
-        """Number of keys with a live current version."""
-        return sum(1 for chain in self._chains.values()
-                   if chain and chain[-1].data is not None)

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.kvstore import (
-    CausalSession,
-    KVStore,
-    ReplicatedKV,
-    VersionVector,
-)
+from repro.kvstore import CausalSession, KVStore, ReplicatedKV
 from repro.kvstore.store import KV_READ_LATENCY, KV_WRITE_LATENCY
 from repro.runtime import Environment
 
@@ -18,35 +13,6 @@ def run_proc(env, generator):
     if not process.ok:
         raise process.value
     return process.value
-
-
-class TestVersionVector:
-    def test_empty_vectors_equal(self):
-        assert VersionVector() == VersionVector({})
-
-    def test_increment_creates_new_vector(self):
-        v0 = VersionVector()
-        v1 = v0.increment("a")
-        assert v0.get("a") == 0
-        assert v1.get("a") == 1
-
-    def test_dominates_pointwise(self):
-        a = VersionVector({"x": 2, "y": 1})
-        b = VersionVector({"x": 1, "y": 1})
-        assert a.dominates(b)
-        assert not b.dominates(a)
-
-    def test_merge_is_pointwise_max(self):
-        a = VersionVector({"x": 2, "y": 1})
-        b = VersionVector({"x": 1, "z": 3})
-        merged = a.merge(b)
-        assert [merged.get(node) for node in "xyz"] == [2, 1, 3]
-
-    def test_missing_entries_treated_as_zero_for_equality(self):
-        assert VersionVector({"x": 0}) == VersionVector()
-
-    def test_hash_ignores_zero_entries(self):
-        assert hash(VersionVector({"x": 0})) == hash(VersionVector())
 
 
 class TestKVStore:
@@ -104,16 +70,18 @@ class TestReplicatedKV:
         assert run_proc(env, scenario()) == "fresh"
 
     def test_eventual_read_can_be_stale(self):
+        """A replica read before the replication lag has passed misses
+        the primary's write."""
         env = Environment()
         kv = ReplicatedKV(env, "kv", replicas=1, replication_lag=10.0)
 
         def scenario():
             yield from kv.put("k", "v1")
-            entry = yield from kv.get_eventual("k")
+            entry = yield from kv.replicas[0].store.get("k")
             return entry
 
         assert run_proc(env, scenario()) is None
-        assert kv.stale_reads == 1
+        assert kv.primary.peek("k").value == "v1"
 
     def test_eventual_read_fresh_after_lag(self):
         env = Environment()
@@ -122,11 +90,10 @@ class TestReplicatedKV:
         def scenario():
             yield from kv.put("k", "v1")
             yield env.timeout(1.0)
-            entry = yield from kv.get_eventual("k")
+            entry = yield from kv.replicas[0].store.get("k")
             return entry.value
 
         assert run_proc(env, scenario()) == "v1"
-        assert kv.stale_reads == 0
 
     def test_causal_read_blocks_until_replica_catches_up(self):
         env = Environment()
@@ -166,9 +133,22 @@ class TestReplicatedKV:
             yield from kv.put("b", 2, session=session)
             yield env.timeout(1.0)
             yield from kv.get_causal("a", session)
-            return session.frontier.get(kv.primary.name)
+            return session.frontier
 
         assert run_proc(env, scenario()) == 2
+
+    def test_versions_are_the_primary_write_sequence(self):
+        env = Environment()
+        kv = ReplicatedKV(env, "kv", replicas=2, replication_lag=0.5)
+
+        def scenario():
+            first = yield from kv.put("a", 1)
+            second = yield from kv.put("a", 2)
+            return first.version, second.version
+
+        assert run_proc(env, scenario()) == (1, 2)
+        assert [replica.applied for replica in kv.replicas] == [2, 2]
+        assert kv.replicas[0].store.peek("a").version == 2
 
     def test_monotonic_reads_within_session(self):
         """A session never observes an older version after a newer one."""
@@ -200,7 +180,7 @@ class TestReplicatedKV:
         kv = ReplicatedKV(env, "kv", replicas=0)
 
         def scenario():
-            yield from kv.get_eventual("k")
+            yield from kv.get_causal("k", CausalSession("client"))
 
         from repro.runtime import SimulationError
         process = env.process(scenario())

@@ -9,21 +9,23 @@ engine) or a ``dict(view)`` of a growing collection (before
 ``repro.cow.assoc_in``) makes it quadratic.  Wall time on CI machines
 is too noisy to gate (+-25 %), so every pin below is an exact count:
 Python function calls, kernel events and processes per committed
-transaction, and Python calls of one update and of one MVCC scan.
+transaction, and Python calls of one update and of one table scan.
 """
 
 import cProfile
 import functools
 import gc
+import sys
 
 import pytest
 
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import get_scenario
+from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import seller as seller_logic
 from repro.runtime import Environment
 from repro.runtime.process import Process
-from repro.sqlstore import MVCCEngine, eq, isin
+from repro.sqlstore import Table, eq, isin
 from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionParticipant
 
@@ -195,24 +197,16 @@ def test_one_upsert_costs_the_same_python_calls_at_any_seller_size():
 
 def calls_for_one_scan(matching: int) -> int:
     """Python calls (cProfile primitive, builtins off) of one indexed
-    ``Snapshot.scan(eq(...) & isin(...))`` that returns ``matching``
-    rows from a table three times that size with retired history."""
-    engine = MVCCEngine()
-    table = engine.create_table(
-        "entries", ["entry_id", "seller_id", "status"],
-        primary_key="entry_id")
-    table.create_index("seller_id")
-    table.create_index("status")
-    txn = engine.begin()
-    for index in range(3 * matching):
-        txn.insert("entries", {"entry_id": index, "seller_id": index % 3,
-                               "status": "in_transit"})
-    txn.commit()
-    txn = engine.begin()
-    for index in range(0, 3 * matching, 2):
-        txn.update("entries", index, {"status": "delivered"})
-    txn.commit()
-    snapshot = engine.snapshot()
+    ``Table.scan(eq(...) & isin(...))`` that returns ``matching`` rows
+    from a table three times that size, half of whose rows have moved
+    to another status bucket."""
+    table = Table(["entry_id", "seller_id", "status"],
+                  primary_key="entry_id", indexes=("seller_id", "status"))
+    table.upsert([{"entry_id": index, "seller_id": index % 3,
+                   "status": "in_transit"}
+                  for index in range(3 * matching)])
+    table.update(isin("entry_id", range(0, 3 * matching, 2)),
+                 {"status": "delivered"})
     predicate = eq("seller_id", 0) & isin("status",
                                           ("in_transit", "delivered"))
     profiler = cProfile.Profile(subcalls=False, builtins=False)
@@ -221,7 +215,7 @@ def calls_for_one_scan(matching: int) -> int:
     gc.collect()
     gc.disable()
     try:
-        rows = profiler.runcall(snapshot.scan, "entries", predicate)
+        rows = profiler.runcall(table.scan, predicate)
     finally:
         gc.enable()
     assert len(rows) == matching
@@ -233,7 +227,54 @@ def test_one_scan_costs_the_same_python_calls_at_any_size():
     small = calls_for_one_scan(100)
     large = calls_for_one_scan(1000)
     assert small == large, (
-        f"one indexed MVCC scan made {small} Python calls for 100 "
+        f"one indexed table scan made {small} Python calls for 100 "
         f"matching rows but {large} for 1 000: a per-row call (a "
-        f"visibility helper, a predicate closure, a sort-key lambda or "
-        f"a Row constructor) is back in the scan loop")
+        f"predicate closure, a sort-key lambda or a row constructor) "
+        f"is back in the scan loop")
+
+
+def lines_for_one_retire_pass(completed: int) -> tuple[int, dict]:
+    """Python lines executed by one delivery batch's retire pass when
+    ``completed`` orders have already completed and been retired, and
+    two orders are in transit, one of which has just completed; plus
+    the statuses of the rows that were in transit."""
+    app = ALL_APPS["customized-orleans"](Environment(seed=1), AppConfig())
+    orders = {f"done-{index}": {"status": OrderStatus.COMPLETED}
+              for index in range(completed)}
+    orders["new"] = {"status": OrderStatus.COMPLETED}
+    orders["open"] = {"status": OrderStatus.IN_TRANSIT}
+    grain = app.cluster.grain_instance(app._grain("order", "7"))
+    grain.participant.committed_state = {"orders": orders}
+    app.sql.upsert([{"entry_id": f"{order_id}/1", "order_id": order_id,
+                     "seller_id": 1, "customer_id": 7, "amount_cents": 1,
+                     "status": (OrderStatus.IN_TRANSIT
+                                if order_id in ("new", "open")
+                                else OrderStatus.COMPLETED)}
+                    for order_id in orders])
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        app._retire_completed_entries()
+    finally:
+        sys.settrace(None)
+    return lines, {row["order_id"]: row["status"]
+                   for row in app.sql.scan(isin("order_id",
+                                                ("new", "open")))}
+
+
+def test_one_retire_pass_does_not_grow_with_completed_orders():
+    """A delivery batch walks only the in-transit rows and reads their
+    order grains, never every order placed so far."""
+    small, statuses = lines_for_one_retire_pass(10)
+    large, _ = lines_for_one_retire_pass(1000)
+    assert statuses == {"new": OrderStatus.COMPLETED,
+                        "open": OrderStatus.IN_TRANSIT}
+    assert small == large, (
+        f"one retire pass ran {small} Python lines beside 10 completed "
+        f"orders but {large} beside 1 000: it walks completed orders")

@@ -3,56 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvstore import VersionVector
 from repro.marketplace import logic
 from repro.runtime import Environment
-from repro.sqlstore import MVCCEngine, SerializationError
-
-
-# ---------------------------------------------------------------------------
-# Version vectors form a join-semilattice.
-# ---------------------------------------------------------------------------
-nodes = st.sampled_from(["a", "b", "c", "d"])
-vectors = st.dictionaries(nodes, st.integers(min_value=0, max_value=20),
-                          max_size=4).map(VersionVector)
-
-
-@given(vectors, vectors)
-def test_merge_is_commutative(x, y):
-    assert x.merge(y) == y.merge(x)
-
-
-@given(vectors, vectors, vectors)
-def test_merge_is_associative(x, y, z):
-    assert x.merge(y).merge(z) == x.merge(y.merge(z))
-
-
-@given(vectors)
-def test_merge_is_idempotent(x):
-    assert x.merge(x) == x
-
-
-@given(vectors, vectors)
-def test_merge_dominates_both_inputs(x, y):
-    merged = x.merge(y)
-    assert merged.dominates(x)
-    assert merged.dominates(y)
-
-
-@given(vectors, st.lists(nodes, max_size=5))
-def test_increment_strictly_advances(x, increments):
-    current = x
-    for node in increments:
-        advanced = current.increment(node)
-        assert advanced.dominates(current)
-        assert advanced != current
-        current = advanced
-
-
-@given(vectors, vectors)
-def test_partial_order_antisymmetry(x, y):
-    if x.dominates(y) and y.dominates(x):
-        assert x == y
 
 
 # ---------------------------------------------------------------------------
@@ -117,52 +69,6 @@ def test_checkout_total_matches_order_total(items):
     orders = logic.order.new_customer_orders(1)
     orders, order = logic.order.assemble(orders, "o1", sealed, now=0.0)
     assert order["total_cents"] == expected
-
-
-# ---------------------------------------------------------------------------
-# MVCC snapshot stability under arbitrary interleaved writers.
-# ---------------------------------------------------------------------------
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=9),
-                          st.integers(min_value=0, max_value=1_000)),
-                min_size=1, max_size=40))
-@settings(max_examples=50)
-def test_snapshot_sum_is_stable_under_later_writes(writes):
-    engine = MVCCEngine()
-    engine.create_table("t", ["id", "value"], primary_key="id")
-    for key in range(10):
-        engine.autocommit("t", {"id": key, "value": 0})
-    snapshot = engine.snapshot()
-    baseline = snapshot.aggregate("t", "value")
-    for key, value in writes:
-        engine.autocommit("t", {"id": key, "value": value})
-    assert snapshot.aggregate("t", "value") == baseline
-
-
-@given(st.data())
-@settings(max_examples=50)
-def test_first_committer_wins_never_loses_updates(data):
-    """Counter incremented via SI transactions with retry: no lost updates."""
-    engine = MVCCEngine()
-    engine.create_table("t", ["id", "value"], primary_key="id")
-    engine.autocommit("t", {"id": 1, "value": 0})
-    rounds = data.draw(st.integers(min_value=1, max_value=15))
-    for _ in range(rounds):
-        # Two concurrent increments; the loser retries.
-        t1 = engine.begin()
-        t2 = engine.begin()
-        for txn in (t1, t2):
-            row = txn.read("t", 1)
-            txn.update("t", 1, {"value": row["value"] + 1})
-        t1.commit()
-        try:
-            t2.commit()
-        except SerializationError:
-            retry = engine.begin()
-            row = retry.read("t", 1)
-            retry.update("t", 1, {"value": row["value"] + 1})
-            retry.commit()
-    final = engine.snapshot().read("t", 1)
-    assert final["value"] == 2 * rounds
 
 
 # ---------------------------------------------------------------------------

@@ -1,562 +1,321 @@
-"""Unit tests for the MVCC engine and snapshot isolation."""
+"""Unit tests for the single-version indexed SQL table."""
+
+import collections
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sqlstore import (
-    MVCCEngine,
-    SerializationError,
-    UniqueViolation,
-    and_,
-    eq,
-    isin,
-)
+from repro.apps import CustomizedOrleansApp
+from repro.control import run_scenario
+from repro.runtime import environment
+from repro.sqlstore import Table, eq, isin
+
+COLUMNS = ["id", "seller", "total", "status"]
 
 
 @pytest.fixture
-def engine():
-    engine = MVCCEngine()
-    engine.create_table("orders", ["id", "seller", "total", "status"],
-                        primary_key="id")
-    return engine
+def table():
+    return Table(COLUMNS, primary_key="id")
 
 
-def put(engine, **data):
-    txn = engine.begin()
-    txn.insert("orders", data)
-    txn.commit()
+def rows_of(table, predicate=None):
+    return [row["id"] for row in table.scan(predicate)]
 
 
 class TestSchema:
     def test_create_table_requires_pk_column(self):
-        engine = MVCCEngine()
         with pytest.raises(ValueError):
-            engine.create_table("t", ["a"], primary_key="b")
+            Table(["a"], primary_key="b")
 
-    def test_duplicate_table_rejected(self, engine):
+    def test_index_on_unknown_column_rejected(self):
         with pytest.raises(ValueError):
-            engine.create_table("orders", ["id"], primary_key="id")
+            Table(COLUMNS, primary_key="id", indexes=("nope",))
 
-    def test_unknown_table_rejected(self, engine):
-        with pytest.raises(KeyError):
-            engine.table("nope")
-
-    def test_index_on_unknown_column_rejected(self, engine):
+    def test_update_cannot_change_the_primary_key(self, table):
+        table.upsert([{"id": 1, "seller": "s"}])
         with pytest.raises(ValueError):
-            engine.table("orders").create_index("nope")
+            table.update(eq("id", 1), {"id": 2})
 
 
 class TestBasicTransactions:
-    def test_insert_then_read(self, engine):
-        put(engine, id=1, seller="s1", total=10.0, status="open")
-        row = engine.snapshot().read("orders", 1)
-        assert row["seller"] == "s1"
-        assert row["total"] == 10.0
+    def test_insert_then_read(self, table):
+        table.upsert([{"id": 1, "seller": "s1", "total": 10.0,
+                       "status": "open"}])
+        [row] = table.scan(eq("id", 1))
+        assert row == {"id": 1, "seller": "s1", "total": 10.0,
+                       "status": "open"}
 
-    def test_read_missing_returns_none(self, engine):
-        assert engine.snapshot().read("orders", 99) is None
+    def test_read_missing_returns_none(self, table):
+        assert table.scan(eq("id", 99)) == []
 
-    def test_own_writes_visible_before_commit(self, engine):
-        txn = engine.begin()
-        txn.insert("orders", {"id": 1, "seller": "s", "total": 1.0,
-                              "status": "open"})
-        assert txn.read("orders", 1) is not None
-        assert engine.snapshot().read("orders", 1) is None
-        txn.commit()
-        assert engine.snapshot().read("orders", 1) is not None
-
-    def test_update_and_delete(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        txn = engine.begin()
-        assert txn.update("orders", 1, {"status": "paid"})
-        txn.commit()
-        assert engine.snapshot().read("orders", 1)["status"] == "paid"
-        txn = engine.begin()
-        assert txn.delete("orders", 1)
-        txn.commit()
-        assert engine.snapshot().read("orders", 1) is None
-
-    def test_update_missing_returns_false(self, engine):
-        txn = engine.begin()
-        assert not txn.update("orders", 42, {"status": "x"})
-
-    def test_delete_missing_returns_false(self, engine):
-        txn = engine.begin()
-        assert not txn.delete("orders", 42)
-
-    def test_duplicate_insert_rejected(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        txn = engine.begin()
-        with pytest.raises(UniqueViolation):
-            txn.insert("orders", {"id": 1, "seller": "x", "total": 0,
-                                  "status": "open"})
-
-    def test_insert_missing_pk_rejected(self, engine):
-        txn = engine.begin()
+    def test_insert_missing_pk_rejected(self, table):
         with pytest.raises(ValueError):
-            txn.insert("orders", {"seller": "s"})
+            table.upsert([{"seller": "s"}])
 
-    def test_abort_discards_writes(self, engine):
-        txn = engine.begin()
-        txn.insert("orders", {"id": 1, "seller": "s", "total": 1.0,
-                              "status": "open"})
-        txn.abort()
-        assert engine.snapshot().read("orders", 1) is None
+    def test_upsert_inserts_then_updates(self, table):
+        table.upsert([{"id": 1, "seller": "s", "total": 1.0,
+                       "status": "open"}])
+        table.upsert([{"id": 1, "total": 2.0}])
+        assert table.scan() == [{"id": 1, "seller": "s", "total": 2.0,
+                                 "status": "open"}]
 
-    def test_operations_on_finished_txn_rejected(self, engine):
-        txn = engine.begin()
-        txn.commit()
-        with pytest.raises(RuntimeError):
-            txn.insert("orders", {"id": 1})
-        with pytest.raises(RuntimeError):
-            txn.commit()
+    def test_update_missing_returns_false(self, table):
+        assert not table.update(eq("id", 42), {"status": "x"})
+        assert table.rows == {}
 
-    def test_upsert_inserts_then_updates(self, engine):
-        txn = engine.begin()
-        txn.upsert("orders", {"id": 1, "seller": "s", "total": 1.0,
-                              "status": "open"})
-        txn.commit()
-        txn = engine.begin()
-        txn.upsert("orders", {"id": 1, "seller": "s", "total": 2.0,
-                              "status": "open"})
-        txn.commit()
-        assert engine.snapshot().read("orders", 1)["total"] == 2.0
+    def test_update_by_predicate_merges_into_every_match(self, table):
+        table.upsert([{"id": key, "seller": seller, "status": "open"}
+                      for key, seller in ((1, "a"), (2, "a"), (3, "b"))])
+        assert table.update(eq("seller", "a"), {"status": "paid"}) == 2
+        assert [row["status"] for row in table.scan()] == [
+            "paid", "paid", "open"]
 
+    def test_scan_hands_out_copies(self, table):
+        table.upsert([{"id": 1, "status": "open"}])
+        table.scan()[0]["status"] = "mutated"
+        assert table.scan()[0]["status"] == "open"
 
-class TestSnapshotIsolation:
-    def test_reader_does_not_see_later_commits(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        reader = engine.begin()
-        writer = engine.begin()
-        writer.update("orders", 1, {"total": 99.0})
-        writer.commit()
-        assert reader.read("orders", 1)["total"] == 1.0
-        assert engine.snapshot().read("orders", 1)["total"] == 99.0
-
-    def test_first_committer_wins(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        t1 = engine.begin()
-        t2 = engine.begin()
-        t1.update("orders", 1, {"total": 2.0})
-        t2.update("orders", 1, {"total": 3.0})
-        t1.commit()
-        with pytest.raises(SerializationError):
-            t2.commit()
-        assert t2.status == "aborted"
-
-    def test_disjoint_writes_both_commit(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        put(engine, id=2, seller="s", total=1.0, status="open")
-        t1 = engine.begin()
-        t2 = engine.begin()
-        t1.update("orders", 1, {"total": 2.0})
-        t2.update("orders", 2, {"total": 3.0})
-        t1.commit()
-        t2.commit()  # must not raise
-
-    def test_snapshot_is_stable_across_concurrent_commits(self, engine):
-        """The seller-dashboard criterion: two reads from one snapshot
-        must reflect the same state."""
-        for i in range(5):
-            put(engine, id=i, seller="s", total=10.0, status="open")
-        snapshot = engine.snapshot()
-        total_before = snapshot.aggregate("orders", "total",
-                                          eq("seller", "s"))
-        writer = engine.begin()
-        writer.update("orders", 0, {"total": 1000.0})
-        writer.commit()
-        rows = snapshot.scan("orders", eq("seller", "s"))
-        total_after = sum(row["total"] for row in rows)
-        assert total_before == total_after == 50.0
-
-    def test_write_skew_is_permitted_under_si(self, engine):
-        """Classic SI behaviour (not serializable): both commit."""
-        put(engine, id=1, seller="a", total=1.0, status="open")
-        put(engine, id=2, seller="b", total=1.0, status="open")
-        t1 = engine.begin()
-        t2 = engine.begin()
-        # Each reads the other's row, writes its own.
-        t1.read("orders", 2)
-        t2.read("orders", 1)
-        t1.update("orders", 1, {"status": "closed"})
-        t2.update("orders", 2, {"status": "closed"})
-        t1.commit()
-        t2.commit()
+    def test_committed_counts_write_batches(self, table):
+        table.upsert([{"id": 1}, {"id": 2}])
+        table.update(eq("id", 3), {"status": "x"})
+        assert table.committed == 2
 
 
 class TestQueries:
-    def setup_rows(self, engine):
-        rows = [
+    def setup_rows(self, table):
+        table.upsert([
             dict(id=1, seller="a", total=10.0, status="open"),
             dict(id=2, seller="a", total=20.0, status="paid"),
             dict(id=3, seller="b", total=30.0, status="open"),
             dict(id=4, seller="b", total=40.0, status="paid"),
-        ]
-        for row in rows:
-            put(engine, **row)
+        ])
 
-    def test_scan_all(self, engine):
-        self.setup_rows(engine)
-        assert len(engine.snapshot().scan("orders")) == 4
+    def test_scan_all(self, table):
+        self.setup_rows(table)
+        assert len(table.scan()) == 4
 
-    def test_scan_with_eq_predicate(self, engine):
-        self.setup_rows(engine)
-        rows = engine.snapshot().scan("orders", eq("seller", "a"))
-        assert {row.key for row in rows} == {1, 2}
+    def test_scan_with_eq_predicate(self, table):
+        self.setup_rows(table)
+        assert rows_of(table, eq("seller", "a")) == [1, 2]
 
-    def test_scan_with_conjunction(self, engine):
-        self.setup_rows(engine)
-        predicate = and_(eq("seller", "b"), eq("status", "open"))
-        rows = engine.snapshot().scan("orders", predicate)
-        assert [row.key for row in rows] == [3]
+    def test_scan_with_conjunction(self, table):
+        self.setup_rows(table)
+        assert rows_of(table, eq("seller", "b") & eq("status", "open")) \
+            == [3]
 
-    def test_aggregates(self, engine):
-        self.setup_rows(engine)
-        snapshot = engine.snapshot()
-        assert snapshot.aggregate("orders", "total") == 100.0
-        assert snapshot.aggregate("orders", "total",
-                                  eq("seller", "a")) == 30.0
-        assert snapshot.aggregate("orders", "id", function="count") == 4
-        assert snapshot.aggregate("orders", "total", function="avg") == 25.0
-        assert snapshot.aggregate("orders", "total", function="min") == 10.0
-        assert snapshot.aggregate("orders", "total", function="max") == 40.0
+    def test_aggregates(self, table):
+        self.setup_rows(table)
+        table.upsert([{"id": 5, "seller": "a", "status": "open"}])
+        assert table.sum("total") == 100.0
+        assert table.sum("total", eq("seller", "a")) == 30.0
+        assert table.sum("total", eq("seller", "a")
+                         & isin("status", ["paid", "void"])) == 20.0
 
-    def test_aggregate_empty_result(self, engine):
-        snapshot = engine.snapshot()
-        assert snapshot.aggregate("orders", "total") == 0
-        assert snapshot.aggregate("orders", "total", function="avg") is None
-        assert snapshot.aggregate("orders", "total", function="count") == 0
+    def test_aggregate_empty_result(self, table):
+        assert table.sum("total") == 0
+        self.setup_rows(table)
+        assert table.sum("total", eq("seller", "zzz")) == 0
 
-    def test_unknown_aggregate_rejected(self, engine):
-        self.setup_rows(engine)
-        with pytest.raises(ValueError):
-            engine.snapshot().aggregate("orders", "total", function="median")
+    def test_scan_is_in_primary_key_string_order(self, table):
+        table.upsert([{"id": key} for key in (2, 10, 1, 30, 3)])
+        assert rows_of(table) == [1, 10, 2, 3, 30]
 
-    def test_index_accelerated_scan_matches_full_scan(self, engine):
-        self.setup_rows(engine)
-        engine.table("orders").create_index("seller")
-        indexed = engine.snapshot().scan("orders", eq("seller", "a"))
-        assert {row.key for row in indexed} == {1, 2}
-
-    def test_index_respects_snapshot_visibility(self, engine):
-        self.setup_rows(engine)
-        engine.table("orders").create_index("seller")
-        snapshot = engine.snapshot()
-        txn = engine.begin()
-        txn.update("orders", 1, {"seller": "zzz"})
-        txn.commit()
-        # Old snapshot must still see row 1 under seller "a"... but the
-        # current index no longer lists it; the scan falls back correctly
-        # for the *new* snapshot.
-        new_rows = engine.snapshot().scan("orders", eq("seller", "zzz"))
-        assert [row.key for row in new_rows] == [1]
-        old_rows = snapshot.scan("orders", eq("seller", "zzz"))
-        assert old_rows == []
-        # ... and must still FIND row 1 under its old value: the
-        # retired entry keeps it a candidate for snapshots older than
-        # the commit that moved it (no MVCC false negative).
-        assert {row.key for row in snapshot.scan("orders",
-                                                 eq("seller", "a"))} == {1, 2}
-
-    def test_txn_scan_index_respects_begin_snapshot(self, engine):
-        """A transaction's index-assisted scan sees its begin snapshot
-        even after a concurrent commit moves a row out of the bucket."""
-        self.setup_rows(engine)
-        engine.table("orders").create_index("status")
-        reader = engine.begin()
-        writer = engine.begin()
-        writer.update("orders", 1, {"status": "paid"})
-        writer.commit()
-        rows = reader.scan("orders", eq("status", "open"))
-        assert {row.key for row in rows} == {1, 3}
-        assert engine.table("orders").index_hits > 0
-
-    def test_txn_scan_sees_own_writes(self, engine):
-        self.setup_rows(engine)
-        txn = engine.begin()
-        txn.insert("orders", {"id": 9, "seller": "a", "total": 5.0,
-                              "status": "open"})
-        txn.delete("orders", 1)
-        rows = txn.scan("orders", eq("seller", "a"))
-        assert {row.key for row in rows} == {2, 9}
-
-    def test_txn_scan_excludes_own_write_not_matching_predicate(self, engine):
-        self.setup_rows(engine)
-        txn = engine.begin()
-        txn.update("orders", 1, {"seller": "moved"})
-        rows = txn.scan("orders", eq("seller", "a"))
-        assert {row.key for row in rows} == {2}
-
-
-class TestVersionChains:
-    def test_old_versions_remain_visible_to_old_snapshots(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        s1 = engine.snapshot()
-        txn = engine.begin()
-        txn.update("orders", 1, {"total": 2.0})
-        txn.commit()
-        s2 = engine.snapshot()
-        assert s1.read("orders", 1)["total"] == 1.0
-        assert s2.read("orders", 1)["total"] == 2.0
-
-    def test_len_counts_live_rows_only(self, engine):
-        put(engine, id=1, seller="s", total=1.0, status="open")
-        put(engine, id=2, seller="s", total=1.0, status="open")
-        txn = engine.begin()
-        txn.delete("orders", 1)
-        txn.commit()
-        assert len(engine.table("orders")) == 1
-
-    def test_autocommit_upsert(self, engine):
-        engine.autocommit("orders", {"id": 7, "seller": "s", "total": 3.0,
-                                     "status": "open"})
-        assert engine.snapshot().read("orders", 7)["total"] == 3.0
-
-
-class TestQueryExtensions:
-    def setup_rows(self, engine):
-        rows = [
-            dict(id=1, seller="a", total=10.0, status="open"),
-            dict(id=2, seller="a", total=20.0, status="paid"),
-            dict(id=3, seller="b", total=30.0, status="open"),
-            dict(id=4, seller="b", total=40.0, status="paid"),
-            dict(id=5, seller="c", total=50.0, status="canceled"),
-        ]
-        for row in rows:
-            put(engine, **row)
-
-    def test_order_by_ascending_descending(self, engine):
-        self.setup_rows(engine)
-        snapshot = engine.snapshot()
-        ascending = snapshot.scan("orders", order_by="total")
-        assert [row.key for row in ascending] == [1, 2, 3, 4, 5]
-        descending = snapshot.scan("orders", order_by="total",
-                                   descending=True)
-        assert [row.key for row in descending] == [5, 4, 3, 2, 1]
-
-    def test_limit(self, engine):
-        self.setup_rows(engine)
-        rows = engine.snapshot().scan("orders", order_by="total", limit=2)
-        assert [row.key for row in rows] == [1, 2]
-
-    def test_limit_zero(self, engine):
-        self.setup_rows(engine)
-        assert engine.snapshot().scan("orders", limit=0) == []
-
-    def test_negative_limit_rejected(self, engine):
-        self.setup_rows(engine)
-        with pytest.raises(ValueError):
-            engine.snapshot().scan("orders", limit=-1)
-
-    def test_order_by_missing_column_sorts_first(self, engine):
-        self.setup_rows(engine)
-        txn = engine.begin()
-        txn.insert("orders", {"id": 9, "seller": "z", "status": "open"})
-        txn.commit()
-        rows = engine.snapshot().scan("orders", order_by="total")
-        assert rows[0].key == 9  # missing column first
+    def test_index_accelerated_scan_matches_full_scan(self, table):
+        indexed = Table(COLUMNS, primary_key="id",
+                        indexes=("seller", "status"))
+        for target in (table, indexed):
+            self.setup_rows(target)
+            target.update(eq("id", 1), {"seller": "b"})
+        for predicate in (eq("seller", "a"), eq("seller", "b"),
+                          eq("status", "open") & eq("seller", "b")):
+            assert indexed.scan(predicate) == table.scan(predicate)
 
 
 class TestExactIndex:
-    """The secondary index holds exactly the current matches; older
-    snapshots also get the keys that left a value after them."""
+    """``indexes[column][value]`` holds exactly the keys whose current
+    row has ``value``, and follows every write."""
 
-    def setup_rows(self, engine):
-        for key in (1, 2, 3, 4):
-            put(engine, id=key, seller="a", total=1.0, status="open")
-        engine.table("orders").create_index("status")
+    def setup_rows(self):
+        table = Table(COLUMNS, primary_key="id", indexes=("status",))
+        table.upsert([{"id": key, "seller": "a", "total": 1.0,
+                       "status": "open"} for key in (1, 2, 3, 4)])
+        return table
 
-    def test_current_snapshot_gets_exactly_the_live_keys(self, engine):
-        self.setup_rows(engine)
-        txn = engine.begin()
-        txn.update("orders", 1, {"status": "paid"})
-        txn.delete("orders", 2)
-        txn.commit()
-        table = engine.table("orders")
-        now = engine.snapshot().ts
-        assert table.index_lookup("status", ("open",), now) == {3, 4}
-        assert table.index_lookup("status", ("paid",), now) == {1}
-        assert table.index_lookup("status", ("open", "paid"), now) == {
-            1, 3, 4}
+    def test_current_snapshot_gets_exactly_the_live_keys(self):
+        table = self.setup_rows()
+        table.update(eq("id", 1), {"status": "paid"})
+        table.upsert([{"id": 2, "status": "void"}])
+        assert table.indexes["status"] == {
+            "open": {3, 4}, "paid": {1}, "void": {2}}
+        table.update(isin("id", (3, 4)), {"status": "paid"})
+        assert table.indexes["status"] == {"paid": {1, 3, 4}, "void": {2}}
 
-    def test_older_snapshot_also_gets_the_keys_that_left(self, engine):
-        self.setup_rows(engine)
-        old = engine.snapshot()
-        txn = engine.begin()
-        txn.update("orders", 1, {"status": "paid"})
-        txn.delete("orders", 2)
-        txn.commit()
-        table = engine.table("orders")
-        assert table.index_lookup("status", ("open",), old.ts) == {
-            1, 2, 3, 4}
-        assert [row.key for row in old.scan("orders",
-                                            eq("status", "open"))] == [
-            1, 2, 3, 4]
+    def test_an_unchanged_value_stays_in_its_bucket(self):
+        table = self.setup_rows()
+        table.update(eq("id", 3), {"total": 9.0})
+        table.upsert([{"id": 4, "status": "open"}])
+        assert table.indexes["status"] == {"open": {1, 2, 3, 4}}
 
-    def test_an_unchanged_value_stays_in_its_bucket(self, engine):
-        self.setup_rows(engine)
-        txn = engine.begin()
-        txn.update("orders", 3, {"total": 9.0})
-        txn.commit()
-        table = engine.table("orders")
-        assert table.index_lookup("status", ("open",),
-                                  engine.snapshot().ts) == {1, 2, 3, 4}
-        assert not table._retired["status"]
+    def test_a_row_without_the_column_is_indexed_under_none(self):
+        table = self.setup_rows()
+        table.upsert([{"id": 5}])
+        assert table.indexes["status"][None] == {5}
+        assert rows_of(table, eq("status", None)) == [5]
 
-    def test_index_created_midway_sees_older_snapshots(self, engine):
-        """Built after the fact, the index replays version changes in
-        commit order: key 1 (inserted first) leaves "open" after key 2
-        does, and a snapshot between the two still finds key 1."""
-        put(engine, id=1, seller="a", total=1.0, status="open")
-        put(engine, id=2, seller="a", total=1.0, status="open")
-        for key in (2, 1):
-            txn = engine.begin()
-            txn.update("orders", key, {"status": "paid"})
-            txn.commit()
-            if key == 2:
-                between = engine.snapshot()
-        engine.table("orders").create_index("status")
-        assert [row.key for row in between.scan(
-            "orders", eq("status", "open"))] == [1]
-        assert engine.snapshot().scan("orders", eq("status", "open")) == []
+    def test_isin_and_conjunction_use_both_indexes(self):
+        """The scan tests only the keys in every indexed condition's
+        buckets: here 1 of the 3 keys of the smaller bucket."""
+        table = Table(COLUMNS, primary_key="id",
+                      indexes=("status", "seller"))
+        table.upsert([{"id": key, "seller": seller, "status": status}
+                      for key, seller, status in (
+                          (1, "a", "paid"), (2, "a", "paid"),
+                          (3, "b", "open"), (4, "b", "open"),
+                          (5, "b", "paid"), (6, "a", "open"))])
 
-    def test_lookup_on_unindexed_column_rejected(self, engine):
-        with pytest.raises(KeyError):
-            engine.table("orders").index_lookup("seller", ("a",), 0.0)
+        class CountingRows(dict):
+            reads = 0
 
-    def test_isin_and_conjunction_use_both_indexes(self, engine):
-        self.setup_rows(engine)
-        engine.table("orders").create_index("seller")
-        put(engine, id=5, seller="b", total=1.0, status="paid")
-        predicate = isin("status", ["open", "paid"]) & eq("seller", "b")
-        assert [row.key for row in engine.snapshot().scan(
-            "orders", predicate)] == [5]
-        assert engine.table("orders").index_hits == 2
+            def __getitem__(self, key):
+                CountingRows.reads += 1
+                return dict.__getitem__(self, key)
+
+        table.rows = CountingRows(table.rows)
+        predicate = isin("status", ["paid", "void"]) & eq("seller", "b")
+        assert rows_of(table, predicate) == [5]
+        assert CountingRows.reads == 2  # one test, one copy
 
 
 # ---------------------------------------------------------------------------
 # property: an index-assisted scan equals a brute-force scan
 # ---------------------------------------------------------------------------
 
-COLUMNS = ("a", "b", "c")
+PROP_COLUMNS = ("a", "b", "c")
 INDEXED = ("a", "b")
 VALUES = (0, 1, 2, None)
 
 #: A row's non-key columns: each absent or one of three values.
-row_values = st.dictionaries(st.sampled_from(COLUMNS),
+row_values = st.dictionaries(st.sampled_from(PROP_COLUMNS),
                              st.integers(min_value=0, max_value=2))
-#: Keys 0..11: ``str`` order ("10" < "2") differs from ``int`` order.
-write_ops = st.tuples(
-    st.sampled_from(("insert", "update", "upsert", "delete")),
-    st.integers(min_value=0, max_value=11), row_values)
-steps = st.lists(st.one_of(
-    st.tuples(st.just("commit"), st.lists(write_ops, min_size=1,
-                                          max_size=4)),
-    st.tuples(st.just("keep"), st.lists(write_ops, max_size=3)),
-    st.tuples(st.just("index"), st.just([]))), max_size=14)
 conditions = st.tuples(
-    st.sampled_from(COLUMNS),
+    st.sampled_from(PROP_COLUMNS),
     st.one_of(st.sampled_from(VALUES).map(lambda value: ("eq", value)),
               st.frozensets(st.sampled_from(VALUES), max_size=3)
               .map(lambda values: ("isin", values))))
-predicates = st.lists(st.lists(conditions, min_size=1, max_size=3),
-                      min_size=1, max_size=4)
+predicate_specs = st.lists(conditions, min_size=1, max_size=3)
+#: Keys 0..11: ``str`` order ("10" < "2") differs from ``int`` order.
+writes = st.lists(st.one_of(
+    st.tuples(st.just("upsert"),
+              st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                                 row_values), max_size=4)),
+    st.tuples(st.just("update"), st.tuples(predicate_specs, row_values))),
+    max_size=14)
 
 
 def _predicate(spec):
-    parts = [eq(column, arg) if kind == "eq" else isin(column, arg)
-             for column, (kind, arg) in spec]
-    return and_(*parts)
+    predicate = None
+    for column, (kind, arg) in spec:
+        part = eq(column, arg) if kind == "eq" else isin(column, arg)
+        predicate = part if predicate is None else predicate & part
+    return predicate
 
 
-def _model_apply(state, op):
-    """Apply one write to a ``{key: data}`` model, as the engine does;
-    False when the engine refuses or ignores it."""
-    kind, key, values = op
-    data = {"id": key, **values}
-    if kind == "insert" or (kind == "upsert" and key not in state):
-        if key in state:
-            return False
-        state[key] = data
-    elif kind in ("update", "upsert"):
-        if key not in state:
-            return False
-        state[key] = {**state[key], **data}
-    else:
-        if state.pop(key, None) is None:
-            return False
-    return True
-
-
-def _txn_apply(txn, op):
-    kind, key, values = op
-    if kind == "insert":
-        try:
-            txn.insert("t", {"id": key, **values})
-        except UniqueViolation:
-            pass
-    elif kind == "update":
-        txn.update("t", key, dict(values))
-    elif kind == "upsert":
-        txn.upsert("t", {"id": key, **values})
-    else:
-        txn.delete("t", key)
-
-
-def _brute_force(state, spec):
-    return sorted((key for key, data in state.items()
-                   if all(data.get(column) in
-                          ((arg,) if kind == "eq" else arg)
-                          for column, (kind, arg) in spec)), key=str)
+def _matches(data, spec):
+    return all(data.get(column) in ((arg,) if kind == "eq" else arg)
+               for column, (kind, arg) in spec)
 
 
 @settings(max_examples=150, deadline=None)
-@given(index_first=st.booleans(), history=steps, specs=predicates)
-def test_index_assisted_scan_equals_brute_force_scan(index_first, history,
-                                                     specs):
-    engine = MVCCEngine()
-    table = engine.create_table("t", ("id",) + COLUMNS, primary_key="id")
-
-    def create_indexes():
-        for column in INDEXED:
-            table.create_index(column)
-
-    if index_first:
-        create_indexes()
+@given(history=writes, specs=st.lists(predicate_specs, min_size=1,
+                                      max_size=4))
+def test_index_assisted_scan_equals_brute_force_scan(history, specs):
+    table = Table(("id",) + PROP_COLUMNS, primary_key="id",
+                  indexes=INDEXED)
     state: dict = {}
-    kept = []  # (snapshot, its model, open txn, model with own writes)
-    for kind, ops in history:
-        if kind == "index":
-            create_indexes()
-        elif kind == "commit":
-            txn = engine.begin()
-            for op in ops:
-                _txn_apply(txn, op)
-                _model_apply(state, op)
-            txn.commit()
+    for kind, arg in history:
+        if kind == "upsert":
+            table.upsert([{"id": key, **values} for key, values in arg])
+            for key, values in arg:
+                state[key] = {**state.get(key, {"id": key}), **values}
         else:
-            txn = engine.begin()
-            own = dict(state)
-            for op in ops:
-                _txn_apply(txn, op)
-                _model_apply(own, op)
-            kept.append((engine.snapshot(), dict(state), txn, own))
-    kept.append((engine.snapshot(), dict(state), engine.begin(),
-                 dict(state)))
-    for snapshot, seen, txn, own in kept:
-        for spec in specs:
-            predicate = _predicate(spec)
-            assert [row.key for row in snapshot.scan("t", predicate)] == \
-                _brute_force(seen, spec)
-            assert [row.key for row in txn.scan("t", predicate)] == \
-                _brute_force(own, spec)
-            rows = txn.scan("t", predicate)
-            assert [dict(row.data) for row in rows] == [
-                own[row.key] for row in rows]
-    now = engine.snapshot().ts
-    for column in table._indexes:
+            spec, changes = arg
+            matched = [key for key, data in state.items()
+                       if _matches(data, spec)]
+            assert table.update(_predicate(spec), changes) == len(matched)
+            for key in matched:
+                state[key] = {**state[key], **changes}
+    for spec in specs:
+        expected = sorted((key for key, data in state.items()
+                           if _matches(data, spec)), key=str)
+        assert table.scan(_predicate(spec)) == [state[key]
+                                                for key in expected]
+        assert table.sum("a", _predicate(spec)) == sum(
+            state[key].get("a") or 0 for key in expected)
+    assert table.scan() == [state[key] for key in sorted(state, key=str)]
+    for column in INDEXED:
         for value in VALUES:
-            assert table.index_lookup(column, (value,), now) == {
+            assert table.indexes[column].get(value, set()) == {
                 key for key, data in state.items()
                 if data.get(column) == value}
+
+
+# ---------------------------------------------------------------------------
+# the dashboard's one-snapshot property is one kernel step
+# ---------------------------------------------------------------------------
+
+class TestSnapshotIsolation:
+    def test_snapshot_is_stable_across_concurrent_commits(self, monkeypatch):
+        """The seller-dashboard criterion (C4): both queries read one
+        state.  Each dashboard runs its sum and its scan in the same
+        kernel step, so no checkout, return or delivery write can land
+        between them.  ``Environment.events_processed`` is only added up
+        when ``run()`` returns, so the test counts the kernel's
+        dispatches itself, one per heap or same-tick pop, and checks the
+        total against it."""
+        dispatched = [0]
+        heappop = environment._heappop
+
+        def counting_heappop(queue):
+            dispatched[0] += 1
+            return heappop(queue)
+
+        class CountingBucket(collections.deque):
+            def popleft(self):
+                dispatched[0] += 1
+                return super().popleft()
+
+        monkeypatch.setattr(environment, "_heappop", counting_heappop)
+        calls = []
+
+        def build(env, config):
+            env._bucket = CountingBucket()
+            app = CustomizedOrleansApp(env, config)
+            for name in ("upsert", "update", "sum", "scan"):
+                method = getattr(app.sql, name)
+
+                def record(*args, _name=name, _method=method):
+                    result = _method(*args)
+                    calls.append((_name, dispatched[0], args, result))
+                    return result
+                setattr(app.sql, name, record)
+            return app
+
+        run = run_scenario("baseline", app=build, seed=5,
+                           duration_scale=0.3, audit=False)
+        assert dispatched[0] == run.env.events_processed
+        dashboards = []
+        for index, (name, step, args, amount) in enumerate(calls):
+            if name == "sum":
+                scan = next(call for call in calls[index + 1:]
+                            if call[0] == "scan" and call[2][0] is args[1])
+                dashboards.append((step, scan[1], amount, scan[3]))
+        writes = [step for name, step, _, _ in calls
+                  if name in ("upsert", "update")]
+        assert len(dashboards) > 20 and len(writes) > 50
+        # Writes land between dashboards, not only before or after them.
+        first, last = dashboards[0][0], dashboards[-1][0]
+        assert sum(first < step < last for step in writes) > 20
+        for sum_step, scan_step, amount, rows in dashboards:
+            assert sum_step == scan_step
+            assert amount == sum(row["amount_cents"] for row in rows)

@@ -321,10 +321,9 @@ def test_customized_dashboard_retires_orders_paged_out_mid_batch():
     status = {order_id: order["status"] for state in resident + paged
               for order_id, order in state.get("orders", {}).items()}
     assert OrderStatus.COMPLETED in status.values()
-    rows = app.sql.snapshot().scan(
-        "order_entries", eq("status", OrderStatus.IN_TRANSIT))
-    stuck = [row.data["order_id"] for row in rows
-             if status.get(row.data["order_id"]) == OrderStatus.COMPLETED]
+    rows = app.sql.scan(eq("status", OrderStatus.IN_TRANSIT))
+    stuck = [row["order_id"] for row in rows
+             if status.get(row["order_id"]) == OrderStatus.COMPLETED]
     assert stuck == []
 
 
