@@ -9,12 +9,12 @@ one: queued messages are re-placed onto surviving silos, mid-execution
 calls fail with ``SiloUnavailable`` and grain state is discarded — the
 next activation starts empty (counted as a state-loss anomaly).
 
-Routing tolerates membership churn: the routing cache is keyed by the
-placement epoch, and delivery re-derives the route when the message
-arrives.  If the grain moved while the message was on the wire, or the
-target silo died, delivery re-places the message (paying another
-network hop) up to a bounded number of attempts before failing the
-call.
+Routing tolerates membership churn: a message goes to the grain's live
+activation in the grain directory (the ring decides for a grain without
+one), and delivery re-derives the route when the message arrives.  If
+the grain moved while the message was on the wire, or the target silo
+died, delivery re-places the message (paying another network hop) up
+to a bounded number of attempts before failing the call.
 """
 
 from __future__ import annotations
@@ -154,10 +154,15 @@ class _WorkingSetPager:
         self.reads = 0
         self.writes = 0
 
-    def write(self, ident: tuple[str, str], payload: dict):
-        yield self.env.timeout(PAGER_WRITE_LATENCY)
-        self.writes += 1
-        self._data[ident] = cow_clone(payload)
+    def write(self, ident: tuple[str, str], payload: dict,
+              then: typing.Callable[[], None]) -> None:
+        """Store ``payload`` once the write latency has passed, then
+        call ``then()`` — the one place an eviction's write starts."""
+        def written(_event: "Event") -> None:
+            self.writes += 1
+            self._data[ident] = cow_clone(payload)
+            then()
+        self.env.call_after(PAGER_WRITE_LATENCY, written)
 
     def read(self, ident: tuple[str, str]):
         yield self.env.timeout(PAGER_READ_LATENCY)
@@ -189,21 +194,15 @@ class Cluster:
         self.broker = broker or Broker(env)
         self.placement = ConsistentHashPlacement()
         self.directory = GrainDirectory()
-        # Steady-state routing cache: (type_name, key) -> live silo.
-        # Cleared wholesale when the placement epoch moves; invalidated
-        # per-grain by the directory on register/unregister/drop (grain
-        # adoption after migration re-registers *without* an epoch
-        # bump, so the per-key hook is load-bearing, not an optimisation).
-        self._route_cache: dict[tuple[str, str], Silo] = {}
-        self._route_cache_epoch = 0
-        _cache = self._route_cache
-        self.directory.on_change = lambda ident: _cache.pop(ident, None)
         #: ``grain_ref(grain_type, key)``: the one reference per grain,
         #: interned per cluster, so a repeat lookup runs in C.  An
         #: unknown type name raises on every lookup (exceptions are not
         #: cached).
         self.grain_ref = functools.cache(self._new_ref)
         self.silos: list[Silo] = []
+        #: Every silo's ``activations`` dict (crashed silos' too, empty):
+        #: ``note_activation`` sums their sizes.
+        self._residents: list[dict] = []
         self._silo_ids = 0
         for _ in range(self.config.silos):
             self._new_silo()
@@ -223,8 +222,9 @@ class Cluster:
         #: mid-write can never resurrect a stale snapshot.
         self._paged: set[tuple[str, str]] = set()
         if self.config.activation_limit is not None:
-            env.process(self._working_set_loop(
-                self.config.activation_limit), name="working-set")
+            # Armed from a zero-delay entry, so the first tick's entry is
+            # sequenced after everything scheduled during set-up.
+            env.call_after(0.0, self._arm_sweep)
 
     # ------------------------------------------------------------------
     # registries
@@ -259,6 +259,7 @@ class Cluster:
         self._silo_ids += 1
         silo.directory = self.directory
         self.silos.append(silo)
+        self._residents.append(silo.activations)
         self.placement.add_silo(silo)
         return silo
 
@@ -472,38 +473,22 @@ class Cluster:
         """Where to route a message: the directory pins routing to the
         live activation (Orleans grain-directory semantics); the ring
         decides only for grains without one.  May raise NoLiveSilos.
-
-        The answer is cached per (grain, placement epoch): within an
-        epoch it can only change through a directory mutation, and the
-        directory's ``on_change`` hook evicts the affected grain.  The
-        liveness re-check on hits means a dying silo is never served
-        from cache in a state the uncached path would not also return.
-        """
-        ident = ref.ident
-        epoch = self.placement.epoch
-        cache = self._route_cache
-        if epoch != self._route_cache_epoch:
-            cache.clear()
-            self._route_cache_epoch = epoch
-        cached = cache.get(ident)
-        if cached is not None and cached.alive:
-            return cached
-        host = self.directory.lookup(ref.type_name, ref.key)
+        ``_route`` and ``_deliver`` inline this rule."""
+        host = self.directory.hosts.get(ref.ident)
         if host is not None and host.alive:
-            cache[ident] = host
             return host
-        target = self.placement.place(ref.type_name, ref.key)
-        cache[ident] = target
-        return target
+        return self.placement.place(ref.type_name, ref.key)
 
     def activation_of(self, ref: GrainRef):
         """The live activation behind ``ref`` (creating it if needed)."""
-        silo = self._target_for(ref)
-        return silo.activation_for(self, ref.grain_type, ref.key)
+        return self._target_for(ref).activation_for(self, ref.grain_type,
+                                                    ref.key)
 
     def grain_instance(self, ref: GrainRef) -> Grain:
-        """Direct access to the grain object (tests and audits only)."""
-        return self.activation_of(ref).grain
+        """Direct access to the grain object (tests, audits and the
+        installation of lazily generated records)."""
+        return self._target_for(ref).activation_for(
+            self, ref.grain_type, ref.key).grain
 
     def _route(self, message: Message, caller_silo: Silo | None) -> None:
         """Send (or re-send) ``message`` toward the grain's owner.
@@ -515,13 +500,12 @@ class Cluster:
         ref = message.ref  # a routed message always has one
         config = self.config
         costs = self.costs
-        # ``_target_for``'s cache hit, inline: same epoch, live silo.
-        target = (self._route_cache.get(ref.ident)
-                  if self.placement.epoch == self._route_cache_epoch
-                  else None)
+        # ``_target_for``, inline: the directory's live host, else the
+        # ring.
+        target = self.directory.hosts.get(ref.ident)
         if target is None or not target.alive:
             try:
-                target = self._target_for(ref)
+                target = self.placement.place(ref.type_name, ref.key)
             except NoLiveSilos as error:
                 self.membership.unavailable_failures += 1
                 self._fail_after(message, costs.remote_latency, error)
@@ -571,14 +555,17 @@ class Cluster:
         ref = message.ref  # a routed message always has one
         activation = target.activations.get(ref.ident)
         if activation is None:
-            # Not hosted there: re-derive the route on arrival.  The
-            # grain may have migrated (directory moved) or the target
-            # died/drained while the message was on the wire.
-            try:
-                stale = self._target_for(ref) is not target
-            except NoLiveSilos:
-                stale = True
-            if not stale and target.accepting_activations:
+            # Not hosted there: re-derive the route on arrival
+            # (``_target_for``, inline).  The grain may have migrated
+            # (directory moved) or the target died/drained while the
+            # message was on the wire.
+            host = self.directory.hosts.get(ref.ident)
+            if host is None or not host.alive:
+                try:
+                    host = self.placement.place(ref.type_name, ref.key)
+                except NoLiveSilos:
+                    host = None
+            if host is target and target.accepting_activations:
                 activation = target.activation_for(self, ref.grain_type,
                                                    ref.key)
         if activation is not None and target.alive:
@@ -625,29 +612,51 @@ class Cluster:
         """Activation-creation bookkeeping (called by the silo)."""
         stats = self.working_set
         stats.activations += 1
-        resident = self.total_activations
+        resident = sum(map(len, self._residents))
         if resident > stats.peak_resident:
             stats.peak_resident = resident
 
-    def _working_set_loop(self, limit: int):
-        """Keep each silo at or below ``limit`` residents.
+    def _arm_sweep(self, _event: "Event | None" = None) -> None:
+        """Schedule the next working-set sweep."""
+        self.env.call_after(WORKING_SET_SWEEP, self._sweep)
 
-        Every ``WORKING_SET_SWEEP`` seconds the least-recently-used
-        quiet grains above the budget page out to the pager store; they
-        are restored on re-activation.  Grains that refuse to page (no
-        ``paged_attrs``, or locks held) stay resident — the budget is a
-        target, not a hard cap.
+    def _sweep(self, _event: "Event") -> None:
+        """Keep each silo at or below ``activation_limit`` residents.
+
+        Every ``WORKING_SET_SWEEP`` seconds the silos are walked in list
+        order (by index: a silo that joins mid-sweep is swept too) and
+        the least-recently-used quiet grains above the budget page out
+        to the pager store, one write at a time; they are restored on
+        re-activation.  Grains that refuse to page (no ``paged_attrs``,
+        or locks held) stay resident — the budget is a target, not a
+        hard cap.  The sweep is a chain of kernel callbacks, not a
+        process: one entry per tick and one per pager write, and the
+        next tick is armed after the last write.
         """
+        self._sweep_from(0, iter(()))
+
+    def _sweep_from(self, index: int,
+                    victims: typing.Iterator) -> None:
+        """Page out the rest of ``victims`` (picked on
+        ``silos[index - 1]``), then the victims of ``silos[index:]``;
+        return early while a write is in flight — its completion calls
+        back in here."""
+        limit = self.config.activation_limit
+        silos = self.silos
         while True:
-            yield self.env.timeout(WORKING_SET_SWEEP)
-            for silo in self.silos:
-                if not silo.accepting_activations:
-                    continue  # draining silos hand off their own grains
-                excess = silo.activation_count - limit
-                if excess <= 0:
-                    continue
-                for activation in self._lru_victims(silo, excess):
-                    yield from self._page_out_activation(silo, activation)
+            for activation in victims:
+                if self._page_out(activation, index, victims):
+                    return
+            if index == len(silos):
+                break
+            silo = silos[index]
+            index += 1
+            if not silo.accepting_activations:
+                continue  # draining silos hand off their own grains
+            excess = len(silo.activations) - limit
+            if excess > 0:
+                victims = iter(self._lru_victims(silo, excess))
+        self._arm_sweep()
 
     def _lru_victims(self, silo: Silo, count: int) -> list:
         """The ``count`` least-recently-used quiet activations (empty
@@ -663,39 +672,44 @@ class Cluster:
                     break
         return victims
 
-    def _page_out_activation(self, silo: Silo,
-                             activation) -> typing.Generator:
-        """Evict one activation under the working-set budget.
-
-        The grain snapshots its ``paged_attrs``, pays the pager write,
-        and only then deactivates; if the grain became busy while the
-        write was in flight the eviction aborts and — crucially — the
-        ident is never registered as paged, so the stale snapshot is
-        unreachable and the sweep simply retries later.
-        """
+    def _page_out(self, activation, index: int,
+                  victims: typing.Iterator) -> bool:
+        """Start evicting one activation under the working-set budget:
+        the grain snapshots its ``paged_attrs`` and the pager write
+        starts.  False when there is nothing to write (already gone, or
+        not pageable: it stays resident)."""
         if activation.collected:
             return False
         grain = activation.grain
-        type_name = type(grain).__name__
         paged = grain.page_out()
         if paged is None:
-            return False  # not pageable; stays resident
-        ident = (type_name, grain.key)
-        yield from self.pager.write(ident, paged)
-        if activation.collected or activation.mailbox or activation.busy:
-            return False  # got busy during the write; retried later
-        # Work may have started AND finished inside the write latency
-        # window, leaving the grain quiet but the snapshot stale —
-        # re-snapshot before committing to the eviction.
-        fresh = grain.page_out()
-        if fresh is None:
-            return False  # mid-transaction again; retried later
-        if fresh != paged:
-            self.pager.store(ident, fresh)
-        silo.deactivate(type_name, grain.key)
-        self._paged.add(ident)
-        self.working_set.evictions += 1
+            return False
+        ident = (type(grain).__name__, grain.key)
+        self.pager.write(ident, paged, functools.partial(
+            self._paged_out, activation, ident, paged, index, victims))
         return True
+
+    def _paged_out(self, activation, ident: tuple[str, str], paged: dict,
+                   index: int, victims: typing.Iterator) -> None:
+        """The write is done: deactivate, then resume the sweep.
+
+        If the grain became busy while the write was in flight the
+        eviction aborts and — crucially — the ident is never registered
+        as paged, so the stale snapshot is unreachable and a later
+        sweep retries.  Work may also have started *and* finished
+        inside the write window, leaving the grain quiet but the
+        snapshot stale: it is re-taken before the eviction commits.
+        """
+        if not (activation.collected or activation.mailbox
+                or activation.inflight):
+            fresh = activation.grain.page_out()
+            if fresh is not None:  # None: mid-transaction again
+                if fresh != paged:
+                    self.pager.store(ident, fresh)
+                activation.silo.deactivate(*ident)
+                self._paged.add(ident)
+                self.working_set.evictions += 1
+        self._sweep_from(index, victims)
 
     def is_paged(self, grain: Grain) -> bool:
         """True when a paged snapshot awaits ``grain``'s re-activation."""

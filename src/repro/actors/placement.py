@@ -1,12 +1,13 @@
 """Placement: deciding which silo hosts a grain activation.
 
-Membership is dynamic: silos join, drain and crash at runtime.  Every
-ring change bumps the placement *epoch*, which keys the cluster's
-routing cache; delivery re-derives the route when a message arrives,
-so it re-places instead of creating an activation on a stale owner.
-The :class:`GrainDirectory` complements the ring with a record of where
-each grain is *actually* activated; routing follows it, so a grain
-whose ring owner moved keeps its traffic until it is handed off.
+Membership is dynamic: silos join, drain and crash at runtime, and
+every ring change bumps the placement *epoch*.  Delivery re-derives the
+route when a message arrives, so it re-places instead of creating an
+activation on a stale owner.  The :class:`GrainDirectory` complements
+the ring with a record of where each grain is *actually* activated;
+routing reads it first, so a grain whose ring owner moved keeps its
+traffic until it is handed off, and the ring decides only for grains
+without a live activation.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ class ConsistentHashPlacement:
 
     Deterministic for a given silo set, and moves only ~1/n of grains
     when a silo joins or leaves — matching how Orleans keeps placement
-    stable across membership changes.  ``epoch`` counts ring changes;
-    it is the version number the routing layer uses to detect stale
-    placement decisions.
+    stable across membership changes.  ``epoch`` counts ring changes
+    (reported in the cluster's membership stats).
     """
 
     def __init__(self, virtual_nodes: int = 64) -> None:
@@ -90,35 +90,23 @@ class GrainDirectory:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[str, str], "Silo"] = {}
-        #: Invalidation hook called with each (type_name, key) whose
-        #: entry changes.  The cluster points this at its routing cache:
-        #: register/unregister/drop happen without an epoch bump (e.g. a
-        #: migrated grain being adopted by its new owner), so epoch
-        #: checks alone cannot keep a routing cache coherent.
-        self.on_change: typing.Callable[[tuple[str, str]], object] | None = (
-            None)
+        #: (type name, key) -> hosting silo.  Routing reads this dict
+        #: directly: it is the whole routing state of a live grain.
+        self.hosts: dict[tuple[str, str], "Silo"] = {}
 
     def register(self, type_name: str, key: str, silo: "Silo") -> None:
-        self._entries[(type_name, key)] = silo
-        if self.on_change is not None:
-            self.on_change((type_name, key))
+        self.hosts[(type_name, key)] = silo
 
     def unregister(self, type_name: str, key: str) -> None:
-        self._entries.pop((type_name, key), None)
-        if self.on_change is not None:
-            self.on_change((type_name, key))
+        self.hosts.pop((type_name, key), None)
 
     def drop_silo(self, silo: "Silo") -> None:
         """Remove every entry hosted on ``silo`` (crash path)."""
-        dropped = [ident for ident, host in self._entries.items()
-                   if host is silo]
-        for ident in dropped:
-            del self._entries[ident]
-        if self.on_change is not None:
-            for ident in dropped:
-                self.on_change(ident)
+        hosts = self.hosts
+        for ident in [ident for ident, host in hosts.items()
+                      if host is silo]:
+            del hosts[ident]
 
     def lookup(self, type_name: str, key: str) -> "Silo | None":
         """The silo hosting the grain's activation, if it has one."""
-        return self._entries.get((type_name, key))
+        return self.hosts.get((type_name, key))

@@ -275,7 +275,8 @@ class Activation:
         #: (messages wait in the mailbox).  With nothing to read —
         #: always so for an ``adopted`` grain, whose in-memory state
         #: travelled with it — the activation serves from construction.
-        self.started = adopted or not grain.cluster.is_paged(grain)
+        self.started = adopted or (
+            (type(grain).__name__, grain.key) not in grain.cluster._paged)
         if not self.started:
             env.process(self._start(), name=f"activate:{grain!r}")
 
@@ -454,10 +455,6 @@ class Silo:
             return 0.0
         return self.busy_time / (now * self.cores)
 
-    @property
-    def activation_count(self) -> int:
-        return len(self.activations)
-
     def __repr__(self) -> str:
         return (f"<Silo {self.name} {self.state} "
-                f"activations={self.activation_count}>")
+                f"activations={len(self.activations)}>")

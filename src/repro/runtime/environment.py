@@ -71,8 +71,11 @@ class Environment:
         self._seq = 0
         self._seeds = SeedSequenceFactory(seed)
         self.seed = seed
-        #: Events processed so far — the kernel's unit of work, used by
-        #: the hot-path benchmark to report events per wall-second.
+        #: Events processed by the ``run()`` calls that have returned —
+        #: the kernel's unit of work, used by the hot-path benchmark to
+        #: report events per wall-second.  ``run()`` adds its count up
+        #: once, as it returns, so a callback inside a run reads the
+        #: total from before that run.
         self.events_processed = 0
         self._pool: list[PooledEvent] = []
         #: Free-list telemetry for the kernel micro-benchmark.
@@ -111,13 +114,16 @@ class Environment:
                    callback: typing.Callable[[Event], None]) -> None:
         """Run ``callback(event)`` after ``delay`` seconds of sim time.
 
-        Replaces the ``env.timeout(d).callbacks.append(cb)`` idiom on
-        the message send/reply/broker-deliver hot paths with a pooled
-        event, so steady-state delivery allocates nothing.
-        The grain-call path inlines this body twice — the delivery in
-        ``repro.actors.cluster.Cluster._route`` and the CPU hold in
+        Replaces the ``env.timeout(d).callbacks.append(cb)`` idiom with
+        a pooled event, so steady-state scheduling allocates nothing:
+        broker delivery, a 2PC transaction's rounds, the working-set
+        sweep and its pager writes, and a process's first step run on
+        it.  The grain-call path inlines this body twice — the delivery
+        in ``repro.actors.cluster.Cluster._route`` and the CPU hold in
         ``repro.actors.silo.Message._charge`` — keep all three
-        identical.
+        identical.  (The reply, ``Message._reply``, inlines
+        :meth:`Event.trigger_after` instead: the message is its own
+        entry.)
         """
         self.pool_acquires += 1
         pool = self._pool

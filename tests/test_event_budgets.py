@@ -124,7 +124,7 @@ READ_ONLY_FRAMES = {"now", "type_name", "alive", "_account"}
 #: The fused path itself: exactly one frame of each per call.
 FUSED_PATH = ("_route", "_deliver", "_charge", "_run", "_reply")
 #: Frames a warm call no longer costs: the retired dispatch hop, the
-#: activation's enqueue, the routing-cache hit, the tell's failure
+#: activation's enqueue, the routing helper, the tell's failure
 #: swallowing, the grain-side reference lookup, and the scheduling
 #: helpers the message now inlines — the hop's call_after, the CPU
 #: hold (``Resource.hold`` and its ``held`` closure) and the reply's

@@ -17,10 +17,13 @@ budget and assert the three observable guarantees:
 
 import cProfile
 import functools
+import hashlib
 
 import pytest
 
 from repro.actors import Cluster, ClusterConfig, Grain
+from repro.actors.cluster import PAGER_WRITE_LATENCY, WORKING_SET_SWEEP
+from repro.actors.silo import Silo
 from repro.apps import ALL_APPS, AppConfig
 from repro.apps.grains_eventual import ProductGrain
 from repro.core import BenchmarkDriver, Dataset, DriverConfig, WorkloadConfig
@@ -185,11 +188,11 @@ def during_eviction_write(app, ref, action):
     write = pager.write
     started = []
 
-    def hooked(ident, payload):
+    def hooked(ident, payload, then):
         if ident == ref.ident and not started:
             started.append(app.env.now)
             action()
-        yield from write(ident, payload)
+        write(ident, payload, then)
 
     pager.write = hooked
     return started
@@ -412,3 +415,86 @@ def test_lru_victims_cost_follows_victims_not_resident_set():
     resident activation measured 222 against 2 022 calls; the LRU
     walk is one call at both sizes.)"""
     assert _lru_victims_calls(110) == _lru_victims_calls(1010)
+
+
+def test_sweep_evicts_and_reloads_in_the_pinned_order(monkeypatch):
+    """Every eviction and reload of a small budgeted closed-loop cell,
+    as ``(env.now, kind, type name, key)``, in order.  The digest was
+    taken while the sweep still ran as a generator process; running it
+    as kernel callbacks must not move one entry by one tick."""
+    env = Environment(seed=7)
+    app = ALL_APPS["orleans-eventual"](env, AppConfig(
+        silos=2, cores_per_silo=2, activation_limit=TIGHT_LIMIT))
+    log = []
+    deactivate, page_in = Silo.deactivate, Grain.page_in
+
+    def logged_deactivate(silo, type_name, key):
+        log.append((env.now, "evict", type_name, key))
+        return deactivate(silo, type_name, key)
+
+    def logged_page_in(grain, paged):
+        log.append((env.now, "reload", type(grain).__name__, grain.key))
+        return page_in(grain, paged)
+
+    monkeypatch.setattr(Silo, "deactivate", logged_deactivate)
+    monkeypatch.setattr(Grain, "page_in", logged_page_in)
+    BenchmarkDriver(env, app, SMALL, DriverConfig(
+        workers=8, warmup=0.05, duration=0.3, drain=0.2)).run()
+    kinds = [entry[1] for entry in log]
+    assert (kinds.count("evict"), kinds.count("reload")) == (599, 234)
+    assert log[:2] == [(0.0504, "evict", "ProductGrain", "1/2"),
+                       (0.0508, "evict", "ProductGrain", "1/3")]
+    assert log[kinds.index("reload")] == (
+        0.055348965459812625, "reload", "ProductGrain", "1/3")
+    assert env.events_processed == 26272
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == (
+        "4e45f9c338ac8e2add35493d019bc97069f9bdafbe0a8a7be6220a47bfed1617")
+
+
+class Pageable(Grain):
+    """A grain with one paged attribute and nothing to do."""
+
+    paged_attrs = ("value",)
+    value = 0
+
+
+def _page_out_calls(victims):
+    """Python calls (cProfile, builtins off) of the kernel step that
+    completes one page-out and starts the next, in a sweep that pages
+    out ``victims`` grains."""
+    env = Environment(seed=3)
+    cluster = Cluster(env, ClusterConfig(silos=1, activation_limit=10))
+    silo = cluster.silos[0]
+    for index in range(10 + victims):
+        silo.activation_for(cluster, Pageable, f"k{index}")
+    env.run(until=WORKING_SET_SWEEP + PAGER_WRITE_LATENCY)
+    assert cluster.working_set.evictions == 1
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    env.run(until=env.now + PAGER_WRITE_LATENCY)
+    profiler.disable()
+    assert cluster.working_set.evictions == 2
+    return sum(entry.callcount for entry in profiler.getstats())
+
+
+def test_page_out_cost_follows_the_victim_not_the_sweep():
+    """A page-out resumes the sweep where it stopped: ten times the
+    victims cost the page-out not one Python call more."""
+    assert _page_out_calls(10) == _page_out_calls(100)
+
+
+def test_message_to_an_activated_grain_routes_from_the_directory():
+    """Once a grain is activated, its messages route from the grain
+    directory alone: the ring is not consulted, and no routing helper
+    runs."""
+    env, cluster, silo = one_silo_cluster()
+    ref = cluster.grain_ref(Idle, "k")
+    env.run(until=ref.call("touch"))  # activates the grain
+    assert cluster.directory.lookup(*ref.ident) is silo
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    env.run(until=ref.call("touch"))
+    profiler.disable()
+    names = {entry.code.co_name for entry in profiler.getstats()
+             if not isinstance(entry.code, str)}
+    assert not {"place", "_target_for", "lookup"} & names, names
