@@ -26,7 +26,8 @@ all as exact counts or exact float times read from the kernel
 * the *order*: a scripted mix of calls and tells on two one-core
   silos dispatches its steps in the very ``(time, sequence)`` order it
   had when every entry went through the kernel's scheduling helpers,
-  and so does a scripted mix of overlapping transactions.
+  and so do a scripted mix of overlapping transactions and a scripted
+  fan-out of statefun requests across a checkpoint.
 """
 
 import cProfile
@@ -1357,3 +1358,135 @@ def test_same_tick_order_on_the_2pc_path_is_pinned():
     timeline, events = txn_timeline()
     assert timeline == TXN_TIMELINE
     assert events == TXN_TIMELINE_EVENTS
+
+
+# ---------------------------------------------------------------------------
+# (f) same-tick order on the statefun path
+# ---------------------------------------------------------------------------
+#: A binary fraction of a second, so that sums of costs are exact and
+#: entries of different kinds land on one tick.
+UNIT = 2 ** -10
+#: A hop costs one unit of delivery and one of CPU, and one more of
+#: each when it crosses partitions; a checkpoint syncs for two units.
+STATEFUN_TIMELINE_COSTS = CostModel(
+    delivery_latency=UNIT, cross_partition_latency=UNIT,
+    function_cpu=UNIT / 2, envelope_cpu=UNIT / 2,
+    cross_partition_cpu=UNIT, checkpoint_sync=2 * UNIT)
+
+
+class Hop(StatefulFunction):
+    """Logs its run to ``timeline``, then fans out to ``fan`` keys for
+    ``hops`` more hops, or egresses at the end of its chain."""
+
+    timeline: list = []
+
+    def invoke(self, context, payload):
+        label, hops, fan = payload
+        now = context.worker.env.now
+        crossed = " crossed" if context.message.cross_partition else ""
+        self.timeline.append((now, f"{label} ran{crossed}"))
+        if not hops:
+            self.timeline.append((now, f"{label} egress"))
+            context.egress("done", label,
+                           effect_id=f"{context.request_id}:{label}")
+            return
+        for branch in range(fan):
+            context.send("hop", f"k{(hops + branch) % 5}",
+                         (f"{label}.{branch}", hops - 1, 1))
+
+
+def statefun_timeline():
+    """Run a fixed script of fanning-out requests on three partitions,
+    with a checkpoint taken while messages are on the wire and two
+    workers are in a CPU charge.  Returns the ``(env.now, label)``
+    steps in dispatch order and the kernel events processed."""
+    Hop.timeline = timeline = []
+    env = Environment(seed=3)
+    runtime = StatefunRuntime(env, StatefunConfig(
+        partitions=3, checkpoint_interval=0), STATEFUN_TIMELINE_COSTS)
+    runtime.register("hop", Hop())
+
+    def request(label, key, hops, fan):
+        waiter = runtime.request("hop", key, (label, hops, fan), label)
+        waiter.callbacks.append(
+            lambda _event: timeline.append((env.now, f"{label} replied")))
+
+    def script():
+        request("a", "k0", 3, 3)
+        request("b", "k1", 4, 1)
+        request("c", "k0", 2, 2)  # queues behind "a"
+        yield env.timeout(5 * UNIT)
+        timeline.append((env.now, "checkpoint"))
+        request("d", "k2", 2, 2)  # on the wire into the pause
+        yield from runtime.take_checkpoint()
+        timeline.append((env.now, "resumed"))
+        request("e", "k3", 1, 2)
+
+    env.process(script())
+    env.run()
+    assert runtime.checkpoints_taken == 1
+    return timeline, env.events_processed
+
+
+#: ``statefun_timeline()`` recorded while a function's send went
+#: through ``StatefunRuntime.send_internal`` and ``trigger_after``, and
+#: a worker's wake-up and CPU charge through ``env.call_after``.  A
+#: charge pushed before the function's own sends, or a wake-up pushed
+#: one bucket step late, reorders entries that share a tick.
+STATEFUN_TIMELINE = [
+    (0.001953125, 'a ran'),
+    (0.001953125, 'b ran'),
+    (0.0029296875, 'c ran'),
+    (0.00390625, 'a.0 ran'),
+    (0.00390625, 'b.0 ran'),
+    (0.0048828125, 'checkpoint'),
+    (0.0048828125, 'a.2 ran'),
+    (0.005859375, 'a.1 ran crossed'),
+    (0.005859375, 'c.0 ran'),
+    (0.009765625, 'resumed'),
+    (0.0107421875, 'c.1 ran'),
+    (0.01171875, 'c.0.0 ran crossed'),
+    (0.01171875, 'c.0.0 egress'),
+    (0.01171875, 'a.0.0 ran'),
+    (0.01171875, 'c replied'),
+    (0.013671875, 'b.0.0 ran crossed'),
+    (0.0146484375, 'c.1.0 ran crossed'),
+    (0.0146484375, 'c.1.0 egress'),
+    (0.0146484375, 'd ran'),
+    (0.015625, 'a.2.0 ran'),
+    (0.0166015625, 'a.0.0.0 ran crossed'),
+    (0.0166015625, 'a.0.0.0 egress'),
+    (0.0166015625, 'a replied'),
+    (0.017578125, 'a.1.0 ran crossed'),
+    (0.0185546875, 'e ran'),
+    (0.01953125, 'a.2.0.0 ran crossed'),
+    (0.01953125, 'a.2.0.0 egress'),
+    (0.01953125, 'b.0.0.0 ran'),
+    (0.0205078125, 'd.0 ran'),
+    (0.021484375, 'a.1.0.0 ran crossed'),
+    (0.021484375, 'a.1.0.0 egress'),
+    (0.021484375, 'd.1 ran'),
+    (0.0224609375, 'e.1 ran'),
+    (0.0224609375, 'e.1 egress'),
+    (0.0224609375, 'e replied'),
+    (0.0234375, 'e.0 ran crossed'),
+    (0.0234375, 'e.0 egress'),
+    (0.025390625, 'b.0.0.0.0 ran crossed'),
+    (0.025390625, 'b.0.0.0.0 egress'),
+    (0.025390625, 'b replied'),
+    (0.02734375, 'd.0.0 ran crossed'),
+    (0.02734375, 'd.0.0 egress'),
+    (0.02734375, 'd replied'),
+    (0.029296875, 'd.1.0 ran crossed'),
+    (0.029296875, 'd.1.0 egress'),
+]
+STATEFUN_TIMELINE_EVENTS = 78
+
+
+def test_same_tick_order_on_the_statefun_path_is_pinned():
+    """The dataflow twin of the actor and 2PC timelines: same-partition
+    and crossing hops, fan-outs, a queue behind a busy worker, and a
+    checkpoint's pause, sync and resume all share ticks."""
+    timeline, events = statefun_timeline()
+    assert timeline == STATEFUN_TIMELINE
+    assert events == STATEFUN_TIMELINE_EVENTS
