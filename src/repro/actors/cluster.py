@@ -501,7 +501,7 @@ class Cluster:
         config = self.config
         costs = self.costs
         # ``_target_for``, inline: the directory's live host, else the
-        # ring.
+        # ring.  ``epoch`` records which one chose, for ``_deliver``.
         target = self.directory.hosts.get(ref.ident)
         if target is None or not target.alive:
             try:
@@ -510,6 +510,9 @@ class Cluster:
                 self.membership.unavailable_failures += 1
                 self._fail_after(message, costs.remote_latency, error)
                 return
+            message.epoch = self.placement.epoch
+        else:
+            message.epoch = -1
         if caller_silo is target:
             latency = costs.local_latency
         else:
@@ -558,13 +561,16 @@ class Cluster:
             # Not hosted there: re-derive the route on arrival
             # (``_target_for``, inline).  The grain may have migrated
             # (directory moved) or the target died/drained while the
-            # message was on the wire.
+            # message was on the wire; an unchanged ring still says
+            # ``target``.
             host = self.directory.hosts.get(ref.ident)
             if host is None or not host.alive:
-                try:
-                    host = self.placement.place(ref.type_name, ref.key)
-                except NoLiveSilos:
-                    host = None
+                host = target
+                if message.epoch != self.placement.epoch:
+                    try:
+                        host = self.placement.place(ref.type_name, ref.key)
+                    except NoLiveSilos:
+                        host = None
             if host is target and target.accepting_activations:
                 activation = target.activation_for(self, ref.grain_type,
                                                    ref.key)

@@ -78,7 +78,7 @@ class Message(Event):
     """
 
     __slots__ = ("method", "args", "kwargs", "txn", "reply_latency", "ref",
-                 "attempts", "activation", "generator", "oneway")
+                 "attempts", "epoch", "activation", "generator", "oneway")
 
     def __init__(self, env: "Environment", method: str, args: tuple,
                  kwargs: dict, txn: object | None, ref: "GrainRef",
@@ -101,6 +101,8 @@ class Message(Event):
         self.ref = ref
         #: Delivery attempts so far; rerouting is bounded by the cluster.
         self.attempts = 1
+        #: Ring epoch of this hop's target; -1 if the directory chose.
+        self.epoch = -1
         #: The activation serving this message, set when its turn starts.
         self.activation: "Activation | None" = None
         self.generator: typing.Generator | None = None

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import typing
+from heapq import heappush as _heappush
+
+from repro.dataflow.messages import FunctionMessage
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.dataflow.messages import FunctionMessage
     from repro.dataflow.runtime import StatefunRuntime, Worker
 
 
@@ -48,13 +50,29 @@ class Context:
              request_id: str | None = None) -> None:
         """Send a message to another function (at-least-once + dedup).
 
-        Messages leaving this worker's partition pay the shuffle cost.
+        The message is its own timeline entry, fired at its owner
+        (``StatefunRuntime._arrive``); one leaving this worker's
+        partition pays the shuffle cost.
         """
-        self.runtime.send_internal(
-            target_type, target_key, payload,
-            request_id=request_id if request_id is not None
-            else self.request_id,
-            source_worker=self.worker)
+        runtime = self.runtime
+        env = runtime.env
+        message = FunctionMessage(
+            env, target_type, target_key, payload,
+            request_id if request_id is not None else self.request_id)
+        latency = runtime.costs.delivery_latency
+        if self.worker is not (runtime._routes.get(message.address)
+                               or runtime.worker_for(message.address)):
+            message.cross_partition = True
+            latency += runtime.costs.cross_partition_latency
+        runtime._in_flight += 1
+        message.callbacks.append(runtime._arrive)
+        # message.trigger_after(latency), inline.
+        env._seq = seq = env._seq + 1
+        if latency > 0.0:
+            _heappush(env._queue, (env.now + latency, seq, message))
+        else:
+            env._bucket.append((seq, message))
+        message._value = None
 
     def egress(self, kind: str, payload: object,
                effect_id: str | None = None) -> None:

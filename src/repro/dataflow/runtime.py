@@ -7,12 +7,13 @@ import dataclasses
 import itertools
 import typing
 import zlib
+from heapq import heappush as _heappush
 
 from repro.costs import CostModel
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
 from repro.runtime.environment import SimulationError
-from repro.runtime.events import Event
+from repro.runtime.events import Event, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -78,15 +79,15 @@ class Worker:
     """One partition: a queue and per-address state, served one message
     at a time, as a single-threaded Flink subtask serves its input.
 
-    No process serves the queue: a worker is a chain of kernel
-    callbacks — look at the queue, charge the message's CPU cost as one
-    timed entry, run the function, look again.  Only one message is
-    ever in service, so no core count is modelled (see
+    No process serves the queue: a worker is one kernel callback,
+    :meth:`_step`, that runs the message whose CPU charge just ended
+    and then charges the next one as one timed entry.  Only one
+    message is ever in service, so no core count is modelled (see
     :class:`StatefunConfig`).  Its timeline entries are those of the
     process it replaced: a zero-delay entry at construction (the
     bootstrap), a zero-delay wake-up when an idle worker gets a
-    message, the CPU charge, and a callback on the runtime's resume
-    event while paused.
+    message (pushed by ``StatefunRuntime._arrive``), the CPU charge,
+    and a callback on the runtime's resume event while paused.
     """
 
     def __init__(self, env: "Environment", runtime: "StatefunRuntime",
@@ -117,7 +118,7 @@ class Worker:
         #: The one context every invocation on this worker is handed,
         #: refilled per message (see :class:`Context`).
         self.context = Context(runtime, self)
-        env.call_after(0.0, self._next)
+        env.call_after(0.0, self._step)
 
     def state_for(self, address: tuple[str, str]) -> dict:
         self.dirty.add(address)
@@ -158,12 +159,48 @@ class Worker:
             self.cold[address] = self.state.pop(address)
             self.cold_evictions += 1
 
-    def _next(self, _event: Event | None = None) -> None:
-        """Take the next message: wait out a pause, park on an empty
-        queue, or start the message's CPU charge."""
+    def _step(self, _event: Event | None = None) -> None:
+        """The worker's one callback: run the message whose CPU charge
+        just ended, if any, then take the next one — wait out a pause,
+        park on an empty queue, or start its charge.  State is fetched
+        only after the charge, so a restore during it is seen."""
+        message = self._message
         runtime = self.runtime
+        if message is not None:
+            self._message = None
+            address = message.address
+            states = self.state
+            # A hot hit without a resident budget is state_for inline:
+            # the peak is still checked, since a restore or a rescale
+            # fills ``state`` without counting it.
+            state = (None if runtime.config.max_resident_addresses
+                     else states.pop(address, None))
+            if state is None:
+                state = self.state_for(address)
+            else:
+                self.dirty.add(address)
+                states[address] = state
+                if len(states) > self.peak_resident:
+                    self.peak_resident = len(states)
+            context = self.context
+            context.message = message
+            context.key = message.target_key
+            context.request_id = message.request_id
+            context.state = state
+            try:
+                result = self._function.invoke(context, message.payload)
+                self.state[address] = context.state
+            except Exception as exc:
+                raise SimulationError(
+                    f"function {address} failed on {message!r}") from exc
+            if result is not None:
+                raise SimulationError(
+                    f"function {address} returned {result!r} on {message!r}; "
+                    f"a stateful function runs to completion and returns None")
+            self.processed += 1
+            runtime.messages_processed += 1
         if runtime.paused:
-            runtime.resume_event.callbacks.append(self._next)
+            runtime.resume_event.callbacks.append(self._step)
             return
         if not self.queue:
             self.idle = True
@@ -179,49 +216,22 @@ class Worker:
             cpu_cost += costs.cross_partition_cpu
         self._message = message
         self._function = function
-        self.env.call_after(cpu_cost, self._run)
-
-    def _run(self, _event: Event) -> None:
-        """The CPU charge is over: run the function to completion.
-        State is fetched only now, so a restore during the charge is
-        seen."""
-        message = self._message
-        address = message.address
-        runtime = self.runtime
-        states = self.state
-        # A hot hit without a resident budget is state_for inline: the
-        # peak is still checked, since a restore or a rescale fills
-        # ``state`` without counting it.
-        state = (states.pop(address, None)
-                 if runtime.config.max_resident_addresses is None else None)
-        if state is None:
-            state = self.state_for(address)
+        # env.call_after(cpu_cost, self._step), inline.
+        env = self.env
+        env.pool_acquires += 1
+        pool = env._pool
+        if pool:
+            env.pool_hits += 1
+            event = pool.pop()
         else:
-            self.dirty.add(address)
-            states[address] = state
-            if len(states) > self.peak_resident:
-                self.peak_resident = len(states)
-        context = self.context
-        context.message = message
-        context.key = message.target_key
-        context.request_id = message.request_id
-        context.state = state
-        try:
-            result = self._function.invoke(context, message.payload)
-            self.state[address] = context.state
-        except Exception as exc:
-            raise SimulationError(
-                f"function {address} failed on {message!r}") from exc
-        if result is not None:
-            raise SimulationError(
-                f"function {address} returned {result!r} on {message!r}; "
-                f"a stateful function runs to completion and returns None")
-        self.processed += 1
-        runtime.messages_processed += 1
-        if self.queue or runtime.paused:
-            self._next()
+            event = PooledEvent(env)
+        event._value = None
+        event.callbacks.append(self._step)  # type: ignore[union-attr]
+        env._seq = seq = env._seq + 1
+        if cpu_cost > 0.0:
+            _heappush(env._queue, (env.now + cpu_cost, seq, event))
         else:
-            self.idle = True
+            env._bucket.append((seq, event))
 
 
 class StatefunRuntime:
@@ -310,27 +320,6 @@ class StatefunRuntime:
         message.callbacks.append(self._arrive)
         message.trigger_after(self.costs.delivery_latency)
 
-    def send_internal(self, target_type: str, target_key: str,
-                      payload: object,
-                      request_id: str | None = None,
-                      source_worker: "Worker | None" = None) -> None:
-        """Put a function-to-function message on the wire: the message
-        is its own timeline entry, fired at its owner after the
-        delivery latency (plus the shuffle latency when it crosses
-        partitions)."""
-        message = FunctionMessage(self.env, target_type, target_key,
-                                  payload, request_id)
-        latency = self.costs.delivery_latency
-        if source_worker is not None:
-            address = message.address
-            if source_worker is not (self._routes.get(address)
-                                     or self.worker_for(address)):
-                message.cross_partition = True
-                latency += self.costs.cross_partition_latency
-        self._in_flight += 1
-        message.callbacks.append(self._arrive)
-        message.trigger_after(latency)
-
     def _arrive(self, message: FunctionMessage) -> None:
         """A message lands: queue it at its owner, looked up again now
         (a rescale may have moved it), and wake the owner if idle."""
@@ -344,7 +333,19 @@ class StatefunRuntime:
         worker.queue.append(message)
         if worker.idle:
             worker.idle = False
-            self.env.call_after(0.0, worker._next)
+            # env.call_after(0.0, worker._step), inline.
+            env = self.env
+            env.pool_acquires += 1
+            pool = env._pool
+            if pool:
+                env.pool_hits += 1
+                event = pool.pop()
+            else:
+                event = PooledEvent(env)
+            event._value = None
+            event.callbacks.append(worker._step)  # type: ignore[union-attr]
+            env._seq = seq = env._seq + 1
+            env._bucket.append((seq, event))
 
     # ------------------------------------------------------------------
     # request/response bridging for the benchmark driver
@@ -394,7 +395,7 @@ class StatefunRuntime:
         for worker in self.workers:
             if worker.queue and worker.idle:
                 worker.idle = False
-                self.env.call_after(0.0, worker._next)
+                self.env.call_after(0.0, worker._step)
 
     def seal_initial_state(self) -> None:
         """Record the current state as checkpoint zero.

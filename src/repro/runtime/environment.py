@@ -118,12 +118,14 @@ class Environment:
         a pooled event, so steady-state scheduling allocates nothing:
         broker delivery, a 2PC transaction's rounds, the working-set
         sweep and its pager writes, and a process's first step run on
-        it.  The grain-call path inlines this body twice — the delivery
-        in ``repro.actors.cluster.Cluster._route`` and the CPU hold in
-        ``repro.actors.silo.Message._charge`` — keep all three
-        identical.  (The reply, ``Message._reply``, inlines
-        :meth:`Event.trigger_after` instead: the message is its own
-        entry.)
+        it.  Four sites inline this body — keep all five identical:
+        ``Cluster._route`` (delivery) and ``Message._charge`` (CPU
+        hold) in ``repro.actors``, ``StatefunRuntime._arrive``
+        (wake-up) and ``Worker._step`` (CPU charge) in
+        ``repro.dataflow``.  (``Message._reply`` and ``Context.send``
+        inline :meth:`Event.trigger_after`: the message is its own
+        entry.)  ``tests/test_event_budgets.py`` pins each path's
+        same-tick order: ``test_same_tick_order_on_the_*_is_pinned``.
         """
         self.pool_acquires += 1
         pool = self._pool

@@ -14,7 +14,7 @@ all as exact counts or exact float times read from the kernel
   fan-out over processes at most 38 frames of ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
   count, a one-participant transaction at most 38 frames of
-  ``repro.txn`` + ``repro.runtime``, a statefun message at most 9
+  ``repro.txn`` + ``repro.runtime``, a statefun message at most 5
   frames of ``repro.dataflow`` + ``repro.runtime``;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
@@ -329,22 +329,27 @@ class Relay(StatefulFunction):
 
 #: Python frames (cProfile, builtins off) of ``repro.dataflow`` and
 #: ``repro.runtime`` code per statefun message on a relay over four
-#: partitions.  Measured 8.0: the send (Context.send, send_internal,
-#: the message's ``__init__``, trigger_after; from ingress
-#: send_ingress, ``__init__``, _deliver_ingress, trigger_after), the
-#: arrival (_arrive; a call_after more when it wakes an idle worker)
-#: and the turn (_next, call_after, _run).  It was 12.9 while the
-#: delivery was a closure on a pooled event and the CPU charge a
+#: partitions.  Measured 4.2: the send (Context.send and the message's
+#: ``__init__``, the push inline; from ingress send_ingress,
+#: ``__init__``, _deliver_ingress, trigger_after), the arrival
+#: (_arrive, the wake-up of an idle worker inline) and the turn
+#: (_step, which runs the function and pushes the next charge inline).
+#: It was 8.0 while the send went through ``send_internal`` and
+#: ``trigger_after`` and the worker's wake-up and charge through
+#: ``call_after`` into ``_next`` and ``_run``, 12.9 while the delivery
+#: was a closure on a pooled event and the CPU charge a
 #: ``Resource.hold``, and 23.8 while a worker was a process.  ``<=``
 #: because interpreters differ in what they inline.
-MAX_FRAMES_PER_STATEFUN_MESSAGE = 9
+MAX_FRAMES_PER_STATEFUN_MESSAGE = 5
 #: Frames of the retired worker process, its ``address()`` method, the
-#: per-delivery checks, the delivery closure, ``Worker.enqueue`` and
-#: the one-slot CPU resource, none of which a message may cost any
-#: more.
+#: per-delivery checks, the delivery closure, ``Worker.enqueue``, the
+#: one-slot CPU resource, the runtime's send helper, the two worker
+#: callbacks ``_step`` replaced and the pooled push it inlines, none of
+#: which a message may cost any more.
 RETIRED_STATEFUN_FRAMES = {"address", "isgenerator", "triggered", "_loop",
                            "_process", "use", "timeout", "hold", "held",
-                           "arrive", "enqueue"}
+                           "arrive", "enqueue", "send_internal", "_next",
+                           "_run", "call_after"}
 
 
 def test_statefun_message_stays_in_its_frame_budget():

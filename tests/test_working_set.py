@@ -498,3 +498,49 @@ def test_message_to_an_activated_grain_routes_from_the_directory():
     names = {entry.code.co_name for entry in profiler.getstats()
              if not isinstance(entry.code, str)}
     assert not {"place", "_target_for", "lookup"} & names, names
+
+
+def counting_places(cluster):
+    """Count the ring's ``place`` calls on ``cluster``."""
+    calls = []
+    place = cluster.placement.place
+
+    def counted(type_name, key):
+        calls.append(key)
+        return place(type_name, key)
+
+    cluster.placement.place = counted
+    return calls
+
+
+def test_first_touch_delivery_asks_the_ring_once():
+    """A message to a grain without an activation is placed by the
+    ring when it is routed; on arrival the ring has not changed, so
+    its answer stands and is not computed again."""
+    env = Environment(seed=3)
+    cluster = Cluster(env, ClusterConfig(silos=2))
+    calls = counting_places(cluster)
+    refs = [cluster.grain_ref(Idle, f"k{index}") for index in range(6)]
+    env.run(until=env.all_of([ref.call("touch") for ref in refs]))
+    assert calls == [ref.key for ref in refs]
+
+
+def test_ring_change_in_transit_re_places_the_message():
+    """A silo joining while a first-touch message is on the wire moves
+    the grain's ring owner: the message is re-placed on arrival and
+    activates the grain at its new owner, not where it was sent."""
+    probe = Cluster(Environment(seed=3), ClusterConfig(silos=1))
+    joined = probe.add_silo().name
+    key = next(f"k{index}" for index in range(100)
+               if probe.placement.place("Idle", f"k{index}").name == joined)
+    env = Environment(seed=3)
+    cluster = Cluster(env, ClusterConfig(silos=1))
+    calls = counting_places(cluster)
+    ref = cluster.grain_ref(Idle, key)
+    promise = ref.call("touch")
+    new = cluster.add_silo()  # while the message is in transit
+    assert new.name == joined
+    env.run(until=promise)
+    assert cluster.directory.lookup(*ref.ident) is new
+    # Routed, re-placed on arrival, routed again.
+    assert calls == [key, key, key]
