@@ -1,5 +1,7 @@
 """Unit tests for the distributed transaction layer."""
 
+import hashlib
+import json
 from functools import partial
 
 import pytest
@@ -13,14 +15,16 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.actors import Cluster, ClusterConfig, SiloUnavailable
+from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import (
     BenchmarkDriver,
     DriverConfig,
     TransactionMix,
     WorkloadConfig,
+    audit_app,
 )
+from repro.costs import CostModel
 from repro.runtime import Environment
 from repro.txn import (
     LockManager,
@@ -620,3 +624,218 @@ def test_a_waiter_whose_transaction_ended_elsewhere_is_not_granted():
     assert lock.holders() == [] and not lock._queue
     assert env.run(until=runner.run(
         lambda ctx: account.call("deposit", 1, txn=ctx))) == 6
+
+
+# ---------------------------------------------------------------------------
+# The 2PC ablations (bench A1), pinned
+# ---------------------------------------------------------------------------
+#: ``(started, committed, retries, payload hash)`` of one short
+#: bench-A1-shaped cell per ``TxnConfig`` ablation and 2PC stack.  The
+#: ledger runs only the full protocol; these pin the non-locking vote
+#: and the one-shot commit of the no-2PC ablation too.
+ABLATION_PINS = {
+    ("orleans-transactions", "full"): (986, 493, 493, "6127ea3ef34af6ff"),
+    ("orleans-transactions", "no-2pc"): (1142, 612, 530, "fe8550cd49cab1f3"),
+    ("orleans-transactions", "no-locks"): (
+        2173, 2173, 0, "009f026a94110238"),
+    ("orleans-transactions", "neither"): (2782, 2782, 0, "86da86634ac2f0fc"),
+    ("customized-orleans", "full"): (914, 475, 437, "28a54130d179036e"),
+    ("customized-orleans", "no-2pc"): (1207, 650, 557, "141e842836078877"),
+    ("customized-orleans", "no-locks"): (2326, 2326, 0, "c5f32cea6ea77962"),
+    ("customized-orleans", "neither"): (3059, 3059, 0, "ad74431b9ea73137"),
+}
+
+
+def ablation_cell(app_name, variant):
+    """Bench A1's cell (seed 43, 2 silos x 2 cores, 32 closed-loop
+    workers) over a 0.3 s window; returns its ``ABLATION_PINS`` row."""
+    env = Environment(seed=43)
+    txn_config = TxnConfig(
+        enable_two_phase_commit=variant not in ("no-2pc", "neither"),
+        enable_locking=variant not in ("no-locks", "neither"))
+    app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=2),
+                             txn_config=txn_config)
+    driver = BenchmarkDriver(
+        env, app,
+        WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
+        DriverConfig(workers=32, warmup=0.1, duration=0.3, drain=0.5))
+    metrics = driver.run()
+    report = audit_app(app, driver)
+    payload = {
+        "total_tps": round(metrics.total_throughput, 3),
+        "ops": metrics.summary_rows(),
+        "criteria": {name: [result.passed, result.violations,
+                            result.checked]
+                     for name, result in sorted(report.results.items())},
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    stats = metrics.runtime["transactions"]
+    return (stats["started"], stats["committed"], stats["retries"],
+            hashlib.blake2b(text.encode(), digest_size=8).hexdigest())
+
+
+@pytest.mark.parametrize("app_name, variant", sorted(ABLATION_PINS))
+def test_two_phase_commit_ablations_are_pinned(app_name, variant):
+    assert ablation_cell(app_name, variant) == \
+        ABLATION_PINS[app_name, variant]
+
+
+# ---------------------------------------------------------------------------
+# 2PC crash points: today's outcomes, pinned
+# ---------------------------------------------------------------------------
+# The coordinator has no crash branch: its rounds reach the enlisted
+# participant objects directly, and none consults membership.  So a
+# transaction whose participant's silo crashes after the prepare
+# record, or after the commit decision, still commits — on the
+# abandoned participant object — and the grain re-activates on the
+# survivor with empty state, holding no prepared entry and no lock.
+# A transaction whose caller's silo crashes mid-round commits too; only
+# the caller's own call fails.  A recovery protocol (presumed abort, a
+# commit round to the grain's current owner) would change these pins.
+CRASH_HOP, CRASH_LOG, CRASH_DECIDE = 0.0004, 0.001, 0.0016
+CRASH_COSTS = CostModel(control_latency=CRASH_HOP,
+                        participant_log_latency=CRASH_LOG,
+                        coordinator_log_latency=CRASH_DECIDE)
+#: Crash delays after the body's promise fires, half a hop into the
+#: named window.
+AFTER_PREPARE_RECORD = CRASH_HOP + CRASH_LOG + CRASH_HOP / 2
+AFTER_DECISION = (CRASH_HOP + CRASH_LOG + CRASH_HOP + CRASH_DECIDE
+                  + CRASH_HOP / 2)
+
+
+def crash_point_cluster():
+    """Two silos, eviction at once, no retries; returns (env, cluster,
+    runner, victim silo, surviving silo)."""
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig(silos=2,
+                                         failure_detection_delay=0.0),
+                      costs=CRASH_COSTS)
+    runner = TransactionRunner(cluster, TxnConfig(max_retries=0))
+    victim, survivor = cluster.silos
+    return env, cluster, runner, victim, survivor
+
+
+def keys_on(cluster, type_name, silo, count=1):
+    keys = (f"{type_name[0].lower()}{index}" for index in range(100))
+    return [key for key in keys
+            if cluster.placement.place(type_name, key) is silo][:count]
+
+
+def crash_after(env, cluster, silo, promise, delay, crashed):
+    """Crash ``silo`` ``delay`` after the body's ``promise`` fires;
+    append the crash time to ``crashed``."""
+    def crash(_event):
+        crashed.append(env.now)
+        cluster.crash_silo(silo)
+
+    promise.callbacks.append(
+        lambda _event: env.call_after(delay, crash))
+    return promise
+
+
+def left_behind(participant):
+    """A participant's prepared entries and lock holders."""
+    return sorted(participant._prepared), sorted(participant.lock._holders)
+
+
+@pytest.mark.parametrize("delay", [AFTER_PREPARE_RECORD, AFTER_DECISION],
+                         ids=["after-yes-vote", "after-decision"])
+def test_a_participant_crash_mid_commit_is_pinned(delay):
+    env, cluster, runner, victim, survivor = crash_point_cluster()
+    (lost_key,) = keys_on(cluster, "Account", victim)
+    (kept_key,) = keys_on(cluster, "Account", survivor)
+    lost = cluster.grain_ref(Account, lost_key)
+    kept = cluster.grain_ref(Account, kept_key)
+    for ref in (lost, kept):
+        env.run(until=runner.run(
+            lambda ctx, ref=ref: ref.call("deposit", 100, txn=ctx)))
+
+    crashed = []
+
+    def body(ctx):
+        return crash_after(env, cluster, victim, env.all_of([
+            lost.call("deposit", 5, txn=ctx),
+            kept.call("deposit", 7, txn=ctx)]), delay, crashed)
+
+    transaction = runner.run(body)
+    env.run(until=1.0)
+    assert victim.state == "crashed"
+    # Committed: the coordinator never learned of the crash.
+    assert transaction.ok and sorted(transaction.value.values()) == [105, 107]
+    assert (runner.stats.committed, runner.stats.aborted) == (3, 0)
+    abandoned = transaction.ctx.participants[("Account", lost_key)]
+    assert abandoned.committed_state == {"balance": 105}
+    (*_, (prepared_at, _, prepared), (_, _, committed)) = \
+        abandoned.commit_log
+    assert (prepared, committed) == ("prepared", "committed")
+    # The crash fell in the window under test.
+    assert crashed == [pytest.approx(
+        prepared_at + delay - CRASH_HOP - CRASH_LOG)]
+    # Re-activated on the survivor with neither the seeded 100 nor the
+    # committed 5: the state died with the silo.
+    reactivated = cluster.grain_instance(lost).participant
+    assert cluster.grain_instance(lost).silo is survivor
+    assert reactivated.committed_state == {}
+    assert cluster.grain_instance(kept).participant.committed_state == {
+        "balance": 107}
+    for participant in (abandoned, reactivated,
+                        cluster.grain_instance(kept).participant):
+        assert left_behind(participant) == ([], [])
+    assert [env.run(until=runner.run(
+        lambda ctx, ref=ref: ref.call("balance", txn=ctx)))
+        for ref in (lost, kept)] == [0, 107]
+
+
+class Initiator(Grain):
+    """Starts a transfer transaction from inside its own turn."""
+
+    reentrant = True
+    runner: TransactionRunner | None = None
+    #: Called with the body's promise as the body runs.
+    started = None
+
+    def transfer(self, source, target, amount):
+        debit = self.cluster.grain_ref(Account, source)
+        credit = self.cluster.grain_ref(Account, target)
+
+        def body(ctx):
+            promise = self.env.all_of([
+                debit.call("deposit", -amount, txn=ctx),
+                credit.call("deposit", amount, txn=ctx)])
+            self.started(promise)
+            return promise
+
+        return (yield self.runner.run(body))
+
+
+def test_a_caller_crash_mid_round_is_pinned():
+    env, cluster, runner, victim, survivor = crash_point_cluster()
+    (initiator_key,) = keys_on(cluster, "Initiator", victim)
+    source, target = keys_on(cluster, "Account", survivor, count=2)
+    accounts = [cluster.grain_ref(Account, key) for key in (source, target)]
+    for ref in accounts:
+        env.run(until=runner.run(
+            lambda ctx, ref=ref: ref.call("deposit", 100, txn=ctx)))
+    Initiator.runner = runner
+    # Half a hop into the prepare round's log force.
+    crashed = []
+    Initiator.started = staticmethod(lambda promise: crash_after(
+        env, cluster, victim, promise, CRASH_HOP + CRASH_LOG / 2, crashed))
+    call = cluster.grain_ref(Initiator, initiator_key).call(
+        "transfer", source, target, 5)
+    call.callbacks.append(lambda event: event.defuse())
+    env.run(until=1.0)
+    # The caller's call fails; the transaction it started commits.
+    assert not call.ok and isinstance(call.value, SiloUnavailable)
+    assert (runner.stats.committed, runner.stats.aborted) == (3, 0)
+    states = [cluster.grain_instance(ref).participant for ref in accounts]
+    assert [participant.committed_state for participant in states] == [
+        {"balance": 95}, {"balance": 105}]
+    assert all(participant.commits == 2 and participant.aborts == 0
+               for participant in states)
+    # The crash fell half-way through the prepare record's log force.
+    txid = states[0].commit_log[-1][1]
+    assert [participant.commit_log[-2] for participant in states] == [
+        (pytest.approx(crashed[0] + CRASH_LOG / 2), txid, "prepared")] * 2
+    for participant in states:
+        assert left_behind(participant) == ([], [])
