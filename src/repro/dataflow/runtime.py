@@ -13,7 +13,7 @@ from repro.costs import CostModel
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
 from repro.runtime.environment import SimulationError
-from repro.runtime.events import Event, PooledEvent
+from repro.runtime.events import PENDING, Event, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -353,7 +353,7 @@ class StatefunRuntime:
     def request(self, target_type: str, target_key: str, payload: object,
                 request_id: str) -> "Event":
         """Send an ingress message; the event fires on matching egress."""
-        waiter = self.env.event()
+        waiter = Event(self.env)
         self._request_waiters[request_id] = waiter
         self.send_ingress(target_type, target_key, payload,
                           request_id=request_id)
@@ -367,7 +367,7 @@ class StatefunRuntime:
         self.egress_log.append((self.env.now, kind, payload))
         request_id = effect_id.split(":", 1)[0]
         waiter = self._request_waiters.pop(request_id, None)
-        if waiter is not None and not waiter.triggered:
+        if waiter is not None and waiter._value is PENDING:
             waiter.succeed(payload)
 
     # ------------------------------------------------------------------

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import dataclasses
 import typing
-from functools import partial
-from operator import methodcaller
 
 from repro.actors.errors import SiloUnavailable
 from repro.runtime.events import PENDING, Event
 from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.errors import TransactionAborted
+from repro.txn.participant import (
+    collect_votes,
+    install_staged,
+    log_committed,
+    log_prepared,
+)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.txn.participant import TransactionParticipant
 
 
 @dataclasses.dataclass
@@ -105,6 +108,13 @@ class Transaction(Event):
     next :meth:`_attempt`.  Each wait is one timeline entry with the
     delay the protocol models.
 
+    A round — hop out, a step on arrival, one log force for every
+    participant with something to make durable, a step, in the prepare
+    round a hop back — is a handful of pooled timeline entries whatever
+    the participant count: named callbacks, each making one call into
+    :mod:`repro.txn.participant`, which visits the participants in
+    enlistment order at the times a process each would produce.
+
     It settles *synchronously*: :meth:`_settle` runs the waiters'
     callbacks inline, in the kernel step that decided the outcome,
     rather than through the same-tick bucket — which would cost one
@@ -114,7 +124,10 @@ class Transaction(Event):
     :class:`~repro.runtime.SimulationError`.
     """
 
-    __slots__ = ("runner", "body", "ctx", "result", "votes")
+    #: ``enlisted``: the current round's participants; ``voters``: the
+    #: prepare round's yes-voters; ``replies``: prepare replies due.
+    __slots__ = ("runner", "body", "ctx", "result", "enlisted", "voters",
+                 "replies")
 
     def __init__(self, runner: TransactionRunner,
                  body: typing.Callable[[TransactionContext], Event]
@@ -129,8 +142,6 @@ class Transaction(Event):
         self.body = body
         self.ctx: TransactionContext | None = None
         self.result: object = None
-        #: The prepare round's answers, filled in as participants vote.
-        self.votes: list = []
         self._attempt(None)
 
     def _attempt(self, _event: Event | None) -> None:
@@ -179,20 +190,48 @@ class Transaction(Event):
             self._failed(event._value)
             return
         self.result = event._value
-        if self.runner.config.enable_two_phase_commit:
-            ctx = self.ctx
-            ctx.status = TransactionStatus.PREPARING
-            # Prepare: control round-trip + log force, in parallel.
-            self.votes = self._round(
-                list(ctx.participants.values()), methodcaller("vote", ctx),
-                methodcaller("mark_prepared", ctx), True, self._prepared)
-        else:
+        if not self.runner.config.enable_two_phase_commit:
             # The no-2PC ablation: a one-shot commit, no prepare round.
             self._decided(None)
+            return
+        ctx = self.ctx
+        ctx.status = TransactionStatus.PREPARING
+        # With nobody enlisted, every vote is trivially in.
+        self.enlisted = self.voters = list(ctx.participants.values())
+        if self.enlisted:
+            self.env.call_after(self.runner.costs.control_latency,
+                                self._prepare_arrived)
+        else:
+            self.env.call_after(0.0, self._prepared)
+
+    def _prepare_arrived(self, _event: Event) -> None:
+        """The prepare request reached every participant: the yes-voters
+        force their prepare record, the vetoers answer at once."""
+        self.voters = voters = collect_votes(self.enlisted, self.ctx)
+        call_after = self.env.call_after
+        costs = self.runner.costs
+        self.replies = 0
+        if voters:
+            self.replies = 1
+            call_after(costs.participant_log_latency, self._prepare_forced)
+        if len(voters) < len(self.enlisted):
+            self.replies += 1
+            call_after(costs.control_latency, self._prepare_replied)
+
+    def _prepare_forced(self, _event: Event) -> None:
+        """The yes-voters' prepare records are durable: they reply."""
+        log_prepared(self.voters, self.ctx)
+        self.env.call_after(self.runner.costs.control_latency,
+                            self._prepare_replied)
+
+    def _prepare_replied(self, _event: Event) -> None:
+        self.replies -= 1
+        if not self.replies:
+            self.env.call_after(0.0, self._prepared)
 
     def _prepared(self, _event: Event) -> None:
         """Every vote is in: record the decision, or roll back."""
-        if all(self.votes):
+        if len(self.voters) == len(self.enlisted):
             # The coordinator durably records the commit decision.
             self.env.call_after(self.runner.costs.coordinator_log_latency,
                                 self._decided)
@@ -211,11 +250,24 @@ class Transaction(Event):
 
     def _decided(self, _event: Event | None) -> None:
         """The commit decision is durable: run the commit round."""
-        ctx = self.ctx
-        self._round(list(ctx.participants.values()),
-                    methodcaller("install", ctx),
-                    methodcaller("mark_committed", ctx), False,
-                    self._committed)
+        self.enlisted = list(self.ctx.participants.values())
+        if self.enlisted:
+            self.env.call_after(self.runner.costs.control_latency,
+                                self._commit_arrived)
+        else:
+            self.env.call_after(0.0, self._committed)
+
+    def _commit_arrived(self, _event: Event) -> None:
+        """The decision reached every participant: install, then force
+        the commit record."""
+        install_staged(self.enlisted, self.ctx)
+        self.env.call_after(self.runner.costs.participant_log_latency,
+                            self._commit_forced)
+
+    def _commit_forced(self, _event: Event) -> None:
+        """The commit records are durable: the locks go."""
+        log_committed(self.enlisted, self.ctx)
+        self.env.call_after(0.0, self._committed)
 
     def _committed(self, _event: Event) -> None:
         self.ctx.status = TransactionStatus.COMMITTED
@@ -264,66 +316,3 @@ class Transaction(Event):
         if not ok and not self._defused:
             # Nobody handled the failure: let the kernel raise it.
             self.env.schedule(self)
-
-    def _round(self, participants: "list[TransactionParticipant]",
-               arrive: typing.Callable[["TransactionParticipant"], bool],
-               logged: typing.Callable[["TransactionParticipant"], None],
-               reply_hop: bool,
-               then: typing.Callable[[Event], None]) -> list:
-        """One parallel 2PC fan-out; returns the list of ``arrive``
-        answers it fills in, and calls ``then`` one zero-delay timeline
-        entry after every participant is done.
-
-        Each participant is modelled as: a control hop out, its
-        ``arrive(participant)`` step, a ``participant_log_latency`` log
-        force when that step answered True (a veto has nothing to make
-        durable), its ``logged(participant)`` step, then a hop back if
-        ``reply_hop``.  Nothing in that suspends, and every participant
-        forces its log for the same time, so the round is a handful of
-        pooled timeline entries — one per hop and one for the forces,
-        whatever the number of participants — rather than a process
-        each.  Every participant still sees the exact times its own
-        process would have produced, and at each of them participants
-        run in enlistment order.
-        """
-        call_after = self.env.call_after
-        costs = self.runner.costs
-        hop = costs.control_latency
-        answers: list = []
-        if not participants:
-            call_after(0.0, then)
-            return answers
-        voters: list = []
-        pending = 0
-
-        def arrived(_event) -> None:
-            nonlocal pending
-            for participant in participants:
-                answer = arrive(participant)
-                answers.append(answer)
-                if answer:
-                    voters.append(participant)
-            if voters:
-                pending = 1
-                call_after(costs.participant_log_latency, forced)
-            if not all(answers):
-                pending += 1
-                reply()  # the vetoers, at once
-
-        def forced(_event) -> None:
-            for participant in voters:
-                logged(participant)
-            reply()
-
-        def finished(_event) -> None:
-            nonlocal pending
-            pending -= 1
-            if not pending:
-                call_after(0.0, then)
-
-        # A participant done with its steps replies: over a hop back,
-        # or at once.
-        reply = (partial(call_after, hop, finished) if reply_hop
-                 else partial(finished, None))
-        call_after(hop, arrived)
-        return answers

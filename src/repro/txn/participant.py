@@ -24,10 +24,11 @@ class TransactionParticipant:
     """Per-grain transactional state manager.
 
     Holds the committed state, per-transaction staged writes, and the
-    grain's lock.  The 2PC steps and abort are invoked by the coordinator
-    *outside* the grain's mailbox — exactly like Orleans' transaction
-    agent — so a commit can never deadlock behind a queued grain call
-    that is itself waiting for the commit's locks.
+    grain's lock.  The 2PC steps (the module functions below) and abort
+    are invoked by the coordinator *outside* the grain's mailbox —
+    exactly like Orleans' transaction agent — so a commit can never
+    deadlock behind a queued grain call that is itself waiting for the
+    commit's locks.
 
     State is a frozen dict: a read hands out the committed (or this
     transaction's staged) dict behind a read-only
@@ -37,8 +38,9 @@ class TransactionParticipant:
     a staged dict shares its untouched sub-trees with committed state.
     The proxy refuses top-level writes; below the top level the tree
     is frozen by contract — never mutate a container reached through
-    a read, nor a dict after handing it to :meth:`write`
-    (``tests/test_frozen_state.py`` checks both on the real stacks).
+    a read, nor a dict after handing it to
+    :meth:`TransactionalGrain.txn_write` (``tests/test_frozen_state.py``
+    checks both on the real stacks).
     """
 
     def __init__(self, env: "Environment", identity: tuple[str, str],
@@ -57,53 +59,6 @@ class TransactionParticipant:
         self.commits = 0
         self.aborts = 0
 
-    # ------------------------------------------------------------------
-    # data access (called from inside grain methods)
-    # ------------------------------------------------------------------
-    def read(self, ctx: TransactionContext):
-        """Process helper: S-lock and return a read-only view of the
-        transaction's state (staged if it wrote, else committed)."""
-        if ctx.status is not TransactionStatus.ACTIVE:
-            raise TransactionAborted(
-                f"txn {ctx.txid} no longer active", reason="failure")
-        # A holder of either mode already covers S, and a non-locking
-        # context holds nothing.  An unheld lock with an empty queue is
-        # granted inline, as ``acquire`` would grant it.
-        lock = self.lock
-        holders = lock._holders
-        txid = ctx.txid
-        if ctx.locking and txid not in holders:
-            if holders or lock._queue:
-                yield from lock.acquire(ctx, LockMode.SHARED)
-            else:
-                holders[txid] = (ctx, LockMode.SHARED)
-        ctx.participants.setdefault(self.identity, self)
-        return MappingProxyType(
-            self._staged.get(txid, self.committed_state))
-
-    def write(self, ctx: TransactionContext, state: dict):
-        """Process helper: X-lock and stage the new state by reference
-        (a read proxy written back unchanged stages a shallow copy)."""
-        if ctx.status is not TransactionStatus.ACTIVE:
-            raise TransactionAborted(
-                f"txn {ctx.txid} no longer active", reason="failure")
-        # With no other holder and an empty queue, X is granted (or a
-        # sole S holder upgraded) inline, as ``acquire`` would grant it.
-        lock = self.lock
-        holders = lock._holders
-        txid = ctx.txid
-        held = holders.get(txid)
-        if ctx.locking and (held is None
-                            or held[1] is not LockMode.EXCLUSIVE):
-            others = len(holders) if held is None else len(holders) - 1
-            if others or lock._queue:
-                yield from lock.acquire(ctx, LockMode.EXCLUSIVE)
-            else:
-                holders[txid] = (ctx, LockMode.EXCLUSIVE)
-        ctx.participants.setdefault(self.identity, self)
-        self._staged[txid] = state if type(state) is dict \
-            else dict(state)
-
     def read_committed(self) -> MappingProxyType:
         """Lock-free read-only view of the last committed state
         (non-txn callers)."""
@@ -120,44 +75,6 @@ class TransactionParticipant:
         """
         self.committed_state = materialize(state)
 
-    # ------------------------------------------------------------------
-    # two-phase commit (called by the coordinator)
-    # ------------------------------------------------------------------
-    # The coordinator models the control hops and log forces between
-    # these steps (``Transaction._round``); each step itself is
-    # instantaneous.
-    def vote(self, ctx: TransactionContext) -> bool:
-        """Prepare request arrived: vote yes/no."""
-        # Lost our locks (e.g. the txn died elsewhere): veto.
-        return not ctx.locking or ctx.txid in self.lock._holders
-
-    def mark_prepared(self, ctx: TransactionContext) -> None:
-        """The prepare record is durable."""
-        self._prepared.add(ctx.txid)
-        self.prepares += 1
-        self.commit_log.append((self.env.now, ctx.txid, "prepared"))
-
-    def install(self, ctx: TransactionContext) -> bool:
-        """Commit decision arrived: install the staged state.
-
-        The install is a reference swap of the staged dict, not a copy.
-        Returns True (the commit record is always forced next).
-        """
-        if ctx.txid in self._staged:
-            self.committed_state = self._staged.pop(ctx.txid)
-        return True
-
-    def mark_committed(self, ctx: TransactionContext) -> None:
-        """The commit record is durable: log it and release locks."""
-        self.commits += 1
-        self.commit_log.append((self.env.now, ctx.txid, "committed"))
-        self._prepared.discard(ctx.txid)
-        # ``LockManager.release``, inline.
-        lock = self.lock
-        lock._holders.pop(ctx.txid, None)
-        if lock._queue:
-            lock._wake()
-
     def abort(self, ctx: TransactionContext) -> None:
         """Discard staged state and release locks (no log force needed)."""
         self._staged.pop(ctx.txid, None)
@@ -167,10 +84,60 @@ class TransactionParticipant:
         self.lock.release(ctx)
 
 
-def _committed(participant: TransactionParticipant):
-    """Process helper: the committed state, read without a lock."""
-    return participant.read_committed()
-    yield  # pragma: no cover - generator marker
+# Two-phase commit steps, called by the coordinator (``Transaction``),
+# which models the hops and log forces between them.  Each visits a
+# round's participants in enlistment order, instantaneously.
+def collect_votes(participants: list[TransactionParticipant],
+                  ctx: TransactionContext) -> list[TransactionParticipant]:
+    """The prepare request arrived: the participants that vote yes.
+    One that lost its locks (the transaction died elsewhere) vetoes; a
+    non-locking context holds none, and nobody vetoes it."""
+    if not ctx.locking:
+        return participants
+    txid = ctx.txid
+    voters = []
+    for participant in participants:
+        if txid in participant.lock._holders:
+            voters.append(participant)
+    return voters
+
+
+def log_prepared(participants: list[TransactionParticipant],
+                 ctx: TransactionContext) -> None:
+    """The prepare records are durable."""
+    txid = ctx.txid
+    for participant in participants:
+        participant._prepared.add(txid)
+        participant.prepares += 1
+        participant.commit_log.append(
+            (participant.env.now, txid, "prepared"))
+
+
+def install_staged(participants: list[TransactionParticipant],
+                   ctx: TransactionContext) -> None:
+    """The commit decision arrived: install each staged state, a
+    reference swap of the staged dict, not a copy."""
+    txid = ctx.txid
+    for participant in participants:
+        staged = participant._staged.pop(txid, None)
+        if staged is not None:
+            participant.committed_state = staged
+
+
+def log_committed(participants: list[TransactionParticipant],
+                  ctx: TransactionContext) -> None:
+    """The commit records are durable: log them and release the locks."""
+    txid = ctx.txid
+    for participant in participants:
+        participant.commits += 1
+        participant.commit_log.append(
+            (participant.env.now, txid, "committed"))
+        participant._prepared.discard(txid)
+        # ``LockManager.release``, inline.
+        lock = participant.lock
+        lock._holders.pop(txid, None)
+        if lock._queue:
+            lock._wake()
 
 
 class TransactionalGrain(Grain):
@@ -204,22 +171,59 @@ class TransactionalGrain(Grain):
         return self._participant
 
     def txn_read(self):
-        """Process helper: read state under the current transaction."""
-        # Not a generator itself: the caller's ``yield from`` drives the
-        # participant's generator directly, one frame fewer per read.
+        """Process helper: S-lock and return a read-only view of the
+        current transaction's state (staged if it wrote, else
+        committed); outside a transaction, of the committed state."""
         participant = self._participant or self.participant
         ctx = self.current_txn
         if ctx is None:
-            return _committed(participant)
-        return participant.read(ctx)
+            return MappingProxyType(participant.committed_state)
+        if ctx.status is not TransactionStatus.ACTIVE:
+            raise TransactionAborted(
+                f"txn {ctx.txid} no longer active", reason="failure")
+        # A holder of either mode already covers S, and a non-locking
+        # context holds nothing.  An unheld lock with an empty queue is
+        # granted inline, as ``acquire`` would grant it.
+        lock = participant.lock
+        holders = lock._holders
+        txid = ctx.txid
+        if ctx.locking and txid not in holders:
+            if holders or lock._queue:
+                yield from lock.acquire(ctx, LockMode.SHARED)
+            else:
+                holders[txid] = (ctx, LockMode.SHARED)
+        ctx.participants.setdefault(participant.identity, participant)
+        return MappingProxyType(
+            participant._staged.get(txid, participant.committed_state))
 
     def txn_write(self, state: dict):
-        """Process helper: write state under the current transaction."""
+        """Process helper: X-lock and stage the new state by reference
+        under the current transaction (a read proxy written back
+        unchanged stages a shallow copy)."""
         ctx = self.current_txn
         if ctx is None:
             raise TransactionAborted(
                 f"{self!r}: write outside a transaction", reason="failure")
-        return (self._participant or self.participant).write(ctx, state)
+        participant = self._participant or self.participant
+        if ctx.status is not TransactionStatus.ACTIVE:
+            raise TransactionAborted(
+                f"txn {ctx.txid} no longer active", reason="failure")
+        # With no other holder and an empty queue, X is granted (or a
+        # sole S holder upgraded) inline, as ``acquire`` would grant it.
+        lock = participant.lock
+        holders = lock._holders
+        txid = ctx.txid
+        held = holders.get(txid)
+        if ctx.locking and (held is None
+                            or held[1] is not LockMode.EXCLUSIVE):
+            others = len(holders) if held is None else len(holders) - 1
+            if others or lock._queue:
+                yield from lock.acquire(ctx, LockMode.EXCLUSIVE)
+            else:
+                holders[txid] = (ctx, LockMode.EXCLUSIVE)
+        ctx.participants.setdefault(participant.identity, participant)
+        participant._staged[txid] = state if type(state) is dict \
+            else dict(state)
 
     def non_txn_write(self, state: dict) -> None:
         """Direct committed-state write for non-transactional paths."""

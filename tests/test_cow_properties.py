@@ -2,10 +2,10 @@
 
 The copy-on-write views, ``materialize``, ``clone`` and the path
 updates are exercised over randomly generated JSON-ish state trees and
-random mutation programs.  At the :class:`TransactionParticipant`
-level the frozen-state contract is checked: a read is read-only at the
-top level and never changes committed state, an aborted transaction's
-staging vanishes, and a commit installs the staged dict by reference.
+random mutation programs.  At the transactional grain's level the
+frozen-state contract is checked: a read is read-only at the top level
+and never changes committed state, an aborted transaction's staging
+vanishes, and a commit installs the staged dict by reference.
 """
 
 import copy
@@ -25,7 +25,15 @@ from repro.cow import (
 )
 from repro.runtime import Environment
 from repro.txn.context import TransactionContext
-from repro.txn.participant import COMMIT_LOG_TAIL, TransactionParticipant
+from repro.txn.participant import (
+    COMMIT_LOG_TAIL,
+    TransactionalGrain,
+    TransactionParticipant,
+    collect_votes,
+    install_staged,
+    log_committed,
+    log_prepared,
+)
 
 # ---------------------------------------------------------------------------
 # strategies: plain-data state trees and mutation programs
@@ -318,6 +326,23 @@ def make_ctx(env):
     return TransactionContext(env.now)
 
 
+def make_grain(participant, ctx):
+    """A detached transactional grain over ``participant``, inside
+    ``ctx`` (as a silo sets it up for a turn)."""
+    grain = TransactionalGrain()
+    grain._participant = participant
+    grain.current_txn = ctx
+    return grain
+
+
+def commit(participant, ctx):
+    """One participant's 2PC steps, in the coordinator's order."""
+    assert collect_votes([participant], ctx) == [participant]
+    log_prepared([participant], ctx)
+    install_staged([participant], ctx)
+    log_committed([participant], ctx)
+
+
 def run_process(env, generator):
     process = env.process(generator)
     env.run(until=process)
@@ -328,10 +353,10 @@ def run_process(env, generator):
 @given(states, mutations)
 def test_read_is_read_only_and_never_changes_committed(initial, program):
     env, participant = make_participant(copy.deepcopy(initial))
-    ctx = make_ctx(env)
+    grain = make_grain(participant, make_ctx(env))
 
     def txn():
-        state = yield from participant.read(ctx)
+        state = yield from grain.txn_read()
         assert type(state) is MappingProxyType
         for op, key, value in program:
             with pytest.raises(TypeError):
@@ -350,11 +375,12 @@ def test_read_is_read_only_and_never_changes_committed(initial, program):
 def test_abort_discards_staging(initial, program):
     env, participant = make_participant(copy.deepcopy(initial))
     ctx = make_ctx(env)
+    grain = make_grain(participant, ctx)
 
     def txn():
-        state = clone((yield from participant.read(ctx)))
+        state = clone((yield from grain.txn_read()))
         apply_program(state, program)
-        yield from participant.write(ctx, state)
+        yield from grain.txn_write(state)
 
     run_process(env, txn())
     participant.abort(ctx)
@@ -367,18 +393,16 @@ def test_abort_discards_staging(initial, program):
 def test_commit_installs_exactly_the_staged_version(initial, program):
     env, participant = make_participant(copy.deepcopy(initial))
     ctx = make_ctx(env)
+    grain = make_grain(participant, ctx)
 
     def txn():
-        state = clone((yield from participant.read(ctx)))
+        state = clone((yield from grain.txn_read()))
         apply_program(state, program)
-        yield from participant.write(ctx, state)
+        yield from grain.txn_write(state)
         assert participant._staged[ctx.txid] is state
         # A read after the write sees the staged dict.
-        assert (yield from participant.read(ctx)) == state
-        assert participant.vote(ctx)
-        participant.mark_prepared(ctx)
-        participant.install(ctx)
-        participant.mark_committed(ctx)
+        assert (yield from grain.txn_read()) == state
+        commit(participant, ctx)
         return state
 
     staged = run_process(env, txn())
@@ -395,12 +419,10 @@ def test_commit_log_is_bounded_but_counters_are_not():
         ctx = make_ctx(env)
         last_txid = ctx.txid
 
-        def txn(ctx=ctx):
-            state = yield from participant.read(ctx)
-            yield from participant.write(ctx, {**state, "n": ctx.txid})
-            participant.mark_prepared(ctx)
-            participant.install(ctx)
-            participant.mark_committed(ctx)
+        def txn(ctx=ctx, grain=make_grain(participant, ctx)):
+            state = yield from grain.txn_read()
+            yield from grain.txn_write({**state, "n": ctx.txid})
+            commit(participant, ctx)
 
         run_process(env, txn())
     assert len(participant.commit_log) == COMMIT_LOG_TAIL

@@ -1,5 +1,5 @@
-"""Docs hygiene: every relative link, back-ticked repo path and
-back-ticked dotted name in README.md and docs/ resolves.
+"""Docs hygiene: every relative link, back-ticked repo path, dotted
+name and ``Class.attr`` in README.md and docs/ resolves.
 
 Runs the same script the CI lint job runs (``tools/check_links.py``)
 so a broken link fails locally before it fails in CI.
@@ -64,6 +64,36 @@ def test_stale_dotted_name_is_reported(tmp_path):
         "README.md: `pkg.sub.mod.inner`",
         "README.md: `pkg.sub.mod.execute`",
         "README.md: `pkg.moved.mod.run`"]
+
+
+def test_stale_class_attribute_is_reported(tmp_path):
+    """A ``Class.attr`` in README.md or a top-level doc must name a
+    class under ``src/`` that binds the attribute — in its body, its
+    ``__slots__``, a ``self.`` assignment, a module-level ``Class.attr``
+    assignment or a base class; the history log is exempt, and so is
+    a capitalised file name."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").touch()
+    (package / "mod.py").write_text(
+        "class Base:\n    LIMIT = 3\n\n"
+        "class Plane(Base):\n    __slots__ = ('speed',)\n"
+        "    mode: str = 'x'\n\n"
+        "    def __init__(self):\n        self.name, self.seats = 1, 2\n\n"
+        "    def fly(self):\n        pass\n\n"
+        "Plane.GROUND = 0\n")
+    (tmp_path / "docs").mkdir()
+    refs = ("`Plane.fly()`, `Plane.speed`, `Plane.mode`, `Plane.name`, "
+            "`Plane.seats`, `Plane.GROUND`, `Plane.LIMIT`, "
+            "`BENCHMARK.json`, `Plane.land`, `Ship.fly`, `Base.fly`.\n")
+    (tmp_path / "README.md").write_text(refs)
+    (tmp_path / "docs" / "guide.md").write_text("`Plane.taxi`\n")
+    (tmp_path / "docs" / "performance.md").write_text(refs)
+    assert _load_check_links().check(tmp_path) == [
+        "README.md: `Plane.land`",
+        "README.md: `Ship.fly`",
+        "README.md: `Base.fly`",
+        "docs/guide.md: `Plane.taxi`"]
 
 
 def test_docs_tree_present():

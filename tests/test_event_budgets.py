@@ -13,9 +13,10 @@ all as exact counts or exact float times read from the kernel
   busy core at most 11 more frames, a four-member ``all_of``
   fan-out over processes at most 38 frames of ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
-  count, a one-participant transaction at most 38 frames of
-  ``repro.txn`` + ``repro.runtime``, a statefun message at most 5
-  frames of ``repro.dataflow`` + ``repro.runtime``;
+  count, a one-participant transaction at most 34 frames of
+  ``repro.txn`` + ``repro.runtime`` and six participants as many
+  (their writes aside), a statefun message at most 5 frames of
+  ``repro.dataflow`` + ``repro.runtime``;
 * the *equivalence*: every participant and the coordinator observe the
   very times the retired one-process-per-participant model produced
   (that model is kept below as the reference);
@@ -30,6 +31,7 @@ all as exact counts or exact float times read from the kernel
   fan-out of statefun requests across a checkpoint.
 """
 
+import collections
 import cProfile
 import dataclasses
 import inspect
@@ -49,6 +51,7 @@ from repro.txn import (
     TransactionRunner,
     TxnConfig,
 )
+from repro.txn.participant import COMMIT_LOG_TAIL
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +445,41 @@ def make_runner(log=LOG, **txn_kwargs):
     return env, runner
 
 
+class ReportingLog(collections.deque):
+    """A participant's commit log that reports each ``(time, txid,
+    outcome)`` record to ``report`` as the 2PC steps append it."""
+
+    def __init__(self, report):
+        super().__init__(maxlen=COMMIT_LOG_TAIL)
+        self.report = report
+
+    def append(self, entry):
+        self.report(entry)
+        super().append(entry)
+
+
+class GrainedParticipant(TransactionParticipant):
+    """A participant with a transactional grain of its own, outside any
+    cluster, through which ``enlist`` writes."""
+
+    def __init__(self, env, identity):
+        super().__init__(env, identity)
+        self.grain = TransactionalGrain()
+        self.grain._participant = self
+
+
 def make_participants(env, count):
-    return [TransactionParticipant(env, ("P", str(index)))
+    return [GrainedParticipant(env, ("P", str(index)))
             for index in range(count)]
 
 
 def enlist(ctx, participant, value):
-    """Stage a write (X-lock + enlistment); uncontended, so the process
-    helper finishes without ever yielding."""
-    for _ in participant.write(ctx, {"value": value}):
+    """Stage a write (X-lock + enlistment) through the participant's
+    grain, in ``ctx`` as a silo would set it for a turn; uncontended,
+    so the generator finishes without ever yielding."""
+    grain = participant.grain
+    grain.current_txn = ctx
+    for _ in grain.txn_write({"value": value}):
         raise AssertionError("uncontended write must not wait")
 
 
@@ -627,34 +656,42 @@ def test_the_caller_resumes_inside_the_commit_rounds_last_entry():
 #: Python frames (cProfile, builtins off) of ``repro.txn`` and
 #: ``repro.runtime`` code per one-participant, uncontended write
 #: transaction, ``env.run(until=runner.run(body))``, its body included.
-#: Measured 37: run, the transaction's ``__init__``, _attempt, the
-#: context's ``__init__``, the participant's write and the body's
-#: ``Timeout``; _executed; per round _round, arrived, forced,
-#: finished and its participant's two steps (vote / mark_prepared,
-#: install / mark_committed); _prepared, _decided, _committed,
-#: _settle; eight call_after; and 6 for the ``run(until=…)``
-#: wrapper.  ``<=`` because interpreters differ in what they inline.
-MAX_FRAMES_PER_TRANSACTION = 38
+#: Measured 34: run, the transaction's ``__init__``, _attempt, the
+#: context's ``__init__``, the grain's txn_write and the body's
+#: ``Timeout``; _executed; _prepare_arrived, collect_votes,
+#: _prepare_forced, log_prepared, _prepare_replied, _prepared;
+#: _decided, _commit_arrived, install_staged, _commit_forced,
+#: log_committed, _committed, _settle; eight call_after; and 6 for the
+#: ``run(until=…)`` wrapper.  ``<=`` because interpreters differ in
+#: what they inline.
+MAX_FRAMES_PER_TRANSACTION = 34
 #: Frames a transaction no longer costs: the coordinator generators
 #: (``_commit``, ``_abort_all``), the lock manager's ``acquire`` and
 #: ``release`` of an uncontended lock, the round event (``event``,
-#: ``succeed``) and the yielded ``timeout`` of the log force.  ``run``
-#: as a generator is caught by the generator check below.
+#: ``succeed``), the yielded ``timeout`` of the log force, the generic
+#: round (``_round`` and its ``arrived``, ``forced`` and ``finished``
+#: closures) and the per-participant steps ``mark_prepared`` and
+#: ``mark_committed``.  ``run`` as a generator is caught by the
+#: generator check below.
 RETIRED_TXN_FRAMES = {"_commit", "_abort_all", "acquire", "release",
-                      "event", "succeed", "timeout"}
+                      "event", "succeed", "timeout", "_round", "arrived",
+                      "forced", "finished", "mark_prepared",
+                      "mark_committed"}
 
 
-def test_an_uncontended_transaction_stays_in_its_frame_budget():
+def transaction_frames(count, transactions=1000):
+    """Frames and generator names of ``repro.txn`` + ``repro.runtime``
+    per uncontended transaction writing ``count`` participants."""
     env, runner = make_runner()
-    (participant,) = make_participants(env, 1)
+    participants = make_participants(env, count)
 
     def body(ctx):
-        enlist(ctx, participant, ctx.txid)
+        for participant in participants:
+            enlist(ctx, participant, ctx.txid)
         return Timeout(env, 0.0)
 
     for _ in range(10):
         env.run(until=runner.run(body))
-    transactions = 1000
     profiler = cProfile.Profile(subcalls=False, builtins=False)
     profiler.enable()
     for _ in range(transactions):
@@ -669,12 +706,28 @@ def test_an_uncontended_transaction_stays_in_its_frame_budget():
             if entry.code.co_flags & inspect.CO_GENERATOR:
                 generators.add(name)
     assert runner.stats.committed == 10 + transactions
+    return {name: calls / transactions for name, calls in frames.items()}, \
+        generators
+
+
+def test_an_uncontended_transaction_stays_in_its_frame_budget():
+    frames, generators = transaction_frames(1)
     assert not RETIRED_TXN_FRAMES & set(frames), frames
-    # The participant's write is the only generator left on the path.
-    assert generators == {"write"}, generators
-    per_transaction = sum(frames.values()) / transactions
+    # The grain's write is the only generator left on the path.
+    assert generators == {"txn_write"}, generators
+    per_transaction = sum(frames.values())
     assert per_transaction <= MAX_FRAMES_PER_TRANSACTION, (
         per_transaction, frames)
+
+
+def test_a_round_costs_the_same_frames_for_any_participant_count():
+    """Each 2PC step visits every participant from one frame: six
+    participants cost the frames of one, their writes in the body
+    aside (one ``txn_write`` each)."""
+    one, _ = transaction_frames(1)
+    six, _ = transaction_frames(6)
+    assert six.pop("txn_write") == 6 * one.pop("txn_write") == 6
+    assert six == one
 
 
 # ---------------------------------------------------------------------------
@@ -732,14 +785,15 @@ def test_participants_are_visited_in_enlistment_order():
     env, runner = make_runner()
     participants = make_participants(env, 4)
     visits = []
+
+    def spy(key):
+        def report(entry):
+            if entry[2] == "committed":
+                visits.append((entry[0], key))
+        return report
+
     for participant in participants:
-        original = participant.mark_committed
-
-        def spy(ctx, participant=participant, original=original):
-            visits.append((env.now, participant.identity[1]))
-            original(ctx)
-
-        participant.mark_committed = spy
+        participant.commit_log = ReportingLog(spy(participant.identity[1]))
     _, start, _ = run_transaction(env, runner, participants)
     # One log force for all, then each in enlistment order.
     committed = (((start + HOP) + LOG + HOP) + COORDINATOR_LOG + HOP) + LOG
@@ -1170,24 +1224,17 @@ def test_same_tick_order_on_the_actor_path_is_pinned():
 # (e) same-tick order on the 2PC path
 # ---------------------------------------------------------------------------
 class LoggedParticipant(TransactionParticipant):
-    """Logs its 2PC steps to ``Ledger.timeline``."""
+    """Logs its 2PC outcomes to ``Ledger.timeline`` as its commit log
+    records them."""
 
-    def _log(self, ctx, step):
+    def __init__(self, env, identity):
+        super().__init__(env, identity)
+        self.commit_log = ReportingLog(self._log)
+
+    def _log(self, entry):
+        time, txid, outcome = entry
         Ledger.timeline.append(
-            (self.env.now, f"{Ledger.names[ctx.txid]} {step} "
-                           f"{self.identity[1]}"))
-
-    def mark_prepared(self, ctx):
-        self._log(ctx, "prepared")
-        super().mark_prepared(ctx)
-
-    def mark_committed(self, ctx):
-        self._log(ctx, "committed")
-        super().mark_committed(ctx)
-
-    def abort(self, ctx):
-        self._log(ctx, "aborted")
-        super().abort(ctx)
+            (time, f"{Ledger.names[txid]} {outcome} {self.identity[1]}"))
 
 
 class Ledger(TransactionalGrain):

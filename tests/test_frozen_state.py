@@ -17,7 +17,7 @@ from repro.apps.grains_txn import TxnOrderGrain
 from repro.control import run_scenario
 from repro.runtime import Environment
 from repro.txn.context import TransactionContext
-from repro.txn.participant import TransactionParticipant
+from repro.txn.participant import TransactionalGrain, TransactionParticipant
 
 
 class Witness:
@@ -40,19 +40,20 @@ class Witness:
 @pytest.fixture
 def witness(monkeypatch):
     witness = Witness()
-    read = TransactionParticipant.read
-    write = TransactionParticipant.write
+    read = TransactionalGrain.txn_read
+    write = TransactionalGrain.txn_write
     read_committed = TransactionParticipant.read_committed
     write_committed = TransactionParticipant.write_committed
 
-    def recording_read(self, ctx):
-        state = yield from read(self, ctx)
+    def recording_read(self):
+        state = yield from read(self)
         witness.record(state)
         return state
 
-    def recording_write(self, ctx, state):
-        yield from write(self, ctx, state)
-        witness.record(self._staged[ctx.txid])
+    def recording_write(self, state):
+        ctx = self.current_txn
+        yield from write(self, state)
+        witness.record(self._participant._staged[ctx.txid])
 
     def recording_read_committed(self):
         state = read_committed(self)
@@ -63,8 +64,8 @@ def witness(monkeypatch):
         write_committed(self, state)
         witness.record(self.committed_state)
 
-    monkeypatch.setattr(TransactionParticipant, "read", recording_read)
-    monkeypatch.setattr(TransactionParticipant, "write", recording_write)
+    monkeypatch.setattr(TransactionalGrain, "txn_read", recording_read)
+    monkeypatch.setattr(TransactionalGrain, "txn_write", recording_write)
     monkeypatch.setattr(TransactionParticipant, "read_committed",
                         recording_read_committed)
     monkeypatch.setattr(TransactionParticipant, "write_committed",
@@ -105,10 +106,12 @@ def test_a_top_level_write_through_a_read_raises():
     committed = {"balance": 10, "history": [1, 2]}
     participant = TransactionParticipant(
         env, ("T", "k"), initial_state=copy.deepcopy(committed))
-    ctx = TransactionContext(env.now)
+    grain = TransactionalGrain()
+    grain._participant = participant
+    grain.current_txn = TransactionContext(env.now)
 
     def txn():
-        state = yield from participant.read(ctx)
+        state = yield from grain.txn_read()
         with pytest.raises(TypeError):
             state["balance"] = 0
         with pytest.raises(TypeError):

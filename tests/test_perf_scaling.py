@@ -27,7 +27,7 @@ from repro.runtime import Environment
 from repro.runtime.process import Process
 from repro.sqlstore import Table, eq, isin
 from repro.txn.context import TransactionContext
-from repro.txn.participant import TransactionParticipant
+from repro.txn.participant import TransactionalGrain, TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
 #: Measured: 295 -> 235 (start-up cost amortises, nothing grows;
@@ -161,15 +161,17 @@ def calls_for_one_upsert(entries: int) -> int:
     participant = TransactionParticipant(
         env, ("seller", "1"), initial_state=state)
     ctx = TransactionContext(env.now)
+    grain = TransactionalGrain()
+    grain._participant = participant
+    grain.current_txn = ctx
     order = {"order_id": "new", "customer_id": 7, "status": "in_transit",
              "updated_at": 1.0,
              "items": [{"seller_id": 1, "quantity": 1,
                         "unit_price_cents": 500}]}
 
     def txn():
-        read = yield from participant.read(ctx)
-        yield from participant.write(
-            ctx, seller_logic.upsert_entry(read, order))
+        read = yield from grain.txn_read()
+        yield from grain.txn_write(seller_logic.upsert_entry(read, order))
 
     process = env.process(txn())
     profiler = cProfile.Profile(subcalls=False, builtins=False)

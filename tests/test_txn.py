@@ -37,6 +37,12 @@ from repro.txn import (
     TransactionalGrain,
     TxnConfig,
 )
+from repro.txn.participant import (
+    collect_votes,
+    install_staged,
+    log_committed,
+    log_prepared,
+)
 
 
 class Account(TransactionalGrain):
@@ -221,10 +227,11 @@ class LockTable(RuleBasedStateMachine):
     waiting transactions and kernel steps over one participant's lock,
     on a real environment.
 
-    Requests go through ``TransactionParticipant.read`` / ``write`` —
-    the inline grant when the lock is uncontended, ``LockManager
+    Requests go through ``TransactionalGrain.txn_read`` / ``txn_write``
+    — the inline grant when the lock is uncontended, ``LockManager
     .acquire`` otherwise — and are driven by hand, so the table is
     checked right after an inline grant as well as after every wake-up.
+    Commits go through the coordinator's participant steps.
     """
 
     #: Transactions in flight at once (committed ones make room).
@@ -236,6 +243,10 @@ class LockTable(RuleBasedStateMachine):
         self.participant = TransactionParticipant(
             self.env, ("Account", "k"))
         self.lock = self.participant.lock
+        #: The participant's grain, detached: ``request`` sets the
+        #: transaction a request runs in, as a silo does for a turn.
+        self.grain = TransactionalGrain()
+        self.grain._participant = self.participant
         self.contexts = []
         #: txid -> "idle" (may request), "waiting" (parked on a lock
         #: event), "dead" (died of wait-die) or "done" (committed,
@@ -302,8 +313,9 @@ class LockTable(RuleBasedStateMachine):
         queued = bool(self.lock._queue)
         acquires = self.acquires
         mode = LockMode.EXCLUSIVE if write else LockMode.SHARED
-        request = (self.participant.write(ctx, {"by": ctx.txid}) if write
-                   else self.participant.read(ctx))
+        self.grain.current_txn = ctx
+        request = (self.grain.txn_write({"by": ctx.txid}) if write
+                   else self.grain.txn_read())
         self.advance(ctx, request, None)
         held = holders.get(ctx.txid)
         new_grant = held is None or (
@@ -320,11 +332,11 @@ class LockTable(RuleBasedStateMachine):
     def commit(self, data):
         ctx = data.draw(st.sampled_from(self.ready("idle")))
         participant = self.participant
-        if participant.vote(ctx):
+        if collect_votes([participant], ctx):
             ctx.status = TransactionStatus.PREPARING
-            participant.mark_prepared(ctx)
-            participant.install(ctx)
-            participant.mark_committed(ctx)
+            log_prepared([participant], ctx)
+            install_staged([participant], ctx)
+            log_committed([participant], ctx)
             ctx.status = TransactionStatus.COMMITTED
         else:
             ctx.status = TransactionStatus.ABORTED
@@ -787,25 +799,21 @@ def test_a_participant_crash_mid_commit_is_pinned(delay):
 
 
 class Initiator(Grain):
-    """Starts a transfer transaction from inside its own turn."""
+    """Starts a transfer transaction on ``runner`` from inside its own
+    turn, handing the body's promise to ``started``."""
 
     reentrant = True
-    runner: TransactionRunner | None = None
-    #: Called with the body's promise as the body runs.
-    started = None
 
-    def transfer(self, source, target, amount):
+    def transfer(self, runner, source, target, amount, started):
         debit = self.cluster.grain_ref(Account, source)
         credit = self.cluster.grain_ref(Account, target)
 
         def body(ctx):
-            promise = self.env.all_of([
+            return started(self.env.all_of([
                 debit.call("deposit", -amount, txn=ctx),
-                credit.call("deposit", amount, txn=ctx)])
-            self.started(promise)
-            return promise
+                credit.call("deposit", amount, txn=ctx)]))
 
-        return (yield self.runner.run(body))
+        return (yield runner.run(body))
 
 
 def test_a_caller_crash_mid_round_is_pinned():
@@ -816,13 +824,15 @@ def test_a_caller_crash_mid_round_is_pinned():
     for ref in accounts:
         env.run(until=runner.run(
             lambda ctx, ref=ref: ref.call("deposit", 100, txn=ctx)))
-    Initiator.runner = runner
-    # Half a hop into the prepare round's log force.
     crashed = []
-    Initiator.started = staticmethod(lambda promise: crash_after(
-        env, cluster, victim, promise, CRASH_HOP + CRASH_LOG / 2, crashed))
+
+    def started(promise):
+        # Half-way through the prepare round's log force.
+        return crash_after(env, cluster, victim, promise,
+                           CRASH_HOP + CRASH_LOG / 2, crashed)
+
     call = cluster.grain_ref(Initiator, initiator_key).call(
-        "transfer", source, target, 5)
+        "transfer", runner, source, target, 5, started)
     call.callbacks.append(lambda event: event.defuse())
     env.run(until=1.0)
     # The caller's call fails; the transaction it started commits.

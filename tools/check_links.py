@@ -15,6 +15,13 @@ name whose first component is a package under ``src/``
 (`` `repro.control.actions.execute()` ``): the longest module prefix
 has to be a file there and the next component, if any, a name bound at
 that module's top level (read with ``ast``, nothing is imported).
+And a back-ticked ``Class.attr`` (`` `Transaction._settle` ``,
+optionally with ``()``) in README.md or a top-level ``docs/*.md`` must
+name a class defined under ``src/`` that binds ``attr`` in its body
+(a def, a nested class or an assignment), its ``__slots__``, a
+``self.attr`` assignment in one of its methods, a ``Class.attr = …``
+at its module's top level, or a base class that does.  ``docs/performance.md`` is exempt: a history log names what
+each round removed.
 
 Exit status: 0 when everything resolves, 1 otherwise (the offending
 ``file: target`` pairs are printed).  Run from anywhere::
@@ -40,6 +47,12 @@ REPO_PATH = re.compile(
     r"/[\w./-]*)(?:::[^`\s]*)?`")
 #: `` `pkg.mod.name` `` or `` `pkg.mod.name()` ``.
 DOTTED = re.compile(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\(\))?`")
+#: `` `Class.attr` `` or `` `Class.attr()` ``: a capitalised class name
+#: with a lower-case letter in it (`` `BENCHMARK.json` `` is a file).
+CLASS_ATTR = re.compile(
+    r"`([A-Z]\w*[a-z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
+#: History logs, exempt from the ``Class.attr`` check.
+HISTORY = {"docs/performance.md"}
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -77,17 +90,107 @@ def dotted_name_resolves(src: pathlib.Path, dotted: str) -> bool:
     return False
 
 
+def _bound_in_class(node: ast.ClassDef) -> set[str]:
+    """Names a class binds: defs, nested classes and assignments in its
+    body, its ``__slots__`` and ``self.name`` assignments anywhere in
+    it."""
+    names: set[str] = set()
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(item.name)
+        elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+            targets = (item.targets if isinstance(item, ast.Assign)
+                       else [item.target])
+            for target in targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                names.add(target.id)
+                if (target.id == "__slots__"
+                        and isinstance(item.value,
+                                       (ast.Tuple, ast.List, ast.Set))):
+                    names.update(element.value
+                                 for element in item.value.elts
+                                 if isinstance(element, ast.Constant))
+    for item in ast.walk(node):
+        if isinstance(item, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (item.targets if isinstance(item, ast.Assign)
+                       else [item.target])
+            names.update(
+                attribute.attr for target in targets
+                for attribute in ast.walk(target)
+                if isinstance(attribute, ast.Attribute)
+                and isinstance(attribute.value, ast.Name)
+                and attribute.value.id == "self")
+    return names
+
+
+def _base_name(base: ast.expr) -> str | None:
+    if isinstance(base, ast.Subscript):  # ``Generic[T]``
+        base = base.value
+    if isinstance(base, ast.Name):
+        return base.id
+    if isinstance(base, ast.Attribute):
+        return base.attr
+    return None
+
+
+def class_index(src: pathlib.Path) -> dict[str, list[tuple[set, list]]]:
+    """Every class defined under ``src``: name -> [(names it binds,
+    its base classes' names)], one entry per definition."""
+    index: dict[str, list[tuple[set, list]]] = {}
+    for module in sorted(src.rglob("*.py")):
+        tree = ast.parse(module.read_text())
+        defined = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                defined[node.name] = names = _bound_in_class(node)
+                index.setdefault(node.name, []).append(
+                    (names, [_base_name(base) for base in node.bases]))
+        # ``Class.attr = ...`` at the module's top level binds it too.
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if (isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and target.value.id in defined):
+                        defined[target.value.id].add(target.attr)
+    return index
+
+
+def class_attr_resolves(index: dict, cls: str, attr: str,
+                        seen: frozenset = frozenset()) -> bool:
+    """Whether a class named ``cls`` in ``index`` binds ``attr``, itself
+    or through a base class defined there too."""
+    for names, bases in index.get(cls, ()):
+        if attr in names:
+            return True
+        if any(base not in seen and class_attr_resolves(
+                index, base, attr, seen | {cls}) for base in bases):
+            return True
+    return False
+
+
 def check(root: pathlib.Path = ROOT) -> list[str]:
     """Return ``"file: target"`` for every broken relative link and
-    every back-ticked repo path or dotted name that does not exist."""
+    every back-ticked repo path, dotted name or ``Class.attr`` that does
+    not exist."""
     files = [root / "README.md",
              *sorted((root / "docs").glob("**/*.md"))]
     src = root / "src"
+    index = class_index(src) if src.is_dir() else {}
     broken = []
     for path in files:
         if not path.exists():
             continue
         text = path.read_text()
+        name = path.relative_to(root).as_posix()
+        if (path.parent in (root, root / "docs")
+                and name not in HISTORY):
+            broken += [f"{name}: `{match.group(1)}.{match.group(2)}`"
+                       for match in CLASS_ATTR.finditer(text)
+                       if not class_attr_resolves(
+                           index, match.group(1), match.group(2))]
         broken += [f"{path.relative_to(root)}: `{match.group(1)}`"
                    for match in REPO_PATH.finditer(text)
                    if not (root / match.group(1)).exists()]
@@ -113,12 +216,13 @@ def check(root: pathlib.Path = ROOT) -> list[str]:
 def main() -> int:
     broken = check()
     if broken:
-        print("broken relative links / missing repo paths or names:")
+        print("broken relative links / missing repo paths, names or "
+              "class attributes:")
         for entry in broken:
             print(f"  {entry}")
         return 1
-    print("all relative links, repo paths and dotted names in "
-          "README.md and docs/ resolve")
+    print("all relative links, repo paths, dotted names and class "
+          "attributes in README.md and docs/ resolve")
     return 0
 
 
