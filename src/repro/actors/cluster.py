@@ -201,7 +201,7 @@ class Cluster:
         self.grain_ref = functools.cache(self._new_ref)
         self.silos: list[Silo] = []
         #: Every silo's ``activations`` dict (crashed silos' too, empty):
-        #: ``note_activation`` sums their sizes.
+        #: ``Silo._file`` sums their sizes for ``peak_resident``.
         self._residents: list[dict] = []
         self._silo_ids = 0
         for _ in range(self.config.silos):
@@ -614,14 +614,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # working-set control (LRU deactivation under an activation budget)
     # ------------------------------------------------------------------
-    def note_activation(self, silo: Silo) -> None:
-        """Activation-creation bookkeeping (called by the silo)."""
-        stats = self.working_set
-        stats.activations += 1
-        resident = sum(map(len, self._residents))
-        if resident > stats.peak_resident:
-            stats.peak_resident = resident
-
     def _arm_sweep(self, _event: "Event | None" = None) -> None:
         """Schedule the next working-set sweep."""
         self.env.call_after(WORKING_SET_SWEEP, self._sweep)
@@ -633,7 +625,7 @@ class Cluster:
         order (by index: a silo that joins mid-sweep is swept too) and
         the least-recently-used quiet grains above the budget page out
         to the pager store, one write at a time; they are restored on
-        re-activation.  Grains that refuse to page (no ``paged_attrs``,
+        re-activation.  Grains that refuse to page (no ``paged_attr``,
         or locks held) stay resident — the budget is a target, not a
         hard cap.  The sweep is a chain of kernel callbacks, not a
         process: one entry per tick and one per pager write, and the
@@ -681,7 +673,7 @@ class Cluster:
     def _page_out(self, activation, index: int,
                   victims: typing.Iterator) -> bool:
         """Start evicting one activation under the working-set budget:
-        the grain snapshots its ``paged_attrs`` and the pager write
+        the grain snapshots its ``paged_attr`` and the pager write
         starts.  False when there is nothing to write (already gone, or
         not pageable: it stays resident)."""
         if activation.collected:

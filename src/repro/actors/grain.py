@@ -29,20 +29,20 @@ class Grain:
     """
 
     reentrant: bool = False
-    #: Instance attributes captured by the working-set pager when the
-    #: grain is deactivated under an activation budget, and restored on
-    #: re-activation.  Empty means the grain is not pageable: evicting
-    #: it would destroy state, so the working-set sweep leaves it
-    #: resident.
-    paged_attrs: tuple[str, ...] = ()
+    #: The instance attribute captured by the working-set pager when
+    #: the grain is deactivated under an activation budget, and
+    #: restored on re-activation.  None means the grain is not
+    #: pageable: evicting it would destroy state, so the working-set
+    #: sweep leaves it resident.
+    paged_attr: str | None = None
 
-    def __init__(self) -> None:
-        # Filled in by the runtime at activation time.
-        self.env: "Environment" = None  # type: ignore[assignment]
-        self.cluster: "Cluster" = None  # type: ignore[assignment]
-        self.silo: "Silo" = None  # type: ignore[assignment]
-        self.key: str = ""
-        self.current_txn = None  # transaction context, set per message
+    # Set by the runtime at activation time.  Class defaults, not an
+    # ``__init__``: activating a grain builds it without a Python frame.
+    env: "Environment" = None  # type: ignore[assignment]
+    cluster: "Cluster" = None  # type: ignore[assignment]
+    silo: "Silo" = None  # type: ignore[assignment]
+    key: str = ""
+    current_txn = None  # transaction context, set per message
 
     # ------------------------------------------------------------------
     # working-set paging (under an activation budget)
@@ -51,13 +51,14 @@ class Grain:
         """Capture volatile state for the working-set pager.
 
         Returns the attribute snapshot to persist, or None to refuse
-        paging (the default for grains that declare no ``paged_attrs``,
+        paging (the default for grains that declare no ``paged_attr``,
         and for grains whose state must not leave memory right now —
         e.g. a transactional grain holding locks).
         """
-        if not self.paged_attrs:
+        attr = self.paged_attr
+        if attr is None:
             return None
-        return {attr: getattr(self, attr) for attr in self.paged_attrs}
+        return {attr: getattr(self, attr)}
 
     def page_in(self, paged: dict) -> None:
         """Restore the snapshot captured by :meth:`page_out`."""

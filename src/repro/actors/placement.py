@@ -73,7 +73,8 @@ class ConsistentHashPlacement:
         """The silo responsible for (grain type, key)."""
         if not self._ring:
             raise NoLiveSilos("no live silos in the placement ring")
-        point = _hash(f"{grain_type_name}/{key}")
+        point = int.from_bytes(hashlib.sha256(  # _hash, inline
+            f"{grain_type_name}/{key}".encode()).digest()[:8], "big")
         index = bisect.bisect(self._hashes, point)
         if index == len(self._ring):
             index = 0
@@ -93,12 +94,6 @@ class GrainDirectory:
         #: (type name, key) -> hosting silo.  Routing reads this dict
         #: directly: it is the whole routing state of a live grain.
         self.hosts: dict[tuple[str, str], "Silo"] = {}
-
-    def register(self, type_name: str, key: str, silo: "Silo") -> None:
-        self.hosts[(type_name, key)] = silo
-
-    def unregister(self, type_name: str, key: str) -> None:
-        self.hosts.pop((type_name, key), None)
 
     def drop_silo(self, silo: "Silo") -> None:
         """Remove every entry hosted on ``silo`` (crash path)."""

@@ -402,12 +402,8 @@ class Silo:
             grain.cluster = cluster
             grain.silo = self
             grain.key = key
-            activation = Activation(self.env, self, grain)
-            self.activations[ident] = activation
-            self.lru[activation] = None
-            cluster.note_activation(self)
-            if self.directory is not None:
-                self.directory.register(grain_type.__name__, key, self)
+            activation = self._file(cluster, ident,
+                                    Activation(self.env, self, grain))
         return activation
 
     def adopt(self, cluster: "Cluster", grain: "Grain") -> Activation:
@@ -428,23 +424,34 @@ class Silo:
                 f"{self.name} is {self.state}; cannot adopt "
                 f"{ident[0]}/{ident[1]}")
         grain.silo = self
-        activation = Activation(self.env, self, grain, adopted=True)
+        return self._file(cluster, ident,
+                          Activation(self.env, self, grain, adopted=True))
+
+    def _file(self, cluster: "Cluster", ident: tuple[str, str],
+              activation: Activation) -> Activation:
+        """Host a new activation: the silo's tables and LRU order, the
+        cluster's working-set counters, then the grain directory."""
         self.activations[ident] = activation
         self.lru[activation] = None
-        cluster.note_activation(self)
+        stats = cluster.working_set
+        stats.activations += 1
+        resident = sum(map(len, cluster._residents))
+        if resident > stats.peak_resident:
+            stats.peak_resident = resident
         if self.directory is not None:
-            self.directory.register(ident[0], ident[1], self)
+            self.directory.hosts[ident] = self
         return activation
 
     def deactivate(self, grain_type_name: str, key: str) -> bool:
         """Drop an activation; False when there was none to drop."""
-        activation = self.activations.pop((grain_type_name, key), None)
+        ident = (grain_type_name, key)
+        activation = self.activations.pop(ident, None)
         if activation is None:
             return False
         del self.lru[activation]
         activation.collected = True
         if self.directory is not None:
-            self.directory.unregister(grain_type_name, key)
+            self.directory.hosts.pop(ident, None)
         return True
 
     def utilisation(self) -> float:

@@ -150,9 +150,10 @@ class MarketplaceApp:
 
     # Per-record installation hooks, all through the stack's _install.
     def _ingest_product(self, product) -> None:
+        key = product.key
         data = product.as_dict()
-        self._install("product", product.key, data)
-        self._install("replica", product.key, {
+        self._install("product", key, data)
+        self._install("replica", key, {
             "price_cents": data["price_cents"],
             "version": data["version"], "active": data["active"]})
 

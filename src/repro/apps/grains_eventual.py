@@ -33,12 +33,9 @@ class _StateGrain(Grain):
     (:meth:`_ensure`) names its constructor of the grain key
     ``new_state``."""
 
-    paged_attrs = ("data",)
+    paged_attr = "data"
     new_state = None
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.data: dict | None = None
+    data: dict | None = None
 
     def _ensure(self) -> dict:
         if self.data is None:
@@ -366,7 +363,6 @@ class ShipmentGrain(_StateGrain):
     """A shipment partition holding many orders' packages."""
 
     def __init__(self) -> None:
-        super().__init__()
         self.data = shipment_logic.new_shipments()
 
     def create(self, order: dict, payment_sequence: int):

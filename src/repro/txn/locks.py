@@ -62,15 +62,22 @@ class LockManager:
         entry = self._holders.get(ctx.txid)
         return entry[1] if entry else None
 
-    def _conflicts(self, ctx: TransactionContext,
-                   mode: LockMode) -> list[TransactionContext]:
+    def _conflicts(self, ctx: TransactionContext, mode: LockMode
+                   ) -> tuple[list[TransactionContext], bool]:
+        """The holders a ``mode`` request by ``ctx`` conflicts with, and
+        whether wait-die kills it: it is not older than all of them."""
         conflicting = []
-        for txid, (holder, held_mode) in self._holders.items():
-            if txid == ctx.txid:
+        dies = False
+        txid = ctx.txid
+        priority = ctx.priority
+        for holder_txid, (holder, held_mode) in self._holders.items():
+            if holder_txid == txid:
                 continue
             if mode is LockMode.EXCLUSIVE or held_mode is LockMode.EXCLUSIVE:
                 conflicting.append(holder)
-        return conflicting
+                if priority >= holder.priority:
+                    dies = True
+        return conflicting, dies
 
     # ------------------------------------------------------------------
     def acquire(self, ctx: TransactionContext, mode: LockMode):
@@ -83,13 +90,14 @@ class LockManager:
             yield  # pragma: no cover - generator marker
         while True:
             # An unheld lock is granted without a conflict scan.
-            conflicting = self._holders and self._conflicts(ctx, mode)
+            conflicting, dies = (self._conflicts(ctx, mode)
+                                 if self._holders else ((), False))
             if not conflicting:
                 self._holders[ctx.txid] = (ctx, mode)
                 if self._queue:
                     self._wake()
                 return
-            if any(not ctx.older_than(holder) for holder in conflicting):
+            if dies:
                 self.deaths += 1
                 raise TransactionAborted(
                     f"txn {ctx.txid} died on lock {self.name!r} "
@@ -133,10 +141,10 @@ class LockManager:
         while self._queue:
             waiter = self._queue.popleft()
             ctx = waiter.ctx
-            conflicting = self._conflicts(ctx, waiter.mode)
+            conflicting, dies = self._conflicts(ctx, waiter.mode)
             if not conflicting:
                 waiter.event.succeed()
-            elif any(not ctx.older_than(holder) for holder in conflicting):
+            elif dies:
                 self.deaths += 1
                 waiter.event.fail(TransactionAborted(
                     f"txn {ctx.txid} died waiting on lock {self.name!r} "

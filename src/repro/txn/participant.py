@@ -158,10 +158,7 @@ class TransactionalGrain(Grain):
     #: A blocks on a lock held by B while B's next call to this grain is
     #: queued behind A's executing method.)
     reentrant = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._participant: TransactionParticipant | None = None
+    _participant: TransactionParticipant | None = None
 
     @property
     def participant(self) -> TransactionParticipant:

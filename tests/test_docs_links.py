@@ -10,6 +10,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -100,3 +102,49 @@ def test_docs_tree_present():
     # The operator documentation the README links out to.
     for name in ("architecture.md", "scenarios.md", "metrics.md"):
         assert (ROOT / "docs" / name).exists(), f"docs/{name} missing"
+
+
+def _load_perf_table():
+    spec = importlib.util.spec_from_file_location(
+        "perf_table", ROOT / "tools" / "perf_table.py")
+    perf_table = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(perf_table)
+    return perf_table
+
+
+def test_performance_trajectory_is_the_generated_one():
+    """The ``host_calls_per_tx`` table in docs/performance.md is what
+    ``tools/perf_table.py`` renders from the committed history."""
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "perf_table.py"), "--check"],
+        capture_output=True, text=True, check=False)
+    assert completed.returncode == 0, completed.stdout
+
+
+def test_perf_table_renders_one_row_per_pair(tmp_path):
+    """A pair is one row, matched by PR and seed; an unchanged count
+    reads without a percentage; a workload a side lacks is a dash."""
+    perf_table = _load_perf_table()
+    rows = [
+        {"pr": 7, "side": "before", "seed": 3, "commit": "abc",
+         "workloads": {"a": {"host_calls_per_tx": 200.0},
+                       "b": {"host_calls_per_tx": 50.0}}},
+        {"pr": 7, "side": "after", "seed": 3, "commit": "abc+7",
+         "workloads": {"a": {"host_calls_per_tx": 150.0},
+                       "b": {"host_calls_per_tx": 50.0}}},
+        {"pr": 8, "side": "before", "seed": 3, "commit": "def",
+         "workloads": {"a": {"host_calls_per_tx": 150.0}}},
+        {"pr": 8, "side": "after", "seed": 3, "commit": "def+8",
+         "workloads": {"a": {"host_calls_per_tx": 151.5}}},
+    ]
+    assert perf_table.render(rows).splitlines() == [
+        "| PR | parent | seed | `a` | `b` |",
+        "|---|---|---|---|---|",
+        "| 7 | `abc` | 3 | 200.0 → 150.0 (−25.0 %) | 50.0 → 50.0 |",
+        "| 8 | `def` | 3 | 150.0 → 151.5 (+1.0 %) | — |"]
+    marker = perf_table.MARKER
+    doc = f"intro\n{marker}\nstale\n{marker}\ntail\n"
+    assert perf_table.splice(doc, "new") == (
+        f"intro\n{marker}\nnew\n{marker}\ntail\n")
+    with pytest.raises(ValueError):
+        perf_table.render(rows[1:])  # an 'after' row without its pair

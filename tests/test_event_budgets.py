@@ -10,7 +10,9 @@ all as exact counts or exact float times read from the kernel
 * the *budget*: a call to a method that never waits costs 3 events
   and at most 14 Python frames of ``repro.actors`` + ``repro.runtime``,
   a ``tell`` 2 events and at most 8 frames, a turn queued behind a
-  busy core at most 11 more frames, a four-member ``all_of``
+  busy core at most 11 more frames, a cold activation at most 3
+  Python frames of any ``repro`` module and building a grain none
+  (``ShipmentGrain`` aside), a four-member ``all_of``
   fan-out over processes at most 38 frames of ``repro.runtime``,
   a committed transaction's 2PC 8 events whatever the participant
   count, a one-participant transaction at most 34 frames of
@@ -34,12 +36,16 @@ all as exact counts or exact float times read from the kernel
 import collections
 import cProfile
 import dataclasses
+import gc
 import inspect
 
 import pytest
 
 from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
 from repro.actors.silo import SiloState
+from repro.apps import customized, grains_eventual, grains_txn
+from repro.apps.grains_eventual import ProductGrain, ShipmentGrain
+from repro.apps.grains_txn import TxnProductGrain
 from repro.costs import CostModel
 from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
 from repro.runtime import Environment, SimulationError, Timeout
@@ -248,6 +254,98 @@ def test_a_turn_queued_behind_a_busy_core_stays_in_its_frame_budget():
     per_queued_turn = (sum(pairs.values()) - sum(singles.values())) / repeats
     assert per_queued_turn <= MAX_FRAMES_PER_QUEUED_TURN, (
         per_queued_turn, pairs, singles)
+
+
+#: Python frames, of any module, of a cold ``Silo.activation_for``:
+#: itself, ``Activation.__init__`` and the filing step ``Silo._file``
+#: (the silo's tables and LRU order, the working-set counters, the
+#: directory entry).  The grain is built in C: its runtime fields are
+#: class-level defaults.  It was 5 for a plain ``Grain`` subclass and
+#: 6 for a ``_StateGrain`` while ``Grain``, ``_StateGrain`` and
+#: ``TransactionalGrain`` had ``__init__`` methods and filing went
+#: through ``Cluster.note_activation`` and ``GrainDirectory.register``.
+MAX_FRAMES_PER_ACTIVATION = 3
+#: The retired activation bookkeeping, and the ring's hash helper,
+#: which ``ConsistentHashPlacement.place`` inlines.
+RETIRED_ACTIVATION_FRAMES = {"note_activation", "register", "unregister",
+                             "_hash", "<dictcomp>"}
+
+
+def all_frames(action, repeats):
+    """``{code object: calls}`` of every Python frame of ``repro`` over
+    ``repeats`` runs of ``action(index)``.  Garbage is collected first
+    and not during the runs: an earlier test's dropped generator must
+    not finalise inside the profile."""
+    gc.collect()
+    gc.disable()
+    profiler = cProfile.Profile(subcalls=False, builtins=False)
+    profiler.enable()
+    try:
+        for index in range(repeats):
+            action(index)
+    finally:
+        profiler.disable()
+        gc.enable()
+    return {entry.code: entry.callcount for entry in profiler.getstats()
+            if not isinstance(entry.code, str)
+            and "/repro/" in entry.code.co_filename.replace("\\", "/")}
+
+
+@pytest.mark.parametrize("grain_type", [Plain, ProductGrain,
+                                        TxnProductGrain],
+                         ids=lambda grain_type: grain_type.__name__)
+def test_a_cold_activation_stays_in_its_frame_budget(grain_type):
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig(silos=1))
+    (silo,) = cluster.silos
+    activations = 1000
+    frames = all_frames(
+        lambda index: silo.activation_for(cluster, grain_type, f"k{index}"),
+        activations)
+    names = {code.co_name for code in frames}
+    assert not RETIRED_ACTIVATION_FRAMES & names, names
+    per_activation = sum(frames.values()) / activations
+    assert per_activation <= MAX_FRAMES_PER_ACTIVATION, (
+        per_activation, names)
+    assert len(silo.activations) == cluster.working_set.activations \
+        == cluster.working_set.peak_resident == activations
+    assert all(cluster.directory.hosts[ident] is silo
+               for ident in silo.activations)
+
+
+def test_a_first_touch_call_files_its_grain_in_one_step():
+    """A call to a grain without an activation is placed by the ring
+    (its hash inline), activates the grain and files it in one step."""
+    env = Environment(seed=1)
+    cluster = Cluster(env, ClusterConfig(silos=2))
+    calls = 200
+    frames = {}
+    for code, count in all_frames(lambda index: env.run(
+            until=cluster.grain_ref(Plain, f"k{index}").call("plain")),
+            calls).items():
+        frames[code.co_name] = frames.get(code.co_name, 0) + count
+    assert not RETIRED_ACTIVATION_FRAMES & set(frames), frames
+    assert frames["_file"] == frames["place"] == calls, frames
+    assert cluster.total_activations == calls
+
+
+def test_building_a_grain_runs_no_python_frame():
+    """Every grain class of the three actor stacks is built in C — no
+    ``__init__`` of its own or of a base — except ``ShipmentGrain``,
+    which creates its shipment table eagerly."""
+    grain_types = [value for module in (grains_eventual, grains_txn,
+                                        customized)
+                   for value in vars(module).values()
+                   if isinstance(value, type) and issubclass(value, Grain)
+                   and value.__module__ == module.__name__]
+    assert len(grain_types) == 22  # ten per stack, _StateGrain, causal cart
+    for grain_type in grain_types:
+        frames = all_frames(lambda _index: grain_type(), 1)
+        inits = {code for code in frames if code.co_name == "__init__"}
+        if grain_type is ShipmentGrain:
+            assert inits == {ShipmentGrain.__init__.__code__}, frames
+        else:
+            assert not frames, (grain_type, frames)
 
 
 #: Frames of ``repro.runtime`` code per four-member fan-out: ``all_of``

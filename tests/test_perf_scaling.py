@@ -72,6 +72,17 @@ MAX_EVENTUAL_CALLS_PER_TX = 198
 MAX_STATEFUN_CALLS_PER_TX = 178
 
 
+#: Python calls per committed transaction of the ``orleans-eventual``
+#: cell on the ``million-keys`` scenario at ``duration_scale`` 0.3,
+#: 500 activations per silo: the one tier-1 cell whose working set
+#: outgrows its budget, so grains are created, filed and paged out on
+#: the path.  Measured 262.0 (bound: measured + 4 %); 284.3 while a
+#: grain had Python ``__init__`` methods, an activation was filed
+#: through ``note_activation`` and ``GrainDirectory.register``, and
+#: a page-out snapshot was a comprehension over ``paged_attrs``.
+MAX_PAGING_CALLS_PER_TX = 272
+
+
 #: Kernel events and ``Process`` objects per committed transaction.
 #: Measured 33.1 / 0.19 at ``duration_scale`` 0.1 and 32.4 / 0.02 at
 #: 0.8; a process per grain call and per 2PC participant measured
@@ -82,14 +93,17 @@ MAX_PROCESSES_PER_TX = 1
 
 @functools.lru_cache(maxsize=None)
 def host_work_per_tx(duration_scale: float,
-                     app_name: str = "orleans-transactions"
+                     app_name: str = "orleans-transactions",
+                     scenario: str = "baseline",
+                     activation_limit: int | None = None
                      ) -> dict[str, float]:
     """Python calls (cProfile, builtins off), kernel events and
     ``Process`` objects per committed transaction (one run per cell,
     shared by the tests below)."""
     env = Environment(seed=7)
-    app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=2))
-    driver = get_scenario("baseline").build_driver(
+    app = ALL_APPS[app_name](env, AppConfig(
+        silos=2, cores_per_silo=2, activation_limit=activation_limit))
+    driver = get_scenario(scenario).build_driver(
         env, app, duration_scale=duration_scale, data_seed=7)
     profiler = cProfile.Profile(subcalls=False, builtins=False)
     before = env.events_processed
@@ -97,6 +111,8 @@ def host_work_per_tx(duration_scale: float,
     committed = sum(op.ok for op in metrics.ops.values())
     stats = profiler.getstats()
     return {
+        "evictions": app.cluster.working_set.evictions
+        if activation_limit else 0,
         "calls": sum(entry.callcount - entry.reccallcount
                      for entry in stats) / committed,
         "events": (env.events_processed - before) / committed,
@@ -133,6 +149,16 @@ def test_statefun_calls_per_tx_are_bounded():
         f"{calls:.0f} Python calls per statefun transaction: wrapper "
         f"frames are back on the message path (see the statefun frame "
         f"budget in test_event_budgets.py)")
+
+
+def test_paging_calls_per_tx_are_bounded():
+    cell = host_work_per_tx(0.3, "orleans-eventual", "million-keys", 500)
+    assert cell["evictions"] > 0, "the budget never bit: nothing paged"
+    assert cell["calls"] <= MAX_PAGING_CALLS_PER_TX, (
+        f"{cell['calls']:.0f} Python calls per transaction with the "
+        f"pager running: frames are back on grain construction, "
+        f"activation filing or the page-out step (see "
+        f"test_working_set.py and test_event_budgets.py)")
 
 
 @pytest.mark.parametrize("duration_scale", [0.1, 0.8])
