@@ -43,6 +43,22 @@ class _StateGrain(Grain):
         return self.data
 
 
+def _writer(update):
+    """A grain method that sets ``data = update(data, *args)`` and
+    answers True.  With no record it starts from ``new_state(key)``,
+    or answers False on a grain with no ``new_state``.  (``_ensure``
+    is inlined: a write costs its own frame and the updater's.)"""
+    def write(self, *args):
+        data = self.data
+        if data is None:
+            if self.new_state is None:
+                return False
+            data = self.new_state(self.key)
+        self.data = update(data, *args)
+        return True
+    return write
+
+
 class ProductGrain(_StateGrain):
     """Authoritative product record (source of truth for price)."""
 
@@ -102,13 +118,8 @@ class StockGrain(_StateGrain):
         self.data, ok = stock_logic.reserve(self.data, quantity)
         return ok
 
-    def confirm(self, quantity: int):
-        self.data = stock_logic.confirm_reservation(self.data, quantity)
-        return True
-
-    def cancel(self, quantity: int):
-        self.data = stock_logic.cancel_reservation(self.data, quantity)
-        return True
+    confirm = _writer(stock_logic.confirm_reservation)
+    cancel = _writer(stock_logic.cancel_reservation)
 
     def allocate(self, quantity: int):
         """Reserve-and-confirm in one step (external orders)."""
@@ -121,18 +132,9 @@ class StockGrain(_StateGrain):
                      "qty_available": self.data["qty_available"] - quantity}
         return True
 
-    def restock(self, quantity: int):
-        """Hand returned units back (return-saga compensation)."""
-        if self.data is None:
-            return False
-        self.data = stock_logic.restock(self.data, quantity)
-        return True
-
-    def deactivate(self, version: int):
-        if self.data is None:
-            return False
-        self.data = stock_logic.deactivate(self.data, version)
-        return True
+    #: Hand returned units back (return-saga compensation).
+    restock = _writer(stock_logic.restock)
+    deactivate = _writer(stock_logic.deactivate)
 
 
 class CartGrain(_StateGrain):
@@ -275,14 +277,10 @@ class OrderGrain(_StateGrain):
         refund call strands the order in RETURN_REQUESTED — the
         anomaly window the criteria audit quantifies.
         """
-        self._ensure()
-        if order_id not in self.data["orders"]:
-            return {"status": "rejected", "reason": "unknown_order",
-                    "order_id": order_id}
+        refusal = order_logic.return_refusal(self._ensure(), order_id)
+        if refusal is not None:
+            return refusal
         order = self.data["orders"][order_id]
-        if order["status"] != OrderStatus.COMPLETED:
-            return {"status": "rejected", "reason": "not_completed",
-                    "order_id": order_id, "state": order["status"]}
         outcome = lifecycle.disposition(order_id)
         self.data = order_logic.set_status(
             self.data, order_id, OrderStatus.RETURN_REQUESTED,
@@ -385,9 +383,8 @@ class ShipmentGrain(_StateGrain):
         return shipment_logic.undelivered_seller_times(self.data)
 
     def oldest_package(self, seller_id: int):
-        package = shipment_logic.oldest_undelivered_package(
-            self.data, seller_id)
-        return dict(package) if package else None
+        return shipment_logic.oldest_undelivered_package(self.data,
+                                                         seller_id)
 
     def mark_delivered(self, order_id: str, package_id: str):
         try:
@@ -411,21 +408,9 @@ class CustomerGrain(_StateGrain):
     new_state = staticmethod(
         lambda key: customer_logic.new_customer(int(key)))
 
-    def record_payment(self, amount_cents: int, approved: bool):
-        self._ensure()
-        self.data = customer_logic.record_payment(
-            self.data, amount_cents, approved)
-        return True
-
-    def record_delivery(self):
-        self._ensure()
-        self.data = customer_logic.record_delivery(self.data)
-        return True
-
-    def record_refund(self, amount_cents: int):
-        self._ensure()
-        self.data = customer_logic.record_refund(self.data, amount_cents)
-        return True
+    record_payment = _writer(customer_logic.record_payment)
+    record_delivery = _writer(customer_logic.record_delivery)
+    record_refund = _writer(customer_logic.record_refund)
 
 
 class SellerGrain(_StateGrain):
@@ -438,25 +423,13 @@ class SellerGrain(_StateGrain):
         """Entry maintenance driven by the order-events topic."""
         self._ensure()
         kind = payload["kind"]
-        if kind == "order_created":
+        status = seller_logic.EVENT_STATUS.get(kind)
+        if status is not None:
+            self.data = seller_logic.update_entry_status(
+                self.data, payload["order_id"], status, self.env.now)
+        elif kind == "order_created":
             self.data = seller_logic.upsert_entry(self.data,
                                                   payload["order"])
-        elif kind == "payment_confirmed":
-            self.data = seller_logic.update_entry_status(
-                self.data, payload["order_id"],
-                OrderStatus.PAYMENT_PROCESSED, self.env.now)
-        elif kind == "payment_failed":
-            self.data = seller_logic.update_entry_status(
-                self.data, payload["order_id"], OrderStatus.CANCELED,
-                self.env.now)
-        elif kind == "shipment_notification":
-            self.data = seller_logic.update_entry_status(
-                self.data, payload["order_id"], OrderStatus.IN_TRANSIT,
-                self.env.now)
-        elif kind == "order_completed":
-            self.data = seller_logic.update_entry_status(
-                self.data, payload["order_id"], OrderStatus.COMPLETED,
-                self.env.now)
         elif kind == "order_returned":
             amount = seller_logic.seller_share_cents(
                 payload["order"], self.data["seller_id"])

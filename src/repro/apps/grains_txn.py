@@ -26,6 +26,33 @@ from repro.marketplace.logic import (
 from repro.txn import TransactionalGrain
 
 
+def _writer(update, new_state=None):
+    """A grain method that stages ``update(state, *args)`` and answers
+    True.  With no record it starts from ``new_state(int(key))``, or
+    answers False (staging nothing) when ``new_state`` is None."""
+    def write(self, *args):
+        state = yield from self.txn_read()
+        if not state:
+            if new_state is None:
+                return False
+            state = new_state(int(self.key))
+        yield from self.txn_write(update(state, *args))
+        return True
+    return write
+
+
+def _reader(query, default):
+    """A grain method that answers ``query(state, *args)``, or
+    ``default`` with no record.  ``default`` is returned as it is, so
+    it must be a value nothing mutates."""
+    def read(self, *args):
+        state = yield from self.txn_read()
+        if not state:
+            return default
+        return query(state, *args)
+    return read
+
+
 class TxnProductGrain(TransactionalGrain):
     """Authoritative product record under transactional state."""
 
@@ -101,20 +128,9 @@ class TxnStockGrain(TransactionalGrain):
             {**state, "qty_available": state["qty_available"] - quantity})
         return True
 
-    def release(self, quantity: int):
-        """Hand allocated units back (compensation: abort or return)."""
-        state = yield from self.txn_read()
-        if not state:
-            return False
-        yield from self.txn_write(stock_logic.restock(state, quantity))
-        return True
-
-    def deactivate(self, version: int):
-        state = yield from self.txn_read()
-        if not state:
-            return False
-        yield from self.txn_write(stock_logic.deactivate(state, version))
-        return True
+    #: Hand allocated units back (compensation: abort or return).
+    release = _writer(stock_logic.restock)
+    deactivate = _writer(stock_logic.deactivate)
 
 
 class TxnCartGrain(TransactionalGrain):
@@ -274,13 +290,9 @@ class TxnOrderGrain(TransactionalGrain):
         can never be observed half-applied on this stack.
         """
         state = yield from self.txn_read()
-        if not state or order_id not in state["orders"]:
-            return {"status": "rejected", "reason": "unknown_order",
-                    "order_id": order_id}
-        order = state["orders"][order_id]
-        if order["status"] != OrderStatus.COMPLETED:
-            return {"status": "rejected", "reason": "not_completed",
-                    "order_id": order_id, "state": order["status"]}
+        refusal = order_logic.return_refusal(state, order_id)
+        if refusal is not None:
+            return refusal
         outcome = lifecycle.disposition(order_id)
         for hop in lifecycle.return_hops(outcome):
             state = order_logic.set_status(state, order_id, hop,
@@ -328,12 +340,7 @@ class TxnPaymentGrain(TransactionalGrain):
         yield from self.txn_write(payment)
         return payment
 
-    def refund(self):
-        payment = yield from self.txn_read()
-        if not payment:
-            return False
-        yield from self.txn_write(payment_logic.refund(payment))
-        return True
+    refund = _writer(payment_logic.refund)
 
 
 class TxnShipmentGrain(TransactionalGrain):
@@ -351,17 +358,9 @@ class TxnShipmentGrain(TransactionalGrain):
         yield from self.txn_write(state)
         return len(shipment["packages"])
 
-    def undelivered_seller_times(self):
-        state = yield from self.txn_read()
-        if not state:
-            return []
-        return shipment_logic.undelivered_seller_times(state)
-
-    def oldest_package(self, seller_id: int):
-        state = yield from self.txn_read()
-        if not state:
-            return None
-        return shipment_logic.oldest_undelivered_package(state, seller_id)
+    undelivered_seller_times = _reader(
+        shipment_logic.undelivered_seller_times, [])
+    oldest_package = _reader(shipment_logic.oldest_undelivered_package, None)
 
     def mark_delivered(self, order_id: str, package_id: str):
         state = yield from self.txn_read()
@@ -395,39 +394,18 @@ class TxnShipmentGrain(TransactionalGrain):
 class TxnCustomerGrain(TransactionalGrain):
     """Customer statistics under transactional state."""
 
-    def record_payment(self, amount_cents: int, approved: bool):
-        state = yield from self.txn_read()
-        if not state:
-            state = customer_logic.new_customer(int(self.key))
-        yield from self.txn_write(customer_logic.record_payment(
-            state, amount_cents, approved))
-        return True
-
-    def record_delivery(self):
-        state = yield from self.txn_read()
-        if not state:
-            state = customer_logic.new_customer(int(self.key))
-        yield from self.txn_write(customer_logic.record_delivery(state))
-        return True
-
-    def record_refund(self, amount_cents: int):
-        state = yield from self.txn_read()
-        if not state:
-            state = customer_logic.new_customer(int(self.key))
-        yield from self.txn_write(customer_logic.record_refund(
-            state, amount_cents))
-        return True
+    record_payment = _writer(customer_logic.record_payment,
+                             customer_logic.new_customer)
+    record_delivery = _writer(customer_logic.record_delivery,
+                              customer_logic.new_customer)
+    record_refund = _writer(customer_logic.record_refund,
+                            customer_logic.new_customer)
 
 
 class TxnSellerGrain(TransactionalGrain):
     """Seller dashboard view, maintained transactionally."""
 
-    def upsert_entry(self, order: dict):
-        state = yield from self.txn_read()
-        if not state:
-            state = seller_logic.new_seller(int(self.key))
-        yield from self.txn_write(seller_logic.upsert_entry(state, order))
-        return True
+    upsert_entry = _writer(seller_logic.upsert_entry, seller_logic.new_seller)
 
     def update_entry_status(self, order_id: str, status: str):
         state = yield from self.txn_read()
@@ -437,27 +415,11 @@ class TxnSellerGrain(TransactionalGrain):
             state, order_id, status, self.env.now))
         return True
 
-    def record_return(self, amount_cents: int):
-        state = yield from self.txn_read()
-        if not state:
-            return False
-        yield from self.txn_write(seller_logic.record_return(
-            state, amount_cents))
-        return True
-
-    def dashboard_amount(self):
-        """Non-transactional read: Orleans Transactions has no snapshot
-        queries, so the dashboard reads committed state directly."""
-        state = yield from self.txn_read()
-        if not state:
-            return 0
-        return seller_logic.dashboard_amount(state)
-
-    def dashboard_entries(self):
-        state = yield from self.txn_read()
-        if not state:
-            return []
-        return seller_logic.dashboard_entries(state)
+    record_return = _writer(seller_logic.record_return)
+    #: Non-transactional reads: Orleans Transactions has no snapshot
+    #: queries, so the dashboard reads committed state directly.
+    dashboard_amount = _reader(seller_logic.dashboard_amount, 0)
+    dashboard_entries = _reader(seller_logic.dashboard_entries, [])
 
 
 class TxnIngestionGrain(TransactionalGrain):

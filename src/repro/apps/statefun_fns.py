@@ -350,19 +350,9 @@ class OrderFn(_AppFunction):
     def _request_return(self, context, payload):
         order_id = payload["order_id"]
         state = context.state
-        if order_id not in state["orders"]:
-            context.egress("request_return",
-                           {"status": "rejected",
-                            "reason": "unknown_order",
-                            "order_id": order_id})
-            return
-        order = state["orders"][order_id]
-        if order["status"] != OrderStatus.COMPLETED:
-            context.egress("request_return",
-                           {"status": "rejected",
-                            "reason": "not_completed",
-                            "order_id": order_id,
-                            "state": order["status"]})
+        refusal = order_logic.return_refusal(state, order_id)
+        if refusal is not None:
+            context.egress("request_return", refusal)
             return
         state = order_logic.set_status(
             state, order_id, OrderStatus.RETURN_REQUESTED,
@@ -729,9 +719,5 @@ class IngestionFn(_AppFunction):
 
 #: Seller-entry status changes mapped back to the lifecycle event that
 #: caused them (for the event-ordering audit log).
-_STATUS_TO_EVENT = {
-    OrderStatus.PAYMENT_PROCESSED: "payment_confirmed",
-    OrderStatus.CANCELED: "payment_failed",
-    OrderStatus.IN_TRANSIT: "shipment_notification",
-    OrderStatus.COMPLETED: "order_completed",
-}
+_STATUS_TO_EVENT = {status: kind
+                    for kind, status in seller_logic.EVENT_STATUS.items()}

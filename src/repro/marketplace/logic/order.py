@@ -79,6 +79,19 @@ def set_status(state: dict, order_id: str, status: str,
                     lifecycle.advance(order, status, now))
 
 
+def return_refusal(state: dict | None, order_id: str) -> dict | None:
+    """The rejected reply to a return of ``order_id``, or None when the
+    order can be returned: it must be known and completed."""
+    order = state["orders"].get(order_id) if state else None
+    if order is None:
+        return {"status": "rejected", "reason": "unknown_order",
+                "order_id": order_id}
+    if order["status"] != OrderStatus.COMPLETED:
+        return {"status": "rejected", "reason": "not_completed",
+                "order_id": order_id, "state": order["status"]}
+    return None
+
+
 def record_shipment(state: dict, order_id: str, package_count: int,
                     now: float) -> dict:
     """Mark the order in transit with ``package_count`` packages."""

@@ -18,6 +18,16 @@ from repro.marketplace.constants import OrderStatus
 _amount = itemgetter("amount_cents")
 _order_id = itemgetter("order_id")
 
+#: The seller-entry status each order event sets (by event kind).
+#: ``order_created`` inserts the entry and ``order_returned`` reverses
+#: revenue instead; other kinds leave the view alone.
+EVENT_STATUS = {
+    "payment_confirmed": OrderStatus.PAYMENT_PROCESSED,
+    "payment_failed": OrderStatus.CANCELED,
+    "shipment_notification": OrderStatus.IN_TRANSIT,
+    "order_completed": OrderStatus.COMPLETED,
+}
+
 
 def new_seller(seller_id: int, name: str = "", city: str = "") -> dict:
     return {"seller_id": seller_id, "name": name, "city": city,
