@@ -35,7 +35,6 @@ from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
 from repro.broker import Broker
 from repro.costs import CostModel
-from repro.cow import clone as cow_clone
 from repro.runtime.events import PENDING, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -142,10 +141,12 @@ class WorkingSetStats:
 class _WorkingSetPager:
     """Holds paged-out grain state (models external storage).
 
-    Payloads are detached clones on both sides of the boundary, so a
-    resident grain and its paged copy can never alias.  Eviction pays a
-    write, re-activation a read — the cost that makes an activation
-    budget a real trade-off.
+    Payloads are kept and handed back by reference: paged state is
+    frozen (an eventual grain replaces ``data`` by assignment, a
+    transactional grain hands over its frozen committed state and a
+    fresh copy of its commit log), so a resident grain and its paged
+    copy can share it.  Eviction pays a write, re-activation a read —
+    the cost that makes an activation budget a real trade-off.
     """
 
     def __init__(self, env: "Environment") -> None:
@@ -160,25 +161,23 @@ class _WorkingSetPager:
         call ``then()`` — the one place an eviction's write starts."""
         def written(_event: "Event") -> None:
             self.writes += 1
-            self._data[ident] = cow_clone(payload)
+            self._data[ident] = payload
             then()
         self.env.call_after(PAGER_WRITE_LATENCY, written)
 
     def read(self, ident: tuple[str, str]):
         yield self.env.timeout(PAGER_READ_LATENCY)
         self.reads += 1
-        payload = self._data.pop(ident, None)
-        return cow_clone(payload) if payload is not None else None
+        return self._data.pop(ident, None)
 
     def store(self, ident: tuple[str, str], payload: dict) -> None:
         """Zero-latency overwrite — refreshes a snapshot whose write
         latency was already paid by :meth:`write`."""
-        self._data[ident] = cow_clone(payload)
+        self._data[ident] = payload
 
     def peek(self, ident: tuple[str, str]) -> dict | None:
-        """Zero-latency audit access (detached copy)."""
-        payload = self._data.get(ident)
-        return cow_clone(payload) if payload is not None else None
+        """Zero-latency audit access (the stored payload: read only)."""
+        return self._data.get(ident)
 
 
 class Cluster:
@@ -726,7 +725,7 @@ class Cluster:
             self.working_set.reloads += 1
 
     def paged_states(self) -> dict[tuple[str, str], dict]:
-        """Paged-out state for audits (detached copies)."""
+        """Paged-out state for audits (stored payloads: read only)."""
         return {ident: self.pager.peek(ident) for ident in self._paged}
 
     def working_set_stats(self) -> dict:

@@ -24,11 +24,11 @@ and never walks the state in Python.
 ``clone(value)``
     A fully detached deep clone specialised for plain-data trees, at a
     fraction of ``copy.deepcopy``'s constant cost (no memo dict, no
-    type dispatch tables).  Outside this module only the grain pager
-    uses it: a paged-out snapshot must share nothing with a grain that
-    keeps mutating its fields in place.  Dataflow checkpoints do not
-    clone — statefun state is a value below its top level, so a
-    shallow ``dict(state)`` isolates it.
+    type dispatch tables).  No ``src/`` path needs one: the grain
+    pager keeps frozen snapshots by reference, and dataflow
+    checkpoints isolate statefun state (a value below its top level)
+    with a shallow ``dict(state)``.  Tests use it to take copies they
+    then edit in place.
 
 ``CowState`` / ``CowList``
     Lazy copy-on-write views over a frozen base, with a private
@@ -492,8 +492,7 @@ def clone(value):
 
     Unlike :func:`materialize` the result shares *nothing* mutable
     with its input — required where the source is mutated in place
-    afterwards (a grain's fields after the pager wrote its snapshot).
-    A read-only proxy of a transactional read clones to a plain dict.
+    afterwards.  A read-only proxy of a transactional read clones to a plain dict.
     """
     kind = type(value)
     if kind is dict or kind is MappingProxyType:

@@ -1,4 +1,4 @@
-"""Frozen-state witness for the transactional stacks.
+"""Frozen-state witnesses for the transactional stacks and the pager.
 
 A transactional read hands out the participant's committed (or staged)
 dict behind a read-only ``MappingProxyType``, and a write stages the
@@ -7,12 +7,20 @@ top-level writes; everything below the top level is frozen by
 contract only.  This witness enforces that contract on real runs: it
 deep-snapshots every dict a participant hands out or stages and, at
 the end of the cell, checks that none of them changed.
+
+The working-set pager keeps a paged-out snapshot by reference too and
+hands the same object back at re-activation, so the same contract
+covers every payload a page-out writes: the pager witness
+deep-snapshots each one and checks, after the cell's audit, that none
+of them changed.
 """
 
 import copy
 
 import pytest
 
+from repro.actors.cluster import _WorkingSetPager
+from repro.apps.grains_eventual import SellerGrain
 from repro.apps.grains_txn import TxnOrderGrain
 from repro.control import run_scenario
 from repro.runtime import Environment
@@ -122,3 +130,58 @@ def test_a_top_level_write_through_a_read_raises():
     with pytest.raises(TypeError):
         participant.read_committed()["balance"] = 0
     assert participant.committed_state == committed
+
+
+@pytest.fixture
+def pager_witness(monkeypatch):
+    witness = Witness()
+    write = _WorkingSetPager.write
+
+    def recording_write(self, ident, payload, then):
+        witness.record(payload)
+        write(self, ident, payload, then)
+
+    monkeypatch.setattr(_WorkingSetPager, "write", recording_write)
+    return witness
+
+
+#: Cells whose working set outgrows its activation budget, so the
+#: pager writes and reads back on the path: the million-key catalogue
+#: on the eventual stack and a tight budget on the transactional one.
+PAGING_CELLS = {
+    "orleans-eventual": dict(scenario="million-keys", duration_scale=0.1,
+                             activation_limit=50),
+    "orleans-transactions": dict(scenario="baseline", duration_scale=0.1,
+                                 activation_limit=20),
+}
+
+
+def run_paging_cell(app: str):
+    run = run_scenario(app=app, seed=5, **PAGING_CELLS[app])
+    assert sum(op.ok for op in run.metrics.ops.values()) > 0
+    assert run.report is not None  # the audit ran over the paged state
+    return run
+
+
+@pytest.mark.parametrize("app", sorted(PAGING_CELLS))
+def test_no_paged_snapshot_is_mutated_after_it_is_written(pager_witness,
+                                                          app):
+    run_paging_cell(app)
+    assert len(pager_witness.seen) > 100
+    assert pager_witness.mutated() == 0
+
+
+def test_an_in_place_update_of_a_reloaded_grain_is_flagged(pager_witness,
+                                                          monkeypatch):
+    apply_order_event = SellerGrain.apply_order_event
+
+    def mutating_apply_order_event(self, payload):
+        if self.data is not None:
+            # A reloaded grain's ``data`` is the paged snapshot itself.
+            self.data["edits"] = self.data.get("edits", 0) + 1
+        return apply_order_event(self, payload)
+
+    monkeypatch.setattr(SellerGrain, "apply_order_event",
+                        mutating_apply_order_event)
+    run_paging_cell("orleans-eventual")
+    assert pager_witness.mutated() > 0

@@ -76,11 +76,12 @@ MAX_STATEFUN_CALLS_PER_TX = 178
 #: cell on the ``million-keys`` scenario at ``duration_scale`` 0.3,
 #: 500 activations per silo: the one tier-1 cell whose working set
 #: outgrows its budget, so grains are created, filed and paged out on
-#: the path.  Measured 262.0 (bound: measured + 4 %); 284.3 while a
-#: grain had Python ``__init__`` methods, an activation was filed
-#: through ``note_activation`` and ``GrainDirectory.register``, and
-#: a page-out snapshot was a comprehension over ``paged_attrs``.
-MAX_PAGING_CALLS_PER_TX = 272
+#: the path.  Measured 257.3 (bound: measured + 4 %); 262.0 while the
+#: pager deep-cloned every snapshot it wrote and read back, and 284.3
+#: while a grain had Python ``__init__`` methods, an activation was
+#: filed through ``note_activation`` and ``GrainDirectory.register``,
+#: and a page-out snapshot was a comprehension over ``paged_attrs``.
+MAX_PAGING_CALLS_PER_TX = 268
 
 
 #: Kernel events and ``Process`` objects per committed transaction.
