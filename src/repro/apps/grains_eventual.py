@@ -165,12 +165,14 @@ class CartGrain(_StateGrain):
         try:
             self.data, items = cart_logic.seal_for_checkout(self.data)
         except ValueError:
-            return {"status": "rejected", "reason": "empty_cart"}
+            return {"status": "rejected", "reason": "empty_cart",
+                    "order_id": order_id}
         orders = self.cluster.grain_ref(OrderGrain, self.key)
         result = yield from _safe_call(self.call(
             orders, "place_order", order_id, items, payment_method))
         if result is None:
-            return {"status": "failed", "reason": "order_unreachable"}
+            return {"status": "failed", "reason": "order_unreachable",
+                    "order_id": order_id}
         return result
 
 

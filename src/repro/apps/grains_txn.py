@@ -162,7 +162,8 @@ class TxnCartGrain(TransactionalGrain):
         try:
             state, items = cart_logic.seal_for_checkout(state)
         except ValueError:
-            return {"status": "rejected", "reason": "empty_cart"}
+            return {"status": "rejected", "reason": "empty_cart",
+                    "order_id": order_id}
         yield from self.txn_write(state)
         orders = self.cluster.grain_ref(TxnOrderGrain, self.key)
         result = yield self.call(orders, "place_order", order_id, items,
@@ -235,7 +236,8 @@ class TxnOrderGrain(TransactionalGrain):
                     "customer_id": order["customer_id"], "sellers": [],
                     "amount_cents": order["total_cents"]})
                 return {"status": "failed", "reason": "payment",
-                        "order_id": order_id}
+                        "order_id": order_id,
+                        "total_cents": order["total_cents"]}
         state = order_logic.set_status(
             state, order_id, OrderStatus.PAYMENT_PROCESSED, self.env.now)
         # 4. Shipment, seller dashboard entries and customer statistics —

@@ -538,8 +538,8 @@ class ShipmentFn(_AppFunction):
                 context.egress("checkout",
                                {"status": "ok",
                                 "order_id": order["order_id"],
-                                "total_cents": order["total_cents"],
-                                "package_count": count})
+                                "invoice": order["invoice"],
+                                "total_cents": order["total_cents"]})
         elif kind == "collect_undelivered":
             summary = []
             for seller_id, when in shipment_logic.undelivered_seller_times(

@@ -14,12 +14,6 @@ The comparison normalises what legitimately differs between stacks:
   differ by design;
 * order ``items`` are sorted (the stacks gather a checkout's items in
   different orders);
-* a checkout reply's ``invoice``, ``package_count`` and ``order_id``
-  are dropped: statefun answers a checkout from its shipment function,
-  which knows the package count but not the invoice, and names the
-  order even in a rejection; the actor stacks answer from the order
-  grain, which knows the invoice.  The order id is the request's own,
-  and the order state, which is compared, holds the rest;
 * a dashboard entry's ``entry_id`` and ``seller_id`` are dropped: the
   customized stack answers with its SQL rows, which carry both;
 * statefun's empty ``pending*`` bookkeeping (its in-flight request
@@ -93,9 +87,6 @@ operations = st.one_of(
 )
 scripts = st.lists(operations, min_size=10, max_size=60)
 
-#: Reply fields one stack family reports and the others do not.
-STACK_SPECIFIC_REPLY_FIELDS = {
-    "checkout": {"invoice", "package_count", "order_id"}}
 #: Columns of the customized stack's dashboard rows beyond an entry's.
 SQL_ROW_FIELDS = {"entry_id", "seller_id"}
 
@@ -127,12 +118,12 @@ def requests(app, script):
             yield app.dashboard(*args)
 
 
-def run_script(stack, script):
+def run_script(stack, script, config=CONFIG):
     """Run ``script`` serially on a fresh ``stack``: each operation
     starts ``QUIET`` after the reply to the one before.  Returns the
     replies and the end state."""
     env = Environment(seed=1)
-    app = ALL_APPS[stack](env, CONFIG)
+    app = ALL_APPS[stack](env, config)
     app.ingest(Dataset(WORLD, seed=1))
     replies = []
 
@@ -159,9 +150,7 @@ def run_script(stack, script):
 
 def normalise_reply(result):
     """``(status, operation, payload)`` of ``result``, normalised."""
-    dropped = STACK_SPECIFIC_REPLY_FIELDS.get(result.operation, ())
-    payload = {field: value for field, value in result.payload.items()
-               if field not in dropped}
+    payload = dict(result.payload)
     if "entries" in payload:
         payload["entries"] = [
             {field: value for field, value in entry.items()
@@ -249,5 +238,26 @@ def test_a_rejected_request_leaves_only_fresh_records(stack):
     a checkout of an empty cart is rejected on every stack and leaves
     nothing behind once normalised."""
     replies, state = run_script(stack, [("checkout", 3, "boleto")])
-    assert replies == [("rejected", "checkout", {"reason": "empty_cart"})]
+    assert replies == [("rejected", "checkout",
+                        {"reason": "empty_cart", "order_id": "o0"})]
     assert "3" not in state["carts"] and "3" not in state["orders"]
+
+
+def test_a_declined_checkout_gets_the_same_reply_on_every_stack():
+    """Every stack answers a checkout in one vocabulary: with every
+    payment declined, the four stacks' replies name the order and its
+    total alike, and their end states agree."""
+    script = [("add_item", 1, PRODUCTS[0], 2),
+              ("checkout", 1, PaymentMethod.CREDIT_CARD)]
+    declined = AppConfig(silos=2, cores_per_silo=2, approval_rate=0.0)
+    results = {stack: run_script(stack, script, declined)
+               for stack in ALL_APPS}
+    replies = {stack: result[0][1] for stack, result in results.items()}
+    status, operation, payload = replies["orleans-transactions"]
+    assert (status, operation, payload["reason"]) == (
+        "failed", "checkout", "payment")
+    assert payload["order_id"] == "o1" and payload["total_cents"] > 0
+    assert replies == dict.fromkeys(ALL_APPS, replies["orleans-transactions"])
+    reference = results["orleans-transactions"]
+    assert {stack: divergence(reference, result)
+            for stack, result in results.items()} == dict.fromkeys(ALL_APPS)
