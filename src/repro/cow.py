@@ -492,7 +492,8 @@ def clone(value):
 
     Unlike :func:`materialize` the result shares *nothing* mutable
     with its input — required where the source is mutated in place
-    afterwards.  A read-only proxy of a transactional read clones to a plain dict.
+    afterwards.  A read-only proxy of a transactional read clones to a
+    plain dict.
     """
     kind = type(value)
     if kind is dict or kind is MappingProxyType:

@@ -5,8 +5,10 @@ Runs the same script the CI lint job runs (``tools/check_links.py``)
 so a broken link fails locally before it fails in CI.
 """
 
+import ast
 import importlib.util
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -148,3 +150,59 @@ def test_perf_table_renders_one_row_per_pair(tmp_path):
         f"intro\n{marker}\nnew\n{marker}\ntail\n")
     with pytest.raises(ValueError):
         perf_table.render(rows[1:])  # an 'after' row without its pair
+
+
+#: Each count the cost prose of docs/architecture.md quotes: the
+#: sentence that quotes it (a regex over the whitespace-normalised
+#: text; the count is its group), the test file and constant that pin
+#: it, and the frames the constant counts beyond the quoted ones.
+#: Only the call's budget profiles the 6 frames of the
+#: ``env.run(until=…)`` wrapper (``run``, ``triggered``, ``ok`` twice,
+#: ``value`` and the action's ``<lambda>``) beside the 7 of the call;
+#: the tell's counts its ``env.run()`` as 1 frame, and the
+#: transaction's 34 already include its wrapper.
+QUOTED_COUNTS = [
+    (r"A call to a method that never waits is three timeline entries "
+     r"— delivery, CPU hold, reply — and (\d+) Python frames",
+     "test_event_budgets.py", "MAX_FRAMES_PER_CALL", 6),
+    (r"A `tell` has no reply.*? two timeline entries "
+     r"— delivery, CPU hold — and (\d+) frames",
+     "test_event_budgets.py", "MAX_FRAMES_PER_TELL", 1),
+    (r"A cold activation is (\w+) Python frames",
+     "test_event_budgets.py", "MAX_FRAMES_PER_ACTIVATION", 0),
+    (r"a one-participant transaction (\d+) frames of `txn/` \+ `runtime/`",
+     "test_event_budgets.py", "MAX_FRAMES_PER_TRANSACTION", 0),
+    (r"statefun message costs at most (\d+) Python frames",
+     "test_event_budgets.py", "MAX_FRAMES_PER_STATEFUN_MESSAGE", 0),
+    (r"completes one page-out and starts the next is (\d+) Python calls",
+     "test_working_set.py", "MAX_CALLS_PER_PAGE_OUT", 0),
+]
+NUMBER_WORDS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5}
+
+
+def _pinned(test_file: str, name: str) -> int:
+    """The value a module-level ``name = <int>`` assigns in a test."""
+    tree = ast.parse((ROOT / "tests" / test_file).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == name
+                for target in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{test_file} pins no {name}")
+
+
+@pytest.mark.parametrize("pattern, test_file, name, offset", QUOTED_COUNTS,
+                         ids=[row[2] for row in QUOTED_COUNTS])
+def test_architecture_cost_counts_match_their_budgets(pattern, test_file,
+                                                      name, offset):
+    """A frame or call count the architecture doc quotes is the budget
+    that pins it (less the frames the budget's harness adds), so a
+    budget change that leaves the doc stale fails here."""
+    text = " ".join((ROOT / "docs" / "architecture.md").read_text().split())
+    found = re.findall(pattern, text)
+    assert len(found) == 1, (pattern, found)
+    quoted = found[0]
+    quoted = NUMBER_WORDS.get(quoted) or int(quoted)
+    assert quoted + offset == _pinned(test_file, name), (
+        f"docs/architecture.md quotes {quoted} where {test_file} pins "
+        f"{name} = {_pinned(test_file, name)} (offset {offset})")

@@ -1,9 +1,13 @@
-"""Focused unit tests on individual grain behaviours (eventual app)."""
+"""Focused unit tests on individual grain behaviours (eventual app,
+plus the leaf writers of the transactional one)."""
 
 from repro.actors import Cluster, ClusterConfig
 from repro.apps import grains_eventual as grains
+from repro.apps import grains_txn
 from repro.apps.base import AppConfig
+from repro.marketplace.logic import customer as customer_logic
 from repro.runtime import Environment
+from repro.txn import LockMode, TransactionRunner, TxnConfig
 
 
 class FakeApp:
@@ -226,3 +230,60 @@ class TestShipmentGrain:
         env, cluster = make_cluster()
         ref = cluster.grain_ref(grains.ShipmentGrain, "part-0")
         assert call(env, ref, "mark_delivered", "nope", "pkg-1") is False
+
+
+class TestWritersOnAGrainWithNoRecord:
+    """A leaf writer on a grain with no record starts from the grain's
+    fresh state when the grain has one; otherwise it answers False and
+    writes nothing."""
+
+    def test_eventual_stock_writers_answer_false(self):
+        env, cluster = make_cluster()
+        ref = cluster.grain_ref(grains.StockGrain, "9/9")
+        assert call(env, ref, "restock", 2) is False
+        assert call(env, ref, "deactivate", 2) is False
+        assert cluster.grain_instance(ref).data is None
+
+    def test_eventual_customer_writer_creates_the_record(self):
+        env, cluster = make_cluster()
+        ref = cluster.grain_ref(grains.CustomerGrain, "7")
+        assert call(env, ref, "record_payment", 500, True) is True
+        assert cluster.grain_instance(ref).data == (
+            customer_logic.record_payment(
+                customer_logic.new_customer(7), 500, True))
+
+    @staticmethod
+    def in_transaction(grain_type, key, method, *args):
+        """Run ``method`` in a transaction of its own: its reply, and
+        what the grain's participant had staged and locked for the
+        transaction once the call returned, before the commit."""
+        env, cluster = make_cluster()
+        runner = TransactionRunner(cluster, TxnConfig())
+        ref = cluster.grain_ref(grain_type, key)
+        seen = {}
+
+        def body(ctx):
+            def steps():
+                seen["reply"] = yield ref.call(method, *args, txn=ctx)
+                participant = cluster.grain_instance(ref).participant
+                seen["staged"] = participant._staged.get(ctx.txid)
+                seen["lock"] = participant.lock.held_by(ctx)
+            return env.process(steps())
+
+        env.run(until=runner.run(body))
+        return seen
+
+    def test_txn_stock_release_answers_false_and_stages_nothing(self):
+        seen = self.in_transaction(grains_txn.TxnStockGrain, "9/9",
+                                   "release", 2)
+        assert seen["reply"] is False
+        assert seen["staged"] is None
+        assert seen["lock"] is not LockMode.EXCLUSIVE
+
+    def test_txn_customer_writer_stages_a_fresh_customer(self):
+        seen = self.in_transaction(grains_txn.TxnCustomerGrain, "7",
+                                   "record_payment", 500, False)
+        assert seen["reply"] is True
+        assert seen["staged"] == customer_logic.record_payment(
+            customer_logic.new_customer(7), 500, False)
+        assert seen["lock"] is LockMode.EXCLUSIVE
