@@ -24,11 +24,10 @@ and never walks the state in Python.
 ``clone(value)``
     A fully detached deep clone specialised for plain-data trees, at a
     fraction of ``copy.deepcopy``'s constant cost (no memo dict, no
-    type dispatch tables).  No ``src/`` path needs one: the grain
-    pager keeps frozen snapshots by reference, and dataflow
-    checkpoints isolate statefun state (a value below its top level)
-    with a shallow ``dict(state)``.  Tests use it to take copies they
-    then edit in place.
+    type dispatch tables).  Outside this module no ``src/`` path uses
+    it: the grain pager keeps frozen snapshots by reference, and
+    dataflow checkpoints isolate statefun state (a value below its top
+    level) with a shallow ``dict(state)``.
 
 ``CowState`` / ``CowList``
     Lazy copy-on-write views over a frozen base, with a private

@@ -201,8 +201,8 @@ def test_architecture_cost_counts_match_their_budgets(pattern, test_file,
     text = " ".join((ROOT / "docs" / "architecture.md").read_text().split())
     found = re.findall(pattern, text)
     assert len(found) == 1, (pattern, found)
-    quoted = found[0]
-    quoted = NUMBER_WORDS.get(quoted) or int(quoted)
-    assert quoted + offset == _pinned(test_file, name), (
+    quoted = NUMBER_WORDS.get(found[0]) or int(found[0])
+    pinned = _pinned(test_file, name)
+    assert quoted + offset == pinned, (
         f"docs/architecture.md quotes {quoted} where {test_file} pins "
-        f"{name} = {_pinned(test_file, name)} (offset {offset})")
+        f"{name} = {pinned} (offset {offset})")
