@@ -12,7 +12,6 @@ target.
 from __future__ import annotations
 
 import os
-import typing
 
 from repro.analysis.anomalies import AnomalyReport
 from repro.apps import ALL_APPS, AppConfig
@@ -53,18 +52,12 @@ def run_experiment(app_name: str,
                    silos: int = 2,
                    cores_per_silo: int = 2,
                    workload_kwargs: dict | None = None,
-                   app_kwargs: dict | None = None,
-                   txn_config=None):
+                   app_kwargs: dict | None = None):
     """Run one (app, configuration) cell; returns (metrics, report, app)."""
     env = Environment(seed=seed)
     config = AppConfig(silos=silos, cores_per_silo=cores_per_silo,
                        **(app_kwargs or {}))
-    cls = ALL_APPS[app_name]
-    extra: dict[str, typing.Any] = {}
-    if txn_config is not None and app_name in (
-            "orleans-transactions", "customized-orleans"):
-        extra["txn_config"] = txn_config
-    app = cls(env, config, **extra)
+    app = ALL_APPS[app_name](env, config)
     workload = WorkloadConfig(**{**DEFAULT_WORKLOAD,
                                  **(workload_kwargs or {})})
     driver = BenchmarkDriver(env, app, workload,

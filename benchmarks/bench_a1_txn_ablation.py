@@ -9,20 +9,17 @@ than scripted.
 
 import pytest
 
-from repro.txn import TxnConfig
-
 from _harness import print_table, run_experiment
 
 VARIANTS = ("full", "no-2pc", "no-locks", "neither")
 
 
 def run_variant(variant: str):
-    txn_config = TxnConfig(
-        enable_two_phase_commit=variant not in ("no-2pc", "neither"),
-        enable_locking=variant not in ("no-locks", "neither"))
     metrics, _, _ = run_experiment(
         "orleans-transactions", workers=32, duration=1.2, seed=43,
-        txn_config=txn_config)
+        app_kwargs={
+            "enable_two_phase_commit": variant not in ("no-2pc", "neither"),
+            "enable_locking": variant not in ("no-locks", "neither")})
     return metrics
 
 

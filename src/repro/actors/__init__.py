@@ -14,7 +14,7 @@ retire gracefully (``Cluster.drain_silo``) or fail-stop
 to the surviving owners and routing re-placing in-flight messages.
 """
 
-from repro.actors.cluster import Cluster, ClusterConfig, MembershipStats
+from repro.actors.cluster import Cluster, MembershipStats
 from repro.actors.errors import (
     GrainCallError,
     GrainError,
@@ -27,7 +27,6 @@ from repro.actors.silo import Silo, SiloState
 
 __all__ = [
     "Cluster",
-    "ClusterConfig",
     "ConsistentHashPlacement",
     "Grain",
     "GrainCallError",

@@ -34,7 +34,7 @@ from repro.actors.grain import Grain, GrainRef
 from repro.actors.placement import ConsistentHashPlacement, GrainDirectory
 from repro.actors.silo import Message, Silo, SiloState
 from repro.broker import Broker
-from repro.costs import CostModel
+from repro.config import AppConfig
 from repro.runtime.events import PENDING, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -48,51 +48,15 @@ WORKING_SET_SWEEP = 0.05
 #: Pager store access: a re-activation's read, an eviction's write.
 PAGER_READ_LATENCY = 0.0002
 PAGER_WRITE_LATENCY = 0.0004
-
-
-@dataclasses.dataclass
-class ClusterConfig:
-    """Deployment parameters for an actor cluster (its costs are a
-    :class:`~repro.costs.CostModel`).  ``drop_probability`` injects
-    message loss, which the eventually-consistent implementation does
-    not recover from — the mechanism behind the paper's
-    atomicity-violation observations.
-    """
-
-    silos: int = 4
-    cores_per_silo: int = 4
-    drop_probability: float = 0.0
-    #: Delivery attempts per message before the caller sees
-    #: ``SiloUnavailable`` (first send + rerouting hops).
-    max_delivery_attempts: int = 4
-    #: Time between a silo crash and the membership view evicting it
-    #: (Orleans-style failure detection).  Until eviction the ring
-    #: still routes to the dead silo and callers see unavailability —
-    #: the outage window the fault scenarios measure.  Drains are
-    #: coordinated and skip this; 0 evicts crashes instantly too.
-    failure_detection_delay: float = 1.0
-    #: Working-set budget: max resident activations per silo.  None
-    #: (the default) keeps the historical grow-forever behaviour.
-    #: Under a budget, a periodic sweep pages least-recently-used quiet
-    #: grains above the limit out to the pager store; re-activation
-    #: transparently reads them back.
-    activation_limit: int | None = None
-
-    def __post_init__(self) -> None:
-        # Checked once, here: nothing downstream looks again.
-        limit = self.activation_limit
-        rules = [("failure_detection_delay", ">= 0",
-                  self.failure_detection_delay >= 0)]
-        rules += [(name, ">= 1", getattr(self, name) >= 1) for name in (
-            "silos", "cores_per_silo", "max_delivery_attempts")]
-        rules += [("drop_probability", "in [0, 1]",
-                   0.0 <= self.drop_probability <= 1.0),
-                  ("activation_limit", ">= 1 or None",
-                   limit is None or limit >= 1)]
-        for name, rule, holds in rules:
-            if not holds:
-                raise ValueError(
-                    f"{name} must be {rule}, got {getattr(self, name)}")
+#: Delivery attempts per message before the caller sees
+#: ``SiloUnavailable`` (first send + rerouting hops).
+MAX_DELIVERY_ATTEMPTS = 4
+#: Time between a silo crash and the membership view evicting it
+#: (Orleans-style failure detection).  Until eviction the ring still
+#: routes to the dead silo and callers see unavailability — the outage
+#: window the fault scenarios measure.  Drains are coordinated and skip
+#: this; 0 evicts crashes instantly too.
+FAILURE_DETECTION_DELAY = 1.0
 
 
 @dataclasses.dataclass
@@ -184,12 +148,14 @@ class Cluster:
     """A set of silos with consistent-hash placement and a broker."""
 
     def __init__(self, env: "Environment",
-                 config: ClusterConfig | None = None,
-                 broker: Broker | None = None,
-                 costs: CostModel | None = None) -> None:
+                 config: AppConfig | None = None,
+                 broker: Broker | None = None) -> None:
         self.env = env
-        self.config = config or ClusterConfig()
-        self.costs = costs or CostModel()
+        #: The deployment: ``silos``, ``cores_per_silo``,
+        #: ``drop_probability`` and ``activation_limit`` shape the
+        #: cluster, and ``costs`` prices it.
+        self.config = config or AppConfig()
+        self.costs = self.config.costs
         self.broker = broker or Broker(env)
         self.placement = ConsistentHashPlacement()
         self.directory = GrainDirectory()
@@ -327,7 +293,7 @@ class Cluster:
                 self.membership.unavailable_failures += \
                     len(activation.inflight)
         self._log_membership("crash", silo)
-        if self.config.failure_detection_delay > 0:
+        if FAILURE_DETECTION_DELAY > 0:
             self.env.process(self._evict_after_detection(silo, queued),
                              name=f"detect:{silo.name}")
         else:
@@ -335,7 +301,7 @@ class Cluster:
         return silo
 
     def _evict_after_detection(self, silo: Silo, queued: list[Message]):
-        yield self.env.timeout(self.config.failure_detection_delay)
+        yield self.env.timeout(FAILURE_DETECTION_DELAY)
         self._evict(silo, queued)
 
     def _evict(self, silo: Silo, queued: list[Message]) -> None:
@@ -592,7 +558,7 @@ class Cluster:
                 message._charge(activation)
             return
         # Dead, draining-without-activation, or stale target: re-place.
-        if message.attempts >= self.config.max_delivery_attempts:
+        if message.attempts >= MAX_DELIVERY_ATTEMPTS:
             self.membership.unavailable_failures += 1
             if message._value is PENDING:
                 message.fail(SiloUnavailable(

@@ -22,6 +22,9 @@ from repro.actors.errors import NoLiveSilos
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.silo import Silo
 
+#: Ring points per silo.
+VIRTUAL_NODES = 64
+
 
 def _hash(value: str) -> int:
     return int.from_bytes(
@@ -43,8 +46,7 @@ class ConsistentHashPlacement:
     (reported in the cluster's membership stats).
     """
 
-    def __init__(self, virtual_nodes: int = 64) -> None:
-        self.virtual_nodes = virtual_nodes
+    def __init__(self) -> None:
         self.epoch = 0
         self._ring: list[tuple[int, "Silo"]] = []
         self._hashes: list[int] = []
@@ -56,7 +58,7 @@ class ConsistentHashPlacement:
 
     def add_silo(self, silo: "Silo") -> None:
         self._silos.append(silo)
-        for point in _ring_points(silo.name, self.virtual_nodes):
+        for point in _ring_points(silo.name, VIRTUAL_NODES):
             index = bisect.bisect(self._hashes, point)
             self._hashes.insert(index, point)
             self._ring.insert(index, (point, silo))

@@ -15,11 +15,12 @@ onto a different data management stack:
   event topics.
 """
 
-from repro.apps.base import AppConfig, MarketplaceApp, OperationResult
+from repro.apps.base import MarketplaceApp, OperationResult
 from repro.apps.customized import CustomizedOrleansApp
 from repro.apps.orleans_eventual import OrleansEventualApp
 from repro.apps.orleans_transactions import OrleansTransactionsApp
 from repro.apps.statefun_app import StatefunApp
+from repro.config import AppConfig
 
 ALL_APPS = {
     "orleans-eventual": OrleansEventualApp,

@@ -13,10 +13,10 @@ import itertools
 import typing
 import zlib
 
-from repro.actors import Cluster, ClusterConfig, GrainCallError
+from repro.actors import Cluster, GrainCallError
 from repro.broker import Broker, DeliveryMode
+from repro.config import AppConfig
 from repro.control.signals import PlatformStats
-from repro.costs import CostModel
 from repro.marketplace.constants import Topics
 from repro.marketplace.logic import customer as customer_logic
 from repro.marketplace.logic import ingestion as ingestion_logic
@@ -40,32 +40,6 @@ SERVICE_VIEWS = {
     "customer": "customers", "seller": "sellers", "cart": "carts",
     "ingestion": "ingestion",
 }
-
-
-@dataclasses.dataclass
-class AppConfig:
-    """Deployment knobs shared by all implementations."""
-
-    silos: int = 4
-    #: Orleans stacks only: a statefun partition serves one message at
-    #: a time whatever this says.
-    cores_per_silo: int = 4
-    #: Message-loss probability (exercised by the anomaly experiments).
-    drop_probability: float = 0.0
-    #: Payment approval rate (deterministic per order id).
-    approval_rate: float = 1.0
-    #: Every simulated latency, CPU charge and pause (see
-    #: :mod:`repro.costs`); its ``replication_lag`` drives both the
-    #: eventual stack's broker and the customized stack's KV replicas.
-    costs: CostModel = dataclasses.field(default_factory=CostModel)
-    #: Checkpoint interval (statefun app only; 0 disables).
-    checkpoint_interval: float = 0.5
-    #: Working-set budget: max resident grain activations per silo
-    #: (statefun: max resident addresses per worker).  None = unbounded,
-    #: the historical behaviour.  Under a budget, least-recently-used
-    #: quiet grains page their state out and deactivate; re-activation
-    #: reads it back (see ``actors/cluster.py``).
-    activation_limit: int | None = None
 
 
 @dataclasses.dataclass
@@ -366,12 +340,7 @@ class ActorApp(MarketplaceApp):
     def __init__(self, env: "Environment",
                  config: AppConfig | None = None) -> None:
         super().__init__(env, config)
-        self.cluster = Cluster(env, ClusterConfig(
-            silos=self.config.silos,
-            cores_per_silo=self.config.cores_per_silo,
-            drop_probability=self.config.drop_probability,
-            activation_limit=self.config.activation_limit),
-            broker=self._broker(), costs=self.config.costs)
+        self.cluster = Cluster(env, self.config, broker=self._broker())
         self.cluster.app = self
         self.scaling_host = self.cluster
         self._grains = dict(self.grains)

@@ -29,7 +29,6 @@ from repro.marketplace.logic import cart as cart_logic
 from repro.marketplace.logic import order as order_logic
 from repro.marketplace.logic import seller as seller_logic
 from repro.sqlstore import Table, eq, isin
-from repro.txn import TxnConfig
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -70,9 +69,8 @@ class CustomizedOrleansApp(OrleansTransactionsApp):
     delivery_mode = DeliveryMode.CAUSAL
 
     def __init__(self, env: "Environment",
-                 config: AppConfig | None = None,
-                 txn_config: TxnConfig | None = None) -> None:
-        super().__init__(env, config, txn_config)
+                 config: AppConfig | None = None) -> None:
+        super().__init__(env, config)
         # Swap in the causal cart and register it.
         self._grains["cart"] = CausalCartGrain
         self.cluster.register_grain(CausalCartGrain)

@@ -17,7 +17,7 @@ from repro.actors import GrainCallError
 from repro.apps.base import ActorApp, AppConfig, failed, from_reply
 from repro.apps.grains_txn import TXN_GRAINS
 from repro.marketplace.constants import Topics
-from repro.txn import TransactionAborted, TransactionRunner, TxnConfig
+from repro.txn import TransactionAborted, TransactionRunner
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
@@ -31,10 +31,9 @@ class OrleansTransactionsApp(ActorApp):
     paged_attr = "state"
 
     def __init__(self, env: "Environment",
-                 config: AppConfig | None = None,
-                 txn_config: TxnConfig | None = None) -> None:
+                 config: AppConfig | None = None) -> None:
         super().__init__(env, config)
-        self.runner = TransactionRunner(self.cluster, txn_config)
+        self.runner = TransactionRunner(self.cluster)
 
     # ------------------------------------------------------------------
     def _subscribe(self) -> None:

@@ -20,7 +20,7 @@ from repro.apps.base import (
     from_reply,
     ok,
 )
-from repro.dataflow import StatefunConfig, StatefunRuntime
+from repro.dataflow import StatefunRuntime
 from repro.marketplace.logic import seller as seller_logic
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,11 +35,7 @@ class StatefunApp(MarketplaceApp):
     def __init__(self, env: "Environment",
                  config: AppConfig | None = None) -> None:
         super().__init__(env, config)
-        self.runtime = StatefunRuntime(env, StatefunConfig(
-            partitions=self.config.silos,
-            checkpoint_interval=self.config.checkpoint_interval,
-            max_resident_addresses=self.config.activation_limit),
-            self.config.costs)
+        self.runtime = StatefunRuntime(env, self.config)
         self.scaling_host = self.runtime
         for name, cls in (
                 ("product", fns.ProductFn), ("replica", fns.ReplicaFn),

@@ -15,7 +15,7 @@ tuning):
 
 * **hysteresis** — scale-up triggers when p95 queue delay (or error
   rate) *breaches* the SLO for ``breach_ticks`` consecutive samples;
-  scale-down only when delay sits *below* ``scale_down_fraction`` of
+  scale-down only when delay sits *below* ``SCALE_DOWN_FRACTION`` of
   the bound (and the backlog is empty) for ``clear_ticks`` samples.
   The dead band between the two thresholds prevents flapping.
 * **cooldown** — after any applied action, scale-up waits
@@ -50,6 +50,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.control.signals import RuntimeSignals
     from repro.runtime import Environment
     from repro.runtime.process import Process
+
+
+#: "Clear" means p95 below this fraction of the SLO bound — the
+#: hysteresis dead band between scale-up and scale-down triggers.
+SCALE_DOWN_FRACTION = 0.3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,9 +95,6 @@ class AutoscalerConfig:
     breach_ticks: int = 2
     #: Consecutive clear samples before a scale-down.
     clear_ticks: int = 3
-    #: "Clear" means p95 below this fraction of the SLO bound — the
-    #: hysteresis dead band between scale-up and scale-down triggers.
-    scale_down_fraction: float = 0.3
     cooldown_up: float = 2.0
     cooldown_down: float = 4.0
     #: Capacity model for the elasticity report's ideal curve:
@@ -110,8 +112,6 @@ class AutoscalerConfig:
             raise ValueError("need 1 <= min_silos <= max_silos")
         if self.breach_ticks < 1 or self.clear_ticks < 1:
             raise ValueError("tick thresholds must be >= 1")
-        if not 0 < self.scale_down_fraction < 1:
-            raise ValueError("scale_down_fraction must be in (0, 1)")
         if self.cooldown_up < 0 or self.cooldown_down < 0:
             raise ValueError("cooldowns must be >= 0")
 
@@ -200,7 +200,7 @@ class Autoscaler:
         breach = (signals.queue_delay_p95 > slo.queue_delay_p95
                   or signals.error_rate > slo.error_rate)
         clear = (signals.queue_delay_p95
-                 <= slo.queue_delay_p95 * self.config.scale_down_fraction
+                 <= slo.queue_delay_p95 * SCALE_DOWN_FRACTION
                  and signals.error_rate <= slo.error_rate
                  and signals.queue_length == 0)
         self._breach_streak = self._breach_streak + 1 if breach else 0

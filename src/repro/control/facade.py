@@ -2,7 +2,7 @@
 
 Before this facade, three call sites each hand-assembled the same
 sequence — seed an :class:`~repro.runtime.Environment`, build the app
-with the scenario-pinned :class:`~repro.apps.base.AppConfig`, build the
+with the scenario-pinned :class:`~repro.config.AppConfig`, build the
 driver, run, audit — in slightly divergent ways: the scenario CLI,
 ``matrix.run_cell``, and every test that wanted a scenario run.
 :func:`run_scenario` is now that sequence, exactly once; the CLI and

@@ -1,7 +1,10 @@
-"""Every settable simulated cost: one frozen :class:`CostModel` goes
-from ``AppConfig.costs`` to each layer that charges it, so a sweep
-changes one object.  Values are simulated seconds; costs with one value
-in use are module constants beside their code (pager, KV, audit, SQL).
+"""Every settable simulated cost: one frozen :class:`CostModel`, the
+``costs`` field of the one deployment config
+(:class:`repro.config.AppConfig`), which each layer that charges a cost
+reads from there, so a sweep changes one object.  Values are simulated
+seconds; costs with one value in use are module constants beside their
+code (pager, KV, audit, SQL), as are the deployment values no caller
+varies.
 """
 
 from __future__ import annotations

@@ -10,12 +10,11 @@ messages from the checkpoint offset, and deduplicated egress.
 
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
-from repro.dataflow.runtime import StatefunConfig, StatefunRuntime
+from repro.dataflow.runtime import StatefunRuntime
 
 __all__ = [
     "Context",
     "FunctionMessage",
     "StatefulFunction",
-    "StatefunConfig",
     "StatefunRuntime",
 ]

@@ -9,7 +9,7 @@ import typing
 import zlib
 from heapq import heappush as _heappush
 
-from repro.costs import CostModel
+from repro.config import AppConfig
 from repro.dataflow.function import Context, StatefulFunction
 from repro.dataflow.messages import FunctionMessage
 from repro.runtime.environment import SimulationError
@@ -18,39 +18,6 @@ from repro.runtime.events import PENDING, Event, PooledEvent
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment
     from repro.runtime.process import Process
-
-
-@dataclasses.dataclass
-class StatefunConfig:
-    """Deployment parameters for the dataflow runtime.
-
-    A partition serves one message at a time, as a single-threaded
-    Flink subtask does, so its CPU charges never overlap: there is no
-    per-partition core count.
-    """
-
-    partitions: int = 4
-    #: Interval between aligned checkpoints (0 disables checkpointing).
-    checkpoint_interval: float = 0.5
-    #: Per-worker budget of hot (in-memory) addresses; None = unbounded.
-    #: Above the budget, least-recently-used clean addresses spill to
-    #: the worker's cold tier (the RocksDB state backend analogue) and
-    #: reload transparently on next access.
-    max_resident_addresses: int | None = None
-
-    def __post_init__(self) -> None:
-        # Checked once, here: a negative interval would schedule into
-        # the past, and NaN fails every comparison below.
-        limit = self.max_resident_addresses
-        rules = [("partitions", ">= 1", self.partitions >= 1),
-                 ("checkpoint_interval", ">= 0",
-                  self.checkpoint_interval >= 0)]
-        rules += [("max_resident_addresses", ">= 1 or None",
-                   limit is None or limit >= 1)]
-        for name, rule, holds in rules:
-            if not holds:
-                raise ValueError(
-                    f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclasses.dataclass
@@ -82,12 +49,13 @@ class Worker:
     No process serves the queue: a worker is one kernel callback,
     :meth:`_step`, that runs the message whose CPU charge just ended
     and then charges the next one as one timed entry.  Only one
-    message is ever in service, so no core count is modelled (see
-    :class:`StatefunConfig`).  Its timeline entries are those of the
-    process it replaced: a zero-delay entry at construction (the
-    bootstrap), a zero-delay wake-up when an idle worker gets a
-    message (pushed by ``StatefunRuntime._arrive``), the CPU charge,
-    and a callback on the runtime's resume event while paused.
+    message is ever in service, so no core count is modelled
+    (``AppConfig.cores_per_silo`` does not apply).  Its timeline
+    entries are those of the process it replaced: a zero-delay entry
+    at construction (the bootstrap), a zero-delay wake-up when an idle
+    worker gets a message (pushed by ``StatefunRuntime._arrive``), the
+    CPU charge, and a callback on the runtime's resume event while
+    paused.
     """
 
     def __init__(self, env: "Environment", runtime: "StatefunRuntime",
@@ -103,7 +71,7 @@ class Worker:
         self.dirty: set[tuple[str, str]] = set()
         self.processed = 0
         #: Cold tier (RocksDB-backend analogue): state dicts spilled
-        #: under ``max_resident_addresses``.
+        #: above the runtime's ``activation_limit``.
         self.cold: dict[tuple[str, str], dict] = {}
         self.cold_evictions = 0
         self.cold_reloads = 0
@@ -135,7 +103,7 @@ class Worker:
         self.state[address] = state
         if len(self.state) > self.peak_resident:
             self.peak_resident = len(self.state)
-        limit = self.runtime.config.max_resident_addresses
+        limit = self.runtime.config.activation_limit
         if limit is not None and len(self.state) > limit:
             self._spill(limit, keep=address)
         return state
@@ -173,7 +141,7 @@ class Worker:
             # A hot hit without a resident budget is state_for inline:
             # the peak is still checked, since a restore or a rescale
             # fills ``state`` without counting it.
-            state = (None if runtime.config.max_resident_addresses
+            state = (None if runtime.config.activation_limit
                      else states.pop(address, None))
             if state is None:
                 state = self.state_for(address)
@@ -238,16 +206,18 @@ class StatefunRuntime:
     """Registry, router and checkpoint coordinator for stateful functions."""
 
     def __init__(self, env: "Environment",
-                 config: StatefunConfig | None = None,
-                 costs: CostModel | None = None) -> None:
+                 config: AppConfig | None = None) -> None:
         self.env = env
-        self.config = config or StatefunConfig()
-        self.costs = costs or CostModel()
+        #: The deployment: one partition worker per ``silos``, a
+        #: ``checkpoint_interval``, a per-worker ``activation_limit`` of
+        #: hot addresses, and the ``costs``.
+        self.config = config or AppConfig()
+        self.costs = self.config.costs
         #: Routing memo, address -> owning worker; cleared by a rescale.
         self._routes: dict[tuple[str, str], Worker] = {}
         self.workers = [Worker(env, self, index)
-                        for index in range(self.config.partitions)]
-        self._worker_ids = self.config.partitions
+                        for index in range(self.config.silos)]
+        self._worker_ids = self.config.silos
         self.rescales = 0
         #: Workers scheduled for removal by an in-progress scale-in;
         #: counted from the moment the command is issued so control
@@ -404,13 +374,26 @@ class StatefunRuntime:
         failure before the first periodic checkpoint must restore the
         ingested dataset rather than an empty cluster.
         """
+        self._seal(full=True)
+
+    def _seal(self, full: bool) -> None:
+        """Make the current state and queues the last checkpoint, drop
+        the ingress log it covers and spill down to budget (``full``:
+        see :meth:`_snapshot_worker_states`).
+
+        Recovery never replays past the checkpoint offset, so the whole
+        log is dead weight once sealed; dropping it bounds the log by
+        the checkpoint interval instead of the run length.
+        """
+        offset = self.ingress_base + len(self.ingress_log)
         self._last_checkpoint = _Checkpoint(
-            time=self.env.now,
-            ingress_offset=self.ingress_base + len(self.ingress_log),
-            worker_states=self._snapshot_worker_states(full=True),
+            time=self.env.now, ingress_offset=offset,
+            worker_states=self._snapshot_worker_states(full),
             worker_queues=[list(worker.queue)
                            for worker in self.workers])
-        self._compact_ingress()
+        self.ingress_compacted += len(self.ingress_log)
+        self.ingress_log.clear()
+        self.ingress_base = offset
         self._enforce_resident_budget()
 
     def install(self, address: tuple[str, str], state: dict) -> None:
@@ -438,14 +421,14 @@ class StatefunRuntime:
         every over-budget address is clean and spillable — the access
         path alone can only spill what happens to be clean.
         """
-        limit = self.config.max_resident_addresses
+        limit = self.config.activation_limit
         if limit is None:
             return
         for worker in self.workers:
             if len(worker.state) > limit:
                 worker._spill(limit, keep=None)
 
-    def _snapshot_worker_states(self, full: bool = False) -> list[dict]:
+    def _snapshot_worker_states(self, full: bool) -> list[dict]:
         """Frozen per-worker state maps for a new checkpoint.
 
         Each address is kept as a shallow copy of its state's top
@@ -479,22 +462,6 @@ class StatefunRuntime:
             states.append(snapshot)
         return states
 
-    def _compact_ingress(self) -> None:
-        """Drop ingress messages at offsets below the last checkpoint.
-
-        Recovery never replays past the checkpoint offset, so the
-        prefix is dead weight; compacting it bounds the log by the
-        checkpoint interval instead of the run length.
-        """
-        checkpoint = self._last_checkpoint
-        if checkpoint is None:
-            return
-        drop = checkpoint.ingress_offset - self.ingress_base
-        if drop > 0:
-            del self.ingress_log[:drop]
-            self.ingress_base = checkpoint.ingress_offset
-            self.ingress_compacted += drop
-
     def _stop_the_world(self, body: typing.Generator):
         """Process helper: run ``body`` with the world stopped, once
         every stop-the-world operation requested before it is done."""
@@ -520,15 +487,8 @@ class StatefunRuntime:
     def _take_checkpoint_locked(self):
         yield from self._pause()
         yield self.env.timeout(self.costs.checkpoint_sync)
-        self._last_checkpoint = _Checkpoint(
-            time=self.env.now,
-            ingress_offset=self.ingress_base + len(self.ingress_log),
-            worker_states=self._snapshot_worker_states(),
-            worker_queues=[list(worker.queue)
-                           for worker in self.workers])
+        self._seal(full=False)
         self.checkpoints_taken += 1
-        self._compact_ingress()
-        self._enforce_resident_budget()
         self._resume()
 
     def inject_failure(self) -> typing.Generator:
@@ -654,14 +614,7 @@ class StatefunRuntime:
         # The old checkpoint's per-worker layout no longer matches the
         # topology; seal a full snapshot so a later failure restores
         # into the new shape (savepoint semantics).
-        self._last_checkpoint = _Checkpoint(
-            time=self.env.now,
-            ingress_offset=self.ingress_base + len(self.ingress_log),
-            worker_states=self._snapshot_worker_states(full=True),
-            worker_queues=[list(worker.queue)
-                           for worker in self.workers])
-        self._compact_ingress()
-        self._enforce_resident_budget()
+        self._seal(full=True)
         self.rescales += 1
         self._resume()
 
@@ -701,5 +654,5 @@ class StatefunRuntime:
             "peak_resident": sum(w.peak_resident for w in self.workers),
             "resident": sum(len(w.state) for w in self.workers),
             "paged": sum(len(w.cold) for w in self.workers),
-            "limit": self.config.max_resident_addresses,
+            "limit": self.config.activation_limit,
         }

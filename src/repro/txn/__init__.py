@@ -13,7 +13,6 @@ from repro.txn.context import TransactionContext, TransactionStatus
 from repro.txn.coordinator import (
     Transaction,
     TransactionRunner,
-    TxnConfig,
     TxnStats,
 )
 from repro.txn.errors import TransactionAborted, TransactionError
@@ -31,6 +30,5 @@ __all__ = [
     "TransactionRunner",
     "TransactionStatus",
     "TransactionalGrain",
-    "TxnConfig",
     "TxnStats",
 ]

@@ -33,7 +33,7 @@ class TransactionContext:
                  locking: bool = True) -> None:
         self.txid = next(_txn_sequence)
         self.start_time = start_time
-        #: False under the ``TxnConfig.enable_locking`` ablation: every
+        #: False under the ``AppConfig.enable_locking`` ablation: every
         #: lock request is granted at once and prepare never vetoes.
         self.locking = locking
         self.priority = inherit_priority or (start_time, self.txid)

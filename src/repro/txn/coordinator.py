@@ -20,27 +20,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
 
 
-@dataclasses.dataclass
-class TxnConfig:
-    """Retry policy and ablation switches for distributed transactions."""
-
-    max_retries: int = 8
-    backoff_base: float = 0.002
-    backoff_factor: float = 2.0
-    backoff_jitter: float = 0.5
-    #: Ablation switches (bench A1): disable pieces of the protocol.
-    enable_locking: bool = True
-    enable_two_phase_commit: bool = True
-
-    def __post_init__(self) -> None:
-        # Every rule is a comparison that NaN fails.
-        rules = [(name, ">= 0", getattr(self, name) >= 0) for name in (
-            "max_retries", "backoff_base", "backoff_jitter")]
-        rules += [("backoff_factor", ">= 1", self.backoff_factor >= 1)]
-        for name, rule, holds in rules:
-            if not holds:
-                raise ValueError(
-                    f"{name} must be {rule}, got {getattr(self, name)}")
+#: Retries after the first attempt before a transaction aborts.
+MAX_RETRIES = 8
+#: Backoff before retry ``n``: ``BACKOFF_BASE * BACKOFF_FACTOR ** (n - 1)``
+#: stretched by up to ``BACKOFF_JITTER`` of itself.
+BACKOFF_BASE = 0.002
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.5
 
 
 @dataclasses.dataclass
@@ -68,11 +54,12 @@ class TransactionRunner:
     original wait-die priority* so old transactions eventually win.
     """
 
-    def __init__(self, cluster: "Cluster",
-                 config: TxnConfig | None = None) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.env = cluster.env
-        self.config = config or TxnConfig()
+        #: The cluster's deployment: its ``enable_locking`` and
+        #: ``enable_two_phase_commit`` ablation switches and its costs.
+        self.config = cluster.config
         self.costs = cluster.costs
         self.stats = TxnStats()
         self._rng = cluster.env.rng("txn-runner")
@@ -91,9 +78,8 @@ class TransactionRunner:
 
     # ------------------------------------------------------------------
     def _backoff(self, attempt: int) -> float:
-        base = self.config.backoff_base * (
-            self.config.backoff_factor ** (attempt - 1))
-        jitter = 1.0 + self.config.backoff_jitter * self._rng.random()
+        base = BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1)
+        jitter = 1.0 + BACKOFF_JITTER * self._rng.random()
         return base * jitter
 
 
@@ -239,11 +225,11 @@ class Transaction(Event):
         self._abort()
         runner = self.runner
         attempt = self.ctx.attempt
-        if attempt > runner.config.max_retries:
+        if attempt > MAX_RETRIES:
             runner.stats.aborted += 1
             self._settle(False, TransactionAborted(
                 f"txn {self.ctx.txid} exceeded "
-                f"{runner.config.max_retries} retries", reason="veto"))
+                f"{MAX_RETRIES} retries", reason="veto"))
             return
         runner.stats.retries += 1
         self.env.call_after(runner._backoff(attempt), self._attempt)
@@ -284,7 +270,7 @@ class Transaction(Event):
             stats.wait_die_deaths += 1
         attempt = self.ctx.attempt
         if (not isinstance(exc, (TransactionAborted, SiloUnavailable))
-                or attempt > runner.config.max_retries):
+                or attempt > MAX_RETRIES):
             # A non-transactional failure is never retried.
             stats.aborted += 1
             self._settle(False, exc)

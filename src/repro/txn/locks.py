@@ -42,7 +42,7 @@ class LockManager:
     ``"failure"``) instead of taking the lock.
 
     A context created with ``locking=False`` (the
-    ``TxnConfig.enable_locking`` ablation, bench A1) is granted every
+    ``AppConfig.enable_locking`` ablation, bench A1) is granted every
     request at once and holds nothing: no isolation is provided.
     """
 

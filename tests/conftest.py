@@ -1,0 +1,15 @@
+"""Fixtures that set a deployment constant for one test."""
+
+import pytest
+
+
+@pytest.fixture
+def instant_failure_detection(monkeypatch):
+    """A crashed silo leaves the membership view at once."""
+    monkeypatch.setattr("repro.actors.cluster.FAILURE_DETECTION_DELAY", 0.0)
+
+
+@pytest.fixture
+def no_txn_retries(monkeypatch):
+    """A vetoed or failed transaction settles on its first attempt."""
+    monkeypatch.setattr("repro.txn.coordinator.MAX_RETRIES", 0)

@@ -4,12 +4,12 @@ import pytest
 
 from repro.actors import (
     Cluster,
-    ClusterConfig,
     ConsistentHashPlacement,
     Grain,
     GrainCallError,
 )
 from repro.actors.errors import MessageDropped, UnknownGrainType
+from repro.config import AppConfig
 from repro.costs import CostModel
 from repro.runtime import Environment, SimulationError
 
@@ -46,9 +46,9 @@ class Relay(Grain):
         return result
 
 
-def make_cluster(seed=1, costs=None, **config_kwargs):
+def make_cluster(seed=1, **config_kwargs):
     env = Environment(seed=seed)
-    cluster = Cluster(env, ClusterConfig(**config_kwargs), costs=costs)
+    cluster = Cluster(env, AppConfig(**config_kwargs))
     return env, cluster
 
 
@@ -302,10 +302,9 @@ def test_dropped_tell_is_lost_silently_and_counted():
     (0.015, ["slow"]),           # the body waits on its timeout
 ])
 def test_tell_caught_by_a_crash_is_lost_silently_and_counted(
-        crash_at, trail):
+        crash_at, trail, instant_failure_detection):
     Doomed.ran = []
-    env, cluster = make_cluster(silos=2, failure_detection_delay=0.0,
-                                costs=CostModel(grain_cpu=0.01))
+    env, cluster = make_cluster(silos=2, costs=CostModel(grain_cpu=0.01))
     ref = cluster.grain_ref(Doomed, "x")
     ref.tell("slow")
     env.run(until=crash_at)
@@ -374,36 +373,25 @@ def test_utilisation_reporting():
     assert all(value == 0.0 for value in usage.values())
 
 
-@pytest.mark.parametrize("field, value", [
-    ("failure_detection_delay", -1.0),
-    ("failure_detection_delay", float("nan")),
-    ("drop_probability", -0.1),
-    ("drop_probability", 1.1),
-    ("silos", 0),
-    ("cores_per_silo", 0),
-    ("max_delivery_attempts", 0),
-    ("activation_limit", 0),
-])
-def test_cluster_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        ClusterConfig(**{field: value})
-
-
 def test_cluster_config_accepts_defaults_boundaries_and_the_catalogue():
+    """The cluster takes its shape from the app's own config: defaults,
+    boundaries (one silo and core, a certain drop, a one-grain budget)
+    and every catalogue scenario's deployment."""
     from repro.core.scenarios import SCENARIOS
 
-    ClusterConfig()
-    # Zero is a legal delay, 0 and 1 legal drop rates, None no limit.
-    ClusterConfig(failure_detection_delay=0.0, drop_probability=1.0,
-                  silos=1, cores_per_silo=1, max_delivery_attempts=1,
-                  activation_limit=1)
-    for scenario in SCENARIOS.values():
-        config = ClusterConfig(
-            silos=scenario.effective_silos,
-            cores_per_silo=scenario.effective_cores,
-            drop_probability=scenario.drop_probability,
-            activation_limit=scenario.activation_limit)
-        assert config.silos >= 1, scenario.name
+    configs = [AppConfig(), AppConfig(silos=1, cores_per_silo=1,
+                                      drop_probability=1.0,
+                                      activation_limit=1)]
+    configs += [AppConfig(silos=scenario.effective_silos,
+                          cores_per_silo=scenario.effective_cores,
+                          drop_probability=scenario.drop_probability,
+                          activation_limit=scenario.activation_limit)
+                for scenario in SCENARIOS.values()]
+    for config in configs:
+        cluster = Cluster(Environment(), config)
+        assert cluster.config is config
+        assert [silo.cores for silo in cluster.silos] == \
+            [config.cores_per_silo] * config.silos
 
 
 def test_two_clusters_in_one_process_build_equal_rings():

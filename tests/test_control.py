@@ -244,7 +244,7 @@ class TestPlaneSelection:
 def _config(**overrides):
     base = dict(slo=SLOTarget(queue_delay_p95=0.1, error_rate=0.05),
                 interval=1.0, window=2.0, min_silos=1, max_silos=4,
-                breach_ticks=2, clear_ticks=3, scale_down_fraction=0.3,
+                breach_ticks=2, clear_ticks=3,
                 cooldown_up=0.0, cooldown_down=0.0)
     base.update(overrides)
     return AutoscalerConfig(**base)

@@ -61,18 +61,23 @@ def test_one_app_config_reaches_every_layer_that_charges_it():
     apps = {name: ALL_APPS[name](Environment(seed=1), config)
             for name in ("orleans-eventual", "orleans-transactions",
                          "statefun", "customized-orleans")}
+    # Every runtime reads the app's own config, costs included.
     for name in ("orleans-eventual", "orleans-transactions",
                  "customized-orleans"):
+        assert apps[name].cluster.config is config, name
         assert apps[name].cluster.costs is costs, name
     for name in ("orleans-transactions", "customized-orleans"):
+        assert apps[name].runner.config is config, name
         assert apps[name].runner.costs is costs, name
+    assert apps["statefun"].runtime.config is config
     assert apps["statefun"].runtime.costs is costs
     broker = apps["orleans-eventual"].cluster.broker
     assert (broker.base_latency, broker.jitter) == (0.007, 3 * 0.007)
     assert apps["customized-orleans"].kv.replication_lag == 0.007
 
 
-#: Suffixes of a cost's name; ``backoff_jitter`` is retry policy.
+#: Suffixes of a cost's name; a jitter may be retry policy
+#: (``BACKOFF_JITTER``).
 COST_SUFFIXES = ("_latency", "_cpu", "_pause")
 
 

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.apps import AppConfig, StatefunApp
+from repro.config import AppConfig
 from repro.costs import CostModel
-from repro.dataflow import (
-    StatefulFunction,
-    StatefunConfig,
-    StatefunRuntime,
-)
+from repro.dataflow import StatefulFunction, StatefunRuntime
 from repro.runtime import Environment, SimulationError
 
 
@@ -41,10 +37,10 @@ class AckFn(StatefulFunction):
         return None
 
 
-def make_runtime(seed=1, costs=None, **config_kwargs):
+def make_runtime(seed=1, **config_kwargs):
     env = Environment(seed=seed)
     config_kwargs.setdefault("checkpoint_interval", 0.0)
-    runtime = StatefunRuntime(env, StatefunConfig(**config_kwargs), costs)
+    runtime = StatefunRuntime(env, AppConfig(**config_kwargs))
     runtime.register("counter", CounterFn())
     runtime.register("chain", ChainFn())
     runtime.register("ack", AckFn())
@@ -91,9 +87,9 @@ def test_same_key_processed_sequentially():
             order.append((payload, context.worker.env.now))
 
     env = Environment()
-    runtime = StatefunRuntime(env, StatefunConfig(checkpoint_interval=0.0,
-                                                  partitions=1),
-                              CostModel(function_cpu=0.01))
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=1, checkpoint_interval=0.0,
+        costs=CostModel(function_cpu=0.01)))
     runtime.register("slow", SlowFn())
     for i in range(3):
         runtime.send_ingress("slow", "k", i)
@@ -104,8 +100,8 @@ def test_same_key_processed_sequentially():
 
 
 def test_partition_routing_is_deterministic():
-    env1, runtime1 = make_runtime(seed=1, partitions=4)
-    env2, runtime2 = make_runtime(seed=99, partitions=4)
+    env1, runtime1 = make_runtime(seed=1, silos=4)
+    env2, runtime2 = make_runtime(seed=99, silos=4)
     for key in ("a", "b", "c", "d", "e"):
         w1 = runtime1.worker_for(("counter", key)).index
         w2 = runtime2.worker_for(("counter", key)).index
@@ -113,7 +109,7 @@ def test_partition_routing_is_deterministic():
 
 
 def test_keys_spread_across_partitions():
-    env, runtime = make_runtime(partitions=4)
+    env, runtime = make_runtime(silos=4)
     indexes = {runtime.worker_for(("counter", f"k{i}")).index
                for i in range(100)}
     assert len(indexes) == 4
@@ -194,9 +190,9 @@ def test_recovery_counts_and_pause_cost():
 
 def test_envelope_cpu_charged_per_message():
     env = Environment()
-    config = StatefunConfig(checkpoint_interval=0.0, partitions=1)
-    runtime = StatefunRuntime(env, config, CostModel(envelope_cpu=0.01,
-                                                     delivery_latency=0.0))
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=1, checkpoint_interval=0.0,
+        costs=CostModel(envelope_cpu=0.01, delivery_latency=0.0)))
     runtime.register("counter", CounterFn())
     for i in range(5):
         runtime.send_ingress("counter", f"k{i}", "hit")
@@ -209,31 +205,35 @@ def test_a_partition_serves_one_message_at_a_time_whatever_its_cores():
     """A partition has no core count: it runs its messages one after
     another, as a single-threaded subtask does, even for distinct keys
     (``AppConfig.cores_per_silo`` never reaches a statefun run)."""
-    ends = []
-
-    class TimedFn(StatefulFunction):
-        def invoke(self, context, payload):
-            ends.append(context.runtime.env.now)
-
-    env = Environment()
     costs = CostModel(function_cpu=0.002, envelope_cpu=0.001,
                       delivery_latency=0.0)
-    runtime = StatefunRuntime(env, StatefunConfig(
-        checkpoint_interval=0.0, partitions=1), costs)
-    runtime.register("timed", TimedFn())
-    for i in range(8):
-        runtime.send_ingress("timed", f"k{i}", i)
-    env.run()
+
+    def ends_on(cores):
+        ends = []
+
+        class TimedFn(StatefulFunction):
+            def invoke(self, context, payload):
+                ends.append(context.runtime.env.now)
+
+        env = Environment()
+        runtime = StatefunRuntime(env, AppConfig(
+            silos=1, cores_per_silo=cores, checkpoint_interval=0.0,
+            costs=costs))
+        runtime.register("timed", TimedFn())
+        for i in range(8):
+            runtime.send_ingress("timed", f"k{i}", i)
+        env.run()
+        assert env.now >= 8 * service - 1e-12
+        return ends
+
     # An invocation ends its CPU charge; the charges never overlap.
     service = costs.function_cpu + costs.envelope_cpu
+    ends = ends_on(1)
     assert len(ends) == 8
     for earlier, later in zip(ends, ends[1:]):
         assert later - service >= earlier - 1e-12
-    assert env.now >= 8 * service - 1e-12
-    # The app's core count builds the very same runtime configuration.
-    one, eight = (StatefunApp(Environment(), AppConfig(
-        silos=1, cores_per_silo=cores)).runtime.config for cores in (1, 8))
-    assert one == eight
+    # Eight cores serve the very same timeline.
+    assert ends_on(8) == ends
 
 
 def stop_the_world_trail():
@@ -241,7 +241,7 @@ def stop_the_world_trail():
     messages flow; returns the ``(env.now, label)`` trail of each
     request and of each stop-the-world body's start and end, and the
     kernel events the run cost."""
-    env, runtime = make_runtime(partitions=2, costs=CostModel(
+    env, runtime = make_runtime(silos=2, costs=CostModel(
         checkpoint_sync=0.02, rescale_pause=0.08, recovery_pause=0.25))
     trail = []
     for name in ("_take_checkpoint_locked", "_rescale_locked",
@@ -291,7 +291,7 @@ def test_contended_stop_the_world_runs_fifo():
 
 
 def test_total_queued_reflects_backlog():
-    env, runtime = make_runtime(partitions=1)
+    env, runtime = make_runtime(silos=1)
     for i in range(10):
         runtime.send_ingress("counter", f"k{i}", "hit")
     assert runtime.total_queued == 0  # not yet delivered

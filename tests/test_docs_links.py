@@ -100,6 +100,28 @@ def test_stale_class_attribute_is_reported(tmp_path):
         "docs/guide.md: `Plane.taxi`"]
 
 
+def test_stale_class_name_is_reported(tmp_path):
+    """A bare capitalised name in README.md or a top-level doc must name
+    a class under ``src/`` or a Python builtin; the history log is
+    exempt, and so are an all-capitals constant and a doc below
+    ``docs/``."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").touch()
+    (package / "mod.py").write_text("class Plane:\n    pass\n")
+    (tmp_path / "docs" / "notes").mkdir(parents=True)
+    refs = ("`Plane`, `Plane()`, `None`, `TypeError`, `MAX_SPEED`, "
+            "`Ship`, `Hangar()`.\n")
+    (tmp_path / "README.md").write_text(refs)
+    (tmp_path / "docs" / "guide.md").write_text("`Glider`\n")
+    (tmp_path / "docs" / "performance.md").write_text(refs)
+    (tmp_path / "docs" / "notes" / "old.md").write_text(refs)
+    assert _load_check_links().check(tmp_path) == [
+        "README.md: `Ship`",
+        "README.md: `Hangar`",
+        "docs/guide.md: `Glider`"]
+
+
 def test_docs_tree_present():
     # The operator documentation the README links out to.
     for name in ("architecture.md", "scenarios.md", "metrics.md"):

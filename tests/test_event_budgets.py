@@ -41,13 +41,14 @@ import inspect
 
 import pytest
 
-from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
+from repro.actors import Cluster, Grain, SiloUnavailable
 from repro.actors.silo import SiloState
 from repro.apps import customized, grains_eventual, grains_txn
 from repro.apps.grains_eventual import ProductGrain, ShipmentGrain
 from repro.apps.grains_txn import TxnProductGrain
+from repro.config import AppConfig
 from repro.costs import CostModel
-from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
+from repro.dataflow import StatefulFunction, StatefunRuntime
 from repro.runtime import Environment, SimulationError, Timeout
 from repro.runtime.process import Process
 from repro.txn import (
@@ -55,7 +56,6 @@ from repro.txn import (
     TransactionalGrain,
     TransactionParticipant,
     TransactionRunner,
-    TxnConfig,
 )
 from repro.txn.participant import COMMIT_LOG_TAIL
 
@@ -101,7 +101,7 @@ def test_call_to_a_method_that_never_waits_costs_three_events(
 
     monkeypatch.setattr(Process, "__init__", counting_init)
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig())
+    cluster = Cluster(env)
     ref = cluster.grain_ref(grain_type, "k")
     # Delivery, CPU hold, the reply carrying the promise — on a cold
     # activation (nothing to read, no hook: ready at construction) and
@@ -113,7 +113,7 @@ def test_call_to_a_method_that_never_waits_costs_three_events(
 
 def test_a_waiting_method_adds_exactly_its_own_events():
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig())
+    cluster = Cluster(env)
     ref = cluster.grain_ref(Reentrant, "k")
     assert events_for(env, ref.call("waits", 0.001)) == 3 + 1
 
@@ -172,7 +172,7 @@ def profiled_frames(action, repeats):
 
 def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig())
+    cluster = Cluster(env)
     ref = cluster.grain_ref(Plain, "k")
     for _ in range(10):
         env.run(until=ref.call("plain"))
@@ -190,7 +190,7 @@ def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
 @pytest.mark.parametrize("grain_type", [Plain, Reentrant])
 def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig())
+    cluster = Cluster(env)
     ref = cluster.grain_ref(grain_type, "k")
     for _ in range(10):
         ref.tell("plain")
@@ -232,8 +232,8 @@ RETIRED_CORE_FRAMES = {"request", "_grant", "_release_slot", "_account"}
 def test_a_turn_queued_behind_a_busy_core_stays_in_its_frame_budget():
     env = Environment(seed=1)
     # No jitter: the first call always reaches the only core first.
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
-                      costs=CostModel(remote_jitter=0.0))
+    cluster = Cluster(env, AppConfig(silos=1, cores_per_silo=1,
+                                     costs=CostModel(remote_jitter=0.0)))
     first, second = (cluster.grain_ref(Plain, key) for key in "ab")
 
     def pair():
@@ -298,7 +298,7 @@ def all_frames(action, repeats):
                          ids=lambda grain_type: grain_type.__name__)
 def test_a_cold_activation_stays_in_its_frame_budget(grain_type):
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(silos=1))
+    cluster = Cluster(env, AppConfig(silos=1))
     (silo,) = cluster.silos
     activations = 1000
     frames = all_frames(
@@ -319,7 +319,7 @@ def test_a_first_touch_call_files_its_grain_in_one_step():
     """A call to a grain without an activation is placed by the ring
     (its hash inline), activates the grain and files it in one step."""
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(silos=2))
+    cluster = Cluster(env, AppConfig(silos=2))
     calls = 200
     frames = {}
     for code, count in all_frames(lambda index: env.run(
@@ -407,8 +407,8 @@ def test_statefun_message_costs_one_delivery_event():
             context.state["seen"] = payload
 
     env = Environment(seed=1)
-    runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=1, checkpoint_interval=0), FREE_FUNCTIONS)
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=1, checkpoint_interval=0, costs=FREE_FUNCTIONS))
     runtime.register("sink", Sink())
     env.run()  # worker parked on its empty queue
     before = env.events_processed
@@ -457,8 +457,8 @@ RETIRED_STATEFUN_FRAMES = {"address", "isgenerator", "triggered", "_loop",
 
 def test_statefun_message_stays_in_its_frame_budget():
     env = Environment(seed=1)
-    runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=4, checkpoint_interval=0), FREE_FUNCTIONS)
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=4, checkpoint_interval=0, costs=FREE_FUNCTIONS))
     runtime.register("relay", Relay())
     chains, hops = 100, 9
 
@@ -512,8 +512,8 @@ class Faulty(StatefulFunction):
     "raises", "raises-after-a-wait", "yields-a-non-event"])
 def test_statefun_function_failure_surfaces_as_simulation_error(payload):
     env = Environment(seed=1)
-    runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=1, checkpoint_interval=0), FREE_FUNCTIONS)
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=1, checkpoint_interval=0, costs=FREE_FUNCTIONS))
     runtime.register("faulty", Faulty())
     runtime.send_ingress("faulty", "k", payload)
     with pytest.raises(SimulationError) as excinfo:
@@ -535,13 +535,13 @@ RUN_OVERHEAD = 1
 HOP, LOG, COORDINATOR_LOG = 0.0003, 0.0005, 0.0005
 
 
-def make_runner(log=LOG, **txn_kwargs):
+def make_runner(log=LOG, **config_kwargs):
     """A runner whose participants force their log for ``log``."""
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(), costs=CostModel(
+    cluster = Cluster(env, AppConfig(costs=CostModel(
         control_latency=HOP, participant_log_latency=log,
-        coordinator_log_latency=COORDINATOR_LOG))
-    runner = TransactionRunner(cluster, TxnConfig(**txn_kwargs))
+        coordinator_log_latency=COORDINATOR_LOG), **config_kwargs))
+    runner = TransactionRunner(cluster)
     return env, runner
 
 
@@ -630,8 +630,9 @@ def test_one_shot_commit_ablation_reuses_the_commit_round():
     assert all(p.commits == 1 and p.prepares == 0 for p in participants)
 
 
+@pytest.mark.usefixtures("no_txn_retries")
 def test_veto_skips_the_log_force():
-    env, runner = make_runner(max_retries=0)
+    env, runner = make_runner()
     (participant,) = make_participants(env, 1)
     env.run(until=0.0123)
 
@@ -651,8 +652,9 @@ def test_veto_skips_the_log_force():
     assert [entry[2] for entry in participant.commit_log] == ["aborted"]
 
 
+@pytest.mark.usefixtures("no_txn_retries")
 def test_yes_voters_still_force_their_log_beside_a_veto():
-    env, runner = make_runner(log=0.001, max_retries=0)
+    env, runner = make_runner(log=0.001)
     voter, vetoer = make_participants(env, 2)
 
     def body(ctx):
@@ -671,10 +673,11 @@ def test_yes_voters_still_force_their_log_beside_a_veto():
     assert voter.committed_state == {} and not voter.lock.holders()
 
 
+@pytest.mark.usefixtures("no_txn_retries")
 @pytest.mark.parametrize("outcome", ["veto", "body-fails", "body-raises"])
 def test_a_failed_transaction_nobody_awaits_surfaces_as_simulation_error(
         outcome):
-    env, runner = make_runner(max_retries=0)
+    env, runner = make_runner()
     (participant,) = make_participants(env, 1)
 
     def body(ctx):
@@ -931,11 +934,12 @@ SLOW_TURNS = CostModel(grain_cpu=0.01)
 
 
 def crash_cluster():
+    """Two one-core silos, slow turns; run under
+    ``instant_failure_detection`` so a crash evicts at once."""
     Witness.trail = []
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(
-        silos=2, cores_per_silo=1, failure_detection_delay=0.0),
-        costs=SLOW_TURNS)
+    cluster = Cluster(env, AppConfig(silos=2, cores_per_silo=1,
+                                     costs=SLOW_TURNS))
     keys = {silo: [key for key in (f"w{i}" for i in range(40))
                    if cluster.placement.place("Witness", key) is silo]
             for silo in cluster.silos}
@@ -955,6 +959,7 @@ def outcomes_of(promise):
     return seen
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_crash_while_a_turn_waits_for_a_core():
     env, cluster, keys = crash_cluster()
     victim = cluster.silos[0]
@@ -973,6 +978,7 @@ def test_crash_while_a_turn_waits_for_a_core():
     assert cluster.membership.unavailable_failures == 2
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_crash_while_a_turn_is_suspended_in_a_nested_call():
     env, cluster, keys = crash_cluster()
     victim, survivor = cluster.silos
@@ -990,6 +996,7 @@ def test_crash_while_a_turn_is_suspended_in_a_nested_call():
     assert ("after", outer) not in Witness.trail
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_failure_arriving_for_an_abandoned_turn_is_absorbed():
     env, cluster, keys = crash_cluster()
     victim, survivor = cluster.silos
@@ -1003,6 +1010,7 @@ def test_failure_arriving_for_an_abandoned_turn_is_absorbed():
     assert [step[0] for step in Witness.trail] == ["before", "ran"]
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_crash_after_the_reply_left_delivers_the_result_once():
     env, cluster, keys = crash_cluster()
     victim = cluster.silos[0]
@@ -1032,6 +1040,7 @@ class Slow(Grain):
         return tag
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_message_queued_on_a_crashing_silo_is_replaced_as_the_same_object():
     Slow.served = []
     env, cluster, _ = crash_cluster()
@@ -1074,6 +1083,7 @@ def flags_of(silo):
     return silo.alive, silo.accepting_activations
 
 
+@pytest.mark.usefixtures("instant_failure_detection")
 def test_liveness_flags_move_with_state_on_every_transition():
     env, cluster, keys = crash_cluster()
     drained, crashed = cluster.silos
@@ -1106,9 +1116,9 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
     Slow.served = []
     env = Environment(seed=1)
     # No jitter: the wire keeps send order, so arrival order is known.
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=4),
-                      costs=dataclasses.replace(SLOW_TURNS,
-                                                remote_jitter=0.0))
+    cluster = Cluster(env, AppConfig(
+        silos=1, cores_per_silo=4,
+        costs=dataclasses.replace(SLOW_TURNS, remote_jitter=0.0)))
     ref = cluster.grain_ref(Slow, "s")
     activation = cluster.activation_of(ref)
     replies = []
@@ -1204,8 +1214,8 @@ def actor_timeline():
     processed."""
     Sequenced.timeline = timeline = []
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1),
-                      costs=TIMELINE_COSTS)
+    cluster = Cluster(env, AppConfig(silos=2, cores_per_silo=1,
+                                     costs=TIMELINE_COSTS))
 
     def refs(grain_type, silo, count):
         keys = (f"k{i}" for i in range(100))
@@ -1399,9 +1409,9 @@ def txn_timeline():
     Ledger.timeline = timeline = []
     Ledger.names = names = {}
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2, cores_per_silo=1),
-                      costs=TIMELINE_COSTS)
-    runner = TransactionRunner(cluster, TxnConfig())
+    cluster = Cluster(env, AppConfig(silos=2, cores_per_silo=1,
+                                     costs=TIMELINE_COSTS))
+    runner = TransactionRunner(cluster)
     left, right = cluster.silos
 
     def ref(grain_type, silo, skip=0):
@@ -1554,8 +1564,8 @@ def statefun_timeline():
     steps in dispatch order and the kernel events processed."""
     Hop.timeline = timeline = []
     env = Environment(seed=3)
-    runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=3, checkpoint_interval=0), STATEFUN_TIMELINE_COSTS)
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=3, checkpoint_interval=0, costs=STATEFUN_TIMELINE_COSTS))
     runtime.register("hop", Hop())
 
     def request(label, key, hops, fan):

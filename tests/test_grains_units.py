@@ -1,20 +1,20 @@
 """Focused unit tests on individual grain behaviours (eventual app,
 plus the leaf writers of the transactional one)."""
 
-from repro.actors import Cluster, ClusterConfig
+from repro.actors import Cluster
 from repro.apps import grains_eventual as grains
 from repro.apps import grains_txn
-from repro.apps.base import AppConfig
+from repro.config import AppConfig
 from repro.marketplace.logic import customer as customer_logic
 from repro.runtime import Environment
-from repro.txn import LockMode, TransactionRunner, TxnConfig
+from repro.txn import LockMode, TransactionRunner
 
 
 class FakeApp:
     """Just enough app context for grains under test."""
 
     def __init__(self, cluster):
-        self.config = AppConfig()
+        self.config = cluster.config
         self.cluster = cluster
 
     def shipment_partition(self, order_id):
@@ -23,7 +23,7 @@ class FakeApp:
 
 def make_cluster(seed=1):
     env = Environment(seed=seed)
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=2))
+    cluster = Cluster(env, AppConfig(silos=1, cores_per_silo=2))
     cluster.app = FakeApp(cluster)
     return env, cluster
 
@@ -258,7 +258,7 @@ class TestWritersOnAGrainWithNoRecord:
         what the grain's participant had staged and locked for the
         transaction once the call returned, before the commit."""
         env, cluster = make_cluster()
-        runner = TransactionRunner(cluster, TxnConfig())
+        runner = TransactionRunner(cluster)
         ref = cluster.grain_ref(grain_type, key)
         seen = {}
 

@@ -6,12 +6,12 @@ import pytest
 
 from repro.actors import (
     Cluster,
-    ClusterConfig,
     Grain,
     NoLiveSilos,
     SiloState,
     SiloUnavailable,
 )
+from repro.config import AppConfig
 from repro.control import (
     AddSilo,
     ControlPlane,
@@ -39,10 +39,13 @@ class VolatileCounter(Grain):
         yield  # pragma: no cover - generator marker
 
 
-def make_cluster(seed=1, detection=0.0, **config_kwargs):
+#: Crashes here are detected at once unless a test says otherwise.
+pytestmark = pytest.mark.usefixtures("instant_failure_detection")
+
+
+def make_cluster(seed=1, **config_kwargs):
     env = Environment(seed=seed)
-    cluster = Cluster(env, ClusterConfig(
-        failure_detection_delay=detection, **config_kwargs))
+    cluster = Cluster(env, AppConfig(**config_kwargs))
     return env, cluster
 
 
@@ -86,8 +89,11 @@ class TestCrash:
         for key in survivors[:3]:  # untouched elsewhere
             assert call_sync(env, refs[key], "get") == 1
 
-    def test_calls_fail_during_detection_window_then_recover(self):
-        env, cluster = make_cluster(detection=0.5)
+    def test_calls_fail_during_detection_window_then_recover(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.actors.cluster.FAILURE_DETECTION_DELAY",
+                            0.5)
+        env, cluster = make_cluster()
         ref = None
         victim = cluster.silos[2]
         for key in KEYS:  # find a key owned by the victim

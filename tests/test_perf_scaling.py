@@ -42,34 +42,20 @@ from repro.txn.participant import TransactionalGrain, TransactionParticipant
 MAX_GROWTH = 1.10
 
 #: Python calls per committed transaction at ``duration_scale`` 0.8.
-#: Measured 235.3 (bound: measured + 6 %, so that the 255.8 of a
-#: grain call that schedules through ``call_after``,
-#: ``Resource.hold`` and ``trigger_after`` fails it); 306 while a 2PC
-#: transaction was a generator resumed through the caller's process
-#: and an uncontended lock grant called ``acquire`` / ``release``,
-#: 360 while the promise was an event beside the message
-#: and a call went through ``dispatch`` and ``enqueue``, 484 while a
-#: transactional read was a ``CowState`` view, 530 while an
-#: uncontended lock grant called ``held_by``, ``_conflicts`` and
-#: ``_wake``, and 679 while a grain call was a message, a turn and two
-#: closures reading kernel state through properties.
-MAX_CALLS_PER_TX = 250
+#: Measured 198.6 (bound: measured + 4 %).
+MAX_CALLS_PER_TX = 207
 
 
 #: Python calls per committed transaction of the ``orleans-eventual``
 #: cell at ``duration_scale`` 0.8: every service interaction is a
 #: grain call and checkout's stock reservation a fan-out.  Measured
-#: 179.2 (bound: measured + 10 %); 209.9 while a grain call's hop,
-#: CPU hold and reply went through the kernel's scheduling helpers and
-#: a fan-out read the event-state properties.
-MAX_EVENTUAL_CALLS_PER_TX = 198
+#: 168.2 (bound: measured + 4 %).
+MAX_EVENTUAL_CALLS_PER_TX = 175
 
 
 #: Python calls per committed transaction of the ``statefun`` cell at
-#: ``duration_scale`` 0.8.  Measured 161.4; 208.6 while a message
-#: was delivered by a closure on a pooled event and its CPU charge
-#: was a ``Resource.hold`` on a one-slot-in-use resource.
-MAX_STATEFUN_CALLS_PER_TX = 178
+#: ``duration_scale`` 0.8.  Measured 125.2 (bound: measured + 4 %).
+MAX_STATEFUN_CALLS_PER_TX = 131
 
 
 #: Python calls per committed transaction of the ``orleans-eventual``

@@ -8,7 +8,8 @@ import pytest
 
 import repro.runtime
 
-from repro.actors import Cluster, ClusterConfig, Grain
+from repro.actors import Cluster, Grain
+from repro.config import AppConfig
 from repro.costs import CostModel
 from repro.runtime import (
     AllOf,
@@ -298,9 +299,9 @@ class Plain(Grain):
 def _nan_cost(env, cluster):
     """A second cluster on the same clock whose turns would each keep
     a core for NaN seconds."""
-    nan_cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
-                          costs=dataclasses.replace(cluster.costs,
-                                                    grain_cpu=float("nan")))
+    nan_cluster = Cluster(env, AppConfig(
+        silos=1, cores_per_silo=1,
+        costs=dataclasses.replace(cluster.costs, grain_cpu=float("nan"))))
     env.run(until=nan_cluster.grain_ref(Plain, "k").call("plain"))
 
 
@@ -327,7 +328,7 @@ def test_nan_delay_or_stop_time_is_rejected(call):
     only when a queued turn is granted its core, it would keep that
     core for good and starve the silo."""
     env = Environment()
-    cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1))
+    cluster = Cluster(env, AppConfig(silos=1, cores_per_silo=1))
     (silo,) = cluster.silos
 
     def ticker(env):
@@ -371,8 +372,8 @@ class TestSiloCores:
         # Grain turns on a one-core silo over a zero-latency wire, all
         # sent at 0: each turn holds the core for 1 s.
         env = Environment()
-        cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=1),
-                          costs=zero_wire(grain_cpu=1.0))
+        cluster = Cluster(env, AppConfig(silos=1, cores_per_silo=1,
+                                         costs=zero_wire(grain_cpu=1.0)))
         (silo,) = cluster.silos
         order = []
 
@@ -390,8 +391,8 @@ class TestSiloCores:
     def test_utilisation_accounting(self):
         # One grain turn holding a core of a two-core silo for 4 s.
         env = Environment()
-        cluster = Cluster(env, ClusterConfig(silos=1, cores_per_silo=2),
-                          costs=zero_wire(grain_cpu=4.0))
+        cluster = Cluster(env, AppConfig(silos=1, cores_per_silo=2,
+                                         costs=zero_wire(grain_cpu=4.0)))
         (silo,) = cluster.silos
 
         class Busy(Grain):

@@ -8,7 +8,7 @@ from repro.apps import AppConfig, StatefunApp
 from repro.control import run_scenario
 from repro.core import Dataset, WorkloadConfig
 from repro.costs import CostModel
-from repro.dataflow import StatefulFunction, StatefunConfig, StatefunRuntime
+from repro.dataflow import StatefulFunction, StatefunRuntime
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
@@ -173,8 +173,8 @@ def test_cross_partition_messages_marked_and_charged():
     (no sending worker) is never marked."""
     env = Environment(seed=5)
     costs = CostModel()
-    runtime = StatefunRuntime(env, StatefunConfig(
-        partitions=2, checkpoint_interval=0), costs)
+    runtime = StatefunRuntime(env, AppConfig(
+        silos=2, checkpoint_interval=0, costs=costs))
     probe = Probe()
     runtime.register("probe", probe)
     arrivals = []

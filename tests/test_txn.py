@@ -15,7 +15,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.actors import Cluster, ClusterConfig, Grain, SiloUnavailable
+from repro.actors import Cluster, Grain, SiloUnavailable
 from repro.apps import ALL_APPS, AppConfig
 from repro.core import (
     BenchmarkDriver,
@@ -35,7 +35,6 @@ from repro.txn import (
     TransactionRunner,
     TransactionStatus,
     TransactionalGrain,
-    TxnConfig,
 )
 from repro.txn.participant import (
     collect_votes,
@@ -80,10 +79,10 @@ class Bank(TransactionalGrain):
         return amount
 
 
-def make_runner(seed=1, **txn_kwargs):
+def make_runner(seed=1, **config_kwargs):
     env = Environment(seed=seed)
-    cluster = Cluster(env, ClusterConfig())
-    runner = TransactionRunner(cluster, TxnConfig(**txn_kwargs))
+    cluster = Cluster(env, AppConfig(**config_kwargs))
+    runner = TransactionRunner(cluster)
     return env, cluster, runner
 
 
@@ -428,8 +427,9 @@ class TestTransactionRunner:
         assert run_txn(env, cluster, runner, Account, "a", "balance") == 70
         assert run_txn(env, cluster, runner, Account, "b", "balance") == 30
 
+    @pytest.mark.usefixtures("no_txn_retries")
     def test_application_abort_rolls_back_everything(self):
-        env, cluster, runner = make_runner(max_retries=0)
+        env, cluster, runner = make_runner()
         run_txn(env, cluster, runner, Account, "a", "deposit", 10)
         # Transfer more than the balance: withdraw aborts AFTER deposit
         # order within the method; ensure nothing leaked.
@@ -439,8 +439,9 @@ class TestTransactionRunner:
         assert run_txn(env, cluster, runner, Account, "a", "balance") == 10
         assert run_txn(env, cluster, runner, Account, "b", "balance") == 0
 
+    @pytest.mark.usefixtures("no_txn_retries")
     def test_aborted_txn_releases_locks(self):
-        env, cluster, runner = make_runner(max_retries=0)
+        env, cluster, runner = make_runner()
         run_txn(env, cluster, runner, Account, "a", "deposit", 10)
         with pytest.raises(TransactionAborted):
             run_txn(env, cluster, runner, Account, "a", "withdraw", 999)
@@ -480,8 +481,10 @@ class TestTransactionRunner:
             for key in ("a", "b", "c"))
         assert total == 300
 
-    def test_retry_preserves_priority_and_eventually_commits(self):
-        env, cluster, runner = make_runner(max_retries=10)
+    def test_retry_preserves_priority_and_eventually_commits(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.txn.coordinator.MAX_RETRIES", 10)
+        env, cluster, runner = make_runner()
         ref = cluster.grain_ref(Account, "hot")
         transactions = [
             runner.run(lambda ctx: ref.call("deposit", 1, txn=ctx))
@@ -490,8 +493,9 @@ class TestTransactionRunner:
         assert all(txn.ok for txn in transactions)
         assert runner.stats.committed == 10
 
+    @pytest.mark.usefixtures("no_txn_retries")
     def test_stats_track_aborts(self):
-        env, cluster, runner = make_runner(max_retries=0)
+        env, cluster, runner = make_runner()
         with pytest.raises(TransactionAborted):
             run_txn(env, cluster, runner, Account, "a", "withdraw", 1)
         assert runner.stats.aborted == 1
@@ -511,7 +515,7 @@ class TestTransactionRunner:
         assert elapsed >= floor
 
     def test_ablation_without_locking_never_waits_or_dies(self):
-        """``TxnConfig.enable_locking`` reaches the lock manager: the
+        """``AppConfig.enable_locking`` reaches the lock manager: the
         same hot-key burst that costs wait-die retries under locking
         runs straight through without it (and loses updates)."""
         outcomes = {}
@@ -595,6 +599,7 @@ class Reader(TransactionalGrain):
         return (yield self.call(account, "balance"))
 
 
+@pytest.mark.usefixtures("instant_failure_detection", "no_txn_retries")
 def test_a_waiter_whose_transaction_ended_elsewhere_is_not_granted():
     """An older transaction's nested read queues behind a younger one's
     X lock; the silo running the older one's body crashes, and the
@@ -604,9 +609,8 @@ def test_a_waiter_whose_transaction_ended_elsewhere_is_not_granted():
     so leaked makes every later writer of the account die by
     wait-die."""
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(silos=2,
-                                         failure_detection_delay=0.0))
-    runner = TransactionRunner(cluster, TxnConfig(max_retries=0))
+    cluster = Cluster(env, AppConfig(silos=2))
+    runner = TransactionRunner(cluster)
     account = cluster.grain_ref(Account, "x")
     home = cluster.placement.place("Account", "x")
     (crashing,) = [silo for silo in cluster.silos if silo is not home]
@@ -642,7 +646,7 @@ def test_a_waiter_whose_transaction_ended_elsewhere_is_not_granted():
 # The 2PC ablations (bench A1), pinned
 # ---------------------------------------------------------------------------
 #: ``(started, committed, retries, payload hash)`` of one short
-#: bench-A1-shaped cell per ``TxnConfig`` ablation and 2PC stack.  The
+#: bench-A1-shaped cell per ``AppConfig`` ablation and 2PC stack.  The
 #: ledger runs only the full protocol; these pin the non-locking vote
 #: and the one-shot commit of the no-2PC ablation too.
 ABLATION_PINS = {
@@ -662,11 +666,10 @@ def ablation_cell(app_name, variant):
     """Bench A1's cell (seed 43, 2 silos x 2 cores, 32 closed-loop
     workers) over a 0.3 s window; returns its ``ABLATION_PINS`` row."""
     env = Environment(seed=43)
-    txn_config = TxnConfig(
+    app = ALL_APPS[app_name](env, AppConfig(
+        silos=2, cores_per_silo=2,
         enable_two_phase_commit=variant not in ("no-2pc", "neither"),
-        enable_locking=variant not in ("no-locks", "neither"))
-    app = ALL_APPS[app_name](env, AppConfig(silos=2, cores_per_silo=2),
-                             txn_config=txn_config)
+        enable_locking=variant not in ("no-locks", "neither")))
     driver = BenchmarkDriver(
         env, app,
         WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
@@ -716,13 +719,12 @@ AFTER_DECISION = (CRASH_HOP + CRASH_LOG + CRASH_HOP + CRASH_DECIDE
 
 
 def crash_point_cluster():
-    """Two silos, eviction at once, no retries; returns (env, cluster,
-    runner, victim silo, surviving silo)."""
+    """Two silos (run under ``instant_failure_detection`` and
+    ``no_txn_retries``); returns (env, cluster, runner, victim silo,
+    surviving silo)."""
     env = Environment(seed=1)
-    cluster = Cluster(env, ClusterConfig(silos=2,
-                                         failure_detection_delay=0.0),
-                      costs=CRASH_COSTS)
-    runner = TransactionRunner(cluster, TxnConfig(max_retries=0))
+    cluster = Cluster(env, AppConfig(silos=2, costs=CRASH_COSTS))
+    runner = TransactionRunner(cluster)
     victim, survivor = cluster.silos
     return env, cluster, runner, victim, survivor
 
@@ -750,6 +752,7 @@ def left_behind(participant):
     return sorted(participant._prepared), sorted(participant.lock._holders)
 
 
+@pytest.mark.usefixtures("instant_failure_detection", "no_txn_retries")
 @pytest.mark.parametrize("delay", [AFTER_PREPARE_RECORD, AFTER_DECISION],
                          ids=["after-yes-vote", "after-decision"])
 def test_a_participant_crash_mid_commit_is_pinned(delay):
@@ -816,6 +819,7 @@ class Initiator(Grain):
         return (yield runner.run(body))
 
 
+@pytest.mark.usefixtures("instant_failure_detection", "no_txn_retries")
 def test_a_caller_crash_mid_round_is_pinned():
     env, cluster, runner, victim, survivor = crash_point_cluster()
     (initiator_key,) = keys_on(cluster, "Initiator", victim)

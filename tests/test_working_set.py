@@ -22,7 +22,7 @@ import hashlib
 
 import pytest
 
-from repro.actors import Cluster, ClusterConfig, Grain
+from repro.actors import Cluster, Grain
 from repro.actors.cluster import PAGER_WRITE_LATENCY, WORKING_SET_SWEEP
 from repro.actors.silo import Silo
 from repro.apps import ALL_APPS, AppConfig
@@ -343,7 +343,7 @@ class Idle(Grain):
 
 def one_silo_cluster():
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=1))
+    cluster = Cluster(env, AppConfig(silos=1))
     return env, cluster, cluster.silos[0]
 
 
@@ -375,7 +375,7 @@ def test_lru_victims_are_least_recently_enqueued_quiet_activations():
 
 def test_lru_holds_exactly_the_resident_activations():
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2))
+    cluster = Cluster(env, AppConfig(silos=2))
     first, second = cluster.silos
 
     def assert_in_step():
@@ -464,7 +464,7 @@ def _page_out_frames(victims):
     the kernel step that completes one page-out and starts the next, in
     a sweep that pages out ``victims`` grains."""
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=1, activation_limit=10))
+    cluster = Cluster(env, AppConfig(silos=1, activation_limit=10))
     silo = cluster.silos[0]
     for index in range(10 + victims):
         silo.activation_for(cluster, Pageable, f"k{index}")
@@ -555,7 +555,7 @@ def test_first_touch_delivery_asks_the_ring_once():
     ring when it is routed; on arrival the ring has not changed, so
     its answer stands and is not computed again."""
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=2))
+    cluster = Cluster(env, AppConfig(silos=2))
     calls = counting_places(cluster)
     refs = [cluster.grain_ref(Idle, f"k{index}") for index in range(6)]
     env.run(until=env.all_of([ref.call("touch") for ref in refs]))
@@ -566,12 +566,12 @@ def test_ring_change_in_transit_re_places_the_message():
     """A silo joining while a first-touch message is on the wire moves
     the grain's ring owner: the message is re-placed on arrival and
     activates the grain at its new owner, not where it was sent."""
-    probe = Cluster(Environment(seed=3), ClusterConfig(silos=1))
+    probe = Cluster(Environment(seed=3), AppConfig(silos=1))
     joined = probe.add_silo().name
     key = next(f"k{index}" for index in range(100)
                if probe.placement.place("Idle", f"k{index}").name == joined)
     env = Environment(seed=3)
-    cluster = Cluster(env, ClusterConfig(silos=1))
+    cluster = Cluster(env, AppConfig(silos=1))
     calls = counting_places(cluster)
     ref = cluster.grain_ref(Idle, key)
     promise = ref.call("touch")

@@ -20,8 +20,11 @@ optionally with ``()``) in README.md or a top-level ``docs/*.md`` must
 name a class defined under ``src/`` that binds ``attr`` in its body
 (a def, a nested class or an assignment), its ``__slots__``, a
 ``self.attr`` assignment in one of its methods, a ``Class.attr = …``
-at its module's top level, or a base class that does.  ``docs/performance.md`` is exempt: a history log names what
-each round removed.
+at its module's top level, or a base class that does.  A back-ticked
+bare capitalised name (`` `CostModel` ``) there must name a class
+defined under ``src/`` or a Python builtin (`` `None` ``,
+`` `TypeError` ``).  ``docs/performance.md`` is exempt from both: a
+history log names what each round removed.
 
 Exit status: 0 when everything resolves, 1 otherwise (the offending
 ``file: target`` pairs are printed).  Run from anywhere::
@@ -32,6 +35,7 @@ Exit status: 0 when everything resolves, 1 otherwise (the offending
 from __future__ import annotations
 
 import ast
+import builtins
 import pathlib
 import re
 import sys
@@ -51,7 +55,10 @@ DOTTED = re.compile(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\(\))?`")
 #: with a lower-case letter in it (`` `BENCHMARK.json` `` is a file).
 CLASS_ATTR = re.compile(
     r"`([A-Z]\w*[a-z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
-#: History logs, exempt from the ``Class.attr`` check.
+#: `` `Class` `` or `` `Class()` ``, capitalised with a lower-case
+#: letter in it (`` `PAGER_READ_LATENCY` `` is a constant).
+CLASS_NAME = re.compile(r"`([A-Z]\w*[a-z]\w*)(?:\(\))?`")
+#: History logs, exempt from the ``Class.attr`` and class-name checks.
 HISTORY = {"docs/performance.md"}
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -173,8 +180,8 @@ def class_attr_resolves(index: dict, cls: str, attr: str,
 
 def check(root: pathlib.Path = ROOT) -> list[str]:
     """Return ``"file: target"`` for every broken relative link and
-    every back-ticked repo path, dotted name or ``Class.attr`` that does
-    not exist."""
+    every back-ticked repo path, dotted name, ``Class.attr`` or class
+    name that does not exist."""
     files = [root / "README.md",
              *sorted((root / "docs").glob("**/*.md"))]
     src = root / "src"
@@ -191,6 +198,10 @@ def check(root: pathlib.Path = ROOT) -> list[str]:
                        for match in CLASS_ATTR.finditer(text)
                        if not class_attr_resolves(
                            index, match.group(1), match.group(2))]
+            broken += [f"{name}: `{match.group(1)}`"
+                       for match in CLASS_NAME.finditer(text)
+                       if match.group(1) not in index
+                       and match.group(1) not in vars(builtins)]
         broken += [f"{path.relative_to(root)}: `{match.group(1)}`"
                    for match in REPO_PATH.finditer(text)
                    if not (root / match.group(1)).exists()]
@@ -216,13 +227,13 @@ def check(root: pathlib.Path = ROOT) -> list[str]:
 def main() -> int:
     broken = check()
     if broken:
-        print("broken relative links / missing repo paths, names or "
-              "class attributes:")
+        print("broken relative links / missing repo paths, names, "
+              "class attributes or classes:")
         for entry in broken:
             print(f"  {entry}")
         return 1
-    print("all relative links, repo paths, dotted names and class "
-          "attributes in README.md and docs/ resolve")
+    print("all relative links, repo paths, dotted names, class "
+          "attributes and class names in README.md and docs/ resolve")
     return 0
 
 
