@@ -373,6 +373,20 @@ def test_utilisation_reporting():
     assert all(value == 0.0 for value in usage.values())
 
 
+@pytest.mark.parametrize("field, value", [
+    ("drop_probability", -0.1),
+    ("drop_probability", 1.1),
+    ("silos", 0),
+    ("cores_per_silo", 0),
+    ("activation_limit", 0),
+])
+def test_cluster_config_rejects_out_of_range_values(field, value):
+    # The cluster's config is the app's AppConfig: a bad value fails
+    # before any silo is built.
+    with pytest.raises(ValueError, match=field):
+        make_cluster(**{field: value})
+
+
 def test_cluster_config_accepts_defaults_boundaries_and_the_catalogue():
     """The cluster takes its shape from the app's own config: defaults,
     boundaries (one silo and core, a certain drop, a one-grain budget)

@@ -5,11 +5,10 @@ import dataclasses
 
 import pytest
 
-from repro.apps import AppConfig, StatefunApp
+from repro.apps import AppConfig
 from repro.control import run_scenario
 from repro.core.scenarios import SCENARIOS
 from repro.core.workload.config import TransactionMix, WorkloadConfig
-from repro.runtime import Environment
 
 NAN = float("nan")
 
@@ -111,18 +110,11 @@ def test_every_construction_in_the_repository_still_builds():
     AppConfig(silos=1, cores_per_silo=1, drop_probability=1.0,
               approval_rate=0.0, checkpoint_interval=0.0,
               activation_limit=1)
-    # Every catalogue scenario's workload and deployment (the matrix and
-    # the ledger's open-loop cells); the statefun runtime is built from
-    # the app's own config.
+    # Every catalogue scenario's workload (the matrix and the ledger's
+    # open-loop cells); its deployment is built in
+    # tests/test_statefun_config.py and tests/test_actors.py.
     for scenario in SCENARIOS.values():
         assert scenario.workload().sellers >= 1, scenario.name
-        app = StatefunApp(Environment(seed=1), AppConfig(
-            silos=scenario.effective_silos,
-            cores_per_silo=scenario.effective_cores,
-            drop_probability=scenario.drop_probability,
-            approval_rate=scenario.approval_rate,
-            activation_limit=scenario.activation_limit))
-        assert len(app.runtime.workers) == scenario.effective_silos
     # The examples, the bench harness and the CLI defaults.
     for sellers, customers, products in ((6, 48, 6), (10, 100, 10),
                                          (3, 30, 5), (2, 60, 8)):
