@@ -43,10 +43,9 @@ MAX_VIOLATION_SECONDS = 12.0
 def _fixed_baseline_scenario():
     """autoscale-flash-sale with the controller observing only."""
     scenario = get_scenario("autoscale-flash-sale")
-    config = dataclasses.replace(scenario.autoscaler(), enabled=False)
     return dataclasses.replace(
         scenario, name="autoscale-flash-sale-fixed4",
-        autoscaler=lambda: config)
+        autoscaler=dataclasses.replace(scenario.autoscaler, enabled=False))
 
 
 def run_pair(app_name: str):

@@ -19,6 +19,15 @@ import random
 import typing
 
 
+def _require_positive(**values: float) -> None:
+    """Reject a rate or span that is not finite and > 0 (NaN fails the
+    comparison too): a schedule built on one never ends or never
+    starts."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 class ArrivalProcess:
     """Generates absolute arrival times inside ``[start, until)``."""
 
@@ -41,8 +50,7 @@ class ConstantRate(ArrivalProcess):
     """Deterministic arrivals every ``1 / rate`` seconds."""
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
+        _require_positive(rate=rate)
         self.rate = rate
 
     def arrival_times(self, rng: random.Random, start: float,
@@ -66,8 +74,7 @@ class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals: exponential inter-arrival gaps."""
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
+        _require_positive(rate=rate)
         self.rate = rate
 
     def arrival_times(self, rng: random.Random, start: float,
@@ -95,8 +102,7 @@ class PhasedArrivals(ArrivalProcess):
         if not phases:
             raise ValueError("need at least one phase")
         for duration, _ in phases:
-            if duration <= 0:
-                raise ValueError("phase durations must be > 0")
+            _require_positive(duration=duration)
         self.phases = list(phases)
 
     def arrival_times(self, rng: random.Random, start: float,
@@ -132,10 +138,8 @@ class RampArrivals(ArrivalProcess):
 
     def __init__(self, start_rate: float, end_rate: float,
                  ramp_duration: float, poisson: bool = True) -> None:
-        if start_rate <= 0 or end_rate <= 0:
-            raise ValueError("rates must be > 0")
-        if ramp_duration <= 0:
-            raise ValueError("ramp_duration must be > 0")
+        _require_positive(start_rate=start_rate, end_rate=end_rate,
+                          ramp_duration=ramp_duration)
         self.start_rate = start_rate
         self.end_rate = end_rate
         self.ramp_duration = ramp_duration
@@ -182,13 +186,10 @@ class SinusoidArrivals(ArrivalProcess):
     def __init__(self, base_rate: float, amplitude: float = 0.6,
                  period: float = 8.0, phase: float = 0.0,
                  poisson: bool = True) -> None:
-        if base_rate <= 0:
-            raise ValueError("base_rate must be > 0")
+        _require_positive(base_rate=base_rate, period=period)
         if not 0 < amplitude < 1:
             raise ValueError("amplitude must be in (0, 1) so the rate "
                              "stays positive")
-        if period <= 0:
-            raise ValueError("period must be > 0")
         self.base_rate = base_rate
         self.amplitude = amplitude
         self.period = period

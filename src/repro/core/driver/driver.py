@@ -12,19 +12,12 @@ path it has in common with the open-loop driver.
 from __future__ import annotations
 
 import dataclasses
-import typing
 
-from repro.core.driver.issuer import IssuerStateView, TransactionIssuer
-from repro.core.driver.metrics import LatencyRecorder, RunMetrics
-from repro.core.workload.config import WorkloadConfig
-from repro.core.workload.dataset import Dataset
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.apps.base import MarketplaceApp
-    from repro.runtime import Environment
+from repro.core.driver.issuer import Driver, check_timing
+from repro.core.driver.metrics import RunMetrics
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class DriverConfig:
     """Experiment-control parameters."""
 
@@ -40,28 +33,13 @@ class DriverConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        if self.warmup < 0 or self.duration <= 0 or self.drain < 0:
-            raise ValueError("invalid timing parameters")
+        check_timing(self)
 
 
-class BenchmarkDriver(IssuerStateView):
+class BenchmarkDriver(Driver):
     """Drives one app through one closed-loop experiment."""
 
-    def __init__(self, env: "Environment", app: "MarketplaceApp",
-                 workload: WorkloadConfig | None = None,
-                 config: DriverConfig | None = None,
-                 dataset: Dataset | None = None,
-                 data_seed: int = 0) -> None:
-        self.env = env
-        self.app = app
-        self.workload = workload or WorkloadConfig()
-        self.config = config or DriverConfig()
-        self.dataset = dataset or Dataset(self.workload, seed=data_seed)
-        self.recorder = LatencyRecorder()
-        self.issuer = TransactionIssuer(env, app, self.workload,
-                                        self.dataset, self.recorder)
-        self._deadline = 0.0
-        self._ingested = False
+    config: DriverConfig
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -72,9 +50,7 @@ class BenchmarkDriver(IssuerStateView):
         Ingestion -> warm-up -> measured window -> drain (quiesce).
         The simulation environment is run *by this call*.
         """
-        if not self._ingested:
-            self.app.ingest(self.dataset)
-            self._ingested = True
+        self._ingest_once()
         measure_start = self.env.now + self.config.warmup
         self._deadline = measure_start + self.config.duration
         self.issuer.record_until = self._deadline

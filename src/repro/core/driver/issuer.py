@@ -1,4 +1,4 @@
-"""Shared transaction-issuing logic for both driver styles.
+"""Shared set-up and transaction-issuing logic for both driver styles.
 
 The five business transactions — cart build-up + checkout, price
 update, product delete, update delivery, seller dashboard — used to
@@ -7,15 +7,20 @@ out here so the closed-loop :class:`~repro.core.driver.driver.
 BenchmarkDriver` and the open-loop :class:`~repro.core.driver.
 open_loop.OpenLoopDriver` issue transactions through one code path:
 same input leasing, same delete compensation, same online consistency
-observations (C2/C4), same skip accounting.
+observations (C2/C4), same skip accounting.  Both drivers also build
+their world, recorder and issuer, and ingest once, through the one
+:class:`Driver` base.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
+import math
 import typing
 
+from repro.core.driver.metrics import LatencyRecorder
+from repro.core.workload import config as constants
 from repro.core.workload.config import WorkloadConfig
 from repro.core.workload.dataset import Dataset
 from repro.core.workload.distributions import (
@@ -28,7 +33,6 @@ from repro.marketplace.constants import PaymentMethod
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
-    from repro.core.driver.metrics import LatencyRecorder
     from repro.runtime import Environment
 
 #: The operations a driver may ask the issuer to perform.  New
@@ -53,11 +57,43 @@ RESULT_OPERATION = {
 }
 
 
-class IssuerStateView:
-    """Mixin exposing the issuer state the criteria auditors read on a
-    driver."""
+def check_timing(config) -> None:
+    """Validate a driver config's warm-up, measured window and drain.
 
-    issuer: "TransactionIssuer"
+    Every rule is a comparison that NaN and infinity fail: an infinite
+    window would keep the workers issuing and the run going forever.
+    """
+    rules = [("warmup", ">= 0", 0 <= config.warmup < math.inf),
+             ("duration", "> 0", 0 < config.duration < math.inf),
+             ("drain", ">= 0", 0 <= config.drain < math.inf)]
+    for name, rule, holds in rules:
+        if not holds:
+            raise ValueError(f"{name} must be finite and {rule}, "
+                             f"got {getattr(config, name)}")
+
+
+class Driver:
+    """The set-up both driver styles share: the world, its recorder and
+    its issuer, ingested once, plus the issuer state the criteria
+    auditors read on a driver."""
+
+    def __init__(self, env: "Environment", app: "MarketplaceApp",
+                 workload: WorkloadConfig, config,
+                 data_seed: int = 0) -> None:
+        self.env = env
+        self.app = app
+        self.workload = workload
+        self.config = config
+        self.dataset = Dataset(workload, seed=data_seed)
+        self.recorder = LatencyRecorder()
+        self.issuer = TransactionIssuer(env, app, self.dataset,
+                                        self.recorder)
+        self._ingested = False
+
+    def _ingest_once(self) -> None:
+        if not self._ingested:
+            self.app.ingest(self.dataset)
+            self._ingested = True
 
     @property
     def sampler(self):
@@ -79,17 +115,15 @@ class TransactionIssuer:
     """
 
     def __init__(self, env: "Environment", app: "MarketplaceApp",
-                 workload: WorkloadConfig, dataset: Dataset,
-                 recorder: "LatencyRecorder") -> None:
+                 dataset: Dataset, recorder: LatencyRecorder) -> None:
         self.env = env
         self.app = app
-        self.workload = workload
+        self.workload = workload = dataset.config
         self.dataset = dataset
         self.recorder = recorder
-        world = dataset.config
         self.registry = ProductKeyRegistry(
-            world.sellers, world.products_per_seller,
-            world.reserve_per_seller)
+            workload.sellers, workload.products_per_seller,
+            workload.reserve_per_seller)
         self.sampler = HotspotSampler(
             ZipfSampler(len(self.registry), workload.zipf_s,
                         env.rng("driver-keys")),
@@ -177,18 +211,16 @@ class TransactionIssuer:
             return False
         self.app.touch_customer(customer_id)
         try:
-            n_items = self._rng.randint(self.workload.min_cart_items,
-                                        self.workload.max_cart_items)
+            n_items = self._rng.randint(*constants.CART_ITEMS)
             added = 0
             for _ in range(n_items):
                 seller_id, product_id = self.coordinator.sample_product()
                 self.app.touch_product(seller_id, product_id)
-                quantity = self._rng.randint(self.workload.min_quantity,
-                                             self.workload.max_quantity)
+                quantity = self._rng.randint(*constants.QUANTITY)
                 voucher = 0
-                if self._rng.random() < self.workload.voucher_probability:
+                if self._rng.random() < constants.VOUCHER_PROBABILITY:
                     voucher = self._rng.randint(
-                        1, self.workload.min_price_cents)
+                        1, constants.PRICE_CENTS[0])
                 key = f"{seller_id}/{product_id}"
                 # Snapshot the acknowledged state *before* the add: only
                 # updates acked before the read started can be required
@@ -229,8 +261,7 @@ class TransactionIssuer:
         _, (seller_id, product_id) = lease
         self.app.touch_product(seller_id, product_id)
         try:
-            price = self._rng.randint(self.workload.min_price_cents,
-                                      self.workload.max_price_cents)
+            price = self._rng.randint(*constants.PRICE_CENTS)
             started = self.env.now
             result = yield from self.app.update_price(seller_id,
                                                       product_id, price)
@@ -294,8 +325,8 @@ class TransactionIssuer:
         """Ingest one external-platform order; sometimes submit the
         same ``(platform, shop, ext_order_no)`` twice concurrently to
         probe the idempotent front door."""
-        platform = f"p{self._rng.randint(1, self.workload.external_platforms)}"
-        shop_id = self._rng.randint(1, self.workload.external_shops)
+        platform = f"p{self._rng.randint(1, constants.EXTERNAL_PLATFORMS)}"
+        shop_id = self._rng.randint(1, constants.EXTERNAL_SHOPS)
         ext_order_no = f"E{next(self._ext_order_ids):06d}"
         customer_id = self._rng.choice(self.dataset.customer_ids)
         self.app.touch_customer(customer_id)
@@ -310,11 +341,9 @@ class TransactionIssuer:
             seen.add((seller_id, product_id))
             items.append({
                 "seller_id": seller_id, "product_id": product_id,
-                "quantity": self._rng.randint(self.workload.min_quantity,
-                                              self.workload.max_quantity),
+                "quantity": self._rng.randint(*constants.QUANTITY),
                 "unit_price_cents": self._rng.randint(
-                    self.workload.min_price_cents,
-                    self.workload.max_price_cents)})
+                    *constants.PRICE_CENTS)})
         duplicate = (self._rng.random()
                      < self.workload.duplicate_submit_probability)
         started = self.env.now

@@ -37,41 +37,41 @@ from repro.control.faults import FaultSchedule
 from repro.control.plane import ControlPlane
 from repro.control.signals import SignalWindow
 from repro.core.driver.arrivals import ArrivalProcess
-from repro.core.driver.issuer import (
-    RESULT_OPERATION,
-    IssuerStateView,
-    TransactionIssuer,
-)
-from repro.core.driver.metrics import LatencyRecorder, RunMetrics
+from repro.core.driver.issuer import RESULT_OPERATION, Driver, check_timing
+from repro.core.driver.metrics import RunMetrics
 from repro.core.workload.config import WorkloadConfig
-from repro.core.workload.dataset import Dataset
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
     from repro.runtime import Environment
 
 
-@dataclasses.dataclass
+#: A hotspot routes product sampling to this many most popular ranks
+#: with this probability.
+HOTSPOT_RANKS = 3
+HOTSPOT_PROBABILITY = 0.7
+
+
+@dataclasses.dataclass(frozen=True)
 class HotspotSpec:
     """A temporary skew spike: during ``[start, end)`` (relative to the
-    start of the run) product sampling routes to the ``top_ranks`` most
-    popular ranks with the given probability."""
+    start of the run) product sampling routes to the ``HOTSPOT_RANKS``
+    most popular ranks with ``HOTSPOT_PROBABILITY``."""
 
     start: float
     end: float
-    top_ranks: int = 3
-    probability: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError("need 0 <= start < end")
-        if self.top_ranks < 1:
-            raise ValueError("need at least one hot rank")
-        if not 0 < self.probability <= 1:
-            raise ValueError("probability must be in (0, 1]")
+        if not 0 <= self.start < self.end < math.inf:
+            raise ValueError(f"need 0 <= start < end < inf, got "
+                             f"start={self.start}, end={self.end}")
+
+    def time_scaled(self, factor: float) -> "HotspotSpec":
+        """The window with both ends stretched by ``factor``."""
+        return HotspotSpec(self.start * factor, self.end * factor)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class OpenLoopConfig:
     """Experiment-control parameters for rate-controlled load."""
 
@@ -100,32 +100,22 @@ class OpenLoopConfig:
     autoscaler: AutoscalerConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.warmup < 0 or self.duration <= 0 or self.drain < 0:
-            raise ValueError("invalid timing parameters")
+        check_timing(self)
         if self.max_in_flight < 1:
             raise ValueError("need at least one dispatcher")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 or None")
 
 
-class OpenLoopDriver(IssuerStateView):
+class OpenLoopDriver(Driver):
     """Drives one app through one arrival-schedule experiment."""
 
+    config: OpenLoopConfig
+
     def __init__(self, env: "Environment", app: "MarketplaceApp",
-                 workload: WorkloadConfig | None = None,
-                 config: OpenLoopConfig | None = None,
-                 dataset: Dataset | None = None,
+                 workload: WorkloadConfig, config: OpenLoopConfig,
                  data_seed: int = 0) -> None:
-        if config is None:
-            raise ValueError("OpenLoopConfig (arrival schedule) required")
-        self.env = env
-        self.app = app
-        self.workload = workload or WorkloadConfig()
-        self.config = config
-        self.dataset = dataset or Dataset(self.workload, seed=data_seed)
-        self.recorder = LatencyRecorder()
-        self.issuer = TransactionIssuer(env, app, self.workload,
-                                        self.dataset, self.recorder)
+        super().__init__(env, app, workload, config, data_seed)
         self._queue: collections.deque[tuple[float, str]] = \
             collections.deque()
         self._waiters: collections.deque = collections.deque()
@@ -133,7 +123,6 @@ class OpenLoopDriver(IssuerStateView):
         self._measure_start = 0.0
         self._deadline = 0.0
         self._in_flight = 0
-        self._ingested = False
         #: Control-plane surface of this run (built in :meth:`run` when
         #: the config carries faults or an autoscaler).
         self.control: ControlPlane | None = None
@@ -159,9 +148,7 @@ class OpenLoopDriver(IssuerStateView):
         Arrivals are generated over warm-up + measured window; the
         drain lets queued and in-flight transactions finish.
         """
-        if not self._ingested:
-            self.app.ingest(self.dataset)
-            self._ingested = True
+        self._ingest_once()
         start = self.env.now
         self._measure_start = start + self.config.warmup
         self._deadline = self._measure_start + self.config.duration
@@ -234,8 +221,8 @@ class OpenLoopDriver(IssuerStateView):
     def _hotspot_controller(self, spec: HotspotSpec):
         if spec.start > 0:
             yield self.env.timeout(spec.start)
-        ranks = list(range(min(spec.top_ranks, self.sampler.n)))
-        self.sampler.set_hotspot(ranks, spec.probability)
+        ranks = list(range(min(HOTSPOT_RANKS, self.sampler.n)))
+        self.sampler.set_hotspot(ranks, HOTSPOT_PROBABILITY)
         yield self.env.timeout(spec.end - spec.start)
         self.sampler.clear_hotspot()
 

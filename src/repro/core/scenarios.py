@@ -98,12 +98,14 @@ _DEFAULT_CLUSTER_SHAPE = 4
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """A named, declarative open-loop experiment."""
+    """A named, declarative open-loop experiment.
+
+    A scenario is a value: every config it holds is frozen, so one
+    catalogue entry serves every run and carries no per-run state."""
 
     name: str
     description: str
-    #: Builds the workload (fresh per run — configs are mutable).
-    workload: typing.Callable[[], WorkloadConfig]
+    workload: WorkloadConfig
     #: Builds the arrival schedule from the scaled base rate.
     arrivals: typing.Callable[[float], ArrivalProcess]
     #: Nominal arrivals/second the shape is expressed against.
@@ -112,13 +114,12 @@ class Scenario:
     duration: float = 5.0
     drain: float = 2.0
     max_in_flight: int = 32
-    queue_capacity: int | None = None
     #: Hotspot window relative to run start, or None.
-    hotspot: typing.Callable[[], HotspotSpec] | None = None
+    hotspot: HotspotSpec | None = None
     #: Timed membership faults (times relative to run start), or None.
     faults: FaultSchedule | None = None
     #: SLO-driven elasticity controller for the run, or None.
-    autoscaler: typing.Callable[[], AutoscalerConfig] | None = None
+    autoscaler: AutoscalerConfig | None = None
     #: Cluster shape the scenario is designed for; the CLI and benches
     #: use these as the app defaults (None = leave the app default).
     cluster_silos: int | None = None
@@ -155,28 +156,18 @@ class Scenario:
         arrivals = self.arrivals(self.base_rate)
         if rate_scale != 1.0:
             arrivals = arrivals.scaled(rate_scale)
+        timed = (arrivals, self.hotspot, self.faults, self.autoscaler)
         if duration_scale != 1.0:
-            arrivals = arrivals.time_scaled(duration_scale)
-        hotspot = self.hotspot() if self.hotspot else None
-        if hotspot is not None and duration_scale != 1.0:
-            hotspot = HotspotSpec(
-                start=hotspot.start * duration_scale,
-                end=hotspot.end * duration_scale,
-                top_ranks=hotspot.top_ranks,
-                probability=hotspot.probability)
-        faults = self.faults
-        if faults is not None and duration_scale != 1.0:
-            faults = faults.time_scaled(duration_scale)
-        autoscaler = self.autoscaler() if self.autoscaler else None
-        if autoscaler is not None and duration_scale != 1.0:
-            autoscaler = autoscaler.time_scaled(duration_scale)
+            timed = [None if value is None
+                     else value.time_scaled(duration_scale)
+                     for value in timed]
+        arrivals, hotspot, faults, autoscaler = timed
         return OpenLoopConfig(
             arrivals=arrivals,
             warmup=self.warmup * duration_scale,
             duration=self.duration * duration_scale,
             drain=self.drain * duration_scale,
             max_in_flight=self.max_in_flight,
-            queue_capacity=self.queue_capacity,
             hotspot=hotspot,
             faults=faults,
             autoscaler=autoscaler)
@@ -186,18 +177,16 @@ class Scenario:
                      duration_scale: float = 1.0,
                      data_seed: int = 0) -> OpenLoopDriver:
         """A ready-to-run :class:`OpenLoopDriver` for this scenario:
-        fresh workload + scaled schedule against ``app``, dataset
+        its workload and scaled schedule against ``app``, dataset
         seeded with ``data_seed``."""
         return OpenLoopDriver(
-            env, app, self.workload(),
+            env, app, self.workload,
             self.build_config(rate_scale, duration_scale),
             data_seed=data_seed)
 
 
-def _default_workload(**overrides) -> typing.Callable[[], WorkloadConfig]:
-    def build() -> WorkloadConfig:
-        return WorkloadConfig(**{**_SCALE, **overrides})
-    return build
+def _workload(**overrides) -> WorkloadConfig:
+    return WorkloadConfig(**{**_SCALE, **overrides})
 
 
 def _flash_sale_arrivals(rate: float) -> PhasedArrivals:
@@ -227,7 +216,7 @@ _register(Scenario(
     name="baseline",
     description="Steady Poisson arrivals well under capacity; the "
                 "reference point the stress scenarios compare against.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=PoissonArrivals,
 ))
 
@@ -237,7 +226,7 @@ _register(Scenario(
                 "product popularity spikes onto the top three ranks — "
                 "the classic hotspot that separates lock-based, "
                 "dataflow and eventual designs.",
-    workload=_default_workload(zipf_s=1.0),
+    workload=_workload(zipf_s=1.0),
     arrivals=_flash_sale_arrivals,
     duration=6.0,
     warmup=0.5,
@@ -246,8 +235,7 @@ _register(Scenario(
     # The arrival schedule starts at run start (warm-up included), so
     # the 4x phase covers sim-seconds [2.0, 4.0); the hotspot window
     # matches it exactly.
-    hotspot=lambda: HotspotSpec(start=2.0, end=4.0, top_ranks=3,
-                                probability=0.7),
+    hotspot=HotspotSpec(start=2.0, end=4.0),
 ))
 
 _register(Scenario(
@@ -255,7 +243,7 @@ _register(Scenario(
     description="Seller-write-dominated mix: price updates and deletes "
                 "outweigh checkouts, stressing replication fan-out and "
                 "write contention.",
-    workload=_default_workload(mix=TransactionMix(
+    workload=_workload(mix=TransactionMix(
         checkout=30.0, price_update=40.0, product_delete=8.0,
         update_delivery=7.0, dashboard=15.0)),
     arrivals=ConstantRate,
@@ -267,7 +255,7 @@ _register(Scenario(
     description="A hard 5x burst followed by near-silence: probes how "
                 "deep the queue gets and how fast it drains once load "
                 "drops.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=_burst_quiesce_arrivals,
     duration=6.0,
     warmup=0.5,
@@ -279,7 +267,7 @@ _register(Scenario(
     description="Sustained product deletes backed by a deep reserve "
                 "pool: exercises delete compensation and tombstone "
                 "handling without distorting the key distribution.",
-    workload=_default_workload(
+    workload=_workload(
         reserve_fraction=2.0,
         mix=TransactionMix(checkout=45.0, price_update=10.0,
                            product_delete=25.0, update_delivery=5.0,
@@ -293,7 +281,7 @@ _register(Scenario(
     description="Arrival rate ramping linearly from 0.5x to 5x the "
                 "base rate: the queueing-delay curve locates the "
                 "saturation knee.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=lambda rate: RampArrivals(rate * 0.5, rate * 5.0,
                                        ramp_duration=6.0),
     duration=6.0,
@@ -309,7 +297,7 @@ _register(Scenario(
                 "are re-placed, in-flight calls fail, volatile grain "
                 "state is lost, and the availability timeline shows "
                 "the outage depth and the recovery time.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=PoissonArrivals,
     duration=6.0,
     warmup=1.0,
@@ -326,7 +314,7 @@ _register(Scenario(
                 "silos join mid-window: placement shifts, activations "
                 "migrate to the new owners, and capacity grows without "
                 "stopping traffic.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=ConstantRate,
     base_rate=250.0,
     duration=6.0,
@@ -346,7 +334,7 @@ _register(Scenario(
                 "cleanly) and replaced by a fresh join, one at a time "
                 "under live traffic — the zero-downtime deployment "
                 "drill.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=PoissonArrivals,
     duration=8.0,
     warmup=1.0,
@@ -373,7 +361,7 @@ _register(Scenario(
                 "(refund + restock + ledger reversal) runs constantly "
                 "— atomic stacks keep C1, the eventual stack strands "
                 "returns mid-saga.",
-    workload=_default_workload(mix=TransactionMix(
+    workload=_workload(mix=TransactionMix(
         checkout=35.0, price_update=5.0, product_delete=1.0,
         update_delivery=24.0, dashboard=10.0, request_return=25.0)),
     arrivals=PoissonArrivals,
@@ -387,7 +375,7 @@ _register(Scenario(
                 "must run the payment-failure abort (release stock, "
                 "fail then cancel the order) without leaking "
                 "reservations or spend.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=PoissonArrivals,
     base_rate=120.0,
     approval_rate=0.85,
@@ -403,7 +391,7 @@ _register(Scenario(
                 "counts the orphaned/duplicated registrations the "
                 "at-least-once retry leaves behind on the eventual "
                 "one.",
-    workload=_default_workload(
+    workload=_workload(
         duplicate_submit_probability=0.35,
         mix=TransactionMix(
             checkout=25.0, price_update=5.0, product_delete=1.0,
@@ -424,7 +412,7 @@ _register(Scenario(
                 "samples, and the working-set sweep pages idle grains "
                 "out, so memory tracks the *touched* set, not the "
                 "configured world.",
-    workload=_default_workload(
+    workload=_workload(
         sellers=1000, products_per_seller=1000, customers=100_000),
     arrivals=PoissonArrivals,
     duration=4.0,
@@ -442,7 +430,7 @@ _register(Scenario(
                 "autoscaler on a two-silo cluster of single-core "
                 "silos: capacity should follow the wave out and back "
                 "in while the p95 queue-delay SLO holds.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=lambda rate: SinusoidArrivals(rate, amplitude=0.7,
                                            period=10.0, phase=0.75),
     base_rate=340.0,
@@ -454,7 +442,7 @@ _register(Scenario(
     # the knee — and the controller's reaction to it — is the story.
     cluster_silos=2,
     cluster_cores=1,
-    autoscaler=lambda: AutoscalerConfig(
+    autoscaler=AutoscalerConfig(
         slo=SLOTarget(queue_delay_p95=0.050, error_rate=0.05),
         interval=0.25, window=1.0,
         min_silos=2, max_silos=5,
@@ -472,7 +460,7 @@ _register(Scenario(
                 "fast enough to restore the SLO, and scale back in "
                 "afterwards — spending fewer silo-seconds than fixed "
                 "provisioning would.",
-    workload=_default_workload(),
+    workload=_workload(),
     arrivals=lambda rate: PhasedArrivals([
         (1.5, PoissonArrivals(rate)),
         (2.0, PoissonArrivals(rate * 2.4)),
@@ -485,7 +473,7 @@ _register(Scenario(
     max_in_flight=48,
     cluster_silos=2,
     cluster_cores=1,
-    autoscaler=lambda: AutoscalerConfig(
+    autoscaler=AutoscalerConfig(
         slo=SLOTarget(queue_delay_p95=0.050, error_rate=0.05),
         interval=0.25, window=1.0,
         min_silos=2, max_silos=4,

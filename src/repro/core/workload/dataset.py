@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.core.workload import config as constants
 from repro.core.workload.config import WorkloadConfig
 from repro.marketplace.entities import (Customer, Product, Seller, StockItem,
                                         product_key)
@@ -93,17 +94,15 @@ class Dataset:
         if record is None:
             if not self._owns(seller_id, product_id):
                 raise KeyError(f"product {key} out of range")
-            config = self.config
             # Price from the low half of the draw, category from the
             # high half, so the two are independent.
             draw = entity_draw(self.seed, "product", key)
-            span = config.max_price_cents - config.min_price_cents + 1
+            low, high = constants.PRICE_CENTS
             record = Product(
                 product_id=product_id, seller_id=seller_id,
                 name=f"product-{product_id}",
                 category=_CATEGORIES[(draw >> 32) % len(_CATEGORIES)],
-                price_cents=config.min_price_cents
-                + (draw & 0xFFFFFFFF) % span)
+                price_cents=low + (draw & 0xFFFFFFFF) % (high - low + 1))
             self._products[key] = record
         return record
 
@@ -114,7 +113,7 @@ class Dataset:
             if not self._owns(seller_id, product_id):
                 raise KeyError(f"stock {key} out of range")
             record = StockItem(product_id=product_id, seller_id=seller_id,
-                               qty_available=self.config.initial_stock)
+                               qty_available=constants.INITIAL_STOCK)
             self._stock[key] = record
         return record
 

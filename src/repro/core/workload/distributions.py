@@ -128,13 +128,6 @@ class HotspotSampler:
 
     def set_hotspot(self, ranks: typing.Sequence[int],
                     probability: float) -> None:
-        if not ranks:
-            raise ValueError("need at least one hot rank")
-        if not 0 < probability <= 1:
-            raise ValueError("probability must be in (0, 1]")
-        for rank in ranks:
-            if not 0 <= rank < self.base.n:
-                raise ValueError(f"rank {rank} out of range")
         self._hot_ranks = list(ranks)
         self._probability = probability
 

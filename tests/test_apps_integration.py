@@ -10,14 +10,13 @@ from repro.core import (
     WorkloadConfig,
     audit_app,
 )
-from repro.core.workload.config import TransactionMix
+from repro.core.workload.config import INITIAL_STOCK, TransactionMix
 from repro.marketplace.constants import PaymentMethod
 from repro.runtime import Environment
 
 APP_NAMES = list(ALL_APPS)
 
-SMALL = WorkloadConfig(sellers=3, customers=12, products_per_seller=4,
-                       initial_stock=1000)
+SMALL = WorkloadConfig(sellers=3, customers=12, products_per_seller=4)
 
 
 def make_app(name, seed=11, **config):
@@ -75,7 +74,7 @@ class TestSingleOperations:
         assert result.ok
         env.run(until=env.now + 1.0)  # let async effects quiesce
         stock = app.audit_views()["stock"]["1/1"]
-        assert stock["qty_available"] == 1000 - 5
+        assert stock["qty_available"] == INITIAL_STOCK - 5
         assert stock["qty_reserved"] == 0
 
     def test_checkout_creates_shipment_packages(self, name):
@@ -103,7 +102,7 @@ class TestSingleOperations:
         assert result.status == "failed"
         env.run(until=env.now + 1.0)
         stock = app.audit_views()["stock"]["1/1"]
-        assert stock["qty_available"] == 1000
+        assert stock["qty_available"] == INITIAL_STOCK
         assert stock["qty_reserved"] == 0
 
     def test_price_update_visible_to_later_adds(self, name):

@@ -1,4 +1,5 @@
-"""``WorkloadConfig`` and ``AppConfig`` validate themselves at
+"""``WorkloadConfig``, ``TransactionMix``, ``AppConfig``, the driver
+configs and the arrival processes validate themselves at
 construction."""
 
 import dataclasses
@@ -7,45 +8,34 @@ import pytest
 
 from repro.apps import AppConfig
 from repro.control import run_scenario
+from repro.core.driver import DriverConfig, OpenLoopConfig
+from repro.core.driver.arrivals import (
+    ConstantRate,
+    PhasedArrivals,
+    PoissonArrivals,
+    RampArrivals,
+    SinusoidArrivals,
+)
 from repro.core.scenarios import SCENARIOS
 from repro.core.workload.config import TransactionMix, WorkloadConfig
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("field, value", [
     ("sellers", 0),
     ("customers", 0),
     ("products_per_seller", 0),
-    ("initial_stock", -1),
     ("reserve_fraction", -1.0),
     ("reserve_fraction", float("inf")),
     ("zipf_s", -0.1),
-    ("min_cart_items", 0),
-    ("min_quantity", 0),
-    ("min_price_cents", 0),
-    ("voucher_probability", -0.1),
-    ("voucher_probability", 1.5),
-    ("external_platforms", 0),
-    ("external_shops", 0),
     ("duplicate_submit_probability", -0.1),
     ("duplicate_submit_probability", 1.5),
 ])
 def test_workload_out_of_range_value_is_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         WorkloadConfig(**{field: value})
-
-
-@pytest.mark.parametrize("low, high", [
-    ("min_cart_items", "max_cart_items"),
-    ("min_quantity", "max_quantity"),
-    ("min_price_cents", "max_price_cents"),
-])
-def test_workload_inverted_range_is_rejected(low, high):
-    # min 101 > max 100 used to construct and then divide by zero in
-    # the first generated product (quantities: fail inside randint).
-    with pytest.raises(ValueError, match=high):
-        WorkloadConfig(**{low: 101, high: 100})
 
 
 WORKLOAD_FLOATS = [field.name for field in dataclasses.fields(WorkloadConfig)
@@ -56,6 +46,47 @@ WORKLOAD_FLOATS = [field.name for field in dataclasses.fields(WorkloadConfig)
 def test_workload_nan_is_rejected_in_every_float_field(field):
     with pytest.raises(ValueError, match=field):
         WorkloadConfig(**{field: NAN})
+
+
+MIX_WEIGHTS = [field.name for field in dataclasses.fields(TransactionMix)]
+
+
+@pytest.mark.parametrize("field", MIX_WEIGHTS)
+@pytest.mark.parametrize("weight", [-5.0, NAN, INF])
+def test_transaction_mix_rejects_a_negative_nan_or_infinite_weight(
+        field, weight):
+    # -5 used to normalise into a negative share, NaN into all-NaN
+    # shares (every draw fell through to checkout), inf into a NaN one.
+    with pytest.raises(ValueError, match=field):
+        TransactionMix(**{field: weight})
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda value: DriverConfig(warmup=value), "warmup"),
+    (lambda value: DriverConfig(duration=value), "duration"),
+    (lambda value: DriverConfig(drain=value), "drain"),
+    (lambda value: OpenLoopConfig(ConstantRate(1.0), warmup=value),
+     "warmup"),
+    (lambda value: OpenLoopConfig(ConstantRate(1.0), duration=value),
+     "duration"),
+    (lambda value: OpenLoopConfig(ConstantRate(1.0), drain=value),
+     "drain"),
+    (lambda value: ConstantRate(value), "rate"),
+    (lambda value: PoissonArrivals(value), "rate"),
+    (lambda value: PhasedArrivals([(value, ConstantRate(1.0))]),
+     "duration"),
+    (lambda value: RampArrivals(value, 1.0, 1.0), "start_rate"),
+    (lambda value: RampArrivals(1.0, value, 1.0), "end_rate"),
+    (lambda value: RampArrivals(1.0, 1.0, value), "ramp_duration"),
+    (lambda value: SinusoidArrivals(value), "base_rate"),
+    (lambda value: SinusoidArrivals(1.0, period=value), "period"),
+])
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_timing_inputs_reject_nan_and_infinity(build, field, value):
+    # DriverConfig(duration=inf) used to run each closed-loop worker
+    # `while env.now < inf` and env.run(until=inf) without end.
+    with pytest.raises(ValueError, match=field):
+        build(value)
 
 
 #: Every number of the deployment: ``costs`` validates itself, and the
@@ -90,8 +121,7 @@ def test_a_bad_scenario_override_fails_before_the_run(app):
 
 def test_float_fields_are_all_covered():
     assert set(WORKLOAD_FLOATS) == {
-        "reserve_fraction", "zipf_s", "voucher_probability",
-        "duplicate_submit_probability"}
+        "reserve_fraction", "zipf_s", "duplicate_submit_probability"}
     assert set(APP_NUMBERS) == {
         "silos", "cores_per_silo", "drop_probability", "approval_rate",
         "checkpoint_interval", "activation_limit"}
@@ -102,11 +132,9 @@ def test_every_construction_in_the_repository_still_builds():
     AppConfig()
     # Boundaries: zeros, ones, equal ends of every range.
     WorkloadConfig(sellers=1, customers=1, products_per_seller=1,
-                   initial_stock=0, reserve_fraction=0.0, zipf_s=0.0,
-                   min_cart_items=1, max_cart_items=1, min_quantity=1,
-                   max_quantity=1, min_price_cents=1, max_price_cents=1,
-                   voucher_probability=1.0, external_platforms=1,
-                   external_shops=1, duplicate_submit_probability=1.0)
+                   reserve_fraction=0.0, zipf_s=0.0,
+                   duplicate_submit_probability=1.0)
+    TransactionMix(**{**dict.fromkeys(MIX_WEIGHTS, 0.0), "checkout": 1.0})
     AppConfig(silos=1, cores_per_silo=1, drop_probability=1.0,
               approval_rate=0.0, checkpoint_interval=0.0,
               activation_limit=1)
@@ -114,7 +142,7 @@ def test_every_construction_in_the_repository_still_builds():
     # open-loop cells); its deployment is built in
     # tests/test_statefun_config.py and tests/test_actors.py.
     for scenario in SCENARIOS.values():
-        assert scenario.workload().sellers >= 1, scenario.name
+        assert scenario.workload.sellers >= 1, scenario.name
     # The examples, the bench harness and the CLI defaults.
     for sellers, customers, products in ((6, 48, 6), (10, 100, 10),
                                          (3, 30, 5), (2, 60, 8)):

@@ -400,7 +400,7 @@ class TestAutoscalerEndToEnd:
             breach_ticks=2, clear_ticks=4, cooldown_up=0.5,
             cooldown_down=1.0, rate_per_silo=250.0)
         autoscaled = dataclasses.replace(scenario,
-                                         autoscaler=lambda: config)
+                                         autoscaler=config)
         run = run_scenario(autoscaled, app="orleans-eventual", seed=3,
                            rate_scale=0.5, duration_scale=0.5)
         control = run.metrics.open_loop["control"]

@@ -19,7 +19,7 @@ from repro.core import (
     WorkloadConfig,
     audit_app,
 )
-from repro.core.workload.config import TransactionMix
+from repro.core.workload.config import INITIAL_STOCK, TransactionMix
 from repro.marketplace.constants import (
     FINAL_STATUSES,
     TRANSITIONS,
@@ -143,7 +143,7 @@ def make_app(name, seed=17):
     env = Environment(seed=seed)
     app = ALL_APPS[name](env, AppConfig(silos=2, cores_per_silo=2))
     workload = WorkloadConfig(sellers=3, customers=12,
-                              products_per_seller=4, initial_stock=1000)
+                              products_per_seller=4)
     app.ingest(Dataset(workload, seed=seed))
     return env, app
 
@@ -180,7 +180,7 @@ class TestDuplicateSubmitExactlyOnce:
                    if key == "p1/2/E000042"]
         assert len(entries) == 1
         # ...and stock was decremented exactly once.
-        assert views["stock"]["1/1"]["qty_available"] == 1000 - 3
+        assert views["stock"]["1/1"]["qty_available"] == INITIAL_STOCK - 3
         assert views["stock"]["1/1"]["qty_reserved"] == 0
 
     def test_audit_confirms_exactly_once(self, name):
@@ -201,4 +201,4 @@ class TestDuplicateSubmitExactlyOnce:
                     if order.get("ext")}
         assert ext_keys == {"p1/2/E000001", "p1/2/E000002"}
         views = app.audit_views()
-        assert views["stock"]["1/1"]["qty_available"] == 1000 - 6
+        assert views["stock"]["1/1"]["qty_available"] == INITIAL_STOCK - 6

@@ -7,6 +7,7 @@ import pytest
 
 from _stub_app import StubApp
 from repro import control
+from repro.core.matrix import MatrixCell, run_cell
 from repro.core.scenarios import SCENARIOS, get_scenario, scenario_names
 from repro.runtime import Environment
 
@@ -42,9 +43,24 @@ class TestRegistry:
         with pytest.raises(ValueError):
             scenario.build_config(duration_scale=-1.0)
 
-    def test_workload_factory_returns_fresh_configs(self):
-        scenario = get_scenario("baseline")
-        assert scenario.workload() is not scenario.workload()
+    @pytest.mark.parametrize("name", ["baseline", "flash-sale", "diurnal"])
+    def test_scenario_configs_are_frozen(self, name):
+        scenario = get_scenario(name)
+        configs = [scenario.workload, scenario.workload.mix,
+                   scenario.hotspot, scenario.autoscaler]
+        for config in filter(None, configs):
+            field = dataclasses.fields(config)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field, getattr(config, field))
+
+    def test_a_shared_scenario_carries_no_per_run_state(self):
+        # The catalogue entry is reused by every run in the process,
+        # so a second run must reproduce the first byte for byte.
+        cell = MatrixCell("baseline", "orleans-eventual", seed=5,
+                          duration_scale=0.15)
+        first, second = run_cell(cell), run_cell(cell)
+        assert first.status == second.status == "ok"
+        assert first.canonical_json == second.canonical_json
 
 
 def run_scenario(name, seed=3, rate_scale=0.5, duration_scale=0.5):

@@ -28,6 +28,7 @@ from repro.actors.silo import Silo
 from repro.apps import ALL_APPS, AppConfig
 from repro.apps.grains_eventual import ProductGrain
 from repro.core import BenchmarkDriver, Dataset, DriverConfig, WorkloadConfig
+from repro.core.workload.config import INITIAL_STOCK
 from repro.control import run_scenario
 from repro.marketplace.constants import OrderStatus, PaymentMethod
 from repro.runtime import Environment
@@ -36,8 +37,7 @@ from repro.sqlstore import eq
 APP_NAMES = list(ALL_APPS)
 ORLEANS_APPS = [name for name in APP_NAMES if name != "statefun"]
 
-SMALL = WorkloadConfig(sellers=4, customers=16, products_per_seller=4,
-                       initial_stock=1000)
+SMALL = WorkloadConfig(sellers=4, customers=16, products_per_seller=4)
 TIGHT_LIMIT = 8  # per silo/worker — far below the ~70-grain world
 
 
@@ -134,7 +134,7 @@ class TestWorkingSetBudget:
         assert result.ok, result
         settle(env)
         stock = app.audit_views()["stock"][target.key]
-        assert stock["qty_available"] == SMALL.initial_stock - 5
+        assert stock["qty_available"] == INITIAL_STOCK - 5
         assert stock["qty_reserved"] == 0
 
     def test_no_limit_means_no_paging(self, name):
