@@ -11,28 +11,20 @@ target.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 from repro.analysis.anomalies import AnomalyReport
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import (
-    BenchmarkDriver,
-    DriverConfig,
-    WorkloadConfig,
-    audit_app,
-)
-from repro.runtime import Environment
+from repro.core import Scenario, WorkloadConfig
 
 APP_ORDER = ("orleans-eventual", "orleans-transactions", "statefun",
              "customized-orleans")
-
-DEFAULT_WORKLOAD = dict(sellers=6, customers=48, products_per_seller=6)
 
 #: Quick mode (REPRO_BENCH_QUICK=1): shrink measured windows so the CI
 #: smoke job finishes in minutes.  Numbers lose precision but every
 #: bench still exercises its full code path and emits its table.
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-#: Window multiplier applied by run_experiment in quick mode.
+#: Window multiplier applied by closed_loop in quick mode.
 QUICK_DURATION_SCALE = 0.4
 
 
@@ -43,30 +35,23 @@ def quick_scaled(duration: float) -> float:
     return max(0.2, duration * QUICK_DURATION_SCALE)
 
 
-def run_experiment(app_name: str,
-                   workers: int = 32,
-                   duration: float = 1.5,
-                   warmup: float = 0.3,
-                   drain: float = 1.0,
-                   seed: int = 1,
-                   silos: int = 2,
-                   cores_per_silo: int = 2,
-                   workload_kwargs: dict | None = None,
-                   app_kwargs: dict | None = None):
-    """Run one (app, configuration) cell; returns (metrics, report, app)."""
-    env = Environment(seed=seed)
-    config = AppConfig(silos=silos, cores_per_silo=cores_per_silo,
-                       **(app_kwargs or {}))
-    app = ALL_APPS[app_name](env, config)
-    workload = WorkloadConfig(**{**DEFAULT_WORKLOAD,
-                                 **(workload_kwargs or {})})
-    driver = BenchmarkDriver(env, app, workload,
-                             DriverConfig(workers=workers, warmup=warmup,
-                                          duration=quick_scaled(duration),
-                                          drain=drain))
-    metrics = driver.run()
-    report = audit_app(app, driver)
-    return metrics, report, app
+#: The closed loop the benches run through ``run_scenario``.
+CLOSED_LOOP = Scenario(
+    name="bench-closed-loop",
+    description="Closed-loop workers on a small marketplace and a "
+                "two-silo, two-core cluster.",
+    workload=WorkloadConfig(sellers=6, customers=48,
+                            products_per_seller=6),
+    population=32, warmup=0.3, duration=1.5, drain=1.0,
+    cluster_silos=2, cluster_cores=2)
+
+
+def closed_loop(workers: int, duration: float, **workload) -> Scenario:
+    """:data:`CLOSED_LOOP` with ``workers`` workers, a ``duration``
+    window (shrunk in quick mode) and ``workload`` field changes."""
+    return dataclasses.replace(
+        CLOSED_LOOP, population=workers, duration=quick_scaled(duration),
+        workload=dataclasses.replace(CLOSED_LOOP.workload, **workload))
 
 
 def print_table(title: str, rows: list[dict]) -> None:

@@ -7,20 +7,24 @@ recovered throughput, confirming the cost model is mechanical rather
 than scripted.
 """
 
+import dataclasses
+
 import pytest
 
-from _harness import print_table, run_experiment
+from _harness import closed_loop, print_table
+from repro.apps import OrleansTransactionsApp
+from repro.control import run_scenario
 
 VARIANTS = ("full", "no-2pc", "no-locks", "neither")
 
 
 def run_variant(variant: str):
-    metrics, _, _ = run_experiment(
-        "orleans-transactions", workers=32, duration=1.2, seed=43,
-        app_kwargs={
-            "enable_two_phase_commit": variant not in ("no-2pc", "neither"),
-            "enable_locking": variant not in ("no-locks", "neither")})
-    return metrics
+    def app(env, config):
+        return OrleansTransactionsApp(env, dataclasses.replace(
+            config,
+            enable_two_phase_commit=variant not in ("no-2pc", "neither"),
+            enable_locking=variant not in ("no-locks", "neither")))
+    return run_scenario(closed_loop(32, 1.2), app, seed=43).metrics
 
 
 def run_all():

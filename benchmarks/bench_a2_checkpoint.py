@@ -6,9 +6,13 @@ frequent checkpoints cost throughput (more stop-the-world barriers),
 infrequent ones cost recovery time (longer replay after a failure).
 """
 
+import dataclasses
+
 import pytest
 
-from _harness import print_table, run_experiment
+from _harness import closed_loop, print_table
+from repro.apps import StatefunApp
+from repro.control import run_scenario
 
 INTERVALS = (0.05, 0.25, 1.0, 0.0)  # 0 disables checkpointing
 
@@ -17,10 +21,11 @@ def run_sweep():
     cells = {}
     for interval in INTERVALS:
         # Two partitions (the harness's two silos), default sync cost.
-        metrics, _, app = run_experiment(
-            "statefun", workers=32, duration=1.5, seed=47,
-            app_kwargs={"checkpoint_interval": interval})
-        cells[interval] = (metrics, app.runtime.checkpoints_taken)
+        def app(env, config):
+            return StatefunApp(env, dataclasses.replace(
+                config, checkpoint_interval=interval))
+        run = run_scenario(closed_loop(32, 1.5), app, seed=47)
+        cells[interval] = (run.metrics, run.app.runtime.checkpoints_taken)
     return cells
 
 

@@ -8,12 +8,16 @@ implementation stays anomaly-free, paying instead with bounded causal
 waits.
 """
 
+import dataclasses
+
 import pytest
 
+from repro.apps import ALL_APPS
+from repro.control import run_scenario
 from repro.core.workload.config import TransactionMix
 from repro.costs import CostModel
 
-from _harness import print_table, run_experiment
+from _harness import closed_loop, print_table
 
 LAGS = (0.0005, 0.005, 0.02)
 MIX = TransactionMix(checkout=55, price_update=35, product_delete=0,
@@ -24,14 +28,14 @@ def run_sweep():
     cells = {}
     for lag in LAGS:
         for name in ("orleans-eventual", "customized-orleans"):
-            metrics, report, app = run_experiment(
-                name, workers=24, duration=1.2, seed=53,
-                workload_kwargs={"mix": MIX},
-                app_kwargs={"costs": CostModel(replication_lag=lag)})
-            stale = report.results["C2-causal-replication"].violations
-            checked = report.results["C2-causal-replication"].checked
-            waits = app.runtime_stats().get("kv_causal_waits", 0)
-            cells[(name, lag)] = (metrics, stale, checked, waits)
+            def app(env, config):
+                return ALL_APPS[name](env, dataclasses.replace(
+                    config, costs=CostModel(replication_lag=lag)))
+            run = run_scenario(closed_loop(24, 1.2, mix=MIX), app, seed=53)
+            c2 = run.report.results["C2-causal-replication"]
+            waits = run.app.runtime_stats().get("kv_causal_waits", 0)
+            cells[(name, lag)] = (run.metrics, c2.violations, c2.checked,
+                                  waits)
     return cells
 
 

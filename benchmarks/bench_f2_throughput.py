@@ -12,7 +12,8 @@ check.
 
 import pytest
 
-from _harness import APP_ORDER, print_table, run_experiment
+from _harness import APP_ORDER, closed_loop, print_table
+from repro.control import run_scenario
 
 WORKER_SWEEP = (8, 32, 96)
 
@@ -21,8 +22,8 @@ def run_sweep():
     series = {name: [] for name in APP_ORDER}
     for name in APP_ORDER:
         for workers in WORKER_SWEEP:
-            metrics, _, _ = run_experiment(name, workers=workers,
-                                           duration=1.5, seed=3)
+            metrics = run_scenario(closed_loop(workers, 1.5), name,
+                                   seed=3).metrics
             series[name].append(metrics.total_throughput)
     return series
 

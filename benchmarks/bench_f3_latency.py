@@ -7,15 +7,15 @@ stack "introduces low overhead" over Orleans Transactions.
 
 import pytest
 
-from _harness import APP_ORDER, print_table, run_experiment
+from _harness import APP_ORDER, closed_loop, print_table
+from repro.control import run_scenario
 
 
 def run_cells():
     cells = {}
     for name in APP_ORDER:
-        metrics, _, _ = run_experiment(name, workers=48, duration=1.5,
-                                       seed=9)
-        cells[name] = metrics
+        cells[name] = run_scenario(closed_loop(48, 1.5), name,
+                                   seed=9).metrics
     return cells
 
 

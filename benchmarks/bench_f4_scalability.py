@@ -7,7 +7,8 @@ load that saturates the smallest deployment and compares speedups.
 
 import pytest
 
-from _harness import print_table, run_experiment
+from _harness import closed_loop, print_table
+from repro.control import run_scenario
 
 SILO_SWEEP = (1, 2, 4)
 APPS = ("orleans-eventual", "statefun")
@@ -17,12 +18,10 @@ def run_sweep():
     series = {name: [] for name in APPS}
     for name in APPS:
         for silos in SILO_SWEEP:
-            metrics, _, app = run_experiment(
-                name, workers=silos * 32, duration=1.2, seed=17,
-                silos=silos, cores_per_silo=2,
-                workload_kwargs={"customers": 96})
-            working_set = app.runtime_stats()["working_set"]
-            series[name].append((metrics.total_throughput,
+            run = run_scenario(closed_loop(silos * 32, 1.2, customers=96),
+                               name, seed=17, silos=silos)
+            working_set = run.app.runtime_stats()["working_set"]
+            series[name].append((run.metrics.total_throughput,
                                  working_set["peak_resident"]))
     return series
 

@@ -8,16 +8,16 @@ transactions for each implementation.
 
 import pytest
 
-from _harness import APP_ORDER, anomaly_row, print_table, run_experiment
+from _harness import APP_ORDER, anomaly_row, closed_loop, print_table
+from repro.control import run_scenario
 
 
 def run_cells():
     cells = {}
     for name in APP_ORDER:
-        metrics, report, _ = run_experiment(
-            name, workers=24, duration=1.5, seed=31,
-            app_kwargs={"drop_probability": 0.02})
-        cells[name] = (metrics, report)
+        run = run_scenario(closed_loop(24, 1.5), name, seed=31,
+                           drop_probability=0.02)
+        cells[name] = (run.metrics, run.report)
     return cells
 
 

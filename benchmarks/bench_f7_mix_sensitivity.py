@@ -8,9 +8,10 @@ implementation the most — its costs come from real lock conflicts.
 
 import pytest
 
+from repro.control import run_scenario
 from repro.core.workload.config import TransactionMix
 
-from _harness import print_table, run_experiment
+from _harness import closed_loop, print_table
 
 APPS = ("orleans-eventual", "orleans-transactions", "statefun")
 ZIPF_SWEEP = (0.0, 0.9)
@@ -25,10 +26,10 @@ def run_grid():
                 mix = TransactionMix(
                     checkout=share, price_update=10, product_delete=1,
                     update_delivery=4, dashboard=100 - share - 15)
-                metrics, _, app = run_experiment(
-                    name, workers=32, duration=1.2, seed=41,
-                    workload_kwargs={"zipf_s": zipf, "mix": mix})
-                grid[(name, zipf, share)] = (metrics, app)
+                run = run_scenario(
+                    closed_loop(32, 1.2, zipf_s=zipf, mix=mix), name,
+                    seed=41)
+                grid[(name, zipf, share)] = (run.metrics, run.app)
     return grid
 
 

@@ -14,7 +14,7 @@ the compensation and exactly-once audits run on every stack too.
 
 import pytest
 
-from _harness import APP_ORDER, QUICK, print_table, run_experiment
+from _harness import APP_ORDER, QUICK, closed_loop, print_table
 from repro.control import run_scenario
 
 TAIL_SCENARIOS = ("return-storm", "payment-flaky", "duplicate-ingest")
@@ -24,9 +24,8 @@ def build_matrix():
     rows = []
     expectations = {}
     for name in APP_ORDER:
-        metrics, report, _ = run_experiment(
-            name, workers=16, duration=1.5, seed=5,
-            app_kwargs={"drop_probability": 0.02})
+        report = run_scenario(closed_loop(16, 1.5), name, seed=5,
+                              drop_probability=0.02).report
         rows.append(report.row())
         expectations[name] = report
     return rows, expectations

@@ -7,7 +7,8 @@ the detailed view behind the headline throughput ranking.
 
 import pytest
 
-from _harness import APP_ORDER, print_table, run_experiment
+from _harness import APP_ORDER, closed_loop, print_table
+from repro.control import run_scenario
 
 OPERATIONS = ("add_item", "checkout", "update_price", "delete_product",
               "update_delivery", "dashboard")
@@ -16,9 +17,8 @@ OPERATIONS = ("add_item", "checkout", "update_price", "delete_product",
 def run_cells():
     cells = {}
     for name in APP_ORDER:
-        metrics, _, _ = run_experiment(name, workers=32, duration=1.5,
-                                       seed=23)
-        cells[name] = metrics
+        cells[name] = run_scenario(closed_loop(32, 1.5), name,
+                                   seed=23).metrics
     return cells
 
 

@@ -8,31 +8,22 @@ are printed side by side.
 Run with:  python examples/compare_platforms.py
 """
 
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import (
-    BenchmarkDriver,
-    DriverConfig,
-    WorkloadConfig,
-    audit_app,
-)
+from repro.apps import ALL_APPS
+from repro.control import run_scenario
+from repro.core import Scenario, WorkloadConfig
 from repro.core.criteria import CRITERIA
-from repro.runtime import Environment
 
-
-def run_one(name: str):
-    env = Environment(seed=7)
-    app = ALL_APPS[name](env, AppConfig(silos=2, cores_per_silo=4))
-    driver = BenchmarkDriver(
-        env, app,
-        WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
-        DriverConfig(workers=32, warmup=0.3, duration=2.0, drain=1.0))
-    metrics = driver.run()
-    report = audit_app(app, driver)
-    return metrics, report
+SCENARIO = Scenario(
+    name="compare", description="closed loop of 32 workers",
+    workload=WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
+    population=32, warmup=0.3, duration=2.0, drain=1.0)
 
 
 def main() -> None:
-    results = {name: run_one(name) for name in ALL_APPS}
+    results = {}
+    for name in ALL_APPS:
+        run = run_scenario(SCENARIO, name, seed=7, silos=2, cores=4)
+        results[name] = run.metrics, run.report
 
     print(f"{'implementation':24s} {'tx/s':>9s} {'checkout p50':>13s} "
           f"{'criteria':>10s}")
@@ -42,7 +33,7 @@ def main() -> None:
         passed = sum(result.passed for result in report.results.values())
         print(f"{name:24s} {metrics.total_throughput:9,.0f} "
               f"{metrics.latency_of('checkout') * 1000:11.2f}ms "
-              f"{passed:>6d}/5")
+              f"{passed:>6d}/{len(report.results)}")
 
     statefun_tput = results["statefun"][0].total_throughput
     print(f"\nstatefun / orleans-transactions throughput ratio: "

@@ -10,28 +10,14 @@ prices into carts, and reorders lifecycle events.
 Run with:  python examples/consistency_audit.py
 """
 
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import (
-    BenchmarkDriver,
-    DriverConfig,
-    WorkloadConfig,
-    audit_app,
-)
-from repro.runtime import Environment
+from repro.control import run_scenario
+from repro.core import Scenario, WorkloadConfig
 
 DROP_RATES = (0.0, 0.01, 0.05)
-
-
-def run_cell(app_name: str, drop: float):
-    env = Environment(seed=19)
-    app = ALL_APPS[app_name](env, AppConfig(
-        silos=2, cores_per_silo=4, drop_probability=drop))
-    driver = BenchmarkDriver(
-        env, app,
-        WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
-        DriverConfig(workers=24, warmup=0.3, duration=1.5, drain=1.5))
-    metrics = driver.run()
-    return metrics, audit_app(app, driver)
+SCENARIO = Scenario(
+    name="consistency-audit", description="closed loop of 24 workers",
+    workload=WorkloadConfig(sellers=6, customers=48, products_per_seller=6),
+    population=24, warmup=0.3, duration=1.5, drain=1.5)
 
 
 def main() -> None:
@@ -42,7 +28,9 @@ def main() -> None:
               f"{'C3 integrity':>13s} {'C4 dashboard':>13s} "
               f"{'C5 ordering':>12s}")
         for drop in DROP_RATES:
-            metrics, report = run_cell(app_name, drop)
+            run = run_scenario(SCENARIO, app_name, seed=19, silos=2,
+                               cores=4, drop_probability=drop)
+            metrics, report = run.metrics, run.report
             def cell(criterion):
                 result = report.results[criterion]
                 return (f"{result.violations}/{result.checked}"

@@ -8,35 +8,30 @@ data-management criteria audit.
 Run with:  python examples/quickstart.py
 """
 
-from repro.apps import AppConfig, OrleansEventualApp
-from repro.core import (
-    BenchmarkDriver,
-    DriverConfig,
-    WorkloadConfig,
-    audit_app,
-)
-from repro.runtime import Environment
+from repro.control import run_scenario
+from repro.core import Scenario, WorkloadConfig
 
 
 def main() -> None:
-    # 1. A deterministic simulation environment: same seed, same run.
-    env = Environment(seed=42)
+    # 1. The experiment: 32 closed-loop workers, each submitting one of
+    #    the five business transactions, waiting, and repeating, on a
+    #    marketplace of 10 sellers, 100 customers and 100 products.
+    scenario = Scenario(
+        name="quickstart", description="closed loop of 32 workers",
+        workload=WorkloadConfig(sellers=10, customers=100,
+                                products_per_seller=10),
+        population=32, warmup=0.5, duration=3.0, drain=1.0)
 
-    # 2. The application under test: Online Marketplace on virtual
-    #    actors with eventual consistency.
-    app = OrleansEventualApp(env, AppConfig(silos=4, cores_per_silo=4))
+    # 2. One run: a deterministic simulation (same seed, same run) of
+    #    Online Marketplace on virtual actors with eventual consistency
+    #    on 4 silos of 4 cores.  The driver generates the marketplace,
+    #    ingests it, warms up, submits the transactions, collects
+    #    statistics, then the criteria are audited.
+    run = run_scenario(scenario, "orleans-eventual", seed=42,
+                       silos=4, cores=4)
+    metrics = run.metrics
 
-    # 3. The benchmark driver: generates the marketplace (sellers,
-    #    customers, products, stock), ingests it, warms up, submits the
-    #    five business transactions from closed-loop workers, and
-    #    collects statistics.
-    driver = BenchmarkDriver(
-        env, app,
-        WorkloadConfig(sellers=10, customers=100, products_per_seller=10),
-        DriverConfig(workers=32, warmup=0.5, duration=3.0, drain=1.0))
-    metrics = driver.run()
-
-    # 4. Results: throughput and latency per business transaction.
+    # 3. Results: throughput and latency per business transaction.
     print(f"app: {metrics.app}   workers: {metrics.workers}   "
           f"measured window: {metrics.duration}s (simulated)")
     print(f"total committed throughput: "
@@ -50,11 +45,10 @@ def main() -> None:
               f"{op.throughput:9.1f} {op.latency['p50'] * 1000:8.2f} "
               f"{op.latency['p99'] * 1000:8.2f}")
 
-    # 5. The data management criteria audit — the benchmark's real
+    # 4. The data management criteria audit — the benchmark's real
     #    point: speed is easy, correctness criteria are not.
-    report = audit_app(app, driver)
     print("\ncriteria audit:")
-    for name, result in sorted(report.results.items()):
+    for name, result in sorted(run.report.results.items()):
         status = "pass" if result.passed else \
             f"FAIL ({result.violations}/{result.checked})"
         print(f"  {name:28s} {status}")

@@ -44,21 +44,13 @@ from repro.analysis.matrix_report import (
     matrix_report_json,
     render_matrix_report,
 )
+from repro.apps import ALL_APPS
 from repro.control.facade import run_scenario
-from repro.apps import ALL_APPS, AppConfig
-from repro.core import (
-    BenchmarkDriver,
-    DriverConfig,
-    MatrixSpec,
-    WorkloadConfig,
-    audit_app,
-    run_matrix,
-)
+from repro.core import MatrixSpec, WorkloadConfig, run_matrix
 from repro.core.criteria import CRITERIA
 from repro.core.matrix import MatrixProgress
-from repro.core.scenarios import get_scenario, scenario_names
+from repro.core.scenarios import Scenario, get_scenario, scenario_names
 from repro.core.workload.config import TransactionMix
-from repro.runtime import Environment
 
 
 def _ranged(kind: type, rule: str, holds):
@@ -114,22 +106,17 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_one(app_name: str, args: argparse.Namespace):
-    env = Environment(seed=args.seed)
-    app = ALL_APPS[app_name](env, AppConfig(
-        silos=args.silos, cores_per_silo=args.cores,
-        drop_probability=args.drop))
-    mix = TransactionMix(checkout=args.checkout_weight)
     workload = WorkloadConfig(
         sellers=args.sellers, customers=args.customers,
-        products_per_seller=args.products, zipf_s=args.zipf, mix=mix)
-    driver = BenchmarkDriver(
-        env, app, workload,
-        DriverConfig(workers=args.workers, warmup=args.warmup,
-                     duration=args.duration, drain=1.0),
-        data_seed=args.seed)
-    metrics = driver.run()
-    report = audit_app(app, driver)
-    return metrics, report
+        products_per_seller=args.products, zipf_s=args.zipf,
+        mix=TransactionMix(checkout=args.checkout_weight))
+    run = run_scenario(
+        Scenario(name="closed-loop", description="the CLI's closed loop",
+                 workload=workload, population=args.workers,
+                 warmup=args.warmup, duration=args.duration, drain=1.0),
+        app_name, seed=args.seed, silos=args.silos, cores=args.cores,
+        drop_probability=args.drop)
+    return run.metrics, run.report
 
 
 def _print_metrics(metrics, stream: typing.TextIO) -> None:

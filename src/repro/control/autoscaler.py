@@ -41,6 +41,7 @@ compares against.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.control.actions import AddSilo, ControlAction, DrainSilo
@@ -71,10 +72,13 @@ class SLOTarget:
     error_rate: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.queue_delay_p95 <= 0:
-            raise ValueError("queue-delay bound must be > 0")
+        # Comparisons that NaN fails: a NaN bound could never breach.
+        if not 0 < self.queue_delay_p95 < math.inf:
+            raise ValueError(f"queue_delay_p95 must be finite and > 0, "
+                             f"got {self.queue_delay_p95}")
         if not 0 <= self.error_rate <= 1:
-            raise ValueError("error-rate bound must be in [0, 1]")
+            raise ValueError(f"error_rate must be in [0, 1], "
+                             f"got {self.error_rate}")
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -106,14 +110,22 @@ class AutoscalerConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        if self.interval <= 0 or self.window <= 0:
-            raise ValueError("interval and window must be > 0")
         if not 1 <= self.min_silos <= self.max_silos:
             raise ValueError("need 1 <= min_silos <= max_silos")
         if self.breach_ticks < 1 or self.clear_ticks < 1:
             raise ValueError("tick thresholds must be >= 1")
-        if self.cooldown_up < 0 or self.cooldown_down < 0:
-            raise ValueError("cooldowns must be >= 0")
+        # Each rule is a comparison that NaN and infinity fail.
+        rate = self.rate_per_silo
+        rules = [(name, "> 0", 0 < getattr(self, name) < math.inf)
+                 for name in ("interval", "window")]
+        rules += [(name, ">= 0", 0 <= getattr(self, name) < math.inf)
+                  for name in ("cooldown_up", "cooldown_down")]
+        rules += [("rate_per_silo", "> 0 or None",
+                   rate is None or 0 < rate < math.inf)]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(f"{name} must be finite and {rule}, "
+                                 f"got {getattr(self, name)}")
 
     def time_scaled(self, factor: float) -> "AutoscalerConfig":
         """A copy with schedule-time knobs stretched by ``factor``.

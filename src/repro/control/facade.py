@@ -1,16 +1,14 @@
-"""One entry point for running a named scenario end to end.
+"""One entry point for every driver run: :func:`run_scenario`.
 
-Before this facade, three call sites each hand-assembled the same
-sequence — seed an :class:`~repro.runtime.Environment`, build the app
-with the scenario-pinned :class:`~repro.config.AppConfig`, build the
-driver, run, audit — in slightly divergent ways: the scenario CLI,
-``matrix.run_cell``, and every test that wanted a scenario run.
-:func:`run_scenario` is now that sequence, exactly once; the CLI and
-matrix call it, and direct driver construction is deprecated for
-scenario runs (see ``docs/scenarios.md``).  Determinism is preserved
-by construction: the facade performs the identical steps in the
-identical order, so a cell run through it is byte-identical to one
-assembled by hand.
+A run is one lifecycle, written once here: seed an
+:class:`~repro.runtime.Environment`, build the app from the
+scenario-pinned :class:`~repro.config.AppConfig`, build the
+scenario's driver (open loop on an arrival schedule, or closed loop of
+a worker ``population``), run it, and audit the criteria.  The CLI,
+the matrix, the benches and the examples all call it; a variant of a
+run is a ``dataclasses.replace`` of its :class:`Scenario` or an
+``(env, AppConfig) -> app`` callable, never a second assembly.  Same
+arguments, same seed: same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
     from repro.core.criteria import CriteriaReport
     from repro.core.driver.metrics import RunMetrics
-    from repro.core.driver.open_loop import OpenLoopDriver
+    from repro.core.driver.issuer import Driver
     from repro.core.scenarios import Scenario
     from repro.runtime import Environment
 
@@ -34,7 +32,7 @@ class ScenarioRun:
     scenario: "Scenario"
     env: "Environment"
     app: "MarketplaceApp"
-    driver: "OpenLoopDriver"
+    driver: "Driver"
     metrics: "RunMetrics"
     report: "CriteriaReport"
 
@@ -51,14 +49,15 @@ def run_scenario(scenario: "Scenario | str",
                  approval_rate: float | None = None,
                  activation_limit: int | None = None,
                  audit: bool = True) -> ScenarioRun:
-    """Run one named scenario against one app, end to end.
+    """Run one scenario, open or closed loop, against one app, end to
+    end; the dataset is seeded with ``seed`` too.
 
     ``scenario`` is a catalogue name or a :class:`Scenario`; ``app`` is
     a registry name or any ``(env, AppConfig) -> app`` callable (tests
-    pass stub classes).  The keyword overrides mirror the CLI flags:
-    ``None`` means "use the scenario's pinned value" — a fault scenario
-    may pin the cluster shape it was designed for; explicit arguments
-    still win.
+    pass stub classes; an ablation replaces fields of the config).
+    The keyword overrides mirror the CLI flags: ``None`` means "use the
+    scenario's pinned value" — a fault scenario may pin the cluster
+    shape it was designed for; explicit arguments still win.
     """
     # Imported here, not at module level: the scenario catalogue and
     # the app stacks both import `repro.control` themselves, so the

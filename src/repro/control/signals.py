@@ -94,8 +94,8 @@ class SignalWindow:
     """
 
     def __init__(self, window: float = 3.0) -> None:
-        if window <= 0:
-            raise ValueError("window must be > 0")
+        if not 0 < window < math.inf:
+            raise ValueError(f"window must be finite and > 0, got {window}")
         self.window = window
         self._delays: collections.deque[tuple[float, float]] = \
             collections.deque()

@@ -1,7 +1,7 @@
 """Data management criteria auditors.
 
 The paper prescribes criteria "to allow for proper comparison across
-data systems and platforms".  Five are audited here:
+data systems and platforms".  Six are audited here:
 
 C1  All-or-nothing atomicity of business transactions (checkout).
 C2  Causal (read-your-writes) replication of product data into carts.
@@ -14,7 +14,9 @@ C6  Exactly-once external-order ingestion: every registered
     marketplace order (no duplicates, no orphaned registrations).
 
 C2 and C4 are observed online by the driver; C1, C3, C5 and C6 are
-audited post-hoc over the app's state views at quiescence.
+audited post-hoc over the app's state views at ``deadline + drain``, a
+fixed drain after the measured window ends, whether or not every
+asynchronous effect has settled by then.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.marketplace.constants import OrderStatus
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.base import MarketplaceApp
-    from repro.core.driver.driver import BenchmarkDriver
+    from repro.core.driver.issuer import Driver
 
 CRITERIA = (
     "C1-atomicity",
@@ -84,9 +86,9 @@ class CriteriaReport:
 
 
 def audit_app(app: "MarketplaceApp",
-              driver: "BenchmarkDriver | None" = None,
+              driver: "Driver | None" = None,
               max_details: int = 5) -> CriteriaReport:
-    """Audit one app (after a run has quiesced) against all criteria."""
+    """Audit one app (after its run's drain) against all criteria."""
     views = app.audit_views()
     results = {
         "C1-atomicity": _audit_atomicity(views, max_details),
@@ -149,7 +151,7 @@ def _audit_atomicity(views: dict, max_details: int) -> CriterionResult:
                 violation(f"order {order_id}: {len(shipment['packages'])} "
                           f"packages, expected {expected}")
 
-    # At quiescence no reservation may dangle: every reservation was
+    # After the drain no reservation may dangle: every reservation was
     # either confirmed (decrement) or cancelled.
     for key, stock in views.get("stock", {}).items():
         checked += 1

@@ -1,8 +1,9 @@
-"""The named scenario suite: declarative open-loop workload shapes.
+"""The named scenario suite: declarative workload shapes.
 
 Each :class:`Scenario` composes a :class:`WorkloadConfig` (scale, skew,
-transaction mix) with an arrival schedule and optional hotspot window
-into one reproducible experiment a single name away::
+transaction mix) with a closed loop of ``population`` workers, or with
+an arrival schedule and optional hotspot window, into one reproducible
+experiment; the catalogue's are open loop, a single name away::
 
     python -m repro.cli scenario flash-sale --app orleans-eventual
 
@@ -55,9 +56,8 @@ Fault times, like the hotspot window, are relative to run start
 (warm-up included) and stretch with ``--duration-scale``; autoscaler
 cadence and cooldowns stretch the same way (the SLO itself does not).
 
-Scenario runs should go through
-:func:`repro.control.run_scenario` — it performs the canonical
-environment/app/driver assembly — rather than hand-building drivers.
+Every run goes through :func:`repro.control.run_scenario`; nothing
+but :meth:`Scenario.build_driver` builds a driver.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from repro.core.driver.arrivals import (
     RampArrivals,
     SinusoidArrivals,
 )
+from repro.core.driver.driver import BenchmarkDriver, DriverConfig
 from repro.core.driver.open_loop import (
     HotspotSpec,
     OpenLoopConfig,
@@ -98,7 +99,8 @@ _DEFAULT_CLUSTER_SHAPE = 4
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """A named, declarative open-loop experiment.
+    """A named, declarative experiment: open loop when it has
+    ``arrivals``, closed loop when it has a ``population``.
 
     A scenario is a value: every config it holds is frozen, so one
     catalogue entry serves every run and carries no per-run state."""
@@ -106,8 +108,10 @@ class Scenario:
     name: str
     description: str
     workload: WorkloadConfig
-    #: Builds the arrival schedule from the scaled base rate.
-    arrivals: typing.Callable[[float], ArrivalProcess]
+    #: Open loop: builds the arrival schedule from the scaled base rate.
+    arrivals: typing.Callable[[float], ArrivalProcess] | None = None
+    #: Closed loop: workers that each submit, wait and repeat.
+    population: int | None = None
     #: Nominal arrivals/second the shape is expressed against.
     base_rate: float = 150.0
     warmup: float = 1.0
@@ -131,6 +135,17 @@ class Scenario:
     #: Per-silo activation budget (per-worker address budget on the
     #: dataflow stack); None = unbounded residency.
     activation_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.arrivals is None) == (self.population is None):
+            raise ValueError("need exactly one of arrivals and population")
+        closed = self.population is not None
+        if closed and not self.population >= 1:
+            raise ValueError(f"population must be >= 1, got {self.population}")
+        # The closed-loop driver honours none of these.
+        for name in ("hotspot", "faults", "autoscaler"):
+            if closed and getattr(self, name) is not None:
+                raise ValueError(f"a closed loop takes no {name}")
 
     @property
     def effective_silos(self) -> int:
@@ -175,14 +190,24 @@ class Scenario:
     def build_driver(self, env: "Environment", app: "MarketplaceApp",
                      rate_scale: float = 1.0,
                      duration_scale: float = 1.0,
-                     data_seed: int = 0) -> OpenLoopDriver:
-        """A ready-to-run :class:`OpenLoopDriver` for this scenario:
-        its workload and scaled schedule against ``app``, dataset
-        seeded with ``data_seed``."""
-        return OpenLoopDriver(
-            env, app, self.workload,
-            self.build_config(rate_scale, duration_scale),
-            data_seed=data_seed)
+                     data_seed: int = 0,
+                     ) -> BenchmarkDriver | OpenLoopDriver:
+        """A ready-to-run driver against ``app``, dataset seeded with
+        ``data_seed``: open loop on the scaled schedule, or closed loop
+        with warm-up, window and drain stretched by ``duration_scale``."""
+        if self.population is None:
+            config = self.build_config(rate_scale, duration_scale)
+            return OpenLoopDriver(env, app, self.workload, config,
+                                  data_seed=data_seed)
+        if rate_scale != 1.0:
+            raise ValueError(f"a closed loop takes no rate_scale, "
+                             f"got {rate_scale}")
+        config = DriverConfig(
+            workers=self.population, warmup=self.warmup * duration_scale,
+            duration=self.duration * duration_scale,
+            drain=self.drain * duration_scale)
+        return BenchmarkDriver(env, app, self.workload, config,
+                               data_seed=data_seed)
 
 
 def _workload(**overrides) -> WorkloadConfig:

@@ -7,6 +7,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.control import run_scenario
 
 FAST = ["--workers", "4", "--duration", "0.5", "--warmup", "0.1",
         "--silos", "1", "--cores", "2", "--sellers", "2",
@@ -70,12 +71,12 @@ class TestRunCommand:
         two seeds must generate two different worlds."""
         built = []
 
-        class Recording(cli.BenchmarkDriver):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def recording(*args, **kwargs):
+            run = run_scenario(*args, **kwargs)
+            built.append(run.driver)
+            return run
 
-        monkeypatch.setattr(cli, "BenchmarkDriver", Recording)
+        monkeypatch.setattr(cli, "run_scenario", recording)
         for seed in ("1", "2"):
             assert main(["run", "--seed", seed] + FAST,
                         stream=io.StringIO()) == 0

@@ -7,7 +7,8 @@ import dataclasses
 import pytest
 
 from repro.apps import AppConfig
-from repro.control import run_scenario
+from repro.control import AutoscalerConfig, SLOTarget, run_scenario
+from repro.control.signals import SignalWindow
 from repro.core.driver import DriverConfig, OpenLoopConfig
 from repro.core.driver.arrivals import (
     ConstantRate,
@@ -85,6 +86,24 @@ def test_transaction_mix_rejects_a_negative_nan_or_infinite_weight(
 def test_timing_inputs_reject_nan_and_infinity(build, field, value):
     # DriverConfig(duration=inf) used to run each closed-loop worker
     # `while env.now < inf` and env.run(until=inf) without end.
+    with pytest.raises(ValueError, match=field):
+        build(value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda value: SLOTarget(queue_delay_p95=value), "queue_delay_p95"),
+    (lambda value: SLOTarget(error_rate=value), "error_rate"),
+    (lambda value: AutoscalerConfig(interval=value), "interval"),
+    (lambda value: AutoscalerConfig(window=value), "window"),
+    (lambda value: AutoscalerConfig(cooldown_up=value), "cooldown_up"),
+    (lambda value: AutoscalerConfig(cooldown_down=value), "cooldown_down"),
+    (lambda value: AutoscalerConfig(rate_per_silo=value), "rate_per_silo"),
+    (lambda value: SignalWindow(value), "window"),
+])
+@pytest.mark.parametrize("value", [-5.0, NAN, INF])
+def test_autoscaler_inputs_reject_negative_nan_and_infinity(
+        build, field, value):
+    # A NaN p95 bound can never breach: the controller would never scale.
     with pytest.raises(ValueError, match=field):
         build(value)
 

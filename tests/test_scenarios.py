@@ -7,6 +7,16 @@ import pytest
 
 from _stub_app import StubApp
 from repro import control
+from repro.apps import ALL_APPS, AppConfig
+from repro.core import (
+    BenchmarkDriver,
+    DriverConfig,
+    HotspotSpec,
+    PoissonArrivals,
+    Scenario,
+    WorkloadConfig,
+    audit_app,
+)
 from repro.core.matrix import MatrixCell, run_cell
 from repro.core.scenarios import SCENARIOS, get_scenario, scenario_names
 from repro.runtime import Environment
@@ -203,3 +213,60 @@ class TestAutoscaledScenarios:
         metrics, driver, app = run_scenario("baseline")
         assert "control" not in metrics.open_loop
 
+
+#: A small closed loop: eight workers, half a second measured.
+CLOSED_LOOP = Scenario(
+    name="closed", description="a small closed loop",
+    workload=WorkloadConfig(sellers=3, customers=20, products_per_seller=4),
+    population=8, warmup=0.2, duration=0.5, drain=1.0)
+
+
+class TestClosedLoop:
+    """A ``population`` scenario is the closed loop, through the same
+    ``run_scenario`` as every open-loop run."""
+
+    @pytest.mark.parametrize("app_name", ["orleans-eventual", "statefun",
+                                          "customized-orleans"])
+    def test_run_scenario_matches_the_hand_built_assembly(self, app_name):
+        seed = 11
+        run = control.run_scenario(CLOSED_LOOP, app_name, seed=seed,
+                                   silos=2, cores=2, drop_probability=0.02)
+
+        env = Environment(seed=seed)
+        app = ALL_APPS[app_name](env, AppConfig(
+            silos=2, cores_per_silo=2, drop_probability=0.02))
+        driver = BenchmarkDriver(
+            env, app, CLOSED_LOOP.workload,
+            DriverConfig(workers=8, warmup=0.2, duration=0.5, drain=1.0),
+            data_seed=seed)
+        metrics = driver.run()
+        report = audit_app(app, driver)
+
+        assert isinstance(run.driver, BenchmarkDriver)
+        assert run.metrics.summary_rows() == metrics.summary_rows()
+        assert run.report.results == report.results
+        assert run.env.events_processed == env.events_processed > 0
+
+    def test_duration_scale_stretches_every_phase(self):
+        env = Environment(seed=1)
+        driver = CLOSED_LOOP.build_driver(env, StubApp(env),
+                                          duration_scale=0.5)
+        assert driver.config == DriverConfig(
+            workers=8, warmup=0.1, duration=0.25, drain=0.5)
+
+    @pytest.mark.parametrize("changes, field", [
+        (dict(arrivals=PoissonArrivals), "arrivals and population"),
+        (dict(population=None), "arrivals and population"),
+        (dict(population=0), "population"),
+        (dict(hotspot=HotspotSpec(start=0.0, end=1.0)), "hotspot"),
+        (dict(faults=get_scenario("silo-crash").faults), "faults"),
+        (dict(autoscaler=get_scenario("diurnal").autoscaler),
+         "autoscaler"),
+    ])
+    def test_a_bad_closed_loop_is_refused(self, changes, field):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(CLOSED_LOOP, **changes)
+
+    def test_a_closed_loop_refuses_a_rate_scale(self):
+        with pytest.raises(ValueError, match="rate_scale"):
+            control.run_scenario(CLOSED_LOOP, StubApp, rate_scale=2.0)
