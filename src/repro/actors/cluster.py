@@ -40,6 +40,8 @@ from repro.runtime.events import PENDING, PooledEvent
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime import Environment, Event
 
+_new = object.__new__
+
 #: Poll interval of drain/migration sweeps waiting for activations to
 #: go quiet.
 HANDOFF_POLL = 0.001
@@ -48,9 +50,6 @@ WORKING_SET_SWEEP = 0.05
 #: Pager store access: a re-activation's read, an eviction's write.
 PAGER_READ_LATENCY = 0.0002
 PAGER_WRITE_LATENCY = 0.0004
-#: Delivery attempts per message before the caller sees
-#: ``SiloUnavailable`` (first send + rerouting hops).
-MAX_DELIVERY_ATTEMPTS = 4
 #: Time between a silo crash and the membership view evicting it
 #: (Orleans-style failure detection).  Until eviction the ring still
 #: routes to the dead silo and callers see unavailability — the outage
@@ -315,7 +314,7 @@ class Cluster:
                 continue  # the caller already saw a failure
             message.attempts += 1
             self.membership.reroutes += 1
-            self._route(message, caller_silo=None)
+            self._route(message.ref, message.method, message=message)
 
     def _drain(self, silo: Silo):
         """Hand off every activation, then mark the silo stopped."""
@@ -438,7 +437,7 @@ class Cluster:
         """Where to route a message: the directory pins routing to the
         live activation (Orleans grain-directory semantics); the ring
         decides only for grains without one.  May raise NoLiveSilos.
-        ``_route`` and ``_deliver`` inline this rule."""
+        ``_route`` and ``Message._arrive`` inline this rule."""
         host = self.directory.hosts.get(ref.ident)
         if host is not None and host.alive:
             return host
@@ -455,18 +454,43 @@ class Cluster:
         return self._target_for(ref).activation_for(
             self, ref.grain_type, ref.key).grain
 
-    def _route(self, message: Message, caller_silo: Silo | None) -> None:
-        """Send (or re-send) ``message`` toward the grain's owner.
+    def _route(self, ref: GrainRef, method: str, args: tuple = (),
+               kwargs: dict | None = None, txn: object | None = None,
+               caller_silo: Silo | None = None, oneway: bool = False,
+               message: Message | None = None) -> Message:
+        """Send a call of ``method`` toward the grain's owner and return
+        its message, the caller's promise — or re-send ``message``, the
+        same object, after a membership change (``_evict``, or
+        ``Message._arrive`` on a stale target).
 
         Failures never escape as exceptions: an empty ring or an
         exhausted retry budget fails the message, so the caller
         observes a failed call, not a crashed driver.
         """
-        ref = message.ref  # a routed message always has one
+        env = self.env
+        if message is None:
+            # The message's fields, stored here: ``Message`` has no
+            # ``__init__``, which would add a frame to every send.
+            message = _new(Message)
+            message.env = env
+            message.callbacks = []
+            message._value = PENDING
+            message._ok = True
+            # Nobody waits on a tell: its failures are lost, not raised.
+            message._defused = oneway
+            message.method = method
+            message.args = args
+            message.kwargs = kwargs
+            message.txn = txn
+            message.ref = ref
+            message.attempts = 1
+            message.activation = None
+            message.generator = None
+            message.oneway = oneway
         config = self.config
         costs = self.costs
         # ``_target_for``, inline: the directory's live host, else the
-        # ring.  ``epoch`` records which one chose, for ``_deliver``.
+        # ring.  ``epoch`` records which one chose, for ``_arrive``.
         target = self.directory.hosts.get(ref.ident)
         if target is None or not target.alive:
             try:
@@ -474,7 +498,7 @@ class Cluster:
             except NoLiveSilos as error:
                 self.membership.unavailable_failures += 1
                 self._fail_after(message, costs.remote_latency, error)
-                return
+                return message
             message.epoch = self.placement.epoch
         else:
             message.epoch = -1
@@ -488,18 +512,16 @@ class Cluster:
                 and self._rng.random() < config.drop_probability):
             self.messages_dropped += 1
             failure = MessageDropped(
-                f"{ref.type_name}/{ref.key}.{message.method} "
-                f"lost in transit")
+                f"{ref.type_name}/{ref.key}.{method} lost in transit")
             self._fail_after(message, latency, failure)
-            return
+            return message
         message.reply_latency = latency
+        message.target = target
         # A raw pooled-event callback, not a process: message transit
         # has no body to suspend, and a full Process costs two extra
         # events per hop on the hottest path in the simulator.
-        # ``env.call_after(latency, partial(self._deliver, ...))``,
-        # inline: the same pool, sequence and heap steps in the same
-        # order.
-        env = self.env
+        # ``env.call_after(latency, message._arrive)``, inline: the same
+        # pool, sequence and heap steps in the same order.
         env.pool_acquires += 1
         pool = env._pool
         if pool:
@@ -508,66 +530,13 @@ class Cluster:
         else:
             event = PooledEvent(env)
         event._value = None
-        event.callbacks.append(  # type: ignore[union-attr]
-            functools.partial(self._deliver, message, target))
+        event.callbacks.append(message._arrive)  # type: ignore[union-attr]
         env._seq = seq = env._seq + 1
         if latency > 0.0:
             _heappush(env._queue, (env.now + latency, seq, event))
         else:
             env._bucket.append((seq, event))
-
-    def _deliver(self, message: Message, target: Silo,
-                 _event: "Event") -> None:
-        """Hand the message to ``target`` — or re-place it if the
-        cluster moved underneath the send."""
-        ref = message.ref  # a routed message always has one
-        activation = target.activations.get(ref.ident)
-        if activation is None:
-            # Not hosted there: re-derive the route on arrival
-            # (``_target_for``, inline).  The grain may have migrated
-            # (directory moved) or the target died/drained while the
-            # message was on the wire; an unchanged ring still says
-            # ``target``.
-            host = self.directory.hosts.get(ref.ident)
-            if host is None or not host.alive:
-                host = target
-                if message.epoch != self.placement.epoch:
-                    try:
-                        host = self.placement.place(ref.type_name, ref.key)
-                    except NoLiveSilos:
-                        host = None
-            if host is target and target.accepting_activations:
-                activation = target.activation_for(self, ref.grain_type,
-                                                   ref.key)
-        if activation is not None and target.alive:
-            # Most recently used: move to the end of the silo's LRU order.
-            lru = target.lru
-            del lru[activation]
-            lru[activation] = None
-            if (activation.mailbox or not activation.started
-                    or activation.defunct
-                    or (activation.inflight
-                        and not activation.grain.reentrant)):
-                # Whatever holds it up — ``_start``, or the turn in
-                # flight that a non-empty mailbox implies — pumps the
-                # mailbox.
-                activation.mailbox.append(message)
-            else:
-                # The common case: the turn starts now, as ``_pump``
-                # would start it.
-                message._charge(activation)
-            return
-        # Dead, draining-without-activation, or stale target: re-place.
-        if message.attempts >= MAX_DELIVERY_ATTEMPTS:
-            self.membership.unavailable_failures += 1
-            if message._value is PENDING:
-                message.fail(SiloUnavailable(
-                    f"{ref.type_name}/{ref.key}.{message.method} "
-                    f"undeliverable after {message.attempts} attempts"))
-            return
-        message.attempts += 1
-        self.membership.reroutes += 1
-        self._route(message, caller_silo=None)
+        return message
 
     def _fail_after(self, message: Message, delay: float,
                     error: BaseException) -> None:

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import typing
 
-from repro.actors.silo import Message
-
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.actors.silo import Silo
+    from repro.actors.silo import Message, Silo
     from repro.runtime import Environment
 
 
@@ -73,10 +71,8 @@ class Grain:
         """Call another grain, propagating the transaction context.
 
         Name the callee with ``self.cluster.grain_ref(type, key)``."""
-        message = Message(self.env, method, args, kwargs,
-                          self.current_txn, ref, False)
-        self.cluster._route(message, self.silo)
-        return message
+        return self.cluster._route(ref, method, args, kwargs,
+                                   self.current_txn, self.silo)
 
     def publish(self, topic: str, key: str, payload: object,
                 causal_deps: typing.Iterable[int] = ()):
@@ -114,19 +110,14 @@ class GrainRef:
         It fires with the method's return value, or fails with the
         exception the method raised.
         """
-        cluster = self.cluster
-        message = Message(cluster.env, method, args, kwargs, txn, self,
-                          False)
-        cluster._route(message, caller_silo)
-        return message
+        return self.cluster._route(self, method, args, kwargs, txn,
+                                   caller_silo)
 
     def tell(self, method: str, *args, **kwargs) -> None:
         """Fire-and-forget invocation: no reply travels back, and a
         failure — the method raising, the message dropped, the silo
         crashing under the turn — is lost, never raised."""
-        cluster = self.cluster
-        cluster._route(Message(cluster.env, method, args, kwargs, None,
-                               self, True), None)
+        self.cluster._route(self, method, args, kwargs, None, None, True)
 
     def __repr__(self) -> str:
         return f"<GrainRef {self.type_name}/{self.key}>"

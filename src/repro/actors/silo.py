@@ -28,12 +28,12 @@ import typing
 from heapq import heappush as _heappush
 from types import GeneratorType as _GeneratorType
 
-from repro.actors.errors import GrainCallError, SiloUnavailable
+from repro.actors.errors import GrainCallError, NoLiveSilos, SiloUnavailable
 from repro.runtime.events import PENDING, Event, PooledEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.actors.cluster import Cluster
-    from repro.actors.grain import Grain, GrainRef
+    from repro.actors.grain import Grain
     from repro.actors.placement import GrainDirectory
     from repro.runtime import Environment
 
@@ -45,6 +45,11 @@ class SiloState:
     DRAINING = "draining"
     STOPPED = "stopped"
     CRASHED = "crashed"
+
+
+#: Delivery attempts per message before the caller sees
+#: ``SiloUnavailable`` (first send + rerouting hops).
+MAX_DELIVERY_ATTEMPTS = 4
 
 
 class Message(Event):
@@ -60,11 +65,12 @@ class Message(Event):
     the end of the turn and fired at the caller); a generator method
     adds exactly the events it yields.  A ``oneway`` message (a
     ``tell``) is defused from birth and never triggered by its turn,
-    so it costs two.  The message pushes each entry itself — the
-    cluster's ``_route`` the delivery, :meth:`_charge` the CPU hold,
-    :meth:`_reply` the reply — with the kernel's own pool, sequence
-    and heap steps, so a call costs seven Python frames.  Two rules of
-    the actor model live here:
+    so it costs two.  Each entry is pushed with the kernel's own pool,
+    sequence and heap steps and has one callback: ``Cluster._route``
+    builds the message and pushes its delivery, :meth:`_arrive` the
+    CPU hold, :meth:`_step` the reply.  A call costs four Python
+    frames: ``call``, ``_route``, ``_arrive``, ``_step``.  Two rules of
+    the actor model live in :meth:`_step`:
 
     * ``grain.current_txn`` is restored before *every* resumption.
       Reentrant grains interleave turns on one grain instance, so
@@ -75,50 +81,82 @@ class Message(Event):
       body is never resumed (the generator is closed instead), so no
       side effect — nested call, publish, write — leaks from beyond
       the grave.  The message was failed at crash time.
+
+    No ``__init__``: ``Cluster._route`` stores every field.  ``ref``
+    is kept so the cluster can re-place the message after a
+    membership change, ``attempts`` bounds that rerouting, ``target``
+    is the silo this hop goes to and ``epoch`` the ring epoch that
+    chose it (-1 if the directory chose); ``activation`` is set when
+    the turn takes (or queues for) a core.
     """
 
     __slots__ = ("method", "args", "kwargs", "txn", "reply_latency", "ref",
-                 "attempts", "epoch", "activation", "generator", "oneway")
+                 "attempts", "epoch", "target", "activation", "generator",
+                 "oneway")
 
-    def __init__(self, env: "Environment", method: str, args: tuple,
-                 kwargs: dict, txn: object | None, ref: "GrainRef",
-                 oneway: bool) -> None:
-        # Event's fields, set here: a message is built per call, and
-        # ``Event.__init__`` would add a frame to the call's seven.
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        #: Nobody waits on a tell: its failures are lost, not raised.
-        self._defused = oneway
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        self.txn = txn
-        self.reply_latency = 0.0
-        #: Grain reference, kept so the cluster can re-place the message
-        #: after a membership change.
-        self.ref = ref
-        #: Delivery attempts so far; rerouting is bounded by the cluster.
-        self.attempts = 1
-        #: Ring epoch of this hop's target; -1 if the directory chose.
-        self.epoch = -1
-        #: The activation serving this message, set when its turn starts.
-        self.activation: "Activation | None" = None
-        self.generator: typing.Generator | None = None
-        self.oneway = oneway
+    def _arrive(self, _event: "Event | None") -> None:
+        """Start this message's turn: the callback of its delivery
+        entry, or a start from the mailbox (``Activation._pump`` sets
+        ``activation`` and passes None).  The only place a turn takes
+        a core.
 
-    def _charge(self, activation: "Activation") -> None:
-        """Start this message's turn on ``activation``: hold one of the
-        silo's cores for the cluster's ``grain_cpu``, then :meth:`_run`.
-        The only place a turn takes a core (``Cluster._deliver`` and
-        ``Activation._pump`` call it).
-
-        A free core is taken at once and the hold is one pooled entry,
-        pushed as ``env.call_after(cost, self._run)`` would push it;
-        with every core busy the turn joins the silo's FIFO ``waiting``
-        queue, and a finishing turn hands it its core (:meth:`_run`)."""
-        self.activation = activation
+        On delivery the route is re-checked — the grain may have
+        migrated or its silo died or drained while the message was on
+        the wire: a stale target re-places the message, and a grain
+        that cannot start the turn now queues it in its mailbox.  A
+        free core is taken at once and held for ``grain_cpu``, one
+        pooled entry whose callback is :meth:`_step`; with every core
+        busy the turn joins the silo's FIFO ``waiting`` queue, and a
+        finishing turn hands it its core (:meth:`_granted`)."""
+        activation = self.activation
+        if activation is None:
+            ref = self.ref
+            cluster = ref.cluster
+            target = self.target
+            activation = target.activations.get(ref.ident)
+            if activation is None:
+                # Not hosted there: ``Cluster._target_for``, inline.  An
+                # unchanged ring still says ``target``.
+                host = cluster.directory.hosts.get(ref.ident)
+                if host is None or not host.alive:
+                    host = target
+                    if self.epoch != cluster.placement.epoch:
+                        try:
+                            host = cluster.placement.place(ref.type_name,
+                                                           ref.key)
+                        except NoLiveSilos:
+                            host = None
+                if host is target and target.accepting_activations:
+                    activation = target.activation_for(
+                        cluster, ref.grain_type, ref.key)
+            if activation is None or not target.alive:
+                # Dead, draining-without-activation, or stale: re-place.
+                if self.attempts >= MAX_DELIVERY_ATTEMPTS:
+                    cluster.membership.unavailable_failures += 1
+                    if self._value is PENDING:
+                        self.fail(SiloUnavailable(
+                            f"{ref.type_name}/{ref.key}.{self.method} "
+                            f"undeliverable after {self.attempts} "
+                            f"attempts"))
+                    return
+                self.attempts += 1
+                cluster.membership.reroutes += 1
+                cluster._route(ref, self.method, message=self)
+                return
+            # Most recently used: move to the end of the silo's LRU order.
+            lru = target.lru
+            del lru[activation]
+            lru[activation] = None
+            if (activation.mailbox or not activation.started
+                    or activation.defunct
+                    or (activation.inflight
+                        and not activation.grain.reentrant)):
+                # Whatever holds it up — ``_start``, or the turn in
+                # flight that a non-empty mailbox implies — pumps the
+                # mailbox.
+                activation.mailbox.append(self)
+                return
+            self.activation = activation
         activation.inflight.add(self)
         silo = activation.silo
         if silo.busy < silo.cores:
@@ -128,7 +166,7 @@ class Message(Event):
             silo.busy_time += silo.busy * (now - silo.last_change)
             silo.last_change = now
             silo.busy += 1
-            # env.call_after(cost, self._run), inline: the same pool,
+            # env.call_after(cost, self._step), inline: the same pool,
             # sequence and heap steps in the same order.
             env.pool_acquires += 1
             pool = env._pool
@@ -138,7 +176,7 @@ class Message(Event):
             else:
                 event = PooledEvent(env)
             event._value = None
-            event.callbacks.append(self._run)  # type: ignore[union-attr]
+            event.callbacks.append(self._step)  # type: ignore[union-attr]
             env._seq = seq = env._seq + 1
             if cost > 0.0:
                 _heappush(env._queue, (now + cost, seq, event))
@@ -149,85 +187,79 @@ class Message(Event):
 
     def _granted(self, _event: "Event") -> None:
         """A finishing turn handed this queued turn its core: hold it
-        for ``grain_cpu``, then :meth:`_run`."""
+        for ``grain_cpu``, then :meth:`_step`."""
         self.env.call_after(self.activation.grain.cluster.costs.grain_cpu,
-                            self._run)
+                            self._step)
 
-    def _run(self, _event: "Event") -> None:
-        """The CPU hold is over: free the core — or hand it to the
-        oldest queued turn, one zero-delay entry that starts that
-        turn's hold — and run the method body."""
-        activation = self.activation
-        silo = activation.silo
-        env = self.env
-        now = env.now  # Silo.utilisation()'s accounting, inline
-        silo.busy_time += silo.busy * (now - silo.last_change)
-        silo.last_change = now
-        if silo.waiting:
-            env.call_after(0.0, silo.waiting.popleft()._granted)
-        else:
-            silo.busy -= 1
-        if activation.defunct:
-            return  # crashed while waiting for a core; already failed
-        grain = activation.grain
-        method = getattr(grain, self.method, None)
-        if method is None or not callable(method):
-            self._reply(GrainCallError(
-                f"{type(grain).__name__} has no method {self.method!r}"),
-                ok=False)
-            return
-        grain.current_txn = self.txn
-        try:
-            result = method(*self.args, **self.kwargs)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(exc, ok=False)
-            return
-        if type(result) is _GeneratorType:
-            self.generator = result
-            # The hold event is an ordinary success carrying None:
-            # resuming on it is the generator's first ``send(None)``.
-            self._resume(_event)
-        else:
-            self._reply(result)
-
-    def _resume(self, event: "Event") -> None:
-        """Advance the body to its next wait (or its end); the callback
-        on every event the method yields."""
+    def _step(self, event: "Event") -> None:
+        """The callback of the turn's CPU hold and of every event its
+        body waits on.  After the hold: free the core — or hand it to
+        the oldest queued turn, one zero-delay entry that starts that
+        turn's hold — and call the method.  A generator body is
+        advanced to its next wait, here and on every resumption.  When
+        the body is done the turn ends here: answer the caller, start
+        the next message."""
         activation = self.activation
         generator = self.generator
-        if activation.defunct:
+        if generator is None:
+            silo = activation.silo
+            env = self.env
+            now = env.now  # Silo.utilisation()'s accounting, inline
+            silo.busy_time += silo.busy * (now - silo.last_change)
+            silo.last_change = now
+            if silo.waiting:
+                env.call_after(0.0, silo.waiting.popleft()._granted)
+            else:
+                silo.busy -= 1
+            if activation.defunct:
+                return  # crashed while waiting for a core; already failed
+            grain = activation.grain
+            method = getattr(grain, self.method, None)
+            if method is None or not callable(method):
+                value, ok = GrainCallError(
+                    f"{type(grain).__name__} has no method "
+                    f"{self.method!r}"), False
+            else:
+                grain.current_txn = self.txn
+                try:
+                    value, ok = method(*self.args, **self.kwargs), True
+                except BaseException as exc:  # noqa: BLE001 - forwarded
+                    value, ok = exc, False
+                if type(value) is _GeneratorType:
+                    # The hold event is an ordinary success carrying
+                    # None: resuming on it is the first ``send(None)``.
+                    self.generator = generator = value
+        elif activation.defunct:
             event.defuse()  # a failure meant for the abandoned body
             generator.close()
             return
-        activation.grain.current_txn = self.txn
-        try:
-            if event._ok:
-                target = generator.send(event._value)
+        if generator is not None:
+            activation.grain.current_txn = self.txn
+            try:
+                if event._ok:
+                    waited = generator.send(event._value)
+                else:
+                    event.defuse()
+                    waited = generator.throw(event._value)
+            except StopIteration as stop:
+                value, ok = stop.value, True
+            except BaseException as exc:  # noqa: BLE001 - forwarded
+                value, ok = exc, False
             else:
-                event.defuse()
-                target = generator.throw(event._value)
-        except StopIteration as stop:
-            self._reply(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - forwarded to caller
-            self._reply(exc, ok=False)
-            return
-        if not isinstance(target, Event):
-            generator.close()
-            self._reply(RuntimeError(
-                f"{self.method!r} yielded {target!r}, "
-                f"which is not an Event"), ok=False)
-        elif target.callbacks is not None:
-            target.callbacks.append(self._resume)
-        else:
-            # Already fired: resume on the next kernel step, exactly
-            # as a process waiting on a processed event would.
-            activation.env.call_after(
-                0.0, lambda _event: self._resume(target))
-
-    def _reply(self, value: object, ok: bool = True) -> None:
-        """End the turn: answer the caller, start the next message."""
-        activation = self.activation
+                if isinstance(waited, Event):
+                    if waited.callbacks is not None:
+                        waited.callbacks.append(self._step)
+                    else:
+                        # Already fired: resume on the next kernel step,
+                        # exactly as a process waiting on a processed
+                        # event would.
+                        self.env.call_after(
+                            0.0, lambda _event: self._step(waited))
+                    return
+                generator.close()
+                value, ok = RuntimeError(
+                    f"{self.method!r} yielded {waited!r}, "
+                    f"which is not an Event"), False
         activation.grain.current_txn = None
         activation.inflight.discard(self)
         if ok:
@@ -296,7 +328,9 @@ class Activation:
         mailbox = self.mailbox
         reentrant = self.grain.reentrant
         while mailbox and (reentrant or not self.inflight):
-            mailbox.popleft()._charge(self)
+            message = mailbox.popleft()
+            message.activation = self
+            message._arrive(None)
 
     # ------------------------------------------------------------------
     def _start(self):

@@ -166,6 +166,9 @@ class Scenario:
         and the hotspot window alike) so the scenario's shape — and
         the drain's headroom for clearing the end-of-window backlog —
         is preserved at any scale."""
+        if self.arrivals is None:
+            raise ValueError(f"scenario {self.name!r} has no arrivals: "
+                             f"a closed loop has no schedule to build")
         if rate_scale <= 0 or duration_scale <= 0:
             raise ValueError("scales must be > 0")
         arrivals = self.arrivals(self.base_rate)

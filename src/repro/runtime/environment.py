@@ -119,10 +119,10 @@ class Environment:
         broker delivery, a 2PC transaction's rounds, the working-set
         sweep and its pager writes, and a process's first step run on
         it.  Four sites inline this body — keep all five identical:
-        ``Cluster._route`` (delivery) and ``Message._charge`` (CPU
+        ``Cluster._route`` (delivery) and ``Message._arrive`` (CPU
         hold) in ``repro.actors``, ``StatefunRuntime._arrive``
         (wake-up) and ``Worker._step`` (CPU charge) in
-        ``repro.dataflow``.  (``Message._reply`` and ``Context.send``
+        ``repro.dataflow``.  (``Message._step`` and ``Context.send``
         inline :meth:`Event.trigger_after`: the message is its own
         entry.)  ``tests/test_event_budgets.py`` pins each path's
         same-tick order: ``test_same_tick_order_on_the_*_is_pinned``.

@@ -8,9 +8,10 @@ all as exact counts or exact float times read from the kernel
 (``env.events_processed``, ``env.now``):
 
 * the *budget*: a call to a method that never waits costs 3 events
-  and at most 14 Python frames of ``repro.actors`` + ``repro.runtime``,
-  a ``tell`` 2 events and at most 8 frames, a turn queued behind a
-  busy core at most 11 more frames, a cold activation at most 3
+  and at most 10 Python frames of ``repro.actors`` + ``repro.runtime``,
+  a call whose method waits once at most 13, a ``tell`` 2 events and
+  at most 5 frames, a turn queued behind a busy core at most 8 more
+  frames, a cold activation at most 3
   Python frames of any ``repro`` module and building a grain none
   (``ShipmentGrain`` aside), a four-member ``all_of``
   fan-out over processes at most 38 frames of ``repro.runtime``,
@@ -120,37 +121,42 @@ def test_a_waiting_method_adds_exactly_its_own_events():
 
 #: Python frames (cProfile, builtins off) of ``repro.actors`` and
 #: ``repro.runtime`` code per warm ``env.run(until=ref.call("plain"))``.
-#: Measured 13: 7 for the call — ref.call, the message's ``__init__``,
-#: _route, _deliver, _charge, _run, _reply — and 6 for the
-#: ``run(until=…)`` wrapper.  It was 16 while the hop, the CPU hold and
-#: the reply went through call_after, ``Resource.hold`` (and its
-#: ``held`` closure) and trigger_after, 21 while the promise was an
-#: event beside the message, and 37 while a call was a message, a turn
-#: and two closures.  ``<=`` because interpreters differ in what they
-#: inline.  (docs/architecture.md quotes the call's 7;
+#: Measured 10: 4 for the call — ref.call, _route (which builds the
+#: message), and one callback per timeline entry it pushes, _arrive
+#: (delivery) and _step (CPU hold) — and 6 for the ``run(until=…)``
+#: wrapper.  It was 13 while the message had an ``__init__`` and the
+#: turn was _deliver, _charge, _run and _reply, 16 while the hop, the
+#: CPU hold and the reply went through call_after, ``Resource.hold``
+#: (and its ``held`` closure) and trigger_after, 21 while the promise
+#: was an event beside the message, and 37 while a call was a message,
+#: a turn and two closures.  ``<=`` because interpreters differ in
+#: what they inline.  (docs/architecture.md quotes the call's 4;
 #: ``tests/test_docs_links.py`` holds it to this budget less the
 #: wrapper's 6.)
-MAX_FRAMES_PER_CALL = 13
+MAX_FRAMES_PER_CALL = 10
 #: Pure reads of kernel state: attribute loads, never frames.
 READ_ONLY_FRAMES = {"now", "type_name", "alive", "_account"}
 #: The fused path itself: exactly one frame of each per call.
-FUSED_PATH = ("_route", "_deliver", "_charge", "_run", "_reply")
+FUSED_PATH = ("_route", "_arrive", "_step")
 #: Frames a warm call no longer costs: the retired dispatch hop, the
 #: activation's enqueue, the routing helper, the tell's failure
 #: swallowing, the grain-side reference lookup, and the scheduling
 #: helpers the message now inlines — the hop's call_after, the CPU
 #: hold (``Resource.hold`` and its ``held`` closure) and the reply's
-#: trigger_after.
+#: trigger_after — and the message's retired steps, which _arrive and
+#: _step fuse: _deliver, _charge, _run, _resume and _reply.
 RETIRED_FRAMES = {"dispatch", "enqueue", "_target_for", "track_oneway",
                   "swallow", "grain_ref", "call_after", "hold", "held",
-                  "trigger_after"}
+                  "trigger_after", "_deliver", "_charge", "_run",
+                  "_resume", "_reply"}
 #: Frames of a ``tell`` plus the ``env.run()`` that delivers it.
-#: Measured 8: tell, the message's ``__init__``, _route, _deliver,
-#: _charge, _run, _reply — no reply travels back — and ``run``.  It
-#: was 10 while the hop and the CPU hold went through call_after and
-#: ``Resource.hold``, and 20 while a tell was a call with a reply whose
-#: callback swallowed failures.
-MAX_FRAMES_PER_TELL = 8
+#: Measured 5: tell, _route, _arrive, _step — no reply travels back —
+#: and ``run``.  It was 8 while the message had an ``__init__`` and the
+#: turn was _deliver, _charge, _run and _reply, 10 while the hop and
+#: the CPU hold went through call_after and ``Resource.hold``, and 20
+#: while a tell was a call with a reply whose callback swallowed
+#: failures.
+MAX_FRAMES_PER_TELL = 5
 
 
 def profiled_frames(action, repeats):
@@ -187,6 +193,33 @@ def test_call_to_a_method_that_never_waits_stays_in_its_frame_budget():
             == dict.fromkeys(FUSED_PATH, calls))
 
 
+#: Frames of ``repro.actors`` and ``repro.runtime`` code per warm
+#: ``env.run(until=ref.call("waits", …))``, a method that waits on one
+#: timeout: the 2PC grains' common turn.  Measured 13: the plain call's
+#: 10, one more _step (the resumption drives the generator and replies
+#: inline), and ``timeout`` with its ``Timeout.__init__``.  It was 17
+#: while the body was driven by _run, _resume twice and _reply and the
+#: message had an ``__init__``.
+MAX_FRAMES_PER_WAITING_CALL = 13
+
+
+def test_call_to_a_method_that_waits_once_stays_in_its_frame_budget():
+    env = Environment(seed=1)
+    cluster = Cluster(env)
+    ref = cluster.grain_ref(Plain, "k")
+    for _ in range(10):
+        env.run(until=ref.call("waits", 0.001))
+    calls = 1000
+    frames = profiled_frames(
+        lambda: env.run(until=ref.call("waits", 0.001)), calls)
+    assert not READ_ONLY_FRAMES & set(frames), frames
+    assert not RETIRED_FRAMES & set(frames), frames
+    per_call = sum(frames.values()) / calls
+    assert per_call <= MAX_FRAMES_PER_WAITING_CALL, (per_call, frames)
+    # One _step ends the CPU hold and starts the body, one resumes it.
+    assert frames["_step"] == 2 * calls, frames
+
+
 @pytest.mark.parametrize("grain_type", [Plain, Reentrant])
 def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
     env = Environment(seed=1)
@@ -217,14 +250,15 @@ def test_tell_costs_two_events_and_stays_in_its_frame_budget(grain_type):
 #: Frames of ``repro.actors`` and ``repro.runtime`` code a turn that
 #: queues behind a busy core adds: two calls sent in one tick to two
 #: grains of a one-core silo, ``env.run(until=second)``, less one warm
-#: call.  Measured 10: call, the message's ``__init__``, _route,
-#: _deliver, _charge (the core is busy: the turn joins the silo's
-#: ``waiting`` queue), the finishing turn's call_after that hands the
-#: core over, _granted, its call_after, _run and _reply.  It was 16
-#: while the silo's cores were a kernel ``Resource`` (``request``, the
-#: request event's two ``__init__``, _release_slot, _grant, _account,
-#: succeed and the grant's lambda).  Bound: measured + 1.
-MAX_FRAMES_PER_QUEUED_TURN = 11
+#: call.  Measured 7: call, _route, _arrive (the core is busy: the turn
+#: joins the silo's ``waiting`` queue), the finishing turn's call_after
+#: that hands the core over, _granted, its call_after and _step.  It
+#: was 10 while the message had an ``__init__`` and the turn was
+#: _deliver, _charge, _run and _reply, and 16 while the silo's cores
+#: were a kernel ``Resource`` (``request``, the request event's two
+#: ``__init__``, _release_slot, _grant, _account, succeed and the
+#: grant's lambda).  Bound: measured + 1.
+MAX_FRAMES_PER_QUEUED_TURN = 8
 #: The retired ``Resource`` bookkeeping.
 RETIRED_CORE_FRAMES = {"request", "_grant", "_release_slot", "_account"}
 
@@ -1141,7 +1175,7 @@ def test_non_reentrant_grain_stays_fifo_when_messages_arrive_mid_turn():
     env.run()
     assert [tag for tag, _, _ in Slow.served] == list("abcde")
     assert replies == list("abcde")
-    # Only the first found the grain idle and started in ``_deliver``;
+    # Only the first found the grain idle and started in ``_arrive``;
     # each later turn was started by the one finishing before it.
     times = [time for _, _, time in Slow.served]
     assert times == sorted(times) and len(set(times)) == 5

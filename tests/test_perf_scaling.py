@@ -30,8 +30,9 @@ from repro.txn.context import TransactionContext
 from repro.txn.participant import TransactionalGrain, TransactionParticipant
 
 #: Allowed growth of calls/tx from ``duration_scale`` 0.1 to 0.8.
-#: Measured: 295 -> 235 (start-up cost amortises, nothing grows;
-#: 315 -> 256 while a grain call's hop, CPU hold and reply went
+#: Measured: 211 -> 171 (start-up cost amortises, nothing grows;
+#: 237 -> 199 while a grain call was seven frames, 295 -> 235 before
+#: that, 315 -> 256 while a grain call's hop, CPU hold and reply went
 #: through ``call_after``, ``Resource.hold`` and ``trigger_after``,
 #: 368 -> 306 while a 2PC transaction was a generator, 421 -> 360
 #: while a grain call was 15 frames, 524 -> 484 while a
@@ -42,15 +43,17 @@ from repro.txn.participant import TransactionalGrain, TransactionParticipant
 MAX_GROWTH = 1.10
 
 #: Python calls per committed transaction at ``duration_scale`` 0.8.
-#: Measured 198.6 (bound: measured + 4 %).
-MAX_CALLS_PER_TX = 207
+#: Measured 171.4 (bound: measured + 4 %); 198.6 while a grain call
+#: was seven frames.
+MAX_CALLS_PER_TX = 179
 
 
 #: Python calls per committed transaction of the ``orleans-eventual``
 #: cell at ``duration_scale`` 0.8: every service interaction is a
 #: grain call and checkout's stock reservation a fan-out.  Measured
-#: 168.2 (bound: measured + 4 %).
-MAX_EVENTUAL_CALLS_PER_TX = 175
+#: 143.6 (bound: measured + 4 %); 168.2 while a grain call was seven
+#: frames.
+MAX_EVENTUAL_CALLS_PER_TX = 150
 
 
 #: Python calls per committed transaction of the ``statefun`` cell at
@@ -62,12 +65,13 @@ MAX_STATEFUN_CALLS_PER_TX = 131
 #: cell on the ``million-keys`` scenario at ``duration_scale`` 0.3,
 #: 500 activations per silo: the one tier-1 cell whose working set
 #: outgrows its budget, so grains are created, filed and paged out on
-#: the path.  Measured 257.3 (bound: measured + 4 %); 262.0 while the
-#: pager deep-cloned every snapshot it wrote and read back, and 284.3
-#: while a grain had Python ``__init__`` methods, an activation was
-#: filed through ``note_activation`` and ``GrainDirectory.register``,
-#: and a page-out snapshot was a comprehension over ``paged_attrs``.
-MAX_PAGING_CALLS_PER_TX = 268
+#: the path.  Measured 229.4 (bound: measured + 4 %); 257.3 while a
+#: grain call was seven frames, 262.0 while the pager deep-cloned
+#: every snapshot it wrote and read back, and 284.3 while a grain had
+#: Python ``__init__`` methods, an activation was filed through
+#: ``note_activation`` and ``GrainDirectory.register``, and a page-out
+#: snapshot was a comprehension over ``paged_attrs``.
+MAX_PAGING_CALLS_PER_TX = 239
 
 
 #: Kernel events and ``Process`` objects per committed transaction.

@@ -267,6 +267,10 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(CLOSED_LOOP, **changes)
 
+    def test_a_closed_loop_has_no_schedule_to_build(self):
+        with pytest.raises(ValueError, match="no arrivals"):
+            CLOSED_LOOP.build_config()
+
     def test_a_closed_loop_refuses_a_rate_scale(self):
         with pytest.raises(ValueError, match="rate_scale"):
             control.run_scenario(CLOSED_LOOP, StubApp, rate_scale=2.0)
